@@ -124,15 +124,8 @@ pub struct DpStats {
     pub pareto_last_complete: usize,
     /// Maximum plan-set size over all (table set, order) groups.
     pub max_group_size: usize,
-    /// Frontier probes resolved by the grid-bucket fast path (a verified
-    /// occupant of the candidate's own α^(1/k)-cell rejected it without a
-    /// scan), summed over every plan set of the run.
-    pub frontier_grid_hits: u64,
-    /// Frontier probes that fell through to a cutoff scan (plain sorted
-    /// vector, or the indexed engine's filtered scans), summed over every
-    /// plan set of the run. Together with
-    /// [`DpStats::frontier_grid_hits`] this partitions all `would_reject`
-    /// probes, so the hit ratio measures the index's effectiveness.
+    /// Every `would_reject` probe, summed over every plan set of the run
+    /// (each probe is a sorted-prefix cutoff scan).
     pub frontier_scan_probes: u64,
     /// Whether the deadline expired and the quick-finish path ran.
     pub timed_out: bool,
@@ -196,17 +189,6 @@ impl OrderGroups {
 
     fn iter_entries(&self) -> impl Iterator<Item = &PlanEntry> {
         self.groups.values().flat_map(PlanSet::iter)
-    }
-
-    /// Sums the probe-outcome counters of every group's plan set.
-    fn probes(&self) -> crate::pareto::FrontierProbes {
-        let mut sum = crate::pareto::FrontierProbes::default();
-        for set in self.groups.values() {
-            let p = set.probes();
-            sum.grid_hits += p.grid_hits;
-            sum.scan_probes += p.scan_probes;
-        }
-        sum
     }
 
     fn best_weighted(&self, weights: &Weights) -> Option<PlanEntry> {
@@ -359,11 +341,11 @@ pub fn find_pareto_plans(
 
     // Roll the per-set probe counters up into the run stats — including
     // timed-out and quick-finish sets, whose probes are real work too.
-    for group in &table {
-        let probes = group.probes();
-        stats.frontier_grid_hits += probes.grid_hits;
-        stats.frontier_scan_probes += probes.scan_probes;
-    }
+    stats.frontier_scan_probes = table
+        .iter()
+        .flat_map(|group| group.groups.values())
+        .map(PlanSet::probes)
+        .sum();
 
     let final_plans: Vec<PlanEntry> = table[full_mask as usize].iter_entries().copied().collect();
     debug_assert!(

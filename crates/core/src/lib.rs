@@ -55,7 +55,7 @@ pub use exa_rta::{exa, rta, rta_internal_precision};
 pub use ira::{ira, ira_precision_schedule, IraResult};
 pub use metrics::{BlockReport, ConvergencePoint, OptimizationReport};
 pub use optimizer::{combine_block_costs, Algorithm, BlockPlan, OptimizationResult, Optimizer};
-pub use pareto::{props_key, FrontierProbes, FrontierStructure, PruneMode};
+pub use pareto::{props_key, PruneMode};
 pub use rmq::{cost_tree, rmq, rmq_warm, RmqConfig, RmqResult};
 pub use select::select_best;
 pub use soqo::{min_cost_for_objective, selinger};

@@ -40,9 +40,11 @@ pub struct BlockReport {
     pub max_group_size: usize,
     /// Plans constructed and offered to `Prune`.
     pub considered_plans: u64,
-    /// Frontier probes resolved by the grid-bucket fast path.
+    /// Always 0: plan sets keep no grid index. The field stays because
+    /// load drivers read it and [`BlockReport::trace_digest`] folds it, so
+    /// replay checksums stay byte-stable.
     pub frontier_grid_hits: u64,
-    /// Frontier probes that fell through to a cutoff scan.
+    /// Every frontier `would_reject` probe of the block's plan sets.
     pub frontier_scan_probes: u64,
     /// IRA iterations executed (1 for EXA/RTA, sampled candidates for RMQ).
     pub iterations: u32,
@@ -114,7 +116,7 @@ impl BlockReport {
             pareto_last_complete: stats.pareto_last_complete,
             max_group_size: stats.max_group_size,
             considered_plans: stats.considered_plans,
-            frontier_grid_hits: stats.frontier_grid_hits,
+            frontier_grid_hits: 0,
             frontier_scan_probes: stats.frontier_scan_probes,
             iterations,
             alpha_final: alpha,

@@ -355,14 +355,8 @@ pub fn rmq_warm(
         .map(|r| r.peak_front)
         .sum::<usize>()
         .max(front.len());
-    // Probe outcomes: each walker's local front plus the merged front.
-    let probe_sets = runs
-        .iter()
-        .map(|r| r.front.probes())
-        .chain([front.probes()]);
-    let (frontier_grid_hits, frontier_scan_probes) = probe_sets.fold((0u64, 0u64), |(h, s), p| {
-        (h + p.grid_hits, s + p.scan_probes)
-    });
+    // Probes: each walker's local front plus the merged front.
+    let frontier_scan_probes = runs.iter().map(|r| r.front.probes()).sum::<u64>() + front.probes();
     let stats = DpStats {
         considered_plans: runs.iter().map(|r| r.considered).sum(),
         stored_plans: front.len(),
@@ -370,7 +364,6 @@ pub fn rmq_warm(
         peak_memory_bytes: peak_stored * DpStats::bytes_per_stored_plan(),
         pareto_last_complete: front.len(),
         max_group_size: max_front,
-        frontier_grid_hits,
         frontier_scan_probes,
         timed_out: runs.iter().any(|r| r.timed_out),
     };

@@ -5,12 +5,13 @@
 //! 1. the stored set is always an antichain under strict dominance,
 //! 2. under exact pruning the surviving cost-vector set equals the true
 //!    Pareto frontier of everything inserted — hence insertion order never
-//!    changes it,
+//!    changes it; props-aware pruning of the same streams, with mixed row
+//!    counts and sort orders, leaves a props-antichain at α ∈ {1, 1.5, 2},
 //! 3. under approximate pruning every vector ever offered stays
 //!    α-dominated by some survivor (the invariant behind Lemma 2 /
 //!    Theorem 3's base case).
 
-use moqo_core::pareto::{PlanEntry, PlanSet, PruneStrategy};
+use moqo_core::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
 use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet};
 use moqo_plan::{PlanId, PlanProps, SortOrder};
 use proptest::prelude::*;
@@ -39,6 +40,18 @@ fn entry(t: f64, b: f64, io: f64, id: u32) -> PlanEntry {
         },
         plan: PlanId(id),
     }
+}
+
+/// Gives an entry one of three row counts and one of three sort orders, so
+/// props-aware pruning sees several mutually incomparable props classes.
+fn with_props_class(mut e: PlanEntry, (rows_class, order_class): (u8, u8)) -> PlanEntry {
+    e.props.rows = [1.0, 10.0, 100.0][usize::from(rows_class) % 3];
+    e.props.order = match order_class % 3 {
+        0 => SortOrder::None,
+        1 => SortOrder::Col { rel: 0, col: 1 },
+        _ => SortOrder::Col { rel: 1, col: 0 },
+    };
+    e
 }
 
 fn insert_all(entries: &[PlanEntry], strategy: &PruneStrategy) -> PlanSet {
@@ -78,6 +91,7 @@ proptest! {
     fn exact_prune_matches_oracle_frontier_in_any_order(
         points in arb_points(),
         rotation in 0usize..48,
+        classes in prop::collection::vec((0u8..3, 0u8..3), 48),
     ) {
         let entries: Vec<PlanEntry> = points
             .iter()
@@ -114,6 +128,22 @@ proptest! {
         let shuffled = insert_all(&permuted, &strategy);
         prop_assert!(shuffled.is_antichain(objs3()));
         prop_assert_eq!(surviving_vectors(&shuffled), oracle);
+
+        // The same two streams with mixed props classes: props-aware
+        // pruning must leave no entry that dominates another in cost while
+        // covering its props, at every precision.
+        for stream in [&entries, &permuted] {
+            let mixed: Vec<PlanEntry> = stream
+                .iter()
+                .map(|e| with_props_class(*e, classes[e.plan.0 as usize]))
+                .collect();
+            for &alpha in &[1.0f64, 1.5, 2.0] {
+                let props_aware =
+                    PruneStrategy::approximate(alpha).with_mode(PruneMode::PropsAware);
+                let set = insert_all(&mixed, &props_aware);
+                prop_assert!(set.is_props_antichain(objs3()), "alpha {}", alpha);
+            }
+        }
     }
 
     /// Approximate pruning keeps the α-dominance guarantee of Lemma 2:

@@ -52,29 +52,6 @@ impl PropsKey {
     /// (e.g. an unsorted output). Every tag covers it.
     pub const NO_INTEREST: u64 = 0;
 
-    /// Exact class identity of this key: the raw bits of `rows` plus the
-    /// interest tag. Plans whose keys share a class id have *bitwise equal*
-    /// props keys, so one class-level [`PropsKey::covers`] test decides
-    /// coverage for every member at once — the invariant behind the
-    /// two-level (class → sub-front) frontier structure.
-    #[must_use]
-    pub fn class_id(&self) -> PropsClassId {
-        PropsClassId {
-            rows_bits: self.rows.to_bits(),
-            interest: self.interest,
-        }
-    }
-
-    /// Reconstructs the (bitwise exact) props key shared by every member of
-    /// a class.
-    #[must_use]
-    pub fn from_class(class: PropsClassId) -> Self {
-        PropsKey {
-            rows: f64::from_bits(class.rows_bits),
-            interest: class.interest,
-        }
-    }
-
     /// Relative tolerance of the row comparison in [`PropsKey::covers`].
     /// Cardinality estimates for the same table set agree only up to
     /// floating-point association noise (different join orders multiply
@@ -104,97 +81,6 @@ impl PropsKey {
         self.rows <= other.rows * (1.0 + Self::ROWS_RELATIVE_TOLERANCE)
             && (self.interest == other.interest || other.interest == Self::NO_INTEREST)
     }
-}
-
-/// The exact identity of a props class: every plan whose [`PropsKey`] has
-/// these row bits and interest tag. Hash/Eq are exact by construction — the
-/// [`PropsKey::ROWS_RELATIVE_TOLERANCE`] applies to *coverage between*
-/// classes, never to class membership.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PropsClassId {
-    /// `rows.to_bits()` of every member.
-    pub rows_bits: u64,
-    /// Interest tag of every member.
-    pub interest: u64,
-}
-
-/// Default multiplicative cell ratio of the dominance grid when the pruning
-/// precision is exactly 1 (the grid then only accelerates duplicate and
-/// near-duplicate detection; every bucket hit is verified against the exact
-/// relation, so the ratio is a tuning knob, not a soundness parameter).
-pub const GRID_DEFAULT_RATIO: f64 = 2.0;
-
-/// Per-dimension cell ratio of the α-grid over `k` selected objectives:
-/// `ρ = α^(1/k)` per the ε-Pareto grid construction (Papadimitriou &
-/// Yannakakis; the paper's §6 approximation argument quantizes cost space
-/// the same way), or [`GRID_DEFAULT_RATIO`] for `α = 1`. With
-/// `ρ = α^(1/k)` two vectors in the same cell are within factor `ρ ≤ α`
-/// per dimension, so any cell occupant α-dominates a same-cell candidate —
-/// callers still verify each bucket hit against the exact predicate, which
-/// keeps the index sound for `α = 1` and immune to hash collisions.
-///
-/// # Panics
-///
-/// Debug-asserts `α ≥ 1` and `k ≥ 1`.
-#[must_use]
-pub fn grid_cell_ratio(alpha: f64, k: usize) -> f64 {
-    debug_assert!(alpha >= 1.0 && k >= 1);
-    if alpha > 1.0 {
-        alpha.powf(1.0 / k as f64)
-    } else {
-        GRID_DEFAULT_RATIO
-    }
-}
-
-/// Bit shift realizing cell ratio `ρ` as an exponent/mantissa truncation:
-/// the largest `s` such that dropping the low `s` bits of an IEEE-754
-/// `f64` groups positive components into cells of per-dimension ratio at
-/// most `1 + 2^(s−52) ≤ ρ` (mantissa `m ∈ [1, 2)`, cell span `2^(s−52)·m`
-/// octaves at worst `m = 1`). `s = 52` is the pure-exponent grid (ratio-2
-/// cells); finer ratios keep high mantissa bits. The truncation is
-/// monotone on positive floats, so same-cell still implies the
-/// [`grid_cell_ratio`] bound — without a logarithm per probed dimension.
-///
-/// # Panics
-///
-/// Debug-asserts `ρ > 1`.
-#[must_use]
-pub fn grid_cell_shift(ratio: f64) -> u32 {
-    debug_assert!(ratio > 1.0);
-    let s = (52.0 + (ratio - 1.0).log2()).floor();
-    if s >= 52.0 {
-        52
-    } else if s <= 0.0 {
-        0
-    } else {
-        s as u32
-    }
-}
-
-/// Grid cell coordinate of one cost component: its bit pattern with the
-/// low `shift` bits dropped. For the positive finite costs the optimizer
-/// produces this is the multiplicative `ρ`-cell of [`grid_cell_shift`];
-/// zeros, infinities and (never expected) negatives each land in stable
-/// cells of their own — harmlessly, since every bucket hit is verified
-/// against the exact dominance relation.
-#[inline]
-#[must_use]
-pub fn grid_cell_coord(v: f64, shift: u32) -> u64 {
-    v.to_bits() >> shift
-}
-
-/// Folds per-dimension cell coordinates into one 64-bit bucket key
-/// (Fibonacci-style multiplicative mixing). Collisions merely co-locate
-/// unrelated cells in one bucket; they cannot produce wrong results because
-/// every bucket member is verified against the exact dominance relation.
-#[must_use]
-pub fn grid_cell_key(coords: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in coords {
-        h ^= c;
-        h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-    }
-    h
 }
 
 /// `c1 ⪯ c2` *and* `k1` covers `k2`: the props-aware dominance relation
@@ -346,65 +232,6 @@ mod tests {
         let none = ObjectiveSet::empty();
         assert!(dominates(&v(9.0, 9.0), &v(1.0, 1.0), none));
         assert!(!strictly_dominates(&v(9.0, 9.0), &v(1.0, 1.0), none));
-    }
-
-    #[test]
-    fn class_id_is_exact_and_roundtrips() {
-        let a = PropsKey::rows_only(10.0);
-        let b = PropsKey::rows_only(10.0 * (1.0 + 1e-12)); // within tolerance…
-        assert!(a.covers(&b) && b.covers(&a));
-        assert_ne!(a.class_id(), b.class_id(), "…but a distinct class");
-        let back = PropsKey::from_class(a.class_id());
-        assert_eq!(back.rows.to_bits(), a.rows.to_bits());
-        assert_eq!(back.interest, a.interest);
-    }
-
-    #[test]
-    fn grid_ratio_follows_the_alpha_grid() {
-        let r = grid_cell_ratio(2.0, 4);
-        assert!((r - 2.0f64.powf(0.25)).abs() < 1e-15);
-        assert_eq!(grid_cell_ratio(1.0, 9), GRID_DEFAULT_RATIO);
-    }
-
-    #[test]
-    fn same_cell_implies_alpha_dominance_when_verified() {
-        // The property the grid fast path exploits: with ρ = α^(1/k), any
-        // two positive values in the same bit-cell are within factor
-        // ρ ≤ α. Swept over three decades at a dense stride.
-        for &(alpha, k) in &[(1.5f64, 1usize), (1.5, 9), (2.0, 4), (1.01, 2)] {
-            let ratio = grid_cell_ratio(alpha, k);
-            let shift = grid_cell_shift(ratio);
-            let mut v = 0.01;
-            while v < 10.0 {
-                let w = v * (1.0 + (ratio - 1.0) * 0.99);
-                if grid_cell_coord(v, shift) == grid_cell_coord(w, shift) {
-                    assert!(w <= ratio * v && v <= ratio * w, "α={alpha} k={k} v={v}");
-                }
-                v *= 1.0 + (ratio - 1.0) * 0.37;
-            }
-        }
-    }
-
-    #[test]
-    fn grid_cell_coord_is_monotone_and_separates_octaves() {
-        let shift = grid_cell_shift(GRID_DEFAULT_RATIO);
-        assert_eq!(shift, 52, "ratio 2 is the pure exponent grid");
-        // Monotone truncation: cells order like the values…
-        assert!(grid_cell_coord(1.0, shift) < grid_cell_coord(2.5, shift));
-        assert!(grid_cell_coord(2.5, shift) < grid_cell_coord(f64::INFINITY, shift));
-        // …zero sits in its own bottom cell…
-        assert_eq!(grid_cell_coord(0.0, shift), 0);
-        assert!(grid_cell_coord(0.0, shift) < grid_cell_coord(f64::MIN_POSITIVE, shift));
-        // …and a finer ratio refines the octave.
-        let fine = grid_cell_shift(1.0 + 1.0 / 32.0);
-        assert!(fine < 52);
-        assert_ne!(grid_cell_coord(1.0, fine), grid_cell_coord(1.9, fine));
-    }
-
-    #[test]
-    fn grid_cell_key_distinguishes_dimension_order() {
-        assert_ne!(grid_cell_key([1, 2]), grid_cell_key([2, 1]));
-        assert_eq!(grid_cell_key([1, 2, 3]), grid_cell_key([1, 2, 3]));
     }
 
     #[test]

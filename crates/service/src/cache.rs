@@ -30,7 +30,7 @@ use std::collections::HashMap;
 
 use moqo_catalog::{GraphSignature, JoinGraph};
 use moqo_core::{PlanEntry, PruneMode};
-use moqo_cost::{ObjectiveSet, PreferenceSignature};
+use moqo_cost::PreferenceSignature;
 use moqo_plan::{JoinTree, PlanArena};
 
 /// Cache key: canonical block signature × canonical preference signature.
@@ -314,14 +314,6 @@ impl PlanCache {
     /// (serving power never regresses — also across signature collisions
     /// and pruning modes); usage stats survive replacement only when the
     /// entry describes the same block.
-    ///
-    /// `objectives` are the objectives the front was pruned under; debug
-    /// builds certify the front against the frontier engine by replaying
-    /// it through both the plain and the grid-indexed structures and
-    /// asserting they agree plan-for-plan — real optimizer fronts (which
-    /// concatenate per-order groups and so need not be antichains) thereby
-    /// cross-check the engine's bit-identity on every cache insertion.
-    #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &self,
         key: CacheKey,
@@ -330,51 +322,10 @@ impl PlanCache {
         src_arena: &PlanArena,
         alpha: f64,
         mode: PruneMode,
-        objectives: ObjectiveSet,
     ) {
         if frontier.is_empty() {
             return;
         }
-        // Certification against the frontier engine: replay the front
-        // through the plain and the grid-indexed structures under the
-        // entry's mode and exact precision; both must keep exactly the
-        // same plans. Debug-only — pure overhead on the serving path, but
-        // it cross-checks the engine's bit-identity on every real front a
-        // cache adopts (fronts concatenate per-order groups, so unlike a
-        // single group's set they need not be antichains).
-        #[cfg(debug_assertions)]
-        {
-            use moqo_core::pareto::{FrontierStructure, PlanSet, PruneStrategy};
-            let strategy = PruneStrategy {
-                alpha_internal: 1.0,
-                approx_deletion: false,
-                mode,
-            };
-            let replay = |structure: FrontierStructure| {
-                let mut engine = PlanSet::with_structure(structure);
-                for e in frontier {
-                    engine.prune_insert(*e, &strategy, objectives);
-                }
-                let mut kept: Vec<(u64, u32)> = engine
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.cost.get(moqo_cost::Objective::TotalTime).to_bits(),
-                            e.plan.0,
-                        )
-                    })
-                    .collect();
-                kept.sort_unstable();
-                kept
-            };
-            debug_assert_eq!(
-                replay(FrontierStructure::Plain),
-                replay(FrontierStructure::Indexed),
-                "frontier layouts must agree on the adopted front under {mode:?}"
-            );
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = objectives;
         // Cheap probe before the adoption work: the common repeat path
         // (an equally-loose front for an already resident entry, e.g.
         // every recomputed RMQ block) costs one lock round-trip and no
@@ -534,10 +485,6 @@ mod tests {
         }]
     }
 
-    fn objs() -> ObjectiveSet {
-        ObjectiveSet::single(Objective::TotalTime)
-    }
-
     fn pref() -> Preference {
         Preference::over(ObjectiveSet::single(Objective::TotalTime))
             .weight(Objective::TotalTime, 1.0)
@@ -550,7 +497,7 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.5, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 1.5, PruneMode::CostOnly);
 
         match cache.lookup(&key, &g, 2.0, false, PruneMode::CostOnly) {
             CacheLookup::Hit {
@@ -592,7 +539,7 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
         // Same block, different alias spellings: signature and serving
         // both ignore aliases.
         let mut renamed = g.clone();
@@ -606,15 +553,7 @@ mod tests {
         ));
         // And a looser re-insert from the renamed variant does not evict
         // the tighter entry.
-        cache.insert(
-            key,
-            &renamed,
-            &front,
-            &src,
-            2.0,
-            PruneMode::CostOnly,
-            objs(),
-        );
+        cache.insert(key, &renamed, &front, &src, 2.0, PruneMode::CostOnly);
         assert!(matches!(
             cache.lookup(&key, &g, 1.0, false, PruneMode::CostOnly),
             CacheLookup::Hit { .. }
@@ -628,15 +567,15 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 2.0, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 2.0, PruneMode::CostOnly);
         // Looser insert is ignored.
-        cache.insert(key, &g, &front, &src, 3.0, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 3.0, PruneMode::CostOnly);
         match cache.lookup(&key, &g, 2.5, false, PruneMode::CostOnly) {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 2.0),
             _ => panic!("entry must still carry α = 2.0"),
         }
         // Tighter insert replaces, stats survive.
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
         match cache.lookup(&key, &g, 1.0, true, PruneMode::CostOnly) {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 1.0),
             _ => panic!("exact entry serves even bounded requests"),
@@ -651,7 +590,7 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
         let mut other = g.clone();
         other.rels[0].filter_selectivity = 0.5;
         // Same key forced on a different graph: must not serve, and must
@@ -664,15 +603,7 @@ mod tests {
         // Nor may a looser colliding insert displace the tighter entry.
         let mut src2 = PlanArena::new();
         let front2 = front_in(&mut src2);
-        cache.insert(
-            key,
-            &other,
-            &front2,
-            &src2,
-            3.0,
-            PruneMode::CostOnly,
-            objs(),
-        );
+        cache.insert(key, &other, &front2, &src2, 3.0, PruneMode::CostOnly);
         match cache.lookup(&key, &g, 1.0, false, PruneMode::CostOnly) {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 1.0),
             _ => panic!("collision must not regress serving power"),
@@ -688,7 +619,7 @@ mod tests {
         let front = front_in(&mut src);
         // An exact cost-only front: tighter than any request could ask,
         // yet a props-aware consumer must not be served from it…
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
         match cache.lookup(&key, &g, 10.0, false, PruneMode::PropsAware) {
             CacheLookup::NotServable { alpha, mode } => {
                 assert_eq!(alpha, 1.0);
@@ -704,7 +635,7 @@ mod tests {
         // The reverse direction: a props-aware entry never serves a
         // cost-only request either.
         let cache2 = PlanCache::new(8, 1);
-        cache2.insert(key, &g, &front, &src, 1.0, PruneMode::PropsAware, objs());
+        cache2.insert(key, &g, &front, &src, 1.0, PruneMode::PropsAware);
         assert!(matches!(
             cache2.lookup(&key, &g, 10.0, false, PruneMode::CostOnly),
             CacheLookup::NotServable { .. }
@@ -730,11 +661,11 @@ mod tests {
                 preference: pref().signature(),
             })
             .collect();
-        cache.insert(keys[0], &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
-        cache.insert(keys[1], &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
+        cache.insert(keys[0], &g, &front, &src, 1.0, PruneMode::CostOnly);
+        cache.insert(keys[1], &g, &front, &src, 1.0, PruneMode::CostOnly);
         // Touch key 0 so key 1 is the LRU when key 2 arrives.
         let _ = cache.lookup(&keys[0], &g, 2.0, false, PruneMode::CostOnly);
-        cache.insert(keys[2], &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
+        cache.insert(keys[2], &g, &front, &src, 1.0, PruneMode::CostOnly);
         assert_eq!(cache.len(), 2);
         assert!(cache.entry_stats(&keys[0]).is_some());
         assert!(cache.entry_stats(&keys[1]).is_none(), "LRU entry evicted");
@@ -753,7 +684,7 @@ mod tests {
         ));
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly, objs());
+        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
         let _ = cache.lookup(&key, &g, 2.0, false, PruneMode::CostOnly);
         let snap = cache.snapshot();
         assert_eq!((snap.hits, snap.misses), (1, 1));

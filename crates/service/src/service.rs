@@ -971,7 +971,6 @@ fn process(
             &block.arena,
             achieved_alpha,
             report.prune_mode,
-            request.preference.objectives,
         );
         inner
             .metrics

@@ -70,7 +70,7 @@ proptest! {
             preference: pref.signature(),
         };
         let mode = PruneMode::auto(params.enable_sampling, pref.objectives);
-        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode, pref.objectives);
+        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode);
 
         let requested = alpha + extra;
         match cache.lookup(&key, &graph, requested, false, mode) {
@@ -123,7 +123,7 @@ proptest! {
             preference: pref.signature(),
         };
         let mode = PruneMode::auto(params.enable_sampling, pref.objectives);
-        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode, pref.objectives);
+        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode);
         match cache.lookup(&key, &graph, requested, false, mode) {
             CacheLookup::NotServable { alpha: cached, .. } => {
                 prop_assert_eq!(cached, alpha);
@@ -160,7 +160,7 @@ proptest! {
             preference: pref.signature(),
         };
         let mode = PruneMode::auto(params.enable_sampling, pref.objectives);
-        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode, pref.objectives);
+        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode);
         prop_assert!(matches!(
             cache.lookup(&key, &graph, alpha + 1.0, true, mode),
             CacheLookup::NotServable { .. }
@@ -168,7 +168,7 @@ proptest! {
 
         // An exact entry serves bounded requests at any tolerance.
         let exact = exa(&model, &pref, &Deadline::unlimited());
-        cache.insert(key, &graph, &exact.final_plans, &exact.arena, 1.0, mode, pref.objectives);
+        cache.insert(key, &graph, &exact.final_plans, &exact.arena, 1.0, mode);
         prop_assert!(matches!(
             cache.lookup(&key, &graph, 1.0 + extra, true, mode),
             CacheLookup::Hit { .. }

@@ -402,7 +402,6 @@ fn mode_mismatched_cache_entries_are_never_served() {
         &block.arena,
         report.alpha_final,
         report.prune_mode,
-        pref.objectives,
     );
 
     // A colliding cost-only consumer (what a TupleLoss-selecting request
@@ -436,7 +435,6 @@ fn mode_mismatched_cache_entries_are_never_served() {
         &loss_block.arena,
         1.0,
         loss_report.prune_mode,
-        loss_pref.objectives,
     );
     assert!(matches!(
         cache2.lookup(&key, graph, 10.0, false, PruneMode::PropsAware),
