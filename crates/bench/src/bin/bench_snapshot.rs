@@ -229,14 +229,14 @@ fn main() {
     // that — the 100× column must not cost 100× (the binary asserts a
     // generous 20× ceiling to stay robust on noisy CI machines).
     {
-        use moqo_service::{PlanCache, ServiceMetrics};
+        use moqo_service::{EventKind, PlanCache, ServiceMetrics};
         use std::time::Duration;
         let cache = PlanCache::new(8, 1);
         let mut medians: Vec<f64> = Vec::new();
         for &completions in &[10_000u64, 1_000_000] {
             let metrics = ServiceMetrics::default();
             for i in 0..completions {
-                metrics.on_submitted();
+                metrics.on_event(EventKind::Enqueued, 0);
                 metrics.on_completed(
                     Duration::from_micros(i % 3_000),
                     Duration::from_micros(500 + i % 20_000),

@@ -383,14 +383,13 @@ fn main() {
     );
 
     assert_eq!(metrics.completed, completed);
-    // The per-variant error counters must partition the error space: what
-    // the seed folded into one overloaded "rejected" number is now
-    // rejected + timed_out + failed + shed, and nothing can fall between
-    // the counters.
+    // Every submission ends in exactly one outcome: a completion or one
+    // error-taxonomy counter. Nothing falls between the counters, and
+    // nothing counts twice.
     assert_eq!(
-        metrics.rejected + metrics.timed_out + metrics.failed + metrics.shed,
-        metrics.errors_total(),
-        "error taxonomy counters must sum to the error total"
+        metrics.completed + metrics.errors_total(),
+        total_submissions,
+        "completions and errors must partition the submissions"
     );
     if faults.is_none() {
         assert!(

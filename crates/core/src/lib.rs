@@ -18,7 +18,7 @@
 //!   condition certifies an `α_U`-approximate plan (Theorem 6).
 //! * [`selinger`] — the classical single-objective Selinger baseline (bushy
 //!   variant), realized as the exact algorithm over a single objective.
-//! * [`rmq`] — the **anytime randomized optimizer** (following Trummer &
+//! * [`rmq`](mod@rmq) — the **anytime randomized optimizer** (following Trummer &
 //!   Koch's randomized follow-up, arXiv:1603.00400): samples join trees and
 //!   improves them by local transformations, scaling to join graphs far
 //!   beyond the reach of the dynamic-programming schemes — without a formal

@@ -103,7 +103,7 @@ pub struct ShardCacheSnapshot {
     pub evictions: u64,
 }
 
-/// Point-in-time snapshot of [`CacheCounters`] plus occupancy.
+/// Point-in-time snapshot of `CacheCounters` plus occupancy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// Direct serves.

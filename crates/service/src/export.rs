@@ -446,7 +446,7 @@ mod tests {
 
     fn sample_metrics() -> MetricsSnapshot {
         let m = ServiceMetrics::default();
-        m.on_submitted();
+        m.on_event(EventKind::Enqueued, 0);
         m.on_completed(Duration::from_micros(50), Duration::from_millis(2));
         m.snapshot(CacheSnapshot::default(), 3)
     }

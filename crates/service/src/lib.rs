@@ -34,8 +34,11 @@
 //!   log-bucket histograms, O(buckets) memory — see [`LogHistogram`] for
 //!   the ≤12.5% quantile error bound), a per-[`ServiceError`]-variant
 //!   error taxonomy, downgrade counts, per-algorithm block mix, and cache
-//!   counters, all snapshotted on demand at O(buckets) cost. Nothing on
-//!   the submit or completion path acquires a `Mutex`.
+//!   counters, all snapshotted on demand at O(buckets) cost. Each request
+//!   counter is a projection of one per-[`EventKind`] counter table,
+//!   bumped by the same lifecycle call that feeds the flight recorder, so
+//!   counters and traces cannot disagree. Nothing on the submit or
+//!   completion path acquires a `Mutex`.
 //!
 //! * **Self-healing** — a panic inside a job is caught at the worker's
 //!   guard and delivered as [`ServiceError::Internal`] (payload included)
@@ -49,9 +52,7 @@
 //!   pressure-scaled sample budget (stamped `degraded_by_pressure` in the
 //!   block report, so α-accounting stays honest); past the shed threshold,
 //!   submissions are turned away with [`ServiceError::Shed`] before taking
-//!   a queue slot. Both transient errors are retryable through
-//!   [`OptimizationService::submit_with_retry`] (decorrelated-jitter
-//!   backoff, [`RetryPolicy`]).
+//!   a queue slot.
 //! * **Deterministic chaos** ([`FaultPlan`]) — panics, delays, queue-full
 //!   rejections and worker kills keyed on exact submission ordinals (or
 //!   the `MOQO_SL_FAULTS` env grammar), so fault runs replay byte-stable
@@ -65,7 +66,9 @@
 //!   trace plus the rolling slowest-k), a JSON [`TraceSnapshot`] dump and
 //!   a Prometheus-style text exposition ([`render_prometheus`]) over the
 //!   entire metrics surface. Under a logical clock the event stream is
-//!   byte-deterministic and checksum-gateable in CI.
+//!   byte-deterministic and checksum-gateable in CI. The recorder adds
+//!   only the rings, spans and exemplars: the events are counted on every
+//!   request whether or not it is on.
 //!
 //! Everything is std-only — no async runtime — and deterministic under a
 //! test configuration (one worker, fixed RMQ seed, no deadlines).
@@ -113,7 +116,6 @@ mod metrics;
 mod policy;
 mod queue;
 mod request;
-mod retry;
 mod service;
 mod supervisor;
 mod trace;
@@ -132,7 +134,6 @@ pub use request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
     ServiceError,
 };
-pub use retry::{is_retryable, retry_with, RetryClock, RetryPolicy, SystemClock};
 pub use service::{OptimizationService, ServiceBuilder, ServiceConfig, Ticket};
 pub use trace::{
     commutative_checksum, error_code, stream_checksum, EventKind, Exemplar, ExemplarClass,

@@ -2,11 +2,13 @@
 //! error taxonomy, per-algorithm block mix, and latency percentiles from
 //! lock-free log-bucket histograms.
 //!
-//! Every recording path — submission, block completion, request
-//! completion, errors — is a handful of relaxed atomic `fetch_add`s:
-//! no `Mutex`, no allocation, O(buckets) memory regardless of uptime or
-//! request count. `snapshot()` cost is likewise independent of how many
-//! requests completed (a `bench_snapshot` cell and a unit test pin this).
+//! Every counter is a projection of one table of event counts, a row per
+//! [`EventKind`], bumped by the call that also writes the event to the
+//! flight recorder (when tracing is on), so counters cannot disagree with
+//! the trace. Recording is a relaxed atomic `fetch_add`: no `Mutex`, no
+//! allocation, O(buckets) memory regardless of uptime or request count.
+//! `snapshot()` cost is likewise independent of how many requests
+//! completed (a `bench_snapshot` cell and a unit test pin this).
 
 use moqo_sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -16,8 +18,10 @@ use moqo_core::Algorithm;
 use crate::cache::CacheSnapshot;
 use crate::histogram::LogHistogram;
 use crate::request::ServiceError;
+use crate::trace::{error_code, EventKind};
 
-/// Which algorithm family served a block (the service's per-algorithm mix).
+/// Which algorithm family optimized a block (the service's per-algorithm
+/// mix; cache-served blocks count as `cache_probe` hits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmKind {
     /// The exact algorithm.
@@ -28,8 +32,6 @@ pub enum AlgorithmKind {
     Ira,
     /// The anytime randomized optimizer.
     Rmq,
-    /// No algorithm ran — the block came straight from the plan cache.
-    CacheServe,
 }
 
 impl AlgorithmKind {
@@ -44,22 +46,19 @@ impl AlgorithmKind {
         }
     }
 
-    const COUNT: usize = 5;
-
     fn index(self) -> usize {
         match self {
             AlgorithmKind::Exa => 0,
             AlgorithmKind::Rta => 1,
             AlgorithmKind::Ira => 2,
             AlgorithmKind::Rmq => 3,
-            AlgorithmKind::CacheServe => 4,
         }
     }
 
     /// Stable wire code, packed into trace events.
     #[must_use]
     pub fn as_u8(self) -> u8 {
-        u8::try_from(self.index()).expect("five kinds fit a byte")
+        u8::try_from(self.index()).expect("four kinds fit a byte")
     }
 
     /// Decodes [`AlgorithmKind::as_u8`]; `None` for garbage.
@@ -70,7 +69,6 @@ impl AlgorithmKind {
             1 => AlgorithmKind::Rta,
             2 => AlgorithmKind::Ira,
             3 => AlgorithmKind::Rmq,
-            4 => AlgorithmKind::CacheServe,
             _ => return None,
         })
     }
@@ -83,31 +81,39 @@ impl AlgorithmKind {
             AlgorithmKind::Rta => "rta",
             AlgorithmKind::Ira => "ira",
             AlgorithmKind::Rmq => "rmq",
-            AlgorithmKind::CacheServe => "cached",
         }
     }
+}
+
+/// Counter cells per event kind (see [`event_detail`]).
+const DETAILS: usize = 16;
+
+/// The counter cell an event lands in: the part of `arg0` a snapshot
+/// counter splits on — the `queue_full` origin (0 genuine), the `failed`
+/// [`error_code`], the `cache_probe` outcome (0 hit), and the
+/// `block_optimized` algorithm code (cell bits 0–1) and its degraded
+/// (bit 2) and downgraded (bit 3) flags. Other kinds count in cell 0.
+fn event_detail(kind: EventKind, arg0: u64) -> usize {
+    let detail = match kind {
+        EventKind::QueueFull | EventKind::Failed => arg0,
+        EventKind::CacheProbe => arg0 >> 32,
+        EventKind::BlockOptimized => ((arg0 >> 32) & 0b11) | ((arg0 >> 38) & 0b1100),
+        _ => 0,
+    };
+    detail.min(DETAILS as u64 - 1) as usize
 }
 
 /// Live counters; cheap to update from every worker, safe to share via
 /// `Arc`. All recording methods are lock-free.
 pub struct ServiceMetrics {
     started: Instant,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    timed_out: AtomicU64,
-    failed: AtomicU64,
-    queue_full: AtomicU64,
-    shed: AtomicU64,
-    panics_total: AtomicU64,
-    respawns: AtomicU64,
-    stalls_detected: AtomicU64,
-    degraded_blocks: AtomicU64,
-    downgraded_blocks: AtomicU64,
+    /// Lifecycle event counts: a row per [`EventKind`] wire code, a cell
+    /// per [`event_detail`]. Each event bumps one cell, and every request
+    /// counter of [`MetricsSnapshot`] is a sum of cells.
+    events: [[AtomicU64; DETAILS]; EventKind::COUNT],
     /// EWMA of recent queue waits: the brownout controller's pressure
     /// signal (reads are one relaxed load on the submit fast path).
     pressure: PressureGauge,
-    algo_blocks: [AtomicU64; AlgorithmKind::COUNT],
     /// Submission → response, the sum of the two series below (recorded on
     /// one clock, the job's submission `Instant`, so the series agree by
     /// construction — no cross-clock `.max` papering needed).
@@ -126,20 +132,8 @@ impl Default for ServiceMetrics {
     fn default() -> Self {
         ServiceMetrics {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            queue_full: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            panics_total: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            stalls_detected: AtomicU64::new(0),
-            degraded_blocks: AtomicU64::new(0),
-            downgraded_blocks: AtomicU64::new(0),
+            events: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             pressure: PressureGauge::default(),
-            algo_blocks: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: LogHistogram::new(),
             queue_wait: LogHistogram::new(),
             service_time: LogHistogram::new(),
@@ -150,53 +144,21 @@ impl Default for ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Counts one request accepted into the queue.
-    pub fn on_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+    /// Counts one lifecycle event of `kind` with first argument `arg0`
+    /// (laid out as [`EventKind`] documents).
+    #[moqo::hot_path]
+    pub fn on_event(&self, kind: EventKind, arg0: u64) {
+        self.events[kind as usize][event_detail(kind, arg0)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one submission bounced off a full queue.
-    pub fn on_queue_full(&self) {
-        self.queue_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one failed request under the error taxonomy: admission
-    /// rejections, deadline expiries, shed submissions and internal losses
-    /// land in separate counters, so `rejected` means what its docs say.
-    /// An `Internal` error additionally bumps `panics_total` — every
-    /// internal error today is a caught worker panic.
-    pub fn on_error(&self, error: &ServiceError) {
-        let counter = match error {
-            ServiceError::Rejected(_) => &self.rejected,
-            ServiceError::DeadlineExceeded => &self.timed_out,
-            ServiceError::Shed => &self.shed,
-            ServiceError::Internal { .. } => {
-                self.panics_total.fetch_add(1, Ordering::Relaxed);
-                &self.failed
-            }
-            ServiceError::QueueFull | ServiceError::ShuttingDown | ServiceError::WorkerLost => {
-                &self.failed
-            }
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one worker respawned by the supervisor (dead worker reaped,
-    /// replacement spawned onto its shard).
-    pub fn on_respawn(&self) {
-        self.respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one wedged worker detected (heartbeat epoch stagnant past
-    /// the stall threshold); a substitute was fielded.
-    pub fn on_stall(&self) {
-        self.stalls_detected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one block browned out under load pressure (forced onto the
-    /// anytime search and/or its sample budget shrunk).
-    pub fn on_degraded_block(&self) {
-        self.degraded_blocks.fetch_add(1, Ordering::Relaxed);
+    /// Events of `kind` counted in a cell that `keep` accepts.
+    fn count(&self, kind: EventKind, keep: impl Fn(usize) -> bool) -> u64 {
+        self.events[kind as usize]
+            .iter()
+            .enumerate()
+            .filter(|&(detail, _)| keep(detail))
+            .map(|(_, cell)| cell.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// The queue-wait pressure gauge (shared with the brownout admission
@@ -225,22 +187,13 @@ impl ServiceMetrics {
         self.service_time.snapshot()
     }
 
-    /// Counts one optimized (or cache-served) block.
-    #[moqo::hot_path]
-    pub fn on_block(&self, kind: AlgorithmKind, downgraded: bool) {
-        self.algo_blocks[kind.index()].fetch_add(1, Ordering::Relaxed);
-        if downgraded {
-            self.downgraded_blocks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one completed request: queue wait and processing time go to
-    /// separate histogram series, their sum to the end-to-end series. All
-    /// three are measured from the same submission `Instant`, so no
-    /// cross-clock reconciliation is needed (or performed).
+    /// Records one completed request: its `completed` event, queue wait and
+    /// processing time to separate histogram series, their sum to the
+    /// end-to-end series. All three are measured from the same submission
+    /// `Instant`, so no cross-clock reconciliation is needed (or performed).
     #[moqo::hot_path]
     pub fn on_completed(&self, queue_wait: Duration, service_time: Duration) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.on_event(EventKind::Completed, 0);
         self.queue_wait.record(queue_wait);
         self.service_time.record(service_time);
         self.latency.record(queue_wait + service_time);
@@ -261,7 +214,8 @@ impl ServiceMetrics {
         let latency = self.latency.snapshot();
         let queue_wait = self.queue_wait.snapshot();
         let service_time = self.service_time.snapshot();
-        let completed = self.completed.load(Ordering::Relaxed);
+        let all = |_| true;
+        let completed = self.count(EventKind::Completed, all);
         let elapsed = self.started.elapsed();
         let now_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         // Guard against back-to-back snapshots: a window of a few
@@ -289,20 +243,37 @@ impl ServiceMetrics {
             let window_done = completed.saturating_sub(window_completed);
             window_done as f64 / (window_us.max(MIN_WINDOW_US) as f64 / 1e6)
         };
+        let failed_as = |errors: &[ServiceError]| {
+            self.count(EventKind::Failed, |code| {
+                errors.iter().any(|e| error_code(e) == code as u64)
+            })
+        };
+        let block = |mask: usize, value: usize| {
+            self.count(EventKind::BlockOptimized, |d| d & mask == value)
+        };
+        let algorithm = |kind: AlgorithmKind| block(0b11, kind.index());
+        // `enqueued` precedes the push and a genuine bounce follows it.
+        let bounced = self.count(EventKind::QueueFull, |origin| origin == 0);
         MetricsSnapshot {
             uptime: elapsed,
-            submitted: self.submitted.load(Ordering::Relaxed),
+            submitted: self.count(EventKind::Enqueued, all).saturating_sub(bounced),
             completed,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            queue_full: self.queue_full.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            panics_total: self.panics_total.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            stalls_detected: self.stalls_detected.load(Ordering::Relaxed),
-            degraded_blocks: self.degraded_blocks.load(Ordering::Relaxed),
-            downgraded_blocks: self.downgraded_blocks.load(Ordering::Relaxed),
+            rejected: self.count(EventKind::Rejected, all)
+                + failed_as(&[ServiceError::Rejected(String::new())]),
+            timed_out: failed_as(&[ServiceError::DeadlineExceeded]),
+            failed: failed_as(&[
+                ServiceError::QueueFull,
+                ServiceError::ShuttingDown,
+                ServiceError::internal(String::new()),
+                ServiceError::WorkerLost,
+            ]),
+            queue_full: self.count(EventKind::QueueFull, all),
+            shed: self.count(EventKind::Shed, all),
+            panics_total: self.count(EventKind::PanicCaught, all),
+            respawns: self.count(EventKind::WorkerRespawned, all),
+            stalls_detected: self.count(EventKind::WorkerStalled, all),
+            degraded_blocks: block(0b100, 0b100),
+            downgraded_blocks: block(0b1000, 0b1000),
             throughput_rps,
             p50: latency.quantile(0.50),
             p95: latency.quantile(0.95),
@@ -313,11 +284,11 @@ impl ServiceMetrics {
             service_p50: service_time.quantile(0.50),
             service_p95: service_time.quantile(0.95),
             service_p99: service_time.quantile(0.99),
-            blocks_exa: self.algo_blocks[0].load(Ordering::Relaxed),
-            blocks_rta: self.algo_blocks[1].load(Ordering::Relaxed),
-            blocks_ira: self.algo_blocks[2].load(Ordering::Relaxed),
-            blocks_rmq: self.algo_blocks[3].load(Ordering::Relaxed),
-            blocks_cached: self.algo_blocks[4].load(Ordering::Relaxed),
+            blocks_exa: algorithm(AlgorithmKind::Exa),
+            blocks_rta: algorithm(AlgorithmKind::Rta),
+            blocks_ira: algorithm(AlgorithmKind::Ira),
+            blocks_rmq: algorithm(AlgorithmKind::Rmq),
+            blocks_cached: self.count(EventKind::CacheProbe, |outcome| outcome == 0),
             pressure: self.pressure.current(),
             alive_workers,
             cache,
@@ -330,7 +301,7 @@ impl ServiceMetrics {
 /// Percentiles are log-bucket quantiles: each reported value is the lower
 /// bound of the histogram bucket containing the exact order statistic, so
 /// it never exceeds the true percentile and undershoots by at most 12.5%
-/// (one bucket; exact below 8 µs) — see [`crate::histogram`].
+/// (one bucket; exact below 8 µs) — see the `histogram` module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Time since the service started.
@@ -409,11 +380,12 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Total failed requests across the error taxonomy — what the seed's
-    /// overloaded `rejected` counter used to absorb.
+    /// Total failed submissions across the error taxonomy — the sum of
+    /// its counters, `queue_full` included — what the seed's overloaded
+    /// `rejected` counter used to absorb.
     #[must_use]
     pub fn errors_total(&self) -> u64 {
-        self.rejected + self.timed_out + self.failed + self.shed
+        self.rejected + self.timed_out + self.failed + self.queue_full + self.shed
     }
 }
 
@@ -529,12 +501,19 @@ mod tests {
         assert_eq!(snap.errors_total(), 0);
     }
 
+    /// `block_optimized`'s `arg0` for algorithm `kind` with `flags`
+    /// (bit 0 degraded, bit 1 downgraded).
+    fn block(kind: AlgorithmKind, flags: u64) -> u64 {
+        (u64::from(kind.as_u8()) << 32) | (flags << 40)
+    }
+
     #[test]
     fn block_mix_accumulates() {
         let m = ServiceMetrics::default();
-        m.on_block(AlgorithmKind::Exa, false);
-        m.on_block(AlgorithmKind::Rmq, true);
-        m.on_block(AlgorithmKind::CacheServe, false);
+        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Exa, 0));
+        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Rmq, 0b10));
+        m.on_event(EventKind::CacheProbe, 0); // a hit serves the block
+        m.on_event(EventKind::CacheProbe, 2 << 32); // a miss does not
         let snap = m.snapshot(CacheSnapshot::default(), 0);
         assert_eq!(snap.blocks_exa, 1);
         assert_eq!(snap.blocks_rmq, 1);
@@ -545,28 +524,43 @@ mod tests {
     #[test]
     fn error_taxonomy_routes_to_distinct_counters() {
         let m = ServiceMetrics::default();
-        m.on_error(&ServiceError::Rejected("no algorithm".into()));
-        m.on_error(&ServiceError::DeadlineExceeded);
-        m.on_error(&ServiceError::DeadlineExceeded);
-        m.on_error(&ServiceError::WorkerLost);
-        m.on_error(&ServiceError::Shed);
-        m.on_error(&ServiceError::internal("boom".into()));
+        // Submit-side verdicts are event kinds of their own: one enqueue
+        // kept, one bounced off the full queue, one injected bounce.
+        for kind in [EventKind::Rejected, EventKind::Shed, EventKind::Enqueued] {
+            m.on_event(kind, 0);
+        }
+        m.on_event(EventKind::Enqueued, 0);
+        m.on_event(EventKind::QueueFull, 0);
+        m.on_event(EventKind::QueueFull, 1);
+        // Worker-side errors are `failed` events keyed by error code.
+        for error in [
+            ServiceError::Rejected("no algorithm".into()),
+            ServiceError::DeadlineExceeded,
+            ServiceError::DeadlineExceeded,
+            ServiceError::WorkerLost,
+            ServiceError::internal("boom".into()),
+        ] {
+            m.on_event(EventKind::Failed, error_code(&error));
+        }
+        m.on_event(EventKind::PanicCaught, 4);
         let snap = m.snapshot(CacheSnapshot::default(), 0);
-        assert_eq!(snap.rejected, 1);
+        assert_eq!(snap.submitted, 1);
+        assert_eq!(snap.rejected, 2, "submit-time and worker-side");
         assert_eq!(snap.timed_out, 2);
         assert_eq!(snap.failed, 2, "WorkerLost and Internal both fail");
+        assert_eq!(snap.queue_full, 2);
         assert_eq!(snap.shed, 1);
-        assert_eq!(snap.panics_total, 1, "Internal implies a caught panic");
-        assert_eq!(snap.errors_total(), 6);
+        assert_eq!(snap.panics_total, 1);
+        assert_eq!(snap.errors_total(), 9);
     }
 
     #[test]
     fn robustness_counters_accumulate() {
         let m = ServiceMetrics::default();
-        m.on_respawn();
-        m.on_respawn();
-        m.on_stall();
-        m.on_degraded_block();
+        m.on_event(EventKind::WorkerRespawned, 0);
+        m.on_event(EventKind::WorkerRespawned, 1);
+        m.on_event(EventKind::WorkerStalled, 1);
+        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Rmq, 0b11));
         let snap = m.snapshot(CacheSnapshot::default(), 0);
         assert_eq!(snap.respawns, 2);
         assert_eq!(snap.stalls_detected, 1);

@@ -237,8 +237,7 @@ pub enum ServiceError {
     /// request was turned away *before* occupying a queue slot it would
     /// only have timed out in. Distinct from both `Rejected` (a per-request
     /// deadline verdict) and `QueueFull` (hard capacity): shedding is the
-    /// service's own overload valve, and it is retryable — see
-    /// `submit_with_retry`.
+    /// service's own overload valve.
     Shed,
     /// The worker processing the request panicked; the panic was caught at
     /// the job boundary, the worker survived, and the payload is delivered

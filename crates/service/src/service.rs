@@ -23,10 +23,10 @@ use crate::request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
     ServiceError,
 };
-use crate::retry::{retry_with, RetryPolicy, SystemClock};
 use crate::supervisor::{Finding, Supervision, WorkerSlot};
 use crate::trace::{
     error_code, EventKind, FlightRecorder, RequestTrace, SpanCollector, TraceConfig, TraceStats,
+    SYSTEM_TRACE_ID,
 };
 
 /// Tuning knobs of one [`OptimizationService`].
@@ -114,8 +114,8 @@ struct ServiceInner {
     /// Pool size the supervisor restores towards (== shard count).
     workers_target: usize,
     /// The flight recorder, when tracing is enabled (see
-    /// [`ServiceBuilder::tracing`]); `None` keeps every request path
-    /// byte-identical to the untraced service.
+    /// [`ServiceBuilder::tracing`]). `None` skips only the ring, span and
+    /// exemplar writes: every event is still counted in `metrics`.
     recorder: Option<FlightRecorder>,
 }
 
@@ -298,8 +298,9 @@ impl ServiceBuilder {
     /// event rings, span-structured lifecycle events, and tail-based
     /// exemplar retention, all exportable through
     /// [`OptimizationService::trace_snapshot`]. Tracing is off by
-    /// default; the untraced service records nothing and behaves
-    /// byte-identically to builds before the recorder existed.
+    /// default. The counters do not depend on it: each lifecycle event is
+    /// one call that always counts, and tracing only adds the ring, span
+    /// and exemplar writes.
     #[must_use]
     pub fn tracing(mut self, config: TraceConfig) -> Self {
         self.tracing = Some(config);
@@ -392,36 +393,23 @@ impl OptimizationService {
     /// [`ServiceError::Rejected`] from the admission fast path,
     /// [`ServiceError::Shed`] from the brownout valve,
     /// [`ServiceError::ShuttingDown`] after shutdown began.
-    pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
-        self.submit_attempt(request, 0)
-    }
-
-    /// The submit path proper; `attempt > 0` marks a retry of the same
-    /// logical request (stamped on the trace as a `retry_attempt` event).
     #[allow(clippy::cast_possible_truncation)]
-    fn submit_attempt(
-        &self,
-        request: OptimizationRequest,
-        attempt: u64,
-    ) -> Result<Ticket, ServiceError> {
+    pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
         // Ordinals are assigned to every submission — including ones that
         // are then rejected or shed — so a fault plan keyed on submission
         // order replays exactly. The ordinal doubles as the trace id.
         let ordinal = self.inner.ordinals.fetch_add(1, Ordering::Relaxed);
+        let metrics = &self.inner.metrics;
         let recorder = self.inner.recorder.as_ref();
-        let mut rt = RequestTrace::started(recorder, ordinal);
+        let mut rt = RequestTrace::started(metrics, recorder, ordinal);
         rt.event(
             EventKind::Submitted,
             request.query.blocks.len() as u64,
             request.alpha.to_bits(),
             u64::from(request.deadline.is_some()),
         );
-        if attempt > 0 {
-            rt.event(EventKind::RetryAttempt, attempt, 0, 0);
-        }
         if let Some(deadline) = request.deadline {
             if let Err(error) = self.inner.admit_all_blocks(&request, deadline) {
-                self.inner.metrics.on_error(&error);
                 rt.event(EventKind::Rejected, 0, 0, 0);
                 rt.finish(Err(&error), 0);
                 return Err(error);
@@ -435,14 +423,12 @@ impl OptimizationService {
             && self.inner.brownout_level() == BrownoutLevel::Shed
         {
             let error = ServiceError::Shed;
-            self.inner.metrics.on_error(&error);
             rt.event(EventKind::Shed, 0, 0, 0);
             rt.finish(Err(&error), 0);
             return Err(error);
         }
         let fault = self.inner.faults.as_ref().and_then(|plan| plan.at(ordinal));
         if fault == Some(FaultAction::QueueFull) {
-            self.inner.metrics.on_queue_full();
             let error = ServiceError::QueueFull;
             rt.event(EventKind::QueueFull, 1, 0, 0);
             rt.finish(Err(&error), 0);
@@ -462,14 +448,11 @@ impl OptimizationService {
             responder: tx,
         };
         match self.inner.queue.try_push(job) {
-            Ok(()) => {
-                self.inner.metrics.on_submitted();
-                Ok(Ticket { receiver: rx })
-            }
+            Ok(()) => Ok(Ticket { receiver: rx }),
             Err((PushError::Full, mut job)) => {
-                self.inner.metrics.on_queue_full();
                 let error = ServiceError::QueueFull;
-                let mut rt = RequestTrace::resumed(recorder, usize::MAX, ordinal, job.span.take());
+                let mut rt =
+                    RequestTrace::resumed(metrics, recorder, usize::MAX, ordinal, job.span.take());
                 rt.event(EventKind::QueueFull, 0, 0, 0);
                 rt.finish(Err(&error), 0);
                 Err(error)
@@ -488,28 +471,6 @@ impl OptimizationService {
         request: OptimizationRequest,
     ) -> Result<OptimizationResponse, ServiceError> {
         self.submit(request)?.wait()
-    }
-
-    /// Submits with decorrelated-jitter retries on the transient errors
-    /// ([`ServiceError::QueueFull`], [`ServiceError::Shed`]) under the
-    /// policy's total sleep budget. Non-retryable errors return
-    /// immediately; the request is cloned per attempt.
-    ///
-    /// # Errors
-    ///
-    /// The first non-retryable [`ServiceError`], or the last retryable one
-    /// once the backoff budget is exhausted.
-    pub fn submit_with_retry(
-        &self,
-        request: &OptimizationRequest,
-        policy: &RetryPolicy,
-    ) -> Result<Ticket, ServiceError> {
-        let mut attempt = 0u64;
-        retry_with(policy, &mut SystemClock::new(), || {
-            let result = self.submit_attempt(request.clone(), attempt);
-            attempt += 1;
-            result
-        })
     }
 
     /// Metrics snapshot including cache counters and the live gauges
@@ -611,8 +572,8 @@ impl OptimizationService {
         // whatever is left. The queue is closed, so this terminates.
         while let Some(mut job) = self.inner.queue.pop_blocking() {
             let error = ServiceError::ShuttingDown;
-            self.inner.metrics.on_error(&error);
             let mut rt = RequestTrace::resumed(
+                &self.inner.metrics,
                 self.inner.recorder.as_ref(),
                 usize::MAX,
                 job.ordinal,
@@ -650,6 +611,12 @@ fn spawn_worker(inner: &Arc<ServiceInner>, shard: usize) {
 /// dead, abandons the wedged, and respawns replacements onto the same
 /// queue shard. Exits when shutdown begins.
 fn supervisor_loop(inner: &Arc<ServiceInner>) {
+    // Each finding is the one event of a system-scoped trace.
+    let record = |kind, shard: usize| {
+        let recorder = inner.recorder.as_ref();
+        let mut rt = RequestTrace::started(&inner.metrics, recorder, SYSTEM_TRACE_ID);
+        rt.event(kind, shard as u64, 0, 0);
+    };
     let mut last = Instant::now();
     while !inner.supervision.is_shutting_down() {
         inner.supervision.park(inner.supervisor_tick);
@@ -662,17 +629,11 @@ fn supervisor_loop(inner: &Arc<ServiceInner>) {
             let shard = match finding {
                 Finding::Dead { shard } => shard,
                 Finding::Stalled { shard } => {
-                    inner.metrics.on_stall();
-                    if let Some(recorder) = &inner.recorder {
-                        recorder.record_system(EventKind::WorkerStalled, shard as u64);
-                    }
+                    record(EventKind::WorkerStalled, shard);
                     shard
                 }
             };
-            inner.metrics.on_respawn();
-            if let Some(recorder) = &inner.recorder {
-                recorder.record_system(EventKind::WorkerRespawned, shard as u64);
-            }
+            record(EventKind::WorkerRespawned, shard);
             spawn_worker(inner, shard);
         }
     }
@@ -689,8 +650,13 @@ fn worker_loop(inner: &ServiceInner, shard: usize, slot: &WorkerSlot) {
     // per park timeout), so an idle worker never looks wedged.
     while let Some(mut job) = inner.queue.pop_blocking_from_with(shard, || slot.beat()) {
         let queue_wait_us = elapsed_us(job.submitted);
-        let mut rt =
-            RequestTrace::resumed(inner.recorder.as_ref(), shard, job.ordinal, job.span.take());
+        let mut rt = RequestTrace::resumed(
+            &inner.metrics,
+            inner.recorder.as_ref(),
+            shard,
+            job.ordinal,
+            job.span.take(),
+        );
         rt.event(EventKind::Popped, queue_wait_us, 0, 0);
         let mut die_after = false;
         match job.fault {
@@ -734,26 +700,8 @@ fn worker_loop(inner: &ServiceInner, shard: usize, slot: &WorkerSlot) {
             Err(error)
         });
         match &result {
-            // Queue wait and processing time are recorded as separate
-            // histogram series, both derived from the one submission
-            // `Instant` — there are no dueling clocks to reconcile.
-            Ok(response) => {
-                inner
-                    .metrics
-                    .on_completed(response.queue_wait, response.service_time);
-                rt.event(
-                    EventKind::Completed,
-                    elapsed_us(job.submitted),
-                    response.blocks.len() as u64,
-                    u64::from(response.fully_cached()),
-                );
-            }
-            // Each error variant lands in its own counter; `rejected`
-            // stays a pure admission-control number.
-            Err(error) => {
-                inner.metrics.on_error(error);
-                rt.event(EventKind::Failed, error_code(error), 0, 0);
-            }
+            Ok(response) => rt.completed(response, elapsed_us(job.submitted)),
+            Err(error) => rt.event(EventKind::Failed, error_code(error), 0, 0),
         }
         if die_after {
             // Stamped before `finish` so exemplar classification sees it:
@@ -867,7 +815,6 @@ fn process(
         {
             let best =
                 select_best(&frontier, &request.preference).expect("cached fronts are never empty");
-            inner.metrics.on_block(AlgorithmKind::CacheServe, false);
             blocks.push(BlockOutcome {
                 arena,
                 root: best.plan,
@@ -922,9 +869,6 @@ fn process(
             }
             _ => (algorithm, downgraded, false),
         };
-        if degraded {
-            inner.metrics.on_degraded_block();
-        }
 
         let mut optimizer = Optimizer::new(&inner.catalog).with_params(inner.params.clone());
         if let Some(rem) = remaining {
@@ -972,9 +916,6 @@ fn process(
             achieved_alpha,
             report.prune_mode,
         );
-        inner
-            .metrics
-            .on_block(AlgorithmKind::of(algorithm), downgraded);
         // arg0 packs block index (bits 0..32), algorithm kind (32..40) and
         // flags (40: degraded by pressure, 41: admission downgraded,
         // 42: warm-started); arg2 is the report's deterministic `DpStats`

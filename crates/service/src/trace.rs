@@ -5,8 +5,14 @@
 //! module records the evidence trail per request as fixed-size
 //! [`TraceEvent`]s — admit/reject, enqueue, pop (queue wait), cache probe
 //! outcome, per-block optimization (algorithm, achieved α, report digest,
-//! `degraded_by_pressure`), retry/panic/kill/shed, completion — into two
-//! sinks at once:
+//! `degraded_by_pressure`), panic/kill/shed, completion.
+//!
+//! Each lifecycle transition is one call, [`RequestTrace::event`]; a
+//! supervisor finding is the one event of a trace with id
+//! [`SYSTEM_TRACE_ID`]. The call always counts the event in the
+//! [`ServiceMetrics`] table that every snapshot counter is projected from,
+//! so counters and traces come from one record and cannot disagree. When
+//! tracing is on, the same call also writes the event into two sinks:
 //!
 //! * **Per-worker ring buffers** ([`EventRing`]): bounded, oldest
 //!   overwritten, with a `dropped_events` count derived from the head
@@ -24,20 +30,21 @@
 //!   with its own counter), and completed requests compete for the
 //!   rolling slowest-k by latency.
 //!
-//! Timestamps come from a [`TraceClock`] seam (the same pattern as
-//! [`crate::RetryClock`]): wall microseconds in production, a logical
-//! counter under `MOQO_SL_REPLAY` so replayed trace streams are
-//! byte-deterministic. Checksums ([`TraceEvent::digest`]) exclude every
-//! timing-valued field, and the error-exemplar checksum folds per-trace
-//! hashes commutatively, so it is independent of worker interleaving —
-//! that is what lets CI gate a 4-worker chaos run byte-stable.
+//! Timestamps come from a [`TraceClock`] seam: wall microseconds in
+//! production, a logical counter under `MOQO_SL_REPLAY` so replayed trace
+//! streams are byte-deterministic. Checksums ([`TraceEvent::digest`])
+//! exclude every timing-valued field, and the error-exemplar checksum
+//! folds per-trace hashes commutatively, so it is independent of worker
+//! interleaving — that is what lets CI gate a 4-worker chaos run
+//! byte-stable.
 
 use moqo_sync::atomic::{AtomicU64, Ordering};
 use moqo_sync::Mutex;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use crate::request::ServiceError;
+use crate::metrics::ServiceMetrics;
+use crate::request::{OptimizationResponse, ServiceError};
 
 /// Trace id used by events that belong to no request (supervisor respawn
 /// and stall findings).
@@ -83,9 +90,6 @@ pub enum EventKind {
     /// `arg0` = block count, `arg1` = requested α bits, `arg2` = 1 when a
     /// deadline is attached.
     Submitted = 0,
-    /// This submission is retry attempt `arg0` of an earlier transient
-    /// failure (`submit_with_retry`).
-    RetryAttempt = 1,
     /// The admission fast path rejected the request at submission.
     Rejected = 2,
     /// The brownout valve shed the submission before it took a queue slot.
@@ -127,24 +131,27 @@ pub enum EventKind {
     /// fully cache-served.
     Completed = 14,
     /// The supervisor respawned a worker onto shard `arg0`
-    /// (system-scoped: trace id [`SYSTEM_TRACE_ID`]).
+    /// (system-scoped: trace id `SYSTEM_TRACE_ID`).
     WorkerRespawned = 15,
     /// The supervisor detected a wedged worker on shard `arg0`.
     WorkerStalled = 16,
 }
 
 impl EventKind {
+    /// One past the largest wire code: the row count of a table indexed
+    /// by kind. Code 1 is unassigned.
+    pub(crate) const COUNT: usize = EventKind::WorkerStalled as usize + 1;
+
     /// Decodes the wire byte; `None` for garbage (a torn ring slot).
     #[must_use]
     pub fn from_u8(value: u8) -> Option<Self> {
         use EventKind::{
             BlockOptimized, CacheProbe, Completed, DeadlineExceeded, Enqueued, Failed, FaultDelay,
-            PanicCaught, Popped, QueueFull, Rejected, RetryAttempt, Shed, Submitted, WorkerKilled,
+            PanicCaught, Popped, QueueFull, Rejected, Shed, Submitted, WorkerKilled,
             WorkerRespawned, WorkerStalled,
         };
         Some(match value {
             0 => Submitted,
-            1 => RetryAttempt,
             2 => Rejected,
             3 => Shed,
             4 => QueueFull,
@@ -169,7 +176,6 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Submitted => "submitted",
-            EventKind::RetryAttempt => "retry_attempt",
             EventKind::Rejected => "rejected",
             EventKind::Shed => "shed",
             EventKind::QueueFull => "queue_full",
@@ -218,9 +224,9 @@ pub fn error_code(error: &ServiceError) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The request's trace id — its submission ordinal
-    /// ([`SYSTEM_TRACE_ID`] for supervisor events).
+    /// (`SYSTEM_TRACE_ID` for supervisor events).
     pub trace_id: u64,
-    /// [`TraceClock`] reading: wall µs since the recorder started, or a
+    /// `TraceClock` reading: wall µs since the recorder started, or a
     /// logical tick under replay. Never checksummed.
     pub ts: u64,
     /// What happened.
@@ -281,8 +287,7 @@ impl TraceEvent {
 }
 
 /// The clock trace timestamps are read from — wall microseconds in
-/// production, a logical counter under deterministic replay (the
-/// [`crate::RetryClock`] seam pattern, applied to tracing).
+/// production, a logical counter under deterministic replay.
 #[derive(Debug)]
 pub enum TraceClock {
     /// Microseconds since the recorder started.
@@ -626,20 +631,6 @@ impl FlightRecorder {
         self.rings.len() - 1
     }
 
-    /// Records a system-scoped event (supervisor findings).
-    pub(crate) fn record_system(&self, kind: EventKind, arg0: u64) {
-        let event = TraceEvent {
-            trace_id: SYSTEM_TRACE_ID,
-            ts: self.clock.now(),
-            kind,
-            seq: 0,
-            arg0,
-            arg1: 0,
-            arg2: 0,
-        };
-        self.rings[self.system_ring()].record(&event);
-    }
-
     fn retain(&self, exemplar: Exemplar) {
         if exemplar.class.is_error() {
             let mut errors = self.errors.lock().expect("exemplar lock poisoned");
@@ -722,10 +713,12 @@ impl EventRing {
     }
 }
 
-/// The per-request tracing handle threaded through submit, the worker
-/// loop and `process`. When tracing is disabled every method is a no-op
-/// over two `None`s — the untraced hot path stays byte-identical.
+/// The per-request lifecycle handle threaded through submit, the worker
+/// loop and `process`: every event it records is counted in `metrics`.
+/// When tracing is disabled the ring and span writes are no-ops over two
+/// `None`s.
 pub(crate) struct RequestTrace<'a> {
+    metrics: &'a ServiceMetrics,
     recorder: Option<&'a FlightRecorder>,
     ring: usize,
     trace_id: u64,
@@ -733,9 +726,15 @@ pub(crate) struct RequestTrace<'a> {
 }
 
 impl<'a> RequestTrace<'a> {
-    /// A fresh trace at submission time; `recorder == None` disables it.
-    pub(crate) fn started(recorder: Option<&'a FlightRecorder>, trace_id: u64) -> Self {
+    /// A fresh trace at submission time; `recorder == None` disables the
+    /// ring and span writes (events are still counted).
+    pub(crate) fn started(
+        metrics: &'a ServiceMetrics,
+        recorder: Option<&'a FlightRecorder>,
+        trace_id: u64,
+    ) -> Self {
         RequestTrace {
+            metrics,
             ring: recorder.map_or(0, FlightRecorder::system_ring),
             span: recorder.is_some().then(SpanCollector::new),
             recorder,
@@ -746,12 +745,14 @@ impl<'a> RequestTrace<'a> {
     /// Re-attaches to the span a job carried across the queue, switching
     /// event output to the worker's ring.
     pub(crate) fn resumed(
+        metrics: &'a ServiceMetrics,
         recorder: Option<&'a FlightRecorder>,
         ring: usize,
         trace_id: u64,
         span: Option<SpanCollector>,
     ) -> Self {
         RequestTrace {
+            metrics,
             recorder,
             ring,
             trace_id,
@@ -759,8 +760,29 @@ impl<'a> RequestTrace<'a> {
         }
     }
 
-    /// Records one event to the worker ring and the span.
+    /// Records one lifecycle event: counts it, and when tracing is on
+    /// appends it to the worker ring and the span.
     pub(crate) fn event(&mut self, kind: EventKind, arg0: u64, arg1: u64, arg2: u64) {
+        self.metrics.on_event(kind, arg0);
+        self.trace(kind, arg0, arg1, arg2);
+    }
+
+    /// Records the `completed` event of `response`, `latency_us` after
+    /// submission. Besides the count it feeds the latency histograms and
+    /// the pressure gauge from the response's queue wait and service time.
+    pub(crate) fn completed(&mut self, response: &OptimizationResponse, latency_us: u64) {
+        self.metrics
+            .on_completed(response.queue_wait, response.service_time);
+        self.trace(
+            EventKind::Completed,
+            latency_us,
+            response.blocks.len() as u64,
+            u64::from(response.fully_cached()),
+        );
+    }
+
+    /// The ring and span writes of one event; a no-op with tracing off.
+    fn trace(&mut self, kind: EventKind, arg0: u64, arg1: u64, arg2: u64) {
         let (Some(recorder), Some(span)) = (self.recorder, self.span.as_mut()) else {
             return;
         };
@@ -839,6 +861,7 @@ pub fn commutative_checksum<'a>(exemplars: impl IntoIterator<Item = &'a Exemplar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheSnapshot;
 
     fn event(trace_id: u64, kind: EventKind, seq: u16, arg0: u64) -> TraceEvent {
         TraceEvent {
@@ -859,6 +882,9 @@ mod tests {
         let mut torn = e.encode();
         torn[2] = 0xFF; // no such kind
         assert_eq!(TraceEvent::decode(&torn), None);
+        // The per-kind counter table has a row for every wire code.
+        let mut kinds = (0..=u8::MAX).filter_map(EventKind::from_u8);
+        assert!(kinds.all(|kind| (kind as usize) < EventKind::COUNT));
     }
 
     #[test]
@@ -919,6 +945,7 @@ mod tests {
 
     #[test]
     fn error_exemplars_survive_ring_overwrite_and_cap_drop_oldest() {
+        let metrics = ServiceMetrics::default();
         let recorder = FlightRecorder::new(
             &TraceConfig {
                 ring_capacity: 2, // tiny: every trace's ring events are lost
@@ -929,7 +956,7 @@ mod tests {
             1,
         );
         for id in 0..5u64 {
-            let mut rt = RequestTrace::started(Some(&recorder), id);
+            let mut rt = RequestTrace::started(&metrics, Some(&recorder), id);
             rt.event(EventKind::Submitted, 1, 0, 0);
             rt.event(EventKind::PanicCaught, 4, 0, 0);
             rt.finish(
@@ -955,6 +982,7 @@ mod tests {
 
     #[test]
     fn slowest_k_keeps_the_k_largest_latencies() {
+        let metrics = ServiceMetrics::default();
         let recorder = FlightRecorder::new(
             &TraceConfig {
                 slowest: 2,
@@ -964,7 +992,7 @@ mod tests {
             1,
         );
         for (id, latency) in [(0u64, 50u64), (1, 500), (2, 5), (3, 300)] {
-            let mut rt = RequestTrace::started(Some(&recorder), id);
+            let mut rt = RequestTrace::started(&metrics, Some(&recorder), id);
             rt.event(EventKind::Submitted, 1, 0, 0);
             rt.finish(Ok(()), latency);
         }
@@ -976,9 +1004,13 @@ mod tests {
 
     #[test]
     fn disabled_trace_is_a_noop() {
-        let mut rt = RequestTrace::started(None, 7);
-        rt.event(EventKind::Submitted, 1, 0, 0);
+        let metrics = ServiceMetrics::default();
+        let mut rt = RequestTrace::started(&metrics, None, 7);
+        rt.event(EventKind::Enqueued, 0, 0, 0);
         assert!(rt.into_span().is_none());
+        // Tracing off skips the ring and span, never the count.
+        let snapshot = metrics.snapshot(CacheSnapshot::default(), 0);
+        assert_eq!(snapshot.submitted, 1);
     }
 
     #[test]

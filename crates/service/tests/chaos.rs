@@ -2,16 +2,18 @@
 //! self-healing service spine. The headline trace panics 25% of 512
 //! requests and kills 2 of 4 workers mid-stream; every request must still
 //! be answered exactly once (success or `Internal` — never a hung
-//! `wait()`), the supervisor must restore the pool to 4, and the
-//! robustness counters must replay byte-stable.
+//! `wait()`), the supervisor must restore the pool to 4, the robustness
+//! counters must replay byte-stable, and every counter must equal its
+//! projection of the traced event stream.
 
 use std::time::{Duration, Instant};
 
 use moqo_catalog::Catalog;
 use moqo_cost::{Objective, ObjectiveSet, Preference};
 use moqo_service::{
-    BrownoutConfig, ExemplarClass, FaultPlan, OptimizationRequest, OptimizationService,
-    RetryPolicy, ServiceError, TraceConfig,
+    error_code, AlgorithmKind, BrownoutConfig, EventKind, ExemplarClass, FaultPlan,
+    MetricsSnapshot, OptimizationRequest, OptimizationService, ServiceError, TraceConfig,
+    TraceSnapshot,
 };
 
 fn weighted_pref() -> Preference {
@@ -57,6 +59,56 @@ struct ChaosOutcome {
     /// Interleaving-independent checksum over all retained error
     /// exemplars; byte-stable across runs of the same fault plan.
     error_checksum: u64,
+}
+
+/// Asserts that every counter of `metrics` equals its projection of the
+/// resident ring events: both come from one record of each event.
+fn assert_counters_reconcile(metrics: &MetricsSnapshot, trace: &TraceSnapshot) {
+    assert_eq!(trace.dropped_events, 0, "every event must stay resident");
+    let count = |kind: EventKind, keep: &dyn Fn(u64) -> bool| {
+        let events = trace.events.iter();
+        events.filter(|e| e.kind == kind && keep(e.arg0)).count() as u64
+    };
+    let total = |kind| count(kind, &|_| true);
+    let failed_as = |errors: &[ServiceError]| {
+        count(EventKind::Failed, &|code| {
+            errors.iter().any(|e| error_code(e) == code)
+        })
+    };
+    let block = |bit: u64| count(EventKind::BlockOptimized, &|arg0| arg0 >> bit & 1 == 1);
+    let algorithm = |kind: AlgorithmKind| {
+        count(EventKind::BlockOptimized, &|arg0| {
+            (arg0 >> 32) as u8 == kind.as_u8()
+        })
+    };
+    let bounced = count(EventKind::QueueFull, &|origin| origin == 0);
+    assert_eq!(metrics.submitted, total(EventKind::Enqueued) - bounced);
+    assert_eq!(metrics.completed, total(EventKind::Completed));
+    assert_eq!(metrics.queue_full, total(EventKind::QueueFull));
+    assert_eq!(metrics.shed, total(EventKind::Shed));
+    assert_eq!(metrics.respawns, total(EventKind::WorkerRespawned));
+    assert_eq!(metrics.stalls_detected, total(EventKind::WorkerStalled));
+    assert_eq!(metrics.panics_total, total(EventKind::PanicCaught));
+    let rejected = failed_as(&[ServiceError::Rejected(String::new())]);
+    assert_eq!(metrics.rejected, total(EventKind::Rejected) + rejected);
+    let timed_out = failed_as(&[ServiceError::DeadlineExceeded]);
+    assert_eq!(metrics.timed_out, timed_out);
+    let failed = failed_as(&[
+        ServiceError::QueueFull,
+        ServiceError::ShuttingDown,
+        ServiceError::internal(String::new()),
+        ServiceError::WorkerLost,
+    ]);
+    assert_eq!(metrics.failed, failed);
+    assert_eq!(metrics.blocks_exa, algorithm(AlgorithmKind::Exa));
+    assert_eq!(metrics.blocks_rta, algorithm(AlgorithmKind::Rta));
+    assert_eq!(metrics.blocks_ira, algorithm(AlgorithmKind::Ira));
+    assert_eq!(metrics.blocks_rmq, algorithm(AlgorithmKind::Rmq));
+    assert_eq!(metrics.degraded_blocks, block(40));
+    assert_eq!(metrics.downgraded_blocks, block(41));
+    let hits = count(EventKind::CacheProbe, &|arg0| arg0 >> 32 == 0);
+    assert_eq!(metrics.blocks_cached, hits);
+    assert_eq!(metrics.blocks_cached, metrics.cache.hits);
 }
 
 fn run_chaos_trace(catalog: &Catalog) -> ChaosOutcome {
@@ -148,6 +200,7 @@ fn run_chaos_trace(catalog: &Catalog) -> ChaosOutcome {
     }
 
     let metrics = service.shutdown();
+    assert_counters_reconcile(&metrics, &trace);
     ChaosOutcome {
         ok,
         internal,
@@ -305,14 +358,11 @@ fn brownout_sheds_and_degrades_under_pressure() {
             }
         }
     }
-    // Shed is retryable, and with the backlog drained the valve reopens
-    // (the queue-length guard keeps a stale EWMA from shedding forever):
-    // a retrying submit goes straight through.
-    assert!(moqo_service::is_retryable(&ServiceError::Shed));
-    let retried = service
-        .submit_with_retry(&small_request(&catalog), &RetryPolicy::default())
-        .and_then(moqo_service::Ticket::wait);
-    assert!(retried.is_ok(), "{retried:?}");
+    // With the backlog drained the valve reopens (the queue-length guard
+    // keeps a stale EWMA from shedding forever): a plain submit goes
+    // straight through.
+    let reopened = service.submit_wait(small_request(&catalog));
+    assert!(reopened.is_ok(), "{reopened:?}");
 
     // The shed submission never took a queue slot, yet its trace survives
     // as a full exemplar (tail-based retention keeps every error class).

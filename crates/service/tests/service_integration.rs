@@ -510,7 +510,9 @@ fn queue_full_rejects_and_counts() {
     for t in tickets {
         t.wait().unwrap();
     }
-    assert_eq!(service.metrics().queue_full, full);
+    let metrics = service.metrics();
+    assert_eq!(metrics.queue_full, full);
+    assert_eq!(metrics.errors_total(), full, "a bounce is an error too");
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! * **Model builds** (`RUSTFLAGS="--cfg moqo_model"`): the same paths
 //!   resolve to instrumented shims that route every atomic access, lock,
 //!   condvar wait, and thread spawn through a deterministic exploring
-//!   scheduler (see [`model`]). The scheduler serializes threads, explores
+//!   scheduler (see the `model` module). The scheduler serializes threads, explores
 //!   interleavings (bounded-exhaustive DFS with a preemption budget, then a
 //!   seeded random walk), models relaxed-memory stale reads with per-location
 //!   store histories, and detects data races with vector clocks. Failures
@@ -41,7 +41,7 @@
 ///
 /// Use only where instrumentation would be circular or meaningless (model
 /// steering knobs, diagnostics inside the checker). Everything else goes
-/// through [`atomic`](crate::atomic).
+/// through [`atomic`].
 pub mod raw {
     pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }

@@ -7,7 +7,7 @@
 //! | `unsafe-safety` | every `unsafe` keyword carries a `// SAFETY:` comment on the same line or within the three lines above |
 //! | `relaxed-store` | every `.store(…, Ordering::Relaxed)` is allowlisted — a Relaxed store must be provably not publishing data (the allowlist entry points at the justification) |
 //! | `hot-path` | `#[moqo::hot_path]` function bodies contain no locking, allocation, or panicking-`unwrap` calls |
-//! | `wall-clock` | no `Instant::now()` / `SystemTime::now()` outside the injected-clock seams (`TraceClock`, retry clock, …) named in the allowlist |
+//! | `wall-clock` | no `Instant::now()` / `SystemTime::now()` outside the injected-clock seams (`TraceClock`, …) named in the allowlist |
 //!
 //! The rules are deliberately lexical, not syntactic: they run on a masked
 //! copy of each file (comments and string literals blanked out) so they are
@@ -550,7 +550,7 @@ pub fn rule_wall_clock(path: &str, raw: &str, masked: &str, in_test: &[bool]) ->
             path: path.to_string(),
             line: idx + 1,
             message: "wall-clock read outside a clock seam — route through the injected \
-                      clock (TraceClock / retry clock) or allowlist the seam itself"
+                      clock (TraceClock) or allowlist the seam itself"
                 .to_string(),
             excerpt: excerpt(raw, idx + 1),
         });
