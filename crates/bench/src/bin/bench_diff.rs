@@ -11,7 +11,8 @@
 //! * **Checksums** (always on): cells present in both files must report the
 //!   same integrity checksum — fronts and set sizes are deterministic per
 //!   seed on every platform, so a mismatch means the *work* changed, not
-//!   the machine.
+//!   the machine. Checksums are unsigned 64-bit integers compared exactly
+//!   (a trace hash above 2^53 has no exact `f64`).
 //! * **Timings** (only with `--max-regression <pct>`): a cell whose
 //!   `median_ms` grew by more than `pct` percent fails. Timing gates only
 //!   make sense when both snapshots come from the same machine; CI uses
@@ -27,7 +28,8 @@
 //! missing from the candidate fail (a silently dropped benchmark is a
 //! regression too), extra candidate cells only warn.
 //!
-//! Exit codes: `0` clean, `1` regression, `2` usage or parse error.
+//! Exit codes: `0` clean, `1` regression, `2` usage or parse error (a
+//! checksum that is not an unsigned integer is a parse error).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -37,7 +39,7 @@ use std::process::ExitCode;
 struct Cell {
     identity: String,
     median_ms: f64,
-    checksum: Option<f64>,
+    checksum: Option<u64>,
 }
 
 /// Minimal parser for the snapshot dialect the `bench_snapshot` and
@@ -101,8 +103,8 @@ fn parse_object(body: &str) -> Result<Cell, String> {
     let checksum = fields
         .remove("checksum")
         .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("cell {name}: bad checksum: {e}"))
+            v.parse::<u64>()
+                .map_err(|e| format!("cell {name}: bad checksum {v:?}: {e}"))
         })
         .transpose()?;
     let params: Vec<String> = fields
@@ -186,7 +188,6 @@ fn run(args: &[String]) -> Result<Vec<String>, String> {
             continue;
         };
         if let (Some(b), Some(c)) = (base.checksum, cand.checksum) {
-            #[allow(clippy::float_cmp)]
             if b != c {
                 failures.push(format!(
                     "checksum mismatch in {}: baseline {b} vs candidate {c}",
@@ -261,7 +262,7 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].identity, "exa_chain[tables=6]");
         assert_eq!(cells[0].median_ms, 20.5);
-        assert_eq!(cells[0].checksum, Some(11.0));
+        assert_eq!(cells[0].checksum, Some(11));
         assert_eq!(cells[1].identity, "rmq_chain[tables=8, threads=2]");
     }
 
@@ -308,6 +309,30 @@ mod tests {
         .unwrap();
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures.iter().any(|f| f.contains("timing regression")));
+    }
+
+    #[test]
+    fn checksums_compare_exactly_above_2_pow_53() {
+        // Both values round to the same f64; as integers they differ by 1.
+        let base = r#"{"results": [
+    {"name": "service_trace_replay", "counter": "stream_checksum", "median_ms": 0.0000, "checksum": 18182511501769746661}
+]}"#;
+        let cand = base.replace("18182511501769746661", "18182511501769746662");
+        let dir = std::env::temp_dir().join("moqo_bench_diff_wide");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (base_path, cand_path) = (dir.join("base.json"), dir.join("cand.json"));
+        std::fs::write(&base_path, base).unwrap();
+        std::fs::write(&cand_path, cand).unwrap();
+        let failures = run(&[
+            base_path.to_string_lossy().into_owned(),
+            cand_path.to_string_lossy().into_owned(),
+        ])
+        .unwrap();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("checksum mismatch"));
+        // A non-integer checksum is a parse error (exit code 2), not a pass.
+        assert!(parse_cells(&base.replace("18182511501769746661", "1.5")).is_err());
+        assert!(parse_cells(&base.replace("18182511501769746661", "-1")).is_err());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Perf-trajectory snapshot: runs a fixed workload matrix and writes median
 //! wall-times to a JSON file (`BENCH_pr6.json` by default), so successive
 //! PRs can track the optimizer hot paths with one committed artifact per
-//! snapshot instead of scattered criterion reports.
+//! snapshot, which `bench_diff` compares against a baseline. Each cell is
+//! the median of 5 repetitions (1 under `MOQO_SMOKE`).
 //!
-//! The matrix covers the three hot paths this repository optimizes:
+//! The matrix covers the hot paths this repository optimizes:
 //!
 //! * **DP insert stream** — 2000 random cost vectors through
-//!   `PlanSet::prune_insert` at 2/6/9 objectives,
+//!   `PlanSet::prune_insert` at 2/6/9 objectives, exact (EXA's `Prune`)
+//!   and at α = 1.5 (RTA's: approximate rejection, exact deletion),
 //! * **Frontier probes** — how many dominance probes the EXA chains ran
 //!   (each a sorted-prefix cutoff scan), as zero-time cells whose checksum
 //!   is the counter value,
@@ -16,8 +18,11 @@
 //!   where `PruneMode::auto` switches every pruning site to props-aware
 //!   dominance; the checksum gates the sound mode's fronts,
 //! * **RMQ** — 1k and 10k samples on 8- and 20-table chains at 1, 2 and
-//!   4 threads (the fronts are seed-deterministic, so the per-thread rows
-//!   also certify the parallel merge: `front` must agree per column).
+//!   4 threads. Walkers merge deterministically, so the binary asserts
+//!   that every thread count yields a bit-identical front,
+//! * **Metrics snapshot** — 64 `ServiceMetrics::snapshot` calls after 10k
+//!   and 1M completions; the binary asserts the cost does not grow with
+//!   the count.
 //!
 //! Environment knobs:
 //!
@@ -25,13 +30,12 @@
 //! |----------|---------|---------|
 //! | `MOQO_SMOKE` | unset | `1`: single rep, budgets ÷10 (CI smoke mode) |
 //! | `MOQO_BENCH_OUT` | `BENCH_pr6.json` | output path |
-//! | `MOQO_BENCH_REPS` | 5 | repetitions per cell (median is reported) |
 
 use std::time::Instant;
 
 use moqo_core::pareto::{PlanEntry, PlanSet, PruneStrategy};
 use moqo_core::{exa, rmq, Deadline, RmqConfig};
-use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference};
+use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference, NUM_OBJECTIVES};
 use moqo_costmodel::{CostModel, CostModelParams};
 use moqo_plan::{PlanId, PlanProps, SortOrder};
 use rand::rngs::StdRng;
@@ -62,7 +66,7 @@ fn random_entries(n: usize, objectives: usize, seed: u64) -> Vec<PlanEntry> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
-            let mut a = [0.0; moqo_cost::NUM_OBJECTIVES];
+            let mut a = [0.0; NUM_OBJECTIVES];
             for v in a.iter_mut().take(objectives) {
                 *v = rng.gen_range(1.0..1000.0);
             }
@@ -105,10 +109,7 @@ fn push_probe_cell(cells: &mut Vec<Cell>, workload: &str, tables: usize, scan_pr
 
 fn main() {
     let smoke = std::env::var("MOQO_SMOKE").is_ok_and(|v| v != "0");
-    let reps: usize = std::env::var("MOQO_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(if smoke { 1 } else { 5 });
+    let reps: usize = if smoke { 1 } else { 5 };
     let budget_div: u64 = if smoke { 10 } else { 1 };
     let out_path = std::env::var("MOQO_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr6.json".to_owned());
 
@@ -122,28 +123,38 @@ fn main() {
     let catalog = moqo_tpch::catalog(0.01);
     let mut cells: Vec<Cell> = Vec::new();
 
-    // DP insert stream: the Prune hot loop in isolation.
-    for &n_objs in &[2usize, 6, 9] {
-        let objs: ObjectiveSet = Objective::ALL.into_iter().take(n_objs).collect();
-        let entries = random_entries(2000, n_objs, 99);
-        let (ms, front) = median_ms(reps, || {
-            let mut set = PlanSet::new();
-            let strategy = PruneStrategy::exact();
-            for e in &entries {
-                set.prune_insert(*e, &strategy, objs);
-            }
-            set.len()
-        });
-        cells.push(Cell {
-            name: "dp_insert_stream".into(),
-            params: vec![
+    // DP insert stream: the Prune hot loop in isolation, exact first, then
+    // approximate. Exact rows omit `alpha` to keep the cell keys the
+    // committed baselines use.
+    for strategy in [PruneStrategy::exact(), PruneStrategy::approximate(1.5)] {
+        let alpha = strategy.alpha_internal;
+        for &n_objs in &[2usize, 6, 9] {
+            let objs: ObjectiveSet = Objective::ALL.into_iter().take(n_objs).collect();
+            let entries = random_entries(2000, n_objs, 99);
+            let (ms, front) = median_ms(reps, || {
+                let mut set = PlanSet::new();
+                for e in &entries {
+                    set.prune_insert(*e, &strategy, objs);
+                }
+                set.len()
+            });
+            let mut cell_params = vec![
                 ("objectives", n_objs.to_string()),
                 ("vectors", "2000".into()),
-            ],
-            median_ms: ms,
-            checksum: front,
-        });
-        println!("dp_insert_stream objectives={n_objs}: {ms:.3} ms (set {front})");
+            ];
+            if alpha > 1.0 {
+                cell_params.push(("alpha", alpha.to_string()));
+            }
+            cells.push(Cell {
+                name: "dp_insert_stream".into(),
+                params: cell_params,
+                median_ms: ms,
+                checksum: front,
+            });
+            println!(
+                "dp_insert_stream objectives={n_objs} alpha={alpha}: {ms:.3} ms (set {front})"
+            );
+        }
     }
 
     // EXA on chain graphs: the full DP inner loop.
@@ -191,20 +202,28 @@ fn main() {
         push_probe_cell(&mut cells, "exa_chain_props", n, probes);
     }
 
-    // RMQ: samples × tables × threads. Fronts are deterministic per seed,
-    // so equal checksums across the thread column certify the merge.
+    // RMQ: samples × tables × threads. Fronts are deterministic per seed
+    // and walkers merge in walker-index order, so every thread count must
+    // reproduce the single-threaded front bit for bit.
     for &n in &[8usize, 20] {
         let graph = moqo_tpch::large_join_graph(&catalog, n);
         let model = CostModel::new(&params, &catalog, &graph);
         for &samples in &[1_000u64, 10_000] {
             let samples = (samples / budget_div).max(1);
+            let mut fronts: Vec<Vec<[u64; NUM_OBJECTIVES]>> = Vec::new();
             for &threads in &[1usize, 2, 4] {
                 let config = RmqConfig::new(samples, 42).with_threads(threads);
+                let mut plans = Vec::new();
                 let (ms, front) = median_ms(reps, || {
-                    rmq(&model, &preference, &config, &Deadline::unlimited())
-                        .final_plans
-                        .len()
+                    plans = rmq(&model, &preference, &config, &Deadline::unlimited()).final_plans;
+                    plans.len()
                 });
+                fronts.push(
+                    plans
+                        .iter()
+                        .map(|e| e.cost.as_array().map(f64::to_bits))
+                        .collect(),
+                );
                 cells.push(Cell {
                     name: "rmq_chain".into(),
                     params: vec![
@@ -220,6 +239,10 @@ fn main() {
                      {ms:.3} ms (front {front})"
                 );
             }
+            assert!(
+                fronts.iter().all(|f| *f == fronts[0]),
+                "rmq_chain tables={n} samples={samples}: the thread count changed the front"
+            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! Service load replay: hammers the optimization service with a skewed
-//! trace of mixed TPC-H and large-join-graph requests at configurable
-//! concurrency, then reports throughput, latency percentiles, cache hit
-//! ratio and the per-algorithm block mix — and writes the `BENCH_pr7.json`
+//! trace of 512 mixed TPC-H and large-join-graph requests (seed 2024) on 4
+//! workers, then reports throughput, latency percentiles, cache hit ratio
+//! and the per-algorithm block mix — and writes the `BENCH_pr7.json`
 //! snapshot the perf trajectory tracks.
 //!
 //! The trace is skewed on purpose: real frontends re-send the same hot
@@ -17,9 +17,6 @@
 //! |----------|---------|---------|
 //! | `MOQO_SMOKE` | unset | `1`: 128 requests, RMQ budgets ÷10 (CI smoke) |
 //! | `MOQO_BENCH_OUT` | `BENCH_pr7.json` | output path |
-//! | `MOQO_SL_REQUESTS` | 512 | trace length |
-//! | `MOQO_SL_WORKERS` | 4 | service worker threads |
-//! | `MOQO_SL_SEED` | 2024 | trace RNG seed |
 //! | `MOQO_SL_REPLAY` | unset | deterministic replay: `1` = one worker, submit-after-wait; `2` = two workers, warmed barrier pairs |
 //! | `MOQO_SL_FAULTS` | unset | deterministic fault plan (see [`FaultPlan::parse`] grammar) |
 //! | `MOQO_SL_TRACE` | unset | `1`: enable the flight recorder. Under replay 1 the trace checksum cells are emitted for `bench_diff`; under the free-running mode the whole trace is driven twice — untraced then traced — and the binary asserts the traced wall time stays within 5% (+0.5 s slack) of the untraced run |
@@ -220,25 +217,18 @@ fn drive(
 
 fn main() {
     let smoke = std::env::var("MOQO_SMOKE").is_ok_and(|v| v != "0");
-    let env_usize = |key: &str, default: usize| -> usize {
-        std::env::var(key)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(default)
-    };
     let replay: u32 = std::env::var("MOQO_SL_REPLAY")
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(0);
     assert!(replay <= 2, "MOQO_SL_REPLAY must be 0, 1 or 2");
     let trace_on = std::env::var("MOQO_SL_TRACE").is_ok_and(|v| v != "0");
-    let requests = env_usize("MOQO_SL_REQUESTS", if smoke { 128 } else { 512 });
+    let requests: usize = if smoke { 128 } else { 512 };
     let workers = match replay {
         1 => 1,
         2 => 2,
-        _ => env_usize("MOQO_SL_WORKERS", 4),
+        _ => 4,
     };
-    let seed = env_usize("MOQO_SL_SEED", 2024) as u64;
     let rmq_samples: u64 = if smoke { 100 } else { 1000 };
     let out_path = std::env::var("MOQO_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr7.json".to_owned());
     let faults = FaultPlan::from_env();
@@ -264,7 +254,7 @@ fn main() {
     let pool = pool(&catalog, rmq_samples);
     let hot = 3usize.min(pool.len());
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(2024);
     let trace: Vec<usize> = (0..requests)
         .map(|_| {
             if rng.gen_range(0.0..1.0) < 0.8 {

@@ -18,8 +18,7 @@
 //! Postgres path keys relevant here — and pruning happens within a group:
 //! a sorted plan may be arbitrarily worse on every cost objective and still
 //! be the key to a cheaper sort-merge join above, so comparing across orders
-//! would break the principle of optimality. The ablation flag
-//! [`DpConfig::group_by_order`] disables this for measurement.
+//! would break the principle of optimality.
 //!
 //! On deadline expiry the enumeration "finishes quickly by only generating
 //! one plan for all table sets that have not been treated so far" (§5.1):
@@ -43,11 +42,6 @@ pub use crate::pareto::PlanEntry;
 pub struct DpConfig {
     /// Internal pruning precision `α_i` (1.0 = exact algorithm).
     pub alpha_internal: f64,
-    /// Unsound ablation: approximate deletions (see [`PruneStrategy`]).
-    pub approx_deletion: bool,
-    /// Set to `false` to ablate order-aware plan grouping (plans of all
-    /// output orders then compete in a single Pareto set).
-    pub group_by_order: bool,
     /// Plan-tree shape to enumerate. The paper's Algorithm 1 is the
     /// left-deep original of Ganguly et al. "slightly extended to generate
     /// bushy plans in addition to left-deep plans" (§5); bushy is the
@@ -78,8 +72,6 @@ impl DpConfig {
     pub fn exact() -> Self {
         DpConfig {
             alpha_internal: 1.0,
-            approx_deletion: false,
-            group_by_order: true,
             tree_shape: TreeShape::Bushy,
             prune_mode: PruneMode::CostOnly,
         }
@@ -206,7 +198,7 @@ impl OrderGroups {
 /// Computes the (approximate) Pareto plan set for the model's query block.
 ///
 /// * `objectives` — the selected objective subset (dominance dimensions).
-/// * `config` — pruning precision and ablation switches.
+/// * `config` — pruning precision, tree shape and pruning mode.
 /// * `weights` — used only by the quick-finish path after a timeout, to pick
 ///   the single surviving plan per remaining table set.
 /// * `deadline` — wall-clock budget; see module docs for expiry semantics.
@@ -228,7 +220,6 @@ pub fn find_pareto_plans(
 
     let strategy = PruneStrategy {
         alpha_internal: config.alpha_internal,
-        approx_deletion: config.approx_deletion,
         mode: config.prune_mode,
     };
     let full_mask: RelMask = model.graph.full_mask();
@@ -257,7 +248,6 @@ pub fn find_pareto_plans(
                     &mut arena,
                     &strategy,
                     objectives,
-                    config.group_by_order,
                     &mut stats,
                 );
             }
@@ -308,7 +298,6 @@ pub fn find_pareto_plans(
                             &mut arena,
                             &strategy,
                             objectives,
-                            config.group_by_order,
                             &mut stats,
                         );
                     }
@@ -649,15 +638,9 @@ fn offer_entry(
     arena: &mut PlanArena,
     strategy: &PruneStrategy,
     objectives: ObjectiveSet,
-    group_by_order: bool,
     stats: &mut DpStats,
 ) {
-    let order_key = if group_by_order {
-        props.order
-    } else {
-        SortOrder::None
-    };
-    let set = groups.groups.entry(order_key).or_default();
+    let set = groups.groups.entry(props.order).or_default();
     if set.would_reject(&cost, &props, strategy, objectives) {
         return;
     }
@@ -677,15 +660,9 @@ fn insert_entry(
     entry: PlanEntry,
     strategy: &PruneStrategy,
     objectives: ObjectiveSet,
-    group_by_order: bool,
     stats: &mut DpStats,
 ) {
-    let order_key = if group_by_order {
-        entry.props.order
-    } else {
-        SortOrder::None
-    };
-    let set = groups.groups.entry(order_key).or_default();
+    let set = groups.groups.entry(entry.props.order).or_default();
     let before = set.len();
     let inserted = set.prune_insert(entry, strategy, objectives);
     let after = set.len();
@@ -765,7 +742,6 @@ fn quick_finish(
             entry,
             &PruneStrategy::exact().with_mode(prune_mode),
             objectives,
-            true,
             stats,
         );
         groups.completed = true;

@@ -10,8 +10,8 @@
 //!   dominates* the new one with internal precision `α_i`; deletions still
 //!   use exact dominance. The paper's §6.2 remark explains that also
 //!   deleting approximately dominated plans would let the stored set drift
-//!   arbitrarily far from the frontier — that unsound variant is available
-//!   behind [`PruneStrategy::approx_deletion`] purely as an ablation.
+//!   arbitrarily far from the frontier; a unit test below replays that
+//!   counterexample by hand.
 //!
 //! Orthogonally to the precision, a [`PruneMode`] selects the dominance
 //! relation: cost-only (the paper's rule) or props-aware, which refuses to
@@ -104,10 +104,6 @@ pub struct PruneStrategy {
     /// Internal approximation precision `α_i ≥ 1`; `1.0` yields the exact
     /// algorithm's pruning.
     pub alpha_internal: f64,
-    /// Unsound ablation: also delete stored plans that the new plan merely
-    /// *approximately* dominates (destroys the near-optimality guarantee,
-    /// §6.2 remark).
-    pub approx_deletion: bool,
     /// Dominance relation plans are discarded under.
     pub mode: PruneMode,
 }
@@ -118,7 +114,6 @@ impl PruneStrategy {
     pub fn exact() -> Self {
         PruneStrategy {
             alpha_internal: 1.0,
-            approx_deletion: false,
             mode: PruneMode::CostOnly,
         }
     }
@@ -130,7 +125,6 @@ impl PruneStrategy {
         debug_assert!(alpha_internal >= 1.0);
         PruneStrategy {
             alpha_internal,
-            approx_deletion: false,
             mode: PruneMode::CostOnly,
         }
     }
@@ -167,8 +161,8 @@ impl PruneStrategy {
         }
     }
 
-    /// Whether a stored plan is deleted by an inserted one (exact dominance
-    /// unless the `approx_deletion` ablation is on).
+    /// Whether a stored plan is deleted by an inserted one: exact dominance
+    /// at every precision (§6.2).
     #[inline]
     fn deletes(
         &self,
@@ -177,27 +171,13 @@ impl PruneStrategy {
         stored: &PlanEntry,
         objectives: ObjectiveSet,
     ) -> bool {
-        match (self.mode, self.approx_deletion) {
-            (PruneMode::CostOnly, false) => dominates(&inserted.cost, &stored.cost, objectives),
-            (PruneMode::CostOnly, true) => approx_dominates(
-                &inserted.cost,
-                &stored.cost,
-                self.alpha_internal,
-                objectives,
-            ),
-            (PruneMode::PropsAware, false) => dominates_with_props(
+        match self.mode {
+            PruneMode::CostOnly => dominates(&inserted.cost, &stored.cost, objectives),
+            PruneMode::PropsAware => dominates_with_props(
                 &inserted.cost,
                 key,
                 &stored.cost,
                 &props_key(&stored.props),
-                objectives,
-            ),
-            (PruneMode::PropsAware, true) => approx_dominates_with_props(
-                &inserted.cost,
-                key,
-                &stored.cost,
-                &props_key(&stored.props),
-                self.alpha_internal,
                 objectives,
             ),
         }
@@ -307,20 +287,14 @@ impl PlanSet {
         let first = objectives.iter().next();
         let key_of = |e: &PlanEntry| first.map_or(0.0, |o| e.cost.get(o));
         let key = key_of(&entry);
-        let alpha = strategy.alpha_internal;
         let inserted_key = props_key(&entry.props);
 
-        // "Delete dominated plans". Exact dominance unless the unsound
-        // ablation is requested; props-aware mode additionally requires the
-        // new plan to cover the victim's props. A deletable plan needs a
-        // first-objective cost of at least `key` (or `key/α` for the
-        // ablation) in every mode, so only a sorted suffix qualifies;
-        // compact it in place, preserving order.
-        let delete_start = if strategy.approx_deletion {
-            self.entries.partition_point(|e| key_of(e) < key / alpha)
-        } else {
-            self.entries.partition_point(|e| key_of(e) < key)
-        };
+        // "Delete dominated plans" under exact dominance; props-aware mode
+        // additionally requires the new plan to cover the victim's props. A
+        // deletable plan needs a first-objective cost of at least `key` in
+        // every mode, so only a sorted suffix qualifies; compact it in
+        // place, preserving order.
+        let delete_start = self.entries.partition_point(|e| key_of(e) < key);
         let mut kept = delete_start;
         for read in delete_start..self.entries.len() {
             let doomed = strategy.deletes(&entry, &inserted_key, &self.entries[read], objectives);
@@ -520,24 +494,26 @@ mod tests {
         // lie on the true frontier; the single survivor ends up more than α
         // away from the early frontier points.
         let alpha = 1.2f64;
-        let mut unsound = PlanSet::new();
-        let s = PruneStrategy {
-            alpha_internal: alpha,
-            approx_deletion: true,
-            mode: PruneMode::CostOnly,
-        };
+        // The unsound `Prune`, by hand: approximate rejection as in RTA, but
+        // approximate deletion too.
+        let mut unsound: Vec<CostVector> = Vec::new();
         let mut all = Vec::new();
         let (mut t, mut b) = (1.0f64, 1000.0f64);
         for _ in 0..12 {
-            let e = entry(t, b);
-            all.push(e.cost);
-            unsound.prune_insert(e, &s, objs());
+            let cost = entry(t, b).cost;
+            all.push(cost);
+            if !unsound
+                .iter()
+                .any(|kept| approx_dominates(kept, &cost, alpha, objs()))
+            {
+                unsound.retain(|kept| !approx_dominates(&cost, kept, alpha, objs()));
+                unsound.push(cost);
+            }
             t *= 1.1;
             b /= 1.3;
         }
         assert_eq!(unsound.len(), 1, "chain keeps replacing its predecessor");
-        let kept: Vec<CostVector> = unsound.iter().map(|e| e.cost).collect();
-        let factor = moqo_cost::pareto_front::approximation_factor(&kept, &all, objs()).unwrap();
+        let factor = moqo_cost::pareto_front::approximation_factor(&unsound, &all, objs()).unwrap();
         assert!(
             factor > alpha * 1.5,
             "unsound deletion drifted to factor {factor}, beyond α = {alpha}"

@@ -30,7 +30,6 @@ fn reference_dp(
 ) -> (Vec<CostVector>, u64) {
     let strategy = PruneStrategy {
         alpha_internal,
-        approx_deletion: false,
         mode: moqo::core::PruneMode::CostOnly,
     };
     let graph = model.graph;
