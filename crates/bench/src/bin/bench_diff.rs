@@ -12,7 +12,7 @@
 //!   same integrity checksum — fronts and set sizes are deterministic per
 //!   seed on every platform, so a mismatch means the *work* changed, not
 //!   the machine. Checksums are unsigned 64-bit integers compared exactly
-//!   (a trace hash above 2^53 has no exact `f64`).
+//!   (a hash above 2^53 has no exact `f64`).
 //! * **Timings** (only with `--max-regression <pct>`): a cell whose
 //!   `median_ms` grew by more than `pct` percent fails. Timing gates only
 //!   make sense when both snapshots come from the same machine; CI uses
@@ -42,10 +42,11 @@ struct Cell {
     checksum: Option<u64>,
 }
 
-/// Minimal parser for the snapshot dialect the `bench_snapshot` and
-/// `service_load` binaries write: a `"results"` array of flat objects with
-/// string or numeric values. Not a general JSON parser on purpose — the
-/// workspace is dependency-free and the input is machine-written.
+/// Minimal parser for the snapshot dialect `bench_snapshot` writes (and
+/// the committed `BENCH_pr*.json` files hold): a `"results"` array of
+/// flat objects with string or numeric values. Not a general JSON parser
+/// on purpose — the workspace is dependency-free and the input is
+/// machine-written.
 fn parse_cells(text: &str) -> Result<Vec<Cell>, String> {
     let results_at = text
         .find("\"results\"")

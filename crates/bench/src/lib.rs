@@ -9,7 +9,7 @@
 //!
 //! The paper ran on a 12-core server with a *two-hour* timeout and 20 test
 //! cases per configuration; the defaults here are laptop-scale. The shapes
-//! of all figures are timeout-scale invariant (see DESIGN.md):
+//! of all figures are timeout-scale invariant:
 //!
 //! | variable | default | paper | meaning |
 //! |----------|---------|-------|---------|

@@ -32,7 +32,8 @@ pub struct BlockReport {
     pub elapsed: Duration,
     /// Whether the block's optimization hit the deadline.
     pub timed_out: bool,
-    /// Peak deterministic memory (bytes of stored plans; see DESIGN.md).
+    /// Peak deterministic memory: peak stored plans ×
+    /// [`DpStats::bytes_per_stored_plan`].
     pub peak_memory_bytes: usize,
     /// Plans stored for the last table set treated completely.
     pub pareto_last_complete: usize,

@@ -233,6 +233,18 @@ impl PlanSet {
         objectives: ObjectiveSet,
     ) -> bool {
         self.probes.set(self.probes.get() + 1);
+        self.dominated(cost, props, strategy, objectives)
+    }
+
+    /// [`PlanSet::would_reject`] without counting a probe, so debug
+    /// assertions leave `probes` as in release builds.
+    fn dominated(
+        &self,
+        cost: &CostVector,
+        props: &PlanProps,
+        strategy: &PruneStrategy,
+        objectives: ObjectiveSet,
+    ) -> bool {
         let first = objectives.iter().next();
         let key_of = |e: &PlanEntry| first.map_or(0.0, |o| e.cost.get(o));
         let alpha = strategy.alpha_internal;
@@ -283,7 +295,7 @@ impl PlanSet {
         strategy: &PruneStrategy,
         objectives: ObjectiveSet,
     ) -> usize {
-        debug_assert!(!self.would_reject(&entry.cost, &entry.props, strategy, objectives));
+        debug_assert!(!self.dominated(&entry.cost, &entry.props, strategy, objectives));
         let first = objectives.iter().next();
         let key_of = |e: &PlanEntry| first.map_or(0.0, |o| e.cost.get(o));
         let key = key_of(&entry);
@@ -435,6 +447,16 @@ mod tests {
         assert_eq!(set.insert_unrejected(probe, &s, objs()), 2);
         assert_eq!(set.len(), 2);
         assert!(set.is_antichain(objs()));
+    }
+
+    #[test]
+    fn only_would_reject_counts_probes() {
+        let mut set = PlanSet::new();
+        let s = PruneStrategy::exact();
+        let probe = entry(1.0, 1.0);
+        assert!(!set.would_reject(&probe.cost, &probe.props, &s, objs()));
+        set.insert_unrejected(probe, &s, objs());
+        assert_eq!(set.probes(), 1, "the insert path must not count a probe");
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl PlanArena {
     }
 
     /// Bytes of memory one stored plan node accounts for — used by the
-    /// deterministic memory metric (see DESIGN.md substitution table).
+    /// deterministic memory metric (`moqo_core`'s
+    /// `DpStats::bytes_per_stored_plan`, which this crate cannot link).
     #[must_use]
     pub fn bytes_per_node() -> usize {
         std::mem::size_of::<PlanNode>()

@@ -5,13 +5,9 @@
 //! actions. Because the trigger is the ordinal — not a timer or a random
 //! draw — a chaos run is exactly replayable: the same trace plus the same
 //! plan produces the same panics, the same worker deaths and the same
-//! rejections, which is what lets CI gate the robustness counters
-//! (`panics_total`, `respawns`, `shed`, `failed`) as byte-stable
-//! checksums.
-//!
-//! Plans come from the builder or from the `MOQO_SL_FAULTS` environment
-//! variable (see [`FaultPlan::parse`] for the grammar), so `service_load`
-//! replay modes can run chaos traces without recompiling.
+//! rejections, which is what lets `tests/replay.rs` and `tests/chaos.rs`
+//! pin the robustness counters (`panics_total`, `respawns`, `shed`,
+//! `failed`) exactly.
 //!
 //! The module also owns the panic-hook silencer: injected (and any other
 //! worker) panics are converted to [`ServiceError::Internal`]
@@ -81,82 +77,6 @@ impl FaultPlan {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.exact.is_empty() && self.periodic.is_empty()
-    }
-
-    /// Parses the `MOQO_SL_FAULTS` grammar: a comma-separated list of
-    /// `kind@ordinal` terms, where `kind` is `panic`, `kill`, `full`, or
-    /// `delay:<millis>ms`, and `ordinal` is either an exact index or the
-    /// periodic form `*/<period>[+<offset>]`.
-    ///
-    /// ```
-    /// use moqo_service::FaultPlan;
-    /// let plan = FaultPlan::parse("panic@*/4, kill@60, delay:5ms@7, full@9").unwrap();
-    /// assert!(plan.at(0).is_some());   // */4 fires on 0, 4, 8, …
-    /// assert!(plan.at(60).is_some());
-    /// assert!(plan.at(1).is_none());
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed term.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::default();
-        for term in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            let (kind, ordinal) = term
-                .split_once('@')
-                .ok_or_else(|| format!("fault term `{term}` is missing `@ordinal`"))?;
-            let action = match kind.trim() {
-                "panic" => FaultAction::Panic,
-                "kill" => FaultAction::KillWorker,
-                "full" => FaultAction::QueueFull,
-                other => {
-                    let millis = other
-                        .strip_prefix("delay:")
-                        .and_then(|d| d.strip_suffix("ms"))
-                        .and_then(|d| d.trim().parse::<u64>().ok())
-                        .ok_or_else(|| format!("unknown fault kind `{other}` in `{term}`"))?;
-                    FaultAction::Delay(Duration::from_millis(millis))
-                }
-            };
-            let ordinal = ordinal.trim();
-            if let Some(periodic) = ordinal.strip_prefix("*/") {
-                let (period, offset) = match periodic.split_once('+') {
-                    Some((p, o)) => (p.trim(), o.trim()),
-                    None => (periodic.trim(), "0"),
-                };
-                let period: u64 = period
-                    .parse()
-                    .ok()
-                    .filter(|p| *p > 0)
-                    .ok_or_else(|| format!("bad period in `{term}`"))?;
-                let offset: u64 = offset
-                    .parse()
-                    .map_err(|_| format!("bad offset in `{term}`"))?;
-                plan.periodic.push((period, offset % period, action));
-            } else {
-                let at: u64 = ordinal
-                    .parse()
-                    .map_err(|_| format!("bad ordinal in `{term}`"))?;
-                plan.exact.insert(at, action);
-            }
-        }
-        Ok(plan)
-    }
-
-    /// The plan `MOQO_SL_FAULTS` describes, `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed spec — a chaos run with a silently-dropped
-    /// plan would "pass" without testing anything.
-    #[must_use]
-    pub fn from_env() -> Option<FaultPlan> {
-        let spec = std::env::var("MOQO_SL_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let plan = FaultPlan::parse(&spec).expect("MOQO_SL_FAULTS must parse");
-        (!plan.is_empty()).then_some(plan)
     }
 }
 
@@ -297,27 +217,6 @@ mod tests {
             .build();
         assert_eq!(plan.at(4), Some(FaultAction::Panic));
         assert_eq!(plan.at(8), Some(FaultAction::KillWorker));
-    }
-
-    #[test]
-    fn env_grammar_roundtrip() {
-        let plan = FaultPlan::parse("panic@*/4+1, kill@60, delay:5ms@7, full@9").unwrap();
-        assert_eq!(plan.at(1), Some(FaultAction::Panic));
-        assert_eq!(plan.at(5), Some(FaultAction::Panic));
-        assert_eq!(plan.at(4), None);
-        assert_eq!(plan.at(60), Some(FaultAction::KillWorker));
-        assert_eq!(
-            plan.at(7),
-            Some(FaultAction::Delay(Duration::from_millis(5)))
-        );
-        assert_eq!(plan.at(9), Some(FaultAction::QueueFull));
-
-        assert!(FaultPlan::parse("panic").is_err());
-        assert!(FaultPlan::parse("explode@3").is_err());
-        assert!(FaultPlan::parse("panic@x").is_err());
-        assert!(FaultPlan::parse("panic@*/0").is_err());
-        assert!(FaultPlan::parse("delay:5s@3").is_err());
-        assert!(FaultPlan::parse("").unwrap().is_empty());
     }
 
     #[test]

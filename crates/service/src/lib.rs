@@ -54,9 +54,9 @@
 //!   submissions are turned away with [`ServiceError::Shed`] before taking
 //!   a queue slot.
 //! * **Deterministic chaos** ([`FaultPlan`]) — panics, delays, queue-full
-//!   rejections and worker kills keyed on exact submission ordinals (or
-//!   the `MOQO_SL_FAULTS` env grammar), so fault runs replay byte-stable
-//!   and CI can gate the robustness counters.
+//!   rejections and worker kills keyed on exact submission ordinals, so
+//!   fault runs replay byte-stable and tests can pin the robustness
+//!   counters.
 //! * **End-to-end tracing** ([`ServiceBuilder::tracing`]) — a lock-free
 //!   flight recorder ([`TraceConfig`]): per-worker bounded seqlock rings
 //!   of fixed-size span events covering the whole request lifecycle
@@ -66,7 +66,7 @@
 //!   trace plus the rolling slowest-k), a JSON [`TraceSnapshot`] dump and
 //!   a Prometheus-style text exposition ([`render_prometheus`]) over the
 //!   entire metrics surface. Under a logical clock the event stream is
-//!   byte-deterministic and checksum-gateable in CI. The recorder adds
+//!   byte-deterministic, so a test can pin its checksum. The recorder adds
 //!   only the rings, spans and exemplars: the events are counted on every
 //!   request whether or not it is on.
 //!

@@ -112,8 +112,9 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Lock-free push; `Err(item)` only when the ring itself is full
-    /// (which capacity reservation makes unreachable in this crate).
+    /// Lock-free push; `Err(item)` when the slot at the enqueue position
+    /// is still occupied — the ring is full, or the consumer of that slot's
+    /// previous lap has not re-armed it yet.
     #[moqo::hot_path]
     fn push(&self, item: T) -> Result<(), T> {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
@@ -289,7 +290,8 @@ impl<T> BoundedQueue<T> {
         let shards = shards.max(1);
         // Each ring is sized to the whole capacity: occupancy of any one
         // shard can never exceed the global reservation count, so a push
-        // that holds a reservation always finds ring space — `Full` is
+        // that holds a reservation always finds ring space (at worst after
+        // a preempted consumer's re-arm; see `try_push`) — `Full` is
         // decided by the capacity gate alone, exactly like the seed.
         let ring_size = capacity.next_power_of_two();
         Self {
@@ -339,10 +341,20 @@ impl<T> BoundedQueue<T> {
             shared.len.fetch_sub(1, Ordering::Relaxed);
             return Err((PushError::Full, item));
         }
-        let shard = shared.next_shard.fetch_add(1, Ordering::Relaxed) % shared.shards.len();
-        shared.shards[shard]
-            .push(item)
-            .unwrap_or_else(|_| unreachable!("reserved capacity guarantees ring space"));
+        // A reservation guarantees ring space, but not at the ring's
+        // enqueue position: a consumer preempted between its dequeue CAS
+        // and its `seq` re-arm pins that slot while others drain and lap
+        // the ring around it. Its one remaining store frees the slot, so
+        // try the next shard and spin until some push lands. Pinned by
+        // `tests/model_queue.rs::producer_lapping_a_preempted_consumer`.
+        let n = shared.shards.len();
+        let mut shard = shared.next_shard.fetch_add(1, Ordering::Relaxed) % n;
+        let mut item = item;
+        while let Err(back) = shared.shards[shard].push(item) {
+            item = back;
+            shard = (shard + 1) % n;
+            spin_loop();
+        }
         // SeqCst pairs with the consumer's SeqCst raise of `sleepers`
         // before its final re-scan (a store/load Dekker handshake): either
         // the producer sees the sleeper and notifies, or the consumer's

@@ -31,11 +31,12 @@
 //!   rolling slowest-k by latency.
 //!
 //! Timestamps come from a [`TraceClock`] seam: wall microseconds in
-//! production, a logical counter under `MOQO_SL_REPLAY` so replayed trace
-//! streams are byte-deterministic. Checksums ([`TraceEvent::digest`])
-//! exclude every timing-valued field, and the error-exemplar checksum
-//! folds per-trace hashes commutatively, so it is independent of worker
-//! interleaving — that is what lets CI gate a 4-worker chaos run
+//! production, a logical counter under [`TraceConfig::logical_clock`] so
+//! a single-worker replay's stream is byte-deterministic (pinned by
+//! `tests/replay.rs`). Checksums ([`TraceEvent::digest`]) exclude every
+//! timing-valued field, and the error-exemplar checksum folds per-trace
+//! hashes commutatively, so it is independent of worker interleaving —
+//! that is what lets `tests/chaos.rs` pin a 4-worker chaos run
 //! byte-stable.
 
 use moqo_sync::atomic::{AtomicU64, Ordering};

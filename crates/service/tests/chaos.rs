@@ -306,11 +306,16 @@ fn drop_with_dead_pool_answers_the_backlog_instead_of_hanging() {
 #[test]
 fn brownout_sheds_and_degrades_under_pressure() {
     let catalog = moqo_catalog::tpch::catalog(0.01);
-    // Every job sleeps 10 ms before processing; the sleep counts as queue
+    // Every job sleeps 10 ms before processing (the test submits ten, so
+    // the first 16 ordinals cover them all); the sleep counts as queue
     // wait, so completed requests push the pressure EWMA far beyond the
     // 1 µs watermark. With a single worker the backlog guard is easy to
     // satisfy deterministically.
-    let plan = FaultPlan::parse("delay:10ms@*/1").unwrap();
+    let plan = (0..16)
+        .fold(FaultPlan::builder(), |plan, ordinal| {
+            plan.delay_at(ordinal, Duration::from_millis(10))
+        })
+        .build();
     let service = OptimizationService::builder(catalog.clone())
         .workers(1)
         .brownout(BrownoutConfig {

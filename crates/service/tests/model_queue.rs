@@ -163,3 +163,45 @@ fn parked_consumer_always_wakes() {
     });
     assert!(report.coverage_ok(10_000), "coverage too low: {report:?}");
 }
+
+/// A producer that laps a preempted consumer: the consumer that wins the
+/// dequeue CAS on slot 0 can stall before re-arming it while the other
+/// consumer drains slot 1. A third push then holds a valid capacity
+/// reservation, yet the ring's enqueue position is slot 0 again — the push
+/// must wait out the re-arm instead of treating the ring as full, and
+/// every item still arrives exactly once.
+#[test]
+fn producer_lapping_a_preempted_consumer() {
+    let report = model::check("producer_lapping_a_preempted_consumer", &cfg(), || {
+        let q = BoundedQueue::new(2);
+        q.try_push(1u32).expect("capacity");
+        q.try_push(2u32).expect("capacity");
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = q.clone();
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(v) = q.pop_blocking() {
+                        got.push(v);
+                    }
+                    got
+                })
+            })
+            .collect();
+        loop {
+            match q.try_push(3u32) {
+                Ok(()) => break,
+                Err((PushError::Full, _)) => thread::yield_now(),
+                Err((PushError::Closed, _)) => unreachable!("closed only below"),
+            }
+        }
+        q.close();
+        let mut all: Vec<u32> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().expect("consumer"))
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, vec![1, 2, 3], "each item must arrive exactly once");
+    });
+    assert!(report.coverage_ok(10_000), "coverage too low: {report:?}");
+}

@@ -5,33 +5,28 @@
 //! push fails before `close()`, and closing drains the backlog before
 //! consumers observe `None`.
 
-use moqo_sync::atomic::{AtomicU64, Ordering};
 use moqo_sync::Mutex;
 use std::collections::HashSet;
-use std::thread;
+use std::thread::{self, Scope, ScopedJoinHandle};
 
 use moqo_service::{BoundedQueue, PushError};
 
-/// Hammers a queue with `producers` push threads and `consumers` pop
-/// threads, then checks exactly-once delivery of everything accepted.
-fn run_stress(shards: usize, producers: u64, consumers: usize, per_producer: u64) {
-    let queue = BoundedQueue::with_shards(256, shards);
-    let accepted = AtomicU64::new(0);
-    let delivered: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-
-    thread::scope(|s| {
-        for p in 0..producers {
-            let queue = &queue;
-            let accepted = &accepted;
+/// Spawns `producers` threads that each push `per_producer` distinct
+/// items, retrying on `Full`.
+fn spawn_producers<'scope>(
+    s: &'scope Scope<'scope, '_>,
+    queue: &'scope BoundedQueue<u64>,
+    producers: u64,
+    per_producer: u64,
+) -> Vec<ScopedJoinHandle<'scope, ()>> {
+    (0..producers)
+        .map(|p| {
             s.spawn(move || {
                 for i in 0..per_producer {
                     let item = p * per_producer + i;
                     loop {
                         match queue.try_push(item) {
-                            Ok(()) => {
-                                accepted.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
+                            Ok(()) => break,
                             Err((PushError::Full, _)) => thread::yield_now(),
                             Err((PushError::Closed, _)) => {
                                 panic!("queue closed while producers were live")
@@ -39,8 +34,32 @@ fn run_stress(shards: usize, producers: u64, consumers: usize, per_producer: u64
                         }
                     }
                 }
-            });
+            })
+        })
+        .collect()
+}
+
+/// Joins the producers, closes the queue so the consumers drain and exit,
+/// then re-raises any producer panic: a broken push fails the test
+/// instead of leaving the consumers parked forever.
+fn close_after(queue: &BoundedQueue<u64>, producers: Vec<ScopedJoinHandle<'_, ()>>) {
+    let outcomes: Vec<_> = producers.into_iter().map(ScopedJoinHandle::join).collect();
+    queue.close();
+    for outcome in outcomes {
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
         }
+    }
+}
+
+/// Hammers a queue with `producers` push threads and `consumers` pop
+/// threads, then checks exactly-once delivery of everything accepted.
+fn run_stress(shards: usize, producers: u64, consumers: usize, per_producer: u64) {
+    let queue = BoundedQueue::with_shards(256, shards);
+    let delivered: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+    thread::scope(|s| {
+        let pushers = spawn_producers(s, &queue, producers, per_producer);
         for c in 0..consumers {
             let queue = &queue;
             let delivered = &delivered;
@@ -52,19 +71,7 @@ fn run_stress(shards: usize, producers: u64, consumers: usize, per_producer: u64
                 delivered.lock().unwrap().append(&mut local);
             });
         }
-        // Producers retry on Full, so they all finish; close once their
-        // handles are joined by the scope... which requires closing from
-        // here after pushes complete. Spawn a closer that waits for the
-        // full count.
-        let queue = &queue;
-        let accepted = &accepted;
-        s.spawn(move || {
-            let total = producers * per_producer;
-            while accepted.load(Ordering::Relaxed) < total {
-                thread::yield_now();
-            }
-            queue.close();
-        });
+        close_after(&queue, pushers);
     });
 
     let delivered = delivered.into_inner().unwrap();
@@ -106,31 +113,10 @@ fn dead_consumer_shard_is_drained_by_survivors_exactly_once() {
     let per_producer: u64 = 4_000;
     let producers: u64 = 4;
     let queue = BoundedQueue::with_shards(256, shards);
-    let accepted = AtomicU64::new(0);
     let delivered: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
     thread::scope(|s| {
-        for p in 0..producers {
-            let queue = &queue;
-            let accepted = &accepted;
-            s.spawn(move || {
-                for i in 0..per_producer {
-                    let item = p * per_producer + i;
-                    loop {
-                        match queue.try_push(item) {
-                            Ok(()) => {
-                                accepted.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err((PushError::Full, _)) => thread::yield_now(),
-                            Err((PushError::Closed, _)) => {
-                                panic!("queue closed while producers were live")
-                            }
-                        }
-                    }
-                }
-            });
-        }
+        let pushers = spawn_producers(s, &queue, producers, per_producer);
         // Consumer 0 "dies" early: it exits after a few hundred pops while
         // its shard still has (and keeps receiving) items. No replacement
         // is spawned — the other three must pick up the slack.
@@ -159,15 +145,7 @@ fn dead_consumer_shard_is_drained_by_survivors_exactly_once() {
                 delivered.lock().unwrap().append(&mut local);
             });
         }
-        let queue = &queue;
-        let accepted = &accepted;
-        s.spawn(move || {
-            let total = producers * per_producer;
-            while accepted.load(Ordering::Relaxed) < total {
-                thread::yield_now();
-            }
-            queue.close();
-        });
+        close_after(&queue, pushers);
     });
 
     let delivered = delivered.into_inner().unwrap();
