@@ -37,7 +37,7 @@ pub enum FaultAction {
     /// Reject at submission as if the queue were at capacity.
     QueueFull,
     /// Process and answer the request normally, then terminate the worker
-    /// thread — the supervisor must notice and respawn onto the shard.
+    /// thread — the supervisor must notice and respawn the worker.
     KillWorker,
 }
 

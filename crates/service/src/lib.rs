@@ -9,11 +9,11 @@
 //!   [`Preference`](moqo_cost::Preference), a tolerated approximation
 //!   factor `α′`, an optional wall-clock deadline, and an optional
 //!   algorithm hint.
-//! * **Scheduling**: submissions land in a bounded, sharded, *lock-free*
-//!   MPMC queue (back-pressure surfaces as [`ServiceError::QueueFull`],
-//!   never silent buffering) and are executed by a pool of `std::thread`
-//!   workers popping work-stealing style (own shard first). A pluggable
-//!   [`AlgorithmPolicy`] performs deadline-aware admission per block:
+//! * **Scheduling**: submissions land in a bounded FIFO queue (one
+//!   `Mutex`-guarded `VecDeque`; back-pressure surfaces as
+//!   [`ServiceError::QueueFull`], never silent buffering) and are executed
+//!   by a pool of `std::thread` workers. The [`DeadlineAwarePolicy`]
+//!   performs deadline-aware admission per block:
 //!   prefer the strongest scheme the request asks for, downgrade along
 //!   `EXA → IRA/RTA → RMQ` when block size or remaining budget rules it
 //!   out, reject when even the anytime search cannot start. Hopeless
@@ -37,15 +37,16 @@
 //!   counters, all snapshotted on demand at O(buckets) cost. Each request
 //!   counter is a projection of one per-[`EventKind`] counter table,
 //!   bumped by the same lifecycle call that feeds the flight recorder, so
-//!   counters and traces cannot disagree. Nothing on the submit or
-//!   completion path acquires a `Mutex`.
+//!   counters and traces cannot disagree. A submission takes the queue
+//!   mutex once; metrics, histograms and the flight recorder stay
+//!   lock-free.
 //!
 //! * **Self-healing** — a panic inside a job is caught at the worker's
 //!   guard and delivered as [`ServiceError::Internal`] (payload included)
 //!   while the worker keeps serving; a worker that dies anyway (or wedges
 //!   past [`ServiceConfig::stall_after`]) is detected by the supervisor
-//!   thread via per-worker heartbeat epochs and respawned onto its queue
-//!   shard ([`MetricsSnapshot::respawns`], `stalls_detected`).
+//!   thread via per-worker heartbeat epochs and respawned under the same
+//!   worker index ([`MetricsSnapshot::respawns`], `stalls_detected`).
 //! * **Brownout load shedding** ([`BrownoutConfig`]) — an EWMA
 //!   [`PressureGauge`] over measured queue waits drives graceful
 //!   degradation: above the watermark, blocks run the anytime search at a
@@ -106,6 +107,7 @@
 //! assert!(again.fully_cached());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
@@ -126,8 +128,7 @@ pub use fault::{FaultAction, FaultPlan, FaultPlanBuilder};
 pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS as HISTOGRAM_BUCKETS};
 pub use metrics::{AlgorithmKind, MetricsSnapshot, PressureGauge, ServiceMetrics};
 pub use policy::{
-    Admission, AlgorithmPolicy, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy,
-    LearnedBlockTimes, PolicyContext,
+    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use request::{
@@ -141,11 +142,10 @@ pub use trace::{
 };
 
 /// Model-suite surface: internals the `tests/model_*.rs` suites drive
-/// directly, plus the seeded-bug injection knobs. Compiled only under
+/// directly, plus the seeded-bug injection knob. Compiled only under
 /// `--cfg moqo_model`, so the normal public API is unchanged.
 #[cfg(moqo_model)]
 pub mod model_internals {
-    pub use crate::queue::model_hooks as queue_hooks;
     pub use crate::trace::model_hooks as trace_hooks;
     pub use crate::trace::EventRing;
 }

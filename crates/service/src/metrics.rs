@@ -389,37 +389,21 @@ impl MetricsSnapshot {
     }
 }
 
-/// A lock-free EWMA of recent queue waits: the load signal the brownout
-/// admission controller reads on every submit (one relaxed load).
-///
-/// Workers fold each completed request's queue wait in with smoothing
-/// 0.2; [`PressureGauge::pressure`] normalizes the current estimate
-/// against a watermark, so `1.0` means "queue waits sit exactly at the
-/// watermark" and values above it measure how far into brownout the
-/// service is.
-#[derive(Debug)]
-pub struct PressureGauge {
-    /// EWMA of queue-wait micros as `f64` bits; 0 = no sample yet.
-    ewma_us: AtomicU64,
-}
+/// A lock-free exponentially weighted moving average of durations, new
+/// samples weighted 0.2: `f64` microseconds held as bits in one
+/// `AtomicU64`, where 0 bits mean "no sample yet".
+#[derive(Debug, Default)]
+pub(crate) struct EwmaCell(AtomicU64);
 
-impl Default for PressureGauge {
-    fn default() -> Self {
-        PressureGauge {
-            ewma_us: AtomicU64::new(0),
-        }
-    }
-}
-
-impl PressureGauge {
+impl EwmaCell {
     const SMOOTHING: f64 = 0.2;
 
-    /// Folds one measured queue wait in (short CAS loop; a lost race
-    /// drops one sample of smoothing, never corrupts the estimate).
+    /// Folds one sample in (short CAS loop; a lost race drops one sample
+    /// of smoothing, never corrupts the estimate).
     #[moqo::hot_path]
-    pub fn record(&self, queue_wait: Duration) {
-        let sample_us = queue_wait.as_secs_f64() * 1e6;
-        let mut current = self.ewma_us.load(Ordering::Relaxed);
+    pub(crate) fn record(&self, sample: Duration) {
+        let sample_us = sample.as_secs_f64() * 1e6;
+        let mut current = self.0.load(Ordering::Relaxed);
         for _ in 0..4 {
             let updated = if current == 0 {
                 sample_us
@@ -428,23 +412,49 @@ impl PressureGauge {
             };
             // Exactly-0.0 bits would read as "no sample"; nudge instead.
             let bits = updated.max(f64::MIN_POSITIVE).to_bits();
-            match self.ewma_us.compare_exchange_weak(
-                current,
-                bits,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match self
+                .0
+                .compare_exchange_weak(current, bits, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => return,
                 Err(seen) => current = seen,
             }
         }
     }
 
+    /// The current estimate, `None` before the first sample.
+    pub(crate) fn get(&self) -> Option<Duration> {
+        let bits = self.0.load(Ordering::Relaxed);
+        (bits != 0).then(|| Duration::from_secs_f64(f64::from_bits(bits) / 1e6))
+    }
+}
+
+/// A lock-free EWMA of recent queue waits: the load signal the brownout
+/// admission controller reads on every submit (one relaxed load).
+///
+/// Workers fold each completed request's queue wait in with smoothing
+/// 0.2; [`PressureGauge::pressure`] normalizes the current estimate
+/// against a watermark, so `1.0` means "queue waits sit exactly at the
+/// watermark" and values above it measure how far into brownout the
+/// service is.
+#[derive(Debug, Default)]
+pub struct PressureGauge {
+    /// EWMA of queue waits.
+    ewma: EwmaCell,
+}
+
+impl PressureGauge {
+    /// Folds one measured queue wait in (short CAS loop; a lost race
+    /// drops one sample of smoothing, never corrupts the estimate).
+    #[moqo::hot_path]
+    pub fn record(&self, queue_wait: Duration) {
+        self.ewma.record(queue_wait);
+    }
+
     /// The current queue-wait estimate, `None` before the first sample.
     #[must_use]
     pub fn current(&self) -> Option<Duration> {
-        let bits = self.ewma_us.load(Ordering::Relaxed);
-        (bits != 0).then(|| Duration::from_secs_f64(f64::from_bits(bits) / 1e6))
+        self.ewma.get()
     }
 
     /// Current estimate over `watermark` (`0.0` before any sample; a

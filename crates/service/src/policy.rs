@@ -2,16 +2,17 @@
 //!
 //! The anytime follow-up (arXiv:1603.00400) frames optimization under
 //! per-request time budgets; a serving layer turns that framing into an
-//! admission decision. The default policy picks the *preferred* scheme from
-//! the request (`α = 1` → EXA; bounded → IRA; otherwise RTA), then
-//! downgrades along `EXA → IRA/RTA → RMQ` whenever the block size or the
-//! remaining deadline budget rules a scheme out, and rejects only when even
-//! the anytime randomized search cannot start before the deadline.
+//! admission decision. [`DeadlineAwarePolicy`] picks the *preferred*
+//! scheme from the request (`α = 1` → EXA; bounded → IRA; otherwise RTA),
+//! then downgrades along `EXA → IRA/RTA → RMQ` whenever the block size or
+//! the remaining deadline budget rules a scheme out, and rejects only when
+//! even the anytime randomized search cannot start before the deadline.
 
-use moqo_sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use moqo_core::Algorithm;
+
+use crate::metrics::EwmaCell;
 
 /// What the policy sees about one block of a request at scheduling time.
 #[derive(Debug, Clone, Copy)]
@@ -55,42 +56,24 @@ impl Admission {
     }
 }
 
-/// Pluggable admission policy. Implementations must be callable from every
-/// worker thread.
-pub trait AlgorithmPolicy: Send + Sync {
-    /// Decides what to run for one block.
-    fn admit(&self, ctx: &PolicyContext) -> Admission;
-
-    /// Relative cost estimate for optimizing one block of `block_size`
-    /// relations — the weight the service uses to split a request's
-    /// deadline across its blocks (proportional shares, so one expensive
-    /// early block cannot starve its successors). Only ratios matter. The
-    /// default mirrors [`DeadlineAwarePolicy`]'s exponential DP model.
-    fn block_estimate(&self, block_size: usize) -> Duration {
-        let factor = 3.5f64
-            .powi(i32::try_from(block_size).unwrap_or(i32::MAX))
-            .min(1e15);
-        Duration::from_micros(2).mul_f64(factor)
-    }
-}
-
 /// Lock-free EWMA of measured per-block-size optimization wall times.
 ///
-/// The static `base · growthⁿ` model in [`AlgorithmPolicy::block_estimate`]
-/// describes *some* machine; this table learns the one the service
-/// actually runs on. Workers feed every measured block optimization into
-/// [`LearnedBlockTimes::record`]; the deadline split
-/// (`block_share` in the service) then prefers the learned estimate over
-/// the static model wherever a sample exists. Everything is relaxed
-/// atomics — recording sits on the completion path and must not lock.
-///
-/// `smoothing` is the EWMA weight of a new sample (`0 < s ≤ 1`; the
-/// service default is 0.2). A `smoothing` of 0 disables learning: nothing
-/// records, every estimate falls back to the policy model.
+/// The static `base · growthⁿ` model in
+/// [`DeadlineAwarePolicy::estimated_dp_time`] describes *some* machine;
+/// this table learns the one the service actually runs on. Workers feed
+/// every measured block optimization into [`LearnedBlockTimes::record`];
+/// the deadline split (`block_share` in the service) then prefers the
+/// learned estimate over the static model wherever a sample exists.
+/// Everything is relaxed atomics — recording sits on the completion path
+/// and must not lock. A new sample weighs 0.2.
 pub struct LearnedBlockTimes {
-    /// Estimated wall micros as `f64` bits per block size; 0 = no sample.
-    cells: [AtomicU64; Self::MAX_TRACKED + 1],
-    smoothing: f64,
+    cells: [EwmaCell; Self::MAX_TRACKED + 1],
+}
+
+impl Default for LearnedBlockTimes {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LearnedBlockTimes {
@@ -99,16 +82,15 @@ impl LearnedBlockTimes {
     /// sample budget, not the block size).
     pub const MAX_TRACKED: usize = 32;
 
-    /// A table with the given EWMA smoothing factor.
+    /// An empty table: every estimate falls back to the policy model.
     #[must_use]
-    pub fn new(smoothing: f64) -> Self {
+    pub fn new() -> Self {
         LearnedBlockTimes {
-            cells: std::array::from_fn(|_| AtomicU64::new(0)),
-            smoothing: smoothing.clamp(0.0, 1.0),
+            cells: std::array::from_fn(|_| EwmaCell::default()),
         }
     }
 
-    fn cell(&self, block_size: usize) -> &AtomicU64 {
+    fn cell(&self, block_size: usize) -> &EwmaCell {
         &self.cells[block_size.min(Self::MAX_TRACKED)]
     }
 
@@ -117,37 +99,13 @@ impl LearnedBlockTimes {
     /// race drops one sample of smoothing, never corrupts the estimate).
     #[moqo::hot_path]
     pub fn record(&self, block_size: usize, wall: Duration) {
-        if self.smoothing <= 0.0 {
-            return;
-        }
-        let sample_us = wall.as_secs_f64() * 1e6;
-        let cell = self.cell(block_size);
-        let mut current = cell.load(Ordering::Relaxed);
-        for _ in 0..4 {
-            let updated = if current == 0 {
-                sample_us
-            } else {
-                let previous = f64::from_bits(current);
-                self.smoothing * sample_us + (1.0 - self.smoothing) * previous
-            };
-            // An estimate of exactly 0.0 bits would read as "no sample";
-            // nudge to the smallest positive value instead.
-            let bits = updated.max(f64::MIN_POSITIVE).to_bits();
-            match cell.compare_exchange_weak(current, bits, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
+        self.cell(block_size).record(wall);
     }
 
     /// The learned estimate for one block size, if any sample landed yet.
     #[must_use]
     pub fn estimate(&self, block_size: usize) -> Option<Duration> {
-        let bits = self.cell(block_size).load(Ordering::Relaxed);
-        if bits == 0 {
-            return None;
-        }
-        Some(Duration::from_secs_f64(f64::from_bits(bits) / 1e6))
+        self.cell(block_size).get()
     }
 }
 
@@ -250,7 +208,7 @@ impl BrownoutConfig {
     }
 }
 
-/// The default policy: size and deadline gates around the preference order
+/// The admission policy: size and deadline gates around the preference order
 /// `EXA → IRA/RTA → RMQ`, with a crude-but-tunable exponential model of
 /// dynamic-programming cost.
 #[derive(Debug, Clone)]
@@ -322,14 +280,10 @@ impl DeadlineAwarePolicy {
             Some(rem) => self.estimated_dp_time(ctx.block_size) <= rem,
         }
     }
-}
 
-impl AlgorithmPolicy for DeadlineAwarePolicy {
-    fn block_estimate(&self, block_size: usize) -> Duration {
-        self.estimated_dp_time(block_size)
-    }
-
-    fn admit(&self, ctx: &PolicyContext) -> Admission {
+    /// Decides what to run for one block.
+    #[must_use]
+    pub fn admit(&self, ctx: &PolicyContext) -> Admission {
         if let Some(rem) = ctx.remaining {
             if rem < self.min_budget {
                 return Admission::Reject;
@@ -481,15 +435,15 @@ mod tests {
 
     #[test]
     fn learned_times_converge_and_fall_back() {
-        let learned = LearnedBlockTimes::new(0.5);
+        let learned = LearnedBlockTimes::new();
         assert_eq!(learned.estimate(4), None, "no sample yet");
         learned.record(4, Duration::from_micros(100));
         let first = learned.estimate(4).unwrap();
         assert!((first.as_secs_f64() * 1e6 - 100.0).abs() < 1e-6);
-        // EWMA: 0.5 · 300 + 0.5 · 100 = 200.
+        // EWMA: 0.2 · 300 + 0.8 · 100 = 140.
         learned.record(4, Duration::from_micros(300));
         let second = learned.estimate(4).unwrap();
-        assert!((second.as_secs_f64() * 1e6 - 200.0).abs() < 1e-6);
+        assert!((second.as_secs_f64() * 1e6 - 140.0).abs() < 1e-6);
         // Other sizes stay empty; oversized blocks share the last cell.
         assert_eq!(learned.estimate(5), None);
         learned.record(
@@ -497,10 +451,6 @@ mod tests {
             Duration::from_micros(7),
         );
         assert!(learned.estimate(LearnedBlockTimes::MAX_TRACKED).is_some());
-        // Smoothing 0 disables learning entirely.
-        let off = LearnedBlockTimes::new(0.0);
-        off.record(4, Duration::from_micros(100));
-        assert_eq!(off.estimate(4), None);
     }
 
     #[test]

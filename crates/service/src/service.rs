@@ -15,8 +15,7 @@ use crate::export::{render_prometheus, TraceSnapshot};
 use crate::fault::{guarded_catch, FaultAction, FaultPlan};
 use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceMetrics};
 use crate::policy::{
-    Admission, AlgorithmPolicy, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy,
-    LearnedBlockTimes, PolicyContext,
+    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{
@@ -42,10 +41,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Plan-cache shard count (default 8).
     pub cache_shards: usize,
-    /// EWMA smoothing factor for the learned per-block-size wall times
-    /// that refine the deadline split (default 0.2; `0.0` disables
-    /// learning and the split trusts the policy's static model).
-    pub ewma_smoothing: f64,
     /// How often the supervisor scans worker heartbeats (default 5 ms).
     pub supervisor_tick: Duration,
     /// Heartbeat silence after which a running worker counts as wedged and
@@ -66,7 +61,6 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             cache_capacity: 1024,
             cache_shards: 8,
-            ewma_smoothing: 0.2,
             supervisor_tick: Duration::from_millis(5),
             stall_after: Duration::from_secs(5),
             brownout: BrownoutConfig::default(),
@@ -98,7 +92,7 @@ struct ServiceInner {
     queue: BoundedQueue<Job>,
     cache: PlanCache,
     metrics: ServiceMetrics,
-    policy: Box<dyn AlgorithmPolicy>,
+    policy: DeadlineAwarePolicy,
     /// Measured per-block-size wall times; refines the deadline split.
     learned: LearnedBlockTimes,
     /// Worker registry + supervisor signalling.
@@ -111,7 +105,7 @@ struct ServiceInner {
     faults: Option<FaultPlan>,
     /// Submission-order counter; assigns fault-plan ordinals.
     ordinals: AtomicU64,
-    /// Pool size the supervisor restores towards (== shard count).
+    /// Pool size the supervisor restores towards.
     workers_target: usize,
     /// The flight recorder, when tracing is enabled (see
     /// [`ServiceBuilder::tracing`]). `None` skips only the ring, span and
@@ -127,7 +121,7 @@ impl ServiceInner {
     fn block_time_estimate(&self, block_size: usize) -> Duration {
         self.learned
             .estimate(block_size)
-            .unwrap_or_else(|| self.policy.block_estimate(block_size))
+            .unwrap_or_else(|| self.policy.estimated_dp_time(block_size))
     }
 
     /// Admission across all blocks of a request against deadline `total`,
@@ -203,7 +197,6 @@ impl Ticket {
 pub struct ServiceBuilder {
     catalog: Catalog,
     config: ServiceConfig,
-    policy: Box<dyn AlgorithmPolicy>,
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
 }
@@ -215,7 +208,6 @@ impl ServiceBuilder {
         ServiceBuilder {
             catalog,
             config: ServiceConfig::default(),
-            policy: Box::new(DeadlineAwarePolicy::default()),
             faults: None,
             tracing: None,
         }
@@ -246,21 +238,6 @@ impl ServiceBuilder {
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
-        self
-    }
-
-    /// Replaces the admission policy.
-    #[must_use]
-    pub fn policy(mut self, policy: impl AlgorithmPolicy + 'static) -> Self {
-        self.policy = Box::new(policy);
-        self
-    }
-
-    /// Sets the EWMA smoothing factor for learned block times (`0.0`
-    /// disables learning).
-    #[must_use]
-    pub fn ewma_smoothing(mut self, smoothing: f64) -> Self {
-        self.config.ewma_smoothing = smoothing;
         self
     }
 
@@ -315,13 +292,11 @@ impl ServiceBuilder {
         let inner = Arc::new(ServiceInner {
             catalog: self.catalog,
             params: self.config.params.clone(),
-            // One queue shard per worker: producers scatter lock-free,
-            // each worker drains its own shard and steals from the rest.
-            queue: BoundedQueue::with_shards(self.config.queue_capacity, workers),
+            queue: BoundedQueue::new(self.config.queue_capacity),
             cache: PlanCache::new(self.config.cache_capacity, self.config.cache_shards),
             metrics: ServiceMetrics::default(),
-            policy: self.policy,
-            learned: LearnedBlockTimes::new(self.config.ewma_smoothing),
+            policy: DeadlineAwarePolicy::default(),
+            learned: LearnedBlockTimes::new(),
             supervision: Supervision::new(),
             brownout: self.config.brownout,
             supervisor_tick: self.config.supervisor_tick.max(Duration::from_micros(100)),
@@ -334,8 +309,8 @@ impl ServiceBuilder {
                 .as_ref()
                 .map(|config| FlightRecorder::new(config, workers)),
         });
-        for shard in 0..workers {
-            spawn_worker(&inner, shard);
+        for worker in 0..workers {
+            spawn_worker(&inner, worker);
         }
         let supervisor = {
             let inner = Arc::clone(&inner);
@@ -384,8 +359,7 @@ impl OptimizationService {
     /// brownout controller is enabled and measured queue-wait pressure
     /// stands at or above the shed threshold *while a backlog actually
     /// exists*, the submission is shed before taking a queue slot. The
-    /// whole submit path is lock-free — the capacity check, the shard
-    /// insert and every metrics update are atomics.
+    /// push takes the queue mutex once; every metrics update is atomic.
     ///
     /// # Errors
     ///
@@ -592,30 +566,30 @@ impl Drop for OptimizationService {
     }
 }
 
-/// Spawns one worker onto `shard` and registers it with the supervisor.
-/// Respawns reuse the shard (the dead worker's backlog keeps its consumer
-/// affinity) under a fresh generation number in the thread name.
-fn spawn_worker(inner: &Arc<ServiceInner>, shard: usize) {
+/// Spawns worker number `worker` and registers it with the supervisor.
+/// A respawn reuses the index (so the thread name and trace ring carry
+/// over) under a fresh generation number in the thread name.
+fn spawn_worker(inner: &Arc<ServiceInner>, worker: usize) {
     let slot = Arc::new(WorkerSlot::default());
     let generation = inner.supervision.next_generation();
     let thread_inner = Arc::clone(inner);
     let thread_slot = Arc::clone(&slot);
     let handle = std::thread::Builder::new()
-        .name(format!("moqo-worker-{shard}-g{generation}"))
-        .spawn(move || worker_loop(&thread_inner, shard, &thread_slot))
+        .name(format!("moqo-worker-{worker}-g{generation}"))
+        .spawn(move || worker_loop(&thread_inner, worker, &thread_slot))
         .expect("worker thread spawns");
-    inner.supervision.register(shard, slot, handle);
+    inner.supervision.register(worker, slot, handle);
 }
 
 /// The supervisor: parks on its tick, scans worker heartbeats, reaps the
-/// dead, abandons the wedged, and respawns replacements onto the same
-/// queue shard. Exits when shutdown begins.
+/// dead, abandons the wedged, and respawns replacements under the same
+/// worker index. Exits when shutdown begins.
 fn supervisor_loop(inner: &Arc<ServiceInner>) {
     // Each finding is the one event of a system-scoped trace.
-    let record = |kind, shard: usize| {
+    let record = |kind, worker: usize| {
         let recorder = inner.recorder.as_ref();
         let mut rt = RequestTrace::started(&inner.metrics, recorder, SYSTEM_TRACE_ID);
-        rt.event(kind, shard as u64, 0, 0);
+        rt.event(kind, worker as u64, 0, 0);
     };
     let mut last = Instant::now();
     while !inner.supervision.is_shutting_down() {
@@ -626,15 +600,15 @@ fn supervisor_loop(inner: &Arc<ServiceInner>) {
         let elapsed = last.elapsed();
         last = Instant::now();
         for finding in inner.supervision.scan(elapsed, inner.stall_after) {
-            let shard = match finding {
-                Finding::Dead { shard } => shard,
-                Finding::Stalled { shard } => {
-                    record(EventKind::WorkerStalled, shard);
-                    shard
+            let worker = match finding {
+                Finding::Dead { worker } => worker,
+                Finding::Stalled { worker } => {
+                    record(EventKind::WorkerStalled, worker);
+                    worker
                 }
             };
-            record(EventKind::WorkerRespawned, shard);
-            spawn_worker(inner, shard);
+            record(EventKind::WorkerRespawned, worker);
+            spawn_worker(inner, worker);
         }
     }
 }
@@ -645,15 +619,15 @@ fn elapsed_us(start: Instant) -> u64 {
 }
 
 #[allow(clippy::cast_possible_truncation)]
-fn worker_loop(inner: &ServiceInner, shard: usize, slot: &WorkerSlot) {
+fn worker_loop(inner: &ServiceInner, worker: usize, slot: &WorkerSlot) {
     // The heartbeat fires inside the queue's wait loop too (at least once
     // per park timeout), so an idle worker never looks wedged.
-    while let Some(mut job) = inner.queue.pop_blocking_from_with(shard, || slot.beat()) {
+    while let Some(mut job) = inner.queue.pop_blocking_with(|| slot.beat()) {
         let queue_wait_us = elapsed_us(job.submitted);
         let mut rt = RequestTrace::resumed(
             &inner.metrics,
             inner.recorder.as_ref(),
-            shard,
+            worker,
             job.ordinal,
             job.span.take(),
         );
@@ -707,7 +681,7 @@ fn worker_loop(inner: &ServiceInner, shard: usize, slot: &WorkerSlot) {
             // Stamped before `finish` so exemplar classification sees it:
             // the killed worker's last request completes Ok, and this event
             // is what marks its trace as a kill exemplar.
-            rt.event(EventKind::WorkerKilled, shard as u64, 0, 0);
+            rt.event(EventKind::WorkerKilled, worker as u64, 0, 0);
         }
         let finished = match &result {
             Ok(_) => Ok(()),
@@ -720,7 +694,7 @@ fn worker_loop(inner: &ServiceInner, shard: usize, slot: &WorkerSlot) {
         if die_after {
             // The injected death answers its request first (deterministic
             // responses), then takes the thread down; the supervisor's
-            // next tick notices the exit flag and respawns onto the shard.
+            // next tick notices the exit flag and respawns the worker.
             slot.mark_exited();
             return;
         }

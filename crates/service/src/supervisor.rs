@@ -10,15 +10,15 @@
 //!   escaped the job guard, e.g. inside the queue itself). The handle is
 //!   reaped (its panic payload, if any, is swallowed here — never
 //!   propagated into the supervisor or `Drop`) and the service respawns a
-//!   replacement onto the *same queue shard*, so the dead worker's backlog
-//!   keeps its consumer affinity.
+//!   replacement under the same worker index, which names its thread and
+//!   picks its trace ring.
 //! * **stalled** — the epoch has not advanced for `stall_after` while the
 //!   thread is still running: the worker is wedged inside a job. Rust has
 //!   no safe way to kill a wedged thread, so the entry is *abandoned*
 //!   (handle detached — joining it could hang shutdown forever) and a
-//!   substitute is spawned onto the shard. If the wedged worker ever
+//!   substitute is spawned under its index. If the wedged worker ever
 //!   unsticks it simply becomes an extra consumer until the queue closes,
-//!   which the work-stealing MPMC queue tolerates by construction.
+//!   which the MPMC queue tolerates by construction.
 //!
 //! The registry mutex is cold: only the supervisor tick, respawn, and
 //! shutdown touch it — never the submit or completion hot paths.
@@ -62,7 +62,7 @@ impl WorkerSlot {
 
 /// Registry entry for one live worker.
 pub(crate) struct WorkerEntry {
-    pub(crate) shard: usize,
+    pub(crate) worker: usize,
     pub(crate) slot: Arc<WorkerSlot>,
     pub(crate) handle: JoinHandle<()>,
     /// Supervisor bookkeeping: the epoch seen last tick, and how long it
@@ -71,19 +71,19 @@ pub(crate) struct WorkerEntry {
     stale_for: Duration,
 }
 
-/// What one supervisor scan found wrong with a worker; the shard is where
-/// the replacement must go.
+/// What one supervisor scan found wrong with a worker; the index is the
+/// one its replacement takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Finding {
     /// The worker thread exited; its handle was reaped.
     Dead {
-        /// Queue shard the dead worker owned.
-        shard: usize,
+        /// Index of the dead worker.
+        worker: usize,
     },
     /// The worker is wedged in a job; its handle was detached.
     Stalled {
-        /// Queue shard the wedged worker owned.
-        shard: usize,
+        /// Index of the wedged worker.
+        worker: usize,
     },
 }
 
@@ -110,13 +110,13 @@ impl Supervision {
     }
 
     /// Registers a newly spawned worker.
-    pub(crate) fn register(&self, shard: usize, slot: Arc<WorkerSlot>, handle: JoinHandle<()>) {
+    pub(crate) fn register(&self, worker: usize, slot: Arc<WorkerSlot>, handle: JoinHandle<()>) {
         let last_epoch = slot.epoch();
         self.entries
             .lock()
             .expect("supervision registry poisoned")
             .push(WorkerEntry {
-                shard,
+                worker,
                 slot,
                 handle,
                 last_epoch,
@@ -144,7 +144,9 @@ impl Supervision {
                 // near-instant. A panic payload must die here: letting it
                 // unwind out of the supervisor would kill supervision.
                 drop(entry.handle.join());
-                findings.push(Finding::Dead { shard: entry.shard });
+                findings.push(Finding::Dead {
+                    worker: entry.worker,
+                });
                 continue;
             }
             let epoch = entry.slot.epoch();
@@ -152,10 +154,12 @@ impl Supervision {
                 entry.stale_for += tick;
                 if !stall_after.is_zero() && entry.stale_for >= stall_after {
                     // Wedged: detach (a join could hang forever) and let
-                    // the service field a substitute on the same shard.
+                    // the service field a substitute under its index.
                     let entry = entries.swap_remove(index);
                     drop(entry.handle);
-                    findings.push(Finding::Stalled { shard: entry.shard });
+                    findings.push(Finding::Stalled {
+                        worker: entry.worker,
+                    });
                     continue;
                 }
             } else {
@@ -257,7 +261,7 @@ mod tests {
         assert!(sup.scan(tick, stall_after).is_empty(), "not stale yet");
         assert!(sup.scan(tick, stall_after).is_empty(), "still under");
         let findings = sup.scan(tick, stall_after);
-        assert_eq!(findings, vec![Finding::Stalled { shard: 1 }]);
+        assert_eq!(findings, vec![Finding::Stalled { worker: 1 }]);
         assert_eq!(sup.alive(), 0);
         done_tx.send(()).unwrap();
     }

@@ -121,8 +121,7 @@ pub enum EventKind {
     /// length after capping, `arg1` = 1 when the payload was truncated.
     PanicCaught = 11,
     /// A fault killed the serving worker after it answered; `arg0` = the
-    /// worker's queue shard (scheduling-dependent, excluded from
-    /// checksums).
+    /// worker's index (scheduling-dependent, excluded from checksums).
     WorkerKilled = 12,
     /// The request finished with an error; `arg0` = the
     /// [`ServiceError`] class code (see [`error_code`]).
@@ -131,10 +130,10 @@ pub enum EventKind {
     /// excluded from checksums), `arg1` = block count, `arg2` = 1 when
     /// fully cache-served.
     Completed = 14,
-    /// The supervisor respawned a worker onto shard `arg0`
-    /// (system-scoped: trace id `SYSTEM_TRACE_ID`).
+    /// The supervisor respawned worker `arg0` (system-scoped: trace id
+    /// `SYSTEM_TRACE_ID`).
     WorkerRespawned = 15,
-    /// The supervisor detected a wedged worker on shard `arg0`.
+    /// The supervisor detected that worker `arg0` is wedged.
     WorkerStalled = 16,
 }
 
@@ -196,7 +195,7 @@ impl EventKind {
     }
 
     /// Whether `arg0` holds a timing or scheduling value that must stay
-    /// out of checksums (queue waits, latencies, the shard a kill landed
+    /// out of checksums (queue waits, latencies, the worker a kill landed
     /// on — everything that varies run-to-run under real concurrency).
     fn arg0_is_nondeterministic(self) -> bool {
         matches!(
@@ -588,12 +587,12 @@ pub struct TraceStats {
     pub error_exemplars_dropped: u64,
 }
 
-/// The service-wide flight recorder: one [`EventRing`] per worker shard
+/// The service-wide flight recorder: one [`EventRing`] per worker
 /// plus one for the submit path and the supervisor, the exemplar stores,
 /// and the clock.
 pub(crate) struct FlightRecorder {
     clock: TraceClock,
-    /// `rings[shard]` for workers; the last ring takes submit-path and
+    /// `rings[worker]` for workers; the last ring takes submit-path and
     /// supervisor events.
     rings: Vec<EventRing>,
     error_capacity: usize,

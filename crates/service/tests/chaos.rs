@@ -304,6 +304,39 @@ fn drop_with_dead_pool_answers_the_backlog_instead_of_hanging() {
 }
 
 #[test]
+fn idle_workers_keep_beating_and_a_wedged_one_is_replaced() {
+    let catalog = moqo_catalog::tpch::catalog(0.01);
+    // Ordinal 0 sleeps 1 s inside its job, where no heartbeat runs: past
+    // `stall_after`, so the supervisor abandons that worker and fields a
+    // substitute. Workers parked on the idle queue beat through the pop's
+    // tick callback and must never look wedged.
+    let plan = FaultPlan::builder()
+        .delay_at(0, Duration::from_secs(1))
+        .build();
+    let service = OptimizationService::builder(catalog.clone())
+        .workers(2)
+        .supervisor_tick(Duration::from_millis(1))
+        .stall_after(Duration::from_millis(200))
+        .faults(plan)
+        .build();
+    std::thread::sleep(Duration::from_millis(600));
+    let idle = service.metrics();
+    assert_eq!((idle.stalls_detected, idle.respawns), (0, 0));
+    assert_eq!(service.alive_workers(), 2);
+
+    let response = service.submit_wait(small_request(&catalog));
+    assert!(response.is_ok(), "{response:?}");
+    let healed = service.metrics();
+    assert_eq!((healed.stalls_detected, healed.respawns), (1, 1));
+    assert!(eventually(Duration::from_secs(5), || service
+        .alive_workers()
+        == 2));
+    let metrics = service.shutdown();
+    assert_eq!(metrics.completed, 1);
+    assert_eq!(metrics.errors_total(), 0);
+}
+
+#[test]
 fn brownout_sheds_and_degrades_under_pressure() {
     let catalog = moqo_catalog::tpch::catalog(0.01);
     // Every job sleeps 10 ms before processing (the test submits ten, so

@@ -68,7 +68,7 @@ fn pressure_gauge_cas_serializes_racing_samples() {
 #[test]
 fn learned_block_times_cas_serializes_racing_samples() {
     let report = model::check("learned_block_times_cas", &Config::smoke(), || {
-        let times = Arc::new(LearnedBlockTimes::new(0.2));
+        let times = Arc::new(LearnedBlockTimes::new());
         let other = {
             let times = Arc::clone(&times);
             thread::spawn(move || times.record(3, Duration::from_millis(20)))

@@ -1,35 +1,23 @@
 //! Seeded-bug detection: prove the model checker *fails* — determin-
 //! istically, with a replayable schedule — when a known ordering bug is
-//! injected into the production structures (run with
+//! injected into a production structure (run with
 //! `RUSTFLAGS="--cfg moqo_model" cargo test -p moqo_service --test
 //! model_seeded --release`).
 //!
-//! Each test flips a `model_hooks` knob that demotes one specific
-//! `Release` store to `Relaxed` (the canonical "forgot the release
-//! fence" bug), asserts the checker reports a violation naming the right
-//! class, and replays the reported decision schedule to reproduce the
-//! exact failing interleaving — the workflow a developer follows from a
-//! CI failure message (`MOQO_MODEL_REPLAY="<schedule>"`).
+//! The test flips the `trace_hooks::WEAKEN_COMMIT` knob, which demotes the
+//! seqlock's `Release` commit stamp to `Relaxed` (the canonical "forgot
+//! the release fence" bug), asserts the checker reports the violation,
+//! and replays the reported decision schedule to reproduce the exact
+//! failing interleaving — the workflow a developer follows from a CI
+//! failure message (`MOQO_MODEL_REPLAY="<schedule>"`).
 #![cfg(moqo_model)]
 
-use moqo_service::model_internals::{queue_hooks, trace_hooks, EventRing};
-use moqo_service::{BoundedQueue, EventKind, TraceEvent};
+use moqo_service::model_internals::{trace_hooks, EventRing};
+use moqo_service::{EventKind, TraceEvent};
 use moqo_sync::model::{self, Config};
 use moqo_sync::raw::Ordering as RawOrdering;
 use moqo_sync::thread;
 use moqo_sync::Arc;
-
-/// The weaken knobs are process-global; tests in this binary serialize
-/// on this lock so one test's injected bug cannot leak into another.
-static KNOB_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Restores a knob even if the test panics mid-way.
-struct KnobGuard(&'static moqo_sync::raw::AtomicBool);
-impl Drop for KnobGuard {
-    fn drop(&mut self) {
-        self.0.store(false, RawOrdering::SeqCst);
-    }
-}
 
 fn exploring_config() -> Config {
     Config {
@@ -39,86 +27,13 @@ fn exploring_config() -> Config {
     }
 }
 
-/// Weakening the queue's slot-publish store to `Relaxed` breaks the
-/// hand-off: the consumer can win the dequeue CAS without having
-/// synchronized with the producer's payload write — a data race the
-/// checker reports with a replayable schedule.
-#[test]
-fn weakened_queue_publish_is_caught_and_replays() {
-    let _serial = KNOB_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _restore = KnobGuard(&queue_hooks::WEAKEN_PUBLISH);
-    queue_hooks::WEAKEN_PUBLISH.store(true, RawOrdering::SeqCst);
-
-    let scenario = || {
-        let q = BoundedQueue::new(2);
-        let consumer = {
-            let q = q.clone();
-            thread::spawn(move || q.pop_blocking())
-        };
-        q.try_push(7u32).expect("capacity");
-        assert_eq!(consumer.join().expect("consumer"), Some(7));
-    };
-    let report = model::explore(&exploring_config(), scenario);
-    let failure = report
-        .failure
-        .expect("the weakened publish must be caught as a violation");
-    assert!(
-        failure.message.contains("data race"),
-        "expected a data-race report for the unsynchronized slot payload, got: {}",
-        failure.message
-    );
-    assert!(
-        !failure.schedule.is_empty(),
-        "a failure must carry its decision schedule for replay"
-    );
-    assert!(
-        !failure.replay_token().is_empty(),
-        "the replay token is printed for MOQO_MODEL_REPLAY"
-    );
-    // Deterministic replay: the recorded schedule reproduces the same
-    // violation class on every re-run.
-    for _ in 0..2 {
-        let replayed = model::replay(&failure.schedule, scenario);
-        let rf = replayed.failure.expect("replay must reproduce the failure");
-        assert!(
-            rf.message.contains("data race"),
-            "replay diverged: {}",
-            rf.message
-        );
-    }
-}
-
-/// The same scenario with the knob off is clean — the `Release` publish
-/// is exactly what the hand-off needs, no more, no less.
-#[test]
-fn unweakened_queue_publish_is_clean() {
-    let _serial = KNOB_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let report = model::check("unweakened_queue_publish", &exploring_config(), || {
-        let q = BoundedQueue::new(2);
-        let consumer = {
-            let q = q.clone();
-            thread::spawn(move || q.pop_blocking())
-        };
-        q.try_push(7u32).expect("capacity");
-        assert_eq!(consumer.join().expect("consumer"), Some(7));
-    });
-    assert!(report.failure.is_none());
-}
-
 /// Weakening the seqlock commit stamp to `Relaxed` lets a reader
 /// validate a slot whose payload words it never synchronized with — the
 /// checker finds an interleaving where a stale-word event passes
 /// validation (a torn read).
 #[test]
 fn weakened_trace_commit_is_caught() {
-    let _serial = KNOB_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _restore = KnobGuard(&trace_hooks::WEAKEN_COMMIT);
+    // The knob is process-global; this is the binary's only test.
     trace_hooks::WEAKEN_COMMIT.store(true, RawOrdering::SeqCst);
 
     let scenario = || {

@@ -1,4 +1,4 @@
-//! Multi-thread stress coverage for the sharded lock-free queue.
+//! Multi-thread stress coverage for the bounded work queue.
 //!
 //! The contract under contention: every successfully pushed item is popped
 //! exactly once (no loss, no duplication), `QueueFull` is the only way a
@@ -54,18 +54,18 @@ fn close_after(queue: &BoundedQueue<u64>, producers: Vec<ScopedJoinHandle<'_, ()
 
 /// Hammers a queue with `producers` push threads and `consumers` pop
 /// threads, then checks exactly-once delivery of everything accepted.
-fn run_stress(shards: usize, producers: u64, consumers: usize, per_producer: u64) {
-    let queue = BoundedQueue::with_shards(256, shards);
+fn run_stress(producers: u64, consumers: usize, per_producer: u64) {
+    let queue = BoundedQueue::new(256);
     let delivered: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
     thread::scope(|s| {
         let pushers = spawn_producers(s, &queue, producers, per_producer);
-        for c in 0..consumers {
+        for _ in 0..consumers {
             let queue = &queue;
             let delivered = &delivered;
             s.spawn(move || {
                 let mut local = Vec::new();
-                while let Some(item) = queue.pop_blocking_from(c) {
+                while let Some(item) = queue.pop_blocking() {
                     local.push(item);
                 }
                 delivered.lock().unwrap().append(&mut local);
@@ -89,44 +89,44 @@ fn run_stress(shards: usize, producers: u64, consumers: usize, per_producer: u64
 
 #[test]
 fn single_shard_exactly_once_under_contention() {
-    run_stress(1, 4, 2, 5_000);
+    run_stress(4, 2, 5_000);
 }
 
 #[test]
 fn sharded_exactly_once_under_contention() {
-    run_stress(4, 4, 4, 5_000);
+    run_stress(4, 4, 5_000);
 }
 
 #[test]
 fn more_consumers_than_shards() {
-    run_stress(2, 3, 6, 3_000);
+    run_stress(3, 6, 3_000);
 }
 
-/// A consumer dying mid-stream must not strand its shard's backlog: the
-/// survivors steal it and exactly-once delivery still holds. This is the
+/// A consumer dying mid-stream must not strand the backlog: the survivors
+/// drain it and exactly-once delivery still holds. This is the
 /// queue-level half of the service's worker-death story (the supervisor
 /// respawn is the other half) — correctness must not depend on the
 /// replacement arriving.
 #[test]
 fn dead_consumer_shard_is_drained_by_survivors_exactly_once() {
-    let shards = 4;
+    let consumers = 4;
     let per_producer: u64 = 4_000;
     let producers: u64 = 4;
-    let queue = BoundedQueue::with_shards(256, shards);
+    let queue = BoundedQueue::new(256);
     let delivered: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
     thread::scope(|s| {
         let pushers = spawn_producers(s, &queue, producers, per_producer);
         // Consumer 0 "dies" early: it exits after a few hundred pops while
-        // its shard still has (and keeps receiving) items. No replacement
-        // is spawned — the other three must pick up the slack.
+        // producers keep pushing. No replacement is spawned — the other
+        // three must pick up the slack.
         {
             let queue = &queue;
             let delivered = &delivered;
             s.spawn(move || {
                 let mut local = Vec::new();
                 while local.len() < 300 {
-                    match queue.pop_blocking_from(0) {
+                    match queue.pop_blocking() {
                         Some(item) => local.push(item),
                         None => break,
                     }
@@ -134,12 +134,12 @@ fn dead_consumer_shard_is_drained_by_survivors_exactly_once() {
                 delivered.lock().unwrap().append(&mut local);
             });
         }
-        for c in 1..shards {
+        for _ in 1..consumers {
             let queue = &queue;
             let delivered = &delivered;
             s.spawn(move || {
                 let mut local = Vec::new();
-                while let Some(item) = queue.pop_blocking_from(c) {
+                while let Some(item) = queue.pop_blocking() {
                     local.push(item);
                 }
                 delivered.lock().unwrap().append(&mut local);
@@ -163,7 +163,7 @@ fn dead_consumer_shard_is_drained_by_survivors_exactly_once() {
 
 #[test]
 fn full_is_the_only_preclose_failure_and_reports_backpressure() {
-    let queue: BoundedQueue<u64> = BoundedQueue::with_shards(4, 2);
+    let queue: BoundedQueue<u64> = BoundedQueue::new(4);
     for i in 0..4 {
         queue.try_push(i).unwrap();
     }

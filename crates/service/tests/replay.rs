@@ -21,7 +21,7 @@
 //!   key to its fixed point, then the trace runs as barrier pairs. Every
 //!   key's servability is then stable, so the counter deltas of a pair do
 //!   not depend on which worker wins, even though both race over the
-//!   sharded queue.
+//!   queue.
 //! * **Two workers under faults**: the same replay with panics, worker
 //!   kills, an injected queue-full and a delay, all keyed on submission
 //!   ordinals, so the robustness counters replay exactly.
