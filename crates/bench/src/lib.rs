@@ -19,7 +19,6 @@
 //! | `MOQO_SEED` | 42 | — | base RNG seed |
 //! | `MOQO_QUERIES` | all | all | comma-separated query subset |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Duration;

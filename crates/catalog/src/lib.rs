@@ -17,7 +17,6 @@
 //! ([`RelMask`]), which is sufficient for TPC-H (at most 8 relations per
 //! block) and keeps the dynamic programming tables dense.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cardinality;

@@ -31,7 +31,6 @@
 //! [`complexity`]; and a user-facing facade over multi-block queries in
 //! [`Optimizer`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod complexity;

@@ -53,7 +53,6 @@
 //! # let _ = objs;
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod objective;

@@ -28,7 +28,6 @@
 //! and buffer in bytes, energy in abstract Joule-like units, tuple loss as a
 //! fraction in `[0, 1]`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod join;

@@ -10,7 +10,6 @@
 //!
 //! Consumers depend on this crate under the rename `moqo = { package =
 //! "moqo_hotpath" }` so the attribute path reads as `#[moqo::hot_path]`.
-#![forbid(unsafe_code)]
 
 use proc_macro::TokenStream;
 

@@ -24,7 +24,6 @@
 //! transformed (commutativity, associativity, operator swaps) and
 //! re-inserted; see [`tree`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arena;

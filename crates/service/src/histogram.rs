@@ -326,6 +326,13 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 40_000);
-        assert_eq!(h.snapshot().count(), 40_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 40_000);
+        let sum: u64 = (0..4u64)
+            .flat_map(|t| (0..10_000u64).map(move |i| t * 1_000 + i))
+            .sum();
+        assert_eq!(snap.sum_us(), sum, "the exact sum loses nothing either");
+        let (_, last) = snap.cumulative_buckets().last().unwrap();
+        assert_eq!(last, 40_000, "the last cumulative bucket is the count");
     }
 }

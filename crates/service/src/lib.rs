@@ -38,8 +38,7 @@
 //!   counter is a projection of one per-[`EventKind`] counter table,
 //!   bumped by the same lifecycle call that feeds the flight recorder, so
 //!   counters and traces cannot disagree. A submission takes the queue
-//!   mutex once; metrics, histograms and the flight recorder stay
-//!   lock-free.
+//!   mutex once; metrics and histograms stay lock-free.
 //!
 //! * **Self-healing** — a panic inside a job is caught at the worker's
 //!   guard and delivered as [`ServiceError::Internal`] (payload included)
@@ -58,9 +57,9 @@
 //!   rejections and worker kills keyed on exact submission ordinals, so
 //!   fault runs replay byte-stable and tests can pin the robustness
 //!   counters.
-//! * **End-to-end tracing** ([`ServiceBuilder::tracing`]) — a lock-free
-//!   flight recorder ([`TraceConfig`]): per-worker bounded seqlock rings
-//!   of fixed-size span events covering the whole request lifecycle
+//! * **End-to-end tracing** ([`ServiceBuilder::tracing`]) — a flight
+//!   recorder ([`TraceConfig`]): per-worker bounded rings, one mutex
+//!   each, of fixed-size span events covering the whole request lifecycle
 //!   (submit/admission, enqueue, queue wait, cache probes, per-block
 //!   optimize with algorithm + achieved α + report digest, faults, panics,
 //!   kills, completion), tail-based exemplar retention (every error-class
@@ -107,7 +106,6 @@
 //! assert!(again.fully_cached());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
@@ -140,12 +138,3 @@ pub use trace::{
     commutative_checksum, error_code, stream_checksum, EventKind, Exemplar, ExemplarClass,
     TraceConfig, TraceEvent, TraceStats,
 };
-
-/// Model-suite surface: internals the `tests/model_*.rs` suites drive
-/// directly, plus the seeded-bug injection knob. Compiled only under
-/// `--cfg moqo_model`, so the normal public API is unchanged.
-#[cfg(moqo_model)]
-pub mod model_internals {
-    pub use crate::trace::model_hooks as trace_hooks;
-    pub use crate::trace::EventRing;
-}

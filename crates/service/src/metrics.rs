@@ -619,6 +619,41 @@ mod tests {
     }
 
     #[test]
+    fn racing_ewma_samples_serialize() {
+        // Two racing samples on a fresh cell fold in one of the two orders:
+        // 10 ms then 20 ms is 0.2·20 + 0.8·10 = 12 ms, the other order
+        // 18 ms. A lost CAS retries against the winner's value; anything
+        // else (10, 20, a mix) means a sample was dropped or corrupted.
+        fn serialized(estimate: Option<Duration>) -> bool {
+            let ms = estimate.unwrap().as_secs_f64() * 1e3;
+            [12.0, 18.0].iter().any(|v| (ms - v).abs() < 1e-9)
+        }
+        for _ in 0..1_000 {
+            let gauge = PressureGauge::default();
+            let times = crate::policy::LearnedBlockTimes::new();
+            // A spinning start line, not a `Barrier`: a thread parked in a
+            // barrier wakes after the other has already recorded.
+            let arrived = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for wait_ms in [10, 20] {
+                    let (arrived, gauge, times) = (&arrived, &gauge, &times);
+                    s.spawn(move || {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        while arrived.load(Ordering::SeqCst) < 2 {
+                            std::hint::spin_loop();
+                        }
+                        gauge.record(Duration::from_millis(wait_ms));
+                        times.record(3, Duration::from_millis(wait_ms));
+                    });
+                }
+            });
+            assert!(serialized(gauge.current()), "{:?}", gauge.current());
+            assert!(serialized(times.estimate(3)), "{:?}", times.estimate(3));
+            assert_eq!(times.estimate(4), None, "untouched sizes stay empty");
+        }
+    }
+
+    #[test]
     fn throughput_windows_reset_per_snapshot() {
         let m = ServiceMetrics::default();
         for _ in 0..100 {

@@ -6,11 +6,6 @@
 //! which is the admission-control contract of the service (back-pressure
 //! must be visible to the caller, not absorbed silently). A rejected push
 //! hands its item back, so a bounced job keeps whatever rides inside it.
-//!
-//! The primitives come from the [`moqo_sync`] facade, so
-//! `RUSTFLAGS="--cfg moqo_model"` runs `tests/model_queue.rs` over this
-//! same code: exactly-once delivery, the `Full` item-return contract,
-//! close-then-drain and the parked-consumer wakeup.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -207,13 +202,58 @@ mod tests {
     }
 
     #[test]
+    fn racing_pushes_into_capacity_one_admit_exactly_one() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for _ in 0..1_000 {
+            let q = BoundedQueue::new(1);
+            // A spinning start line, not a `Barrier`: a thread parked in a
+            // barrier wakes after the other has already pushed.
+            let arrived = AtomicUsize::new(0);
+            let results: Vec<_> = std::thread::scope(|s| {
+                let pushers: Vec<_> = [1u32, 2]
+                    .into_iter()
+                    .map(|item| {
+                        let (q, arrived) = (&q, &arrived);
+                        s.spawn(move || {
+                            arrived.fetch_add(1, Ordering::SeqCst);
+                            while arrived.load(Ordering::SeqCst) < 2 {
+                                std::hint::spin_loop();
+                            }
+                            (item, q.try_push(item))
+                        })
+                    })
+                    .collect();
+                pushers.into_iter().map(|p| p.join().unwrap()).collect()
+            });
+            let admitted: Vec<u32> = results
+                .iter()
+                .filter(|(_, r)| r.is_ok())
+                .map(|(item, _)| *item)
+                .collect();
+            assert_eq!(admitted.len(), 1, "capacity 1 admits exactly one push");
+            for (item, r) in results {
+                if let Err(rejected) = r {
+                    assert_eq!(
+                        rejected,
+                        (PushError::Full, item),
+                        "the loser gets its own item"
+                    );
+                }
+            }
+            assert_eq!(q.pop_blocking(), Some(admitted[0]));
+        }
+    }
+
+    #[test]
     fn consumers_across_threads() {
         let q = BoundedQueue::new(64);
+        let started = std::sync::Barrier::new(5);
         let total: usize = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let q = q.clone();
+                    let (q, started) = (q.clone(), &started);
                     s.spawn(move || {
+                        started.wait();
                         let mut sum = 0usize;
                         while let Some(v) = q.pop_blocking() {
                             sum += v;
@@ -222,6 +262,10 @@ mod tests {
                     })
                 })
                 .collect();
+            // Every consumer finds the queue empty and parks, and stays
+            // parked past at least two park timeouts before the first push.
+            started.wait();
+            std::thread::sleep(PARK_TIMEOUT * 3);
             for v in 1..=32usize {
                 while q.try_push(v) == Err((PushError::Full, v)) {
                     std::thread::yield_now();

@@ -1,4 +1,4 @@
-//! The flight recorder: lock-free, span-structured request tracing.
+//! The flight recorder: span-structured request tracing.
 //!
 //! Aggregate counters ([`crate::MetricsSnapshot`]) answer *how much*; they
 //! cannot answer "why was request #417 slow / shed / degraded". This
@@ -15,13 +15,10 @@
 //! tracing is on, the same call also writes the event into two sinks:
 //!
 //! * **Per-worker ring buffers** ([`EventRing`]): bounded, oldest
-//!   overwritten, with a `dropped_events` count derived from the head
-//!   position (no extra hot-path atomic). A write is one `fetch_add` slot
-//!   claim, six payload-word stores and a commit stamp (seqlock per slot:
-//!   readers revalidate the stamp and skip torn slots; the word stores
-//!   are Release — plain `mov`s on x86 — because fully relaxed payloads
-//!   admit a torn read past the recheck, see [`EventRing::record`]). Zero
-//!   allocation per event.
+//!   overwritten, with a `dropped_events` count derived from the
+//!   recorded count. A write takes the ring's mutex and copies the event
+//!   into a pre-filled slot; nothing allocates. Each worker writes its
+//!   own ring, and submitters and the supervisor share the last one.
 //! * **A per-request span collector** ([`SpanCollector`]): a small
 //!   buffer riding inside the job, so the *complete* trace of a request
 //!   survives ring overwrite. At completion the recorder applies
@@ -40,7 +37,7 @@
 //! byte-stable.
 
 use moqo_sync::atomic::{AtomicU64, Ordering};
-use moqo_sync::Mutex;
+use moqo_sync::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -50,26 +47,6 @@ use crate::request::{OptimizationResponse, ServiceError};
 /// Trace id used by events that belong to no request (supervisor respawn
 /// and stall findings).
 pub const SYSTEM_TRACE_ID: u64 = u64::MAX;
-
-/// Model-checker steering knobs; compiled only under `--cfg moqo_model`.
-/// Seeded-bug injection for the model suite.
-///
-/// `tests/model_seeded.rs` flips [`WEAKEN_COMMIT`] to demote the
-/// seqlock commit stamp to `Relaxed` and asserts the checker reports
-/// the resulting torn read. The knob lives on [`moqo_sync::raw`] so
-/// reading it is invisible to the checker itself.
-#[cfg(moqo_model)]
-pub mod model_hooks {
-    use moqo_sync::raw::AtomicBool;
-
-    /// When `true`, [`super::EventRing::record`] publishes the commit
-    /// stamp with `Ordering::Relaxed` instead of `Release`, so a reader
-    /// can validate a slot whose payload words it never actually saw.
-    pub static WEAKEN_COMMIT: AtomicBool = AtomicBool::new(false);
-}
-
-/// Payload words per ring slot (the encoded [`TraceEvent`] size).
-const WORDS: usize = 6;
 
 /// FNV-1a over one `u64`, folded into `acc`.
 fn fnv1a_u64(mut acc: u64, value: u64) -> u64 {
@@ -142,7 +119,7 @@ impl EventKind {
     /// by kind. Code 1 is unassigned.
     pub(crate) const COUNT: usize = EventKind::WorkerStalled as usize + 1;
 
-    /// Decodes the wire byte; `None` for garbage (a torn ring slot).
+    /// Decodes the wire byte; `None` for a byte no kind uses.
     #[must_use]
     pub fn from_u8(value: u8) -> Option<Self> {
         use EventKind::{
@@ -220,7 +197,7 @@ pub fn error_code(error: &ServiceError) -> u64 {
     }
 }
 
-/// One fixed-size lifecycle event; six words on the wire.
+/// One fixed-size lifecycle event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The request's trace id — its submission ordinal
@@ -243,31 +220,6 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    fn encode(&self) -> [u64; WORDS] {
-        [
-            self.trace_id,
-            self.ts,
-            u64::from(self.kind as u8) | (u64::from(self.seq) << 8),
-            self.arg0,
-            self.arg1,
-            self.arg2,
-        ]
-    }
-
-    #[allow(clippy::cast_possible_truncation)]
-    fn decode(words: &[u64; WORDS]) -> Option<Self> {
-        let kind = EventKind::from_u8((words[2] & 0xFF) as u8)?;
-        Some(TraceEvent {
-            trace_id: words[0],
-            ts: words[1],
-            kind,
-            seq: ((words[2] >> 8) & 0xFFFF) as u16,
-            arg0: words[3],
-            arg1: words[4],
-            arg2: words[5],
-        })
-    }
-
     /// Deterministic digest of the event: FNV-1a over trace id, kind,
     /// per-trace sequence number and the *deterministic* arguments —
     /// timestamps and timing/scheduling-valued args are excluded, so the
@@ -336,117 +288,85 @@ impl Default for TraceConfig {
     }
 }
 
-/// One seqlock slot: a commit stamp plus the payload words.
-struct Slot {
-    /// `2·pos + 1` while the writer of ring position `pos` is inside,
-    /// `2·pos + 2` once committed; readers accept only the committed
-    /// stamp of the position they expect.
-    seq: AtomicU64,
-    words: [AtomicU64; WORDS],
+/// What a ring slot holds before its first write. A snapshot reads only
+/// positions that were recorded, so this value is never returned.
+const EMPTY_SLOT: TraceEvent = TraceEvent {
+    trace_id: 0,
+    ts: 0,
+    kind: EventKind::Submitted,
+    seq: 0,
+    arg0: 0,
+    arg1: 0,
+    arg2: 0,
+};
+
+/// A bounded multi-producer event ring, oldest overwritten: one mutex
+/// over a slot array filled at construction and the count of events
+/// recorded so far, which also names the next slot (`recorded & mask`).
+///
+/// Aligned to 128 bytes, so rings that sit next to each other in the
+/// recorder's `Vec` never share a cache line and with it a lock word.
+#[repr(align(128))]
+pub(crate) struct EventRing {
+    mask: u64,
+    state: Mutex<RingState>,
 }
 
-/// A bounded multi-producer event ring, oldest overwritten. Writers are
-/// lock-free and allocation-free; readers (snapshot only) revalidate the
-/// per-slot stamp and skip anything torn or overwritten mid-read.
-pub struct EventRing {
-    head: AtomicU64,
-    mask: u64,
-    slots: Box<[Slot]>,
+struct RingState {
+    slots: Vec<TraceEvent>,
+    recorded: u64,
 }
 
 impl EventRing {
     /// A ring of `capacity` slots (rounded up to a power of two, min 2).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(2).next_power_of_two();
         EventRing {
-            head: AtomicU64::new(0),
             mask: capacity as u64 - 1,
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
+            state: Mutex::new(RingState {
+                slots: vec![EMPTY_SLOT; capacity],
+                recorded: 0,
+            }),
         }
     }
 
-    /// Records one event: claim (`fetch_add`), six payload stores, commit
-    /// stamp. No lock, no allocation, no wait.
-    ///
-    /// Per-slot seqlock: the odd stamp (`2·pos + 1`, Release) opens the
-    /// write, then the payload words, then the even stamp (`2·pos + 2`,
-    /// Release) commits. The payload words are *Release* stores paired
-    /// with the reader's Acquire loads — not the folklore Relaxed: a
-    /// relaxed payload load may be satisfied by a **later** write session
-    /// while the stamp recheck still observes the old committed stamp
-    /// (nothing orders a relaxed data load before a subsequent load of a
-    /// different location), which is the classic seqlock torn-read
-    /// window. With the Release/Acquire pair, a reader that sees any
-    /// word of session `k` has synchronized with it, and therefore must
-    /// also see session `k`'s odd stamp at the recheck — the slot is
-    /// rejected instead of returned torn. On x86-64 both compile to the
-    /// same plain `mov` as Relaxed. The no-torn-read property is
-    /// model-checked in `tests/model_trace.rs`, which found the original
-    /// relaxed-payload window.
-    #[moqo::hot_path]
-    pub fn record(&self, event: &TraceEvent) {
-        let pos = self.head.fetch_add(1, Ordering::Relaxed);
-        #[allow(clippy::cast_possible_truncation)]
-        let slot = &self.slots[(pos & self.mask) as usize];
-        slot.seq
-            .store(pos.wrapping_mul(2).wrapping_add(1), Ordering::Release);
-        for (word, value) in slot.words.iter().zip(event.encode()) {
-            word.store(value, Ordering::Release);
-        }
-        slot.seq
-            .store(pos.wrapping_mul(2).wrapping_add(2), Self::commit_ordering());
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().expect("trace ring lock poisoned")
     }
 
-    /// Ordering for the seqlock commit stamp: `Release`, unless the model
-    /// suite injects the seeded weakening bug.
-    #[inline(always)]
-    fn commit_ordering() -> Ordering {
-        #[cfg(moqo_model)]
-        if model_hooks::WEAKEN_COMMIT.load(moqo_sync::raw::Ordering::Relaxed) {
-            return Ordering::Relaxed;
-        }
-        Ordering::Release
+    /// The slot that holds stream position `pos`.
+    #[allow(clippy::cast_possible_truncation)]
+    fn slot(&self, pos: u64) -> usize {
+        (pos & self.mask) as usize
+    }
+
+    /// Records one event, overwriting the oldest once the ring is full.
+    /// Copies the event under the lock; never allocates.
+    pub(crate) fn record(&self, event: &TraceEvent) {
+        let mut ring = self.lock();
+        let at = self.slot(ring.recorded);
+        ring.slots[at] = *event;
+        ring.recorded += 1;
     }
 
     /// Events recorded over this ring's lifetime.
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+    pub(crate) fn recorded(&self) -> u64 {
+        self.lock().recorded
+    }
+
+    /// Events overwritten so far.
+    fn dropped(&self) -> u64 {
+        self.recorded().saturating_sub(self.mask + 1)
     }
 
     /// The still-resident suffix of the stream in ring order, plus how
     /// many older events were overwritten.
-    pub fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
-        let head = self.head.load(Ordering::Acquire);
-        let capacity = self.mask + 1;
-        let start = head.saturating_sub(capacity);
-        let mut events = Vec::with_capacity((head - start) as usize);
-        for pos in start..head {
-            #[allow(clippy::cast_possible_truncation)]
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let committed = pos.wrapping_mul(2).wrapping_add(2);
-            if slot.seq.load(Ordering::Acquire) != committed {
-                continue; // mid-write or already overwritten
-            }
-            let mut words = [0u64; WORDS];
-            for (out, word) in words.iter_mut().zip(slot.words.iter()) {
-                // Acquire pairs with the writer's Release word stores: a
-                // read that observes a later session's word synchronizes
-                // with it and so cannot revalidate against the stale
-                // stamp below (see `record` for the full argument).
-                *out = word.load(Ordering::Acquire);
-            }
-            if slot.seq.load(Ordering::Acquire) != committed {
-                continue; // overwritten while reading
-            }
-            if let Some(event) = TraceEvent::decode(&words) {
-                events.push(event);
-            }
-        }
+    pub(crate) fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
+        let ring = self.lock();
+        let start = ring.recorded.saturating_sub(self.mask + 1);
+        let events = (start..ring.recorded)
+            .map(|pos| ring.slots[self.slot(pos)])
+            .collect();
         (events, start)
     }
 }
@@ -573,7 +493,8 @@ impl SpanCollector {
     }
 }
 
-/// Aggregate recorder statistics (cheap relaxed loads).
+/// Aggregate recorder statistics (short locks on each ring and on the
+/// error store).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Events ever recorded across all rings.
@@ -667,7 +588,7 @@ impl FlightRecorder {
     pub(crate) fn stats(&self) -> TraceStats {
         TraceStats {
             events_total: self.rings.iter().map(EventRing::recorded).sum(),
-            dropped_events: self.rings.iter().map(|r| r.snapshot_dropped_only()).sum(),
+            dropped_events: self.rings.iter().map(EventRing::dropped).sum(),
             error_exemplars: self.errors.lock().expect("exemplar lock poisoned").len(),
             error_exemplars_dropped: self.errors_dropped.load(Ordering::Relaxed),
         }
@@ -703,13 +624,6 @@ impl FlightRecorder {
             slowest,
             events_total,
         )
-    }
-}
-
-impl EventRing {
-    fn snapshot_dropped_only(&self) -> u64 {
-        let head = self.head.load(Ordering::Relaxed);
-        head.saturating_sub(self.mask + 1)
     }
 }
 
@@ -876,15 +790,14 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let e = event(42, EventKind::BlockOptimized, 3, 9);
-        assert_eq!(TraceEvent::decode(&e.encode()), Some(e));
-        let mut torn = e.encode();
-        torn[2] = 0xFF; // no such kind
-        assert_eq!(TraceEvent::decode(&torn), None);
-        // The per-kind counter table has a row for every wire code.
-        let mut kinds = (0..=u8::MAX).filter_map(EventKind::from_u8);
-        assert!(kinds.all(|kind| (kind as usize) < EventKind::COUNT));
+    fn every_wire_code_has_a_counter_row() {
+        let kinds: Vec<EventKind> = (0..=u8::MAX).filter_map(EventKind::from_u8).collect();
+        assert_eq!(kinds.len(), EventKind::COUNT - 1, "code 1 is unassigned");
+        for kind in kinds {
+            assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
+            assert!((kind as usize) < EventKind::COUNT);
+        }
+        assert_eq!(EventKind::from_u8(1), None);
     }
 
     #[test]
@@ -900,6 +813,58 @@ mod tests {
             vec![6, 7, 8, 9]
         );
         assert_eq!(ring.recorded(), 10);
+    }
+
+    #[test]
+    fn concurrent_writers_and_a_reader_see_only_whole_events() {
+        // Every field of a patterned event carries the same nonzero value,
+        // so a mix of two writes (or an unwritten slot) is visible.
+        fn patterned(v: u64) -> TraceEvent {
+            TraceEvent {
+                trace_id: v,
+                ts: v,
+                kind: EventKind::Submitted,
+                seq: 0,
+                arg0: v,
+                arg1: v,
+                arg2: v,
+            }
+        }
+        fn check(ring: &EventRing) -> u64 {
+            let (events, dropped) = ring.snapshot();
+            for e in &events {
+                let v = e.trace_id;
+                assert!(v >= 1, "an unwritten slot was returned: {e:?}");
+                assert_eq!([e.ts, e.arg0, e.arg1, e.arg2], [v; 4], "torn: {e:?}");
+            }
+            let recorded = events.len() as u64 + dropped;
+            assert!(recorded <= ring.recorded());
+            recorded
+        }
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 100_000;
+        let ring = EventRing::new(8);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let ring = &ring;
+                    s.spawn(move || {
+                        for i in 0..PER_WRITER {
+                            ring.record(&patterned(w * PER_WRITER + i + 1));
+                        }
+                    })
+                })
+                .collect();
+            let mut seen = 0;
+            while !writers.iter().all(|w| w.is_finished()) {
+                let recorded = check(&ring);
+                assert!(recorded >= seen, "the recorded count never goes back");
+                seen = recorded;
+            }
+        });
+        let total = WRITERS * PER_WRITER;
+        assert_eq!(check(&ring), total, "resident + dropped == total");
+        assert_eq!(ring.recorded(), total);
     }
 
     #[test]

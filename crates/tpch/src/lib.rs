@@ -11,7 +11,6 @@
 //!   objectives) or as `minimal achievable value × U[1, 2]` (unbounded
 //!   objectives), exactly as described in §8.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod queries;

@@ -1,10 +1,8 @@
-//! The concurrency-hygiene lint: five text-level rules that keep the
-//! lock-free spine auditable and the `moqo_sync` facade authoritative.
+//! The concurrency-hygiene lint: three text-level rules that keep the
+//! service's atomics, hot paths and clocks auditable.
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
-//! | `raw-atomic` | no `std::sync::atomic` outside `crates/sync` — all atomics go through the `moqo_sync` facade (audited escape hatch: `moqo_sync::raw`) |
-//! | `unsafe-safety` | every `unsafe` keyword carries a `// SAFETY:` comment on the same line or within the three lines above |
 //! | `relaxed-store` | every `.store(…, Ordering::Relaxed)` is allowlisted — a Relaxed store must be provably not publishing data (the allowlist entry points at the justification) |
 //! | `hot-path` | `#[moqo::hot_path]` function bodies contain no locking, allocation, or panicking-`unwrap` calls |
 //! | `wall-clock` | no `Instant::now()` / `SystemTime::now()` outside the injected-clock seams (`TraceClock`, …) named in the allowlist |
@@ -320,97 +318,10 @@ fn excerpt(raw: &str, line: usize) -> String {
     raw.lines().nth(line - 1).unwrap_or("").trim().to_string()
 }
 
-/// `raw-atomic`: `std::sync::atomic` may only appear inside `crates/sync`
-/// (the facade's own implementation). Everyone else uses `moqo_sync` — the
-/// model build swaps it for the instrumented shims, so a raw import is a
-/// blind spot the checker cannot see.
-pub fn rule_raw_atomic(path: &str, raw: &str, masked: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in masked.lines().enumerate() {
-        if line.contains("std::sync::atomic") {
-            out.push(Violation {
-                rule: "raw-atomic",
-                path: path.to_string(),
-                line: idx + 1,
-                message: "raw std::sync::atomic bypasses the moqo_sync facade (use \
-                          moqo_sync::atomic, or moqo_sync::raw for audited model-steering state)"
-                    .to_string(),
-                excerpt: excerpt(raw, idx + 1),
-            });
-        }
-    }
-    out
-}
-
-/// `unsafe-safety`: each `unsafe` keyword needs `// SAFETY:` on the same
-/// line, or somewhere in the contiguous comment/attribute block immediately
-/// above it (multi-line SAFETY comments are the norm for real invariants).
-pub fn rule_unsafe_safety(path: &str, raw: &str, masked: &str) -> Vec<Violation> {
-    let raw_lines: Vec<&str> = raw.lines().collect();
-    let mut out = Vec::new();
-    for (idx, line) in masked.lines().enumerate() {
-        let Some(col) = find_word(line, "unsafe") else {
-            continue;
-        };
-        if line.contains("unsafe_code") {
-            continue; // `#![forbid(unsafe_code)]` and friends.
-        }
-        let same_line = raw_lines.get(idx).is_some_and(|l| {
-            l.find("SAFETY:").is_some_and(|s| s < col) || l.contains("// SAFETY:")
-        });
-        let mut above = false;
-        for k in (0..idx).rev() {
-            let l = raw_lines.get(k).map_or("", |l| l.trim_start());
-            if !(l.starts_with("//") || l.starts_with("#[") || l.starts_with("#!")) {
-                break;
-            }
-            if l.contains("SAFETY:") {
-                above = true;
-                break;
-            }
-        }
-        if !(same_line || above) {
-            out.push(Violation {
-                rule: "unsafe-safety",
-                path: path.to_string(),
-                line: idx + 1,
-                message: "`unsafe` without a `// SAFETY:` comment in the comment block \
-                          directly above — state the invariant that makes this sound"
-                    .to_string(),
-                excerpt: excerpt(raw, idx + 1),
-            });
-        }
-    }
-    out
-}
-
-/// Finds `word` at identifier boundaries; returns its byte column.
-fn find_word(line: &str, word: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(rel) = line[from..].find(word) {
-        let start = from + rel;
-        let end = start + word.len();
-        let ok_before = start == 0
-            || !line[..start]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let ok_after = !line[end..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if ok_before && ok_after {
-            return Some(start);
-        }
-        from = end;
-    }
-    None
-}
-
 /// `relaxed-store`: a `.store(…, Ordering::Relaxed)` publishes nothing —
 /// which is exactly why each one must be allowlisted with a pointer to the
-/// reasoning (or a model test) proving no consumer reads data "protected"
-/// by it. Handles calls split across lines.
+/// reasoning proving no consumer reads data "protected" by it. Handles
+/// calls split across lines.
 pub fn rule_relaxed_store(path: &str, raw: &str, masked: &str, in_test: &[bool]) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut from = 0;
@@ -568,18 +479,10 @@ pub fn lint_file(path: &str, content: &str) -> Vec<Violation> {
     let (masked, in_test) = mask_source(content);
     let mut out = Vec::new();
 
-    let in_sync = path.starts_with("crates/sync/");
     let in_bench = path.starts_with("crates/bench/");
     let is_lib_src = path.contains("/src/") && !path.contains("/bin/");
 
-    if !in_sync {
-        out.extend(rule_raw_atomic(path, content, &masked));
-    }
-    out.extend(rule_unsafe_safety(path, content, &masked));
-    // The sync shims mirror every modeled store into a real atomic with
-    // Relaxed on purpose (the model owns the ordering); everyone else
-    // justifies each Relaxed store.
-    if !in_sync && is_lib_src {
+    if is_lib_src {
         out.extend(rule_relaxed_store(path, content, &masked, &in_test));
     }
     out.extend(rule_hot_path(path, content, &masked));
@@ -599,52 +502,6 @@ mod tests {
             .into_iter()
             .map(|v| (v.rule.to_string(), v.line))
             .collect()
-    }
-
-    #[test]
-    fn raw_atomic_import_is_flagged_outside_sync() {
-        let src = "use std::sync::atomic::AtomicUsize;\n";
-        assert_eq!(
-            rules("crates/service/src/queue.rs", src),
-            vec![("raw-atomic".into(), 1)]
-        );
-        assert_eq!(rules("crates/sync/src/real.rs", src), vec![]);
-    }
-
-    #[test]
-    fn facade_import_is_clean() {
-        let src = "use moqo_sync::atomic::{AtomicUsize, Ordering};\n";
-        assert_eq!(rules("crates/service/src/queue.rs", src), vec![]);
-    }
-
-    #[test]
-    fn unsafe_without_safety_names_file_and_line() {
-        let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-        let v = lint_file("crates/service/src/queue.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!((v[0].rule, v[0].line), ("unsafe-safety", 2));
-    }
-
-    #[test]
-    fn unsafe_with_safety_comment_is_clean() {
-        let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller upholds validity.\n    unsafe { *p }\n}\n";
-        assert_eq!(rules("crates/service/src/queue.rs", src), vec![]);
-        let inline = "// SAFETY: serialized by the checker.\nunsafe impl Sync for X {}\n";
-        assert_eq!(rules("crates/service/src/queue.rs", inline), vec![]);
-    }
-
-    #[test]
-    fn forbid_unsafe_code_attribute_is_not_an_unsafe_use() {
-        assert_eq!(
-            rules("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            vec![]
-        );
-    }
-
-    #[test]
-    fn unsafe_in_comment_or_string_is_ignored() {
-        let src = "// this mentions unsafe in prose\nlet s = \"unsafe\";\n";
-        assert_eq!(rules("crates/service/src/queue.rs", src), vec![]);
     }
 
     #[test]
@@ -691,6 +548,12 @@ mod tests {
         );
         assert_eq!(rules("crates/bench/src/bin/probe.rs", src), vec![]);
         assert_eq!(rules("crates/core/tests/x.rs", src), vec![]);
+    }
+
+    #[test]
+    fn wall_clock_in_comment_or_string_is_ignored() {
+        let src = "// Instant::now() in prose\nlet s = \"Instant::now()\";\n";
+        assert_eq!(rules("crates/core/src/x.rs", src), vec![]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Workspace automation tasks. Currently one: the concurrency-hygiene lint
-//! gate (`cargo run -p xtask -- lint`), which enforces the `moqo_sync`
-//! facade and the auditability rules documented in [`lint`]. Exits non-zero
-//! with `file:line` findings when a rule is violated; CI runs it on every
-//! push (see `.github/workflows/`).
-#![forbid(unsafe_code)]
+//! gate (`cargo run -p xtask -- lint`), which enforces the three rules
+//! documented in [`lint`]: allowlisted Relaxed stores, lock- and
+//! allocation-free `#[moqo::hot_path]` bodies, and wall-clock reads only
+//! at the clock seams. Exits non-zero with `file:line` findings when a rule
+//! is violated; CI runs it on every push (see `.github/workflows/`).
 #![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};

@@ -50,7 +50,6 @@
 //!   worker pool, deadline-aware admission, α-aware plan cache, metrics.
 //! * [`tpch`] — the 22 TPC-H queries and the §8 test-case generator.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use moqo_core as core;
