@@ -23,6 +23,9 @@
 //! * **Eviction** is sharded LRU: keys hash to one of `shards` independent
 //!   mutexed maps, each evicting its least-recently-used entry beyond its
 //!   capacity share, so concurrent workers rarely contend on the same lock.
+//! * **Counters** are cache-wide ([`CacheSnapshot`]): hits, misses, warm
+//!   starts, insertions, evictions and resident entries. Entries keep no
+//!   statistics of their own.
 
 use moqo_sync::atomic::{AtomicU64, Ordering};
 use moqo_sync::Mutex;
@@ -42,15 +45,6 @@ pub struct CacheKey {
     pub preference: PreferenceSignature,
 }
 
-/// Usage statistics of one cache entry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EntryStats {
-    /// Direct serves under a valid α′-certificate.
-    pub hits: u64,
-    /// Times the entry seeded an RMQ warm start.
-    pub warm_starts: u64,
-}
-
 struct CacheEntry {
     /// Exact graph the front was computed for — signature collisions and
     /// isomorphic-but-relabelled graphs must not be served (plan trees
@@ -65,19 +59,14 @@ struct CacheEntry {
     arena: PlanArena,
     /// The stored front; plan ids resolve in `arena`.
     frontier: Vec<PlanEntry>,
-    stats: EntryStats,
     /// LRU stamp (global monotonic tick at last touch).
     last_used: u64,
 }
 
-struct Shard {
-    map: HashMap<CacheKey, CacheEntry>,
-    /// Evictions out of this shard (under its own lock; the per-shard
-    /// view exposed by [`CacheSnapshot::per_shard`]).
-    evictions: u64,
-}
+type Shard = HashMap<CacheKey, CacheEntry>;
 
-/// Aggregate cache counters (monotonic; scraped by `ServiceMetrics`).
+/// Aggregate cache counters (monotonic; copied into every
+/// [`MetricsSnapshot`](crate::MetricsSnapshot)).
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     /// Direct serves.
@@ -92,15 +81,6 @@ pub struct CacheCounters {
     pub insertions: AtomicU64,
     /// Entries evicted by LRU pressure.
     pub evictions: AtomicU64,
-}
-
-/// Occupancy and evictions of one cache shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCacheSnapshot {
-    /// Entries resident in this shard.
-    pub entries: usize,
-    /// Entries evicted out of this shard by LRU pressure.
-    pub evictions: u64,
 }
 
 /// Point-in-time snapshot of `CacheCounters` plus occupancy.
@@ -118,8 +98,6 @@ pub struct CacheSnapshot {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Per-shard occupancy and eviction totals, indexed by shard.
-    pub per_shard: Vec<ShardCacheSnapshot>,
 }
 
 impl CacheSnapshot {
@@ -197,14 +175,7 @@ impl PlanCache {
         assert!(shards > 0, "cache needs at least one shard");
         let shards = shards.min(capacity);
         PlanCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        evictions: 0,
-                    })
-                })
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             capacity_per_shard: capacity.div_ceil(shards),
             counters: CacheCounters::default(),
             tick: AtomicU64::new(0),
@@ -238,7 +209,7 @@ impl PlanCache {
     ) -> CacheLookup {
         let tick = self.next_tick();
         let mut shard = self.shard_of(key).lock().expect("cache lock poisoned");
-        let Some(entry) = shard.map.get_mut(key) else {
+        let Some(entry) = shard.get_mut(key) else {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         };
@@ -257,7 +228,6 @@ impl PlanCache {
             && entry.alpha <= requested_alpha
             && (!bounded || entry.alpha <= 1.0);
         if servable {
-            entry.stats.hits += 1;
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             let mut arena = PlanArena::new();
             let frontier = entry
@@ -284,20 +254,18 @@ impl PlanCache {
 
     /// Extracts the cached front's trees for an RMQ warm start (the
     /// follow-up to a [`CacheLookup::NotServable`] probe once the policy
-    /// has actually admitted a randomized run). Counts the warm start —
-    /// globally and on the entry — only here, so the statistics report
-    /// warm starts that happened, not warm starts that were merely
-    /// possible.
+    /// has actually admitted a randomized run). Counts the warm start only
+    /// here, so the counter reports warm starts that happened, not warm
+    /// starts that were merely possible.
     #[must_use]
     pub fn warm_trees(&self, key: &CacheKey, graph: &JoinGraph) -> Option<(Vec<JoinTree>, f64)> {
         let tick = self.next_tick();
         let mut shard = self.shard_of(key).lock().expect("cache lock poisoned");
-        let entry = shard.map.get_mut(key)?;
+        let entry = shard.get_mut(key)?;
         if !plan_equivalent(&entry.graph, graph) {
             return None;
         }
         entry.last_used = tick;
-        entry.stats.warm_starts += 1;
         self.counters.warm_starts.fetch_add(1, Ordering::Relaxed);
         let trees = entry
             .frontier
@@ -312,8 +280,7 @@ impl PlanCache {
     /// with the [`PruneMode`] that certified it. An existing entry is only
     /// replaced when the new front carries a strictly tighter guarantee
     /// (serving power never regresses — also across signature collisions
-    /// and pruning modes); usage stats survive replacement only when the
-    /// entry describes the same block.
+    /// and pruning modes).
     pub fn insert(
         &self,
         key: CacheKey,
@@ -334,7 +301,6 @@ impl PlanCache {
             .shard_of(&key)
             .lock()
             .expect("cache lock poisoned")
-            .map
             .get(&key)
         {
             if existing.alpha <= alpha {
@@ -351,19 +317,15 @@ impl PlanCache {
             })
             .collect();
         let mut shard = self.shard_of(&key).lock().expect("cache lock poisoned");
-        let mut stats = EntryStats::default();
-        if let Some(existing) = shard.map.get(&key) {
+        if let Some(existing) = shard.get(&key) {
             // Re-check under the lock (the probe above raced with other
             // workers): tighter-only, regardless of which graph the
             // resident entry belongs to.
             if existing.alpha <= alpha {
                 return;
             }
-            if plan_equivalent(&existing.graph, graph) {
-                stats = existing.stats;
-            }
         }
-        shard.map.insert(
+        shard.insert(
             key,
             CacheEntry {
                 graph: graph.clone(),
@@ -371,29 +333,19 @@ impl PlanCache {
                 mode,
                 arena,
                 frontier,
-                stats,
                 last_used: tick,
             },
         );
         self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        while shard.map.len() > self.capacity_per_shard {
+        while shard.len() > self.capacity_per_shard {
             let lru = shard
-                .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
                 .expect("non-empty shard has an LRU entry");
-            shard.map.remove(&lru);
-            shard.evictions += 1;
+            shard.remove(&lru);
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Usage statistics of one entry, if resident.
-    #[must_use]
-    pub fn entry_stats(&self, key: &CacheKey) -> Option<EntryStats> {
-        let shard = self.shard_of(key).lock().expect("cache lock poisoned");
-        shard.map.get(key).map(|e| e.stats)
     }
 
     /// Entries currently resident across all shards.
@@ -401,7 +353,7 @@ impl PlanCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache lock poisoned").map.len())
+            .map(|s| s.lock().expect("cache lock poisoned").len())
             .sum()
     }
 
@@ -411,29 +363,17 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Counter + occupancy snapshot, including the per-shard view (one
-    /// short lock acquisition per shard).
+    /// Counter + occupancy snapshot (one short lock acquisition per shard
+    /// for the occupancy).
     #[must_use]
     pub fn snapshot(&self) -> CacheSnapshot {
-        let per_shard: Vec<ShardCacheSnapshot> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().expect("cache lock poisoned");
-                ShardCacheSnapshot {
-                    entries: shard.map.len(),
-                    evictions: shard.evictions,
-                }
-            })
-            .collect();
         CacheSnapshot {
             hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
             warm_starts: self.counters.warm_starts.load(Ordering::Relaxed),
             insertions: self.counters.insertions.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
-            entries: per_shard.iter().map(|s| s.entries).sum(),
-            per_shard,
+            entries: self.len(),
         }
     }
 }
@@ -525,9 +465,7 @@ mod tests {
             cache.lookup(&key, &g, 2.0, true, PruneMode::CostOnly),
             CacheLookup::NotServable { .. }
         ));
-        let stats = cache.entry_stats(&key).unwrap();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.warm_starts, 1, "only the extraction counts");
+        // Only the extraction counts as a warm start.
         let snap = cache.snapshot();
         assert_eq!((snap.hits, snap.misses, snap.warm_starts), (1, 2, 1));
     }
@@ -574,13 +512,17 @@ mod tests {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 2.0),
             _ => panic!("entry must still carry α = 2.0"),
         }
-        // Tighter insert replaces, stats survive.
+        // Tighter insert replaces.
         cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
         match cache.lookup(&key, &g, 1.0, true, PruneMode::CostOnly) {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 1.0),
             _ => panic!("exact entry serves even bounded requests"),
         }
-        assert_eq!(cache.entry_stats(&key).unwrap().hits, 2);
+        assert_eq!(
+            cache.snapshot().insertions,
+            2,
+            "the looser insert wrote nothing"
+        );
     }
 
     #[test]
@@ -667,10 +609,16 @@ mod tests {
         let _ = cache.lookup(&keys[0], &g, 2.0, false, PruneMode::CostOnly);
         cache.insert(keys[2], &g, &front, &src, 1.0, PruneMode::CostOnly);
         assert_eq!(cache.len(), 2);
-        assert!(cache.entry_stats(&keys[0]).is_some());
-        assert!(cache.entry_stats(&keys[1]).is_none(), "LRU entry evicted");
-        assert!(cache.entry_stats(&keys[2]).is_some());
         assert_eq!(cache.snapshot().evictions, 1);
+        let resident = |key| {
+            matches!(
+                cache.lookup(key, &g, 2.0, false, PruneMode::CostOnly),
+                CacheLookup::Hit { .. }
+            )
+        };
+        assert!(resident(&keys[0]));
+        assert!(!resident(&keys[1]), "LRU entry evicted");
+        assert!(resident(&keys[2]));
     }
 
     #[test]

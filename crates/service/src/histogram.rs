@@ -50,9 +50,8 @@ pub const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 pub struct LogHistogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
-    /// Exact sum of every recorded value (µs): the Prometheus `_sum`
-    /// series — the exposition can report a true mean even though the
-    /// buckets are lossy.
+    /// Exact sum of every recorded value (µs): a true mean and true
+    /// totals even though the buckets are lossy.
     sum_us: AtomicU64,
 }
 
@@ -154,23 +153,10 @@ impl HistogramSnapshot {
         self.buckets.iter().sum()
     }
 
-    /// Exact sum of every recorded value, in microseconds (the
-    /// Prometheus `_sum` series).
+    /// Exact sum of every recorded value, in microseconds.
     #[must_use]
     pub fn sum_us(&self) -> u64 {
         self.sum_us
-    }
-
-    /// Cumulative bucket view in ascending value order: each item is the
-    /// bucket's inclusive upper bound (µs; `u64::MAX` for the top bucket)
-    /// and the count of values at or below it — exactly the shape of a
-    /// Prometheus `_bucket{le=...}` series.
-    pub fn cumulative_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut cumulative = 0u64;
-        self.buckets.iter().enumerate().map(move |(i, &c)| {
-            cumulative += c;
-            (bucket_range(i).1, cumulative)
-        })
     }
 
     /// The `p`-quantile (`0.0 ≤ p ≤ 1.0`) as the lower bound of the bucket
@@ -292,24 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn sum_is_exact_and_cumulative_buckets_partition() {
+    fn sum_is_exact() {
         let h = LogHistogram::new();
         for us in [3u64, 9, 1_000, 1_000_000] {
             h.record_us(us);
         }
         let snap = h.snapshot();
         assert_eq!(snap.sum_us(), 3 + 9 + 1_000 + 1_000_000);
-        let series: Vec<(u64, u64)> = snap.cumulative_buckets().collect();
-        assert_eq!(series.len(), BUCKETS);
-        // Upper bounds strictly ascend; the cumulative count never drops
-        // and ends at the total.
-        assert!(series
-            .windows(2)
-            .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
-        assert_eq!(series.last().unwrap(), &(u64::MAX, 4));
-        // A value is counted at (and beyond) its own bucket's bound.
-        let at_9 = series.iter().find(|(hi, _)| *hi >= 9).unwrap();
-        assert!(at_9.1 >= 2, "3 and 9 both at or below {at_9:?}");
     }
 
     #[test]
@@ -332,7 +307,5 @@ mod tests {
             .flat_map(|t| (0..10_000u64).map(move |i| t * 1_000 + i))
             .sum();
         assert_eq!(snap.sum_us(), sum, "the exact sum loses nothing either");
-        let (_, last) = snap.cumulative_buckets().last().unwrap();
-        assert_eq!(last, 40_000, "the last cumulative bucket is the count");
     }
 }

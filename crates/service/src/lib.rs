@@ -27,8 +27,8 @@
 //!   serves every later request tolerating `α′ ≥ α` directly (with the
 //!   Figure-8 restriction for bounded requests — see [`AlphaCertificate`]),
 //!   and warm-starts the randomized search otherwise. Entries own their
-//!   plans in compact arenas (re-rooted via `PlanArena::adopt`), eviction
-//!   is sharded LRU, and per-entry hit/warm-start statistics are kept.
+//!   plans in compact arenas (re-rooted via `PlanArena::adopt`), and
+//!   eviction is sharded LRU.
 //! * **Metrics** ([`ServiceMetrics`]): windowed throughput, p50/p95/p99
 //!   for end-to-end latency, queue wait and processing time (lock-free
 //!   log-bucket histograms, O(buckets) memory — see [`LogHistogram`] for
@@ -37,13 +37,16 @@
 //!   counters, all snapshotted on demand at O(buckets) cost. Each request
 //!   counter is a projection of one per-[`EventKind`] counter table,
 //!   bumped by the same lifecycle call that feeds the flight recorder, so
-//!   counters and traces cannot disagree. A submission takes the queue
-//!   mutex once; metrics and histograms stay lock-free.
+//!   counters and traces cannot disagree. The cache counters
+//!   ([`MetricsSnapshot::cache`]) are the cache's own; `tests/chaos.rs`
+//!   reconciles their hits against the traced cache-probe hits. A
+//!   submission takes the queue mutex once; metrics and histograms stay
+//!   lock-free.
 //!
 //! * **Self-healing** — a panic inside a job is caught at the worker's
 //!   guard and delivered as [`ServiceError::Internal`] (payload included)
 //!   while the worker keeps serving; a worker that dies anyway (or wedges
-//!   past [`ServiceConfig::stall_after`]) is detected by the supervisor
+//!   past [`ServiceBuilder::stall_after`]) is detected by the supervisor
 //!   thread via per-worker heartbeat epochs and respawned under the same
 //!   worker index ([`MetricsSnapshot::respawns`], `stalls_detected`).
 //! * **Brownout load shedding** ([`BrownoutConfig`]) — an EWMA
@@ -62,10 +65,9 @@
 //!   each, of fixed-size span events covering the whole request lifecycle
 //!   (submit/admission, enqueue, queue wait, cache probes, per-block
 //!   optimize with algorithm + achieved α + report digest, faults, panics,
-//!   kills, completion), tail-based exemplar retention (every error-class
-//!   trace plus the rolling slowest-k), a JSON [`TraceSnapshot`] dump and
-//!   a Prometheus-style text exposition ([`render_prometheus`]) over the
-//!   entire metrics surface. Under a logical clock the event stream is
+//!   kills, completion), and tail-based exemplar retention (every
+//!   error-class trace plus the rolling slowest-k), all read through one
+//!   [`TraceSnapshot`]. Under a logical clock the event stream is
 //!   byte-deterministic, so a test can pin its checksum. The recorder adds
 //!   only the rings, spans and exemplars: the events are counted on every
 //!   request whether or not it is on.
@@ -109,7 +111,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod export;
 mod fault;
 mod histogram;
 mod metrics;
@@ -120,8 +121,7 @@ mod service;
 mod supervisor;
 mod trace;
 
-pub use cache::{CacheKey, CacheLookup, CacheSnapshot, EntryStats, PlanCache, ShardCacheSnapshot};
-pub use export::{render_prometheus, TraceSnapshot};
+pub use cache::{CacheKey, CacheLookup, CacheSnapshot, PlanCache};
 pub use fault::{FaultAction, FaultPlan, FaultPlanBuilder};
 pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS as HISTOGRAM_BUCKETS};
 pub use metrics::{AlgorithmKind, MetricsSnapshot, PressureGauge, ServiceMetrics};
@@ -133,8 +133,8 @@ pub use request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
     ServiceError,
 };
-pub use service::{OptimizationService, ServiceBuilder, ServiceConfig, Ticket};
+pub use service::{OptimizationService, ServiceBuilder, Ticket};
 pub use trace::{
     commutative_checksum, error_code, stream_checksum, EventKind, Exemplar, ExemplarClass,
-    TraceConfig, TraceEvent, TraceStats,
+    TraceConfig, TraceEvent, TraceSnapshot,
 };

@@ -2,11 +2,13 @@
 //! error taxonomy, per-algorithm block mix, and latency percentiles from
 //! lock-free log-bucket histograms.
 //!
-//! Every counter is a projection of one table of event counts, a row per
-//! [`EventKind`], bumped by the call that also writes the event to the
-//! flight recorder (when tracing is on), so counters cannot disagree with
-//! the trace. Recording is a relaxed atomic `fetch_add`: no `Mutex`, no
-//! allocation, O(buckets) memory regardless of uptime or request count.
+//! Every request counter is a projection of one table of event counts, a
+//! row per [`EventKind`], bumped by the call that also writes the event to
+//! the flight recorder (when tracing is on), so counters cannot disagree
+//! with the trace. The cache counters are the exception: the plan cache
+//! keeps its own, and a snapshot copies them in. Recording is a relaxed
+//! atomic `fetch_add`: no `Mutex`, no allocation, O(buckets) memory
+//! regardless of uptime or request count.
 //! `snapshot()` cost is likewise independent of how many requests
 //! completed (a `bench_snapshot` cell and a unit test pin this).
 
@@ -59,29 +61,6 @@ impl AlgorithmKind {
     #[must_use]
     pub fn as_u8(self) -> u8 {
         u8::try_from(self.index()).expect("four kinds fit a byte")
-    }
-
-    /// Decodes [`AlgorithmKind::as_u8`]; `None` for garbage.
-    #[must_use]
-    pub fn from_u8(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => AlgorithmKind::Exa,
-            1 => AlgorithmKind::Rta,
-            2 => AlgorithmKind::Ira,
-            3 => AlgorithmKind::Rmq,
-            _ => return None,
-        })
-    }
-
-    /// Stable lower-case name for export surfaces.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgorithmKind::Exa => "exa",
-            AlgorithmKind::Rta => "rta",
-            AlgorithmKind::Ira => "ira",
-            AlgorithmKind::Rmq => "rmq",
-        }
     }
 }
 
@@ -166,25 +145,6 @@ impl ServiceMetrics {
     #[must_use]
     pub fn pressure_gauge(&self) -> &PressureGauge {
         &self.pressure
-    }
-
-    /// Point-in-time copy of the end-to-end latency histogram (for the
-    /// Prometheus cumulative-bucket exposition).
-    #[must_use]
-    pub fn latency_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.latency.snapshot()
-    }
-
-    /// Point-in-time copy of the queue-wait histogram.
-    #[must_use]
-    pub fn queue_wait_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.queue_wait.snapshot()
-    }
-
-    /// Point-in-time copy of the processing-time histogram.
-    #[must_use]
-    pub fn service_time_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.service_time.snapshot()
     }
 
     /// Records one completed request: its `completed` event, queue wait and
@@ -375,7 +335,8 @@ pub struct MetricsSnapshot {
     /// Workers registered as live at snapshot time (transiently below the
     /// configured count while the supervisor replaces one).
     pub alive_workers: usize,
-    /// Plan-cache counters, including the per-shard view.
+    /// Plan-cache counters, read from the cache itself rather than from
+    /// the event table.
     pub cache: CacheSnapshot,
 }
 

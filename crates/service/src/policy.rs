@@ -58,7 +58,7 @@ impl Admission {
 
 /// Lock-free EWMA of measured per-block-size optimization wall times.
 ///
-/// The static `base · growthⁿ` model in
+/// The static `DP_BASE · DP_GROWTHⁿ` model in
 /// [`DeadlineAwarePolicy::estimated_dp_time`] describes *some* machine;
 /// this table learns the one the service actually runs on. Workers feed
 /// every measured block optimization into [`LearnedBlockTimes::record`];
@@ -118,45 +118,25 @@ impl LearnedBlockTimes {
 /// dial. This config turns the queue-wait pressure gauge into the two
 /// brownout actions:
 ///
-/// * `1 < pressure < shed_threshold` — **degrade**: blocks that would run
-///   a DP scheme are forced onto RMQ with `base_samples / pressure`
-///   samples (floored at `min_samples`), so service time shrinks as
-///   pressure grows. The degradation is stamped in the block's
+/// * `1 < pressure < SHED_THRESHOLD` — **degrade**: blocks that would run
+///   a DP scheme are forced onto RMQ with `BASE_SAMPLES / pressure`
+///   samples (1000 to 1999), so service time shrinks as pressure grows.
+///   The degradation is stamped in the block's
 ///   [`BlockReport`](moqo_core::BlockReport) (`degraded_by_pressure`) and
 ///   the response's `achieved_alpha` honestly reports `∞` — α-accounting
 ///   never pretends a browned-out block kept its guarantee.
-/// * `pressure ≥ shed_threshold` — **shed**: new submissions are turned
+/// * `pressure ≥ SHED_THRESHOLD` — **shed**: new submissions are turned
 ///   away with [`ServiceError::Shed`](crate::ServiceError::Shed) before
-///   occupying a queue slot they would only time out in.
+///   occupying a queue slot they would only time out in. A request that
+///   got past the shed gate before pressure rose that far degrades at
+///   `MIN_SAMPLES` instead.
 ///
 /// `watermark: None` (the default) disables the controller entirely —
 /// existing deterministic replay gates see byte-identical behaviour.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BrownoutConfig {
     /// Queue-wait EWMA at which brownout begins; `None` disables.
     pub watermark: Option<Duration>,
-    /// Pressure multiple (EWMA / watermark) at which shedding starts
-    /// (default 2.0; degradation covers the band in between).
-    pub shed_threshold: f64,
-    /// RMQ sample budget at pressure 1.0 (default 2000, matching
-    /// [`DeadlineAwarePolicy::rmq_samples`]).
-    pub base_samples: u64,
-    /// Sample-budget floor under extreme pressure (default 50).
-    pub min_samples: u64,
-    /// Seed for degraded RMQ runs (fixed per service: reproducibility).
-    pub rmq_seed: u64,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            watermark: None,
-            shed_threshold: 2.0,
-            base_samples: 2000,
-            min_samples: 50,
-            rmq_seed: 0x5EED,
-        }
-    }
 }
 
 /// What the brownout controller decided for one admission.
@@ -174,13 +154,24 @@ pub enum BrownoutLevel {
 }
 
 impl BrownoutConfig {
+    /// Pressure multiple (EWMA / watermark) at which shedding starts;
+    /// degradation covers the band between 1 and this.
+    pub const SHED_THRESHOLD: f64 = 2.0;
+    /// RMQ sample budget at pressure 1.0, the policy's own RMQ budget.
+    pub const BASE_SAMPLES: u64 = DeadlineAwarePolicy::RMQ_SAMPLES;
+    /// Sample budget of a request that got past the shed gate while
+    /// pressure stands at or above [`BrownoutConfig::SHED_THRESHOLD`].
+    pub const MIN_SAMPLES: u64 = 50;
+    /// Seed for degraded RMQ runs (fixed per service: reproducibility).
+    pub const RMQ_SEED: u64 = DeadlineAwarePolicy::RMQ_SEED;
+
     /// Classifies a measured pressure reading (EWMA / watermark).
     #[must_use]
     pub fn assess(&self, pressure: f64) -> BrownoutLevel {
         if self.watermark.is_none() {
             return BrownoutLevel::Normal;
         }
-        if pressure >= self.shed_threshold {
+        if pressure >= Self::SHED_THRESHOLD {
             return BrownoutLevel::Shed;
         }
         if pressure > 1.0 {
@@ -189,103 +180,74 @@ impl BrownoutConfig {
                 clippy::cast_possible_truncation,
                 clippy::cast_sign_loss
             )]
-            let scaled = (self.base_samples as f64 / pressure) as u64;
-            return BrownoutLevel::Degrade {
-                samples: scaled.max(self.min_samples),
-            };
+            let samples = (Self::BASE_SAMPLES as f64 / pressure) as u64;
+            return BrownoutLevel::Degrade { samples };
         }
         BrownoutLevel::Normal
     }
 
     /// The degraded algorithm for one block at `samples` budget.
     #[must_use]
-    pub fn degraded_algorithm(&self, samples: u64) -> Algorithm {
+    pub fn degraded_algorithm(samples: u64) -> Algorithm {
         Algorithm::Rmq {
             samples,
-            seed: self.rmq_seed,
+            seed: Self::RMQ_SEED,
             threads: 1,
         }
     }
 }
 
 /// The admission policy: size and deadline gates around the preference order
-/// `EXA → IRA/RTA → RMQ`, with a crude-but-tunable exponential model of
-/// dynamic-programming cost.
-#[derive(Debug, Clone)]
-pub struct DeadlineAwarePolicy {
-    /// Largest block the exact algorithm may attempt (default 7: the DP
-    /// table doubles per relation and EXA keeps full Pareto sets).
-    pub exa_max_tables: usize,
-    /// Largest block any DP scheme (RTA/IRA) may attempt (default 10).
-    pub dp_max_tables: usize,
-    /// Sample budget handed to RMQ fallbacks (default 2000).
-    pub rmq_samples: u64,
-    /// RMQ seed; fixed per service so results are reproducible.
-    pub rmq_seed: u64,
-    /// Threads per RMQ run (default 1 — the worker pool is the parallelism).
-    pub rmq_threads: usize,
-    /// Precision the DP falls back to when a request demands exactness on
-    /// a block too large for EXA (default 2.0): RTA/IRA at α = 1 would run
-    /// the *same* full-precision DP as EXA (the internal pruning precision
-    /// `α^(1/n)` degenerates to 1), so a genuine downgrade must relax α.
-    pub relaxed_alpha: f64,
-    /// Requests with less remaining budget than this are rejected outright
-    /// (default 200 µs: below that even RMQ's first sample won't land).
-    pub min_budget: Duration,
-    /// DP cost model `base · growthⁿ` — base term (default 2 µs).
-    pub dp_base: Duration,
-    /// DP cost model growth per relation (default 3.5).
-    pub dp_growth: f64,
-}
-
-impl Default for DeadlineAwarePolicy {
-    fn default() -> Self {
-        DeadlineAwarePolicy {
-            exa_max_tables: 7,
-            dp_max_tables: 10,
-            rmq_samples: 2000,
-            rmq_seed: 0x5EED,
-            rmq_threads: 1,
-            relaxed_alpha: 2.0,
-            min_budget: Duration::from_micros(200),
-            dp_base: Duration::from_micros(2),
-            dp_growth: 3.5,
-        }
-    }
-}
+/// `EXA → IRA/RTA → RMQ`, with a crude exponential model of
+/// dynamic-programming cost. Its limits are constants.
+pub struct DeadlineAwarePolicy;
 
 impl DeadlineAwarePolicy {
+    /// Largest block the exact algorithm may attempt (the DP table
+    /// doubles per relation and EXA keeps full Pareto sets).
+    pub const EXA_MAX_TABLES: usize = 7;
+    /// Largest block any DP scheme (RTA/IRA) may attempt.
+    pub const DP_MAX_TABLES: usize = 10;
+    /// Sample budget handed to RMQ fallbacks.
+    pub const RMQ_SAMPLES: u64 = 2000;
+    /// RMQ seed; fixed so results are reproducible.
+    pub const RMQ_SEED: u64 = 0x5EED;
+    /// Threads per RMQ run (the worker pool is the parallelism).
+    pub const RMQ_THREADS: usize = 1;
+    /// Precision the DP falls back to when a request demands exactness on
+    /// a block too large for EXA: RTA/IRA at α = 1 would run the *same*
+    /// full-precision DP as EXA (the internal pruning precision `α^(1/n)`
+    /// degenerates to 1), so a genuine downgrade must relax α.
+    pub const RELAXED_ALPHA: f64 = 2.0;
+    /// Requests with less remaining budget than this are rejected outright
+    /// (below it even RMQ's first sample won't land).
+    pub const MIN_BUDGET: Duration = Duration::from_micros(200);
+    /// DP cost model `DP_BASE · DP_GROWTHⁿ` — base term.
+    pub const DP_BASE: Duration = Duration::from_micros(2);
+    /// DP cost model growth per relation.
+    pub const DP_GROWTH: f64 = 3.5;
+
     /// Estimated wall time of one DP run over `tables` relations:
-    /// `dp_base · dp_growthⁿ`. Deliberately pessimistic for EXA-sized
+    /// `DP_BASE · DP_GROWTHⁿ`. Deliberately pessimistic for EXA-sized
     /// blocks so deadline pressure downgrades early rather than times out.
     #[must_use]
-    pub fn estimated_dp_time(&self, tables: usize) -> Duration {
-        let factor = self
-            .dp_growth
-            .powi(i32::try_from(tables).unwrap_or(i32::MAX));
-        self.dp_base.mul_f64(factor.min(1e15))
+    pub fn estimated_dp_time(tables: usize) -> Duration {
+        let factor = Self::DP_GROWTH.powi(i32::try_from(tables).unwrap_or(i32::MAX));
+        Self::DP_BASE.mul_f64(factor.min(1e15))
     }
 
-    fn rmq(&self) -> Algorithm {
-        Algorithm::Rmq {
-            samples: self.rmq_samples,
-            seed: self.rmq_seed,
-            threads: self.rmq_threads,
-        }
-    }
-
-    fn dp_fits(&self, ctx: &PolicyContext) -> bool {
+    fn dp_fits(ctx: &PolicyContext) -> bool {
         match ctx.remaining {
             None => true,
-            Some(rem) => self.estimated_dp_time(ctx.block_size) <= rem,
+            Some(rem) => Self::estimated_dp_time(ctx.block_size) <= rem,
         }
     }
 
     /// Decides what to run for one block.
     #[must_use]
-    pub fn admit(&self, ctx: &PolicyContext) -> Admission {
+    pub fn admit(ctx: &PolicyContext) -> Admission {
         if let Some(rem) = ctx.remaining {
-            if rem < self.min_budget {
+            if rem < Self::MIN_BUDGET {
                 return Admission::Reject;
             }
         }
@@ -305,25 +267,25 @@ impl DeadlineAwarePolicy {
             Algorithm::Rta { alpha: ctx.alpha }
         };
         // Size + deadline gates, weakest last.
-        let exa_ok = ctx.block_size <= self.exa_max_tables && self.dp_fits(ctx);
-        let dp_ok = ctx.block_size <= self.dp_max_tables && self.dp_fits(ctx);
+        let exa_ok = ctx.block_size <= Self::EXA_MAX_TABLES && Self::dp_fits(ctx);
+        let dp_ok = ctx.block_size <= Self::DP_MAX_TABLES && Self::dp_fits(ctx);
         match preferred {
             Algorithm::Exhaustive if exa_ok => Admission::Run {
                 algorithm: preferred,
                 downgraded: false,
             },
             // An exactness-demanding request that EXA cannot serve within
-            // limits degrades to the approximate DP at `relaxed_alpha` —
+            // limits degrades to the approximate DP at `RELAXED_ALPHA` —
             // α = 1 would re-run the exact DP under another name (see the
-            // field docs) — or falls through to the anytime search.
+            // constant's docs) — or falls through to the anytime search.
             Algorithm::Exhaustive if dp_ok => Admission::Run {
                 algorithm: if ctx.bounded {
                     Algorithm::Ira {
-                        alpha: self.relaxed_alpha,
+                        alpha: Self::RELAXED_ALPHA,
                     }
                 } else {
                     Algorithm::Rta {
-                        alpha: self.relaxed_alpha,
+                        alpha: Self::RELAXED_ALPHA,
                     }
                 },
                 downgraded: true,
@@ -333,7 +295,11 @@ impl DeadlineAwarePolicy {
                 downgraded: false,
             },
             _ => Admission::Run {
-                algorithm: self.rmq(),
+                algorithm: Algorithm::Rmq {
+                    samples: Self::RMQ_SAMPLES,
+                    seed: Self::RMQ_SEED,
+                    threads: Self::RMQ_THREADS,
+                },
                 downgraded: true,
             },
         }
@@ -361,23 +327,22 @@ mod tests {
 
     #[test]
     fn preference_order_without_pressure() {
-        let p = DeadlineAwarePolicy::default();
         assert_eq!(
-            p.admit(&ctx(4, 1.0, false, None)),
+            DeadlineAwarePolicy::admit(&ctx(4, 1.0, false, None)),
             Admission::Run {
                 algorithm: Algorithm::Exhaustive,
                 downgraded: false
             }
         );
         assert_eq!(
-            p.admit(&ctx(4, 2.0, false, None)),
+            DeadlineAwarePolicy::admit(&ctx(4, 2.0, false, None)),
             Admission::Run {
                 algorithm: Algorithm::Rta { alpha: 2.0 },
                 downgraded: false
             }
         );
         assert_eq!(
-            p.admit(&ctx(4, 2.0, true, None)),
+            DeadlineAwarePolicy::admit(&ctx(4, 2.0, true, None)),
             Admission::Run {
                 algorithm: Algorithm::Ira { alpha: 2.0 },
                 downgraded: false
@@ -387,25 +352,24 @@ mod tests {
 
     #[test]
     fn size_gates_downgrade() {
-        let p = DeadlineAwarePolicy::default();
         // Too big for EXA but fine for the approximate DP: precision is
         // genuinely relaxed (α = 1 would re-run the exact DP).
-        match p.admit(&ctx(9, 1.0, false, None)) {
+        match DeadlineAwarePolicy::admit(&ctx(9, 1.0, false, None)) {
             Admission::Run {
                 algorithm: Algorithm::Rta { alpha },
                 downgraded: true,
-            } => assert_eq!(alpha, p.relaxed_alpha),
+            } => assert_eq!(alpha, DeadlineAwarePolicy::RELAXED_ALPHA),
             other => panic!("expected RTA downgrade, got {other:?}"),
         }
-        match p.admit(&ctx(9, 1.0, true, None)) {
+        match DeadlineAwarePolicy::admit(&ctx(9, 1.0, true, None)) {
             Admission::Run {
                 algorithm: Algorithm::Ira { alpha },
                 downgraded: true,
-            } => assert_eq!(alpha, p.relaxed_alpha),
+            } => assert_eq!(alpha, DeadlineAwarePolicy::RELAXED_ALPHA),
             other => panic!("expected IRA downgrade, got {other:?}"),
         }
         // Too big for any DP.
-        match p.admit(&ctx(16, 1.5, false, None)) {
+        match DeadlineAwarePolicy::admit(&ctx(16, 1.5, false, None)) {
             Admission::Run {
                 algorithm: Algorithm::Rmq { .. },
                 downgraded: true,
@@ -416,10 +380,9 @@ mod tests {
 
     #[test]
     fn deadline_gates_downgrade_and_reject() {
-        let p = DeadlineAwarePolicy::default();
         // 8 tables ≈ 2 µs · 3.5⁸ ≈ 45 ms estimated; a 1 ms budget forces
         // the anytime search.
-        match p.admit(&ctx(8, 1.5, false, Some(Duration::from_millis(1)))) {
+        match DeadlineAwarePolicy::admit(&ctx(8, 1.5, false, Some(Duration::from_millis(1)))) {
             Admission::Run {
                 algorithm: Algorithm::Rmq { .. },
                 downgraded: true,
@@ -428,7 +391,7 @@ mod tests {
         }
         // Below the minimum budget nothing is admitted.
         assert_eq!(
-            p.admit(&ctx(2, 1.5, false, Some(Duration::from_micros(50)))),
+            DeadlineAwarePolicy::admit(&ctx(2, 1.5, false, Some(Duration::from_micros(50)))),
             Admission::Reject
         );
     }
@@ -460,7 +423,6 @@ mod tests {
 
         let active = BrownoutConfig {
             watermark: Some(Duration::from_millis(10)),
-            ..BrownoutConfig::default()
         };
         assert_eq!(active.assess(0.0), BrownoutLevel::Normal);
         assert_eq!(active.assess(1.0), BrownoutLevel::Normal);
@@ -471,26 +433,19 @@ mod tests {
         );
         match active.assess(1.9) {
             BrownoutLevel::Degrade { samples } => {
-                assert!(samples < 1600 && samples >= active.min_samples);
+                assert!(samples < 1600 && samples > 1000);
             }
             other => panic!("expected degradation, got {other:?}"),
         }
         // At and past the threshold: shed (including infinite pressure).
         assert_eq!(active.assess(2.0), BrownoutLevel::Shed);
         assert_eq!(active.assess(f64::INFINITY), BrownoutLevel::Shed);
-        // The floor holds under a tiny base budget.
-        let floored = BrownoutConfig {
-            base_samples: 60,
-            shed_threshold: 100.0,
-            ..active.clone()
-        };
-        assert_eq!(floored.assess(50.0), BrownoutLevel::Degrade { samples: 50 });
         // The degraded algorithm is the anytime search at the scaled budget.
         assert_eq!(
-            active.degraded_algorithm(1600),
+            BrownoutConfig::degraded_algorithm(1600),
             Algorithm::Rmq {
                 samples: 1600,
-                seed: active.rmq_seed,
+                seed: BrownoutConfig::RMQ_SEED,
                 threads: 1
             }
         );
@@ -498,17 +453,16 @@ mod tests {
 
     #[test]
     fn hints_bypass_gates_but_not_admission() {
-        let p = DeadlineAwarePolicy::default();
         let mut c = ctx(16, 1.0, false, None);
         c.hint = Some(Algorithm::Exhaustive);
         assert_eq!(
-            p.admit(&c),
+            DeadlineAwarePolicy::admit(&c),
             Admission::Run {
                 algorithm: Algorithm::Exhaustive,
                 downgraded: false
             }
         );
         c.remaining = Some(Duration::from_micros(10));
-        assert_eq!(p.admit(&c), Admission::Reject);
+        assert_eq!(DeadlineAwarePolicy::admit(&c), Admission::Reject);
     }
 }

@@ -10,8 +10,7 @@ use moqo_catalog::Catalog;
 use moqo_core::{select_best, Algorithm, BlockReport, Optimizer, PruneMode};
 use moqo_costmodel::CostModelParams;
 
-use crate::cache::{CacheKey, CacheLookup, CacheSnapshot, EntryStats, PlanCache};
-use crate::export::{render_prometheus, TraceSnapshot};
+use crate::cache::{CacheKey, CacheLookup, PlanCache};
 use crate::fault::{guarded_catch, FaultAction, FaultPlan};
 use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceMetrics};
 use crate::policy::{
@@ -24,50 +23,13 @@ use crate::request::{
 };
 use crate::supervisor::{Finding, Supervision, WorkerSlot};
 use crate::trace::{
-    error_code, EventKind, FlightRecorder, RequestTrace, SpanCollector, TraceConfig, TraceStats,
+    error_code, EventKind, FlightRecorder, RequestTrace, SpanCollector, TraceConfig, TraceSnapshot,
     SYSTEM_TRACE_ID,
 };
 
-/// Tuning knobs of one [`OptimizationService`].
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Worker threads executing optimizations (default 2; pass the core
-    /// count for throughput, 1 for fully deterministic processing order).
-    pub workers: usize,
-    /// Bounded work-queue capacity; submissions beyond it are rejected with
-    /// [`ServiceError::QueueFull`] (default 256).
-    pub queue_capacity: usize,
-    /// Plan-cache capacity in entries (default 1024).
-    pub cache_capacity: usize,
-    /// Plan-cache shard count (default 8).
-    pub cache_shards: usize,
-    /// How often the supervisor scans worker heartbeats (default 5 ms).
-    pub supervisor_tick: Duration,
-    /// Heartbeat silence after which a running worker counts as wedged and
-    /// is replaced (default 5 s; `ZERO` disables stall detection — dead
-    /// workers are still respawned).
-    pub stall_after: Duration,
-    /// Brownout admission controller (disabled by default — see
-    /// [`BrownoutConfig`]).
-    pub brownout: BrownoutConfig,
-    /// Cost-model parameters shared by every optimization.
-    pub params: CostModelParams,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            workers: 2,
-            queue_capacity: 256,
-            cache_capacity: 1024,
-            cache_shards: 8,
-            supervisor_tick: Duration::from_millis(5),
-            stall_after: Duration::from_secs(5),
-            brownout: BrownoutConfig::default(),
-            params: CostModelParams::default(),
-        }
-    }
-}
+/// Plan-cache shards: keys hash to one of this many independently locked
+/// maps, so concurrent workers rarely contend on the same lock.
+const CACHE_SHARDS: usize = 8;
 
 type Responder = mpsc::Sender<Result<OptimizationResponse, ServiceError>>;
 
@@ -88,11 +50,9 @@ struct Job {
 
 struct ServiceInner {
     catalog: Catalog,
-    params: CostModelParams,
     queue: BoundedQueue<Job>,
     cache: PlanCache,
     metrics: ServiceMetrics,
-    policy: DeadlineAwarePolicy,
     /// Measured per-block-size wall times; refines the deadline split.
     learned: LearnedBlockTimes,
     /// Worker registry + supervisor signalling.
@@ -121,7 +81,7 @@ impl ServiceInner {
     fn block_time_estimate(&self, block_size: usize) -> Duration {
         self.learned
             .estimate(block_size)
-            .unwrap_or_else(|| self.policy.estimated_dp_time(block_size))
+            .unwrap_or_else(|| DeadlineAwarePolicy::estimated_dp_time(block_size))
     }
 
     /// Admission across all blocks of a request against deadline `total`,
@@ -142,7 +102,7 @@ impl ServiceInner {
             .collect();
         for (idx, graph) in request.query.blocks.iter().enumerate() {
             let share = block_share(total, &estimates[idx..]);
-            let decision = self.policy.admit(&PolicyContext {
+            let decision = DeadlineAwarePolicy::admit(&PolicyContext {
                 block_size: graph.n_rels(),
                 alpha: request.alpha,
                 bounded: request.is_bounded(),
@@ -196,7 +156,12 @@ impl Ticket {
 /// Builder for [`OptimizationService`].
 pub struct ServiceBuilder {
     catalog: Catalog,
-    config: ServiceConfig,
+    workers: usize,
+    queue_capacity: usize,
+    cache_capacity: usize,
+    supervisor_tick: Duration,
+    stall_after: Duration,
+    brownout: BrownoutConfig,
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
 }
@@ -207,59 +172,62 @@ impl ServiceBuilder {
     pub fn new(catalog: Catalog) -> Self {
         ServiceBuilder {
             catalog,
-            config: ServiceConfig::default(),
+            workers: 2,
+            queue_capacity: 256,
+            cache_capacity: 1024,
+            supervisor_tick: Duration::from_millis(5),
+            stall_after: Duration::from_secs(5),
+            brownout: BrownoutConfig::default(),
             faults: None,
             tracing: None,
         }
     }
 
-    /// Replaces the whole config.
-    #[must_use]
-    pub fn config(mut self, config: ServiceConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the worker count.
+    /// Sets the worker count (default 2; pass the core count for
+    /// throughput, 1 for fully deterministic processing order).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
+        self.workers = workers;
         self
     }
 
-    /// Sets the queue capacity.
+    /// Sets the bounded work-queue capacity; submissions beyond it are
+    /// rejected with [`ServiceError::QueueFull`] (default 256).
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
+        self.queue_capacity = capacity;
         self
     }
 
-    /// Sets the plan-cache capacity (entries).
+    /// Sets the plan-cache capacity in entries (default 1024).
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = capacity;
+        self.cache_capacity = capacity;
         self
     }
 
-    /// Sets the supervisor scan interval.
+    /// Sets how often the supervisor scans worker heartbeats (default
+    /// 5 ms).
     #[must_use]
     pub fn supervisor_tick(mut self, tick: Duration) -> Self {
-        self.config.supervisor_tick = tick;
+        self.supervisor_tick = tick;
         self
     }
 
-    /// Sets the heartbeat-silence threshold for stall detection (`ZERO`
-    /// disables it).
+    /// Sets the heartbeat silence after which a running worker counts as
+    /// wedged and is replaced (default 5 s; `ZERO` disables stall
+    /// detection — dead workers are still respawned).
     #[must_use]
     pub fn stall_after(mut self, stall_after: Duration) -> Self {
-        self.config.stall_after = stall_after;
+        self.stall_after = stall_after;
         self
     }
 
-    /// Enables the brownout admission controller.
+    /// Enables the brownout admission controller (disabled by default —
+    /// see [`BrownoutConfig`]).
     #[must_use]
     pub fn brownout(mut self, brownout: BrownoutConfig) -> Self {
-        self.config.brownout = brownout;
+        self.brownout = brownout;
         self
     }
 
@@ -273,7 +241,7 @@ impl ServiceBuilder {
 
     /// Enables the flight recorder (see [`TraceConfig`]): per-worker
     /// event rings, span-structured lifecycle events, and tail-based
-    /// exemplar retention, all exportable through
+    /// exemplar retention, all read through
     /// [`OptimizationService::trace_snapshot`]. Tracing is off by
     /// default. The counters do not depend on it: each lifecycle event is
     /// one call that always counts, and tracing only adds the ring, span
@@ -288,19 +256,17 @@ impl ServiceBuilder {
     /// service.
     #[must_use]
     pub fn build(self) -> OptimizationService {
-        let workers = self.config.workers.max(1);
+        let workers = self.workers.max(1);
         let inner = Arc::new(ServiceInner {
             catalog: self.catalog,
-            params: self.config.params.clone(),
-            queue: BoundedQueue::new(self.config.queue_capacity),
-            cache: PlanCache::new(self.config.cache_capacity, self.config.cache_shards),
+            queue: BoundedQueue::new(self.queue_capacity),
+            cache: PlanCache::new(self.cache_capacity, CACHE_SHARDS),
             metrics: ServiceMetrics::default(),
-            policy: DeadlineAwarePolicy::default(),
             learned: LearnedBlockTimes::new(),
             supervision: Supervision::new(),
-            brownout: self.config.brownout,
-            supervisor_tick: self.config.supervisor_tick.max(Duration::from_micros(100)),
-            stall_after: self.config.stall_after,
+            brownout: self.brownout,
+            supervisor_tick: self.supervisor_tick.max(Duration::from_micros(100)),
+            stall_after: self.stall_after,
             faults: self.faults,
             ordinals: AtomicU64::new(0),
             workers_target: workers,
@@ -448,7 +414,7 @@ impl OptimizationService {
     }
 
     /// Metrics snapshot including cache counters and the live gauges
-    /// (pressure, alive workers, per-shard cache occupancy).
+    /// (pressure, alive workers).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner
@@ -465,40 +431,6 @@ impl OptimizationService {
         self.inner.recorder.as_ref().map(TraceSnapshot::capture)
     }
 
-    /// Cheap counter-only view of the flight recorder; `None` when tracing
-    /// is disabled.
-    #[must_use]
-    pub fn trace_stats(&self) -> Option<TraceStats> {
-        self.inner.recorder.as_ref().map(FlightRecorder::stats)
-    }
-
-    /// Renders the full metrics surface — every counter, gauge, and
-    /// histogram of [`MetricsSnapshot`] plus the flight-recorder counters —
-    /// in the Prometheus text exposition format.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        render_prometheus(
-            &self.metrics(),
-            &self.inner.metrics.latency_snapshot(),
-            &self.inner.metrics.queue_wait_snapshot(),
-            &self.inner.metrics.service_time_snapshot(),
-            self.queued(),
-            self.trace_stats(),
-        )
-    }
-
-    /// Cache-only snapshot.
-    #[must_use]
-    pub fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache.snapshot()
-    }
-
-    /// Usage statistics of one cache entry, if resident.
-    #[must_use]
-    pub fn cache_entry_stats(&self, key: &CacheKey) -> Option<EntryStats> {
-        self.inner.cache.entry_stats(key)
-    }
-
     /// Requests currently waiting in the queue.
     #[must_use]
     pub fn queued(&self) -> usize {
@@ -511,14 +443,6 @@ impl OptimizationService {
     #[must_use]
     pub fn alive_workers(&self) -> usize {
         self.inner.supervision.alive()
-    }
-
-    /// The learned (EWMA) wall-time estimate for `block_size`-relation
-    /// blocks, if any optimization of that size completed yet. `None`
-    /// means the deadline split still trusts the policy's static model.
-    #[must_use]
-    pub fn learned_block_estimate(&self, block_size: usize) -> Option<Duration> {
-        self.inner.learned.estimate(block_size)
     }
 
     /// Stops accepting work, drains the queue, and joins the workers.
@@ -714,15 +638,17 @@ fn process(
     let bounded = request.is_bounded();
     // The pruning mode any fresh optimization of this request runs under;
     // cache entries certified under a different mode are never served.
-    let required_mode =
-        PruneMode::auto(inner.params.enable_sampling, request.preference.objectives);
+    let required_mode = PruneMode::auto(
+        CostModelParams::default().enable_sampling,
+        request.preference.objectives,
+    );
     // Brownout verdict, sampled once per request: under pressure, computed
     // blocks degrade onto the anytime search with a pressure-scaled sample
     // budget. A request already past the shed gate degrades at the floor
     // rather than failing. Explicit algorithm hints are honored as-is.
     let brownout = match inner.brownout_level() {
         BrownoutLevel::Shed => BrownoutLevel::Degrade {
-            samples: inner.brownout.min_samples,
+            samples: BrownoutConfig::MIN_SAMPLES,
         },
         level => level,
     };
@@ -816,7 +742,7 @@ fn process(
             continue;
         }
 
-        let decision = inner.policy.admit(&PolicyContext {
+        let decision = DeadlineAwarePolicy::admit(&PolicyContext {
             block_size: graph.n_rels(),
             alpha: request.alpha,
             bounded,
@@ -839,12 +765,12 @@ fn process(
         // explicit hint is a caller contract and is never overridden.
         let (algorithm, downgraded, degraded) = match brownout {
             BrownoutLevel::Degrade { samples } if request.hint.is_none() => {
-                (inner.brownout.degraded_algorithm(samples), true, true)
+                (BrownoutConfig::degraded_algorithm(samples), true, true)
             }
             _ => (algorithm, downgraded, false),
         };
 
-        let mut optimizer = Optimizer::new(&inner.catalog).with_params(inner.params.clone());
+        let mut optimizer = Optimizer::new(&inner.catalog);
         if let Some(rem) = remaining {
             optimizer = optimizer.with_timeout(rem);
         }

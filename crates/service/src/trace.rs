@@ -10,9 +10,10 @@
 //! Each lifecycle transition is one call, [`RequestTrace::event`]; a
 //! supervisor finding is the one event of a trace with id
 //! [`SYSTEM_TRACE_ID`]. The call always counts the event in the
-//! [`ServiceMetrics`] table that every snapshot counter is projected from,
-//! so counters and traces come from one record and cannot disagree. When
-//! tracing is on, the same call also writes the event into two sinks:
+//! [`ServiceMetrics`] table that every request counter of a snapshot is
+//! projected from, so counters and traces come from one record and cannot
+//! disagree. When tracing is on, the same call also writes the event into
+//! two sinks:
 //!
 //! * **Per-worker ring buffers** ([`EventRing`]): bounded, oldest
 //!   overwritten, with a `dropped_events` count derived from the
@@ -23,9 +24,12 @@
 //!   buffer riding inside the job, so the *complete* trace of a request
 //!   survives ring overwrite. At completion the recorder applies
 //!   **tail-based exemplar retention**: every errored / shed / panicked /
-//!   worker-killing request is kept in full (bounded store, drop-oldest
-//!   with its own counter), and completed requests compete for the
-//!   rolling slowest-k by latency.
+//!   worker-killing request is kept in full (a store of
+//!   [`TraceConfig::ERROR_EXEMPLARS`], drop-oldest with its own counter),
+//!   and completed requests compete for the rolling
+//!   [`TraceConfig::SLOWEST`] by latency.
+//!
+//! A [`TraceSnapshot`] reads both sinks at once.
 //!
 //! Timestamps come from a [`TraceClock`] seam: wall microseconds in
 //! production, a logical counter under [`TraceConfig::logical_clock`] so
@@ -148,29 +152,6 @@ impl EventKind {
         })
     }
 
-    /// Stable lower-snake name for export surfaces.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Submitted => "submitted",
-            EventKind::Rejected => "rejected",
-            EventKind::Shed => "shed",
-            EventKind::QueueFull => "queue_full",
-            EventKind::Enqueued => "enqueued",
-            EventKind::Popped => "popped",
-            EventKind::FaultDelay => "fault_delay",
-            EventKind::CacheProbe => "cache_probe",
-            EventKind::BlockOptimized => "block_optimized",
-            EventKind::DeadlineExceeded => "deadline_exceeded",
-            EventKind::PanicCaught => "panic_caught",
-            EventKind::WorkerKilled => "worker_killed",
-            EventKind::Failed => "failed",
-            EventKind::Completed => "completed",
-            EventKind::WorkerRespawned => "worker_respawned",
-            EventKind::WorkerStalled => "worker_stalled",
-        }
-    }
-
     /// Whether `arg0` holds a timing or scheduling value that must stay
     /// out of checksums (queue waits, latencies, the worker a kill landed
     /// on — everything that varies run-to-run under real concurrency).
@@ -266,23 +247,23 @@ pub struct TraceConfig {
     /// Events each ring holds before overwriting the oldest (rounded up
     /// to a power of two; default 4096).
     pub ring_capacity: usize,
-    /// Full traces retained for errored/shed/panicked/killed requests
-    /// before the store drops its oldest (default 256).
-    pub error_exemplars: usize,
-    /// Rolling count of slowest completed requests kept in full
-    /// (default 8).
-    pub slowest: usize,
     /// Use the logical clock instead of wall time — replay mode, where
     /// the trace stream must be byte-deterministic (default `false`).
     pub logical_clock: bool,
+}
+
+impl TraceConfig {
+    /// Full traces retained for errored/shed/panicked/killed requests
+    /// before the store drops its oldest.
+    pub const ERROR_EXEMPLARS: usize = 256;
+    /// Rolling count of slowest completed requests kept in full.
+    pub const SLOWEST: usize = 8;
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             ring_capacity: 4096,
-            error_exemplars: 256,
-            slowest: 8,
             logical_clock: false,
         }
     }
@@ -350,18 +331,15 @@ impl EventRing {
     }
 
     /// Events recorded over this ring's lifetime.
-    pub(crate) fn recorded(&self) -> u64 {
+    #[cfg(test)]
+    fn recorded(&self) -> u64 {
         self.lock().recorded
     }
 
-    /// Events overwritten so far.
-    fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.mask + 1)
-    }
-
     /// The still-resident suffix of the stream in ring order, plus how
-    /// many older events were overwritten.
-    pub(crate) fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
+    /// many older events were overwritten, read under one lock: the two
+    /// always add up to the events recorded so far.
+    fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
         let ring = self.lock();
         let start = ring.recorded.saturating_sub(self.mask + 1);
         let events = (start..ring.recorded)
@@ -403,21 +381,6 @@ impl ExemplarClass {
             ServiceError::Shed => ExemplarClass::Shed,
             ServiceError::Internal { .. } => ExemplarClass::Panicked,
             ServiceError::ShuttingDown | ServiceError::WorkerLost => ExemplarClass::Failed,
-        }
-    }
-
-    /// Stable lower-snake name for export surfaces.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ExemplarClass::Rejected => "rejected",
-            ExemplarClass::Shed => "shed",
-            ExemplarClass::QueueFull => "queue_full",
-            ExemplarClass::DeadlineExceeded => "deadline_exceeded",
-            ExemplarClass::Panicked => "panicked",
-            ExemplarClass::WorkerKilled => "worker_killed",
-            ExemplarClass::Failed => "failed",
-            ExemplarClass::Slow => "slow",
         }
     }
 
@@ -493,21 +456,6 @@ impl SpanCollector {
     }
 }
 
-/// Aggregate recorder statistics (short locks on each ring and on the
-/// error store).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Events ever recorded across all rings.
-    pub events_total: u64,
-    /// Ring events overwritten before any snapshot saw them.
-    pub dropped_events: u64,
-    /// Error-class exemplars currently retained.
-    pub error_exemplars: usize,
-    /// Error-class exemplars evicted from the bounded store (oldest
-    /// first) after it filled.
-    pub error_exemplars_dropped: u64,
-}
-
 /// The service-wide flight recorder: one [`EventRing`] per worker
 /// plus one for the submit path and the supervisor, the exemplar stores,
 /// and the clock.
@@ -516,15 +464,10 @@ pub(crate) struct FlightRecorder {
     /// `rings[worker]` for workers; the last ring takes submit-path and
     /// supervisor events.
     rings: Vec<EventRing>,
-    error_capacity: usize,
     errors: Mutex<VecDeque<Exemplar>>,
     errors_dropped: AtomicU64,
-    slowest_k: usize,
     /// Ascending by latency; index 0 is the bar to clear.
     slowest: Mutex<Vec<Exemplar>>,
-    /// Fast-path filter: completions at or below this latency (µs) skip
-    /// the slowest-k lock entirely.
-    slow_floor_us: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -538,12 +481,9 @@ impl FlightRecorder {
             rings: (0..=workers)
                 .map(|_| EventRing::new(config.ring_capacity))
                 .collect(),
-            error_capacity: config.error_exemplars.max(1),
             errors: Mutex::new(VecDeque::new()),
             errors_dropped: AtomicU64::new(0),
-            slowest_k: config.slowest,
             slowest: Mutex::new(Vec::new()),
-            slow_floor_us: AtomicU64::new(0),
         }
     }
 
@@ -555,75 +495,105 @@ impl FlightRecorder {
     fn retain(&self, exemplar: Exemplar) {
         if exemplar.class.is_error() {
             let mut errors = self.errors.lock().expect("exemplar lock poisoned");
-            if errors.len() >= self.error_capacity {
+            if errors.len() >= TraceConfig::ERROR_EXEMPLARS {
                 errors.pop_front();
                 self.errors_dropped.fetch_add(1, Ordering::Relaxed);
             }
             errors.push_back(exemplar);
             return;
         }
-        if self.slowest_k == 0 {
+        let mut slowest = self.slowest.lock().expect("slowest lock poisoned");
+        if slowest.len() == TraceConfig::SLOWEST && exemplar.latency_us <= slowest[0].latency_us {
             return;
         }
-        // Relaxed floor probe: the common fast completion never locks.
-        if exemplar.latency_us <= self.slow_floor_us.load(Ordering::Relaxed) {
-            let slowest = self.slowest.lock().expect("slowest lock poisoned");
-            if slowest.len() >= self.slowest_k {
-                return;
-            }
-            drop(slowest);
-        }
-        let mut slowest = self.slowest.lock().expect("slowest lock poisoned");
         let at = slowest.partition_point(|e: &Exemplar| e.latency_us <= exemplar.latency_us);
         slowest.insert(at, exemplar);
-        if slowest.len() > self.slowest_k {
+        if slowest.len() > TraceConfig::SLOWEST {
             slowest.remove(0);
         }
-        if slowest.len() == self.slowest_k {
-            self.slow_floor_us
-                .store(slowest[0].latency_us, Ordering::Relaxed);
-        }
     }
+}
 
-    pub(crate) fn stats(&self) -> TraceStats {
-        TraceStats {
-            events_total: self.rings.iter().map(EventRing::recorded).sum(),
-            dropped_events: self.rings.iter().map(EventRing::dropped).sum(),
-            error_exemplars: self.errors.lock().expect("exemplar lock poisoned").len(),
-            error_exemplars_dropped: self.errors_dropped.load(Ordering::Relaxed),
-        }
-    }
+/// A point-in-time view of the flight recorder: the still-resident ring
+/// events, the drop accounting, and both exemplar stores.
+#[derive(Debug, Clone)]
+pub struct TraceSnapshot {
+    /// Resident ring events ordered by timestamp (ties broken by trace id
+    /// and per-trace sequence number).
+    pub events: Vec<TraceEvent>,
+    /// Events ever recorded across all rings: always
+    /// `events.len() + dropped_events`, since each ring's share of both is
+    /// read under one lock.
+    pub events_total: u64,
+    /// Ring events overwritten before this snapshot (best-effort stream
+    /// only — exemplar retention never loses error-class traces).
+    pub dropped_events: u64,
+    /// Full traces of every errored / shed / panicked / killed request
+    /// still in the bounded store, oldest first.
+    pub error_exemplars: Vec<Exemplar>,
+    /// Error exemplars evicted (oldest first) after the store filled.
+    pub error_exemplars_dropped: u64,
+    /// The rolling slowest-k completed requests, slowest first.
+    pub slowest: Vec<Exemplar>,
+    /// Ordered checksum over the ring streams as captured (before the
+    /// timestamp sort). Byte-deterministic only under single-worker
+    /// replay; concurrent runs should gate on
+    /// [`TraceSnapshot::error_checksum`] instead.
+    pub stream_checksum: u64,
+}
 
-    /// Ring-ordered resident events, total drop count, and clones of both
-    /// exemplar stores — the raw material of a
-    /// [`TraceSnapshot`](crate::TraceSnapshot).
-    pub(crate) fn collect(&self) -> (Vec<TraceEvent>, u64, Vec<Exemplar>, u64, Vec<Exemplar>, u64) {
+impl TraceSnapshot {
+    pub(crate) fn capture(recorder: &FlightRecorder) -> Self {
         let mut events = Vec::new();
-        let mut dropped = 0;
-        for ring in &self.rings {
-            let (mut resident, ring_dropped) = ring.snapshot();
+        let mut dropped_events = 0;
+        for ring in &recorder.rings {
+            let (mut resident, dropped) = ring.snapshot();
             events.append(&mut resident);
-            dropped += ring_dropped;
+            dropped_events += dropped;
         }
-        let errors: Vec<Exemplar> = self
+        let stream_checksum = stream_checksum(events.iter());
+        let events_total = events.len() as u64 + dropped_events;
+        events.sort_by_key(|e| (e.ts, e.trace_id, e.seq));
+        let error_exemplars = recorder
             .errors
             .lock()
             .expect("exemplar lock poisoned")
             .iter()
             .cloned()
             .collect();
-        let mut slowest: Vec<Exemplar> =
-            self.slowest.lock().expect("slowest lock poisoned").clone();
+        let mut slowest = recorder
+            .slowest
+            .lock()
+            .expect("slowest lock poisoned")
+            .clone();
         slowest.reverse(); // slowest first
-        let events_total = self.rings.iter().map(EventRing::recorded).sum();
-        (
+        TraceSnapshot {
             events,
-            dropped,
-            errors,
-            self.errors_dropped.load(Ordering::Relaxed),
-            slowest,
             events_total,
-        )
+            dropped_events,
+            error_exemplars,
+            error_exemplars_dropped: recorder.errors_dropped.load(Ordering::Relaxed),
+            slowest,
+            stream_checksum,
+        }
+    }
+
+    /// Interleaving-independent checksum over the retained error
+    /// exemplars (see [`commutative_checksum`]): byte-stable across runs
+    /// of the same deterministic fault plan even with a concurrent worker
+    /// pool — the chaos gate's number.
+    #[must_use]
+    pub fn error_checksum(&self) -> u64 {
+        commutative_checksum(self.error_exemplars.iter())
+    }
+
+    /// Exemplars of `class`, for assertions and diagnosis.
+    #[must_use]
+    pub fn exemplars_of(&self, class: ExemplarClass) -> Vec<&Exemplar> {
+        self.error_exemplars
+            .iter()
+            .filter(|e| e.class == class)
+            .collect()
     }
 }
 
@@ -914,13 +884,12 @@ mod tests {
         let recorder = FlightRecorder::new(
             &TraceConfig {
                 ring_capacity: 2, // tiny: every trace's ring events are lost
-                error_exemplars: 3,
-                slowest: 2,
                 logical_clock: true,
             },
             1,
         );
-        for id in 0..5u64 {
+        let traces = TraceConfig::ERROR_EXEMPLARS as u64 + 2;
+        for id in 0..traces {
             let mut rt = RequestTrace::started(&metrics, Some(&recorder), id);
             rt.event(EventKind::Submitted, 1, 0, 0);
             rt.event(EventKind::PanicCaught, 4, 0, 0);
@@ -932,15 +901,16 @@ mod tests {
                 0,
             );
         }
-        let stats = recorder.stats();
-        assert_eq!(stats.error_exemplars, 3, "store capped at 3");
-        assert_eq!(stats.error_exemplars_dropped, 2, "oldest two dropped");
-        assert!(stats.dropped_events > 0, "the ring really did overwrite");
-        let (_, _, errors, _, _, _) = recorder.collect();
+        let snapshot = TraceSnapshot::capture(&recorder);
+        assert_eq!(snapshot.error_exemplars_dropped, 2, "oldest two dropped");
+        assert!(snapshot.dropped_events > 0, "the ring really did overwrite");
+        assert_eq!(snapshot.events_total, 2 * traces);
         // The newest traces survive in full despite total ring loss.
+        let errors = &snapshot.error_exemplars;
         assert_eq!(
             errors.iter().map(|e| e.trace_id).collect::<Vec<_>>(),
-            vec![2, 3, 4]
+            (2..traces).collect::<Vec<_>>(),
+            "store capped at ERROR_EXEMPLARS"
         );
         assert!(errors.iter().all(|e| e.events.len() == 2));
     }
@@ -950,21 +920,37 @@ mod tests {
         let metrics = ServiceMetrics::default();
         let recorder = FlightRecorder::new(
             &TraceConfig {
-                slowest: 2,
                 logical_clock: true,
                 ..TraceConfig::default()
             },
             1,
         );
-        for (id, latency) in [(0u64, 50u64), (1, 500), (2, 5), (3, 300)] {
+        let complete = |id: u64, latency: u64| {
             let mut rt = RequestTrace::started(&metrics, Some(&recorder), id);
             rt.event(EventKind::Submitted, 1, 0, 0);
             rt.finish(Ok(()), latency);
+        };
+        // Fill the store with latencies 100, 110, …; 100 µs is the floor.
+        let k = TraceConfig::SLOWEST as u64;
+        for id in 0..k {
+            complete(id, 100 + 10 * id);
         }
-        let (_, _, _, _, slowest, _) = recorder.collect();
-        let ids: Vec<u64> = slowest.iter().map(|e| e.trace_id).collect();
-        assert_eq!(ids, vec![1, 3], "500µs and 300µs win, slowest first");
-        assert!(slowest.iter().all(|e| e.class == ExemplarClass::Slow));
+        let ids = || -> Vec<u64> {
+            let slowest = TraceSnapshot::capture(&recorder).slowest;
+            assert!(slowest.iter().all(|e| e.class == ExemplarClass::Slow));
+            slowest.iter().map(|e| e.trace_id).collect()
+        };
+        // Neither a completion faster than the floor nor one tied with it
+        // enters the full store.
+        complete(k, 5);
+        complete(k + 1, 100);
+        assert_eq!(ids(), (0..k).rev().collect::<Vec<_>>());
+        // Two slower ones enter, each pushing out the current floor.
+        complete(k + 2, 1_000);
+        complete(k + 3, 500);
+        let mut expected = vec![k + 2, k + 3];
+        expected.extend((2..k).rev());
+        assert_eq!(ids(), expected, "the k largest latencies, slowest first");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! requests and kills 2 of 4 workers mid-stream; every request must still
 //! be answered exactly once (success or `Internal` — never a hung
 //! `wait()`), the supervisor must restore the pool to 4, the robustness
-//! counters must replay byte-stable, and every counter must equal its
-//! projection of the traced event stream.
+//! counters must replay byte-stable, and every request counter must equal
+//! its projection of the traced event stream (the cache's own hit counter
+//! must equal the traced cache-probe hits).
 
 use std::time::{Duration, Instant};
 
@@ -61,8 +62,9 @@ struct ChaosOutcome {
     error_checksum: u64,
 }
 
-/// Asserts that every counter of `metrics` equals its projection of the
-/// resident ring events: both come from one record of each event.
+/// Asserts that every request counter of `metrics` equals its projection of
+/// the resident ring events, since both come from one record of each event,
+/// and that the cache's own hit counter matches the traced probe hits.
 fn assert_counters_reconcile(metrics: &MetricsSnapshot, trace: &TraceSnapshot) {
     assert_eq!(trace.dropped_events, 0, "every event must stay resident");
     let count = |kind: EventKind, keep: &dyn Fn(u64) -> bool| {
@@ -189,11 +191,17 @@ fn run_chaos_trace(catalog: &Catalog) -> ChaosOutcome {
     // Exemplars carry the full lifecycle: a panicked request must show its
     // submit-side and worker-side events plus the caught panic.
     for exemplar in trace.exemplars_of(ExemplarClass::Panicked) {
-        let kinds: Vec<&str> = exemplar.events.iter().map(|e| e.kind.name()).collect();
-        for expected in ["submitted", "enqueued", "popped", "panic_caught", "failed"] {
+        let kinds: Vec<EventKind> = exemplar.events.iter().map(|e| e.kind).collect();
+        for expected in [
+            EventKind::Submitted,
+            EventKind::Enqueued,
+            EventKind::Popped,
+            EventKind::PanicCaught,
+            EventKind::Failed,
+        ] {
             assert!(
                 kinds.contains(&expected),
-                "panic exemplar {} missing {expected}: {kinds:?}",
+                "panic exemplar {} missing {expected:?}: {kinds:?}",
                 exemplar.trace_id
             );
         }
@@ -353,7 +361,6 @@ fn brownout_sheds_and_degrades_under_pressure() {
         .workers(1)
         .brownout(BrownoutConfig {
             watermark: Some(Duration::from_micros(1)),
-            ..BrownoutConfig::default()
         })
         .faults(plan)
         .tracing(TraceConfig::default())
@@ -414,7 +421,7 @@ fn brownout_sheds_and_degrades_under_pressure() {
         shed_exemplars[0]
             .events
             .iter()
-            .any(|e| e.kind.name() == "shed"),
+            .any(|e| e.kind == EventKind::Shed),
         "the shed exemplar carries the shed event"
     );
 

@@ -296,7 +296,7 @@ fn second_identical_request_is_served_from_cache() {
         "identical request must hit the cache"
     );
     assert_eq!(first.weighted_cost, second.weighted_cost);
-    let snap = service.cache_snapshot();
+    let snap = service.metrics().cache;
     assert!(snap.hits >= 1);
     assert!(snap.hit_ratio() > 0.0);
 }

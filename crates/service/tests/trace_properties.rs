@@ -55,7 +55,6 @@ proptest! {
             .tracing(TraceConfig {
                 ring_capacity: 16,
                 logical_clock: true,
-                ..TraceConfig::default()
             })
             .build();
         for i in 0..REQUESTS {
@@ -71,6 +70,12 @@ proptest! {
         // The stream genuinely overwrote itself (24 requests × ≥4 events
         // into 16 slots) — retention must not depend on ring residency.
         prop_assert!(trace.dropped_events > 0, "ring was never overwritten");
+        // Each ring's resident events and drop count come from one look at
+        // the ring, so together they account for every recorded event.
+        prop_assert_eq!(
+            trace.events.len() as u64 + trace.dropped_events,
+            trace.events_total
+        );
         prop_assert_eq!(trace.error_exemplars_dropped, 0);
         let exemplars = trace.exemplars_of(ExemplarClass::Panicked);
         prop_assert_eq!(exemplars.len(), panicked.len());

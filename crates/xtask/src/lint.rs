@@ -94,7 +94,8 @@ impl Allowlist {
         false
     }
 
-    /// Entries that never waived anything — stale, worth pruning.
+    /// Entries that never waived anything. The lint fails on them: a
+    /// stale entry would silently waive a future finding on a matching line.
     pub fn unused(&self) -> Vec<String> {
         self.entries
             .iter()

@@ -3,7 +3,9 @@
 //! documented in [`lint`]: allowlisted Relaxed stores, lock- and
 //! allocation-free `#[moqo::hot_path]` bodies, and wall-clock reads only
 //! at the clock seams. Exits non-zero with `file:line` findings when a rule
-//! is violated; CI runs it on every push (see `.github/workflows/`).
+//! is violated, and names every allowlist entry that waives nothing (a
+//! stale entry would silently waive a future finding on a matching line);
+//! CI runs it on every push (see `.github/workflows/`).
 #![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};
@@ -77,14 +79,19 @@ fn run_lint(root_arg: Option<&str>) -> ExitCode {
     for v in &violations {
         eprintln!("{v}");
     }
-    for stale in allow.unused() {
-        eprintln!("warning: unused allowlist entry: {stale}");
+    let stale = allow.unused();
+    for entry in &stale {
+        eprintln!("crates/xtask/lint_allow.txt: [stale-allow] entry waives nothing: {entry}");
     }
-    if violations.is_empty() {
+    if violations.is_empty() && stale.is_empty() {
         println!("lint: {scanned} files clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!("lint: {} violation(s) in {scanned} files", violations.len());
+        eprintln!(
+            "lint: {} violation(s) and {} stale allowlist line(s) in {scanned} files",
+            violations.len(),
+            stale.len()
+        );
         ExitCode::FAILURE
     }
 }

@@ -1,5 +1,6 @@
 //! End-to-end gate checks: seeded rule violations must make the lint
-//! binary exit non-zero and name the offending `file:line`.
+//! binary exit non-zero and name the offending `file:line`, and so must an
+//! allowlist entry that waives nothing.
 
 use std::path::Path;
 use std::process::Command;
@@ -98,5 +99,35 @@ fn allowlist_waives_a_named_site() {
     );
     let (ok, text) = run_lint(&root);
     assert!(ok, "allowlisted site must pass:\n{text}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn stale_allowlist_entry_fails_naming_the_entry() {
+    let root = temp_root("stale");
+    write(
+        &root,
+        "crates/app/src/e.rs",
+        "pub fn f() -> Instant {\n    Instant::now()\n}\n",
+    );
+    write(
+        &root,
+        "crates/xtask/lint_allow.txt",
+        "wall-clock crates/app/src/e.rs Instant::now()\n\
+         relaxed-store crates/app/src/gone.rs .store(0, Ordering::Relaxed);\n",
+    );
+    let (ok, text) = run_lint(&root);
+    assert!(
+        !ok,
+        "an entry that waives nothing must fail the lint:\n{text}"
+    );
+    assert!(
+        text.contains("relaxed-store crates/app/src/gone.rs .store(0, Ordering::Relaxed);"),
+        "output must name the stale entry:\n{text}"
+    );
+    assert!(
+        !text.contains("crates/app/src/e.rs:2"),
+        "the used entry still waives its site:\n{text}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
