@@ -1,8 +1,9 @@
 //! Perf-trajectory snapshot: runs a fixed workload matrix and writes median
-//! wall-times to a JSON file (`BENCH_pr6.json` by default), so successive
-//! PRs can track the optimizer hot paths with one committed artifact per
-//! snapshot, which `bench_diff` compares against a baseline. Each cell is
-//! the median of 5 repetitions (1 under `MOQO_SMOKE`).
+//! wall-times to a JSON file (`BENCH_pr<N>.json` by default, `N` being
+//! `LEDGER_ENTRY`), so successive PRs can track the optimizer hot paths
+//! with one committed artifact per snapshot, which `bench_diff` compares
+//! against a baseline. Each cell is the median of 5 repetitions (1 under
+//! `MOQO_SMOKE`).
 //!
 //! The matrix covers the hot paths this repository optimizes:
 //!
@@ -29,7 +30,7 @@
 //! | variable | default | meaning |
 //! |----------|---------|---------|
 //! | `MOQO_SMOKE` | unset | `1`: single rep, budgets ÷10 (CI smoke mode) |
-//! | `MOQO_BENCH_OUT` | `BENCH_pr6.json` | output path |
+//! | `MOQO_BENCH_OUT` | `BENCH_pr<N>.json` | output path |
 
 use std::time::Instant;
 
@@ -40,6 +41,10 @@ use moqo_costmodel::{CostModel, CostModelParams};
 use moqo_plan::{PlanId, PlanProps, SortOrder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The ledger entry a full snapshot is committed as: the `"pr"` stamp and
+/// the `N` of the default output `BENCH_pr<N>.json`.
+const LEDGER_ENTRY: u32 = 21;
 
 struct Cell {
     name: String,
@@ -111,7 +116,8 @@ fn main() {
     let smoke = std::env::var("MOQO_SMOKE").is_ok_and(|v| v != "0");
     let reps: usize = if smoke { 1 } else { 5 };
     let budget_div: u64 = if smoke { 10 } else { 1 };
-    let out_path = std::env::var("MOQO_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr6.json".to_owned());
+    let out_path =
+        std::env::var("MOQO_BENCH_OUT").unwrap_or_else(|_| format!("BENCH_pr{LEDGER_ENTRY}.json"));
 
     let preference = Preference::over(ObjectiveSet::empty())
         .weight(Objective::TotalTime, 1.0)
@@ -295,7 +301,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"schema\": \"moqo-bench-snapshot/v1\",\n");
-    json.push_str("  \"pr\": 6,\n");
+    json.push_str(&format!("  \"pr\": {LEDGER_ENTRY},\n"));
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str("  \"results\": [\n");

@@ -106,3 +106,40 @@ fn fig10_bounded_golden() {
         assert!(stdout.contains(algo), "{algo} row missing");
     }
 }
+
+#[test]
+fn fig_rmq_convergence_golden() {
+    // The one caller that asks RMQ for a convergence trace. The binary
+    // itself asserts that the incumbent's weighted cost never worsens and
+    // that the final trace point matches the returned front.
+    let out = run_pinned(
+        env!("CARGO_BIN_EXE_fig_rmq_convergence"),
+        &[
+            ("MOQO_RMQ_SAMPLES", "400"),
+            ("MOQO_RMQ_TABLES", "6"),
+            ("MOQO_RMQ_EXA_LIMIT", "6"),
+        ],
+    );
+    let stdout = stdout_of(&out);
+    assert!(stdout.contains(
+        "RMQ convergence on chain join graphs [SF=1 samples=400 seed=42 sizes=[6] \
+         EXA reference ≤ 6 tables"
+    ));
+    assert!(stdout.contains("chain of 6: EXA reference front has"));
+    // One trace point per stride of 400 / 16 samples.
+    let csv = stdout
+        .split("CSV:\n")
+        .nth(1)
+        .expect("the trace is printed as CSV");
+    let mut lines = csv.lines();
+    assert_eq!(
+        lines.next(),
+        Some("iteration,front_size,best_weighted,coverage_pct,achieved_alpha")
+    );
+    let iterations: Vec<&str> = lines
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split(',').next().unwrap_or_default())
+        .collect();
+    let expected: Vec<String> = (1..=16).map(|i| (25 * i).to_string()).collect();
+    assert_eq!(iterations, expected);
+}

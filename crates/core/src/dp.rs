@@ -24,12 +24,19 @@
 //! one plan for all table sets that have not been treated so far" (§5.1):
 //! remaining sets get a single plan assembled greedily from the
 //! best-weighted stored sub-plans.
+//!
+//! Everything a join derives from its two operand sets alone — the
+//! equi-join predicate, the crossing selectivity and the output width — is
+//! computed once per split by the block's split index and shared by every
+//! plan pair and operator of that split. The same index answers the
+//! Cartesian heuristic's connectivity test from per-relation neighbour
+//! masks, here and in the randomized search.
 
 use std::collections::{BTreeMap, HashMap};
 
 use moqo_catalog::RelMask;
 use moqo_cost::{ObjectiveSet, Weights};
-use moqo_costmodel::{CostModel, JoinKey};
+use moqo_costmodel::{CostModel, JoinKey, JoinSplit};
 use moqo_plan::{JoinOp, PlanArena, PlanNode, ScanOp, SortOrder};
 
 use crate::budget::Deadline;
@@ -231,7 +238,7 @@ pub fn find_pareto_plans(
         table.push(OrderGroups::default());
     }
 
-    let keys = JoinKeys::new(model);
+    let index = SplitIndex::new(model);
 
     // Phase 1: access paths for single tables.
     for rel in 0..n {
@@ -263,27 +270,28 @@ pub fn find_pareto_plans(
             stats.timed_out = true;
             break 'outer;
         }
-        let splits = enumerate_splits(model, mask, config.tree_shape);
+        let splits = enumerate_splits(&index, mask, config.tree_shape);
         // Split the borrow: take the target group out of the table, so both
         // sub-plan sides are read in place — no per-split clones of the two
         // entry sets. `mask` is a strict superset of every split side, so
         // the taken slot is never read below.
         let mut target = std::mem::take(&mut table[mask as usize]);
         'mask: for (m1, m2) in splits {
-            let key = keys.join_key(m1, m2);
+            let split = index.split(m1, m2);
             for left in table[m1 as usize].iter_entries() {
                 for right in table[m2 as usize].iter_entries() {
                     if deadline.expired() {
                         stats.timed_out = true;
                         break 'mask;
                     }
-                    let right_canonical = is_canonical_index_scan(&arena, right, key.as_ref());
-                    for op in JoinOp::all_configurations() {
+                    let right_canonical =
+                        is_canonical_index_scan(&arena, right, split.key.as_ref());
+                    for op in JoinOp::ALL {
                         let combined = model.join_cost(
                             op,
                             (&left.cost, &left.props),
                             (&right.cost, &right.props),
-                            key.as_ref(),
+                            &split,
                             right_canonical,
                         );
                         let Some((cost, props)) = combined else {
@@ -319,6 +327,7 @@ pub fn find_pareto_plans(
     if stats.timed_out {
         quick_finish(
             model,
+            &index,
             &mut table,
             &mut arena,
             weights,
@@ -446,107 +455,137 @@ impl Iterator for GosperMasks {
     }
 }
 
-/// Precomputed join-key lookup: one entry per join-graph edge, with the
-/// endpoint bit masks and both normalized key orientations (including the
-/// inner-index catalog probe) resolved once per run, plus a per-relation
-/// incidence index. The per-call [`join_key`] re-derived all of that for
-/// every split of every mask; the first rework made the crossing test two
-/// AND ops per edge but still scanned *all* edges per probe — on dense
-/// graphs (cliques: O(n²) edges) the probe now walks only the edges
-/// incident to the outer side's relations.
-pub(crate) struct JoinKeys {
-    edges: Vec<EdgeKeys>,
-    /// For each relation, ascending indices into `edges` of the edges
-    /// incident to it.
-    by_rel: Vec<Vec<u32>>,
+/// The per-block split index: what [`CostModel::join_cost`] reads from a
+/// split's two relation sets, and the connectivity test of the Cartesian
+/// heuristic, answered from masks resolved once per run.
+///
+/// [`SplitIndex::split`] makes one ascending pass over the edges' endpoint
+/// masks and one over the output's relations. It performs the float
+/// operations of [`JoinGraph::crossing_selectivity`] and
+/// [`subset_width`] in the same order, so every split (and with it every
+/// costed plan) is bit-identical to those reference definitions
+/// (`test_support::check_split_index` holds it to them).
+///
+/// [`JoinGraph::crossing_selectivity`]: moqo_catalog::JoinGraph::crossing_selectivity
+/// [`subset_width`]: moqo_catalog::subset_width
+pub(crate) struct SplitIndex {
+    edges: Vec<EdgeSplit>,
+    /// Tuple width of each relation's table.
+    widths: Vec<f64>,
+    /// For each relation, the relations it shares a join edge with.
+    adjacency: Vec<RelMask>,
 }
 
-struct EdgeKeys {
+/// One join-graph edge with its endpoint masks and both key orientations
+/// (including the inner-index catalog probe) resolved.
+struct EdgeSplit {
     left_mask: RelMask,
     right_mask: RelMask,
+    selectivity: f64,
     /// Key orientation when the edge's left endpoint is on the outer side.
     forward: JoinKey,
     /// Key orientation when the edge's right endpoint is on the outer side.
     reverse: JoinKey,
 }
 
-impl JoinKeys {
+impl SplitIndex {
+    /// Resolves the model's join graph and catalog into the index.
     pub(crate) fn new(model: &CostModel<'_>) -> Self {
+        let graph = model.graph;
         let indexed = |rel: usize, col: u16| {
             model
                 .catalog
-                .table(model.graph.rels[rel].table)
+                .table(graph.rels[rel].table)
                 .column(col)
                 .indexed
         };
-        let edges: Vec<EdgeKeys> = model
-            .graph
+        let mut adjacency = vec![0; graph.n_rels()];
+        let edges = graph
             .edges
             .iter()
-            .map(|e| EdgeKeys {
-                left_mask: 1u32 << e.left_rel,
-                right_mask: 1u32 << e.right_rel,
-                forward: JoinKey {
-                    left_rel: e.left_rel,
-                    left_col: e.left_col,
-                    right_rel: e.right_rel,
-                    right_col: e.right_col,
-                    inner_indexed: indexed(e.right_rel, e.right_col),
-                },
-                reverse: JoinKey {
-                    left_rel: e.right_rel,
-                    left_col: e.right_col,
-                    right_rel: e.left_rel,
-                    right_col: e.left_col,
-                    inner_indexed: indexed(e.left_rel, e.left_col),
-                },
+            .map(|e| {
+                adjacency[e.left_rel] |= 1u32 << e.right_rel;
+                adjacency[e.right_rel] |= 1u32 << e.left_rel;
+                EdgeSplit {
+                    left_mask: 1u32 << e.left_rel,
+                    right_mask: 1u32 << e.right_rel,
+                    selectivity: e.selectivity,
+                    forward: JoinKey {
+                        left_rel: e.left_rel,
+                        left_col: e.left_col,
+                        right_rel: e.right_rel,
+                        right_col: e.right_col,
+                        inner_indexed: indexed(e.right_rel, e.right_col),
+                    },
+                    reverse: JoinKey {
+                        left_rel: e.right_rel,
+                        left_col: e.right_col,
+                        right_rel: e.left_rel,
+                        right_col: e.left_col,
+                        inner_indexed: indexed(e.left_rel, e.left_col),
+                    },
+                }
             })
             .collect();
-        let mut by_rel = vec![Vec::new(); model.graph.n_rels()];
-        for (i, e) in model.graph.edges.iter().enumerate() {
-            let i = u32::try_from(i).expect("edge count fits in u32");
-            by_rel[e.left_rel].push(i);
-            by_rel[e.right_rel].push(i);
+        let widths = graph
+            .rels
+            .iter()
+            .map(|rel| model.catalog.table(rel.table).tuple_bytes)
+            .collect();
+        SplitIndex {
+            edges,
+            widths,
+            adjacency,
         }
-        JoinKeys { edges, by_rel }
     }
 
-    /// The equi-join predicate for a split: the lowest-index edge crossing
-    /// the two sides (identical to the seed's "first edge in declaration
-    /// order"), normalized so the left fields refer to the `m1` (outer)
-    /// side. Probes only the edges incident to `m1`'s relations via the
-    /// per-relation index instead of scanning the whole edge list.
-    pub(crate) fn join_key(&self, m1: RelMask, m2: RelMask) -> Option<JoinKey> {
-        let mut best: Option<u32> = None;
-        let mut rels = m1;
-        while rels != 0 {
-            let rel = rels.trailing_zeros() as usize;
-            rels &= rels - 1;
-            for &ei in &self.by_rel[rel] {
-                if best.is_some_and(|b| ei >= b) {
-                    // Incidence lists are ascending: nothing later on this
-                    // relation can beat the incumbent.
-                    break;
-                }
-                let e = &self.edges[ei as usize];
-                // `rel ∈ m1` by construction; the edge crosses iff its
-                // other endpoint lies in `m2`.
-                let crosses = (e.left_mask & (1u32 << rel) != 0 && e.right_mask & m2 != 0)
-                    || (e.right_mask & (1u32 << rel) != 0 && e.left_mask & m2 != 0);
-                if crosses {
-                    best = Some(ei);
-                    break;
+    /// The split of the disjoint sets `m1` (outer) and `m2` (inner). The
+    /// first crossing edge in declaration order gives the key, normalized
+    /// so its left fields refer to `m1`; the selectivity multiplies every
+    /// crossing edge's into 1.0 in edge order; the width sums the tuple
+    /// widths of `m1 | m2` in ascending relation order, at least 1.0.
+    pub(crate) fn split(&self, m1: RelMask, m2: RelMask) -> JoinSplit {
+        let mut key = None;
+        let mut selectivity = 1.0;
+        for e in &self.edges {
+            let crosses = (e.left_mask & m1 != 0 && e.right_mask & m2 != 0)
+                || (e.right_mask & m1 != 0 && e.left_mask & m2 != 0);
+            if crosses {
+                selectivity *= e.selectivity;
+                if key.is_none() {
+                    key = Some(if e.left_mask & m1 != 0 {
+                        e.forward
+                    } else {
+                        e.reverse
+                    });
                 }
             }
         }
-        best.map(|ei| {
-            let e = &self.edges[ei as usize];
-            if e.left_mask & m1 != 0 {
-                e.forward
-            } else {
-                e.reverse
-            }
-        })
+        let mut width = 0.0;
+        let mut rels = m1 | m2;
+        while rels != 0 {
+            width += self.widths[rels.trailing_zeros() as usize];
+            rels &= rels - 1;
+        }
+        JoinSplit {
+            key,
+            selectivity,
+            width: width.max(1.0),
+        }
+    }
+
+    /// Every relation that shares a join edge with a relation of `mask`:
+    /// `neighbours(a) & b != 0` iff [`JoinGraph::connects`]`(a, b)`.
+    ///
+    /// [`JoinGraph::connects`]: moqo_catalog::JoinGraph::connects
+    pub(crate) fn neighbours(&self, mask: RelMask) -> RelMask {
+        let mut out = 0;
+        let mut rels = mask;
+        while rels != 0 {
+            out |= self.adjacency[rels.trailing_zeros() as usize];
+            rels &= rels - 1;
+        }
+        out
     }
 }
 
@@ -555,20 +594,16 @@ impl JoinKeys {
 /// edge, unconnected splits are dropped. Left-deep enumeration restricts
 /// the inner (right) side to singletons. Streamed — the eager version
 /// allocated two `Vec`s per mask in the DP's hottest outer loop. The
-/// connected-splits-exist decision is made up front from a single edge
-/// scan: `mask` admits a connected split iff some edge lies entirely
+/// connected-splits-exist decision is made up front from the neighbour
+/// masks: `mask` admits a connected split iff some edge lies entirely
 /// within it (either endpoint's singleton split is then connected, and for
 /// left-deep shape the `(mask∖{v}, {v})` split qualifies), so the
 /// heuristic never needs the full split list materialized.
-fn enumerate_splits<'g>(
-    model: &'g CostModel<'_>,
-    mask: RelMask,
-    shape: TreeShape,
-) -> SplitIter<'g> {
+fn enumerate_splits(index: &SplitIndex, mask: RelMask, shape: TreeShape) -> SplitIter<'_> {
     debug_assert!(mask.count_ones() >= 2, "splits need at least two relations");
-    let connected_only = model.graph.edges.iter().any(|e| e.within(mask));
+    let connected_only = index.neighbours(mask) & mask != 0;
     SplitIter {
-        graph: model.graph,
+        index,
         mask,
         next_m1: (mask - 1) & mask,
         shape,
@@ -578,8 +613,8 @@ fn enumerate_splits<'g>(
 
 /// Streaming sub-mask enumeration behind [`enumerate_splits`]; yields the
 /// exact sequence the eager version produced (descending `m1`, filtered).
-struct SplitIter<'g> {
-    graph: &'g moqo_catalog::JoinGraph,
+struct SplitIter<'i> {
+    index: &'i SplitIndex,
     mask: RelMask,
     next_m1: RelMask,
     shape: TreeShape,
@@ -597,7 +632,7 @@ impl Iterator for SplitIter<'_> {
             if self.shape == TreeShape::LeftDeep && m2.count_ones() != 1 {
                 continue;
             }
-            if self.connected_only && !self.graph.connects(m1, m2) {
+            if self.connected_only && self.index.neighbours(m1) & m2 == 0 {
                 continue;
             }
             return Some((m1, m2));
@@ -678,8 +713,10 @@ fn insert_entry(
 
 /// §5.1 timeout semantics: give every untreated table set exactly one plan,
 /// assembled from the best-weighted stored sub-plans.
+#[allow(clippy::too_many_arguments)]
 fn quick_finish(
     model: &CostModel<'_>,
+    index: &SplitIndex,
     table: &mut [OrderGroups],
     arena: &mut PlanArena,
     weights: &Weights,
@@ -688,7 +725,6 @@ fn quick_finish(
     stats: &mut DpStats,
 ) {
     let n = model.graph.n_rels();
-    let keys = JoinKeys::new(model);
     // A table set's best-weighted entry requires a full scan over all of its
     // order groups, and the old loop recomputed it for both sides of every
     // split. Sets probed here are always in their final state (the quick
@@ -699,7 +735,7 @@ fn quick_finish(
         if table[mask as usize].completed {
             continue;
         }
-        let splits = enumerate_splits(model, mask, TreeShape::Bushy);
+        let splits = enumerate_splits(index, mask, TreeShape::Bushy);
         let mut best: Option<PlanEntry> = None;
         for (m1, m2) in splits {
             let mut cached_best = |m: RelMask| {
@@ -710,14 +746,14 @@ fn quick_finish(
             let (Some(left), Some(right)) = (cached_best(m1), cached_best(m2)) else {
                 continue;
             };
-            let key = keys.join_key(m1, m2);
-            let right_canonical = is_canonical_index_scan(arena, &right, key.as_ref());
-            for op in JoinOp::all_configurations() {
+            let split = index.split(m1, m2);
+            let right_canonical = is_canonical_index_scan(arena, &right, split.key.as_ref());
+            for op in JoinOp::ALL {
                 let Some((cost, props)) = model.join_cost(
                     op,
                     (&left.cost, &left.props),
                     (&right.cost, &right.props),
-                    key.as_ref(),
+                    &split,
                     right_canonical,
                 ) else {
                     continue;
@@ -941,46 +977,10 @@ mod tests {
     fn join_keys_agree_with_linear_scan() {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
-        let keys = JoinKeys::new(&model);
-        // The seed implementation: first edge crossing the split, normalized
-        // so the left fields refer to the outer side, index flag from the
-        // catalog.
-        let reference = |m1: RelMask, m2: RelMask| -> Option<JoinKey> {
-            let edge = model.graph.edges.iter().find(|e| e.crosses(m1, m2))?;
-            let left_in_m1 = m1 & (1u32 << edge.left_rel) != 0;
-            let (left_rel, left_col, right_rel, right_col) = if left_in_m1 {
-                (edge.left_rel, edge.left_col, edge.right_rel, edge.right_col)
-            } else {
-                (edge.right_rel, edge.right_col, edge.left_rel, edge.left_col)
-            };
-            let inner_indexed = model
-                .catalog
-                .table(model.graph.rels[right_rel].table)
-                .column(right_col)
-                .indexed;
-            Some(JoinKey {
-                left_rel,
-                left_col,
-                right_rel,
-                right_col,
-                inner_indexed,
-            })
-        };
-        let n = g.n_rels();
-        for mask in 1..(1u32 << n) {
-            let mut m1 = (mask - 1) & mask;
-            while m1 != 0 {
-                let m2 = mask ^ m1;
-                assert_eq!(
-                    keys.join_key(m1, m2),
-                    reference(m1, m2),
-                    "split {m1:b} | {m2:b}"
-                );
-                m1 = (m1 - 1) & mask;
-            }
-        }
+        // Every ordered pair of disjoint non-empty sets: 3³ − 2⁴ + 1.
+        assert_eq!(crate::test_support::check_split_index(&model, 0, 0), 12);
         // Disjoint non-adjacent sides: no key either way.
-        assert_eq!(keys.join_key(0b001, 0b100), reference(0b001, 0b100));
+        assert_eq!(SplitIndex::new(&model).split(0b001, 0b100).key, None);
     }
 
     #[test]
@@ -988,14 +988,15 @@ mod tests {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
         // Mask {customer, orders} = 0b011: splits (01|10) and (10|01).
-        let splits: Vec<_> = enumerate_splits(&model, 0b011, TreeShape::Bushy).collect();
+        let index = SplitIndex::new(&model);
+        let splits: Vec<_> = enumerate_splits(&index, 0b011, TreeShape::Bushy).collect();
         assert_eq!(splits.len(), 2);
         assert!(splits.contains(&(0b001, 0b010)));
         assert!(splits.contains(&(0b010, 0b001)));
         // Full mask: customer–lineitem is not an edge, so the connected
         // splits exclude ({customer},{lineitem}) pairs joined directly —
         // but 0b101 vs 0b010 IS connected via both edges.
-        let full_splits: Vec<_> = enumerate_splits(&model, 0b111, TreeShape::Bushy).collect();
+        let full_splits: Vec<_> = enumerate_splits(&index, 0b111, TreeShape::Bushy).collect();
         assert!(full_splits.contains(&(0b101, 0b010)));
         assert_eq!(full_splits.len(), 6);
     }
@@ -1046,12 +1047,13 @@ mod tests {
             .join(("b", "id"), ("c", "id"))
             .build();
         let model = CostModel::new(&params, &cat, &graph);
+        let index = SplitIndex::new(&model);
         for mask in 1u32..(1 << 4) {
             if mask.count_ones() < 2 {
                 continue;
             }
             for shape in [TreeShape::Bushy, TreeShape::LeftDeep] {
-                let streamed: Vec<_> = enumerate_splits(&model, mask, shape).collect();
+                let streamed: Vec<_> = enumerate_splits(&index, mask, shape).collect();
                 assert_eq!(
                     streamed,
                     eager(&model, mask, shape),

@@ -38,32 +38,53 @@
 //!    can cross valleys of its own scalarization while still converging
 //!    towards its corner of the tradeoff space.
 //!
-//! The sample budget is dealt to the walkers round-robin (global iteration
-//! `i` belongs to walker `i mod W`), walkers advance in short interleaved
-//! slices (so a wall-clock deadline starves no scalarization direction) —
-//! sharded across [`RmqConfig::threads`] OS threads via
-//! `std::thread::scope` — and the local fronts are merged in walker-index
-//! order, re-rooting the surviving plans (and only those) into one result
-//! arena ([`PlanArena::adopt`]). Because walkers
+//! The sample budget is dealt to the [`WALKERS`] walkers round-robin
+//! (global iteration `i` belongs to walker `i mod W`), walkers advance in
+//! short interleaved slices (so a wall-clock deadline starves no
+//! scalarization direction) — sharded across [`RmqConfig::threads`] OS
+//! threads via `std::thread::scope` — and the local fronts are merged in
+//! walker-index order, re-rooting the surviving plans (and only those) into
+//! one result arena ([`PlanArena::adopt`]). Because walkers
 //! never communicate, the merged front is **byte-identical for a fixed seed
 //! regardless of thread count**; threads only change wall-clock time. The
 //! iteration budget and the wall-clock [`Deadline`] jointly bound the run
 //! (an expiring deadline trades determinism for punctuality, exactly like
 //! the DP's quick-finish path).
+//!
+//! Every join a walker costs reads the block's split index (the DP's, see
+//! [`crate::dp`]): the split's predicate, selectivity and width, and the
+//! neighbour masks that decide which components random tree construction
+//! may join without a Cartesian product. The convergence trace is opt-in
+//! ([`RmqConfig::convergence_stride`]): without one, walkers take no front
+//! snapshots and the merge rebuilds nothing.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use moqo_cost::{CostVector, ObjectiveSet, Preference, Weights};
-use moqo_costmodel::CostModel;
+use moqo_costmodel::{CostModel, JoinKey};
 use moqo_plan::{JoinOp, JoinTree, PlanArena, PlanId, PlanProps, ScanOp};
 
 use crate::budget::Deadline;
-use crate::dp::{DpStats, JoinKeys, ScanOptions};
+use crate::dp::{DpStats, ScanOptions, SplitIndex};
 use crate::metrics::ConvergencePoint;
 use crate::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
 use crate::select::select_best;
+
+/// Number of independent local searches every run deals its budget to.
+/// Walker `w` warm-starts from `warm_start[w mod len]`, so a warm start
+/// reads at most this many trees.
+pub const WALKERS: usize = 8;
+
+/// Per-iteration probability of restarting a walker on a fresh random join
+/// tree (exploration).
+const RESTART_PROBABILITY: f64 = 0.05;
+
+/// Per-iteration probability of jumping a walker onto the member of its
+/// local front that is best under the walker's own scalarization direction
+/// (exploitation of the elite set).
+const ELITE_PROBABILITY: f64 = 0.1;
 
 /// Configuration of one RMQ run.
 #[derive(Debug, Clone, Copy)]
@@ -73,21 +94,12 @@ pub struct RmqConfig {
     pub samples: u64,
     /// RNG seed; equal seeds yield bit-identical runs at any thread count.
     pub seed: u64,
-    /// Number of independent local searches. More walkers cover more
-    /// basins; fewer walkers descend deeper per budget.
-    pub walkers: usize,
     /// OS threads to shard the walker population over; `0` uses all
     /// available cores. Never affects the result, only wall-clock time.
     pub threads: usize,
-    /// Per-iteration probability of restarting the walker on a fresh random
-    /// join tree (exploration).
-    pub restart_probability: f64,
-    /// Per-iteration probability of jumping the walker onto the member of
-    /// its local front that is best under the walker's own scalarization
-    /// direction (exploitation of the elite set).
-    pub elite_probability: f64,
     /// Record one [`ConvergencePoint`] every `convergence_stride`
-    /// iterations; `0` picks a stride that yields ≈64 points.
+    /// iterations, plus the final state; `0` records no trace. Tracing
+    /// never changes the returned front.
     pub convergence_stride: u64,
     /// Store a snapshot of the front's cost vectors in every convergence
     /// point (needed for offline coverage analysis; off by default because
@@ -96,17 +108,13 @@ pub struct RmqConfig {
 }
 
 impl RmqConfig {
-    /// A configuration with the default walker population and
-    /// exploration/exploitation balance, single-threaded.
+    /// A single-threaded configuration that records no convergence trace.
     #[must_use]
     pub fn new(samples: u64, seed: u64) -> Self {
         RmqConfig {
             samples,
             seed,
-            walkers: 8,
             threads: 1,
-            restart_probability: 0.05,
-            elite_probability: 0.1,
             convergence_stride: 0,
             record_fronts: false,
         }
@@ -118,14 +126,6 @@ impl RmqConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    fn effective_stride(&self) -> u64 {
-        if self.convergence_stride > 0 {
-            self.convergence_stride
-        } else {
-            (self.samples / 64).max(1)
-        }
     }
 }
 
@@ -141,11 +141,13 @@ pub struct RmqResult {
     /// DP-style counters: `considered_plans` counts sampled candidates,
     /// `peak_stored_plans` sums the walker-local front peaks (total
     /// concurrently resident stored plans), `stored_plans` is the merged
-    /// front.
+    /// front and `max_group_size` is the largest plan set the run held (a
+    /// walker's peak or the merged front).
     pub stats: DpStats,
-    /// Convergence trace, one point per stride plus the final state. Point
-    /// `g` reconstructs the merged front after `g` global iterations of the
-    /// round-robin schedule.
+    /// Convergence trace, one point per stride plus the final state; empty
+    /// when [`RmqConfig::convergence_stride`] is 0. Point `g` reconstructs
+    /// the merged front after `g` global iterations of the round-robin
+    /// schedule.
     pub convergence: Vec<ConvergencePoint>,
     /// Iterations actually executed across all walkers (may fall short of
     /// the budget on deadline expiry).
@@ -175,10 +177,10 @@ pub fn rmq(
 /// `warm_start[w mod |warm_start|]` (instead of a random tree) when the
 /// tree still costs under this model — the serving layer's plan cache
 /// hands fronts computed for the same block back to the search, so the
-/// walk begins at yesterday's frontier instead of from scratch. Trees that
-/// fail to cost (or an empty slice) fall back to random seeding. Results
-/// remain fully deterministic in `(seed, warm_start, budget)` at any
-/// thread count.
+/// walk begins at yesterday's frontier instead of from scratch. Only the
+/// first [`WALKERS`] trees are ever read. Trees that fail to cost (or an
+/// empty slice) fall back to random seeding. Results remain fully
+/// deterministic in `(seed, warm_start, budget)` at any thread count.
 ///
 /// # Panics
 ///
@@ -206,27 +208,31 @@ pub fn rmq_warm(
     // or the merged front could discard a walker's props-distinct plans).
     let strategy =
         PruneStrategy::exact().with_mode(PruneMode::auto(model.params.enable_sampling, objectives));
-    let keys = JoinKeys::new(model);
+    let index = SplitIndex::new(model);
     let scan_opts = ScanOptions::new(model);
-    let n_walkers = config.walkers.max(1);
-    let w64 = n_walkers as u64;
+    let w64 = WALKERS as u64;
     // The snapshot schedule is materialized up front, so cap the trace at
     // MAX_TRACE_POINTS by coarsening the stride: anytime configs pair
     // `samples = u64::MAX` with a wall-clock deadline, and an explicit
     // stride must not make the schedule allocation proportional to the
     // (astronomical) nominal budget.
     const MAX_TRACE_POINTS: u64 = 4096;
-    let stride = config
-        .effective_stride()
-        .max(config.samples.div_ceil(MAX_TRACE_POINTS));
+    let traced = config.convergence_stride > 0;
+    let trace_points: Vec<u64> = if traced {
+        let stride = config
+            .convergence_stride
+            .max(config.samples.div_ceil(MAX_TRACE_POINTS));
+        (1..=config.samples / stride).map(|j| j * stride).collect()
+    } else {
+        Vec::new()
+    };
 
     // Round-robin schedule: global iteration i (0-based) belongs to walker
     // i mod W, so walker w's budget and its local progress after g global
     // iterations are both closed-form (saturating: a budget of u64::MAX
     // must not overflow the per-walker shares).
     let local_count = |g: u64, w: usize| g.saturating_sub(w as u64).div_ceil(w64);
-    let trace_points: Vec<u64> = (1..=config.samples / stride).map(|j| j * stride).collect();
-    let walker_inputs: Vec<(u64, u64, Vec<u64>)> = (0..n_walkers)
+    let walker_inputs: Vec<(u64, u64, Vec<u64>)> = (0..WALKERS)
         .map(|w| {
             (
                 local_count(config.samples, w),
@@ -236,14 +242,13 @@ pub fn rmq_warm(
         })
         .collect();
 
-    let threads = effective_threads(config.threads, n_walkers);
+    let threads = effective_threads(config.threads);
     let runs: Vec<WalkerRun> = if threads <= 1 {
         run_walkers(
             model,
-            &keys,
+            &index,
             &scan_opts,
             objectives,
-            config,
             0,
             &walker_inputs,
             warm_start,
@@ -251,13 +256,13 @@ pub fn rmq_warm(
         )
     } else {
         let remaining = deadline.remaining();
-        let chunk_size = n_walkers.div_ceil(threads);
+        let chunk_size = WALKERS.div_ceil(threads);
         std::thread::scope(|s| {
             let handles: Vec<_> = walker_inputs
                 .chunks(chunk_size)
                 .enumerate()
                 .map(|(ci, chunk)| {
-                    let keys = &keys;
+                    let index = &index;
                     let scan_opts = &scan_opts;
                     s.spawn(move || {
                         // Walkers cannot share the deadline (its amortization
@@ -266,10 +271,9 @@ pub fn rmq_warm(
                         let local_deadline = Deadline::new(remaining);
                         run_walkers(
                             model,
-                            keys,
+                            index,
                             scan_opts,
                             objectives,
-                            config,
                             ci * chunk_size,
                             chunk,
                             warm_start,
@@ -327,7 +331,6 @@ pub fn rmq_warm(
     // global iterations is the walker-order merge of each local front after
     // its share of the schedule.
     let mut convergence = Vec::new();
-    let mut max_front = front.len();
     for (j, &g) in trace_points.iter().enumerate() {
         if g > iterations {
             break;
@@ -338,10 +341,9 @@ pub fn rmq_warm(
                 merged.prune_insert(*e, &strategy, objectives);
             }
         }
-        max_front = max_front.max(merged.len());
         convergence.push(trace_point(g, &merged, preference, config.record_fronts));
     }
-    if convergence.last().is_none_or(|p| p.iteration != iterations) {
+    if traced && convergence.last().is_none_or(|p| p.iteration != iterations) {
         convergence.push(trace_point(
             iterations,
             &front,
@@ -363,7 +365,12 @@ pub fn rmq_warm(
         peak_stored_plans: peak_stored,
         peak_memory_bytes: peak_stored * DpStats::bytes_per_stored_plan(),
         pareto_last_complete: front.len(),
-        max_group_size: max_front,
+        max_group_size: runs
+            .iter()
+            .map(|r| r.peak_front)
+            .max()
+            .unwrap_or(0)
+            .max(front.len()),
         frontier_scan_probes,
         timed_out: runs.iter().any(|r| r.timed_out),
     };
@@ -401,10 +408,9 @@ struct WalkerRun {
 #[allow(clippy::too_many_arguments)]
 fn run_walkers(
     model: &CostModel<'_>,
-    keys: &JoinKeys,
+    index: &SplitIndex,
     scan_opts: &ScanOptions,
     objectives: ObjectiveSet,
-    config: &RmqConfig,
     first_index: usize,
     inputs: &[(u64, u64, Vec<u64>)],
     warm_start: &[JoinTree],
@@ -416,14 +422,14 @@ fn run_walkers(
         .iter()
         .enumerate()
         .map(|(i, (budget, seed, snaps))| {
-            let index = first_index + i;
+            let walker = first_index + i;
             let warm = if warm_start.is_empty() {
                 None
             } else {
-                Some(&warm_start[index % warm_start.len()])
+                Some(&warm_start[walker % warm_start.len()])
             };
             WalkerState::new(
-                model, keys, scan_opts, objectives, config, index, *budget, *seed, snaps, warm,
+                model, index, scan_opts, objectives, walker, *budget, *seed, snaps, warm,
             )
         })
         .collect();
@@ -442,10 +448,9 @@ fn run_walkers(
 /// private, so the interleaving schedule never shows in the results.
 struct WalkerState<'a> {
     model: &'a CostModel<'a>,
-    keys: &'a JoinKeys,
+    index: &'a SplitIndex,
     scan_opts: &'a ScanOptions,
     objectives: ObjectiveSet,
-    config: &'a RmqConfig,
     budget: u64,
     snapshot_counts: &'a [u64],
     rng: StdRng,
@@ -459,9 +464,7 @@ struct WalkerState<'a> {
     state: Component,
     iterations: u64,
     timed_out: bool,
-    /// Reusable shuffle buffer for scan-operator draws (random tree
-    /// construction re-shuffles the options of every relation).
-    scan_scratch: Vec<ScanOp>,
+    scratch: TreeScratch,
 }
 
 impl<'a> WalkerState<'a> {
@@ -473,34 +476,32 @@ impl<'a> WalkerState<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         model: &'a CostModel<'a>,
-        keys: &'a JoinKeys,
+        index: &'a SplitIndex,
         scan_opts: &'a ScanOptions,
         objectives: ObjectiveSet,
-        config: &'a RmqConfig,
-        index: usize,
+        walker_index: usize,
         budget: u64,
         seed: u64,
         snapshot_counts: &'a [u64],
         warm: Option<&JoinTree>,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut scan_scratch = Vec::new();
+        let mut scratch = TreeScratch::default();
         // A warm tree that no longer costs under this model falls back to
         // random seeding — the warm start is an accelerator, never a
         // correctness dependency.
         let (tree, cost, props) = warm
-            .and_then(|t| cost_tree_with(model, keys, t).map(|(c, p)| (t.clone(), c, p)))
+            .and_then(|t| cost_tree_with(model, index, t).map(|(c, p)| (t.clone(), c, p)))
             .unwrap_or_else(|| {
-                sample_random_tree(model, keys, scan_opts, &mut scan_scratch, &mut rng)
+                sample_random_tree(model, index, scan_opts, &mut scratch, &mut rng)
                     .expect("a nested-loop plan always exists")
             });
-        let scal = walker_scalarization(index, objectives, &cost, &mut rng);
+        let scal = walker_scalarization(walker_index, objectives, &cost, &mut rng);
         let mut walker = WalkerState {
             model,
-            keys,
+            index,
             scan_opts,
             objectives,
-            config,
             budget,
             snapshot_counts,
             rng,
@@ -515,7 +516,7 @@ impl<'a> WalkerState<'a> {
             state: Component { tree, cost, props },
             iterations: 0,
             timed_out: false,
-            scan_scratch,
+            scratch,
         };
         let seeded = walker.state.tree.clone();
         walker.offer(&seeded, cost, props);
@@ -583,19 +584,19 @@ impl<'a> WalkerState<'a> {
     /// One iteration: restart, elite jump, or local mutation.
     fn step(&mut self) {
         let draw: f64 = self.rng.gen_range(0.0..1.0);
-        if draw < self.config.restart_probability {
+        if draw < RESTART_PROBABILITY {
             // Exploration: restart this walker on a fresh random tree.
             let (tree, cost, props) = sample_random_tree(
                 self.model,
-                self.keys,
+                self.index,
                 self.scan_opts,
-                &mut self.scan_scratch,
+                &mut self.scratch,
                 &mut self.rng,
             )
             .expect("a nested-loop plan always exists");
             self.offer(&tree, cost, props);
             self.state = Component { tree, cost, props };
-        } else if draw < self.config.restart_probability + self.config.elite_probability {
+        } else if draw < RESTART_PROBABILITY + ELITE_PROBABILITY {
             // Exploitation: jump onto the local-front member best under
             // this walker's own scalarization direction.
             let elite = self
@@ -621,7 +622,7 @@ impl<'a> WalkerState<'a> {
             // Local move: one random transformation of the walker's tree.
             match mutate_tree(
                 self.model,
-                self.keys,
+                self.index,
                 self.scan_opts,
                 &self.state.tree,
                 &mut self.rng,
@@ -678,13 +679,13 @@ fn walker_seed(master: u64, i: u64) -> u64 {
 
 /// Resolves the thread knob: `0` means all available cores; never more
 /// threads than walkers.
-fn effective_threads(requested: usize, n_walkers: usize) -> usize {
+fn effective_threads(requested: usize) -> usize {
     let t = if requested == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         requested
     };
-    t.clamp(1, n_walkers)
+    t.clamp(1, WALKERS)
 }
 
 fn trace_point(
@@ -740,23 +741,34 @@ fn walker_scalarization(
     w
 }
 
+/// Buffers random tree construction reuses across samples.
+#[derive(Default)]
+struct TreeScratch {
+    /// Shuffle buffer for scan-operator draws (every relation's options are
+    /// re-shuffled per sampled tree).
+    scans: Vec<ScanOp>,
+    /// Candidate component pairs of one construction round.
+    pairs: Vec<(usize, usize)>,
+}
+
 /// Samples a complete random join tree by the random-walk construction and
 /// costs it on the way up. Returns `None` only if some relation admits no
 /// scan at all (impossible for well-formed catalogs).
 fn sample_random_tree(
     model: &CostModel<'_>,
-    keys: &JoinKeys,
+    index: &SplitIndex,
     scan_opts: &ScanOptions,
-    scan_scratch: &mut Vec<ScanOp>,
+    scratch: &mut TreeScratch,
     rng: &mut StdRng,
 ) -> Option<(JoinTree, CostVector, PlanProps)> {
     let n = model.graph.n_rels();
     let mut components: Vec<Component> = Vec::with_capacity(n);
     for rel in 0..n {
-        scan_scratch.clear();
-        scan_scratch.extend_from_slice(scan_opts.for_rel(rel));
-        scan_scratch.shuffle(rng);
-        let (op, cost, props) = scan_scratch
+        scratch.scans.clear();
+        scratch.scans.extend_from_slice(scan_opts.for_rel(rel));
+        scratch.scans.shuffle(rng);
+        let (op, cost, props) = scratch
+            .scans
             .iter()
             .find_map(|&op| model.scan_cost(rel, op).map(|(c, p)| (op, c, p)))?;
         components.push(Component {
@@ -766,17 +778,15 @@ fn sample_random_tree(
         });
     }
 
+    let pairs = &mut scratch.pairs;
     while components.len() > 1 {
         // Candidate pairs: connected ones if any exist (the Cartesian
         // heuristic), otherwise every pair.
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for i in 0..components.len() {
-            for j in 0..components.len() {
-                if i != j
-                    && model
-                        .graph
-                        .connects(components[i].props.rels, components[j].props.rels)
-                {
+        pairs.clear();
+        for (i, a) in components.iter().enumerate() {
+            let neighbours = index.neighbours(a.props.rels);
+            for (j, b) in components.iter().enumerate() {
+                if i != j && neighbours & b.props.rels != 0 {
                     pairs.push((i, j));
                 }
             }
@@ -793,13 +803,20 @@ fn sample_random_tree(
         pairs.shuffle(rng);
 
         let mut joined = None;
-        'pairs: for (i, j) in pairs {
-            let mut ops = JoinOp::all_configurations();
+        'pairs: for &(i, j) in pairs.iter() {
+            let mut ops = JoinOp::ALL;
             ops.shuffle(rng);
+            let (left, right) = (&components[i], &components[j]);
+            let split = index.split(left.props.rels, right.props.rels);
+            let right_canonical = is_canonical_leaf(&right.tree, split.key.as_ref());
             for op in ops {
-                if let Some((cost, props)) =
-                    cost_join(model, keys, op, &components[i], &components[j])
-                {
+                if let Some((cost, props)) = model.join_cost(
+                    op,
+                    (&left.cost, &left.props),
+                    (&right.cost, &right.props),
+                    &split,
+                    right_canonical,
+                ) {
                     joined = Some((i, j, op, cost, props));
                     break 'pairs;
                 }
@@ -830,7 +847,7 @@ fn sample_random_tree(
 /// (inapplicable operator after the rewrite) or no transformation applied.
 fn mutate_tree(
     model: &CostModel<'_>,
-    keys: &JoinKeys,
+    index: &SplitIndex,
     scan_opts: &ScanOptions,
     base: &JoinTree,
     rng: &mut StdRng,
@@ -849,8 +866,7 @@ fn mutate_tree(
             1 if n_joins > 0 => tree.rotate_right(rng.gen_range(0..n_joins)),
             2 if n_joins > 0 => tree.rotate_left(rng.gen_range(0..n_joins)),
             3 if n_joins > 0 => {
-                let ops = JoinOp::all_configurations();
-                tree.set_join_op(rng.gen_range(0..n_joins), *ops.as_slice().choose(rng)?)
+                tree.set_join_op(rng.gen_range(0..n_joins), *JoinOp::ALL.choose(rng)?)
             }
             4 => {
                 let leaf = rng.gen_range(0..n_leaves);
@@ -871,7 +887,7 @@ fn mutate_tree(
                 match tree.join_at(k) {
                     Some(JoinTree::Join { left, right, .. }) => {
                         if let JoinTree::Scan { rel, .. } = &**right {
-                            match keys.join_key(left.rel_mask(), 1u32 << rel) {
+                            match index.split(left.rel_mask(), 1u32 << rel).key {
                                 Some(key) if key.inner_indexed => {
                                     tree.make_index_nl(k, key.right_col)
                                 }
@@ -893,7 +909,7 @@ fn mutate_tree(
     if !transformed {
         return None;
     }
-    let (cost, props) = cost_tree_with(model, keys, &tree)?;
+    let (cost, props) = cost_tree_with(model, index, &tree)?;
     Some((tree, cost, props))
 }
 
@@ -902,46 +918,32 @@ fn mutate_tree(
 /// hash join over a predicate-free split).
 #[must_use]
 pub fn cost_tree(model: &CostModel<'_>, tree: &JoinTree) -> Option<(CostVector, PlanProps)> {
-    cost_tree_with(model, &JoinKeys::new(model), tree)
+    cost_tree_with(model, &SplitIndex::new(model), tree)
 }
 
-/// [`cost_tree`] against a precomputed key index — the walker hot path
+/// [`cost_tree`] against a prebuilt split index — the walker hot path
 /// re-costs a whole tree per mutation, so the per-run index is built once.
 fn cost_tree_with(
     model: &CostModel<'_>,
-    keys: &JoinKeys,
+    index: &SplitIndex,
     tree: &JoinTree,
 ) -> Option<(CostVector, PlanProps)> {
     match tree {
         JoinTree::Scan { rel, op } => model.scan_cost(*rel, *op),
         JoinTree::Join { op, left, right } => {
-            let (lc, lp) = cost_tree_with(model, keys, left)?;
-            let (rc, rp) = cost_tree_with(model, keys, right)?;
-            let key = keys.join_key(lp.rels, rp.rels);
-            let right_canonical = match (&**right, key.as_ref()) {
-                (
-                    JoinTree::Scan {
-                        rel,
-                        op: ScanOp::IndexScan { column },
-                    },
-                    Some(k),
-                ) => *rel == k.right_rel && *column == k.right_col,
-                _ => false,
-            };
-            model.join_cost(*op, (&lc, &lp), (&rc, &rp), key.as_ref(), right_canonical)
+            let (lc, lp) = cost_tree_with(model, index, left)?;
+            let (rc, rp) = cost_tree_with(model, index, right)?;
+            let split = index.split(lp.rels, rp.rels);
+            let right_canonical = is_canonical_leaf(right, split.key.as_ref());
+            model.join_cost(*op, (&lc, &lp), (&rc, &rp), &split, right_canonical)
         }
     }
 }
 
-fn cost_join(
-    model: &CostModel<'_>,
-    keys: &JoinKeys,
-    op: JoinOp,
-    left: &Component,
-    right: &Component,
-) -> Option<(CostVector, PlanProps)> {
-    let key = keys.join_key(left.props.rels, right.props.rels);
-    let right_canonical = match (&right.tree, key.as_ref()) {
+/// Whether `tree` is exactly the index scan on the join key's inner column
+/// (precondition of index-nested-loop joins).
+fn is_canonical_leaf(tree: &JoinTree, key: Option<&JoinKey>) -> bool {
+    match (tree, key) {
         (
             JoinTree::Scan {
                 rel,
@@ -950,14 +952,7 @@ fn cost_join(
             Some(k),
         ) => *rel == k.right_rel && *column == k.right_col,
         _ => false,
-    };
-    model.join_cost(
-        op,
-        (&left.cost, &left.props),
-        (&right.cost, &right.props),
-        key.as_ref(),
-        right_canonical,
-    )
+    }
 }
 
 #[cfg(test)]
@@ -1006,12 +1001,11 @@ mod tests {
     fn rmq_returns_full_plans_and_traces_convergence() {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
-        let out = rmq(
-            &model,
-            &pref(),
-            &RmqConfig::new(200, 7),
-            &Deadline::unlimited(),
-        );
+        let config = RmqConfig {
+            convergence_stride: 10,
+            ..RmqConfig::new(200, 7)
+        };
+        let out = rmq(&model, &pref(), &config, &Deadline::unlimited());
         assert!(!out.final_plans.is_empty());
         for e in &out.final_plans {
             assert_eq!(e.props.rels, g.full_mask());
@@ -1022,7 +1016,7 @@ mod tests {
         // candidates; every walker seeds one extra tree.
         assert!(out.stats.considered_plans >= 150);
         assert!(out.stats.considered_plans <= 200 + 8);
-        assert!(!out.convergence.is_empty());
+        assert_eq!(out.convergence.len(), 20);
         assert_eq!(out.convergence.last().unwrap().iteration, 200);
         // Front sizes in the trace never exceed the peak.
         for pt in &out.convergence {
@@ -1048,8 +1042,12 @@ mod tests {
     fn rmq_front_is_identical_across_thread_counts() {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
-        let base = RmqConfig::new(400, 21);
+        let base = RmqConfig {
+            convergence_stride: 25,
+            ..RmqConfig::new(400, 21)
+        };
         let reference = rmq(&model, &pref(), &base, &Deadline::unlimited());
+        assert_eq!(reference.convergence.len(), 16);
         for threads in [2usize, 3, 4, 0] {
             let out = rmq(
                 &model,

@@ -1,18 +1,120 @@
 //! Hidden test support: the **no-pruning reference DP** that the
 //! props-aware soundness tests (`crates/core/tests/props_pruning_properties.rs`
 //! and the workspace-level `tests/props_pruning.rs`) measure pruning
-//! against. One shared implementation, so a cost-model change (new scan
-//! operator, changed IdxNL precondition, new join configuration) cannot
-//! silently leave one copy testing a stale plan space.
+//! against, and the **reference split** that the DP's split index must
+//! reproduce bit for bit. One shared implementation each, so a
+//! cost-model change (new scan operator, changed IdxNL precondition, new
+//! join configuration) cannot silently leave one copy testing a stale plan
+//! space.
 //!
 //! Not part of the public API — the module is `#[doc(hidden)]` and its
 //! behaviour may change without notice.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use moqo_catalog::{subset_width, RelMask};
 use moqo_cost::{CostVector, ObjectiveSet};
-use moqo_costmodel::{CostModel, JoinKey};
+use moqo_costmodel::{CostModel, JoinKey, JoinSplit};
 use moqo_plan::{JoinOp, PlanId, PlanProps, ScanOp, SortOrder};
 
+use crate::dp::SplitIndex;
 use crate::pareto::{PlanEntry, PlanSet, PruneStrategy};
+
+/// The split of `m1` (outer) and `m2` (inner) from the join graph's
+/// reference definitions: the first crossing edge in declaration order,
+/// normalized so its left fields refer to `m1`, with the inner-index flag
+/// from the catalog; [`JoinGraph::crossing_selectivity`] and
+/// [`subset_width`] of the union.
+///
+/// [`JoinGraph::crossing_selectivity`]: moqo_catalog::JoinGraph::crossing_selectivity
+#[must_use]
+pub fn reference_split(model: &CostModel<'_>, m1: RelMask, m2: RelMask) -> JoinSplit {
+    let graph = model.graph;
+    let key = graph.edges.iter().find(|e| e.crosses(m1, m2)).map(|e| {
+        let left_in_m1 = m1 & (1u32 << e.left_rel) != 0;
+        let (lr, lc, rr, rc) = if left_in_m1 {
+            (e.left_rel, e.left_col, e.right_rel, e.right_col)
+        } else {
+            (e.right_rel, e.right_col, e.left_rel, e.left_col)
+        };
+        JoinKey {
+            left_rel: lr,
+            left_col: lc,
+            right_rel: rr,
+            right_col: rc,
+            inner_indexed: model.catalog.table(graph.rels[rr].table).column(rc).indexed,
+        }
+    });
+    JoinSplit {
+        key,
+        selectivity: graph.crossing_selectivity(m1, m2),
+        width: subset_width(graph, model.catalog, m1 | m2),
+    }
+}
+
+/// Checks the block's split index against [`reference_split`] (key,
+/// and selectivity and width by bits) and its neighbour masks against
+/// [`JoinGraph::connects`], on every ordered pair of disjoint non-empty
+/// relation sets — or, above 10 relations, on `samples` such pairs drawn
+/// from `seed`. Returns the number of pairs checked.
+///
+/// # Panics
+///
+/// Panics on the first pair where the index and the reference disagree.
+///
+/// [`JoinGraph::connects`]: moqo_catalog::JoinGraph::connects
+pub fn check_split_index(model: &CostModel<'_>, samples: usize, seed: u64) -> usize {
+    let index = SplitIndex::new(model);
+    let check = |m1: RelMask, m2: RelMask| {
+        let (got, want) = (index.split(m1, m2), reference_split(model, m1, m2));
+        assert_eq!(got.key, want.key, "key of {m1:b} | {m2:b}");
+        assert_eq!(
+            got.selectivity.to_bits(),
+            want.selectivity.to_bits(),
+            "selectivity of {m1:b} | {m2:b}"
+        );
+        assert_eq!(
+            got.width.to_bits(),
+            want.width.to_bits(),
+            "width of {m1:b} | {m2:b}"
+        );
+        assert_eq!(
+            index.neighbours(m1) & m2 != 0,
+            model.graph.connects(m1, m2),
+            "connectivity of {m1:b} | {m2:b}"
+        );
+    };
+    let n = model.graph.n_rels();
+    let mut checked = 0;
+    if n <= 10 {
+        for union in 1..=model.graph.full_mask() {
+            let mut m1 = (union - 1) & union;
+            while m1 != 0 {
+                check(m1, union ^ m1);
+                checked += 1;
+                m1 = (m1 - 1) & union;
+            }
+        }
+    } else {
+        let mut rng = StdRng::seed_from_u64(seed);
+        while checked < samples {
+            let (mut m1, mut m2) = (0, 0);
+            for rel in 0..n {
+                match rng.gen_range(0u32..3) {
+                    0 => m1 |= 1u32 << rel,
+                    1 => m2 |= 1u32 << rel,
+                    _ => {}
+                }
+            }
+            if m1 != 0 && m2 != 0 {
+                check(m1, m2);
+                checked += 1;
+            }
+        }
+    }
+    checked
+}
 
 /// The cost-Pareto frontier over **every** plan of a block, computed with
 /// no pruning at all: the DP table stores every `(cost, props)` pair ever
@@ -78,34 +180,20 @@ pub fn reference_frontier(model: &CostModel<'_>, objectives: ObjectiveSet) -> Ve
         };
         let mut out = Vec::new();
         for (m1, m2) in splits {
-            let key = graph.edges.iter().find(|e| e.crosses(m1, m2)).map(|e| {
-                let left_in_m1 = m1 & (1u32 << e.left_rel) != 0;
-                let (lr, lc, rr, rc) = if left_in_m1 {
-                    (e.left_rel, e.left_col, e.right_rel, e.right_col)
-                } else {
-                    (e.right_rel, e.right_col, e.left_rel, e.left_col)
-                };
-                JoinKey {
-                    left_rel: lr,
-                    left_col: lc,
-                    right_rel: rr,
-                    right_col: rc,
-                    inner_indexed: model.catalog.table(graph.rels[rr].table).column(rc).indexed,
-                }
-            });
+            let split = reference_split(model, m1, m2);
             for left in &table[m1 as usize] {
                 for right in &table[m2 as usize] {
                     let right_canonical = right.2
-                        && key.as_ref().is_some_and(|k| {
+                        && split.key.as_ref().is_some_and(|k| {
                             right.1.rels == 1u32 << k.right_rel
                                 && right.1.order == SortOrder::on(k.right_rel, k.right_col)
                         });
-                    for op in JoinOp::all_configurations() {
+                    for op in JoinOp::ALL {
                         if let Some((cost, props)) = model.join_cost(
                             op,
                             (&left.0, &left.1),
                             (&right.0, &right.1),
-                            key.as_ref(),
+                            &split,
                             right_canonical,
                         ) {
                             out.push((cost, props, false));

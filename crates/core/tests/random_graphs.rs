@@ -198,6 +198,18 @@ proptest! {
         prop_assert!(got <= alpha * want + 1e-6, "ρ = {}", got / want.max(1e-12));
     }
 
+    /// The split index reproduces the join graph's reference split (key,
+    /// selectivity and width by bits) and connectivity test on every
+    /// ordered pair of disjoint relation sets.
+    #[test]
+    fn split_index_matches_reference_definitions(inst in arb_instance(10)) {
+        let params = CostModelParams::default();
+        let model = CostModel::new(&params, &inst.catalog, &inst.graph);
+        let n = inst.graph.n_rels() as u32;
+        let checked = moqo_core::test_support::check_split_index(&model, 0, 0);
+        prop_assert_eq!(checked, (3usize.pow(n) + 1) - (1 << (n + 1)));
+    }
+
     /// Every plan dominated on *all nine* objectives is also dominated on
     /// any subset — so optimizing over subsets never invents new plans
     /// (consistency of the projection).

@@ -43,15 +43,35 @@ impl JoinKey {
     }
 }
 
+/// Everything a join derives from its two operand relation sets alone. It
+/// is the same for every plan pair and every operator of one split, so
+/// callers compute it once per split rather than once per candidate.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinSplit {
+    /// The equi-join predicate: the first join-graph edge crossing the
+    /// split, normalized so `left_*` is on the outer side; `None` for a
+    /// Cartesian product.
+    pub key: Option<JoinKey>,
+    /// Product of the selectivities of every edge crossing the split, in
+    /// edge order (1.0 when none crosses):
+    /// [`JoinGraph::crossing_selectivity`](moqo_catalog::JoinGraph::crossing_selectivity).
+    pub selectivity: f64,
+    /// Tuple width of the joined relations:
+    /// [`subset_width`](moqo_catalog::subset_width) of the union.
+    pub width: f64,
+}
+
 impl<'a> CostModel<'a> {
     /// Cost and properties of joining two sub-plans with operator `op`.
     ///
     /// * `left` / `right` are the outer and inner child `(cost, props)`.
-    /// * `key` is the equi-join predicate (first crossing edge), if any.
+    /// * `split` holds what the two children's relation sets determine: the
+    ///   equi-join predicate, the crossing selectivity and the output width.
     /// * `right_is_canonical_index_scan` must be true iff the inner child is
-    ///   exactly the index-scan plan on `key.right_col` of a single base
-    ///   relation — the precondition under which an index-nested-loop join
-    ///   replaces the inner scan by per-tuple index probes.
+    ///   exactly the index-scan plan on the `right_col` of `split.key` of a
+    ///   single base relation — the precondition under which an
+    ///   index-nested-loop join replaces the inner scan by per-tuple index
+    ///   probes.
     ///
     /// Returns `None` when the operator is inapplicable: hash, merge and
     /// index-nested-loop joins require an equi-join predicate, and
@@ -63,17 +83,16 @@ impl<'a> CostModel<'a> {
         op: JoinOp,
         left: (&CostVector, &PlanProps),
         right: (&CostVector, &PlanProps),
-        key: Option<&JoinKey>,
+        split: &JoinSplit,
         right_is_canonical_index_scan: bool,
     ) -> Option<(CostVector, PlanProps)> {
         let (lc, lp) = left;
         let (rc, rp) = right;
         debug_assert_eq!(lp.rels & rp.rels, 0, "operand rel sets must be disjoint");
 
-        let selectivity = self.graph.crossing_selectivity(lp.rels, rp.rels);
+        let key = split.key.as_ref();
         let out_rels = lp.rels | rp.rels;
-        let out_rows = (lp.rows * rp.rows * selectivity).max(1.0);
-        let out_width = self.width_of(out_rels);
+        let out_rows = (lp.rows * rp.rows * split.selectivity).max(1.0);
         let loss = combine_tuple_loss(lc.get(Objective::TupleLoss), rc.get(Objective::TupleLoss));
         let sampling_factor = lp.sampling_factor * rp.sampling_factor;
 
@@ -106,7 +125,7 @@ impl<'a> CostModel<'a> {
         let props = PlanProps {
             rels: out_rels,
             rows: out_rows,
-            width: out_width,
+            width: split.width,
             order,
             sampling_factor,
         };
@@ -395,7 +414,9 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use crate::params::CostModelParams;
-    use moqo_catalog::{Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
+    use moqo_catalog::{
+        subset_width, Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats,
+    };
     use moqo_plan::ScanOp;
 
     fn setup() -> (CostModelParams, Catalog, JoinGraph) {
@@ -427,6 +448,16 @@ mod tests {
         }
     }
 
+    /// The orders ⋈ lineitem split from the graph's reference definitions,
+    /// with `key` as its predicate.
+    fn split(model: &CostModel, key: Option<JoinKey>) -> JoinSplit {
+        JoinSplit {
+            key,
+            selectivity: model.graph.crossing_selectivity(0b01, 0b10),
+            width: subset_width(model.graph, model.catalog, 0b11),
+        }
+    }
+
     fn scan_pair(model: &CostModel, rel: usize, op: ScanOp) -> (CostVector, PlanProps) {
         model.scan_cost(rel, op).expect("scan applicable")
     }
@@ -442,7 +473,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                None,
+                &split(&model, None),
                 false
             )
             .is_none());
@@ -451,7 +482,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false
             )
             .is_some());
@@ -468,7 +499,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false,
             )
             .unwrap();
@@ -489,7 +520,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false,
             )
             .unwrap();
@@ -510,7 +541,7 @@ mod tests {
                     JoinOp::HashJoin { dop },
                     (&l.0, &l.1),
                     (&r.0, &r.1),
-                    Some(&key()),
+                    &split(&model, Some(key())),
                     false,
                 )
                 .unwrap()
@@ -538,7 +569,7 @@ mod tests {
                     JoinOp::SortMergeJoin { dop: 1 },
                     (&l.0, &l.1),
                     (&r.0, &r.1),
-                    Some(&key()),
+                    &split(&model, Some(key())),
                     false,
                 )
                 .unwrap()
@@ -560,7 +591,7 @@ mod tests {
                 JoinOp::SortMergeJoin { dop: 1 },
                 (&l_sorted.0, &l_sorted.1),
                 (&r_sorted.0, &r_sorted.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false,
             )
             .unwrap();
@@ -578,7 +609,7 @@ mod tests {
                 JoinOp::IndexNestedLoop,
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false
             )
             .is_none());
@@ -587,7 +618,7 @@ mod tests {
                 JoinOp::IndexNestedLoop,
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 true,
             )
             .unwrap();
@@ -597,7 +628,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false,
             )
             .unwrap();
@@ -613,14 +644,20 @@ mod tests {
         let l = scan_pair(&model, 0, ScanOp::SeqScan);
         let r = scan_pair(&model, 1, ScanOp::SeqScan);
         let (nl, _) = model
-            .join_cost(JoinOp::NestedLoop, (&l.0, &l.1), (&r.0, &r.1), None, false)
+            .join_cost(
+                JoinOp::NestedLoop,
+                (&l.0, &l.1),
+                (&r.0, &r.1),
+                &split(&model, None),
+                false,
+            )
             .unwrap();
         let (hash, _) = model
             .join_cost(
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false,
             )
             .unwrap();
@@ -638,7 +675,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false,
             )
             .unwrap();
@@ -659,7 +696,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                Some(&key()),
+                &split(&model, Some(key())),
                 false,
             )
             .unwrap();

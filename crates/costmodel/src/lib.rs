@@ -34,6 +34,6 @@ mod join;
 mod model;
 mod params;
 
-pub use join::JoinKey;
+pub use join::{JoinKey, JoinSplit};
 pub use model::CostModel;
 pub use params::CostModelParams;

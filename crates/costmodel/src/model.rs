@@ -1,6 +1,6 @@
 //! The [`CostModel`]: scan costs and the shared machinery for join costs.
 
-use moqo_catalog::{subset_width, Catalog, JoinGraph};
+use moqo_catalog::{Catalog, JoinGraph};
 use moqo_cost::{CostVector, Objective};
 use moqo_plan::{PlanProps, ScanOp, SortOrder};
 
@@ -11,7 +11,8 @@ use crate::params::CostModelParams;
 ///
 /// The model is *compositional*: scan costs are computed from base-table
 /// statistics, join costs from the two children's `(CostVector, PlanProps)`
-/// pairs plus the crossing join predicate. This is exactly the interface the
+/// pairs plus the split's [`JoinSplit`](crate::JoinSplit) (crossing
+/// predicate, selectivity and output width). This is exactly the interface the
 /// dynamic-programming optimizers (EXA/RTA/IRA) need, and it guarantees the
 /// recursive formulas only see child costs and fixed per-operator constants
 /// — the precondition of the principle of near-optimality (§6.1).
@@ -137,12 +138,6 @@ impl<'a> CostModel<'a> {
             }
         };
         Some((c, props))
-    }
-
-    /// Combined tuple width of the join result over the union of two masks.
-    #[must_use]
-    pub(crate) fn width_of(&self, rels: moqo_catalog::RelMask) -> f64 {
-        subset_width(self.graph, self.catalog, rels)
     }
 }
 

@@ -9,9 +9,9 @@
 //! setting of the paper's proof by structural induction over {sum, max,
 //! min, ×const} formulas plus the tuple-loss composition.
 
-use moqo_catalog::{Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
+use moqo_catalog::{subset_width, Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
 use moqo_cost::{approx_dominates, CostVector, Objective, ObjectiveSet, NUM_OBJECTIVES};
-use moqo_costmodel::{CostModel, CostModelParams, JoinKey};
+use moqo_costmodel::{CostModel, CostModelParams, JoinKey, JoinSplit};
 use moqo_plan::{JoinOp, PlanProps, SortOrder};
 use proptest::prelude::*;
 
@@ -41,6 +41,15 @@ fn key() -> JoinKey {
         right_rel: 1,
         right_col: 0,
         inner_indexed: true,
+    }
+}
+
+/// The `left_t ⋈ right_t` split from the graph's reference definitions.
+fn split(model: &CostModel<'_>) -> JoinSplit {
+    JoinSplit {
+        key: Some(key()),
+        selectivity: model.graph.crossing_selectivity(0b01, 0b10),
+        width: subset_width(model.graph, model.catalog, 0b11),
     }
 }
 
@@ -99,6 +108,7 @@ proptest! {
         let (params, cat, graph) = setup();
         let model = CostModel::new(&params, &cat, &graph);
         let k = key();
+        let split = split(&model);
 
         let l_order = if l_sorted { k.outer_order() } else { SortOrder::None };
         let r_order = if r_sorted { k.inner_order() } else { SortOrder::None };
@@ -111,12 +121,12 @@ proptest! {
         prop_assert!(approx_dominates(&lc_bad, &lc, alpha + 1e-9, ObjectiveSet::all()));
         prop_assert!(approx_dominates(&rc_bad, &rc, alpha + 1e-9, ObjectiveSet::all()));
 
-        for op in JoinOp::all_configurations() {
+        for op in JoinOp::ALL {
             // Index-nested-loop needs the canonical inner; exercise it too.
             let canonical = matches!(op, JoinOp::IndexNestedLoop);
-            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), Some(&k), canonical);
+            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split, canonical);
             let degraded =
-                model.join_cost(op, (&lc_bad, &lp), (&rc_bad, &rp), Some(&k), canonical);
+                model.join_cost(op, (&lc_bad, &lp), (&rc_bad, &rp), &split, canonical);
             let (Some((base, _)), Some((deg, _))) = (base, degraded) else {
                 continue;
             };
@@ -144,7 +154,7 @@ proptest! {
     ) {
         let (params, cat, graph) = setup();
         let model = CostModel::new(&params, &cat, &graph);
-        let k = key();
+        let split = split(&model);
         let lp = child_props(0, lrows, SortOrder::None);
         let rp = child_props(1, rrows, SortOrder::None);
 
@@ -155,11 +165,11 @@ proptest! {
         }
         let lc_better = CostVector::from_array(better);
 
-        for op in JoinOp::all_configurations() {
+        for op in JoinOp::ALL {
             let canonical = matches!(op, JoinOp::IndexNestedLoop);
-            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), Some(&k), canonical);
+            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split, canonical);
             let improved =
-                model.join_cost(op, (&lc_better, &lp), (&rc, &rp), Some(&k), canonical);
+                model.join_cost(op, (&lc_better, &lp), (&rc, &rp), &split, canonical);
             let (Some((base, _)), Some((imp, _))) = (base, improved) else {
                 continue;
             };

@@ -120,22 +120,21 @@ impl JoinOp {
         }
     }
 
-    /// Enumerates every join operator configuration of the extended plan
-    /// space: hash and sort-merge joins with DOP 1–4, index-nested-loop and
-    /// nested-loop joins.
-    #[must_use]
-    pub fn all_configurations() -> Vec<JoinOp> {
-        let mut ops = Vec::with_capacity(2 * MAX_DOP as usize + 2);
-        for dop in 1..=MAX_DOP {
-            ops.push(JoinOp::HashJoin { dop });
-        }
-        for dop in 1..=MAX_DOP {
-            ops.push(JoinOp::SortMergeJoin { dop });
-        }
-        ops.push(JoinOp::IndexNestedLoop);
-        ops.push(JoinOp::NestedLoop);
-        ops
-    }
+    /// Every join operator configuration of the extended plan space, in
+    /// enumeration order: hash and sort-merge joins with DOP 1–4, then
+    /// index-nested-loop and nested-loop joins.
+    pub const ALL: [JoinOp; 2 * MAX_DOP as usize + 2] = [
+        JoinOp::HashJoin { dop: 1 },
+        JoinOp::HashJoin { dop: 2 },
+        JoinOp::HashJoin { dop: 3 },
+        JoinOp::HashJoin { dop: 4 },
+        JoinOp::SortMergeJoin { dop: 1 },
+        JoinOp::SortMergeJoin { dop: 2 },
+        JoinOp::SortMergeJoin { dop: 3 },
+        JoinOp::SortMergeJoin { dop: 4 },
+        JoinOp::IndexNestedLoop,
+        JoinOp::NestedLoop,
+    ];
 }
 
 impl fmt::Display for JoinOp {
@@ -169,12 +168,20 @@ mod tests {
     fn join_configuration_count_matches_paper_plan_space() {
         // "over 10 different configurations are considered for the scan and
         // for the join operator respectively" (§5.1): 4 + 4 + 1 + 1 = 10.
-        assert_eq!(JoinOp::all_configurations().len(), 10);
+        assert_eq!(JoinOp::ALL.len(), 10);
+        // Hash joins first, then sort-merge joins, each by ascending DOP.
+        for (i, dop) in (1..=MAX_DOP).enumerate() {
+            assert_eq!(JoinOp::ALL[i], JoinOp::HashJoin { dop });
+            assert_eq!(
+                JoinOp::ALL[MAX_DOP as usize + i],
+                JoinOp::SortMergeJoin { dop }
+            );
+        }
     }
 
     #[test]
     fn dop_bounds() {
-        for op in JoinOp::all_configurations() {
+        for op in JoinOp::ALL {
             assert!(op.dop() >= 1 && op.dop() <= MAX_DOP);
         }
         assert_eq!(JoinOp::IndexNestedLoop.dop(), 1);
@@ -182,7 +189,7 @@ mod tests {
 
     #[test]
     fn only_nested_loop_allows_cartesian() {
-        for op in JoinOp::all_configurations() {
+        for op in JoinOp::ALL {
             assert_eq!(
                 op.requires_equi_predicate(),
                 !matches!(op, JoinOp::NestedLoop)

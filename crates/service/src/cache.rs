@@ -32,6 +32,7 @@ use moqo_sync::Mutex;
 use std::collections::HashMap;
 
 use moqo_catalog::{GraphSignature, JoinGraph};
+use moqo_core::rmq::WALKERS;
 use moqo_core::{PlanEntry, PruneMode};
 use moqo_cost::PreferenceSignature;
 use moqo_plan::{JoinTree, PlanArena};
@@ -257,6 +258,10 @@ impl PlanCache {
     /// has actually admitted a randomized run). Counts the warm start only
     /// here, so the counter reports warm starts that happened, not warm
     /// starts that were merely possible.
+    ///
+    /// Returns at most [`WALKERS`] trees, the front's first: walker `w`
+    /// seeds from tree `w mod len`, so [`rmq_warm`](moqo_core::rmq_warm)
+    /// never reads past them, and extraction runs under the shard lock.
     #[must_use]
     pub fn warm_trees(&self, key: &CacheKey, graph: &JoinGraph) -> Option<(Vec<JoinTree>, f64)> {
         let tick = self.next_tick();
@@ -270,6 +275,7 @@ impl PlanCache {
         let trees = entry
             .frontier
             .iter()
+            .take(WALKERS)
             .map(|e| entry.arena.extract_tree(e.plan))
             .collect();
         Some((trees, entry.alpha))

@@ -7,6 +7,7 @@
 //!   edge flips, and weight rescaling.
 
 use moqo_catalog::{BaseRel, JoinEdge, JoinGraph};
+use moqo_core::rmq::WALKERS;
 use moqo_core::{exa, rta, Deadline, PlanEntry, PruneMode};
 use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet, Preference};
 use moqo_costmodel::{CostModel, CostModelParams};
@@ -130,7 +131,7 @@ proptest! {
                 let (trees, warm_alpha) =
                     cache.warm_trees(&key, &graph).expect("entry is resident");
                 prop_assert_eq!(warm_alpha, alpha);
-                prop_assert_eq!(trees.len(), approx.final_plans.len());
+                prop_assert_eq!(trees.len(), approx.final_plans.len().min(WALKERS));
             }
             CacheLookup::Hit { .. } => {
                 prop_assert!(false, "α′ < α must not be served directly")

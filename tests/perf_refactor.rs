@@ -10,13 +10,16 @@
 //!   final front, same `considered_plans` — which a straightforward
 //!   allocate-then-prune reference implementation pins down here;
 //! * the RMQ front must be byte-identical for a fixed seed at every thread
-//!   count.
+//!   count;
+//! * the per-block split index must reproduce the join graph's reference
+//!   split — key, crossing selectivity and width, bit for bit — and its
+//!   connectivity test.
 
 use std::collections::BTreeMap;
 
 use moqo::core::pareto::{PlanSet, PruneStrategy};
+use moqo::core::test_support::{check_split_index, reference_split};
 use moqo::core::{find_pareto_plans, DpConfig, PlanEntry};
-use moqo::costmodel::JoinKey;
 use moqo::prelude::*;
 
 /// The seed's `FindParetoPlans`, reimplemented naively on the public API:
@@ -58,26 +61,6 @@ fn reference_dp(
         }
         ops
     };
-    let join_key = |m1: u32, m2: u32| -> Option<JoinKey> {
-        let edge = graph.edges.iter().find(|e| e.crosses(m1, m2))?;
-        let left_in_m1 = m1 & (1u32 << edge.left_rel) != 0;
-        let (left_rel, left_col, right_rel, right_col) = if left_in_m1 {
-            (edge.left_rel, edge.left_col, edge.right_rel, edge.right_col)
-        } else {
-            (edge.right_rel, edge.right_col, edge.left_rel, edge.left_col)
-        };
-        Some(JoinKey {
-            left_rel,
-            left_col,
-            right_rel,
-            right_col,
-            inner_indexed: model
-                .catalog
-                .table(graph.rels[right_rel].table)
-                .column(right_col)
-                .indexed,
-        })
-    };
     let splits = |mask: u32| {
         let mut connected = Vec::new();
         let mut all = Vec::new();
@@ -118,7 +101,7 @@ fn reference_dp(
     masks.sort_by_key(|m| m.count_ones());
     for mask in masks {
         for (m1, m2) in splits(mask) {
-            let key = join_key(m1, m2);
+            let split = reference_split(model, m1, m2);
             let left_entries: Vec<PlanEntry> = table[m1 as usize]
                 .values()
                 .flat_map(|s| s.iter().copied())
@@ -129,7 +112,7 @@ fn reference_dp(
                 .collect();
             for left in &left_entries {
                 for right in &right_entries {
-                    let right_canonical = key.as_ref().is_some_and(|k| {
+                    let right_canonical = split.key.as_ref().is_some_and(|k| {
                         right.props.rels.count_ones() == 1
                             && matches!(
                                 arena.node(right.plan),
@@ -139,12 +122,12 @@ fn reference_dp(
                                 } if rel == k.right_rel && column == k.right_col
                             )
                     });
-                    for op in JoinOp::all_configurations() {
+                    for op in JoinOp::ALL {
                         let Some((cost, props)) = model.join_cost(
                             op,
                             (&left.cost, &left.props),
                             (&right.cost, &right.props),
-                            key.as_ref(),
+                            &split,
                             right_canonical,
                         ) else {
                             continue;
@@ -280,6 +263,32 @@ fn dp_arena_growth_is_bounded_by_accepted_plans() {
         result.arena.len(),
         considered
     );
+}
+
+/// The split index against the reference definitions: every ordered pair
+/// of disjoint relation sets of every TPC-H block (Q9 joins one pair of
+/// relations on two edges), and 2000 sampled pairs of each 12–20-relation
+/// clique (up to 190 edges).
+#[test]
+fn split_index_matches_reference_definitions() {
+    let catalog = moqo::tpch::catalog(0.01);
+    let params = CostModelParams::default();
+    let mut blocks: Vec<JoinGraph> = moqo::tpch::all_queries(&catalog)
+        .into_iter()
+        .flat_map(|q| q.blocks)
+        .collect();
+    blocks.extend(
+        (12..=20)
+            .map(|n| moqo::tpch::large_join_graph_with(&catalog, n, moqo::tpch::Topology::Clique)),
+    );
+    for (i, graph) in blocks.iter().enumerate() {
+        let model = CostModel::new(&params, &catalog, graph);
+        let checked = check_split_index(&model, 2000, i as u64);
+        let n = graph.n_rels() as u32;
+        if n <= 10 {
+            assert_eq!(checked, (3usize.pow(n) + 1) - (1 << (n + 1)));
+        }
+    }
 }
 
 #[test]

@@ -173,3 +173,88 @@ fn rmq_respects_bounds_when_feasible() {
     let block = &result.block_plans[0];
     assert!(!block.arena.uses_sampling(block.root));
 }
+
+/// FNV-1a over one 64-bit word.
+fn fnv(acc: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(acc, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Digest of a run's outputs: every cost bit of the final front, in front
+/// order, then the sampled-candidate count.
+fn front_digest(out: &RmqResult) -> u64 {
+    let acc = out
+        .final_plans
+        .iter()
+        .flat_map(|e| e.cost.as_array().iter())
+        .fold(0xCBF2_9CE4_8422_2325, |acc, v| fnv(acc, v.to_bits()));
+    fnv(acc, out.stats.considered_plans)
+}
+
+/// Pins RMQ's outputs on a 16-relation clique and a 20-relation chain, cold
+/// and warm-started from the cold front: any change to the RNG draw order,
+/// the candidate stream or the float arithmetic of costing moves a digest.
+/// A run with a convergence trace returns the same front as one without.
+#[test]
+fn rmq_fronts_are_pinned() {
+    let catalog = moqo::tpch::catalog(0.01);
+    let params = CostModelParams::default();
+    let p = weighted_pref();
+    let deadline = Deadline::unlimited();
+    let cases = [
+        (
+            16,
+            moqo::tpch::Topology::Clique,
+            [3359874119630960177, 14909173096141705399],
+        ),
+        (
+            20,
+            moqo::tpch::Topology::Chain,
+            [1204643506265274990, 6450847936744327640],
+        ),
+    ];
+    for (n, topology, [cold_pin, warm_pin]) in cases {
+        let query = moqo::tpch::large_query_with(&catalog, n, topology);
+        let model = CostModel::new(&params, &catalog, &query.blocks[0]);
+        let cold = rmq(&model, &p, &RmqConfig::new(1500, 11), &deadline);
+        let warm_trees: Vec<JoinTree> = cold
+            .final_plans
+            .iter()
+            .map(|e| cold.arena.extract_tree(e.plan))
+            .collect();
+        let warm = moqo::core::rmq_warm(
+            &model,
+            &p,
+            &RmqConfig::new(1500, 12),
+            &deadline,
+            &warm_trees,
+        );
+        assert_eq!(
+            front_digest(&cold),
+            cold_pin,
+            "{n}-relation {topology:?}, cold"
+        );
+        assert_eq!(
+            front_digest(&warm),
+            warm_pin,
+            "{n}-relation {topology:?}, warm"
+        );
+
+        let traced = rmq(
+            &model,
+            &p,
+            &RmqConfig {
+                convergence_stride: 100,
+                ..RmqConfig::new(1500, 11)
+            },
+            &deadline,
+        );
+        assert_eq!(front_digest(&traced), front_digest(&cold));
+        assert_eq!(traced.convergence.len(), 15);
+        assert!(
+            cold.convergence.is_empty(),
+            "RmqConfig::new records no trace"
+        );
+    }
+}
