@@ -275,7 +275,7 @@ fn main() {
             let (ms, count) = median_ms(reps.max(3), || {
                 let mut completed = 0u64;
                 for _ in 0..64 {
-                    completed = metrics.snapshot(cache.snapshot(), 0).completed;
+                    completed = metrics.snapshot(cache.snapshot()).completed;
                 }
                 usize::try_from(completed).expect("counts fit usize")
             });

@@ -59,13 +59,6 @@ pub struct BlockReport {
     /// while sampling leaks cardinality past the cost vector covers less
     /// than its α claims.
     pub prune_mode: PruneMode,
-    /// Whether a serving layer degraded this block under load pressure
-    /// (brownout: the admission controller forced the anytime search
-    /// and/or shrank its sample budget instead of running the scheme the
-    /// request preferred). The optimizer itself never sets this; the
-    /// service stamps it so α-accounting downstream of the report stays
-    /// honest about *why* the guarantee is weaker than requested.
-    pub degraded_by_pressure: bool,
 }
 
 impl BlockReport {
@@ -97,7 +90,6 @@ impl BlockReport {
             PruneMode::CostOnly => 0,
             PruneMode::PropsAware => 1,
         });
-        fold(u64::from(self.degraded_by_pressure));
         acc
     }
 
@@ -122,7 +114,6 @@ impl BlockReport {
             iterations,
             alpha_final: alpha,
             prune_mode,
-            degraded_by_pressure: false,
         }
     }
 }
@@ -196,7 +187,6 @@ mod tests {
             iterations: iters,
             alpha_final: 1.0,
             prune_mode: PruneMode::CostOnly,
-            degraded_by_pressure: false,
         }
     }
 
@@ -226,11 +216,11 @@ mod tests {
             ..a.clone()
         };
         assert_ne!(a.trace_digest(), different.trace_digest());
-        let degraded = BlockReport {
-            degraded_by_pressure: true,
+        let timed_out = BlockReport {
+            timed_out: true,
             ..a
         };
-        assert_ne!(a.trace_digest(), degraded.trace_digest());
+        assert_ne!(a.trace_digest(), timed_out.trace_digest());
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! the selected algorithm once per [`moqo_catalog::JoinGraph`] block and
 //! combines the per-block costs into a query-level cost vector.
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moqo_catalog::{Catalog, JoinGraph, Query};
@@ -130,24 +132,26 @@ pub fn combine_block_costs(blocks: &[CostVector]) -> CostVector {
     total
 }
 
-/// The optimizer facade: binds a catalog, cost-model parameters and an
-/// optional per-block timeout.
+/// The optimizer facade: binds a catalog, cost-model parameters, an
+/// optional per-block timeout and an optional cancel flag.
 #[derive(Debug, Clone)]
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     params: CostModelParams,
     timeout: Option<Duration>,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl<'a> Optimizer<'a> {
-    /// An optimizer over `catalog` with default cost-model parameters and no
-    /// timeout.
+    /// An optimizer over `catalog` with default cost-model parameters, no
+    /// timeout and no cancel flag.
     #[must_use]
     pub fn new(catalog: &'a Catalog) -> Self {
         Optimizer {
             catalog,
             params: CostModelParams::default(),
             timeout: None,
+            cancel: None,
         }
     }
 
@@ -167,6 +171,16 @@ impl<'a> Optimizer<'a> {
         self
     }
 
+    /// Ties every block run to a shared cancel flag (builder style). Once
+    /// the flag is set, a running block stops as on a timeout (see
+    /// [`Deadline`]) and reports `timed_out`; a block started afterwards
+    /// stops at its first check.
+    #[must_use]
+    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
+        self.cancel = Some(cancel);
+        self
+    }
+
     /// Access to the configured cost-model parameters.
     #[must_use]
     pub fn params(&self) -> &CostModelParams {
@@ -178,7 +192,7 @@ impl<'a> Optimizer<'a> {
     /// # Panics
     ///
     /// Panics if the query has no blocks, a block is empty, or the
-    /// preference selects no objectives.
+    /// preference fails [`Preference::validate`].
     #[must_use]
     pub fn optimize(
         &self,
@@ -218,7 +232,8 @@ impl<'a> Optimizer<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the block is empty or the preference selects no objectives.
+    /// Panics if the block is empty or the preference fails
+    /// [`Preference::validate`].
     #[must_use]
     pub fn optimize_block(
         &self,
@@ -236,7 +251,8 @@ impl<'a> Optimizer<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the block is empty or the preference selects no objectives.
+    /// Panics if the block is empty or the preference fails
+    /// [`Preference::validate`].
     #[must_use]
     pub fn optimize_block_warm(
         &self,
@@ -245,12 +261,11 @@ impl<'a> Optimizer<'a> {
         algorithm: Algorithm,
         warm_start: &[JoinTree],
     ) -> (BlockPlan, BlockReport) {
-        assert!(
-            !preference.objectives.is_empty(),
-            "preference must select at least one objective"
-        );
+        if let Err(reason) = preference.validate() {
+            panic!("invalid preference: {reason}");
+        }
         let model = CostModel::new(&self.params, self.catalog, graph);
-        let deadline = Deadline::new(self.timeout);
+        let deadline = Deadline::cancellable(self.timeout, self.cancel.clone());
         // The mode every algorithm's pruning sites run under — recorded in
         // the report so serving layers can refuse to mix fronts certified
         // under different modes. The inner algorithms derive the same value
@@ -447,5 +462,33 @@ mod tests {
         let result = optimizer.optimize(&q, &p, Algorithm::Exhaustive);
         assert!(result.report.timed_out());
         assert_eq!(result.block_plans.len(), 1);
+    }
+
+    #[test]
+    fn a_set_cancel_flag_stops_every_algorithm_like_a_timeout() {
+        let cat = catalog();
+        let q = query(&cat);
+        let p = pref();
+        let cancel = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        // The minute-long timeout only bounds the test should the flag be
+        // missed; a cancelled run returns at once.
+        let optimizer = Optimizer::new(&cat)
+            .with_timeout(Duration::from_secs(60))
+            .with_cancel(cancel);
+        for algorithm in [
+            Algorithm::Exhaustive,
+            Algorithm::Rta { alpha: 1.5 },
+            Algorithm::Ira { alpha: 1.5 },
+            Algorithm::Rmq {
+                samples: u64::MAX,
+                seed: 3,
+                threads: 1,
+            },
+        ] {
+            let result = optimizer.optimize(&q, &p, algorithm);
+            assert!(result.report.timed_out(), "{algorithm:?}");
+            assert!(result.report.total_elapsed() < Duration::from_secs(10));
+            assert!(!result.block_plans[0].frontier.is_empty());
+        }
     }
 }

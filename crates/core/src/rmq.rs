@@ -264,11 +264,12 @@ pub fn rmq_warm(
                 .map(|(ci, chunk)| {
                     let index = &index;
                     let scan_opts = &scan_opts;
+                    let cancel = deadline.cancel_flag();
                     s.spawn(move || {
                         // Walkers cannot share the deadline (its amortization
                         // cells are not `Sync`); each thread re-derives one
-                        // from the remaining budget.
-                        let local_deadline = Deadline::new(remaining);
+                        // from the remaining budget and the same cancel flag.
+                        let local_deadline = Deadline::cancellable(remaining, cancel);
                         run_walkers(
                             model,
                             index,
@@ -961,6 +962,8 @@ mod tests {
     use moqo_catalog::{Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
     use moqo_cost::{Objective, ObjectiveSet};
     use moqo_costmodel::CostModelParams;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn setup3() -> (CostModelParams, Catalog, JoinGraph) {
         let params = CostModelParams::default();
@@ -1224,6 +1227,25 @@ mod tests {
             &RmqConfig::new(u64::MAX, 5).with_threads(4),
             &Deadline::new(Some(std::time::Duration::from_millis(20))),
         );
+        assert!(out.stats.timed_out);
+        assert!(!out.final_plans.is_empty());
+    }
+
+    #[test]
+    fn rmq_cancel_flag_stops_every_thread() {
+        let (p, cat, g) = setup3();
+        let model = CostModel::new(&p, &cat, &g);
+        let cancel = Arc::new(AtomicBool::new(true));
+        let started = std::time::Instant::now();
+        // The minute-long limit only bounds the test should a walker
+        // thread miss the flag.
+        let out = rmq(
+            &model,
+            &pref(),
+            &RmqConfig::new(u64::MAX, 5).with_threads(2),
+            &Deadline::cancellable(Some(std::time::Duration::from_secs(60)), Some(cancel)),
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
         assert!(out.stats.timed_out);
         assert!(!out.final_plans.is_empty());
     }

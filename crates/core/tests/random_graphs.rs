@@ -9,8 +9,9 @@ use moqo_cost::{dominates, Objective, ObjectiveSet, Preference};
 use moqo_costmodel::{CostModel, CostModelParams};
 use proptest::prelude::*;
 
-/// Random catalog with `n` tables and a random connected join graph
-/// (spanning tree plus optional extra edges).
+/// Random catalog with `n` tables of random cardinality and width, and a
+/// random connected join graph: a spanning tree plus up to `n` extra
+/// edges, which close cycles or add a second edge between a pair.
 #[derive(Debug, Clone)]
 struct RandomInstance {
     catalog: Catalog,
@@ -28,9 +29,14 @@ fn arb_instance(max_rels: usize) -> impl Strategy<Value = RandomInstance> {
         prop::collection::vec(0usize..usize::MAX, max_rels),
         prop::collection::vec(0.0f64..1.0, 9),
         2u16..((1 << 9) - 1),
+        prop::collection::vec(8.0f64..400.0, max_rels),
+        prop::collection::vec(
+            (0usize..usize::MAX, 0usize..usize::MAX, 0.5f64..2.0),
+            0..=max_rels,
+        ),
     )
         .prop_map(
-            |(n, cards, indexed, filters, parents, weight_vals, obj_bits)| {
+            |(n, cards, indexed, filters, parents, weight_vals, obj_bits, widths, extras)| {
                 let mut catalog = Catalog::new();
                 let mut rels = Vec::new();
                 for i in 0..n {
@@ -39,7 +45,7 @@ fn arb_instance(max_rels: usize) -> impl Strategy<Value = RandomInstance> {
                         col = col.indexed();
                     }
                     catalog.add_table(
-                        TableStats::new(format!("t{i}"), cards[i], 80.0).with_column(col),
+                        TableStats::new(format!("t{i}"), cards[i], widths[i]).with_column(col),
                     );
                     rels.push(moqo_catalog::BaseRel {
                         table: moqo_catalog::TableId(i as u32),
@@ -48,19 +54,34 @@ fn arb_instance(max_rels: usize) -> impl Strategy<Value = RandomInstance> {
                     });
                 }
                 // Spanning tree: node i > 0 connects to a random earlier node.
+                let key_selectivity = |a: usize, b: usize| 1.0 / cards[a].max(cards[b]).max(2.0);
                 let mut edges = Vec::new();
-                for i in 1..n {
-                    let parent = parents[i] % i;
-                    let sel = 1.0 / cards[i].max(cards[parent]).max(2.0);
+                for (i, draw) in parents.iter().enumerate().take(n).skip(1) {
+                    let parent = draw % i;
                     edges.push(JoinEdge {
                         left_rel: parent,
                         left_col: 0,
                         right_rel: i,
                         right_col: 0,
-                        selectivity: sel,
+                        selectivity: key_selectivity(parent, i),
+                    });
+                }
+                // Extra edges between two distinct relations: a pair the
+                // tree leaves apart closes a cycle, a pair it joins gets a
+                // second predicate.
+                for (a, b, scale) in extras {
+                    let left = a % n;
+                    let right = (left + 1 + b % (n - 1)) % n;
+                    edges.push(JoinEdge {
+                        left_rel: left,
+                        left_col: 0,
+                        right_rel: right,
+                        right_col: 0,
+                        selectivity: (key_selectivity(left, right) * scale).min(1.0),
                     });
                 }
                 let graph = JoinGraph { rels, edges };
+                assert_eq!(graph.validate(&catalog), Ok(()));
                 // Random non-empty objective subset with random weights.
                 let mut objectives = ObjectiveSet::empty();
                 let mut weights = Vec::new();

@@ -41,16 +41,11 @@ impl Weights {
         w
     }
 
-    /// Sets the weight for one objective.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the weight is non-negative and not NaN.
+    /// Sets the weight for one objective. Any value is stored: a weight
+    /// that is NaN, negative or infinite is caught by
+    /// [`Preference::validate`], where a preference enters an optimizer or a
+    /// service.
     pub fn set(&mut self, objective: Objective, weight: f64) {
-        debug_assert!(
-            weight >= 0.0 && !weight.is_nan(),
-            "weights must be non-negative; got {weight} for {objective}"
-        );
         self.values[objective.index()] = weight;
     }
 
@@ -119,16 +114,9 @@ impl Bounds {
         b
     }
 
-    /// Sets the bound for one objective.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the bound is non-negative and not NaN.
+    /// Sets the bound for one objective. Any value is stored: a bound that
+    /// is NaN or negative is caught by [`Preference::validate`].
     pub fn set(&mut self, objective: Objective, bound: f64) {
-        debug_assert!(
-            bound >= 0.0 && !bound.is_nan(),
-            "bounds must be non-negative; got {bound} for {objective}"
-        );
         self.values[objective.index()] = bound;
     }
 
@@ -260,6 +248,34 @@ impl Preference {
             .iter()
             .any(|o| self.bounds.get(o).is_finite())
     }
+
+    /// Checks what the paper's definitions assume of a preference (§3): at
+    /// least one considered objective, every weight finite and
+    /// non-negative, and every bound non-negative (`+∞` = unbounded). The
+    /// builders store any value, so a preference from outside the process
+    /// is checked here, once, before it is optimized.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong, naming the first offending objective and value.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.objectives.is_empty() {
+            return Err("the preference selects no objective".to_owned());
+        }
+        for o in Objective::ALL {
+            let weight = self.weights.get(o);
+            if !weight.is_finite() || weight < 0.0 {
+                return Err(format!(
+                    "weight {weight} on {o} is not a finite non-negative number"
+                ));
+            }
+            let bound = self.bounds.get(o);
+            if bound.is_nan() || bound < 0.0 {
+                return Err(format!("bound {bound} on {o} is not a non-negative number"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Preference {
@@ -352,6 +368,28 @@ mod tests {
         let q = Preference::minimize(Objective::TotalTime);
         assert!(!q.is_bounded());
         assert_eq!(q.weights.get(Objective::TotalTime), 1.0);
+    }
+
+    #[test]
+    fn validate_rejects_what_the_paper_excludes() {
+        let good = Preference::over(ObjectiveSet::empty())
+            .weight(Objective::TotalTime, 1.0)
+            .bound(Objective::TupleLoss, 0.0);
+        assert_eq!(good.validate(), Ok(()));
+        let unbounded_weightless = good.weight(Objective::Energy, 0.0);
+        assert_eq!(unbounded_weightless.validate(), Ok(()));
+        for bad_weight in [f64::NAN, -1.0, f64::INFINITY] {
+            let bad = good.weight(Objective::Energy, bad_weight);
+            let reason = bad.validate().unwrap_err();
+            assert!(reason.contains("weight"), "{reason}");
+        }
+        for bad_bound in [f64::NAN, -0.5] {
+            let bad = good.bound(Objective::Energy, bad_bound);
+            let reason = bad.validate().unwrap_err();
+            assert!(reason.contains("bound"), "{reason}");
+        }
+        let none = Preference::over(ObjectiveSet::empty());
+        assert!(none.validate().unwrap_err().contains("no objective"));
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! A [`FaultPlan`] maps exact *request ordinals* (the 0-based submission
 //! index the service assigns under its lock-free counter) to fault
-//! actions. Because the trigger is the ordinal — not a timer or a random
-//! draw — a chaos run is exactly replayable: the same trace plus the same
-//! plan produces the same panics, the same worker deaths and the same
-//! rejections, which is what lets `tests/replay.rs` and `tests/chaos.rs`
-//! pin the robustness counters (`panics_total`, `respawns`, `shed`,
-//! `failed`) exactly.
+//! actions: a panic inside the worker, which is what an optimizer bug
+//! produces, or a queue-full bounce at submission. Because the trigger is
+//! the ordinal — not a timer or a random draw — a chaos run is exactly
+//! replayable: the same trace plus the same plan produces the same panics
+//! and the same rejections, which is what lets `tests/replay.rs` and
+//! `tests/chaos.rs` pin the robustness counters (`panics_total`,
+//! `failed`, `queue_full`) exactly.
 //!
 //! The module also owns the panic-hook silencer: injected (and any other
 //! worker) panics are converted to [`ServiceError::Internal`]
@@ -23,7 +24,6 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
-use std::time::Duration;
 
 /// What to inject when a request's ordinal matches the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,14 +31,8 @@ pub enum FaultAction {
     /// Panic inside the worker right before processing; the guard converts
     /// it to `ServiceError::Internal` and the worker survives.
     Panic,
-    /// Sleep in the worker before processing (stall simulation; long
-    /// enough delays trip the supervisor's heartbeat watchdog).
-    Delay(Duration),
     /// Reject at submission as if the queue were at capacity.
     QueueFull,
-    /// Process and answer the request normally, then terminate the worker
-    /// thread — the supervisor must notice and respawn the worker.
-    KillWorker,
 }
 
 /// A deterministic fault schedule keyed by request ordinal.
@@ -108,24 +102,10 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Sleep `delay` before processing request `ordinal`.
-    #[must_use]
-    pub fn delay_at(mut self, ordinal: u64, delay: Duration) -> Self {
-        self.plan.exact.insert(ordinal, FaultAction::Delay(delay));
-        self
-    }
-
     /// Reject request `ordinal` at submission as if the queue were full.
     #[must_use]
     pub fn queue_full_at(mut self, ordinal: u64) -> Self {
         self.plan.exact.insert(ordinal, FaultAction::QueueFull);
-        self
-    }
-
-    /// Kill the worker thread after it answers request `ordinal`.
-    #[must_use]
-    pub fn kill_worker_at(mut self, ordinal: u64) -> Self {
-        self.plan.exact.insert(ordinal, FaultAction::KillWorker);
         self
     }
 
@@ -190,17 +170,11 @@ mod tests {
     fn builder_and_lookup() {
         let plan = FaultPlan::builder()
             .panic_at(3)
-            .kill_worker_at(10)
-            .delay_at(5, Duration::from_millis(2))
             .queue_full_at(7)
             .panic_every(100, 50)
             .build();
         assert_eq!(plan.at(3), Some(FaultAction::Panic));
-        assert_eq!(plan.at(10), Some(FaultAction::KillWorker));
-        assert_eq!(
-            plan.at(5),
-            Some(FaultAction::Delay(Duration::from_millis(2)))
-        );
+        assert_eq!(plan.at(5), None);
         assert_eq!(plan.at(7), Some(FaultAction::QueueFull));
         assert_eq!(plan.at(150), Some(FaultAction::Panic));
         assert_eq!(plan.at(151), None);
@@ -213,10 +187,10 @@ mod tests {
     fn exact_ordinals_override_periodic_rules() {
         let plan = FaultPlan::builder()
             .panic_every(4, 0)
-            .kill_worker_at(8)
+            .queue_full_at(8)
             .build();
         assert_eq!(plan.at(4), Some(FaultAction::Panic));
-        assert_eq!(plan.at(8), Some(FaultAction::KillWorker));
+        assert_eq!(plan.at(8), Some(FaultAction::QueueFull));
     }
 
     #[test]

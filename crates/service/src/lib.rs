@@ -8,7 +8,9 @@
 //! * **Requests** ([`OptimizationRequest`]) pair a query with a
 //!   [`Preference`](moqo_cost::Preference), a tolerated approximation
 //!   factor `α′`, an optional wall-clock deadline, and an optional
-//!   algorithm hint.
+//!   algorithm hint. A malformed request (α′ below 1, a NaN weight, a
+//!   block the catalog does not hold, …) is rejected at submission with
+//!   [`ServiceError::Rejected`] saying what is wrong.
 //! * **Scheduling**: submissions land in a bounded FIFO queue (one
 //!   `Mutex`-guarded `VecDeque`; back-pressure surfaces as
 //!   [`ServiceError::QueueFull`], never silent buffering) and are executed
@@ -43,29 +45,25 @@
 //!   submission takes the queue mutex once; metrics and histograms stay
 //!   lock-free.
 //!
-//! * **Self-healing** — a panic inside a job is caught at the worker's
-//!   guard and delivered as [`ServiceError::Internal`] (payload included)
-//!   while the worker keeps serving; a worker that dies anyway (or wedges
-//!   past [`ServiceBuilder::stall_after`]) is detected by the supervisor
-//!   thread via per-worker heartbeat epochs and respawned under the same
-//!   worker index ([`MetricsSnapshot::respawns`], `stalls_detected`).
-//! * **Brownout load shedding** ([`BrownoutConfig`]) — an EWMA
-//!   [`PressureGauge`] over measured queue waits drives graceful
-//!   degradation: above the watermark, blocks run the anytime search at a
-//!   pressure-scaled sample budget (stamped `degraded_by_pressure` in the
-//!   block report, so α-accounting stays honest); past the shed threshold,
-//!   submissions are turned away with [`ServiceError::Shed`] before taking
-//!   a queue slot.
-//! * **Deterministic chaos** ([`FaultPlan`]) — panics, delays, queue-full
-//!   rejections and worker kills keyed on exact submission ordinals, so
-//!   fault runs replay byte-stable and tests can pin the robustness
-//!   counters.
+//! * **Panic isolation and cancellation** — a panic inside a job is
+//!   caught at the worker's guard and delivered as
+//!   [`ServiceError::Internal`] (payload included) while the worker keeps
+//!   serving. Dropping a [`Ticket`] cancels its request: the optimizer
+//!   stops at its next amortized deadline check and takes its own timeout
+//!   path (DP quick-finish, IRA stop, RMQ incumbent), so a long job
+//!   nobody waits for frees its worker. A block cut short by a deadline or
+//!   a cancel claims no guarantee (`achieved_alpha = ∞`) and enters the
+//!   cache as a warm start only. Shutdown closes the queue, lets the
+//!   workers drain it, and joins every worker; no thread is detached.
+//! * **Deterministic chaos** ([`FaultPlan`]) — panics and queue-full
+//!   rejections keyed on exact submission ordinals, so fault runs replay
+//!   byte-stable and tests can pin the robustness counters.
 //! * **End-to-end tracing** ([`ServiceBuilder::tracing`]) — a flight
 //!   recorder ([`TraceConfig`]): per-worker bounded rings, one mutex
 //!   each, of fixed-size span events covering the whole request lifecycle
 //!   (submit/admission, enqueue, queue wait, cache probes, per-block
-//!   optimize with algorithm + achieved α + report digest, faults, panics,
-//!   kills, completion), and tail-based exemplar retention (every
+//!   optimize with algorithm + achieved α + report digest, caught panics,
+//!   completion), and tail-based exemplar retention (every
 //!   error-class trace plus the rolling slowest-k), all read through one
 //!   [`TraceSnapshot`]. Under a logical clock the event stream is
 //!   byte-deterministic, so a test can pin its checksum. The recorder adds
@@ -118,16 +116,13 @@ mod policy;
 mod queue;
 mod request;
 mod service;
-mod supervisor;
 mod trace;
 
 pub use cache::{CacheKey, CacheLookup, CacheSnapshot, PlanCache};
 pub use fault::{FaultAction, FaultPlan, FaultPlanBuilder};
 pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS as HISTOGRAM_BUCKETS};
-pub use metrics::{AlgorithmKind, MetricsSnapshot, PressureGauge, ServiceMetrics};
-pub use policy::{
-    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
-};
+pub use metrics::{AlgorithmKind, MetricsSnapshot, ServiceMetrics};
+pub use policy::{Admission, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext};
 pub use queue::{BoundedQueue, PushError};
 pub use request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,

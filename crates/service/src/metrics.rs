@@ -70,13 +70,13 @@ const DETAILS: usize = 16;
 /// The counter cell an event lands in: the part of `arg0` a snapshot
 /// counter splits on — the `queue_full` origin (0 genuine), the `failed`
 /// [`error_code`], the `cache_probe` outcome (0 hit), and the
-/// `block_optimized` algorithm code (cell bits 0–1) and its degraded
-/// (bit 2) and downgraded (bit 3) flags. Other kinds count in cell 0.
+/// `block_optimized` algorithm code (cell bits 0–1) and its downgraded
+/// flag (bit 2). Other kinds count in cell 0.
 fn event_detail(kind: EventKind, arg0: u64) -> usize {
     let detail = match kind {
         EventKind::QueueFull | EventKind::Failed => arg0,
         EventKind::CacheProbe => arg0 >> 32,
-        EventKind::BlockOptimized => ((arg0 >> 32) & 0b11) | ((arg0 >> 38) & 0b1100),
+        EventKind::BlockOptimized => ((arg0 >> 32) & 0b11) | ((arg0 >> 39) & 0b100),
         _ => 0,
     };
     detail.min(DETAILS as u64 - 1) as usize
@@ -90,9 +90,6 @@ pub struct ServiceMetrics {
     /// per [`event_detail`]. Each event bumps one cell, and every request
     /// counter of [`MetricsSnapshot`] is a sum of cells.
     events: [[AtomicU64; DETAILS]; EventKind::COUNT],
-    /// EWMA of recent queue waits: the brownout controller's pressure
-    /// signal (reads are one relaxed load on the submit fast path).
-    pressure: PressureGauge,
     /// Submission → response, the sum of the two series below (recorded on
     /// one clock, the job's submission `Instant`, so the series agree by
     /// construction — no cross-clock `.max` papering needed).
@@ -112,7 +109,6 @@ impl Default for ServiceMetrics {
         ServiceMetrics {
             started: Instant::now(),
             events: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            pressure: PressureGauge::default(),
             latency: LogHistogram::new(),
             queue_wait: LogHistogram::new(),
             service_time: LogHistogram::new(),
@@ -140,13 +136,6 @@ impl ServiceMetrics {
             .sum()
     }
 
-    /// The queue-wait pressure gauge (shared with the brownout admission
-    /// controller).
-    #[must_use]
-    pub fn pressure_gauge(&self) -> &PressureGauge {
-        &self.pressure
-    }
-
     /// Records one completed request: its `completed` event, queue wait and
     /// processing time to separate histogram series, their sum to the
     /// end-to-end series. All three are measured from the same submission
@@ -157,7 +146,6 @@ impl ServiceMetrics {
         self.queue_wait.record(queue_wait);
         self.service_time.record(service_time);
         self.latency.record(queue_wait + service_time);
-        self.pressure.record(queue_wait);
     }
 
     /// A consistent-enough point-in-time view. Counters are relaxed loads;
@@ -170,7 +158,7 @@ impl ServiceMetrics {
     /// reports its live rate instead of a lifetime average diluted by
     /// idle uptime.
     #[must_use]
-    pub fn snapshot(&self, cache: CacheSnapshot, alive_workers: usize) -> MetricsSnapshot {
+    pub fn snapshot(&self, cache: CacheSnapshot) -> MetricsSnapshot {
         let latency = self.latency.snapshot();
         let queue_wait = self.queue_wait.snapshot();
         let service_time = self.service_time.snapshot();
@@ -228,12 +216,8 @@ impl ServiceMetrics {
                 ServiceError::WorkerLost,
             ]),
             queue_full: self.count(EventKind::QueueFull, all),
-            shed: self.count(EventKind::Shed, all),
             panics_total: self.count(EventKind::PanicCaught, all),
-            respawns: self.count(EventKind::WorkerRespawned, all),
-            stalls_detected: self.count(EventKind::WorkerStalled, all),
-            degraded_blocks: block(0b100, 0b100),
-            downgraded_blocks: block(0b1000, 0b1000),
+            downgraded_blocks: block(0b100, 0b100),
             throughput_rps,
             p50: latency.quantile(0.50),
             p95: latency.quantile(0.95),
@@ -249,8 +233,6 @@ impl ServiceMetrics {
             blocks_ira: algorithm(AlgorithmKind::Ira),
             blocks_rmq: algorithm(AlgorithmKind::Rmq),
             blocks_cached: self.count(EventKind::CacheProbe, |outcome| outcome == 0),
-            pressure: self.pressure.current(),
-            alive_workers,
             cache,
         }
     }
@@ -270,8 +252,9 @@ pub struct MetricsSnapshot {
     pub submitted: u64,
     /// Requests answered with a plan.
     pub completed: u64,
-    /// Requests rejected by admission control — and only those; deadline
-    /// expiries and internal failures have their own counters below.
+    /// Requests rejected as sent — malformed, or admitted by no algorithm
+    /// for their deadline — and only those; deadline expiries and internal
+    /// failures have their own counters below.
     pub rejected: u64,
     /// Requests whose deadline expired before a block could start.
     pub timed_out: u64,
@@ -279,23 +262,10 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Submissions bounced off a full queue.
     pub queue_full: u64,
-    /// Submissions shed by the brownout admission controller (queue-wait
-    /// pressure above the watermark) — separate from `rejected`, which is
-    /// a per-request deadline verdict.
-    pub shed: u64,
     /// Worker panics caught at the job boundary and delivered as
     /// [`ServiceError::Internal`](crate::ServiceError::Internal); every
     /// one of these also counts in `failed`.
     pub panics_total: u64,
-    /// Workers respawned by the supervisor after a worker thread died.
-    pub respawns: u64,
-    /// Wedged workers detected (heartbeat stagnant past the stall
-    /// threshold); each was abandoned and a substitute fielded.
-    pub stalls_detected: u64,
-    /// Blocks browned out under load pressure: forced onto the anytime
-    /// search (and/or a shrunken sample budget) by the admission
-    /// controller rather than by deadline or size gates.
-    pub degraded_blocks: u64,
     /// Blocks that ran a weaker algorithm than the request preferred.
     pub downgraded_blocks: u64,
     /// Completed requests per second over the current throughput window
@@ -329,12 +299,6 @@ pub struct MetricsSnapshot {
     pub blocks_rmq: u64,
     /// Blocks served straight from the plan cache.
     pub blocks_cached: u64,
-    /// Live [`PressureGauge`] value — the EWMA of recent queue waits the
-    /// brownout controller reads — `None` before the first completion.
-    pub pressure: Option<Duration>,
-    /// Workers registered as live at snapshot time (transiently below the
-    /// configured count while the supervisor replaces one).
-    pub alive_workers: usize,
     /// Plan-cache counters, read from the cache itself rather than from
     /// the event table.
     pub cache: CacheSnapshot,
@@ -346,7 +310,7 @@ impl MetricsSnapshot {
     /// `rejected` counter used to absorb.
     #[must_use]
     pub fn errors_total(&self) -> u64 {
-        self.rejected + self.timed_out + self.failed + self.queue_full + self.shed
+        self.rejected + self.timed_out + self.failed + self.queue_full
     }
 }
 
@@ -390,49 +354,6 @@ impl EwmaCell {
     }
 }
 
-/// A lock-free EWMA of recent queue waits: the load signal the brownout
-/// admission controller reads on every submit (one relaxed load).
-///
-/// Workers fold each completed request's queue wait in with smoothing
-/// 0.2; [`PressureGauge::pressure`] normalizes the current estimate
-/// against a watermark, so `1.0` means "queue waits sit exactly at the
-/// watermark" and values above it measure how far into brownout the
-/// service is.
-#[derive(Debug, Default)]
-pub struct PressureGauge {
-    /// EWMA of queue waits.
-    ewma: EwmaCell,
-}
-
-impl PressureGauge {
-    /// Folds one measured queue wait in (short CAS loop; a lost race
-    /// drops one sample of smoothing, never corrupts the estimate).
-    #[moqo::hot_path]
-    pub fn record(&self, queue_wait: Duration) {
-        self.ewma.record(queue_wait);
-    }
-
-    /// The current queue-wait estimate, `None` before the first sample.
-    #[must_use]
-    pub fn current(&self) -> Option<Duration> {
-        self.ewma.get()
-    }
-
-    /// Current estimate over `watermark` (`0.0` before any sample; a
-    /// zero watermark saturates rather than divides by zero).
-    #[must_use]
-    pub fn pressure(&self, watermark: Duration) -> f64 {
-        let Some(current) = self.current() else {
-            return 0.0;
-        };
-        let watermark_s = watermark.as_secs_f64();
-        if watermark_s <= 0.0 {
-            return f64::INFINITY;
-        }
-        current.as_secs_f64() / watermark_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,7 +365,7 @@ mod tests {
         for ms in 1..=100u64 {
             m.on_completed(Duration::ZERO, Duration::from_millis(ms));
         }
-        let snap = m.snapshot(CacheSnapshot::default(), 0);
+        let snap = m.snapshot(CacheSnapshot::default());
         assert_eq!(snap.completed, 100);
         // Log-bucket quantiles: within one bucket below the exact answer.
         for (got, exact_ms) in [(snap.p50, 51u64), (snap.p95, 95), (snap.p99, 99)] {
@@ -466,14 +387,15 @@ mod tests {
     #[test]
     fn empty_metrics_are_zero() {
         let m = ServiceMetrics::default();
-        let snap = m.snapshot(CacheSnapshot::default(), 0);
+        let snap = m.snapshot(CacheSnapshot::default());
         assert_eq!(snap.p50, Duration::ZERO);
         assert_eq!(snap.completed, 0);
         assert_eq!(snap.errors_total(), 0);
     }
 
     /// `block_optimized`'s `arg0` for algorithm `kind` with `flags`
-    /// (bit 0 degraded, bit 1 downgraded).
+    /// (bit 0 is the unassigned bit 40, bit 1 downgraded, bit 2
+    /// warm-started).
     fn block(kind: AlgorithmKind, flags: u64) -> u64 {
         (u64::from(kind.as_u8()) << 32) | (flags << 40)
     }
@@ -482,10 +404,10 @@ mod tests {
     fn block_mix_accumulates() {
         let m = ServiceMetrics::default();
         m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Exa, 0));
-        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Rmq, 0b10));
+        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Rmq, 0b110));
         m.on_event(EventKind::CacheProbe, 0); // a hit serves the block
         m.on_event(EventKind::CacheProbe, 2 << 32); // a miss does not
-        let snap = m.snapshot(CacheSnapshot::default(), 0);
+        let snap = m.snapshot(CacheSnapshot::default());
         assert_eq!(snap.blocks_exa, 1);
         assert_eq!(snap.blocks_rmq, 1);
         assert_eq!(snap.blocks_cached, 1);
@@ -497,7 +419,7 @@ mod tests {
         let m = ServiceMetrics::default();
         // Submit-side verdicts are event kinds of their own: one enqueue
         // kept, one bounced off the full queue, one injected bounce.
-        for kind in [EventKind::Rejected, EventKind::Shed, EventKind::Enqueued] {
+        for kind in [EventKind::Rejected, EventKind::Enqueued] {
             m.on_event(kind, 0);
         }
         m.on_event(EventKind::Enqueued, 0);
@@ -514,41 +436,47 @@ mod tests {
             m.on_event(EventKind::Failed, error_code(&error));
         }
         m.on_event(EventKind::PanicCaught, 4);
-        let snap = m.snapshot(CacheSnapshot::default(), 0);
+        let snap = m.snapshot(CacheSnapshot::default());
         assert_eq!(snap.submitted, 1);
         assert_eq!(snap.rejected, 2, "submit-time and worker-side");
         assert_eq!(snap.timed_out, 2);
         assert_eq!(snap.failed, 2, "WorkerLost and Internal both fail");
         assert_eq!(snap.queue_full, 2);
-        assert_eq!(snap.shed, 1);
         assert_eq!(snap.panics_total, 1);
-        assert_eq!(snap.errors_total(), 9);
+        assert_eq!(snap.errors_total(), 8);
     }
 
     #[test]
     fn robustness_counters_accumulate() {
         let m = ServiceMetrics::default();
-        m.on_event(EventKind::WorkerRespawned, 0);
-        m.on_event(EventKind::WorkerRespawned, 1);
-        m.on_event(EventKind::WorkerStalled, 1);
-        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Rmq, 0b11));
-        let snap = m.snapshot(CacheSnapshot::default(), 0);
-        assert_eq!(snap.respawns, 2);
-        assert_eq!(snap.stalls_detected, 1);
-        assert_eq!(snap.degraded_blocks, 1);
+        m.on_event(EventKind::PanicCaught, 4);
+        m.on_event(EventKind::PanicCaught, 600);
+        m.on_event(
+            EventKind::Failed,
+            error_code(&ServiceError::internal("a".into())),
+        );
+        // Bit 40 is unassigned: a block carrying it counts as neither
+        // downgraded nor a different algorithm.
+        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Rmq, 0b001));
+        m.on_event(EventKind::BlockOptimized, block(AlgorithmKind::Rta, 0b010));
+        let snap = m.snapshot(CacheSnapshot::default());
+        assert_eq!(snap.panics_total, 2);
+        assert_eq!(snap.failed, 1);
+        assert_eq!((snap.blocks_rmq, snap.blocks_rta), (1, 1));
+        assert_eq!(snap.downgraded_blocks, 1);
     }
 
     #[test]
     fn back_to_back_snapshots_never_report_absurd_throughput() {
         let m = ServiceMetrics::default();
         std::thread::sleep(Duration::from_millis(2));
-        let _ = m.snapshot(CacheSnapshot::default(), 0);
+        let _ = m.snapshot(CacheSnapshot::default());
         // One completion, then an immediate snapshot: the old swap-based
         // window could divide 1 completion by a microsecond-scale window
         // and report ~1M rps. The clamped denominator bounds the rate to
         // completions-per-minimum-window.
         m.on_completed(Duration::ZERO, Duration::from_micros(5));
-        let spike = m.snapshot(CacheSnapshot::default(), 0);
+        let spike = m.snapshot(CacheSnapshot::default());
         assert!(
             spike.throughput_rps <= 1_000.0,
             "1 completion in a sub-ms window must cap at 1/1ms = 1000 rps, \
@@ -558,25 +486,8 @@ mod tests {
         // The short window stayed open: once it is long enough, the same
         // completion still closes a window (not lost to the guard).
         std::thread::sleep(Duration::from_millis(2));
-        let settled = m.snapshot(CacheSnapshot::default(), 0);
+        let settled = m.snapshot(CacheSnapshot::default());
         assert!(settled.throughput_rps > 0.0);
-    }
-
-    #[test]
-    fn pressure_gauge_tracks_queue_waits() {
-        let gauge = PressureGauge::default();
-        assert_eq!(gauge.current(), None);
-        assert_eq!(gauge.pressure(Duration::from_millis(10)), 0.0);
-        gauge.record(Duration::from_millis(10));
-        let first = gauge.current().unwrap();
-        assert!((first.as_secs_f64() - 0.010).abs() < 1e-9);
-        // EWMA: 0.2 · 20ms + 0.8 · 10ms = 12ms.
-        gauge.record(Duration::from_millis(20));
-        let second = gauge.current().unwrap();
-        assert!((second.as_secs_f64() - 0.012).abs() < 1e-9);
-        let pressure = gauge.pressure(Duration::from_millis(6));
-        assert!((pressure - 2.0).abs() < 1e-9, "12ms over a 6ms watermark");
-        assert!(gauge.pressure(Duration::ZERO).is_infinite());
     }
 
     #[test]
@@ -590,25 +501,25 @@ mod tests {
             [12.0, 18.0].iter().any(|v| (ms - v).abs() < 1e-9)
         }
         for _ in 0..1_000 {
-            let gauge = PressureGauge::default();
+            let cell = EwmaCell::default();
             let times = crate::policy::LearnedBlockTimes::new();
             // A spinning start line, not a `Barrier`: a thread parked in a
             // barrier wakes after the other has already recorded.
             let arrived = AtomicU64::new(0);
             std::thread::scope(|s| {
                 for wait_ms in [10, 20] {
-                    let (arrived, gauge, times) = (&arrived, &gauge, &times);
+                    let (arrived, cell, times) = (&arrived, &cell, &times);
                     s.spawn(move || {
                         arrived.fetch_add(1, Ordering::SeqCst);
                         while arrived.load(Ordering::SeqCst) < 2 {
                             std::hint::spin_loop();
                         }
-                        gauge.record(Duration::from_millis(wait_ms));
+                        cell.record(Duration::from_millis(wait_ms));
                         times.record(3, Duration::from_millis(wait_ms));
                     });
                 }
             });
-            assert!(serialized(gauge.current()), "{:?}", gauge.current());
+            assert!(serialized(cell.get()), "{:?}", cell.get());
             assert!(serialized(times.estimate(3)), "{:?}", times.estimate(3));
             assert_eq!(times.estimate(4), None, "untouched sizes stay empty");
         }
@@ -621,12 +532,12 @@ mod tests {
             m.on_completed(Duration::ZERO, Duration::from_micros(10));
         }
         std::thread::sleep(Duration::from_millis(5));
-        let first = m.snapshot(CacheSnapshot::default(), 0);
+        let first = m.snapshot(CacheSnapshot::default());
         assert!(first.throughput_rps > 0.0, "first window covers startup");
         // An idle window right after: the live rate drops to ~0 instead of
         // reporting the diluted lifetime average.
         std::thread::sleep(Duration::from_millis(5));
-        let second = m.snapshot(CacheSnapshot::default(), 0);
+        let second = m.snapshot(CacheSnapshot::default());
         assert!(
             second.throughput_rps < first.throughput_rps / 2.0,
             "idle window must not inherit lifetime throughput \
@@ -651,7 +562,7 @@ mod tests {
             (0..5)
                 .map(|_| {
                     let started = Instant::now();
-                    let snap = m.snapshot(CacheSnapshot::default(), 0);
+                    let snap = m.snapshot(CacheSnapshot::default());
                     assert_eq!(snap.completed, recordings);
                     started.elapsed()
                 })

@@ -109,94 +109,6 @@ impl LearnedBlockTimes {
     }
 }
 
-/// Brownout admission control: how the service trades α for latency under
-/// measured overload instead of failing requests outright.
-///
-/// The anytime view of RMQ (arXiv:1603.00400) makes graceful degradation
-/// principled: the randomized search produces *some* front under any
-/// budget, and shrinking its sample count is a continuous quality/latency
-/// dial. This config turns the queue-wait pressure gauge into the two
-/// brownout actions:
-///
-/// * `1 < pressure < SHED_THRESHOLD` — **degrade**: blocks that would run
-///   a DP scheme are forced onto RMQ with `BASE_SAMPLES / pressure`
-///   samples (1000 to 1999), so service time shrinks as pressure grows.
-///   The degradation is stamped in the block's
-///   [`BlockReport`](moqo_core::BlockReport) (`degraded_by_pressure`) and
-///   the response's `achieved_alpha` honestly reports `∞` — α-accounting
-///   never pretends a browned-out block kept its guarantee.
-/// * `pressure ≥ SHED_THRESHOLD` — **shed**: new submissions are turned
-///   away with [`ServiceError::Shed`](crate::ServiceError::Shed) before
-///   occupying a queue slot they would only time out in. A request that
-///   got past the shed gate before pressure rose that far degrades at
-///   `MIN_SAMPLES` instead.
-///
-/// `watermark: None` (the default) disables the controller entirely —
-/// existing deterministic replay gates see byte-identical behaviour.
-#[derive(Debug, Clone, Default)]
-pub struct BrownoutConfig {
-    /// Queue-wait EWMA at which brownout begins; `None` disables.
-    pub watermark: Option<Duration>,
-}
-
-/// What the brownout controller decided for one admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BrownoutLevel {
-    /// No overload: run whatever the policy admits.
-    Normal,
-    /// Degrade: force the anytime search at this sample budget.
-    Degrade {
-        /// Pressure-scaled RMQ sample budget.
-        samples: u64,
-    },
-    /// Shed the submission outright.
-    Shed,
-}
-
-impl BrownoutConfig {
-    /// Pressure multiple (EWMA / watermark) at which shedding starts;
-    /// degradation covers the band between 1 and this.
-    pub const SHED_THRESHOLD: f64 = 2.0;
-    /// RMQ sample budget at pressure 1.0, the policy's own RMQ budget.
-    pub const BASE_SAMPLES: u64 = DeadlineAwarePolicy::RMQ_SAMPLES;
-    /// Sample budget of a request that got past the shed gate while
-    /// pressure stands at or above [`BrownoutConfig::SHED_THRESHOLD`].
-    pub const MIN_SAMPLES: u64 = 50;
-    /// Seed for degraded RMQ runs (fixed per service: reproducibility).
-    pub const RMQ_SEED: u64 = DeadlineAwarePolicy::RMQ_SEED;
-
-    /// Classifies a measured pressure reading (EWMA / watermark).
-    #[must_use]
-    pub fn assess(&self, pressure: f64) -> BrownoutLevel {
-        if self.watermark.is_none() {
-            return BrownoutLevel::Normal;
-        }
-        if pressure >= Self::SHED_THRESHOLD {
-            return BrownoutLevel::Shed;
-        }
-        if pressure > 1.0 {
-            #[allow(
-                clippy::cast_precision_loss,
-                clippy::cast_possible_truncation,
-                clippy::cast_sign_loss
-            )]
-            let samples = (Self::BASE_SAMPLES as f64 / pressure) as u64;
-            return BrownoutLevel::Degrade { samples };
-        }
-        BrownoutLevel::Normal
-    }
-
-    /// The degraded algorithm for one block at `samples` budget.
-    #[must_use]
-    pub fn degraded_algorithm(samples: u64) -> Algorithm {
-        Algorithm::Rmq {
-            samples,
-            seed: Self::RMQ_SEED,
-            threads: 1,
-        }
-    }
-}
-
 /// The admission policy: size and deadline gates around the preference order
 /// `EXA → IRA/RTA → RMQ`, with a crude exponential model of
 /// dynamic-programming cost. Its limits are constants.
@@ -414,41 +326,6 @@ mod tests {
             Duration::from_micros(7),
         );
         assert!(learned.estimate(LearnedBlockTimes::MAX_TRACKED).is_some());
-    }
-
-    #[test]
-    fn brownout_bands_and_sample_scaling() {
-        let disabled = BrownoutConfig::default();
-        assert_eq!(disabled.assess(10.0), BrownoutLevel::Normal);
-
-        let active = BrownoutConfig {
-            watermark: Some(Duration::from_millis(10)),
-        };
-        assert_eq!(active.assess(0.0), BrownoutLevel::Normal);
-        assert_eq!(active.assess(1.0), BrownoutLevel::Normal);
-        // Degradation band: budget shrinks with pressure.
-        assert_eq!(
-            active.assess(1.25),
-            BrownoutLevel::Degrade { samples: 1600 }
-        );
-        match active.assess(1.9) {
-            BrownoutLevel::Degrade { samples } => {
-                assert!(samples < 1600 && samples > 1000);
-            }
-            other => panic!("expected degradation, got {other:?}"),
-        }
-        // At and past the threshold: shed (including infinite pressure).
-        assert_eq!(active.assess(2.0), BrownoutLevel::Shed);
-        assert_eq!(active.assess(f64::INFINITY), BrownoutLevel::Shed);
-        // The degraded algorithm is the anytime search at the scaled budget.
-        assert_eq!(
-            BrownoutConfig::degraded_algorithm(1600),
-            Algorithm::Rmq {
-                samples: 1600,
-                seed: BrownoutConfig::RMQ_SEED,
-                threads: 1
-            }
-        );
     }
 
     #[test]

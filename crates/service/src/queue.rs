@@ -1,6 +1,6 @@
 //! A bounded multi-producer/multi-consumer work queue: one `Mutex` over a
 //! `VecDeque` and a `closed` flag, and one `Condvar` that idle consumers
-//! park on.
+//! park on until a push or a close wakes them.
 //!
 //! A push never waits for space: a full queue rejects it immediately,
 //! which is the admission-control contract of the service (back-pressure
@@ -8,13 +8,8 @@
 //! hands its item back, so a bounced job keeps whatever rides inside it.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
 use moqo_sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// The longest an idle consumer stays parked before it runs its `tick`
-/// callback again (see [`BoundedQueue::pop_blocking_with`]).
-const PARK_TIMEOUT: Duration = Duration::from_millis(5);
 
 struct State<T> {
     items: VecDeque<T>,
@@ -99,35 +94,19 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Blocks until an item is available; returns `None` once the queue is
-    /// closed *and* drained (the worker-shutdown signal).
+    /// closed *and* drained (the worker-shutdown signal). An idle consumer
+    /// parks on the condvar and wakes only for a push, a close or a
+    /// spurious wakeup.
     pub fn pop_blocking(&self) -> Option<T> {
-        self.pop_blocking_with(|| {})
-    }
-
-    /// [`BoundedQueue::pop_blocking`] with a liveness callback. `tick` runs,
-    /// outside the queue lock, before every look at the queue, and a parked
-    /// consumer looks again after at most 5 ms, so `tick` keeps running
-    /// while the queue is idle. Workers stamp their supervision heartbeat
-    /// through it — without it, an idle-but-healthy worker is
-    /// indistinguishable from one wedged inside a job.
-    pub fn pop_blocking_with(&self, mut tick: impl FnMut()) -> Option<T> {
+        let mut state = self.lock();
         loop {
-            tick();
-            let mut state = self.lock();
             if let Some(item) = state.items.pop_front() {
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
-            // A notify, a timeout and a spurious wakeup all lead back to
-            // the top: tick, then check again.
-            drop(
-                self.shared
-                    .ready
-                    .wait_timeout(state, PARK_TIMEOUT)
-                    .expect("queue lock poisoned"),
-            );
+            state = self.shared.ready.wait(state).expect("queue lock poisoned");
         }
     }
 
@@ -187,18 +166,21 @@ mod tests {
     }
 
     #[test]
-    fn parked_pop_ticks_outside_the_lock() {
-        // The third tick closes the queue; closing takes the lock, so this
-        // would deadlock if `tick` ran under it.
+    fn parked_pop_wakes_for_a_close() {
         let q: BoundedQueue<u32> = BoundedQueue::new(1);
-        let mut ticks = 0;
-        let popped = q.pop_blocking_with(|| {
-            ticks += 1;
-            if ticks == 3 {
-                q.close();
-            }
-        });
-        assert_eq!((popped, ticks), (None, 3));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let q = q.clone();
+            std::thread::spawn(move || done_tx.send(q.pop_blocking()).unwrap())
+        };
+        // Either order of pop and close returns `None`; the pause makes the
+        // parked pop, which only the close's notify can wake, the likely
+        // one. A missed wakeup fails here instead of hanging the test.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        q.close();
+        let popped = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(popped, Ok(None), "a parked pop missed the close");
+        consumer.join().unwrap();
     }
 
     #[test]
@@ -262,10 +244,10 @@ mod tests {
                     })
                 })
                 .collect();
-            // Every consumer finds the queue empty and parks, and stays
-            // parked past at least two park timeouts before the first push.
+            // Every consumer finds the queue empty and parks; only the
+            // pushes below wake them.
             started.wait();
-            std::thread::sleep(PARK_TIMEOUT * 3);
+            std::thread::sleep(std::time::Duration::from_millis(15));
             for v in 1..=32usize {
                 while q.try_push(v) == Err((PushError::Full, v)) {
                     std::thread::yield_now();

@@ -148,14 +148,14 @@ pub struct BlockOutcome {
     pub frontier: Vec<PlanEntry>,
     /// Where the block came from.
     pub source: BlockSource,
-    /// Precision guarantee attached to the frontier (`∞` when none).
+    /// Precision guarantee attached to the frontier: `∞` when there is
+    /// none — RMQ fronts, and every run that timed out or was cancelled,
+    /// since a quick-finished front covers no more than its one plan per
+    /// table set.
     pub achieved_alpha: f64,
     /// The optimizer's per-block report (timings, pruning counters, final
-    /// α, prune mode). Cache hits carry a synthetic report describing the
-    /// cached entry. When the service browned the block out under load
-    /// pressure, `report.degraded_by_pressure` is stamped `true` — the
-    /// α-accounting stays honest about why the guarantee is weaker than
-    /// the request preferred.
+    /// α, prune mode, whether the run timed out). Cache hits carry a
+    /// synthetic report describing the cached entry.
     pub report: BlockReport,
 }
 
@@ -214,31 +214,27 @@ impl OptimizationResponse {
 
 /// Why a request produced no plan. Each variant lands in its own metrics
 /// counter (see [`crate::MetricsSnapshot`]): `Rejected` →
-/// `rejected`, `DeadlineExceeded` → `timed_out`, `Shed` → `shed`,
-/// everything else → `failed` — the seed folded all of these into one
-/// overloaded "rejected" number.
+/// `rejected`, `DeadlineExceeded` → `timed_out`, `QueueFull` →
+/// `queue_full`, everything else → `failed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The bounded work queue was at capacity (back-pressure).
     QueueFull,
     /// The service is shutting down.
     ShuttingDown,
-    /// Admission control rejected the request (budget too small for every
-    /// admitted algorithm, block too large, …) — either at submission
-    /// (the fast path, before the request occupies a queue slot) or when
-    /// a worker re-checked the per-block budget.
+    /// The request was turned away and retrying it unchanged cannot help:
+    /// it is malformed (α below 1 or NaN, a NaN, negative or infinite
+    /// weight, a NaN or negative bound, no objective, an empty query or
+    /// block, a block that does not fit the catalog, a DP hint on a block
+    /// over 24 relations), or admission control found no algorithm for
+    /// its deadline budget. Both are decided at submission, before the
+    /// request takes a queue slot; a worker re-checks the per-block budget
+    /// when the block's turn comes. The string says what is wrong.
     Rejected(String),
     /// The request's deadline expired before a block could start — all
     /// budget was consumed by queue wait and/or earlier blocks. Distinct
     /// from `Rejected`: admission never got a say, the clock did.
     DeadlineExceeded,
-    /// The brownout admission controller shed this submission: measured
-    /// queue-wait pressure stood above the shedding watermark, so the
-    /// request was turned away *before* occupying a queue slot it would
-    /// only have timed out in. Distinct from both `Rejected` (a per-request
-    /// deadline verdict) and `QueueFull` (hard capacity): shedding is the
-    /// service's own overload valve.
-    Shed,
     /// The worker processing the request panicked; the panic was caught at
     /// the job boundary, the worker survived, and the payload is delivered
     /// here instead of killing the thread (and, transitively, the pool).
@@ -287,12 +283,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Rejected(reason) => write!(f, "request rejected: {reason}"),
             ServiceError::DeadlineExceeded => {
                 write!(f, "deadline expired before optimization could start")
-            }
-            ServiceError::Shed => {
-                write!(
-                    f,
-                    "request shed: queue-wait pressure above the brownout watermark"
-                )
             }
             ServiceError::Internal {
                 payload,

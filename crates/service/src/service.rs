@@ -1,6 +1,6 @@
 //! The optimization service: submission, scheduling, and the worker pool.
 
-use moqo_sync::atomic::{AtomicU64, Ordering};
+use moqo_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use moqo_sync::Arc;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -13,23 +13,23 @@ use moqo_costmodel::CostModelParams;
 use crate::cache::{CacheKey, CacheLookup, PlanCache};
 use crate::fault::{guarded_catch, FaultAction, FaultPlan};
 use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceMetrics};
-use crate::policy::{
-    Admission, BrownoutConfig, BrownoutLevel, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext,
-};
+use crate::policy::{Admission, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
     ServiceError,
 };
-use crate::supervisor::{Finding, Supervision, WorkerSlot};
 use crate::trace::{
     error_code, EventKind, FlightRecorder, RequestTrace, SpanCollector, TraceConfig, TraceSnapshot,
-    SYSTEM_TRACE_ID,
 };
 
 /// Plan-cache shards: keys hash to one of this many independently locked
 /// maps, so concurrent workers rarely contend on the same lock.
 const CACHE_SHARDS: usize = 8;
+
+/// Largest block a dynamic-programming hint may name: the DP keeps one
+/// table entry per relation subset and refuses larger blocks.
+const DP_MAX_RELATIONS: usize = 24;
 
 type Responder = mpsc::Sender<Result<OptimizationResponse, ServiceError>>;
 
@@ -39,8 +39,11 @@ struct Job {
     /// 0-based submission index; the key into the fault plan — and, when
     /// tracing is on, the request's trace id.
     ordinal: u64,
-    /// Worker-side fault scheduled for this ordinal, if any.
-    fault: Option<FaultAction>,
+    /// Whether the fault plan schedules a panic for this ordinal.
+    inject_panic: bool,
+    /// Shared with the request's [`Ticket`], which sets it when dropped:
+    /// the optimizer then stops as on a timeout.
+    cancel: Arc<AtomicBool>,
     /// The request's span collector, when the flight recorder is on: the
     /// submit-path events ride through the queue with the job so the
     /// worker appends to the same trace.
@@ -55,18 +58,10 @@ struct ServiceInner {
     metrics: ServiceMetrics,
     /// Measured per-block-size wall times; refines the deadline split.
     learned: LearnedBlockTimes,
-    /// Worker registry + supervisor signalling.
-    supervision: Supervision,
-    /// Brownout admission controller config.
-    brownout: BrownoutConfig,
-    supervisor_tick: Duration,
-    stall_after: Duration,
     /// Deterministic fault schedule, if chaos is enabled.
     faults: Option<FaultPlan>,
     /// Submission-order counter; assigns fault-plan ordinals.
     ordinals: AtomicU64,
-    /// Pool size the supervisor restores towards.
-    workers_target: usize,
     /// The flight recorder, when tracing is enabled (see
     /// [`ServiceBuilder::tracing`]). `None` skips only the ring, span and
     /// exemplar writes: every event is still counted in `metrics`.
@@ -82,6 +77,48 @@ impl ServiceInner {
         self.learned
             .estimate(block_size)
             .unwrap_or_else(|| DeadlineAwarePolicy::estimated_dp_time(block_size))
+    }
+
+    /// What makes `request` unservable whatever the load, if anything:
+    /// resending it unchanged would fail the same way, so it is rejected
+    /// at submission instead of failing inside a worker. Allocates only to
+    /// describe a rejection.
+    fn malformed(&self, request: &OptimizationRequest) -> Option<String> {
+        if request.alpha.is_nan() || request.alpha < 1.0 {
+            return Some(format!("α′ = {} is not a number ≥ 1", request.alpha));
+        }
+        if let Err(reason) = request.preference.validate() {
+            return Some(reason);
+        }
+        if request.query.blocks.is_empty() {
+            return Some("the query has no blocks".to_owned());
+        }
+        let dp_hint = match request.hint {
+            Some(Algorithm::Exhaustive) => Some(1.0),
+            Some(Algorithm::Rta { alpha } | Algorithm::Ira { alpha }) => Some(alpha),
+            Some(Algorithm::Rmq { .. }) | None => None,
+        };
+        if let Some(alpha) = dp_hint {
+            if alpha.is_nan() || alpha < 1.0 {
+                return Some(format!("the hint's α = {alpha} is not a number ≥ 1"));
+            }
+        }
+        for (idx, graph) in request.query.blocks.iter().enumerate() {
+            if graph.n_rels() == 0 {
+                return Some(format!("block {idx} has no relations"));
+            }
+            if let Err(reason) = graph.validate(&self.catalog) {
+                return Some(format!("block {idx}: {reason}"));
+            }
+            if dp_hint.is_some() && graph.n_rels() > DP_MAX_RELATIONS {
+                return Some(format!(
+                    "block {idx} has {} relations; the hinted DP scheme takes at most \
+                     {DP_MAX_RELATIONS}",
+                    graph.n_rels()
+                ));
+            }
+        }
+        None
     }
 
     /// Admission across all blocks of a request against deadline `total`,
@@ -118,22 +155,18 @@ impl ServiceInner {
         }
         Ok(())
     }
-
-    /// The brownout controller's verdict against the current queue-wait
-    /// pressure (`Normal` whenever the controller is disabled).
-    fn brownout_level(&self) -> BrownoutLevel {
-        match self.brownout.watermark {
-            Some(watermark) => self
-                .brownout
-                .assess(self.metrics.pressure_gauge().pressure(watermark)),
-            None => BrownoutLevel::Normal,
-        }
-    }
 }
 
 /// A handle to one outstanding request; blocks on [`Ticket::wait`].
+///
+/// Dropping a ticket without waiting cancels the request: nobody is left
+/// to read the answer, so its optimizer run stops at its next amortized
+/// deadline check, as on a timeout, and the worker moves on. A request
+/// still queued when its ticket drops runs the same way when a worker
+/// picks it up: each block takes the optimizer's timeout path at once.
 pub struct Ticket {
     receiver: mpsc::Receiver<Result<OptimizationResponse, ServiceError>>,
+    cancel: Arc<AtomicBool>,
 }
 
 impl Ticket {
@@ -153,15 +186,20 @@ impl Ticket {
     }
 }
 
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        // Release pairs with the Acquire load in `Deadline`'s check. After
+        // `wait` the job has already answered, and the store is moot.
+        self.cancel.store(true, Ordering::Release);
+    }
+}
+
 /// Builder for [`OptimizationService`].
 pub struct ServiceBuilder {
     catalog: Catalog,
     workers: usize,
     queue_capacity: usize,
     cache_capacity: usize,
-    supervisor_tick: Duration,
-    stall_after: Duration,
-    brownout: BrownoutConfig,
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
 }
@@ -175,9 +213,6 @@ impl ServiceBuilder {
             workers: 2,
             queue_capacity: 256,
             cache_capacity: 1024,
-            supervisor_tick: Duration::from_millis(5),
-            stall_after: Duration::from_secs(5),
-            brownout: BrownoutConfig::default(),
             faults: None,
             tracing: None,
         }
@@ -206,31 +241,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets how often the supervisor scans worker heartbeats (default
-    /// 5 ms).
-    #[must_use]
-    pub fn supervisor_tick(mut self, tick: Duration) -> Self {
-        self.supervisor_tick = tick;
-        self
-    }
-
-    /// Sets the heartbeat silence after which a running worker counts as
-    /// wedged and is replaced (default 5 s; `ZERO` disables stall
-    /// detection — dead workers are still respawned).
-    #[must_use]
-    pub fn stall_after(mut self, stall_after: Duration) -> Self {
-        self.stall_after = stall_after;
-        self
-    }
-
-    /// Enables the brownout admission controller (disabled by default —
-    /// see [`BrownoutConfig`]).
-    #[must_use]
-    pub fn brownout(mut self, brownout: BrownoutConfig) -> Self {
-        self.brownout = brownout;
-        self
-    }
-
     /// Installs a deterministic fault plan (chaos testing; see
     /// [`FaultPlan`]).
     #[must_use]
@@ -252,8 +262,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Spawns the workers and the supervisor, and returns the running
-    /// service.
+    /// Spawns the workers and returns the running service.
     #[must_use]
     pub fn build(self) -> OptimizationService {
         let workers = self.workers.max(1);
@@ -263,42 +272,34 @@ impl ServiceBuilder {
             cache: PlanCache::new(self.cache_capacity, CACHE_SHARDS),
             metrics: ServiceMetrics::default(),
             learned: LearnedBlockTimes::new(),
-            supervision: Supervision::new(),
-            brownout: self.brownout,
-            supervisor_tick: self.supervisor_tick.max(Duration::from_micros(100)),
-            stall_after: self.stall_after,
             faults: self.faults,
             ordinals: AtomicU64::new(0),
-            workers_target: workers,
             recorder: self
                 .tracing
                 .as_ref()
                 .map(|config| FlightRecorder::new(config, workers)),
         });
-        for worker in 0..workers {
-            spawn_worker(&inner, worker);
-        }
-        let supervisor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("moqo-supervisor".to_owned())
-                .spawn(move || supervisor_loop(&inner))
-                .expect("supervisor thread spawns")
-        };
-        OptimizationService {
-            inner,
-            supervisor: Some(supervisor),
-        }
+        let workers = (0..workers)
+            .map(|worker| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("moqo-worker-{worker}"))
+                    .spawn(move || worker_loop(&inner, worker))
+                    .expect("worker thread spawns")
+            })
+            .collect();
+        OptimizationService { inner, workers }
     }
 }
 
 /// A concurrent optimization service over one catalog: bounded submission
-/// queue, std-thread worker pool under heartbeat supervision, deadline-aware
-/// admission with brownout load shedding, and the α-aware plan cache. See
-/// the crate docs for the serving semantics.
+/// queue, std-thread worker pool, deadline-aware admission, cancellation
+/// of abandoned requests, and the α-aware plan cache. See the crate docs
+/// for the serving semantics.
 pub struct OptimizationService {
     inner: Arc<ServiceInner>,
-    supervisor: Option<JoinHandle<()>>,
+    /// Every worker thread; shutdown joins each one.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl OptimizationService {
@@ -316,28 +317,26 @@ impl OptimizationService {
 
     /// Submits a request; returns immediately with a [`Ticket`].
     ///
-    /// Deadline-carrying requests pass admission *here*, against the
-    /// whole-request deadline with optimistic per-block shares: a request
-    /// no algorithm could ever serve is rejected before it occupies a
-    /// queue slot (and before its hopeless wait displaces feasible work).
-    /// The per-block admission re-check at processing time still guards
-    /// against budget consumed by queue wait and earlier blocks. When the
-    /// brownout controller is enabled and measured queue-wait pressure
-    /// stands at or above the shed threshold *while a backlog actually
-    /// exists*, the submission is shed before taking a queue slot. The
-    /// push takes the queue mutex once; every metrics update is atomic.
+    /// A malformed request (see [`ServiceError::Rejected`]) is rejected
+    /// here, before it occupies a queue slot. So are deadline-carrying
+    /// requests that fail admission against the whole-request deadline
+    /// with optimistic per-block shares: a request no algorithm could ever
+    /// serve never displaces feasible work. The per-block admission
+    /// re-check at processing time still guards against budget consumed
+    /// by queue wait and earlier blocks. The push takes the queue mutex
+    /// once; every metrics update is atomic.
     ///
     /// # Errors
     ///
     /// [`ServiceError::QueueFull`] under back-pressure,
-    /// [`ServiceError::Rejected`] from the admission fast path,
-    /// [`ServiceError::Shed`] from the brownout valve,
-    /// [`ServiceError::ShuttingDown`] after shutdown began.
+    /// [`ServiceError::Rejected`] for a malformed request or from the
+    /// admission fast path, [`ServiceError::ShuttingDown`] after shutdown
+    /// began.
     #[allow(clippy::cast_possible_truncation)]
     pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
         // Ordinals are assigned to every submission — including ones that
-        // are then rejected or shed — so a fault plan keyed on submission
-        // order replays exactly. The ordinal doubles as the trace id.
+        // are then rejected — so a fault plan keyed on submission order
+        // replays exactly. The ordinal doubles as the trace id.
         let ordinal = self.inner.ordinals.fetch_add(1, Ordering::Relaxed);
         let metrics = &self.inner.metrics;
         let recorder = self.inner.recorder.as_ref();
@@ -348,22 +347,14 @@ impl OptimizationService {
             request.alpha.to_bits(),
             u64::from(request.deadline.is_some()),
         );
-        if let Some(deadline) = request.deadline {
-            if let Err(error) = self.inner.admit_all_blocks(&request, deadline) {
-                rt.event(EventKind::Rejected, 0, 0, 0);
-                rt.finish(Err(&error), 0);
-                return Err(error);
-            }
-        }
-        // Shedding needs both signals: pressure says waits are long, the
-        // queue length says the backlog is real *now*. The length guard
-        // keeps a stale EWMA from shedding forever after load has drained.
-        if self.inner.brownout.watermark.is_some()
-            && self.inner.queue.len() >= self.inner.workers_target
-            && self.inner.brownout_level() == BrownoutLevel::Shed
-        {
-            let error = ServiceError::Shed;
-            rt.event(EventKind::Shed, 0, 0, 0);
+        let verdict = match self.inner.malformed(&request) {
+            Some(reason) => Err(ServiceError::Rejected(reason)),
+            None => request.deadline.map_or(Ok(()), |deadline| {
+                self.inner.admit_all_blocks(&request, deadline)
+            }),
+        };
+        if let Err(error) = verdict {
+            rt.event(EventKind::Rejected, 0, 0, 0);
             rt.finish(Err(&error), 0);
             return Err(error);
         }
@@ -375,6 +366,7 @@ impl OptimizationService {
             return Err(error);
         }
         let (tx, rx) = mpsc::channel();
+        let cancel = Arc::new(AtomicBool::new(false));
         // `enqueued` is stamped before the push (the span rides inside the
         // job through the queue); a bounced push hands the job — and its
         // span — back, and the trace closes with a `queue_full` event.
@@ -383,12 +375,16 @@ impl OptimizationService {
             request,
             submitted: Instant::now(),
             ordinal,
-            fault,
+            inject_panic: fault == Some(FaultAction::Panic),
+            cancel: Arc::clone(&cancel),
             span: rt.into_span(),
             responder: tx,
         };
         match self.inner.queue.try_push(job) {
-            Ok(()) => Ok(Ticket { receiver: rx }),
+            Ok(()) => Ok(Ticket {
+                receiver: rx,
+                cancel,
+            }),
             Err((PushError::Full, mut job)) => {
                 let error = ServiceError::QueueFull;
                 let mut rt =
@@ -413,13 +409,10 @@ impl OptimizationService {
         self.submit(request)?.wait()
     }
 
-    /// Metrics snapshot including cache counters and the live gauges
-    /// (pressure, alive workers).
+    /// Metrics snapshot including the cache's own counters.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner
-            .metrics
-            .snapshot(self.inner.cache.snapshot(), self.inner.supervision.alive())
+        self.inner.metrics.snapshot(self.inner.cache.snapshot())
     }
 
     /// Point-in-time flight-recorder snapshot: ring events (sorted), the
@@ -437,49 +430,20 @@ impl OptimizationService {
         self.inner.queue.len()
     }
 
-    /// Workers currently registered as live. Transiently below the
-    /// configured count while the supervisor replaces a dead or wedged
-    /// worker; it restores the pool within a few ticks.
-    #[must_use]
-    pub fn alive_workers(&self) -> usize {
-        self.inner.supervision.alive()
-    }
-
-    /// Stops accepting work, drains the queue, and joins the workers.
+    /// Stops accepting work, lets the workers drain the queue, and joins
+    /// every worker.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
         self.metrics()
     }
 
     fn shutdown_in_place(&mut self) {
-        // Stop the supervisor first so a worker exiting on queue close is
-        // not "helpfully" respawned mid-shutdown.
-        self.inner.supervision.begin_shutdown();
-        if let Some(handle) = self.supervisor.take() {
-            let _ = handle.join();
-        }
         self.inner.queue.close();
-        for handle in self.inner.supervision.take_handles() {
-            // A worker that died panicking delivers its payload through
-            // `join()`; it must be swallowed here — `Drop` propagating a
-            // worker's panic would abort an already-unwinding caller.
+        for handle in self.workers.drain(..) {
+            // Every job runs under the panic guard, so a worker only
+            // returns; a payload must still never escape `Drop`, which
+            // would abort an already-unwinding caller.
             drop(handle.join());
-        }
-        // Backstop: if workers died without draining (e.g. every worker
-        // was killed by a fault plan), no ticket may hang forever — answer
-        // whatever is left. The queue is closed, so this terminates.
-        while let Some(mut job) = self.inner.queue.pop_blocking() {
-            let error = ServiceError::ShuttingDown;
-            let mut rt = RequestTrace::resumed(
-                &self.inner.metrics,
-                self.inner.recorder.as_ref(),
-                usize::MAX,
-                job.ordinal,
-                job.span.take(),
-            );
-            rt.event(EventKind::Failed, error_code(&error), 0, 0);
-            rt.finish(Err(&error), elapsed_us(job.submitted));
-            let _ = job.responder.send(Err(error));
         }
     }
 }
@@ -490,63 +454,14 @@ impl Drop for OptimizationService {
     }
 }
 
-/// Spawns worker number `worker` and registers it with the supervisor.
-/// A respawn reuses the index (so the thread name and trace ring carry
-/// over) under a fresh generation number in the thread name.
-fn spawn_worker(inner: &Arc<ServiceInner>, worker: usize) {
-    let slot = Arc::new(WorkerSlot::default());
-    let generation = inner.supervision.next_generation();
-    let thread_inner = Arc::clone(inner);
-    let thread_slot = Arc::clone(&slot);
-    let handle = std::thread::Builder::new()
-        .name(format!("moqo-worker-{worker}-g{generation}"))
-        .spawn(move || worker_loop(&thread_inner, worker, &thread_slot))
-        .expect("worker thread spawns");
-    inner.supervision.register(worker, slot, handle);
-}
-
-/// The supervisor: parks on its tick, scans worker heartbeats, reaps the
-/// dead, abandons the wedged, and respawns replacements under the same
-/// worker index. Exits when shutdown begins.
-fn supervisor_loop(inner: &Arc<ServiceInner>) {
-    // Each finding is the one event of a system-scoped trace.
-    let record = |kind, worker: usize| {
-        let recorder = inner.recorder.as_ref();
-        let mut rt = RequestTrace::started(&inner.metrics, recorder, SYSTEM_TRACE_ID);
-        rt.event(kind, worker as u64, 0, 0);
-    };
-    let mut last = Instant::now();
-    while !inner.supervision.is_shutting_down() {
-        inner.supervision.park(inner.supervisor_tick);
-        if inner.supervision.is_shutting_down() {
-            return;
-        }
-        let elapsed = last.elapsed();
-        last = Instant::now();
-        for finding in inner.supervision.scan(elapsed, inner.stall_after) {
-            let worker = match finding {
-                Finding::Dead { worker } => worker,
-                Finding::Stalled { worker } => {
-                    record(EventKind::WorkerStalled, worker);
-                    worker
-                }
-            };
-            record(EventKind::WorkerRespawned, worker);
-            spawn_worker(inner, worker);
-        }
-    }
-}
-
 /// Microseconds elapsed since `start`, saturating.
 fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 #[allow(clippy::cast_possible_truncation)]
-fn worker_loop(inner: &ServiceInner, worker: usize, slot: &WorkerSlot) {
-    // The heartbeat fires inside the queue's wait loop too (at least once
-    // per park timeout), so an idle worker never looks wedged.
-    while let Some(mut job) = inner.queue.pop_blocking_with(|| slot.beat()) {
+fn worker_loop(inner: &ServiceInner, worker: usize) {
+    while let Some(mut job) = inner.queue.pop_blocking() {
         let queue_wait_us = elapsed_us(job.submitted);
         let mut rt = RequestTrace::resumed(
             &inner.metrics,
@@ -556,22 +471,7 @@ fn worker_loop(inner: &ServiceInner, worker: usize, slot: &WorkerSlot) {
             job.span.take(),
         );
         rt.event(EventKind::Popped, queue_wait_us, 0, 0);
-        let mut die_after = false;
-        match job.fault {
-            Some(FaultAction::Delay(delay)) => {
-                rt.event(
-                    EventKind::FaultDelay,
-                    u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
-                    0,
-                    0,
-                );
-                std::thread::sleep(delay);
-            }
-            Some(FaultAction::KillWorker) => die_after = true,
-            _ => {}
-        }
-        let inject_panic = job.fault == Some(FaultAction::Panic);
-        let ordinal = job.ordinal;
+        let (inject_panic, ordinal) = (job.inject_panic, job.ordinal);
         // Panic isolation: anything the job does — injected faults and
         // genuine optimizer bugs alike — is caught here, converted to
         // `Internal` on the responder, and the worker keeps serving.
@@ -579,7 +479,7 @@ fn worker_loop(inner: &ServiceInner, worker: usize, slot: &WorkerSlot) {
             if inject_panic {
                 panic!("injected fault: panic at ordinal {ordinal}");
             }
-            process(inner, &job.request, job.submitted, &mut rt)
+            process(inner, &job.request, job.submitted, &job.cancel, &mut rt)
         })
         .unwrap_or_else(|payload| {
             let error = ServiceError::internal(payload);
@@ -601,29 +501,11 @@ fn worker_loop(inner: &ServiceInner, worker: usize, slot: &WorkerSlot) {
             Ok(response) => rt.completed(response, elapsed_us(job.submitted)),
             Err(error) => rt.event(EventKind::Failed, error_code(error), 0, 0),
         }
-        if die_after {
-            // Stamped before `finish` so exemplar classification sees it:
-            // the killed worker's last request completes Ok, and this event
-            // is what marks its trace as a kill exemplar.
-            rt.event(EventKind::WorkerKilled, worker as u64, 0, 0);
-        }
-        let finished = match &result {
-            Ok(_) => Ok(()),
-            Err(error) => Err(error),
-        };
-        rt.finish(finished, elapsed_us(job.submitted));
-        // A dropped ticket is fine; the work (and the cache fill) still
-        // happened.
+        rt.finish(result.as_ref().map(|_| ()), elapsed_us(job.submitted));
+        // A dropped ticket is fine: its cancel flag already cut the run
+        // short, and the work that was done still filled the cache.
         let _ = job.responder.send(result);
-        if die_after {
-            // The injected death answers its request first (deterministic
-            // responses), then takes the thread down; the supervisor's
-            // next tick notices the exit flag and respawns the worker.
-            slot.mark_exited();
-            return;
-        }
     }
-    slot.mark_exited();
 }
 
 #[allow(clippy::cast_possible_truncation)]
@@ -631,6 +513,7 @@ fn process(
     inner: &ServiceInner,
     request: &OptimizationRequest,
     submitted: Instant,
+    cancel: &Arc<AtomicBool>,
     rt: &mut RequestTrace<'_>,
 ) -> Result<OptimizationResponse, ServiceError> {
     let queue_wait = submitted.elapsed();
@@ -642,16 +525,6 @@ fn process(
         CostModelParams::default().enable_sampling,
         request.preference.objectives,
     );
-    // Brownout verdict, sampled once per request: under pressure, computed
-    // blocks degrade onto the anytime search with a pressure-scaled sample
-    // budget. A request already past the shed gate degrades at the floor
-    // rather than failing. Explicit algorithm hints are honored as-is.
-    let brownout = match inner.brownout_level() {
-        BrownoutLevel::Shed => BrownoutLevel::Degrade {
-            samples: BrownoutConfig::MIN_SAMPLES,
-        },
-        level => level,
-    };
     let mut blocks = Vec::with_capacity(request.query.blocks.len());
 
     // Per-block deadline shares, proportional to the block cost estimate:
@@ -759,18 +632,7 @@ fn process(
                 graph.n_rels()
             )));
         };
-        // Graceful degradation: under brownout the admitted algorithm is
-        // replaced by the anytime search at the pressure-scaled sample
-        // budget — shorter service time instead of failed requests. An
-        // explicit hint is a caller contract and is never overridden.
-        let (algorithm, downgraded, degraded) = match brownout {
-            BrownoutLevel::Degrade { samples } if request.hint.is_none() => {
-                (BrownoutConfig::degraded_algorithm(samples), true, true)
-            }
-            _ => (algorithm, downgraded, false),
-        };
-
-        let mut optimizer = Optimizer::new(&inner.catalog);
+        let mut optimizer = Optimizer::new(&inner.catalog).with_cancel(Arc::clone(cancel));
         if let Some(rem) = remaining {
             optimizer = optimizer.with_timeout(rem);
         }
@@ -787,23 +649,26 @@ fn process(
             _ => (Vec::new(), None),
         };
         let optimize_started = Instant::now();
-        let (block, mut report) =
+        let (block, report) =
             optimizer.optimize_block_warm(graph, &request.preference, algorithm, &warm_trees);
-        // Feed the measured wall time back into the deadline split's
-        // estimate table (lock-free EWMA) — admission learns the machine
-        // it runs on instead of trusting the static 3.5ⁿ model forever.
-        inner
-            .learned
-            .record(graph.n_rels(), optimize_started.elapsed());
-        // α-accounting stays honest about brownout: the report carries the
-        // degradation stamp, and `achieved_alpha` reflects the anytime
-        // search's lack of guarantee instead of the request's preference.
-        report.degraded_by_pressure = degraded;
-        let achieved_alpha = if report.alpha_final.is_nan() {
+        // A run cut short by its deadline or by cancellation returns the
+        // quick-finish front — one plan per table set it had not treated —
+        // which covers the true frontier at no finite α, and its wall time
+        // is the cut, not the block's cost.
+        let achieved_alpha = if report.timed_out || report.alpha_final.is_nan() {
             f64::INFINITY
         } else {
             report.alpha_final
         };
+        if !report.timed_out {
+            // Feed the measured wall time back into the deadline split's
+            // estimate table (lock-free EWMA) — admission learns the
+            // machine it runs on instead of trusting the static 3.5ⁿ model
+            // forever.
+            inner
+                .learned
+                .record(graph.n_rels(), optimize_started.elapsed());
+        }
         debug_assert_eq!(
             report.prune_mode, required_mode,
             "optimizer and service must derive the same mode"
@@ -817,14 +682,13 @@ fn process(
             report.prune_mode,
         );
         // arg0 packs block index (bits 0..32), algorithm kind (32..40) and
-        // flags (40: degraded by pressure, 41: admission downgraded,
-        // 42: warm-started); arg2 is the report's deterministic `DpStats`
-        // digest, so replay checksums pin the whole optimization outcome.
+        // flags (41: admission downgraded, 42: warm-started; 40 is
+        // unassigned); arg2 is the report's deterministic `DpStats` digest,
+        // so replay checksums pin the whole optimization outcome.
         rt.event(
             EventKind::BlockOptimized,
             block_idx as u64
                 | (u64::from(AlgorithmKind::of(algorithm).as_u8()) << 32)
-                | (u64::from(degraded) << 40)
                 | (u64::from(downgraded) << 41)
                 | (u64::from(warm_alpha.is_some()) << 42),
             achieved_alpha.to_bits(),

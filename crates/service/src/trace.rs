@@ -1,30 +1,28 @@
 //! The flight recorder: span-structured request tracing.
 //!
 //! Aggregate counters ([`crate::MetricsSnapshot`]) answer *how much*; they
-//! cannot answer "why was request #417 slow / shed / degraded". This
+//! cannot answer "why was request #417 slow / rejected / downgraded". This
 //! module records the evidence trail per request as fixed-size
 //! [`TraceEvent`]s — admit/reject, enqueue, pop (queue wait), cache probe
-//! outcome, per-block optimization (algorithm, achieved α, report digest,
-//! `degraded_by_pressure`), panic/kill/shed, completion.
+//! outcome, per-block optimization (algorithm, achieved α, report digest),
+//! caught panic, completion.
 //!
-//! Each lifecycle transition is one call, [`RequestTrace::event`]; a
-//! supervisor finding is the one event of a trace with id
-//! [`SYSTEM_TRACE_ID`]. The call always counts the event in the
-//! [`ServiceMetrics`] table that every request counter of a snapshot is
-//! projected from, so counters and traces come from one record and cannot
-//! disagree. When tracing is on, the same call also writes the event into
-//! two sinks:
+//! Each lifecycle transition is one call, [`RequestTrace::event`]. The
+//! call always counts the event in the [`ServiceMetrics`] table that every
+//! request counter of a snapshot is projected from, so counters and
+//! traces come from one record and cannot disagree. When tracing is on,
+//! the same call also writes the event into two sinks:
 //!
 //! * **Per-worker ring buffers** ([`EventRing`]): bounded, oldest
 //!   overwritten, with a `dropped_events` count derived from the
 //!   recorded count. A write takes the ring's mutex and copies the event
 //!   into a pre-filled slot; nothing allocates. Each worker writes its
-//!   own ring, and submitters and the supervisor share the last one.
+//!   own ring, and submitters share the last one.
 //! * **A per-request span collector** ([`SpanCollector`]): a small
 //!   buffer riding inside the job, so the *complete* trace of a request
 //!   survives ring overwrite. At completion the recorder applies
-//!   **tail-based exemplar retention**: every errored / shed / panicked /
-//!   worker-killing request is kept in full (a store of
+//!   **tail-based exemplar retention**: every errored request (rejected,
+//!   bounced, timed out, panicked, failed) is kept in full (a store of
 //!   [`TraceConfig::ERROR_EXEMPLARS`], drop-oldest with its own counter),
 //!   and completed requests compete for the rolling
 //!   [`TraceConfig::SLOWEST`] by latency.
@@ -48,10 +46,6 @@ use std::time::Instant;
 use crate::metrics::ServiceMetrics;
 use crate::request::{OptimizationResponse, ServiceError};
 
-/// Trace id used by events that belong to no request (supervisor respawn
-/// and stall findings).
-pub const SYSTEM_TRACE_ID: u64 = u64::MAX;
-
 /// FNV-1a over one `u64`, folded into `acc`.
 fn fnv1a_u64(mut acc: u64, value: u64) -> u64 {
     for byte in value.to_le_bytes() {
@@ -65,6 +59,9 @@ fn fnv1a_u64(mut acc: u64, value: u64) -> u64 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// What happened at one point of a request's lifecycle.
+///
+/// Wire codes are stable: a kind's code never moves, and a retired kind's
+/// code is never reused. Codes 1, 3, 12 and 16 are unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -72,10 +69,9 @@ pub enum EventKind {
     /// `arg0` = block count, `arg1` = requested α bits, `arg2` = 1 when a
     /// deadline is attached.
     Submitted = 0,
-    /// The admission fast path rejected the request at submission.
+    /// The request was rejected at submission: it is malformed, or the
+    /// admission fast path found no algorithm for its deadline.
     Rejected = 2,
-    /// The brownout valve shed the submission before it took a queue slot.
-    Shed = 3,
     /// The submission bounced off a full (or fault-injected-full) queue.
     QueueFull = 4,
     /// The request took a queue slot.
@@ -83,16 +79,16 @@ pub enum EventKind {
     /// A worker picked the request up; `arg0` = queue wait in µs (a
     /// timing value, excluded from checksums).
     Popped = 6,
-    /// An injected delay fault slept the worker; `arg0` = delay in ms
-    /// (plan-determined, checksummed).
+    /// Reserved: never emitted (the service injects no delays). The
+    /// variant stays because trace consumers outside this crate name it.
     FaultDelay = 7,
     /// A plan-cache probe for block `arg0 & 0xFFFF_FFFF`; bits 32.. of
     /// `arg0` carry the outcome (0 hit, 1 not-servable, 2 miss), `arg1`
     /// the resident entry's α bits (0 on a miss).
     CacheProbe = 8,
     /// One block was optimized. `arg0` packs block index (bits 0..32),
-    /// [`crate::AlgorithmKind`] code (bits 32..40), and flags (bit 40
-    /// `degraded_by_pressure`, bit 41 downgraded, bit 42 warm-started);
+    /// [`crate::AlgorithmKind`] code (bits 32..40), and flags (bit 41
+    /// downgraded, bit 42 warm-started; bit 40 is unassigned);
     /// `arg1` = achieved α bits; `arg2` = the block report's
     /// deterministic digest (`BlockReport::trace_digest`).
     BlockOptimized = 9,
@@ -101,9 +97,6 @@ pub enum EventKind {
     /// The worker's panic guard caught a panic; `arg0` = payload byte
     /// length after capping, `arg1` = 1 when the payload was truncated.
     PanicCaught = 11,
-    /// A fault killed the serving worker after it answered; `arg0` = the
-    /// worker's index (scheduling-dependent, excluded from checksums).
-    WorkerKilled = 12,
     /// The request finished with an error; `arg0` = the
     /// [`ServiceError`] class code (see [`error_code`]).
     Failed = 13,
@@ -111,30 +104,26 @@ pub enum EventKind {
     /// excluded from checksums), `arg1` = block count, `arg2` = 1 when
     /// fully cache-served.
     Completed = 14,
-    /// The supervisor respawned worker `arg0` (system-scoped: trace id
-    /// `SYSTEM_TRACE_ID`).
+    /// Reserved: never emitted (workers are never respawned). The variant
+    /// stays because trace consumers outside this crate name it.
     WorkerRespawned = 15,
-    /// The supervisor detected that worker `arg0` is wedged.
-    WorkerStalled = 16,
 }
 
 impl EventKind {
     /// One past the largest wire code: the row count of a table indexed
-    /// by kind. Code 1 is unassigned.
-    pub(crate) const COUNT: usize = EventKind::WorkerStalled as usize + 1;
+    /// by kind.
+    pub(crate) const COUNT: usize = EventKind::WorkerRespawned as usize + 1;
 
     /// Decodes the wire byte; `None` for a byte no kind uses.
     #[must_use]
     pub fn from_u8(value: u8) -> Option<Self> {
         use EventKind::{
             BlockOptimized, CacheProbe, Completed, DeadlineExceeded, Enqueued, Failed, FaultDelay,
-            PanicCaught, Popped, QueueFull, Rejected, Shed, Submitted, WorkerKilled,
-            WorkerRespawned, WorkerStalled,
+            PanicCaught, Popped, QueueFull, Rejected, Submitted, WorkerRespawned,
         };
         Some(match value {
             0 => Submitted,
             2 => Rejected,
-            3 => Shed,
             4 => QueueFull,
             5 => Enqueued,
             6 => Popped,
@@ -143,28 +132,22 @@ impl EventKind {
             9 => BlockOptimized,
             10 => DeadlineExceeded,
             11 => PanicCaught,
-            12 => WorkerKilled,
             13 => Failed,
             14 => Completed,
             15 => WorkerRespawned,
-            16 => WorkerStalled,
             _ => return None,
         })
     }
 
-    /// Whether `arg0` holds a timing or scheduling value that must stay
-    /// out of checksums (queue waits, latencies, the worker a kill landed
-    /// on — everything that varies run-to-run under real concurrency).
+    /// Whether `arg0` holds a timing value that must stay out of
+    /// checksums (queue waits and latencies vary run-to-run).
     fn arg0_is_nondeterministic(self) -> bool {
-        matches!(
-            self,
-            EventKind::Popped | EventKind::Completed | EventKind::WorkerKilled
-        )
+        matches!(self, EventKind::Popped | EventKind::Completed)
     }
 }
 
 /// The stable class code of a [`ServiceError`], carried by
-/// [`EventKind::Failed`] events.
+/// [`EventKind::Failed`] events. Code 4 is unassigned (a retired class).
 #[must_use]
 pub fn error_code(error: &ServiceError) -> u64 {
     match error {
@@ -172,7 +155,6 @@ pub fn error_code(error: &ServiceError) -> u64 {
         ServiceError::ShuttingDown => 1,
         ServiceError::Rejected(_) => 2,
         ServiceError::DeadlineExceeded => 3,
-        ServiceError::Shed => 4,
         ServiceError::Internal { .. } => 5,
         ServiceError::WorkerLost => 6,
     }
@@ -181,8 +163,7 @@ pub fn error_code(error: &ServiceError) -> u64 {
 /// One fixed-size lifecycle event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// The request's trace id — its submission ordinal
-    /// (`SYSTEM_TRACE_ID` for supervisor events).
+    /// The request's trace id — its submission ordinal.
     pub trace_id: u64,
     /// `TraceClock` reading: wall µs since the recorder started, or a
     /// logical tick under replay. Never checksummed.
@@ -190,7 +171,7 @@ pub struct TraceEvent {
     /// What happened.
     pub kind: EventKind,
     /// 0-based index of this event within its trace (exactly-once
-    /// ordering handle; 0 for system events).
+    /// ordering handle).
     pub seq: u16,
     /// First argument (meaning per [`EventKind`]).
     pub arg0: u64,
@@ -253,8 +234,8 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Full traces retained for errored/shed/panicked/killed requests
-    /// before the store drops its oldest.
+    /// Full traces retained for errored requests before the store drops
+    /// its oldest.
     pub const ERROR_EXEMPLARS: usize = 256;
     /// Rolling count of slowest completed requests kept in full.
     pub const SLOWEST: usize = 8;
@@ -349,25 +330,23 @@ impl EventRing {
     }
 }
 
-/// Why a full trace was retained as an exemplar.
+/// Why a full trace was retained as an exemplar. The discriminant is
+/// folded into [`Exemplar::digest`], so it never moves; 1 and 5 are
+/// unassigned (retired classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExemplarClass {
-    /// Admission control rejected the request.
-    Rejected,
-    /// The brownout valve shed the submission.
-    Shed,
+    /// The request was malformed, or admission control rejected it.
+    Rejected = 0,
     /// The submission bounced off a full queue.
-    QueueFull,
+    QueueFull = 2,
     /// The deadline expired mid-request.
-    DeadlineExceeded,
+    DeadlineExceeded = 3,
     /// A worker panic was caught while processing the request.
-    Panicked,
-    /// The request was answered, then a fault killed its worker.
-    WorkerKilled,
-    /// Any other error (shutdown drain, lost worker).
-    Failed,
+    Panicked = 4,
+    /// Any other error (shutdown, lost worker).
+    Failed = 6,
     /// Completed fine, but among the slowest-k by latency.
-    Slow,
+    Slow = 7,
 }
 
 impl ExemplarClass {
@@ -378,7 +357,6 @@ impl ExemplarClass {
             ServiceError::QueueFull => ExemplarClass::QueueFull,
             ServiceError::Rejected(_) => ExemplarClass::Rejected,
             ServiceError::DeadlineExceeded => ExemplarClass::DeadlineExceeded,
-            ServiceError::Shed => ExemplarClass::Shed,
             ServiceError::Internal { .. } => ExemplarClass::Panicked,
             ServiceError::ShuttingDown | ServiceError::WorkerLost => ExemplarClass::Failed,
         }
@@ -457,12 +435,11 @@ impl SpanCollector {
 }
 
 /// The service-wide flight recorder: one [`EventRing`] per worker
-/// plus one for the submit path and the supervisor, the exemplar stores,
-/// and the clock.
+/// plus one for the submit path, the exemplar stores, and the clock.
 pub(crate) struct FlightRecorder {
     clock: TraceClock,
-    /// `rings[worker]` for workers; the last ring takes submit-path and
-    /// supervisor events.
+    /// `rings[worker]` for workers; the last ring takes submit-path
+    /// events.
     rings: Vec<EventRing>,
     errors: Mutex<VecDeque<Exemplar>>,
     errors_dropped: AtomicU64,
@@ -487,8 +464,8 @@ impl FlightRecorder {
         }
     }
 
-    /// The submit-path / supervisor ring index.
-    pub(crate) fn system_ring(&self) -> usize {
+    /// The submit-path ring index.
+    pub(crate) fn submit_ring(&self) -> usize {
         self.rings.len() - 1
     }
 
@@ -528,8 +505,8 @@ pub struct TraceSnapshot {
     /// Ring events overwritten before this snapshot (best-effort stream
     /// only — exemplar retention never loses error-class traces).
     pub dropped_events: u64,
-    /// Full traces of every errored / shed / panicked / killed request
-    /// still in the bounded store, oldest first.
+    /// Full traces of every errored request still in the bounded store,
+    /// oldest first.
     pub error_exemplars: Vec<Exemplar>,
     /// Error exemplars evicted (oldest first) after the store filled.
     pub error_exemplars_dropped: u64,
@@ -619,7 +596,7 @@ impl<'a> RequestTrace<'a> {
     ) -> Self {
         RequestTrace {
             metrics,
-            ring: recorder.map_or(0, FlightRecorder::system_ring),
+            ring: recorder.map_or(0, FlightRecorder::submit_ring),
             span: recorder.is_some().then(SpanCollector::new),
             recorder,
             trace_id,
@@ -652,8 +629,8 @@ impl<'a> RequestTrace<'a> {
     }
 
     /// Records the `completed` event of `response`, `latency_us` after
-    /// submission. Besides the count it feeds the latency histograms and
-    /// the pressure gauge from the response's queue wait and service time.
+    /// submission. Besides the count it feeds the latency histograms from
+    /// the response's queue wait and service time.
     pub(crate) fn completed(&mut self, response: &OptimizationResponse, latency_us: u64) {
         self.metrics
             .on_completed(response.queue_wait, response.service_time);
@@ -688,26 +665,15 @@ impl<'a> RequestTrace<'a> {
         self.span
     }
 
-    /// Terminal retention: error-class spans (including answered-then-
-    /// killed ones) always become exemplars; completions compete for
-    /// slowest-k.
+    /// Terminal retention: error-class spans always become exemplars;
+    /// completions compete for slowest-k.
     pub(crate) fn finish(self, result: Result<(), &ServiceError>, latency_us: u64) {
         let (Some(recorder), Some(span)) = (self.recorder, self.span) else {
             return;
         };
         let class = match result {
             Err(error) => ExemplarClass::of_error(error),
-            Ok(()) => {
-                if span
-                    .events
-                    .iter()
-                    .any(|e| e.kind == EventKind::WorkerKilled)
-                {
-                    ExemplarClass::WorkerKilled
-                } else {
-                    ExemplarClass::Slow
-                }
-            }
+            Ok(()) => ExemplarClass::Slow,
         };
         recorder.retain(Exemplar {
             trace_id: self.trace_id,
@@ -762,12 +728,18 @@ mod tests {
     #[test]
     fn every_wire_code_has_a_counter_row() {
         let kinds: Vec<EventKind> = (0..=u8::MAX).filter_map(EventKind::from_u8).collect();
-        assert_eq!(kinds.len(), EventKind::COUNT - 1, "code 1 is unassigned");
+        assert_eq!(
+            kinds.len(),
+            EventKind::COUNT - 3,
+            "codes 1, 3, 12 are unassigned"
+        );
         for kind in kinds {
             assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
             assert!((kind as usize) < EventKind::COUNT);
         }
-        assert_eq!(EventKind::from_u8(1), None);
+        for unassigned in [1, 3, 12, 16] {
+            assert_eq!(EventKind::from_u8(unassigned), None);
+        }
     }
 
     #[test]
@@ -866,9 +838,9 @@ mod tests {
         };
         let b = Exemplar {
             trace_id: 2,
-            class: ExemplarClass::Shed,
+            class: ExemplarClass::Rejected,
             latency_us: 0,
-            events: vec![event(2, EventKind::Shed, 1, 0)],
+            events: vec![event(2, EventKind::Rejected, 1, 0)],
             truncated: false,
         };
         assert_eq!(
@@ -960,7 +932,7 @@ mod tests {
         rt.event(EventKind::Enqueued, 0, 0, 0);
         assert!(rt.into_span().is_none());
         // Tracing off skips the ring and span, never the count.
-        let snapshot = metrics.snapshot(CacheSnapshot::default(), 0);
+        let snapshot = metrics.snapshot(CacheSnapshot::default());
         assert_eq!(snapshot.submitted, 1);
     }
 

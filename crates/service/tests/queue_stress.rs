@@ -102,11 +102,9 @@ fn more_consumers_than_shards() {
     run_stress(3, 6, 3_000);
 }
 
-/// A consumer dying mid-stream must not strand the backlog: the survivors
-/// drain it and exactly-once delivery still holds. This is the
-/// queue-level half of the service's worker-death story (the supervisor
-/// respawn is the other half) — correctness must not depend on the
-/// replacement arriving.
+/// A consumer leaving mid-stream must not strand the backlog: the others
+/// drain it and exactly-once delivery still holds. Nothing replaces the
+/// consumer that left — correctness must not depend on one arriving.
 #[test]
 fn dead_consumer_shard_is_drained_by_survivors_exactly_once() {
     let consumers = 4;

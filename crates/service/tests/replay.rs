@@ -22,9 +22,9 @@
 //!   key's servability is then stable, so the counter deltas of a pair do
 //!   not depend on which worker wins, even though both race over the
 //!   queue.
-//! * **Two workers under faults**: the same replay with panics, worker
-//!   kills, an injected queue-full and a delay, all keyed on submission
-//!   ordinals, so the robustness counters replay exactly.
+//! * **Two workers under faults**: the same replay with panics and an
+//!   injected queue-full, keyed on submission ordinals, so the robustness
+//!   counters replay exactly.
 //!
 //! A free-running run at four workers, untraced and then traced, bounds
 //! what the flight recorder costs.
@@ -137,7 +137,7 @@ struct Outcomes {
 
 /// Feeds the trace to `service` as `drive` says. With `chaos` the two
 /// injected failure shapes are counted; without it any error fails the
-/// test (the trace carries no deadlines and brownout is off).
+/// test (the trace carries no deadlines).
 fn drive(service: &OptimizationService, inputs: &Inputs, drive: Drive, chaos: bool) -> Outcomes {
     let warm_up: Vec<usize> = (0..inputs.pool.len()).collect();
     let batches: Vec<&[usize]> = match drive {
@@ -173,7 +173,7 @@ fn drive(service: &OptimizationService, inputs: &Inputs, drive: Drive, chaos: bo
 }
 
 /// The counters a replay pins: completions, cache, block mix and every
-/// error and robustness counter.
+/// error counter.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct Counters {
     completed: u64,
@@ -185,9 +185,7 @@ struct Counters {
     rejected: u64,
     timed_out: u64,
     failed: u64,
-    shed: u64,
     panics_total: u64,
-    respawns: u64,
     injected_queue_full: u64,
 }
 
@@ -226,9 +224,7 @@ fn finish(service: OptimizationService, outcomes: Outcomes) -> Run {
         rejected: m.rejected,
         timed_out: m.timed_out,
         failed: m.failed,
-        shed: m.shed,
         panics_total: m.panics_total,
-        respawns: m.respawns,
         injected_queue_full: outcomes.injected_full,
     };
     Run {
@@ -269,9 +265,11 @@ fn single_worker_replay_pins_counters_and_the_trace_stream() {
             assert_eq!(trace.events_total, 664);
             assert_eq!(trace.dropped_events, 0);
             assert_eq!(trace.error_exemplars.len(), 0);
-            // RMQ blocks fold `max_group_size`, the largest plan set the
-            // search held (a walker's peak or the merged front).
-            assert_eq!(trace.stream_checksum, 3_994_170_384_263_726_349);
+            // Every `block_optimized` event folds its block's
+            // `BlockReport::trace_digest()`; RMQ blocks fold
+            // `max_group_size`, the largest plan set the search held (a
+            // walker's peak or the merged front).
+            assert_eq!(trace.stream_checksum, 16_673_342_427_055_317_564);
         }
     }
 }
@@ -296,36 +294,23 @@ fn two_worker_replay_pins_the_concurrent_serving_path() {
 #[test]
 fn two_worker_fault_replay_pins_the_robustness_counters() {
     let inputs = Inputs::new();
-    // Ordinal 90 is also a periodic panic ordinal; the exact kill wins.
     let plan = FaultPlan::builder()
         .panic_every(8, 2)
-        .kill_worker_at(40)
-        .kill_worker_at(90)
         .queue_full_at(70)
-        .delay_at(77, Duration::from_millis(2))
         .build();
     let service = inputs.service(2).faults(plan).build();
     let outcomes = drive(&service, &inputs, Drive::WarmedPairs, true);
-    // Let the supervisor replace both killed workers, so the respawn
-    // counter is settled when the snapshot reads it.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while (service.metrics().respawns < 2 || service.alive_workers() < 2)
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(2));
-    }
     let counters = finish(service, outcomes).counters;
     // A panicked warm-up request leaves its key cold and the pairs race
-    // on it, so the cache counters are not pinned here.
+    // on it, so the cache counters are not pinned here. The 144
+    // submissions hold 18 ordinals ≡ 2 mod 8, and ordinal 70 bounces.
     let expected = Counters {
-        completed: 126,
+        completed: 125,
         blocks_rmq: 16,
         rejected: 0,
         timed_out: 0,
-        failed: 17,
-        shed: 0,
-        panics_total: 17,
-        respawns: 2,
+        failed: 18,
+        panics_total: 18,
         injected_queue_full: 1,
         ..counters
     };
@@ -351,9 +336,7 @@ fn free_running_trace_hits_the_cache_and_tracing_stays_cheap() {
             rejected: 0,
             timed_out: 0,
             failed: 0,
-            shed: 0,
             panics_total: 0,
-            respawns: 0,
             injected_queue_full: 0,
             ..run.counters
         };

@@ -1,11 +1,13 @@
 //! Acceptance tests for the optimization service: a mixed 256-request load
 //! at 4 workers where **every** response is either bit-equivalent to a
-//! direct `Optimizer` call or a certified cache serve, plus determinism
-//! under the single-worker test configuration.
+//! direct `Optimizer` call or a certified cache serve, determinism under
+//! the single-worker test configuration, honest α for timed-out blocks,
+//! and a typed rejection for every malformed request.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
-use moqo_catalog::Catalog;
+use moqo_catalog::{Catalog, ColumnStats, JoinGraphBuilder, Query, TableStats};
 use moqo_core::{Algorithm, Optimizer, PlanEntry, PruneMode};
 use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference};
 use moqo_service::{
@@ -622,4 +624,199 @@ fn deadline_pressure_downgrades_to_the_anytime_search() {
         Err(ServiceError::Rejected(_)) => {}
         Err(other) => panic!("unexpected error {other:?}"),
     }
+}
+
+/// A block cut short by its deadline claims no guarantee. A 7-table clique
+/// at α = 1 with a 20 ms deadline passes admission to EXA (the policy
+/// estimates 2 µs · 3.5⁷ ≈ 13 ms), but its exact DP takes about 320 ms in
+/// a release build on a 2-vCPU VM, so the run quick-finishes a one-plan
+/// front. That front covers none of the 209 exact plans at α = 1: it must
+/// claim `α = ∞` and must not serve the next exact request from the cache.
+#[test]
+fn a_timed_out_block_claims_no_guarantee_and_is_never_served_as_exact() {
+    let catalog = moqo_tpch::catalog(0.01);
+    let service = OptimizationService::builder(catalog.clone())
+        .workers(1)
+        .build();
+    let query = moqo_tpch::large_query_with(&catalog, 7, moqo_tpch::Topology::Clique);
+    let hurried = OptimizationRequest::new(query.clone(), weighted_pref(), 1.0)
+        .with_deadline(Duration::from_millis(20));
+    let first = service
+        .submit_wait(hurried)
+        .expect("an idle worker picks the request up well within 20 ms");
+    let block = &first.blocks[0];
+    match &block.source {
+        BlockSource::Computed {
+            algorithm: Algorithm::Exhaustive,
+            ..
+        } => assert!(block.report.timed_out, "EXA finished a 7-clique in 20 ms"),
+        // A slow pickup can leave less than the EXA estimate; the anytime
+        // search then runs, and claims no guarantee either.
+        BlockSource::Computed {
+            algorithm: Algorithm::Rmq { .. },
+            downgraded: true,
+        } => {}
+        other => panic!("unexpected source {other:?}"),
+    }
+    assert!(
+        block.achieved_alpha.is_infinite(),
+        "a cut-short block claimed α = {}",
+        block.achieved_alpha
+    );
+
+    let exact = service
+        .submit_wait(OptimizationRequest::new(query, weighted_pref(), 1.0))
+        .unwrap();
+    let exact_block = &exact.blocks[0];
+    assert!(
+        matches!(
+            exact_block.source,
+            BlockSource::Computed {
+                algorithm: Algorithm::Exhaustive,
+                ..
+            }
+        ),
+        "the cut-short front must not serve an exact request: {:?}",
+        exact_block.source
+    );
+    assert!(!exact_block.report.timed_out);
+    assert_eq!(exact_block.achieved_alpha, 1.0);
+    assert!(!moqo_cost::pareto_front::is_approx_pareto_set(
+        &frontier_costs(&block.frontier),
+        &frontier_costs(&exact_block.frontier),
+        1.0,
+        weighted_pref().objectives,
+    ));
+    assert_eq!(service.metrics().cache.hits, 0);
+}
+
+/// Every malformed input is rejected at `submit` with `Rejected`, counted
+/// in `rejected`, and leaves the service serving.
+#[test]
+fn malformed_requests_are_rejected_at_submit() {
+    let catalog = moqo_tpch::catalog(0.01);
+    let service = OptimizationService::builder(catalog.clone())
+        .workers(1)
+        .build();
+    let q3 = moqo_tpch::query(&catalog, 3);
+    let valid = OptimizationRequest::new(q3.clone(), weighted_pref(), 2.0);
+    let with_pref = |preference: Preference| OptimizationRequest {
+        preference,
+        ..valid.clone()
+    };
+    let with_query = |query: Query| OptimizationRequest {
+        query,
+        ..valid.clone()
+    };
+    // A 25th relation, unconnected: past what any DP scheme enumerates.
+    let mut oversized = moqo_tpch::large_query_with(&catalog, 24, moqo_tpch::Topology::Chain);
+    let extra = oversized.blocks[0].rels[0].clone();
+    oversized.blocks[0].rels.push(extra);
+    // A table the service's catalog does not hold.
+    let mut wider = catalog.clone();
+    wider.add_table(TableStats::new("extra", 10.0, 8.0).with_column(ColumnStats::new("id", 10.0)));
+    let foreign = Query::single_block(
+        "foreign",
+        JoinGraphBuilder::new(&wider).rel("extra", 1.0).build(),
+    );
+    let cases: Vec<(&str, OptimizationRequest)> = vec![
+        (
+            "α NaN",
+            OptimizationRequest {
+                alpha: f64::NAN,
+                ..valid.clone()
+            },
+        ),
+        (
+            "α below 1",
+            OptimizationRequest {
+                alpha: 0.5,
+                ..valid.clone()
+            },
+        ),
+        (
+            "weight NaN",
+            with_pref(weighted_pref().weight(Objective::Energy, f64::NAN)),
+        ),
+        (
+            "weight negative",
+            with_pref(weighted_pref().weight(Objective::Energy, -1.0)),
+        ),
+        (
+            "weight infinite",
+            with_pref(weighted_pref().weight(Objective::Energy, f64::INFINITY)),
+        ),
+        (
+            "bound NaN",
+            with_pref(weighted_pref().bound(Objective::TupleLoss, f64::NAN)),
+        ),
+        (
+            "no objective",
+            with_pref(Preference::over(ObjectiveSet::empty())),
+        ),
+        (
+            "empty query",
+            with_query(Query {
+                name: "empty".into(),
+                blocks: Vec::new(),
+            }),
+        ),
+        (
+            "empty block",
+            with_query(Query::single_block(
+                "empty",
+                JoinGraphBuilder::new(&catalog).build(),
+            )),
+        ),
+        ("foreign table", with_query(foreign)),
+        (
+            "DP hint over 24 relations",
+            with_query(oversized.clone()).with_hint(Algorithm::Exhaustive),
+        ),
+        (
+            "RTA hint over 24 relations",
+            with_query(oversized.clone()).with_hint(Algorithm::Rta { alpha: 2.0 }),
+        ),
+        (
+            "IRA hint over 24 relations",
+            with_query(oversized).with_hint(Algorithm::Ira { alpha: 2.0 }),
+        ),
+        (
+            "hint α below 1",
+            valid.clone().with_hint(Algorithm::Rta { alpha: 0.5 }),
+        ),
+    ];
+    for (rejected, (case, request)) in (1..).zip(cases) {
+        match service.submit(request).map(|_| ()) {
+            Err(ServiceError::Rejected(reason)) => assert!(!reason.is_empty(), "{case}"),
+            other => panic!("{case}: expected a rejection, got {other:?}"),
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.rejected, rejected, "{case}");
+        assert_eq!(metrics.submitted, rejected - 1, "{case}: never enqueued");
+        let served = service.submit_wait(valid.clone());
+        assert!(
+            served.is_ok(),
+            "{case}: the next valid request failed: {served:?}"
+        );
+    }
+    let metrics = service.shutdown();
+    assert_eq!(metrics.failed, 0, "nothing reached a worker as Internal");
+    assert_eq!(metrics.completed + metrics.errors_total(), 2 * 14);
+
+    // A query sent to a service over an empty catalog names tables that
+    // service does not hold.
+    let empty = OptimizationService::builder(Catalog::new())
+        .workers(1)
+        .build();
+    match empty
+        .submit(OptimizationRequest::new(q3, weighted_pref(), 2.0))
+        .map(|_| ())
+    {
+        Err(ServiceError::Rejected(reason)) => {
+            assert!(reason.contains("unknown table"), "{reason}")
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert_eq!(empty.shutdown().rejected, 1);
 }

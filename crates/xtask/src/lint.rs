@@ -217,7 +217,11 @@ fn mask_comments_and_strings(content: &str) -> String {
             }
             St::Str => match c {
                 '\\' => {
-                    out.push_str("  ");
+                    // An escaped newline (a `\`-continued line) stays a
+                    // newline, or every later line number would be off by
+                    // one.
+                    out.push(' ');
+                    out.push(if next == Some('\n') { '\n' } else { ' ' });
                     i += 2;
                     continue;
                 }
@@ -555,6 +559,15 @@ mod tests {
     fn wall_clock_in_comment_or_string_is_ignored() {
         let src = "// Instant::now() in prose\nlet s = \"Instant::now()\";\n";
         assert_eq!(rules("crates/core/src/x.rs", src), vec![]);
+    }
+
+    #[test]
+    fn line_continuations_in_strings_keep_line_numbers() {
+        let src = "fn f() {\n    let s = \"a \\\n        b\";\n    let t = Instant::now();\n}\n";
+        assert_eq!(
+            rules("crates/core/src/x.rs", src),
+            vec![("wall-clock".into(), 4)]
+        );
     }
 
     #[test]
