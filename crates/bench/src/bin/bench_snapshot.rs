@@ -254,22 +254,18 @@ fn main() {
 
     // Service metrics snapshot cost: the seed cloned and sorted the full
     // latency history under a lock on every snapshot, so cost grew with
-    // uptime. The histogram rewrite makes it O(buckets); these cells pin
-    // that — the 100× column must not cost 100× (the binary asserts a
-    // generous 20× ceiling to stay robust on noisy CI machines).
+    // uptime. A snapshot now sums a fixed table of event counts; these
+    // cells pin that — the 100× column must not cost 100× (the binary
+    // asserts a generous 20× ceiling to stay robust on noisy CI machines).
     {
         use moqo_service::{EventKind, PlanCache, ServiceMetrics};
-        use std::time::Duration;
         let cache = PlanCache::new(8, 1);
         let mut medians: Vec<f64> = Vec::new();
         for &completions in &[10_000u64, 1_000_000] {
             let metrics = ServiceMetrics::default();
             for i in 0..completions {
                 metrics.on_event(EventKind::Enqueued, 0);
-                metrics.on_completed(
-                    Duration::from_micros(i % 3_000),
-                    Duration::from_micros(500 + i % 20_000),
-                );
+                metrics.on_event(EventKind::Completed, 500 + i % 20_000);
             }
             // 64 snapshots per rep so the per-call cost is measurable.
             let (ms, count) = median_ms(reps.max(3), || {

@@ -1,14 +1,14 @@
 //! Deterministic fault injection: a replayable chaos plan for the service.
 //!
-//! A [`FaultPlan`] maps exact *request ordinals* (the 0-based submission
-//! index the service assigns under its lock-free counter) to fault
-//! actions: a panic inside the worker, which is what an optimizer bug
-//! produces, or a queue-full bounce at submission. Because the trigger is
-//! the ordinal — not a timer or a random draw — a chaos run is exactly
-//! replayable: the same trace plus the same plan produces the same panics
-//! and the same rejections, which is what lets `tests/replay.rs` and
+//! A [`FaultPlan`] names the exact *request ordinals* (the 0-based
+//! submission index the service assigns under its lock-free counter) whose
+//! processing panics inside the worker, which is what an optimizer bug
+//! produces. Because the trigger is the ordinal — not a timer or a random
+//! draw — a chaos run is exactly replayable: the same trace plus the same
+//! plan produces the same panics, which is what lets `tests/replay.rs` and
 //! `tests/chaos.rs` pin the robustness counters (`panics_total`,
-//! `failed`, `queue_full`) exactly.
+//! `failed`) exactly. A full queue needs no injection: a test fills a
+//! small one for real.
 //!
 //! The module also owns the panic-hook silencer: injected (and any other
 //! worker) panics are converted to [`ServiceError::Internal`]
@@ -21,29 +21,19 @@
 //! [`ServiceError::Internal`]: crate::ServiceError::Internal
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
-/// What to inject when a request's ordinal matches the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Panic inside the worker right before processing; the guard converts
-    /// it to `ServiceError::Internal` and the worker survives.
-    Panic,
-    /// Reject at submission as if the queue were at capacity.
-    QueueFull,
-}
-
-/// A deterministic fault schedule keyed by request ordinal.
-///
-/// Exact ordinals win over periodic rules when both match.
+/// A deterministic panic schedule keyed by request ordinal: the worker
+/// panics right before processing a scheduled request, the guard converts
+/// the panic to `ServiceError::Internal`, and the worker survives.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    exact: HashMap<u64, FaultAction>,
-    /// `(period, offset, action)`: fires on every ordinal where
+    exact: HashSet<u64>,
+    /// `(period, offset)`: fires on every ordinal where
     /// `ordinal % period == offset`.
-    periodic: Vec<(u64, u64, FaultAction)>,
+    periodic: Vec<(u64, u64)>,
 }
 
 impl FaultPlan {
@@ -55,16 +45,14 @@ impl FaultPlan {
         }
     }
 
-    /// The action scheduled for `ordinal`, if any.
+    /// Whether the plan schedules a panic for `ordinal`.
     #[must_use]
-    pub fn at(&self, ordinal: u64) -> Option<FaultAction> {
-        if let Some(action) = self.exact.get(&ordinal) {
-            return Some(*action);
-        }
-        self.periodic
-            .iter()
-            .find(|(period, offset, _)| ordinal % period == *offset)
-            .map(|(_, _, action)| *action)
+    pub fn panics_at(&self, ordinal: u64) -> bool {
+        self.exact.contains(&ordinal)
+            || self
+                .periodic
+                .iter()
+                .any(|(period, offset)| ordinal % period == *offset)
     }
 
     /// Whether the plan schedules nothing at all.
@@ -84,7 +72,7 @@ impl FaultPlanBuilder {
     /// Panic when processing request `ordinal`.
     #[must_use]
     pub fn panic_at(mut self, ordinal: u64) -> Self {
-        self.plan.exact.insert(ordinal, FaultAction::Panic);
+        self.plan.exact.insert(ordinal);
         self
     }
 
@@ -96,16 +84,7 @@ impl FaultPlanBuilder {
     #[must_use]
     pub fn panic_every(mut self, period: u64, offset: u64) -> Self {
         assert!(period > 0, "period must be positive");
-        self.plan
-            .periodic
-            .push((period, offset % period, FaultAction::Panic));
-        self
-    }
-
-    /// Reject request `ordinal` at submission as if the queue were full.
-    #[must_use]
-    pub fn queue_full_at(mut self, ordinal: u64) -> Self {
-        self.plan.exact.insert(ordinal, FaultAction::QueueFull);
+        self.plan.periodic.push((period, offset % period));
         self
     }
 
@@ -145,9 +124,9 @@ fn install_silencer_once() {
 ///
 /// The `AssertUnwindSafe` is sound for the worker's use: everything the
 /// job closure captures is either atomics designed for concurrent
-/// observation (metrics, cache, learned estimates — a torn *logical*
-/// update is impossible, the panic happens between atomic operations) or
-/// owned by the job itself and dropped with it.
+/// observation (metrics, cache — a torn *logical* update is impossible,
+/// the panic happens between atomic operations) or owned by the job
+/// itself and dropped with it.
 pub(crate) fn guarded_catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_silencer_once();
     IN_WORKER_GUARD.with(|flag| flag.set(true));
@@ -170,27 +149,17 @@ mod tests {
     fn builder_and_lookup() {
         let plan = FaultPlan::builder()
             .panic_at(3)
-            .queue_full_at(7)
+            .panic_at(7)
             .panic_every(100, 50)
             .build();
-        assert_eq!(plan.at(3), Some(FaultAction::Panic));
-        assert_eq!(plan.at(5), None);
-        assert_eq!(plan.at(7), Some(FaultAction::QueueFull));
-        assert_eq!(plan.at(150), Some(FaultAction::Panic));
-        assert_eq!(plan.at(151), None);
-        assert_eq!(plan.at(0), None);
+        assert!(plan.panics_at(3));
+        assert!(!plan.panics_at(5));
+        assert!(plan.panics_at(7));
+        assert!(plan.panics_at(150));
+        assert!(!plan.panics_at(151));
+        assert!(!plan.panics_at(0));
         assert!(!plan.is_empty());
         assert!(FaultPlan::default().is_empty());
-    }
-
-    #[test]
-    fn exact_ordinals_override_periodic_rules() {
-        let plan = FaultPlan::builder()
-            .panic_every(4, 0)
-            .queue_full_at(8)
-            .build();
-        assert_eq!(plan.at(4), Some(FaultAction::Panic));
-        assert_eq!(plan.at(8), Some(FaultAction::QueueFull));
     }
 
     #[test]

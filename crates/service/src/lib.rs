@@ -18,11 +18,12 @@
 //!   performs deadline-aware admission per block:
 //!   prefer the strongest scheme the request asks for, downgrade along
 //!   `EXA → IRA/RTA → RMQ` when block size or remaining budget rules it
-//!   out, reject when even the anytime search cannot start. Hopeless
-//!   deadlines are rejected at *submission* (before occupying a queue
-//!   slot), and the deadline split across blocks is weighted by a
-//!   lock-free EWMA of measured per-block-size wall times
-//!   ([`LearnedBlockTimes`]) once samples exist.
+//!   out, admit nothing when even the anytime search cannot start. Each
+//!   block is decided and optimized against the whole budget left when
+//!   it starts, so a deadline below [`DeadlineAwarePolicy::MIN_BUDGET`] is
+//!   rejected at *submission* (before occupying a queue slot), and a block
+//!   that queue wait or earlier blocks leave too little fails the request
+//!   as [`ServiceError::DeadlineExceeded`].
 //! * **The α-aware plan cache** ([`PlanCache`]): blocks are keyed by
 //!   canonical signatures ([`moqo_catalog::JoinGraph::signature`] ×
 //!   [`moqo_cost::Preference::signature`]). A front computed at factor α
@@ -31,19 +32,18 @@
 //!   and warm-starts the randomized search otherwise. Entries own their
 //!   plans in compact arenas (re-rooted via `PlanArena::adopt`), and
 //!   eviction is sharded LRU.
-//! * **Metrics** ([`ServiceMetrics`]): windowed throughput, p50/p95/p99
-//!   for end-to-end latency, queue wait and processing time (lock-free
-//!   log-bucket histograms, O(buckets) memory — see [`LogHistogram`] for
-//!   the ≤12.5% quantile error bound), a per-[`ServiceError`]-variant
+//! * **Metrics** ([`ServiceMetrics`]): a per-[`ServiceError`]-variant
 //!   error taxonomy, downgrade counts, per-algorithm block mix, and cache
-//!   counters, all snapshotted on demand at O(buckets) cost. Each request
-//!   counter is a projection of one per-[`EventKind`] counter table,
-//!   bumped by the same lifecycle call that feeds the flight recorder, so
-//!   counters and traces cannot disagree. The cache counters
-//!   ([`MetricsSnapshot::cache`]) are the cache's own; `tests/chaos.rs`
-//!   reconciles their hits against the traced cache-probe hits. A
-//!   submission takes the queue mutex once; metrics and histograms stay
-//!   lock-free.
+//!   counters, snapshotted on demand at a cost independent of uptime.
+//!   Each request counter is a projection of one per-[`EventKind`]
+//!   counter table, bumped by the same lifecycle call that feeds the
+//!   flight recorder, so counters and traces cannot disagree. The cache
+//!   counters ([`MetricsSnapshot::cache`]) are the cache's own;
+//!   `tests/chaos.rs` reconciles their hits against the traced
+//!   cache-probe hits. The service keeps no latency statistics: each
+//!   response carries its own queue wait and service time, and the trace
+//!   timestamps every event. A submission takes the queue mutex once;
+//!   the metrics stay lock-free.
 //!
 //! * **Panic isolation and cancellation** — a panic inside a job is
 //!   caught at the worker's guard and delivered as
@@ -55,20 +55,19 @@
 //!   a cancel claims no guarantee (`achieved_alpha = ∞`) and enters the
 //!   cache as a warm start only. Shutdown closes the queue, lets the
 //!   workers drain it, and joins every worker; no thread is detached.
-//! * **Deterministic chaos** ([`FaultPlan`]) — panics and queue-full
-//!   rejections keyed on exact submission ordinals, so fault runs replay
-//!   byte-stable and tests can pin the robustness counters.
+//! * **Deterministic chaos** ([`FaultPlan`]) — panics keyed on exact
+//!   submission ordinals, so fault runs replay byte-stable and tests can
+//!   pin the robustness counters.
 //! * **End-to-end tracing** ([`ServiceBuilder::tracing`]) — a flight
 //!   recorder ([`TraceConfig`]): per-worker bounded rings, one mutex
 //!   each, of fixed-size span events covering the whole request lifecycle
 //!   (submit/admission, enqueue, queue wait, cache probes, per-block
 //!   optimize with algorithm + achieved α + report digest, caught panics,
-//!   completion), and tail-based exemplar retention (every
-//!   error-class trace plus the rolling slowest-k), all read through one
-//!   [`TraceSnapshot`]. Under a logical clock the event stream is
-//!   byte-deterministic, so a test can pin its checksum. The recorder adds
-//!   only the rings, spans and exemplars: the events are counted on every
-//!   request whether or not it is on.
+//!   completion), and tail-based retention of every error-class trace as
+//!   an exemplar, all read through one [`TraceSnapshot`]. Under a logical
+//!   clock the event stream is byte-deterministic, so a test can pin its
+//!   checksum. The recorder adds only the rings, spans and exemplars: the
+//!   events are counted on every request whether or not it is on.
 //!
 //! Everything is std-only — no async runtime — and deterministic under a
 //! test configuration (one worker, fixed RMQ seed, no deadlines).
@@ -110,7 +109,6 @@
 
 mod cache;
 mod fault;
-mod histogram;
 mod metrics;
 mod policy;
 mod queue;
@@ -119,10 +117,9 @@ mod service;
 mod trace;
 
 pub use cache::{CacheKey, CacheLookup, CacheSnapshot, PlanCache};
-pub use fault::{FaultAction, FaultPlan, FaultPlanBuilder};
-pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS as HISTOGRAM_BUCKETS};
+pub use fault::{FaultPlan, FaultPlanBuilder};
 pub use metrics::{AlgorithmKind, MetricsSnapshot, ServiceMetrics};
-pub use policy::{Admission, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext};
+pub use policy::{Admission, DeadlineAwarePolicy, PolicyContext};
 pub use queue::{BoundedQueue, PushError};
 pub use request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,

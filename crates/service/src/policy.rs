@@ -5,14 +5,16 @@
 //! admission decision. [`DeadlineAwarePolicy`] picks the *preferred*
 //! scheme from the request (`α = 1` → EXA; bounded → IRA; otherwise RTA),
 //! then downgrades along `EXA → IRA/RTA → RMQ` whenever the block size or
-//! the remaining deadline budget rules a scheme out, and rejects only when
-//! even the anytime randomized search cannot start before the deadline.
+//! the remaining deadline budget rules a scheme out, and admits nothing
+//! when the budget is below [`DeadlineAwarePolicy::MIN_BUDGET`], where even
+//! the anytime randomized search cannot start. Each block is decided
+//! against the whole budget left when it starts; the service keeps no
+//! record of past run times, so the static DP-cost model is the only
+//! estimate.
 
 use std::time::Duration;
 
 use moqo_core::Algorithm;
-
-use crate::metrics::EwmaCell;
 
 /// What the policy sees about one block of a request at scheduling time.
 #[derive(Debug, Clone, Copy)]
@@ -40,73 +42,9 @@ pub enum Admission {
         /// Whether deadline/size gates forced a weaker scheme.
         downgraded: bool,
     },
-    /// The deadline cannot be met by any admitted algorithm.
+    /// The budget is below [`DeadlineAwarePolicy::MIN_BUDGET`]: no
+    /// algorithm can start.
     Reject,
-}
-
-impl Admission {
-    /// The admitted algorithm, `None` on a rejection — the shape trace
-    /// events and admission fast paths branch on.
-    #[must_use]
-    pub fn admitted_algorithm(&self) -> Option<Algorithm> {
-        match self {
-            Admission::Run { algorithm, .. } => Some(*algorithm),
-            Admission::Reject => None,
-        }
-    }
-}
-
-/// Lock-free EWMA of measured per-block-size optimization wall times.
-///
-/// The static `DP_BASE · DP_GROWTHⁿ` model in
-/// [`DeadlineAwarePolicy::estimated_dp_time`] describes *some* machine;
-/// this table learns the one the service actually runs on. Workers feed
-/// every measured block optimization into [`LearnedBlockTimes::record`];
-/// the deadline split (`block_share` in the service) then prefers the
-/// learned estimate over the static model wherever a sample exists.
-/// Everything is relaxed atomics — recording sits on the completion path
-/// and must not lock. A new sample weighs 0.2.
-pub struct LearnedBlockTimes {
-    cells: [EwmaCell; Self::MAX_TRACKED + 1],
-}
-
-impl Default for LearnedBlockTimes {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LearnedBlockTimes {
-    /// Largest block size tracked individually; bigger blocks share the
-    /// last cell (the policy hands them to RMQ anyway, whose cost is the
-    /// sample budget, not the block size).
-    pub const MAX_TRACKED: usize = 32;
-
-    /// An empty table: every estimate falls back to the policy model.
-    #[must_use]
-    pub fn new() -> Self {
-        LearnedBlockTimes {
-            cells: std::array::from_fn(|_| EwmaCell::default()),
-        }
-    }
-
-    fn cell(&self, block_size: usize) -> &EwmaCell {
-        &self.cells[block_size.min(Self::MAX_TRACKED)]
-    }
-
-    /// Folds one measured optimization wall time into the estimate for
-    /// `block_size`-relation blocks. Lock-free (a short CAS loop; a lost
-    /// race drops one sample of smoothing, never corrupts the estimate).
-    #[moqo::hot_path]
-    pub fn record(&self, block_size: usize, wall: Duration) {
-        self.cell(block_size).record(wall);
-    }
-
-    /// The learned estimate for one block size, if any sample landed yet.
-    #[must_use]
-    pub fn estimate(&self, block_size: usize) -> Option<Duration> {
-        self.cell(block_size).get()
-    }
 }
 
 /// The admission policy: size and deadline gates around the preference order
@@ -131,8 +69,10 @@ impl DeadlineAwarePolicy {
     /// full-precision DP as EXA (the internal pruning precision `α^(1/n)`
     /// degenerates to 1), so a genuine downgrade must relax α.
     pub const RELAXED_ALPHA: f64 = 2.0;
-    /// Requests with less remaining budget than this are rejected outright
-    /// (below it even RMQ's first sample won't land).
+    /// Blocks with less remaining budget than this are admitted to no
+    /// algorithm (below it even RMQ's first sample won't land): a request
+    /// whose whole deadline is shorter is rejected at submission, and a
+    /// block left less by queue wait or earlier blocks times out.
     pub const MIN_BUDGET: Duration = Duration::from_micros(200);
     /// DP cost model `DP_BASE · DP_GROWTHⁿ` — base term.
     pub const DP_BASE: Duration = Duration::from_micros(2);
@@ -306,26 +246,6 @@ mod tests {
             DeadlineAwarePolicy::admit(&ctx(2, 1.5, false, Some(Duration::from_micros(50)))),
             Admission::Reject
         );
-    }
-
-    #[test]
-    fn learned_times_converge_and_fall_back() {
-        let learned = LearnedBlockTimes::new();
-        assert_eq!(learned.estimate(4), None, "no sample yet");
-        learned.record(4, Duration::from_micros(100));
-        let first = learned.estimate(4).unwrap();
-        assert!((first.as_secs_f64() * 1e6 - 100.0).abs() < 1e-6);
-        // EWMA: 0.2 · 300 + 0.8 · 100 = 140.
-        learned.record(4, Duration::from_micros(300));
-        let second = learned.estimate(4).unwrap();
-        assert!((second.as_secs_f64() * 1e6 - 140.0).abs() < 1e-6);
-        // Other sizes stay empty; oversized blocks share the last cell.
-        assert_eq!(learned.estimate(5), None);
-        learned.record(
-            LearnedBlockTimes::MAX_TRACKED + 10,
-            Duration::from_micros(7),
-        );
-        assert!(learned.estimate(LearnedBlockTimes::MAX_TRACKED).is_some());
     }
 
     #[test]

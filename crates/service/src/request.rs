@@ -226,14 +226,14 @@ pub enum ServiceError {
     /// it is malformed (α below 1 or NaN, a NaN, negative or infinite
     /// weight, a NaN or negative bound, no objective, an empty query or
     /// block, a block that does not fit the catalog, a DP hint on a block
-    /// over 24 relations), or admission control found no algorithm for
-    /// its deadline budget. Both are decided at submission, before the
-    /// request takes a queue slot; a worker re-checks the per-block budget
-    /// when the block's turn comes. The string says what is wrong.
+    /// over 24 relations), or its whole deadline is below the admission
+    /// minimum. Only submission returns it, before the request takes a
+    /// queue slot. The string says what is wrong.
     Rejected(String),
-    /// The request's deadline expired before a block could start — all
-    /// budget was consumed by queue wait and/or earlier blocks. Distinct
-    /// from `Rejected`: admission never got a say, the clock did.
+    /// A block's turn came with too little of the deadline left to start
+    /// it — nothing, or less than the admission minimum — because queue
+    /// wait and/or earlier blocks used it up. Distinct from `Rejected`: the
+    /// request was admissible as sent, and the clock ran out.
     DeadlineExceeded,
     /// The worker processing the request panicked; the panic was caught at
     /// the job boundary, the worker survived, and the payload is delivered

@@ -11,9 +11,9 @@ use moqo_core::{select_best, Algorithm, BlockReport, Optimizer, PruneMode};
 use moqo_costmodel::CostModelParams;
 
 use crate::cache::{CacheKey, CacheLookup, PlanCache};
-use crate::fault::{guarded_catch, FaultAction, FaultPlan};
+use crate::fault::{guarded_catch, FaultPlan};
 use crate::metrics::{AlgorithmKind, MetricsSnapshot, ServiceMetrics};
-use crate::policy::{Admission, DeadlineAwarePolicy, LearnedBlockTimes, PolicyContext};
+use crate::policy::{Admission, DeadlineAwarePolicy, PolicyContext};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{
     AlphaCertificate, BlockOutcome, BlockSource, OptimizationRequest, OptimizationResponse,
@@ -56,8 +56,6 @@ struct ServiceInner {
     queue: BoundedQueue<Job>,
     cache: PlanCache,
     metrics: ServiceMetrics,
-    /// Measured per-block-size wall times; refines the deadline split.
-    learned: LearnedBlockTimes,
     /// Deterministic fault schedule, if chaos is enabled.
     faults: Option<FaultPlan>,
     /// Submission-order counter; assigns fault-plan ordinals.
@@ -69,21 +67,11 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    /// The weight of one block in the deadline split: the learned EWMA of
-    /// measured wall times when a sample exists, the policy's static
-    /// model otherwise — so the split starts from the `3.5ⁿ` prior and
-    /// converges to the machine it actually runs on.
-    fn block_time_estimate(&self, block_size: usize) -> Duration {
-        self.learned
-            .estimate(block_size)
-            .unwrap_or_else(|| DeadlineAwarePolicy::estimated_dp_time(block_size))
-    }
-
-    /// What makes `request` unservable whatever the load, if anything:
-    /// resending it unchanged would fail the same way, so it is rejected
-    /// at submission instead of failing inside a worker. Allocates only to
-    /// describe a rejection.
-    fn malformed(&self, request: &OptimizationRequest) -> Option<String> {
+    /// What makes `request` unservable whatever the load, if anything —
+    /// a malformed field or a hopeless deadline: resending it unchanged
+    /// would fail the same way, so it is rejected at submission instead of
+    /// failing inside a worker. Allocates only to describe a rejection.
+    fn unservable(&self, request: &OptimizationRequest) -> Option<String> {
         if request.alpha.is_nan() || request.alpha < 1.0 {
             return Some(format!("α′ = {} is not a number ≥ 1", request.alpha));
         }
@@ -118,42 +106,25 @@ impl ServiceInner {
                 ));
             }
         }
-        None
-    }
-
-    /// Admission across all blocks of a request against deadline `total`,
-    /// with per-block proportional shares. `Ok` means every block admits
-    /// *some* algorithm under the optimistic assumption that no budget
-    /// has been spent yet — used as the submit-time fast path, and
-    /// re-checked per block with real elapsed time at processing time.
-    fn admit_all_blocks(
-        &self,
-        request: &OptimizationRequest,
-        total: Duration,
-    ) -> Result<(), ServiceError> {
-        let estimates: Vec<Duration> = request
-            .query
-            .blocks
-            .iter()
-            .map(|g| self.block_time_estimate(g.n_rels()))
-            .collect();
-        for (idx, graph) in request.query.blocks.iter().enumerate() {
-            let share = block_share(total, &estimates[idx..]);
+        // A block gets what is left of the deadline when it starts, at most
+        // the whole of it, so a block admitted to nothing at the whole
+        // deadline could never run.
+        let total = request.deadline?;
+        request.query.blocks.iter().find_map(|graph| {
             let decision = DeadlineAwarePolicy::admit(&PolicyContext {
                 block_size: graph.n_rels(),
                 alpha: request.alpha,
                 bounded: request.is_bounded(),
-                remaining: Some(share),
+                remaining: Some(total),
                 hint: request.hint,
             });
-            if decision.admitted_algorithm().is_none() {
-                return Err(ServiceError::Rejected(format!(
-                    "deadline budget {share:?} admits no algorithm for a {}-relation block",
+            (decision == Admission::Reject).then(|| {
+                format!(
+                    "deadline budget {total:?} admits no algorithm for a {}-relation block",
                     graph.n_rels()
-                )));
-            }
-        }
-        Ok(())
+                )
+            })
+        })
     }
 }
 
@@ -271,7 +242,6 @@ impl ServiceBuilder {
             queue: BoundedQueue::new(self.queue_capacity),
             cache: PlanCache::new(self.cache_capacity, CACHE_SHARDS),
             metrics: ServiceMetrics::default(),
-            learned: LearnedBlockTimes::new(),
             faults: self.faults,
             ordinals: AtomicU64::new(0),
             recorder: self
@@ -318,20 +288,20 @@ impl OptimizationService {
     /// Submits a request; returns immediately with a [`Ticket`].
     ///
     /// A malformed request (see [`ServiceError::Rejected`]) is rejected
-    /// here, before it occupies a queue slot. So are deadline-carrying
-    /// requests that fail admission against the whole-request deadline
-    /// with optimistic per-block shares: a request no algorithm could ever
-    /// serve never displaces feasible work. The per-block admission
-    /// re-check at processing time still guards against budget consumed
-    /// by queue wait and earlier blocks. The push takes the queue mutex
+    /// here, before it occupies a queue slot. So is a request whose whole
+    /// deadline admits no algorithm for some block — for a well-formed
+    /// request, exactly a deadline below [`DeadlineAwarePolicy::MIN_BUDGET`]
+    /// — so a request no algorithm could ever serve never displaces
+    /// feasible work. A block that queue wait or earlier blocks leave too
+    /// little budget fails the request later as
+    /// [`ServiceError::DeadlineExceeded`]. The push takes the queue mutex
     /// once; every metrics update is atomic.
     ///
     /// # Errors
     ///
     /// [`ServiceError::QueueFull`] under back-pressure,
-    /// [`ServiceError::Rejected`] for a malformed request or from the
-    /// admission fast path, [`ServiceError::ShuttingDown`] after shutdown
-    /// began.
+    /// [`ServiceError::Rejected`] for a malformed request or a hopeless
+    /// deadline, [`ServiceError::ShuttingDown`] after shutdown began.
     #[allow(clippy::cast_possible_truncation)]
     pub fn submit(&self, request: OptimizationRequest) -> Result<Ticket, ServiceError> {
         // Ordinals are assigned to every submission — including ones that
@@ -347,22 +317,10 @@ impl OptimizationService {
             request.alpha.to_bits(),
             u64::from(request.deadline.is_some()),
         );
-        let verdict = match self.inner.malformed(&request) {
-            Some(reason) => Err(ServiceError::Rejected(reason)),
-            None => request.deadline.map_or(Ok(()), |deadline| {
-                self.inner.admit_all_blocks(&request, deadline)
-            }),
-        };
-        if let Err(error) = verdict {
+        if let Some(reason) = self.inner.unservable(&request) {
+            let error = ServiceError::Rejected(reason);
             rt.event(EventKind::Rejected, 0, 0, 0);
-            rt.finish(Err(&error), 0);
-            return Err(error);
-        }
-        let fault = self.inner.faults.as_ref().and_then(|plan| plan.at(ordinal));
-        if fault == Some(FaultAction::QueueFull) {
-            let error = ServiceError::QueueFull;
-            rt.event(EventKind::QueueFull, 1, 0, 0);
-            rt.finish(Err(&error), 0);
+            rt.failed(&error);
             return Err(error);
         }
         let (tx, rx) = mpsc::channel();
@@ -375,7 +333,11 @@ impl OptimizationService {
             request,
             submitted: Instant::now(),
             ordinal,
-            inject_panic: fault == Some(FaultAction::Panic),
+            inject_panic: self
+                .inner
+                .faults
+                .as_ref()
+                .is_some_and(|plan| plan.panics_at(ordinal)),
             cancel: Arc::clone(&cancel),
             span: rt.into_span(),
             responder: tx,
@@ -390,7 +352,7 @@ impl OptimizationService {
                 let mut rt =
                     RequestTrace::resumed(metrics, recorder, usize::MAX, ordinal, job.span.take());
                 rt.event(EventKind::QueueFull, 0, 0, 0);
-                rt.finish(Err(&error), 0);
+                rt.failed(&error);
                 Err(error)
             }
             Err((PushError::Closed, _)) => Err(ServiceError::ShuttingDown),
@@ -409,16 +371,17 @@ impl OptimizationService {
         self.submit(request)?.wait()
     }
 
-    /// Metrics snapshot including the cache's own counters.
+    /// The service's counters: every request counter projected from the
+    /// event table, plus the cache's own counters. No latencies: those are
+    /// on each response and in the trace.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics.snapshot(self.inner.cache.snapshot())
     }
 
     /// Point-in-time flight-recorder snapshot: ring events (sorted), the
-    /// retained error exemplars and slowest-`k` traces, and the stream
-    /// checksum. `None` when the service was built without
-    /// [`ServiceBuilder::tracing`].
+    /// retained error exemplars, and the stream checksum. `None` when the
+    /// service was built without [`ServiceBuilder::tracing`].
     #[must_use]
     pub fn trace_snapshot(&self) -> Option<TraceSnapshot> {
         self.inner.recorder.as_ref().map(TraceSnapshot::capture)
@@ -498,10 +461,17 @@ fn worker_loop(inner: &ServiceInner, worker: usize) {
             Err(error)
         });
         match &result {
-            Ok(response) => rt.completed(response, elapsed_us(job.submitted)),
-            Err(error) => rt.event(EventKind::Failed, error_code(error), 0, 0),
+            Ok(response) => rt.event(
+                EventKind::Completed,
+                elapsed_us(job.submitted),
+                response.blocks.len() as u64,
+                u64::from(response.fully_cached()),
+            ),
+            Err(error) => {
+                rt.event(EventKind::Failed, error_code(error), 0, 0);
+                rt.failed(error);
+            }
         }
-        rt.finish(result.as_ref().map(|_| ()), elapsed_us(job.submitted));
         // A dropped ticket is fine: its cancel flag already cut the run
         // short, and the work that was done still filled the cache.
         let _ = job.responder.send(result);
@@ -527,39 +497,16 @@ fn process(
     );
     let mut blocks = Vec::with_capacity(request.query.blocks.len());
 
-    // Per-block deadline shares, proportional to the block cost estimate:
-    // granting every block the full remainder sequentially let an
-    // expensive early block starve all later ones (it would happily burn
-    // the whole budget although the policy knows more work is coming).
-    // Shares are re-derived from the *actual* remainder at each block, so
-    // budget a fast block leaves unspent flows to its successors. The
-    // estimates are the learned EWMA of measured wall times where samples
-    // exist (the split adapts to the machine), the policy's static model
-    // elsewhere. Only computed when a deadline exists — deadline-less
-    // requests (the common case) never touch the estimates.
-    let estimates: Vec<Duration> = if request.deadline.is_some() {
-        request
-            .query
-            .blocks
-            .iter()
-            .map(|g| inner.block_time_estimate(g.n_rels()))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
+    // Each block is admitted and optimized against the whole budget left
+    // when it starts. An expensive early block may spend all of it; the
+    // next block then times out here.
     for (block_idx, graph) in request.query.blocks.iter().enumerate() {
-        let budget_left = request
+        let remaining = request
             .deadline
             .map(|d| d.saturating_sub(submitted.elapsed()));
-        if budget_left == Some(Duration::ZERO) {
-            // The clock ran out before this block could start (queue wait
-            // or earlier blocks consumed everything): a timeout, not an
-            // admission decision.
-            rt.event(EventKind::DeadlineExceeded, block_idx as u64, 0, 0);
-            return Err(ServiceError::DeadlineExceeded);
+        if remaining == Some(Duration::ZERO) {
+            return Err(deadline_exceeded(rt, block_idx));
         }
-        let remaining = budget_left.map(|total| block_share(total, &estimates[block_idx..]));
         let key = CacheKey {
             graph: graph.signature(),
             preference: request.preference.signature(),
@@ -627,10 +574,10 @@ fn process(
             downgraded,
         } = decision
         else {
-            return Err(ServiceError::Rejected(format!(
-                "deadline budget {remaining:?} admits no algorithm for a {}-relation block",
-                graph.n_rels()
-            )));
+            // Submit admitted this block against the whole deadline, so
+            // what is missing is budget that queue wait or earlier blocks
+            // used up: the same timeout as an empty budget.
+            return Err(deadline_exceeded(rt, block_idx));
         };
         let mut optimizer = Optimizer::new(&inner.catalog).with_cancel(Arc::clone(cancel));
         if let Some(rem) = remaining {
@@ -648,7 +595,6 @@ fn process(
             }
             _ => (Vec::new(), None),
         };
-        let optimize_started = Instant::now();
         let (block, report) =
             optimizer.optimize_block_warm(graph, &request.preference, algorithm, &warm_trees);
         // A run cut short by its deadline or by cancellation returns the
@@ -660,15 +606,6 @@ fn process(
         } else {
             report.alpha_final
         };
-        if !report.timed_out {
-            // Feed the measured wall time back into the deadline split's
-            // estimate table (lock-free EWMA) — admission learns the
-            // machine it runs on instead of trusting the static 3.5ⁿ model
-            // forever.
-            inner
-                .learned
-                .record(graph.n_rels(), optimize_started.elapsed());
-        }
         debug_assert_eq!(
             report.prune_mode, required_mode,
             "optimizer and service must derive the same mode"
@@ -723,67 +660,32 @@ fn process(
     ))
 }
 
-/// The deadline share of the first block in `estimates` out of `total`
-/// remaining budget: proportional to its cost estimate against the
-/// estimated cost of all blocks still to run, but never below the block's
-/// own estimate (capped at `total`). The floor matters when a cheap block
-/// precedes a very expensive one: a purely proportional share could fall
-/// under the policy's admission minimum and reject the whole request even
-/// though the cheap block needs only microseconds — proportionality should
-/// only distribute *surplus* budget, never take away what a block is
-/// estimated to need and the remainder can afford. The last (or only)
-/// block always receives the full remainder untouched, so single-block
-/// requests behave exactly as before the split existed.
-fn block_share(total: Duration, estimates: &[Duration]) -> Duration {
-    let [own, rest @ ..] = estimates else {
-        return total;
-    };
-    if rest.is_empty() {
-        return total;
-    }
-    let own_f = own.as_secs_f64();
-    let sum = own_f + rest.iter().map(Duration::as_secs_f64).sum::<f64>();
-    if sum <= 0.0 {
-        // Degenerate estimates: split evenly.
-        return total / u32::try_from(estimates.len()).unwrap_or(u32::MAX);
-    }
-    total.mul_f64(own_f / sum).max((*own).min(total))
+/// Records that block `block_idx` had too little budget left to start —
+/// queue wait or earlier blocks consumed it — and returns the error.
+fn deadline_exceeded(rt: &mut RequestTrace<'_>, block_idx: usize) -> ServiceError {
+    rt.event(EventKind::DeadlineExceeded, block_idx as u64, 0, 0);
+    ServiceError::DeadlineExceeded
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moqo_cost::{Objective, ObjectiveSet, Preference};
 
+    /// A request that passed submit but reaches its block with 1–199 µs
+    /// left, under the policy's minimum, times out: queue wait used the
+    /// budget up, and resending it unchanged could succeed.
     #[test]
-    fn block_share_is_proportional_and_exhaustive_for_singletons() {
-        let ms = Duration::from_millis;
-        // Single block: bit-exact full remainder, no float round-trip.
-        assert_eq!(block_share(ms(123), &[ms(7)]), ms(123));
-        assert_eq!(block_share(ms(123), &[]), ms(123));
-        // Two equal blocks: half each.
-        let half = block_share(ms(100), &[ms(10), ms(10)]);
-        assert!((half.as_secs_f64() - 0.05).abs() < 1e-9, "{half:?}");
-        // A cheap block ahead of an expensive one keeps only its share.
-        let cheap = block_share(ms(100), &[ms(1), ms(99)]);
-        assert!(cheap <= ms(2), "{cheap:?}");
-        // …but never less than its own estimate while the remainder can
-        // afford it: a microsecond-scale block before a minutes-scale one
-        // must not be starved below the admission floor.
-        let floored = block_share(
-            Duration::from_secs(10),
-            &[Duration::from_micros(86), Duration::from_secs(82)],
-        );
-        assert!(
-            floored >= Duration::from_micros(86),
-            "{floored:?} fell below the block's own estimate"
-        );
-        assert!(floored <= Duration::from_millis(1), "{floored:?}");
-        // An estimate beyond the remainder is capped at the remainder.
-        assert_eq!(block_share(ms(5), &[ms(50), ms(50)]), ms(5));
-        // Degenerate zero estimates fall back to an even split.
-        assert_eq!(
-            block_share(ms(90), &[Duration::ZERO, Duration::ZERO, Duration::ZERO]),
-            ms(30)
-        );
+    fn a_block_starved_after_submit_times_out() {
+        let catalog = moqo_tpch::catalog(0.01);
+        let preference = Preference::over(ObjectiveSet::empty()).weight(Objective::TotalTime, 1.0);
+        let request = OptimizationRequest::new(moqo_tpch::query(&catalog, 3), preference, 2.0)
+            .with_deadline(Duration::from_millis(1));
+        let service = OptimizationService::new(catalog);
+        let mut rt = RequestTrace::started(&service.inner.metrics, None, 0);
+        let submitted = Instant::now() - Duration::from_micros(900);
+        let cancel = Arc::new(AtomicBool::new(false));
+        let result = process(&service.inner, &request, submitted, &cancel, &mut rt);
+        assert_eq!(result.err(), Some(ServiceError::DeadlineExceeded));
     }
 }

@@ -23,9 +23,8 @@
 //!   survives ring overwrite. At completion the recorder applies
 //!   **tail-based exemplar retention**: every errored request (rejected,
 //!   bounced, timed out, panicked, failed) is kept in full (a store of
-//!   [`TraceConfig::ERROR_EXEMPLARS`], drop-oldest with its own counter),
-//!   and completed requests compete for the rolling
-//!   [`TraceConfig::SLOWEST`] by latency.
+//!   [`TraceConfig::ERROR_EXEMPLARS`], drop-oldest with its own counter).
+//!   A completed request's span is dropped; its events stay in the rings.
 //!
 //! A [`TraceSnapshot`] reads both sinks at once.
 //!
@@ -44,7 +43,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use crate::metrics::ServiceMetrics;
-use crate::request::{OptimizationResponse, ServiceError};
+use crate::request::ServiceError;
 
 /// FNV-1a over one `u64`, folded into `acc`.
 fn fnv1a_u64(mut acc: u64, value: u64) -> u64 {
@@ -70,9 +69,9 @@ pub enum EventKind {
     /// deadline is attached.
     Submitted = 0,
     /// The request was rejected at submission: it is malformed, or the
-    /// admission fast path found no algorithm for its deadline.
+    /// deadline is below the admission minimum.
     Rejected = 2,
-    /// The submission bounced off a full (or fault-injected-full) queue.
+    /// The submission bounced off a full queue.
     QueueFull = 4,
     /// The request took a queue slot.
     Enqueued = 5,
@@ -237,8 +236,6 @@ impl TraceConfig {
     /// Full traces retained for errored requests before the store drops
     /// its oldest.
     pub const ERROR_EXEMPLARS: usize = 256;
-    /// Rolling count of slowest completed requests kept in full.
-    pub const SLOWEST: usize = 8;
 }
 
 impl Default for TraceConfig {
@@ -331,7 +328,7 @@ impl EventRing {
 }
 
 /// Why a full trace was retained as an exemplar. The discriminant is
-/// folded into [`Exemplar::digest`], so it never moves; 1 and 5 are
+/// folded into [`Exemplar::digest`], so it never moves; 1, 5 and 7 are
 /// unassigned (retired classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExemplarClass {
@@ -345,8 +342,6 @@ pub enum ExemplarClass {
     Panicked = 4,
     /// Any other error (shutdown, lost worker).
     Failed = 6,
-    /// Completed fine, but among the slowest-k by latency.
-    Slow = 7,
 }
 
 impl ExemplarClass {
@@ -361,24 +356,15 @@ impl ExemplarClass {
             ServiceError::ShuttingDown | ServiceError::WorkerLost => ExemplarClass::Failed,
         }
     }
-
-    /// Whether this class is retained unconditionally (versus competing
-    /// for a slowest-k slot).
-    #[must_use]
-    pub fn is_error(self) -> bool {
-        !matches!(self, ExemplarClass::Slow)
-    }
 }
 
-/// A fully retained trace: every event of one request, in order.
+/// A fully retained trace: every event of one errored request, in order.
 #[derive(Debug, Clone)]
 pub struct Exemplar {
     /// The request's trace id (submission ordinal).
     pub trace_id: u64,
     /// Why it was kept.
     pub class: ExemplarClass,
-    /// End-to-end latency in µs at retention time.
-    pub latency_us: u64,
     /// The span's events in per-trace order.
     pub events: Vec<TraceEvent>,
     /// Whether the span collector overflowed (events beyond its fixed
@@ -435,7 +421,7 @@ impl SpanCollector {
 }
 
 /// The service-wide flight recorder: one [`EventRing`] per worker
-/// plus one for the submit path, the exemplar stores, and the clock.
+/// plus one for the submit path, the error-exemplar store, and the clock.
 pub(crate) struct FlightRecorder {
     clock: TraceClock,
     /// `rings[worker]` for workers; the last ring takes submit-path
@@ -443,8 +429,6 @@ pub(crate) struct FlightRecorder {
     rings: Vec<EventRing>,
     errors: Mutex<VecDeque<Exemplar>>,
     errors_dropped: AtomicU64,
-    /// Ascending by latency; index 0 is the bar to clear.
-    slowest: Mutex<Vec<Exemplar>>,
 }
 
 impl FlightRecorder {
@@ -460,7 +444,6 @@ impl FlightRecorder {
                 .collect(),
             errors: Mutex::new(VecDeque::new()),
             errors_dropped: AtomicU64::new(0),
-            slowest: Mutex::new(Vec::new()),
         }
     }
 
@@ -470,29 +453,17 @@ impl FlightRecorder {
     }
 
     fn retain(&self, exemplar: Exemplar) {
-        if exemplar.class.is_error() {
-            let mut errors = self.errors.lock().expect("exemplar lock poisoned");
-            if errors.len() >= TraceConfig::ERROR_EXEMPLARS {
-                errors.pop_front();
-                self.errors_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            errors.push_back(exemplar);
-            return;
+        let mut errors = self.errors.lock().expect("exemplar lock poisoned");
+        if errors.len() >= TraceConfig::ERROR_EXEMPLARS {
+            errors.pop_front();
+            self.errors_dropped.fetch_add(1, Ordering::Relaxed);
         }
-        let mut slowest = self.slowest.lock().expect("slowest lock poisoned");
-        if slowest.len() == TraceConfig::SLOWEST && exemplar.latency_us <= slowest[0].latency_us {
-            return;
-        }
-        let at = slowest.partition_point(|e: &Exemplar| e.latency_us <= exemplar.latency_us);
-        slowest.insert(at, exemplar);
-        if slowest.len() > TraceConfig::SLOWEST {
-            slowest.remove(0);
-        }
+        errors.push_back(exemplar);
     }
 }
 
 /// A point-in-time view of the flight recorder: the still-resident ring
-/// events, the drop accounting, and both exemplar stores.
+/// events, the drop accounting, and the error exemplars.
 #[derive(Debug, Clone)]
 pub struct TraceSnapshot {
     /// Resident ring events ordered by timestamp (ties broken by trace id
@@ -510,8 +481,6 @@ pub struct TraceSnapshot {
     pub error_exemplars: Vec<Exemplar>,
     /// Error exemplars evicted (oldest first) after the store filled.
     pub error_exemplars_dropped: u64,
-    /// The rolling slowest-k completed requests, slowest first.
-    pub slowest: Vec<Exemplar>,
     /// Ordered checksum over the ring streams as captured (before the
     /// timestamp sort). Byte-deterministic only under single-worker
     /// replay; concurrent runs should gate on
@@ -538,19 +507,12 @@ impl TraceSnapshot {
             .iter()
             .cloned()
             .collect();
-        let mut slowest = recorder
-            .slowest
-            .lock()
-            .expect("slowest lock poisoned")
-            .clone();
-        slowest.reverse(); // slowest first
         TraceSnapshot {
             events,
             events_total,
             dropped_events,
             error_exemplars,
             error_exemplars_dropped: recorder.errors_dropped.load(Ordering::Relaxed),
-            slowest,
             stream_checksum,
         }
     }
@@ -628,20 +590,6 @@ impl<'a> RequestTrace<'a> {
         self.trace(kind, arg0, arg1, arg2);
     }
 
-    /// Records the `completed` event of `response`, `latency_us` after
-    /// submission. Besides the count it feeds the latency histograms from
-    /// the response's queue wait and service time.
-    pub(crate) fn completed(&mut self, response: &OptimizationResponse, latency_us: u64) {
-        self.metrics
-            .on_completed(response.queue_wait, response.service_time);
-        self.trace(
-            EventKind::Completed,
-            latency_us,
-            response.blocks.len() as u64,
-            u64::from(response.fully_cached()),
-        );
-    }
-
     /// The ring and span writes of one event; a no-op with tracing off.
     fn trace(&mut self, kind: EventKind, arg0: u64, arg1: u64, arg2: u64) {
         let (Some(recorder), Some(span)) = (self.recorder, self.span.as_mut()) else {
@@ -665,20 +613,15 @@ impl<'a> RequestTrace<'a> {
         self.span
     }
 
-    /// Terminal retention: error-class spans always become exemplars;
-    /// completions compete for slowest-k.
-    pub(crate) fn finish(self, result: Result<(), &ServiceError>, latency_us: u64) {
+    /// Terminal retention for a request that ended in `error`: its span
+    /// becomes an exemplar of the error's class.
+    pub(crate) fn failed(self, error: &ServiceError) {
         let (Some(recorder), Some(span)) = (self.recorder, self.span) else {
             return;
         };
-        let class = match result {
-            Err(error) => ExemplarClass::of_error(error),
-            Ok(()) => ExemplarClass::Slow,
-        };
         recorder.retain(Exemplar {
             trace_id: self.trace_id,
-            class,
-            latency_us,
+            class: ExemplarClass::of_error(error),
             events: span.events,
             truncated: span.overflowed,
         });
@@ -832,14 +775,12 @@ mod tests {
         let a = Exemplar {
             trace_id: 1,
             class: ExemplarClass::Panicked,
-            latency_us: 10,
             events: vec![event(1, EventKind::Submitted, 0, 0)],
             truncated: false,
         };
         let b = Exemplar {
             trace_id: 2,
             class: ExemplarClass::Rejected,
-            latency_us: 0,
             events: vec![event(2, EventKind::Rejected, 1, 0)],
             truncated: false,
         };
@@ -865,13 +806,10 @@ mod tests {
             let mut rt = RequestTrace::started(&metrics, Some(&recorder), id);
             rt.event(EventKind::Submitted, 1, 0, 0);
             rt.event(EventKind::PanicCaught, 4, 0, 0);
-            rt.finish(
-                Err(&ServiceError::Internal {
-                    payload: "boom".into(),
-                    payload_truncated: false,
-                }),
-                0,
-            );
+            rt.failed(&ServiceError::Internal {
+                payload: "boom".into(),
+                payload_truncated: false,
+            });
         }
         let snapshot = TraceSnapshot::capture(&recorder);
         assert_eq!(snapshot.error_exemplars_dropped, 2, "oldest two dropped");
@@ -885,44 +823,6 @@ mod tests {
             "store capped at ERROR_EXEMPLARS"
         );
         assert!(errors.iter().all(|e| e.events.len() == 2));
-    }
-
-    #[test]
-    fn slowest_k_keeps_the_k_largest_latencies() {
-        let metrics = ServiceMetrics::default();
-        let recorder = FlightRecorder::new(
-            &TraceConfig {
-                logical_clock: true,
-                ..TraceConfig::default()
-            },
-            1,
-        );
-        let complete = |id: u64, latency: u64| {
-            let mut rt = RequestTrace::started(&metrics, Some(&recorder), id);
-            rt.event(EventKind::Submitted, 1, 0, 0);
-            rt.finish(Ok(()), latency);
-        };
-        // Fill the store with latencies 100, 110, …; 100 µs is the floor.
-        let k = TraceConfig::SLOWEST as u64;
-        for id in 0..k {
-            complete(id, 100 + 10 * id);
-        }
-        let ids = || -> Vec<u64> {
-            let slowest = TraceSnapshot::capture(&recorder).slowest;
-            assert!(slowest.iter().all(|e| e.class == ExemplarClass::Slow));
-            slowest.iter().map(|e| e.trace_id).collect()
-        };
-        // Neither a completion faster than the floor nor one tied with it
-        // enters the full store.
-        complete(k, 5);
-        complete(k + 1, 100);
-        assert_eq!(ids(), (0..k).rev().collect::<Vec<_>>());
-        // Two slower ones enter, each pushing out the current floor.
-        complete(k + 2, 1_000);
-        complete(k + 3, 500);
-        let mut expected = vec![k + 2, k + 3];
-        expected.extend((2..k).rev());
-        assert_eq!(ids(), expected, "the k largest latencies, slowest first");
     }
 
     #[test]

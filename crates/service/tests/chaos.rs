@@ -80,10 +80,10 @@ fn assert_counters_reconcile(metrics: &MetricsSnapshot, trace: &TraceSnapshot) {
             (arg0 >> 32) as u8 == kind.as_u8()
         })
     };
-    let bounced = count(EventKind::QueueFull, &|origin| origin == 0);
+    let bounced = total(EventKind::QueueFull);
     assert_eq!(metrics.submitted, total(EventKind::Enqueued) - bounced);
     assert_eq!(metrics.completed, total(EventKind::Completed));
-    assert_eq!(metrics.queue_full, total(EventKind::QueueFull));
+    assert_eq!(metrics.queue_full, bounced);
     assert_eq!(metrics.panics_total, total(EventKind::PanicCaught));
     let rejected = failed_as(&[ServiceError::Rejected(String::new())]);
     assert_eq!(metrics.rejected, total(EventKind::Rejected) + rejected);

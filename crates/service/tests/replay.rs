@@ -22,9 +22,8 @@
 //!   key's servability is then stable, so the counter deltas of a pair do
 //!   not depend on which worker wins, even though both race over the
 //!   queue.
-//! * **Two workers under faults**: the same replay with panics and an
-//!   injected queue-full, keyed on submission ordinals, so the robustness
-//!   counters replay exactly.
+//! * **Two workers under faults**: the same replay with panics keyed on
+//!   submission ordinals, so the robustness counters replay exactly.
 //!
 //! A free-running run at four workers, untraced and then traced, bounds
 //! what the flight recorder costs.
@@ -130,14 +129,12 @@ struct Outcomes {
     completed: u64,
     /// `Internal` responses: injected panics.
     internal: u64,
-    /// Injected queue-full rejections at submission.
-    injected_full: u64,
     wall: Duration,
 }
 
-/// Feeds the trace to `service` as `drive` says. With `chaos` the two
-/// injected failure shapes are counted; without it any error fails the
-/// test (the trace carries no deadlines).
+/// Feeds the trace to `service` as `drive` says. With `chaos` injected
+/// panics are counted; any other error fails the test (the trace carries
+/// no deadlines, and the queue holds the whole trace).
 fn drive(service: &OptimizationService, inputs: &Inputs, drive: Drive, chaos: bool) -> Outcomes {
     let warm_up: Vec<usize> = (0..inputs.pool.len()).collect();
     let batches: Vec<&[usize]> = match drive {
@@ -153,7 +150,6 @@ fn drive(service: &OptimizationService, inputs: &Inputs, drive: Drive, chaos: bo
             outcomes.submitted += 1;
             match service.submit(inputs.pool[i].clone()) {
                 Ok(ticket) => tickets.push(ticket),
-                Err(ServiceError::QueueFull) if chaos => outcomes.injected_full += 1,
                 Err(error) => panic!("unexpected submit failure: {error}"),
             }
         }
@@ -186,7 +182,6 @@ struct Counters {
     timed_out: u64,
     failed: u64,
     panics_total: u64,
-    injected_queue_full: u64,
 }
 
 /// One finished run.
@@ -225,7 +220,6 @@ fn finish(service: OptimizationService, outcomes: Outcomes) -> Run {
         timed_out: m.timed_out,
         failed: m.failed,
         panics_total: m.panics_total,
-        injected_queue_full: outcomes.injected_full,
     };
     Run {
         counters,
@@ -294,24 +288,20 @@ fn two_worker_replay_pins_the_concurrent_serving_path() {
 #[test]
 fn two_worker_fault_replay_pins_the_robustness_counters() {
     let inputs = Inputs::new();
-    let plan = FaultPlan::builder()
-        .panic_every(8, 2)
-        .queue_full_at(70)
-        .build();
+    let plan = FaultPlan::builder().panic_every(8, 2).build();
     let service = inputs.service(2).faults(plan).build();
     let outcomes = drive(&service, &inputs, Drive::WarmedPairs, true);
     let counters = finish(service, outcomes).counters;
     // A panicked warm-up request leaves its key cold and the pairs race
     // on it, so the cache counters are not pinned here. The 144
-    // submissions hold 18 ordinals ≡ 2 mod 8, and ordinal 70 bounces.
+    // submissions hold 18 ordinals ≡ 2 mod 8.
     let expected = Counters {
-        completed: 125,
+        completed: 126,
         blocks_rmq: 16,
         rejected: 0,
         timed_out: 0,
         failed: 18,
         panics_total: 18,
-        injected_queue_full: 1,
         ..counters
     };
     assert_eq!(counters, expected);
@@ -337,7 +327,6 @@ fn free_running_trace_hits_the_cache_and_tracing_stays_cheap() {
             timed_out: 0,
             failed: 0,
             panics_total: 0,
-            injected_queue_full: 0,
             ..run.counters
         };
         assert_eq!(run.counters, expected, "traced: {traced}");

@@ -2,7 +2,8 @@
 //! at 4 workers where **every** response is either bit-equivalent to a
 //! direct `Optimizer` call or a certified cache serve, determinism under
 //! the single-worker test configuration, honest α for timed-out blocks,
-//! and a typed rejection for every malformed request.
+//! deadline admission at its boundary, and a typed rejection for every
+//! malformed request.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -11,8 +12,8 @@ use moqo_catalog::{Catalog, ColumnStats, JoinGraphBuilder, Query, TableStats};
 use moqo_core::{Algorithm, Optimizer, PlanEntry, PruneMode};
 use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference};
 use moqo_service::{
-    BlockSource, CacheKey, CacheLookup, OptimizationRequest, OptimizationService, PlanCache,
-    ServiceError,
+    BlockSource, CacheKey, CacheLookup, DeadlineAwarePolicy, EventKind, ExemplarClass,
+    OptimizationRequest, OptimizationService, PlanCache, ServiceError, TraceConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,8 +244,6 @@ fn mixed_load_equals_direct_optimization_or_certified_hits() {
             + metrics.blocks_rmq,
         (hits + computed + warmed) as u64
     );
-    assert!(metrics.p95 >= metrics.p50);
-    assert!(metrics.throughput_rps > 0.0);
 }
 
 #[test]
@@ -480,6 +479,8 @@ fn mode_mismatched_cache_entries_are_never_served() {
     );
 }
 
+/// A full queue bounces for real: no fault injection is needed to test
+/// it. Each bounce is counted and leaves its trace as an error exemplar.
 #[test]
 fn queue_full_rejects_and_counts() {
     let catalog = moqo_tpch::catalog(0.01);
@@ -488,6 +489,7 @@ fn queue_full_rejects_and_counts() {
     let service = OptimizationService::builder(catalog.clone())
         .workers(1)
         .queue_capacity(2)
+        .tracing(TraceConfig::default())
         .build();
     let request = OptimizationRequest::new(
         moqo_tpch::large_query_with(&catalog, 12, moqo_tpch::Topology::Clique),
@@ -515,6 +517,14 @@ fn queue_full_rejects_and_counts() {
     let metrics = service.metrics();
     assert_eq!(metrics.queue_full, full);
     assert_eq!(metrics.errors_total(), full, "a bounce is an error too");
+    let trace = service.trace_snapshot().expect("tracing enabled");
+    assert_eq!(trace.error_exemplars.len() as u64, full);
+    let bounces = trace.exemplars_of(ExemplarClass::QueueFull);
+    assert_eq!(bounces.len() as u64, full, "one exemplar per bounce");
+    for exemplar in bounces {
+        let last = exemplar.events.last().map(|e| e.kind);
+        assert_eq!(last, Some(EventKind::QueueFull), "{exemplar:?}");
+    }
 }
 
 #[test]
@@ -536,24 +546,65 @@ fn deadline_admission_rejects_unmeetable_requests() {
 
 /// Hopeless deadlines never occupy a queue slot: the submit-time fast path
 /// rejects them before enqueue, and only the `rejected` counter moves.
+/// The boundary is the policy's minimum budget: one microsecond less is
+/// rejected, the minimum itself gets a ticket.
 #[test]
 fn hopeless_deadlines_are_rejected_before_the_queue() {
     let catalog = moqo_tpch::catalog(0.01);
     let service = OptimizationService::builder(catalog.clone())
         .workers(1)
         .build();
-    let request = OptimizationRequest::new(moqo_tpch::query(&catalog, 3), weighted_pref(), 1.0)
-        .with_deadline(std::time::Duration::ZERO);
-    match service.submit(request).map(|_| ()) {
-        Err(ServiceError::Rejected(_)) => {}
-        other => panic!("expected a submit-time rejection, got {other:?}"),
+    let with_deadline = |deadline| {
+        OptimizationRequest::new(moqo_tpch::query(&catalog, 3), weighted_pref(), 1.0)
+            .with_deadline(deadline)
+    };
+    let just_short = DeadlineAwarePolicy::MIN_BUDGET - Duration::from_micros(1);
+    for deadline in [Duration::ZERO, just_short] {
+        match service.submit(with_deadline(deadline)).map(|_| ()) {
+            Err(ServiceError::Rejected(_)) => {}
+            other => panic!("{deadline:?}: expected a submit-time rejection, got {other:?}"),
+        }
     }
     let metrics = service.metrics();
     assert_eq!(metrics.submitted, 0, "rejected requests never enqueue");
-    assert_eq!(metrics.rejected, 1);
+    assert_eq!(metrics.rejected, 2);
     assert_eq!(metrics.timed_out, 0);
     assert_eq!(metrics.failed, 0);
-    assert_eq!(metrics.errors_total(), 1);
+    assert_eq!(metrics.errors_total(), 2);
+
+    let ticket = service
+        .submit(with_deadline(DeadlineAwarePolicy::MIN_BUDGET))
+        .expect("the minimum budget passes submit");
+    // The worker starts the block with less than the minimum left, or just
+    // in time: a timeout or a plan, never a rejection after submit.
+    match ticket.wait() {
+        Ok(_) | Err(ServiceError::DeadlineExceeded) => {}
+        Err(other) => panic!("expected a plan or a timeout, got {other:?}"),
+    }
+    assert_eq!(service.shutdown().rejected, 2);
+}
+
+/// A cheap block ahead of an expensive one is served. Each block gets the
+/// whole budget left when it starts, so TPC-H Q1's one-table block
+/// followed by a 9-table chain passes submit with a 100 ms deadline. A
+/// split in proportion to estimated DP time would give Q1's block its own
+/// 7 µs estimate, below the policy's 200 µs minimum, and reject the
+/// request at submit.
+#[test]
+fn a_cheap_block_before_an_expensive_one_is_served() {
+    let catalog = moqo_tpch::catalog(0.01);
+    let service = OptimizationService::builder(catalog.clone())
+        .workers(1)
+        .build();
+    let mut query = moqo_tpch::query(&catalog, 1);
+    let chain = moqo_tpch::large_join_graph_with(&catalog, 9, moqo_tpch::Topology::Chain);
+    query.blocks.push(chain);
+    let request = OptimizationRequest::new(query, weighted_pref(), 1.5)
+        .with_deadline(Duration::from_millis(100));
+    let response = service
+        .submit_wait(request)
+        .expect("both blocks are admitted against the whole budget");
+    assert_eq!(response.blocks.len(), 2);
 }
 
 /// A request that passes submit-time admission but whose whole budget is
@@ -620,8 +671,8 @@ fn deadline_pressure_downgrades_to_the_anytime_search() {
             assert!(service.metrics().downgraded_blocks >= 1);
         }
         // Queue wait can eat a tight budget on a loaded CI machine; the
-        // rejection path is then the correct behaviour, not a failure.
-        Err(ServiceError::Rejected(_)) => {}
+        // timeout is then the correct behaviour, not a failure.
+        Err(ServiceError::DeadlineExceeded) => {}
         Err(other) => panic!("unexpected error {other:?}"),
     }
 }
