@@ -10,14 +10,19 @@
 //! * **DP insert stream** — 2000 random cost vectors through
 //!   `PlanSet::prune_insert` at 2/6/9 objectives, exact (EXA's `Prune`)
 //!   and at α = 1.5 (RTA's: approximate rejection, exact deletion),
-//! * **Frontier probes** — how many dominance probes the EXA chains ran
-//!   (each a sorted-prefix cutoff scan), as zero-time cells whose checksum
-//!   is the counter value,
+//! * **Frontier probes** — how many dominance probes each EXA and RTA
+//!   row ran (each a sorted-prefix cutoff scan: one per costed candidate
+//!   and one per chunk-bound decision, see `moqo_core::dp`), as zero-time
+//!   cells whose checksum is the counter value; if the DP stops skipping
+//!   dominated candidate chunks, these move,
 //! * **EXA** — the exact DP on 6- and 8-table chain join graphs
 //!   (sampling off),
 //! * **EXA, props-aware** — the same chains with sampling scans enabled,
 //!   where `PruneMode::auto` switches every pruning site to props-aware
 //!   dominance; the checksum gates the sound mode's fronts,
+//! * **RTA on TPC-H** — α = 1.5 over all nine objectives on Q5 and Q9
+//!   at scale factor 1, the six-relation blocks that dominate the
+//!   `benchmark/` `tpch_dp` workload's optimizer time,
 //! * **RMQ** — 1k and 10k samples on 8- and 20-table chains at 1, 2 and
 //!   4 threads. Walkers merge deterministically, so the binary asserts
 //!   that every thread count yields a bit-identical front,
@@ -35,16 +40,17 @@
 use std::time::Instant;
 
 use moqo_core::pareto::{PlanEntry, PlanSet, PruneStrategy};
-use moqo_core::{exa, rmq, Deadline, RmqConfig};
+use moqo_core::{exa, rmq, rta, Deadline, RmqConfig};
 use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference, NUM_OBJECTIVES};
 use moqo_costmodel::{CostModel, CostModelParams};
 use moqo_plan::{PlanId, PlanProps, SortOrder};
+use moqo_tpch::weighted_test_case;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The ledger entry a full snapshot is committed as: the `"pr"` stamp and
 /// the `N` of the default output `BENCH_pr<N>.json`.
-const LEDGER_ENTRY: u32 = 21;
+const LEDGER_ENTRY: u32 = 25;
 
 struct Cell {
     name: String,
@@ -94,22 +100,24 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Emits the frontier probe counter for one EXA cell as a zero-time row:
-/// the checksum IS the counter, so snapshot diffs surface any change in
-/// how many dominance probes the run made. The counter is deterministic
-/// per workload; the `outcome` parameter keeps the cell key the committed
-/// baselines use.
-fn push_probe_cell(cells: &mut Vec<Cell>, workload: &str, tables: usize, scan_probes: u64) {
+/// Emits the frontier probe counter of the DP cell just pushed as a
+/// zero-time row with that cell's parameters: the checksum IS the counter,
+/// so snapshot diffs surface any change in how many dominance probes the
+/// run made. The counter is deterministic per workload; the `outcome`
+/// parameter keeps the cell key the committed baselines use.
+fn push_probe_cell(cells: &mut Vec<Cell>, scan_probes: u64) {
+    let timed = cells.last().expect("a probe cell follows its DP cell");
+    let name = format!("{}_probes", timed.name);
+    let mut params = timed.params.clone();
+    params.push(("outcome", "\"scan\"".to_owned()));
+    let shown: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    println!("{name} {}: scan {scan_probes}", shown.join(" "));
     cells.push(Cell {
-        name: format!("{workload}_probes"),
-        params: vec![
-            ("tables", tables.to_string()),
-            ("outcome", "\"scan\"".to_owned()),
-        ],
+        name,
+        params,
         median_ms: 0.0,
         checksum: usize::try_from(scan_probes).expect("probe counters fit usize"),
     });
-    println!("{workload}_probes tables={tables}: scan {scan_probes}");
 }
 
 fn main() {
@@ -180,7 +188,7 @@ fn main() {
             checksum: front,
         });
         println!("exa_chain tables={n}: {ms:.3} ms (front {front})");
-        push_probe_cell(&mut cells, "exa_chain", n, probes);
+        push_probe_cell(&mut cells, probes);
     }
 
     // EXA with sampling scans enabled: the leaking regime, where the
@@ -205,7 +213,41 @@ fn main() {
             checksum: front,
         });
         println!("exa_chain_props tables={n}: {ms:.3} ms (front {front})");
-        push_probe_cell(&mut cells, "exa_chain_props", n, probes);
+        push_probe_cell(&mut cells, probes);
+    }
+
+    // RTA on the benchmark's six-relation TPC-H queries at its scale
+    // factor: α = 1.5, all nine objectives (so `TupleLoss` is selected and
+    // pruning is cost-only, with sampling scans on), weights drawn from a
+    // fixed seed. These are the blocks that take most of `tpch_dp`'s
+    // optimizer time.
+    let sf1 = moqo_tpch::catalog(1.0);
+    let mut rng = StdRng::seed_from_u64(25);
+    for query_no in [5u8, 9] {
+        let query = moqo_tpch::query(&sf1, query_no);
+        let [graph] = query.blocks.as_slice() else {
+            panic!("TPC-H Q{query_no} is one block");
+        };
+        let preference = weighted_test_case(&mut rng, query_no, NUM_OBJECTIVES).preference;
+        let model = CostModel::new(&sampled_params, &sf1, graph);
+        let mut probes = 0;
+        let (ms, front) = median_ms(reps, || {
+            let result = rta(&model, &preference, 1.5, &Deadline::unlimited());
+            probes = result.stats.frontier_scan_probes;
+            result.final_plans.len()
+        });
+        cells.push(Cell {
+            name: "rta_tpch".into(),
+            params: vec![
+                ("query", query_no.to_string()),
+                ("objectives", NUM_OBJECTIVES.to_string()),
+                ("alpha", "1.5".into()),
+            ],
+            median_ms: ms,
+            checksum: front,
+        });
+        println!("rta_tpch query={query_no}: {ms:.3} ms (front {front})");
+        push_probe_cell(&mut cells, probes);
     }
 
     // RMQ: samples × tables × threads. Fronts are deterministic per seed

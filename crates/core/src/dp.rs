@@ -31,13 +31,30 @@
 //! plan pair and operator of that split. The same index answers the
 //! Cartesian heuristic's connectivity test from per-relation neighbour
 //! masks, here and in the randomized search.
+//!
+//! Most candidates are rejected on arrival, so the candidate loop skips
+//! whole chunks of them. Each right-side order group is cut into chunks of
+//! up to eight consecutive plans, and each chunk gets a lower bound: the
+//! component-wise minimum of its cost vectors, with its minimum rows and the
+//! group's order. Every join formula is monotone in its children's costs and
+//! rows (§6.1), so joining a left plan with the bound costs at most what
+//! joining it with any plan of the chunk costs. When the target rejects that
+//! bound join for an operator, it rejects every candidate of the chunk with
+//! that operator: the incumbent that rejects the bound also passes the
+//! cutoff scan, the α test and the rows cover of each candidate. So those
+//! candidates are counted as considered but neither costed nor probed. A
+//! decision holds only while the target table set stores no new plan; after
+//! an insertion it is made again, so a skipped candidate meets exactly the
+//! stored set that rejected its bound. The candidate order does not change,
+//! so fronts and `considered_plans` are bit-identical to the unskipped loop
+//! at every α and in both prune modes.
 
 use std::collections::{BTreeMap, HashMap};
 
 use moqo_catalog::RelMask;
-use moqo_cost::{ObjectiveSet, Weights};
+use moqo_cost::{CostVector, ObjectiveSet, Weights};
 use moqo_costmodel::{CostModel, JoinKey, JoinSplit};
-use moqo_plan::{JoinOp, PlanArena, PlanNode, ScanOp, SortOrder};
+use moqo_plan::{JoinOp, PlanArena, PlanNode, PlanProps, ScanOp, SortOrder};
 
 use crate::budget::Deadline;
 use crate::pareto::{PlanSet, PruneMode, PruneStrategy};
@@ -104,8 +121,11 @@ impl DpConfig {
 /// Counters and accounting collected during one run.
 #[derive(Debug, Clone, Default)]
 pub struct DpStats {
-    /// Plans constructed and offered to `Prune` (the paper's "considered
-    /// plans", which grow quadratically in the Pareto set sizes).
+    /// Plans enumerated and pruned (the paper's "considered plans", which
+    /// grow quadratically in the Pareto set sizes): every applicable
+    /// candidate, whether it was costed and offered to `Prune` or skipped
+    /// because the target rejected its chunk's lower bound (see the
+    /// module docs).
     pub considered_plans: u64,
     /// Plans currently stored across all table sets.
     pub stored_plans: usize,
@@ -124,7 +144,9 @@ pub struct DpStats {
     /// Maximum plan-set size over all (table set, order) groups.
     pub max_group_size: usize,
     /// Every `would_reject` probe, summed over every plan set of the run
-    /// (each probe is a sorted-prefix cutoff scan).
+    /// (each probe is a sorted-prefix cutoff scan): one per costed
+    /// candidate and one per chunk-bound decision. Candidates skipped by
+    /// a rejected bound are not probed.
     pub frontier_scan_probes: u64,
     /// Whether the deadline expired and the quick-finish path ran.
     pub timed_out: bool,
@@ -179,6 +201,9 @@ pub struct DpResult {
 struct OrderGroups {
     groups: BTreeMap<SortOrder, PlanSet>,
     completed: bool,
+    /// Plans stored so far, never decremented: a chunk-bound decision made
+    /// at one count holds exactly while the count is unchanged.
+    insertions: u64,
 }
 
 impl OrderGroups {
@@ -239,6 +264,8 @@ pub fn find_pareto_plans(
     }
 
     let index = SplitIndex::new(model);
+    // The right side's chunk bounds, rebuilt per split into one buffer.
+    let mut bounds: Vec<ChunkBound> = Vec::new();
 
     // Phase 1: access paths for single tables.
     for rel in 0..n {
@@ -278,36 +305,64 @@ pub fn find_pareto_plans(
         let mut target = std::mem::take(&mut table[mask as usize]);
         'mask: for (m1, m2) in splits {
             let split = index.split(m1, m2);
+            let key = split.key.as_ref();
+            let rights = &table[m2 as usize];
+            chunk_bounds(rights, &arena, key, &mut bounds);
             for left in table[m1 as usize].iter_entries() {
-                for right in table[m2 as usize].iter_entries() {
-                    if deadline.expired() {
-                        stats.timed_out = true;
-                        break 'mask;
-                    }
-                    let right_canonical =
-                        is_canonical_index_scan(&arena, right, split.key.as_ref());
-                    for op in JoinOp::ALL {
-                        let combined = model.join_cost(
-                            op,
-                            (&left.cost, &left.props),
-                            (&right.cost, &right.props),
-                            &split,
-                            right_canonical,
-                        );
-                        let Some((cost, props)) = combined else {
-                            continue;
-                        };
-                        stats.considered_plans += 1;
-                        offer_entry(
-                            &mut target,
-                            cost,
-                            props,
-                            |a| a.join(op, left.plan, right.plan),
-                            &mut arena,
-                            &strategy,
-                            objectives,
-                            &mut stats,
-                        );
+                let chunks = rights
+                    .groups
+                    .values()
+                    .flat_map(|set| set.entries().chunks(CHUNK));
+                for (chunk, bound) in chunks.zip(&bounds) {
+                    let mut decisions = Decisions::default();
+                    for (right, &right_canonical) in chunk.iter().zip(&bound.canonical) {
+                        if deadline.expired() {
+                            stats.timed_out = true;
+                            break 'mask;
+                        }
+                        for (k, op) in JoinOp::ALL.into_iter().enumerate() {
+                            // A chunk of one is its own bound, and an empty
+                            // target rejects nothing.
+                            let skip = chunk.len() > 1
+                                && target.insertions > 0
+                                && decisions.rejected(k, target.insertions, || {
+                                    bound_rejected(
+                                        model, op, left, bound, &split, &target, &strategy,
+                                        objectives,
+                                    )
+                                });
+                            if skip {
+                                if op_applies(op, key, right_canonical) {
+                                    stats.considered_plans += 1;
+                                }
+                                continue;
+                            }
+                            let combined = model.join_cost(
+                                op,
+                                (&left.cost, &left.props),
+                                (&right.cost, &right.props),
+                                &split,
+                                right_canonical,
+                            );
+                            debug_assert_eq!(
+                                combined.is_some(),
+                                op_applies(op, key, right_canonical)
+                            );
+                            let Some((cost, props)) = combined else {
+                                continue;
+                            };
+                            stats.considered_plans += 1;
+                            offer_entry(
+                                &mut target,
+                                cost,
+                                props,
+                                |a| a.join(op, left.plan, right.plan),
+                                &mut arena,
+                                &strategy,
+                                objectives,
+                                &mut stats,
+                            );
+                        }
                     }
                 }
             }
@@ -657,6 +712,119 @@ fn is_canonical_index_scan(arena: &PlanArena, entry: &PlanEntry, key: Option<&Jo
     )
 }
 
+/// Whether [`CostModel::join_cost`] applies `op` to an inner plan of a split
+/// with join key `key`: every operator but the nested loop needs the key,
+/// and the index-nested loop also needs an indexed inner column read by its
+/// canonical index scan.
+fn op_applies(op: JoinOp, key: Option<&JoinKey>, right_canonical: bool) -> bool {
+    match op {
+        JoinOp::NestedLoop => true,
+        JoinOp::HashJoin { .. } | JoinOp::SortMergeJoin { .. } => key.is_some(),
+        JoinOp::IndexNestedLoop => right_canonical && key.is_some_and(|k| k.inner_indexed),
+    }
+}
+
+/// Right-side plans per chunk of the candidate loop: one bound join per
+/// left plan and operator stands in for up to this many candidates.
+const CHUNK: usize = 8;
+
+/// A lower bound on the plans of one chunk, for the split being enumerated.
+struct ChunkBound {
+    /// Component-wise minimum of the chunk's cost vectors.
+    cost: CostVector,
+    /// The group's properties (rels, order, width) with the chunk's
+    /// minimum rows.
+    props: PlanProps,
+    /// Per plan: whether it is the canonical index scan of the split's key.
+    canonical: [bool; CHUNK],
+}
+
+/// Rebuilds `out` with the bound of every chunk of `rights`, in the order
+/// the candidate loop visits them: order groups in map order, each cut into
+/// runs of [`CHUNK`] consecutive plans.
+fn chunk_bounds(
+    rights: &OrderGroups,
+    arena: &PlanArena,
+    key: Option<&JoinKey>,
+    out: &mut Vec<ChunkBound>,
+) {
+    out.clear();
+    for set in rights.groups.values() {
+        for chunk in set.entries().chunks(CHUNK) {
+            let mut bound = ChunkBound {
+                cost: chunk[0].cost,
+                props: chunk[0].props,
+                canonical: [false; CHUNK],
+            };
+            for (entry, canonical) in chunk.iter().zip(&mut bound.canonical) {
+                debug_assert!(
+                    entry.props.rels == bound.props.rels
+                        && entry.props.order == bound.props.order
+                        && entry.props.width.to_bits() == bound.props.width.to_bits(),
+                    "an order group shares its relations, order and width"
+                );
+                bound.cost = bound.cost.component_min(&entry.cost);
+                bound.props.rows = bound.props.rows.min(entry.props.rows);
+                *canonical = is_canonical_index_scan(arena, entry, key);
+            }
+            out.push(bound);
+        }
+    }
+}
+
+/// The skip decisions of one (left plan, chunk) pair, one per operator of
+/// [`JoinOp::ALL`]: whether the bound was rejected, and the target's
+/// insertion count when that was decided.
+#[derive(Default)]
+struct Decisions([Option<(u64, bool)>; JoinOp::ALL.len()]);
+
+impl Decisions {
+    /// Whether the bound of operator `k` is rejected at the target's
+    /// insertion count `insertions`. The decision is made again with
+    /// `decide` when the target stored a plan since it was last made, so
+    /// a skip never rests on a stored set that has since changed.
+    fn rejected(&mut self, k: usize, insertions: u64, decide: impl FnOnce() -> bool) -> bool {
+        match self.0[k] {
+            Some((at, rejected)) if at == insertions => rejected,
+            _ => {
+                let rejected = decide();
+                self.0[k] = Some((insertions, rejected));
+                rejected
+            }
+        }
+    }
+}
+
+/// Whether the target rejects `op`'s join of `left` with the chunk's lower
+/// bound, and with it every candidate of the chunk (see the module docs).
+/// An operator that applies to no plan of the chunk counts as rejected.
+#[allow(clippy::too_many_arguments)]
+fn bound_rejected(
+    model: &CostModel<'_>,
+    op: JoinOp,
+    left: &PlanEntry,
+    bound: &ChunkBound,
+    split: &JoinSplit,
+    target: &OrderGroups,
+    strategy: &PruneStrategy,
+    objectives: ObjectiveSet,
+) -> bool {
+    let joined = model.join_cost(
+        op,
+        (&left.cost, &left.props),
+        (&bound.cost, &bound.props),
+        split,
+        bound.canonical.contains(&true),
+    );
+    let Some((cost, props)) = joined else {
+        return true;
+    };
+    target
+        .groups
+        .get(&props.order)
+        .is_some_and(|set| set.would_reject(&cost, &props, strategy, objectives))
+}
+
 /// Offers a costed candidate to the right order group, building its arena
 /// node only when it survives the rejection probe. The vast majority of
 /// considered plans are dominated on arrival, so probing before allocating
@@ -681,6 +849,7 @@ fn offer_entry(
     }
     let plan = build_plan(arena);
     let deleted = set.insert_unrejected(PlanEntry { cost, props, plan }, strategy, objectives);
+    groups.insertions += 1;
     stats.on_stored_delta(true, deleted);
     if set.len() > stats.max_group_size {
         stats.max_group_size = set.len();
@@ -702,6 +871,7 @@ fn insert_entry(
     let inserted = set.prune_insert(entry, strategy, objectives);
     let after = set.len();
     if inserted {
+        groups.insertions += 1;
         // after = before + 1 − deleted.
         let deleted = before + 1 - after;
         stats.on_stored_delta(true, deleted);
@@ -960,6 +1130,27 @@ mod tests {
             result.stats.peak_memory_bytes,
             result.stats.peak_stored_plans * DpStats::bytes_per_stored_plan()
         );
+    }
+
+    #[test]
+    fn skip_decisions_are_made_again_after_an_insertion() {
+        let mut decisions = Decisions::default();
+        let mut made = 0;
+        let mut decide = |rejected: bool| {
+            made += 1;
+            rejected
+        };
+        assert!(decisions.rejected(3, 1, || decide(true)));
+        assert!(decisions.rejected(3, 1, || decide(false)), "still current");
+        assert!(
+            !decisions.rejected(3, 2, || decide(false)),
+            "stale after an insertion"
+        );
+        assert!(
+            decisions.rejected(4, 2, || decide(true)),
+            "one decision per operator"
+        );
+        assert_eq!(made, 3);
     }
 
     #[test]

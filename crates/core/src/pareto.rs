@@ -340,6 +340,12 @@ impl PlanSet {
         self.entries.iter()
     }
 
+    /// The stored plans in first-objective sorted order, as a slice.
+    #[must_use]
+    pub fn entries(&self) -> &[PlanEntry] {
+        &self.entries
+    }
+
     /// Invariant check (test helper): with exact pruning no entry may
     /// strictly dominate another.
     #[must_use]

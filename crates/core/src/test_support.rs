@@ -1,14 +1,17 @@
 //! Hidden test support: the **no-pruning reference DP** that the
 //! props-aware soundness tests (`crates/core/tests/props_pruning_properties.rs`
 //! and the workspace-level `tests/props_pruning.rs`) measure pruning
-//! against, and the **reference split** that the DP's split index must
-//! reproduce bit for bit. One shared implementation each, so a
-//! cost-model change (new scan operator, changed IdxNL precondition, new
-//! join configuration) cannot silently leave one copy testing a stale plan
-//! space.
+//! against, the **reference split** that the DP's split index must
+//! reproduce bit for bit, and the **reference pruning DP** whose front and
+//! candidate count the optimized DP must reproduce exactly. One shared
+//! implementation each, so a cost-model change (new scan operator, changed
+//! IdxNL precondition, new join configuration) cannot silently leave one
+//! copy testing a stale plan space.
 //!
 //! Not part of the public API — the module is `#[doc(hidden)]` and its
 //! behaviour may change without notice.
+
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,10 +19,10 @@ use rand::{Rng, SeedableRng};
 use moqo_catalog::{subset_width, RelMask};
 use moqo_cost::{CostVector, ObjectiveSet};
 use moqo_costmodel::{CostModel, JoinKey, JoinSplit};
-use moqo_plan::{JoinOp, PlanId, PlanProps, ScanOp, SortOrder};
+use moqo_plan::{JoinOp, PlanArena, PlanId, PlanNode, PlanProps, ScanOp, SortOrder};
 
 use crate::dp::SplitIndex;
-use crate::pareto::{PlanEntry, PlanSet, PruneStrategy};
+use crate::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
 
 /// The split of `m1` (outer) and `m2` (inner) from the join graph's
 /// reference definitions: the first crossing edge in declaration order,
@@ -223,4 +226,136 @@ pub fn reference_frontier(model: &CostModel<'_>, objectives: ObjectiveSet) -> Ve
         );
     }
     frontier.iter().map(|e| e.cost).collect()
+}
+
+/// `FindParetoPlans` written the plain way: an eager sorted mask table,
+/// per-split copies of both entry sets, an arena node for *every*
+/// considered candidate, and `prune_insert` doing each rejection test. It
+/// shares only the cost model, [`reference_split`] and [`PlanSet`] with
+/// [`crate::find_pareto_plans`], and enumerates candidates in the same
+/// order: splits by descending outer mask, both sides' order groups in map
+/// order, [`JoinOp::ALL`]. So the optimized DP must reproduce its result
+/// exactly at every precision and in both prune modes.
+///
+/// Returns the final front, flattened over order groups in map order, and
+/// the number of considered plans.
+#[must_use]
+pub fn reference_dp(
+    model: &CostModel<'_>,
+    objectives: ObjectiveSet,
+    alpha_internal: f64,
+    mode: PruneMode,
+) -> (Vec<CostVector>, u64) {
+    let strategy = PruneStrategy {
+        alpha_internal,
+        mode,
+    };
+    let graph = model.graph;
+    let n = graph.n_rels();
+    let mut arena = PlanArena::new();
+    let mut considered = 0u64;
+    let mut table: Vec<BTreeMap<SortOrder, PlanSet>> = vec![BTreeMap::new(); 1 << n];
+
+    let scan_ops = |rel: usize| {
+        let t = model.catalog.table(graph.rels[rel].table);
+        let mut ops = vec![ScanOp::SeqScan];
+        for (ordinal, col) in t.columns.iter().enumerate() {
+            if col.indexed {
+                ops.push(ScanOp::IndexScan {
+                    column: ordinal as u16,
+                });
+            }
+        }
+        if model.params.enable_sampling {
+            for rate_pct in moqo_plan::SAMPLING_RATES_PCT {
+                ops.push(ScanOp::SamplingScan { rate_pct });
+            }
+        }
+        ops
+    };
+    let splits = |mask: u32| {
+        let mut connected = Vec::new();
+        let mut all = Vec::new();
+        let mut m1 = (mask - 1) & mask;
+        while m1 != 0 {
+            let m2 = mask ^ m1;
+            all.push((m1, m2));
+            if graph.connects(m1, m2) {
+                connected.push((m1, m2));
+            }
+            m1 = (m1 - 1) & mask;
+        }
+        if connected.is_empty() {
+            all
+        } else {
+            connected
+        }
+    };
+
+    // Phase 1: access paths.
+    for rel in 0..n {
+        for op in scan_ops(rel) {
+            if let Some((cost, props)) = model.scan_cost(rel, op) {
+                considered += 1;
+                let plan = arena.scan(rel, op);
+                table[1 << rel]
+                    .entry(props.order)
+                    .or_default()
+                    .prune_insert(PlanEntry { cost, props, plan }, &strategy, objectives);
+            }
+        }
+    }
+
+    // Phase 2: every mask by cardinality, then ascending.
+    let mut masks: Vec<u32> = (1..(1u32 << n)).filter(|m| m.count_ones() >= 2).collect();
+    masks.sort_by_key(|m| m.count_ones());
+    for mask in masks {
+        for (m1, m2) in splits(mask) {
+            let split = reference_split(model, m1, m2);
+            let entries = |m: u32| -> Vec<PlanEntry> {
+                table[m as usize]
+                    .values()
+                    .flat_map(|s| s.iter().copied())
+                    .collect()
+            };
+            let (left_entries, right_entries) = (entries(m1), entries(m2));
+            for left in &left_entries {
+                for right in &right_entries {
+                    let right_canonical = split.key.as_ref().is_some_and(|k| {
+                        right.props.rels.count_ones() == 1
+                            && matches!(
+                                arena.node(right.plan),
+                                PlanNode::Scan {
+                                    rel,
+                                    op: ScanOp::IndexScan { column },
+                                } if rel == k.right_rel && column == k.right_col
+                            )
+                    });
+                    for op in JoinOp::ALL {
+                        let Some((cost, props)) = model.join_cost(
+                            op,
+                            (&left.cost, &left.props),
+                            (&right.cost, &right.props),
+                            &split,
+                            right_canonical,
+                        ) else {
+                            continue;
+                        };
+                        considered += 1;
+                        let plan = arena.join(op, left.plan, right.plan);
+                        table[mask as usize]
+                            .entry(props.order)
+                            .or_default()
+                            .prune_insert(PlanEntry { cost, props, plan }, &strategy, objectives);
+                    }
+                }
+            }
+        }
+    }
+
+    let front = table[graph.full_mask() as usize]
+        .values()
+        .flat_map(|s| s.iter().map(|e| e.cost))
+        .collect();
+    (front, considered)
 }

@@ -1,11 +1,13 @@
 //! Property tests of the optimizer algorithms over *random* catalogs and
-//! join graphs — not just TPC-H. Sampling scans are disabled so that plan
-//! cardinalities are deterministic per table set; in this plan space the
-//! RTA/IRA guarantees are exact theorems, and we check them verbatim.
+//! join graphs — not just TPC-H. The guarantee properties disable sampling
+//! scans so that plan cardinalities are deterministic per table set; in
+//! this plan space the RTA/IRA guarantees are exact theorems, and we check
+//! them verbatim. The equivalence property keeps sampling on.
 
 use moqo_catalog::{Catalog, ColumnStats, JoinEdge, JoinGraph, TableStats};
-use moqo_core::{exa, ira, rta, select_best, Deadline};
-use moqo_cost::{dominates, Objective, ObjectiveSet, Preference};
+use moqo_core::test_support::reference_dp;
+use moqo_core::{exa, find_pareto_plans, ira, rta, select_best, Deadline, DpConfig, PruneMode};
+use moqo_cost::{dominates, Objective, ObjectiveSet, Preference, Weights};
 use moqo_costmodel::{CostModel, CostModelParams};
 use proptest::prelude::*;
 
@@ -106,6 +108,32 @@ fn sampling_free_params() -> CostModelParams {
         enable_sampling: false,
         ..CostModelParams::default()
     }
+}
+
+/// 3–9 objectives: those of the eight besides `TupleLoss` whose bit is set
+/// in `bits`, topped up in declaration order to three, plus `TupleLoss`
+/// when `with_loss`.
+fn objectives_of(bits: u8, with_loss: bool) -> ObjectiveSet {
+    let others = Objective::ALL
+        .into_iter()
+        .filter(|&o| o != Objective::TupleLoss);
+    let mut out: ObjectiveSet = others
+        .clone()
+        .enumerate()
+        .filter(|&(i, _)| bits & (1 << i) != 0)
+        .map(|(_, o)| o)
+        .collect();
+    let floor = 3 - usize::from(with_loss);
+    for o in others {
+        if out.len() >= floor {
+            break;
+        }
+        out.insert(o);
+    }
+    if with_loss {
+        out.insert(Objective::TupleLoss);
+    }
+    out
 }
 
 fn preference(inst: &RandomInstance) -> Preference {
@@ -253,5 +281,46 @@ proptest! {
                 "subset frontier must be covered by the full frontier"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The DP's candidate loop, chunk-bound skips included, is exact: with
+    /// sampling scans on, at α_i ∈ {1, 1.25, 1.5} and in both prune modes,
+    /// its final front (cost bits, in order) and considered-plan count
+    /// equal those of the plain reference DP, which costs and probes every
+    /// candidate.
+    #[test]
+    fn dp_matches_the_reference_dp_bit_for_bit(
+        inst in arb_instance(3),
+        alpha_pick in 0usize..3,
+        objective_bits in 0u8..=u8::MAX,
+        with_loss in any::<bool>(),
+        props_aware in any::<bool>(),
+    ) {
+        let params = CostModelParams::default();
+        prop_assert!(params.enable_sampling);
+        let model = CostModel::new(&params, &inst.catalog, &inst.graph);
+        let alpha = [1.0, 1.25, 1.5][alpha_pick];
+        let objectives = objectives_of(objective_bits, with_loss);
+        let mode = if props_aware { PruneMode::PropsAware } else { PruneMode::CostOnly };
+        let result = find_pareto_plans(
+            &model,
+            objectives,
+            &DpConfig::approximate(alpha).with_prune_mode(mode),
+            &Weights::single(Objective::TotalTime),
+            &Deadline::unlimited(),
+        );
+        let (front, considered) = reference_dp(&model, objectives, alpha, mode);
+        prop_assert_eq!(result.stats.considered_plans, considered);
+        let got: Vec<_> = result
+            .final_plans
+            .iter()
+            .map(|e| e.cost.as_array().map(f64::to_bits))
+            .collect();
+        let want: Vec<_> = front.iter().map(|c| c.as_array().map(f64::to_bits)).collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -7,7 +7,9 @@
 //! Cardinality-derived quantities are operator constants here (both child
 //! variants share the same physical properties), which is exactly the
 //! setting of the paper's proof by structural induction over {sum, max,
-//! min, ×const} formulas plus the tuple-loss composition.
+//! min, ×const} formulas plus the tuple-loss composition. A separate
+//! property lets rows grow too: every formula is monotone in the children's
+//! costs and rows, which the DP's chunk bounds rely on.
 
 use moqo_catalog::{subset_width, Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
 use moqo_cost::{approx_dominates, CostVector, Objective, ObjectiveSet, NUM_OBJECTIVES};
@@ -179,6 +181,98 @@ proptest! {
                     "{op}: objective {o} violates POO"
                 );
             }
+        }
+    }
+
+    /// Monotonicity, the lemma behind the DP's chunk bounds: children that
+    /// cost no more in any of the nine components and have no more rows
+    /// (same orders and widths) give a join that costs no more in any
+    /// component and has no more rows, with the same output order, for
+    /// every operator and split. Exact in floats: a formula that breaks it
+    /// would let the DP skip a candidate its bound does not bound.
+    #[test]
+    fn join_cost_is_monotone_in_child_costs_and_rows(
+        lc in arb_child_cost(),
+        rc in arb_child_cost(),
+        lgrow in prop::array::uniform9(0.0f64..2.0),
+        rgrow in prop::array::uniform9(0.0f64..2.0),
+        rows in (1.0f64..100_000.0, 1.0f64..100_000.0, 0.0f64..3.0, 0.0f64..3.0),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        grow in (any::<bool>(), any::<bool>()),
+        order_picks in (0u8..3, 0u8..3),
+        sizes in (1e-6f64..1.0, 1.0f64..500.0, 1.0f64..300.0, 1.0f64..300.0),
+    ) {
+        let (lrows, rrows, lrow_grow, rrow_grow) = rows;
+        let (keyed, inner_indexed, canonical, right_multi) = flags;
+        // Costs and rows also grow alone, so neither masks the other.
+        let (costs_grow, rows_grow) = grow;
+        let (lrow_grow, rrow_grow) = if rows_grow { (lrow_grow, rrow_grow) } else { (0.0, 0.0) };
+        let (l_order_pick, r_order_pick) = order_picks;
+        let (selectivity, width, lwidth, rwidth) = sizes;
+        let (params, cat, graph) = setup();
+        let model = CostModel::new(&params, &cat, &graph);
+        let k = JoinKey { inner_indexed, ..key() };
+        let split = JoinSplit {
+            key: keyed.then_some(k),
+            selectivity,
+            width,
+        };
+        // Each side sorted on its merge key, on the other key, or unsorted.
+        let order = |pick: u8, merge: SortOrder, other: SortOrder| match pick {
+            0 => SortOrder::None,
+            1 => merge,
+            _ => other,
+        };
+        let l_order = order(l_order_pick, k.outer_order(), k.inner_order());
+        let r_order = order(r_order_pick, k.inner_order(), k.outer_order());
+        let props = |rels: u32, rows: f64, width: f64, order: SortOrder| PlanProps {
+            rels,
+            rows,
+            width,
+            order,
+            sampling_factor: 1.0,
+        };
+        let right_rels = if right_multi { 0b110 } else { 0b010 };
+        let (lp_lo, lp_hi) = (
+            props(0b001, lrows, lwidth, l_order),
+            props(0b001, lrows * (1.0 + lrow_grow), lwidth, l_order),
+        );
+        let (rp_lo, rp_hi) = (
+            props(right_rels, rrows, rwidth, r_order),
+            props(right_rels, rrows * (1.0 + rrow_grow), rwidth, r_order),
+        );
+        let raise = |c: &CostVector, grow: &[f64; NUM_OBJECTIVES]| {
+            let mut out = *c.as_array();
+            for (v, g) in out.iter_mut().zip(grow) {
+                *v *= 1.0 + g;
+            }
+            let loss = Objective::TupleLoss.index();
+            out[loss] = out[loss].min(1.0);
+            CostVector::from_array(out)
+        };
+        let (lc_hi, rc_hi) = if costs_grow {
+            (raise(&lc, &lgrow), raise(&rc, &rgrow))
+        } else {
+            (lc, rc)
+        };
+
+        for op in JoinOp::ALL {
+            let lo = model.join_cost(op, (&lc, &lp_lo), (&rc, &rp_lo), &split, canonical);
+            let hi = model.join_cost(op, (&lc_hi, &lp_hi), (&rc_hi, &rp_hi), &split, canonical);
+            prop_assert_eq!(lo.is_some(), hi.is_some(), "{} applies to one side only", op);
+            let (Some((lo, lo_props)), Some((hi, hi_props))) = (lo, hi) else {
+                continue;
+            };
+            for o in Objective::ALL {
+                prop_assert!(
+                    lo.get(o) <= hi.get(o),
+                    "{op}: objective {o} is not monotone: {} > {}",
+                    lo.get(o),
+                    hi.get(o)
+                );
+            }
+            prop_assert!(lo_props.rows <= hi_props.rows, "{op}: output rows");
+            prop_assert_eq!(lo_props.order, hi_props.order, "{} output order", op);
         }
     }
 

@@ -417,15 +417,9 @@ impl Drop for OptimizationService {
     }
 }
 
-/// Microseconds elapsed since `start`, saturating.
-fn elapsed_us(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
 #[allow(clippy::cast_possible_truncation)]
 fn worker_loop(inner: &ServiceInner, worker: usize) {
     while let Some(mut job) = inner.queue.pop_blocking() {
-        let queue_wait_us = elapsed_us(job.submitted);
         let mut rt = RequestTrace::resumed(
             &inner.metrics,
             inner.recorder.as_ref(),
@@ -433,7 +427,7 @@ fn worker_loop(inner: &ServiceInner, worker: usize) {
             job.ordinal,
             job.span.take(),
         );
-        rt.event(EventKind::Popped, queue_wait_us, 0, 0);
+        rt.event(EventKind::Popped, 0, 0, 0);
         let (inject_panic, ordinal) = (job.inject_panic, job.ordinal);
         // Panic isolation: anything the job does — injected faults and
         // genuine optimizer bugs alike — is caught here, converted to
@@ -463,7 +457,7 @@ fn worker_loop(inner: &ServiceInner, worker: usize) {
         match &result {
             Ok(response) => rt.event(
                 EventKind::Completed,
-                elapsed_us(job.submitted),
+                0,
                 response.blocks.len() as u64,
                 u64::from(response.fully_cached()),
             ),

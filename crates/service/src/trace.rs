@@ -31,11 +31,11 @@
 //! Timestamps come from a [`TraceClock`] seam: wall microseconds in
 //! production, a logical counter under [`TraceConfig::logical_clock`] so
 //! a single-worker replay's stream is byte-deterministic (pinned by
-//! `tests/replay.rs`). Checksums ([`TraceEvent::digest`]) exclude every
-//! timing-valued field, and the error-exemplar checksum folds per-trace
-//! hashes commutatively, so it is independent of worker interleaving —
-//! that is what lets `tests/chaos.rs` pin a 4-worker chaos run
-//! byte-stable.
+//! `tests/replay.rs`). Checksums ([`TraceEvent::digest`]) exclude the
+//! timestamps, the only timing-valued field, and the error-exemplar
+//! checksum folds per-trace hashes commutatively, so it is independent of
+//! worker interleaving — that is what lets `tests/chaos.rs` pin a
+//! 4-worker chaos run byte-stable.
 
 use moqo_sync::atomic::{AtomicU64, Ordering};
 use moqo_sync::{Mutex, MutexGuard};
@@ -75,8 +75,8 @@ pub enum EventKind {
     QueueFull = 4,
     /// The request took a queue slot.
     Enqueued = 5,
-    /// A worker picked the request up; `arg0` = queue wait in µs (a
-    /// timing value, excluded from checksums).
+    /// A worker picked the request up. No argument is used: the queue
+    /// wait is the time from `enqueued` to this event.
     Popped = 6,
     /// Reserved: never emitted (the service injects no delays). The
     /// variant stays because trace consumers outside this crate name it.
@@ -99,9 +99,9 @@ pub enum EventKind {
     /// The request finished with an error; `arg0` = the
     /// [`ServiceError`] class code (see [`error_code`]).
     Failed = 13,
-    /// The request completed; `arg0` = end-to-end latency in µs (timing,
-    /// excluded from checksums), `arg1` = block count, `arg2` = 1 when
-    /// fully cache-served.
+    /// The request completed; `arg0` is unused (the latency is the time
+    /// from `submitted` to this event), `arg1` = block count, `arg2` = 1
+    /// when fully cache-served.
     Completed = 14,
     /// Reserved: never emitted (workers are never respawned). The variant
     /// stays because trace consumers outside this crate name it.
@@ -136,12 +136,6 @@ impl EventKind {
             15 => WorkerRespawned,
             _ => return None,
         })
-    }
-
-    /// Whether `arg0` holds a timing value that must stay out of
-    /// checksums (queue waits and latencies vary run-to-run).
-    fn arg0_is_nondeterministic(self) -> bool {
-        matches!(self, EventKind::Popped | EventKind::Completed)
     }
 }
 
@@ -182,18 +176,16 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Deterministic digest of the event: FNV-1a over trace id, kind,
-    /// per-trace sequence number and the *deterministic* arguments —
-    /// timestamps and timing/scheduling-valued args are excluded, so the
-    /// digest is identical across runs and machines whenever the serving
+    /// per-trace sequence number and all three arguments. The timestamp,
+    /// the only timing value an event carries, is excluded, so the digest
+    /// is identical across runs and machines whenever the serving
     /// behaviour is.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut acc = fnv1a_u64(FNV_OFFSET, self.trace_id);
         acc = fnv1a_u64(acc, u64::from(self.kind as u8));
         acc = fnv1a_u64(acc, u64::from(self.seq));
-        if !self.kind.arg0_is_nondeterministic() {
-            acc = fnv1a_u64(acc, self.arg0);
-        }
+        acc = fnv1a_u64(acc, self.arg0);
         acc = fnv1a_u64(acc, self.arg1);
         fnv1a_u64(acc, self.arg2)
     }
@@ -753,13 +745,13 @@ mod tests {
     }
 
     #[test]
-    fn digest_ignores_timing_args_but_not_deterministic_ones() {
-        let popped_a = event(1, EventKind::Popped, 2, 500);
+    fn digest_ignores_timestamps_but_hashes_every_argument() {
+        let popped_a = event(1, EventKind::Popped, 2, 0);
         let popped_b = TraceEvent {
             arg0: 99_999,
             ..popped_a
         };
-        assert_eq!(popped_a.digest(), popped_b.digest(), "queue wait masked");
+        assert_ne!(popped_a.digest(), popped_b.digest(), "arg0 is hashed");
         let ts_shift = TraceEvent {
             ts: 12345,
             ..popped_a

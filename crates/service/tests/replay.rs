@@ -260,10 +260,11 @@ fn single_worker_replay_pins_counters_and_the_trace_stream() {
             assert_eq!(trace.dropped_events, 0);
             assert_eq!(trace.error_exemplars.len(), 0);
             // Every `block_optimized` event folds its block's
-            // `BlockReport::trace_digest()`; RMQ blocks fold
-            // `max_group_size`, the largest plan set the search held (a
-            // walker's peak or the merged front).
-            assert_eq!(trace.stream_checksum, 16_673_342_427_055_317_564);
+            // `BlockReport::trace_digest()`, which folds the DP's
+            // `frontier_scan_probes`; RMQ blocks fold `max_group_size`,
+            // the largest plan set the search held (a walker's peak or the
+            // merged front). Every event argument is folded.
+            assert_eq!(trace.stream_checksum, 8_260_160_962_268_565_117);
         }
     }
 }

@@ -7,149 +7,17 @@
 //! allowed to alter *results*:
 //!
 //! * `find_pareto_plans` must produce exactly the seed behaviour — same
-//!   final front, same `considered_plans` — which a straightforward
-//!   allocate-then-prune reference implementation pins down here;
+//!   final front, same `considered_plans` — which the straightforward
+//!   allocate-then-prune `test_support::reference_dp` pins down;
 //! * the RMQ front must be byte-identical for a fixed seed at every thread
 //!   count;
 //! * the per-block split index must reproduce the join graph's reference
 //!   split — key, crossing selectivity and width, bit for bit — and its
 //!   connectivity test.
 
-use std::collections::BTreeMap;
-
-use moqo::core::pareto::{PlanSet, PruneStrategy};
-use moqo::core::test_support::{check_split_index, reference_split};
-use moqo::core::{find_pareto_plans, DpConfig, PlanEntry};
+use moqo::core::test_support::{check_split_index, reference_dp};
+use moqo::core::{find_pareto_plans, DpConfig, PruneMode};
 use moqo::prelude::*;
-
-/// The seed's `FindParetoPlans`, reimplemented naively on the public API:
-/// eager mask table, per-split entry clones, arena allocation for *every*
-/// considered candidate, `prune_insert` doing the rejection test. Returns
-/// the flattened final front and the considered-plans counter.
-fn reference_dp(
-    model: &CostModel<'_>,
-    objectives: ObjectiveSet,
-    alpha_internal: f64,
-) -> (Vec<CostVector>, u64) {
-    let strategy = PruneStrategy {
-        alpha_internal,
-        mode: moqo::core::PruneMode::CostOnly,
-    };
-    let graph = model.graph;
-    let n = graph.n_rels();
-    let full_mask = graph.full_mask();
-    let mut arena = PlanArena::new();
-    let mut considered = 0u64;
-    // BTreeMap keyed by output order, matching the optimizer's (now
-    // deterministic) group iteration.
-    let mut table: Vec<BTreeMap<SortOrder, PlanSet>> = vec![BTreeMap::new(); 1 << n];
-
-    let scan_ops = |rel: usize| {
-        let t = model.catalog.table(graph.rels[rel].table);
-        let mut ops = vec![ScanOp::SeqScan];
-        for (ordinal, col) in t.columns.iter().enumerate() {
-            if col.indexed {
-                ops.push(ScanOp::IndexScan {
-                    column: ordinal as u16,
-                });
-            }
-        }
-        if model.params.enable_sampling {
-            for rate_pct in moqo::plan::SAMPLING_RATES_PCT {
-                ops.push(ScanOp::SamplingScan { rate_pct });
-            }
-        }
-        ops
-    };
-    let splits = |mask: u32| {
-        let mut connected = Vec::new();
-        let mut all = Vec::new();
-        let mut m1 = (mask - 1) & mask;
-        while m1 != 0 {
-            let m2 = mask ^ m1;
-            all.push((m1, m2));
-            if graph.connects(m1, m2) {
-                connected.push((m1, m2));
-            }
-            m1 = (m1 - 1) & mask;
-        }
-        if connected.is_empty() {
-            all
-        } else {
-            connected
-        }
-    };
-
-    // Phase 1: access paths.
-    for rel in 0..n {
-        let mask = 1usize << rel;
-        for op in scan_ops(rel) {
-            if let Some((cost, props)) = model.scan_cost(rel, op) {
-                considered += 1;
-                let plan = arena.scan(rel, op);
-                table[mask].entry(props.order).or_default().prune_insert(
-                    PlanEntry { cost, props, plan },
-                    &strategy,
-                    objectives,
-                );
-            }
-        }
-    }
-
-    // Phase 2: eager mask table, sorted by cardinality (the seed's order).
-    let mut masks: Vec<u32> = (1..(1u32 << n)).filter(|m| m.count_ones() >= 2).collect();
-    masks.sort_by_key(|m| m.count_ones());
-    for mask in masks {
-        for (m1, m2) in splits(mask) {
-            let split = reference_split(model, m1, m2);
-            let left_entries: Vec<PlanEntry> = table[m1 as usize]
-                .values()
-                .flat_map(|s| s.iter().copied())
-                .collect();
-            let right_entries: Vec<PlanEntry> = table[m2 as usize]
-                .values()
-                .flat_map(|s| s.iter().copied())
-                .collect();
-            for left in &left_entries {
-                for right in &right_entries {
-                    let right_canonical = split.key.as_ref().is_some_and(|k| {
-                        right.props.rels.count_ones() == 1
-                            && matches!(
-                                arena.node(right.plan),
-                                moqo::plan::PlanNode::Scan {
-                                    rel,
-                                    op: ScanOp::IndexScan { column },
-                                } if rel == k.right_rel && column == k.right_col
-                            )
-                    });
-                    for op in JoinOp::ALL {
-                        let Some((cost, props)) = model.join_cost(
-                            op,
-                            (&left.cost, &left.props),
-                            (&right.cost, &right.props),
-                            &split,
-                            right_canonical,
-                        ) else {
-                            continue;
-                        };
-                        considered += 1;
-                        let plan = arena.join(op, left.plan, right.plan);
-                        table[mask as usize]
-                            .entry(props.order)
-                            .or_default()
-                            .prune_insert(PlanEntry { cost, props, plan }, &strategy, objectives);
-                    }
-                }
-            }
-        }
-    }
-
-    let front: Vec<CostVector> = table[full_mask as usize]
-        .values()
-        .flat_map(|s| s.iter().map(|e| e.cost))
-        .collect();
-    (front, considered)
-}
 
 /// Total order over cost vectors: compare fronts as multisets, so the test
 /// does not also pin down the (deterministic but incidental) group
@@ -181,7 +49,8 @@ fn assert_dp_matches_reference(
         &Weights::single(Objective::TotalTime),
         &Deadline::unlimited(),
     );
-    let (ref_front, ref_considered) = reference_dp(model, objectives, alpha_internal);
+    let (ref_front, ref_considered) =
+        reference_dp(model, objectives, alpha_internal, PruneMode::CostOnly);
 
     assert_eq!(
         result.stats.considered_plans, ref_considered,
