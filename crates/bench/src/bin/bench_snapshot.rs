@@ -37,6 +37,8 @@
 //! | `MOQO_SMOKE` | unset | `1`: single rep, budgets ÷10 (CI smoke mode) |
 //! | `MOQO_BENCH_OUT` | `BENCH_pr<N>.json` | output path |
 
+#![allow(clippy::disallowed_methods, reason = "this binary times what it runs")]
+
 use std::time::Instant;
 
 use moqo_core::pareto::{PlanEntry, PlanSet, PruneStrategy};

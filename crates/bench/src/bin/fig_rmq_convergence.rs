@@ -19,6 +19,8 @@
 //! | `MOQO_RMQ_TABLES` | 8,12,16,20 | comma-separated chain sizes |
 //! | `MOQO_RMQ_EXA_LIMIT` | 8 | largest size the EXA reference runs at |
 
+#![allow(clippy::disallowed_methods, reason = "this binary times what it runs")]
+
 use std::time::Instant;
 
 use moqo_bench::{HarnessConfig, Table};

@@ -1,6 +1,8 @@
 //! Internal calibration probe: times each algorithm on representative
 //! queries so the harness defaults can be sanity-checked. Not a figure.
 
+#![allow(clippy::disallowed_methods, reason = "this binary times what it runs")]
+
 use std::time::{Duration, Instant};
 
 use moqo_core::{exa, ira, rta, select_best, Deadline};

@@ -348,12 +348,6 @@ impl Query {
     pub fn max_block_size(&self) -> usize {
         self.blocks.iter().map(JoinGraph::n_rels).max().unwrap_or(0)
     }
-
-    /// Total number of base-relation occurrences across all blocks.
-    #[must_use]
-    pub fn total_rels(&self) -> usize {
-        self.blocks.iter().map(JoinGraph::n_rels).sum()
-    }
 }
 
 #[cfg(test)]
@@ -458,7 +452,6 @@ mod tests {
             blocks: vec![g.clone(), g],
         };
         assert_eq!(q.max_block_size(), 2);
-        assert_eq!(q.total_rels(), 4);
     }
 
     #[test]

@@ -40,6 +40,7 @@ impl Deadline {
     /// A deadline `limit` from now that also expires once `cancel` is set
     /// (`None` for either means no such limit).
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "every time budget starts here")]
     pub fn cancellable(limit: Option<Duration>, cancel: Option<Arc<AtomicBool>>) -> Self {
         Deadline {
             start: Instant::now(),

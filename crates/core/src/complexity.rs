@@ -56,24 +56,6 @@ pub fn log10_selinger_time(j: u64, n: u64) -> f64 {
     (j as f64).log10() + (n as f64) * 3f64.log10()
 }
 
-/// log10 of the IRA's worst-case time for iteration `i`
-/// `O(j·3^n·2^i·(n²·log m / log α_U)^(3l−3))` (Theorem 7).
-#[must_use]
-pub fn log10_ira_iteration_time(
-    j: u64,
-    n: u64,
-    l: u64,
-    m: f64,
-    alpha_u: f64,
-    iteration: u32,
-) -> f64 {
-    assert!(alpha_u > 1.0);
-    let base = (j as f64).log10() + (n as f64) * 3f64.log10() + f64::from(iteration) * 2f64.log10();
-    let poly = ((n as f64).powi(2) * m.ln() / alpha_u.ln()).ln() * ((3 * l - 3) as f64)
-        / std::f64::consts::LN_10;
-    base + poly
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,12 +103,5 @@ mod tests {
             let gap = log10_rta_time(6, n, 3, 1e5, 1.5) - log10_selinger_time(6, n);
             assert!((gap - 3.0 * log10_n_stored(1e5, n, 3, 1.5)).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn ira_iteration_time_doubles() {
-        let a = log10_ira_iteration_time(6, 5, 9, 1e5, 1.5, 3);
-        let b = log10_ira_iteration_time(6, 5, 9, 1e5, 1.5, 4);
-        assert!((b - a - 2f64.log10()).abs() < 1e-9);
     }
 }

@@ -32,6 +32,7 @@
 //! [`Optimizer`].
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod complexity;
 pub mod dp;

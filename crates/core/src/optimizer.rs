@@ -271,6 +271,7 @@ impl<'a> Optimizer<'a> {
         // under different modes. The inner algorithms derive the same value
         // through the same function; this is the single selection rule.
         let prune_mode = PruneMode::auto(self.params.enable_sampling, preference.objectives);
+        #[expect(clippy::disallowed_methods, reason = "`BlockReport::elapsed` clock")]
         let started = Instant::now();
         let (arena, final_plans, stats, iterations, alpha_final) = match algorithm {
             Algorithm::Exhaustive => {

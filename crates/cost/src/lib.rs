@@ -61,7 +61,6 @@ mod signature;
 mod vector;
 
 pub mod dominance;
-pub mod grid;
 pub mod pareto_front;
 pub mod running_example;
 

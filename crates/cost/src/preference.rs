@@ -159,12 +159,6 @@ impl Bounds {
             .filter(|o| self.get(*o).is_finite())
             .collect()
     }
-
-    /// Whether no objective is bounded.
-    #[must_use]
-    pub fn is_unbounded(&self) -> bool {
-        self.bounded_objectives().is_empty()
-    }
 }
 
 impl Default for Bounds {
@@ -352,7 +346,7 @@ mod tests {
     #[test]
     fn unbounded_bounds_respect_everything() {
         let b = Bounds::unbounded();
-        assert!(b.is_unbounded());
+        assert!(b.bounded_objectives().is_empty());
         let huge = CostVector::from_pairs(&[(Objective::TotalTime, 1e300)]);
         assert!(b.respected_by(&huge, ObjectiveSet::all()));
     }

@@ -72,16 +72,6 @@ impl CostVector {
         &self.values
     }
 
-    /// Component-wise maximum (used by parallel-branch cost formulas).
-    #[must_use]
-    pub fn component_max(&self, other: &CostVector) -> CostVector {
-        let mut out = [0.0; NUM_OBJECTIVES];
-        for ((o, a), b) in out.iter_mut().zip(self.values).zip(other.values) {
-            *o = a.max(b);
-        }
-        CostVector { values: out }
-    }
-
     /// Component-wise minimum.
     #[must_use]
     pub fn component_min(&self, other: &CostVector) -> CostVector {
@@ -107,32 +97,6 @@ impl CostVector {
     #[must_use]
     pub fn is_finite(&self, objectives: ObjectiveSet) -> bool {
         objectives.iter().all(|o| self.get(o).is_finite())
-    }
-
-    /// Approximate equality on all nine dimensions (absolute epsilon), useful
-    /// in tests where floating-point formula rearrangements differ.
-    #[must_use]
-    pub fn approx_eq(&self, other: &CostVector, epsilon: f64) -> bool {
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .all(|(a, b)| (a - b).abs() <= epsilon)
-    }
-
-    /// Formats only the selected dimensions, e.g. for frontier dumps.
-    #[must_use]
-    pub fn display_on(&self, objectives: ObjectiveSet) -> String {
-        let mut s = String::from("(");
-        let mut first = true;
-        for o in objectives.iter() {
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("{}={:.4}", o.name(), self.get(o)));
-        }
-        s.push(')');
-        s
     }
 }
 
@@ -218,13 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn component_max_min() {
+    fn component_min_takes_the_smaller_of_each() {
         let a = v2(1.0, 5.0);
         let b = v2(3.0, 4.0);
-        let mx = a.component_max(&b);
         let mn = a.component_min(&b);
-        assert_eq!(mx.get(Objective::TotalTime), 3.0);
-        assert_eq!(mx.get(Objective::Energy), 5.0);
         assert_eq!(mn.get(Objective::TotalTime), 1.0);
         assert_eq!(mn.get(Objective::Energy), 4.0);
     }
@@ -234,22 +195,6 @@ mod tests {
         let a = v2(2.0, 3.0).scale(1.5);
         assert_eq!(a.get(Objective::TotalTime), 3.0);
         assert_eq!(a.get(Objective::Energy), 4.5);
-    }
-
-    #[test]
-    fn approx_eq_tolerates_epsilon() {
-        let a = v2(1.0, 1.0);
-        let b = v2(1.0 + 1e-12, 1.0);
-        assert!(a.approx_eq(&b, 1e-9));
-        assert!(!a.approx_eq(&v2(1.1, 1.0), 1e-9));
-    }
-
-    #[test]
-    fn display_on_selected_dimensions() {
-        let objs = ObjectiveSet::from_objectives(&[Objective::TotalTime]);
-        let s = v2(1.0, 2.0).display_on(objs);
-        assert!(s.contains("total_time"));
-        assert!(!s.contains("energy"));
     }
 
     #[test]

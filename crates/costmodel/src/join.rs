@@ -464,28 +464,24 @@ mod tests {
 
     #[test]
     fn hash_join_requires_equi_predicate() {
+        // Hash and sort-merge joins, at every degree of parallelism, need
+        // the equi-join key: without one they do not apply.
         let (p, cat, g) = setup();
         let model = CostModel::new(&p, &cat, &g);
         let l = scan_pair(&model, 0, ScanOp::SeqScan);
         let r = scan_pair(&model, 1, ScanOp::SeqScan);
-        assert!(model
-            .join_cost(
-                JoinOp::HashJoin { dop: 1 },
-                (&l.0, &l.1),
-                (&r.0, &r.1),
-                &split(&model, None),
-                false
-            )
-            .is_none());
-        assert!(model
-            .join_cost(
-                JoinOp::HashJoin { dop: 1 },
-                (&l.0, &l.1),
-                (&r.0, &r.1),
-                &split(&model, Some(key())),
-                false
-            )
-            .is_some());
+        let keyed = JoinOp::ALL
+            .into_iter()
+            .filter(|op| matches!(op, JoinOp::HashJoin { .. } | JoinOp::SortMergeJoin { .. }));
+        let mut checked = 0;
+        for op in keyed {
+            let cost =
+                |key| model.join_cost(op, (&l.0, &l.1), (&r.0, &r.1), &split(&model, key), false);
+            assert!(cost(None).is_none(), "{op:?} applied without a key");
+            assert!(cost(Some(key())).is_some(), "{op:?} refused its key");
+            checked += 1;
+        }
+        assert_eq!(checked, 2 * usize::from(moqo_plan::MAX_DOP));
     }
 
     #[test]

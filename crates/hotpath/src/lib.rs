@@ -1,23 +1,12 @@
-//! `#[moqo::hot_path]` — a zero-cost marker for serving-hot-path functions.
+//! `#[moqo::hot_path]`: a passthrough attribute that nothing uses.
 //!
-//! The attribute expands to exactly its input: it generates no code, changes
-//! no signatures, and costs nothing at runtime. Its value is as a *contract
-//! marker*: `cargo run -p xtask -- lint` parses every function carrying the
-//! annotation and rejects blocking or allocating constructs inside the body
-//! (mutexes, `unwrap`, `vec!`/`Box::new`/`format!`, …). Annotate a function
-//! when callers rely on it being lock-free and allocation-free; the lint gate
-//! then keeps that promise honest across refactors.
-//!
-//! Consumers depend on this crate under the rename `moqo = { package =
-//! "moqo_hotpath" }` so the attribute path reads as `#[moqo::hot_path]`.
+//! The attribute expands to exactly its input. No function carries it. The
+//! crate stays only because `benchmark/Cargo.lock` lists it as a dependency
+//! of `moqo_service`, and it leaves with the next change to the benchmark.
 
 use proc_macro::TokenStream;
 
-/// Marks a function as serving-hot-path: lock-free and allocation-free.
-///
-/// Pure passthrough — the annotated item is returned verbatim. Enforcement
-/// lives in `cargo run -p xtask -- lint`, which scans annotated bodies
-/// textually so the check also runs without expanding macros.
+/// Returns the annotated item unchanged.
 #[proc_macro_attribute]
 pub fn hot_path(_attr: TokenStream, item: TokenStream) -> TokenStream {
     item

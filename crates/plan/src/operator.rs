@@ -102,13 +102,6 @@ impl JoinOp {
         }
     }
 
-    /// Whether the operator requires an equi-join predicate between its
-    /// inputs.
-    #[must_use]
-    pub fn requires_equi_predicate(self) -> bool {
-        !matches!(self, JoinOp::NestedLoop)
-    }
-
     /// Short operator name as used in plan rendering (Figure 3 style).
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -185,16 +178,6 @@ mod tests {
             assert!(op.dop() >= 1 && op.dop() <= MAX_DOP);
         }
         assert_eq!(JoinOp::IndexNestedLoop.dop(), 1);
-    }
-
-    #[test]
-    fn only_nested_loop_allows_cartesian() {
-        for op in JoinOp::ALL {
-            assert_eq!(
-                op.requires_equi_predicate(),
-                !matches!(op, JoinOp::NestedLoop)
-            );
-        }
     }
 
     #[test]

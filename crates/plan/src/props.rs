@@ -25,12 +25,6 @@ impl SortOrder {
     pub fn on(rel: usize, col: u16) -> Self {
         SortOrder::Col { rel, col }
     }
-
-    /// Whether the plan output is sorted at all.
-    #[must_use]
-    pub fn is_sorted(self) -> bool {
-        matches!(self, SortOrder::Col { .. })
-    }
 }
 
 /// Physical properties of a plan, used by the cost model to derive parent
@@ -76,8 +70,7 @@ mod tests {
     fn sort_order_equality_and_sortedness() {
         assert_eq!(SortOrder::on(1, 2), SortOrder::Col { rel: 1, col: 2 });
         assert_ne!(SortOrder::on(1, 2), SortOrder::on(1, 3));
-        assert!(SortOrder::on(0, 0).is_sorted());
-        assert!(!SortOrder::None.is_sorted());
+        assert_ne!(SortOrder::on(0, 0), SortOrder::None);
     }
 
     #[test]

@@ -106,6 +106,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod cache;
 mod fault;

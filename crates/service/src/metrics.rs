@@ -104,7 +104,6 @@ impl Default for ServiceMetrics {
 impl ServiceMetrics {
     /// Counts one lifecycle event of `kind` with first argument `arg0`
     /// (laid out as [`EventKind`] documents).
-    #[moqo::hot_path]
     pub fn on_event(&self, kind: EventKind, arg0: u64) {
         self.events[kind as usize][event_detail(kind, arg0)].fetch_add(1, Ordering::Relaxed);
     }

@@ -329,6 +329,7 @@ impl OptimizationService {
         // job through the queue); a bounced push hands the job — and its
         // span — back, and the trace closes with a `queue_full` event.
         rt.event(EventKind::Enqueued, 0, 0, 0);
+        #[expect(clippy::disallowed_methods, reason = "latency counts from arrival")]
         let job = Job {
             request,
             submitted: Instant::now(),
@@ -481,6 +482,7 @@ fn process(
     rt: &mut RequestTrace<'_>,
 ) -> Result<OptimizationResponse, ServiceError> {
     let queue_wait = submitted.elapsed();
+    #[expect(clippy::disallowed_methods, reason = "service time counts from here")]
     let processing_started = Instant::now();
     let bounded = request.is_bounded();
     // The pruning mode any fresh optimization of this request runs under;

@@ -424,6 +424,7 @@ pub(crate) struct FlightRecorder {
 }
 
 impl FlightRecorder {
+    #[expect(clippy::disallowed_methods, reason = "the wall `TraceClock` origin")]
     pub(crate) fn new(config: &TraceConfig, workers: usize) -> Self {
         FlightRecorder {
             clock: if config.logical_clock {

@@ -9,6 +9,8 @@
 //! worker, and dropping the service must drain the backlog and join every
 //! worker.
 
+#![allow(clippy::disallowed_methods, reason = "these tests bound wall time")]
+
 use std::time::{Duration, Instant};
 
 use moqo_catalog::Catalog;

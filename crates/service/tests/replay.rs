@@ -28,6 +28,8 @@
 //! A free-running run at four workers, untraced and then traced, bounds
 //! what the flight recorder costs.
 
+#![allow(clippy::disallowed_methods, reason = "these tests bound wall time")]
+
 use std::time::{Duration, Instant};
 
 use moqo_catalog::Catalog;
