@@ -10,11 +10,14 @@
 //! * **DP insert stream** — 2000 random cost vectors through
 //!   `PlanSet::prune_insert` at 2/6/9 objectives, exact (EXA's `Prune`)
 //!   and at α = 1.5 (RTA's: approximate rejection, exact deletion),
-//! * **Frontier probes** — how many dominance probes each EXA and RTA
-//!   row ran (each a sorted-prefix cutoff scan: one per costed candidate
-//!   and one per chunk-bound decision, see `moqo_core::dp`), as zero-time
-//!   cells whose checksum is the counter value; if the DP stops skipping
-//!   dominated candidate chunks, these move,
+//! * **Frontier probes and scan steps** — how many dominance probes each
+//!   EXA and RTA row ran (one per costed candidate and one per
+//!   chunk-bound decision, see `moqo_core::dp`), and how many stored plans
+//!   those probes compared (`DpStats::frontier_scan_steps`: each probe
+//!   tests its set's last rejector, then the sorted-prefix cutoff scan), as
+//!   zero-time cells whose checksum is the counter value; if the DP stops
+//!   skipping dominated candidate chunks, the probes move, and if a probe
+//!   stops testing the last rejector first or scans further, the steps do,
 //! * **EXA** — the exact DP on 6- and 8-table chain join graphs
 //!   (sampling off),
 //! * **EXA, props-aware** — the same chains with sampling scans enabled,
@@ -42,7 +45,7 @@
 use std::time::Instant;
 
 use moqo_core::pareto::{PlanEntry, PlanSet, PruneStrategy};
-use moqo_core::{exa, rmq, rta, Deadline, RmqConfig};
+use moqo_core::{exa, rmq, rta, Deadline, DpStats, RmqConfig};
 use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference, NUM_OBJECTIVES};
 use moqo_costmodel::{CostModel, CostModelParams};
 use moqo_plan::{PlanId, PlanProps, SortOrder};
@@ -52,7 +55,7 @@ use rand::{Rng, SeedableRng};
 
 /// The ledger entry a full snapshot is committed as: the `"pr"` stamp and
 /// the `N` of the default output `BENCH_pr<N>.json`.
-const LEDGER_ENTRY: u32 = 25;
+const LEDGER_ENTRY: u32 = 28;
 
 struct Cell {
     name: String,
@@ -102,24 +105,33 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Emits the frontier probe counter of the DP cell just pushed as a
-/// zero-time row with that cell's parameters: the checksum IS the counter,
-/// so snapshot diffs surface any change in how many dominance probes the
-/// run made. The counter is deterministic per workload; the `outcome`
-/// parameter keeps the cell key the committed baselines use.
-fn push_probe_cell(cells: &mut Vec<Cell>, scan_probes: u64) {
-    let timed = cells.last().expect("a probe cell follows its DP cell");
-    let name = format!("{}_probes", timed.name);
-    let mut params = timed.params.clone();
-    params.push(("outcome", "\"scan\"".to_owned()));
-    let shown: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    println!("{name} {}: scan {scan_probes}", shown.join(" "));
-    cells.push(Cell {
-        name,
-        params,
-        median_ms: 0.0,
-        checksum: usize::try_from(scan_probes).expect("probe counters fit usize"),
-    });
+/// Emits the frontier work counters of the DP cell just pushed as
+/// zero-time rows with that cell's parameters, `<row>_probes` and then
+/// `<row>_steps`: the checksum IS the counter, so snapshot diffs surface
+/// any change in how many dominance probes the run made and how many
+/// stored plans they compared. Both counters are deterministic per
+/// workload; the probe cell's `outcome` parameter keeps the cell key the
+/// committed baselines use.
+fn push_work_cells(cells: &mut Vec<Cell>, stats: &DpStats) {
+    let timed = cells.last().expect("work cells follow their DP cell");
+    let row = timed.name.clone();
+    let mut probe_params = timed.params.clone();
+    let step_params = timed.params.clone();
+    probe_params.push(("outcome", "\"scan\"".to_owned()));
+    for (suffix, params, count) in [
+        ("probes", probe_params, stats.frontier_scan_probes),
+        ("steps", step_params, stats.frontier_scan_steps),
+    ] {
+        let name = format!("{row}_{suffix}");
+        let shown: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        println!("{name} {}: {count}", shown.join(" "));
+        cells.push(Cell {
+            name,
+            params,
+            median_ms: 0.0,
+            checksum: usize::try_from(count).expect("work counters fit usize"),
+        });
+    }
 }
 
 fn main() {
@@ -177,10 +189,10 @@ fn main() {
     for &n in &[6usize, 8] {
         let graph = moqo_tpch::large_join_graph(&catalog, n);
         let model = CostModel::new(&params, &catalog, &graph);
-        let mut probes = 0;
+        let mut stats = DpStats::default();
         let (ms, front) = median_ms(reps, || {
             let result = exa(&model, &preference, &Deadline::unlimited());
-            probes = result.stats.frontier_scan_probes;
+            stats = result.stats;
             result.final_plans.len()
         });
         cells.push(Cell {
@@ -190,7 +202,7 @@ fn main() {
             checksum: front,
         });
         println!("exa_chain tables={n}: {ms:.3} ms (front {front})");
-        push_probe_cell(&mut cells, probes);
+        push_work_cells(&mut cells, &stats);
     }
 
     // EXA with sampling scans enabled: the leaking regime, where the
@@ -202,10 +214,10 @@ fn main() {
     for &n in &[6usize, 8] {
         let graph = moqo_tpch::large_join_graph(&catalog, n);
         let model = CostModel::new(&sampled_params, &catalog, &graph);
-        let mut probes = 0;
+        let mut stats = DpStats::default();
         let (ms, front) = median_ms(reps, || {
             let result = exa(&model, &preference, &Deadline::unlimited());
-            probes = result.stats.frontier_scan_probes;
+            stats = result.stats;
             result.final_plans.len()
         });
         cells.push(Cell {
@@ -215,7 +227,7 @@ fn main() {
             checksum: front,
         });
         println!("exa_chain_props tables={n}: {ms:.3} ms (front {front})");
-        push_probe_cell(&mut cells, probes);
+        push_work_cells(&mut cells, &stats);
     }
 
     // RTA on the benchmark's six-relation TPC-H queries at its scale
@@ -232,10 +244,10 @@ fn main() {
         };
         let preference = weighted_test_case(&mut rng, query_no, NUM_OBJECTIVES).preference;
         let model = CostModel::new(&sampled_params, &sf1, graph);
-        let mut probes = 0;
+        let mut stats = DpStats::default();
         let (ms, front) = median_ms(reps, || {
             let result = rta(&model, &preference, 1.5, &Deadline::unlimited());
-            probes = result.stats.frontier_scan_probes;
+            stats = result.stats;
             result.final_plans.len()
         });
         cells.push(Cell {
@@ -249,7 +261,7 @@ fn main() {
             checksum: front,
         });
         println!("rta_tpch query={query_no}: {ms:.3} ms (front {front})");
-        push_probe_cell(&mut cells, probes);
+        push_work_cells(&mut cells, &stats);
     }
 
     // RMQ: samples × tables × threads. Fronts are deterministic per seed

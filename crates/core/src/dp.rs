@@ -144,10 +144,18 @@ pub struct DpStats {
     /// Maximum plan-set size over all (table set, order) groups.
     pub max_group_size: usize,
     /// Every `would_reject` probe, summed over every plan set of the run
-    /// (each probe is a sorted-prefix cutoff scan): one per costed
-    /// candidate and one per chunk-bound decision. Candidates skipped by
-    /// a rejected bound are not probed.
+    /// (each probe tests its set's last rejector, then scans the sorted
+    /// prefix up to its cutoff): one per costed candidate and one per
+    /// chunk-bound decision. Candidates skipped by a rejected bound are
+    /// not probed.
     pub frontier_scan_probes: u64,
+    /// The stored plans those probes compared with their candidate, the
+    /// last-rejector test included, summed over every plan set of the run
+    /// (see [`PlanSet::scan_steps`]). Divided by
+    /// [`DpStats::frontier_scan_probes`], it is the mean scan length: the
+    /// deterministic measure of what a change to the hint, the sort order
+    /// or the cutoff saves.
+    pub frontier_scan_steps: u64,
     /// Whether the deadline expired and the quick-finish path ran.
     pub timed_out: bool,
 }
@@ -394,11 +402,10 @@ pub fn find_pareto_plans(
 
     // Roll the per-set probe counters up into the run stats — including
     // timed-out and quick-finish sets, whose probes are real work too.
-    stats.frontier_scan_probes = table
-        .iter()
-        .flat_map(|group| group.groups.values())
-        .map(PlanSet::probes)
-        .sum();
+    for set in table.iter().flat_map(|group| group.groups.values()) {
+        stats.frontier_scan_probes += set.probes();
+        stats.frontier_scan_steps += set.scan_steps();
+    }
 
     let final_plans: Vec<PlanEntry> = table[full_mask as usize].iter_entries().copied().collect();
     debug_assert!(

@@ -137,8 +137,10 @@ impl PruneStrategy {
     }
 
     /// Whether `candidate` is discarded in favour of `incumbent` under this
-    /// strategy's mode and precision.
-    #[inline]
+    /// strategy's mode and precision. Forced inline: a probe tests the last
+    /// rejector and then scans, and with two call sites the compiler would
+    /// otherwise keep this as a call per compared entry.
+    #[inline(always)]
     fn rejects(
         &self,
         incumbent: &PlanEntry,
@@ -193,12 +195,27 @@ impl PruneStrategy {
 /// be dominated by it. The same set must always be probed with the same
 /// objective set and precision (true for every dynamic-programming run,
 /// which fixes both up front).
+///
+/// A probe tests the *last rejector* first: the entry that rejected the
+/// set's last rejected probe, which tends to reject the next one too
+/// (the block-nested-loops skyline heuristic). The hint changes only the
+/// order in which entries are tested, never the answer: rejection is an
+/// `any` over the stored set, and an entry that rejects a candidate has
+/// a first cost of at most `α` times the candidate's, the same product as
+/// the scan's cutoff, so it lies inside the scanned prefix anyway. A hint
+/// left stale by an insertion or deletion is just another entry, or out
+/// of range and skipped.
 #[derive(Debug, Clone, Default)]
 pub struct PlanSet {
     /// The stored plans, sorted by first-objective cost.
     entries: Vec<PlanEntry>,
     /// `would_reject` probes answered so far.
     probes: Cell<u64>,
+    /// Entries compared by `would_reject` probes so far, the hint
+    /// included.
+    scan_steps: Cell<u64>,
+    /// Index of the entry that rejected the last rejected probe.
+    last_rejector: Cell<usize>,
 }
 
 impl PlanSet {
@@ -215,6 +232,13 @@ impl PlanSet {
         self.probes.get()
     }
 
+    /// Number of stored entries [`PlanSet::would_reject`] probes have
+    /// compared with their candidate, the last-rejector hint included.
+    #[must_use]
+    pub fn scan_steps(&self) -> u64 {
+        self.scan_steps.get()
+    }
+
     /// The rejection test of `prune_insert` alone: does some stored plan
     /// (approximately) dominate the candidate — in props-aware mode, while
     /// also covering its physical properties? Lets callers that must
@@ -223,7 +247,8 @@ impl PlanSet {
     /// `e ≤ α·key` in the first objective regardless of mode (cost
     /// dominance stays necessary), so the sorted order keeps its
     /// binary-search cutoff; props-aware mode merely partitions what the
-    /// scanned prefix may reject.
+    /// scanned prefix may reject. The last rejector is tested first (see
+    /// [`PlanSet`]).
     #[must_use]
     pub fn would_reject(
         &self,
@@ -233,32 +258,49 @@ impl PlanSet {
         objectives: ObjectiveSet,
     ) -> bool {
         self.probes.set(self.probes.get() + 1);
-        self.dominated(cost, props, strategy, objectives)
+        let (rejector, steps) = self.rejector(cost, props, strategy, objectives);
+        self.scan_steps.set(self.scan_steps.get() + steps);
+        if let Some(index) = rejector {
+            self.last_rejector.set(index);
+        }
+        rejector.is_some()
     }
 
-    /// [`PlanSet::would_reject`] without counting a probe, so debug
-    /// assertions leave `probes` as in release builds.
-    fn dominated(
+    /// The index of a stored plan that rejects the candidate, if any, and
+    /// the number of entries compared to find it. Touches no counter and
+    /// no hint, so debug assertions leave both as in release builds.
+    fn rejector(
         &self,
         cost: &CostVector,
         props: &PlanProps,
         strategy: &PruneStrategy,
         objectives: ObjectiveSet,
-    ) -> bool {
+    ) -> (Option<usize>, u64) {
+        let candidate_key = props_key(props);
+        let hint = self.last_rejector.get();
+        let mut steps = 0;
+        if let Some(e) = self.entries.get(hint) {
+            steps += 1;
+            if strategy.rejects(e, cost, &candidate_key, objectives) {
+                return (Some(hint), steps);
+            }
+        }
         let first = objectives.iter().next();
         let key_of = |e: &PlanEntry| first.map_or(0.0, |o| e.cost.get(o));
-        let alpha = strategy.alpha_internal;
-        let cutoff = alpha * first.map_or(0.0, |o| cost.get(o));
-        let candidate_key = props_key(props);
-        for e in &self.entries {
+        let cutoff = strategy.alpha_internal * first.map_or(0.0, |o| cost.get(o));
+        for (i, e) in self.entries.iter().enumerate() {
             if key_of(e) > cutoff {
                 break;
             }
+            if i == hint {
+                continue;
+            }
+            steps += 1;
             if strategy.rejects(e, cost, &candidate_key, objectives) {
-                return true;
+                return (Some(i), steps);
             }
         }
-        false
+        (None, steps)
     }
 
     /// The `Prune(P, pN)` procedure. Returns `true` if the new plan was
@@ -295,7 +337,10 @@ impl PlanSet {
         strategy: &PruneStrategy,
         objectives: ObjectiveSet,
     ) -> usize {
-        debug_assert!(!self.dominated(&entry.cost, &entry.props, strategy, objectives));
+        debug_assert!(self
+            .rejector(&entry.cost, &entry.props, strategy, objectives)
+            .0
+            .is_none());
         let first = objectives.iter().next();
         let key_of = |e: &PlanEntry| first.map_or(0.0, |o| e.cost.get(o));
         let key = key_of(&entry);
@@ -463,6 +508,46 @@ mod tests {
         assert!(!set.would_reject(&probe.cost, &probe.props, &s, objs()));
         set.insert_unrejected(probe, &s, objs());
         assert_eq!(set.probes(), 1, "the insert path must not count a probe");
+        assert_eq!(set.scan_steps(), 0, "an empty set compares nothing");
+        // The insert path's debug check compares the stored entry too, but
+        // must count no step, so debug and release builds agree.
+        let cheaper = entry(0.5, 2.0);
+        assert!(!set.would_reject(&cheaper.cost, &cheaper.props, &s, objs()));
+        assert_eq!(set.scan_steps(), 1);
+        set.insert_unrejected(cheaper, &s, objs());
+        assert_eq!((set.probes(), set.scan_steps()), (2, 1));
+    }
+
+    #[test]
+    fn a_probe_tests_the_last_rejector_first() {
+        let mut set = PlanSet::new();
+        let s = PruneStrategy::exact();
+        for (t, b) in [(1.0, 10.0), (2.0, 5.0), (3.0, 1.0)] {
+            assert!(set.prune_insert(entry(t, b), &s, objs()));
+        }
+        let steps_of = |set: &PlanSet, t: f64, b: f64| {
+            let probe = entry(t, b);
+            let before = set.scan_steps();
+            let rejected = set.would_reject(&probe.cost, &probe.props, &s, objs());
+            (rejected, set.scan_steps() - before)
+        };
+        // Only (2, 5) rejects (4, 6): the scan compares (1, 10), then it.
+        assert_eq!(steps_of(&set, 4.0, 6.0), (true, 2));
+        // (2, 5) is now the hint and rejects (4.5, 7) in one step.
+        assert_eq!(steps_of(&set, 4.5, 7.0), (true, 1));
+        // A probe nobody rejects pays for the hint, then the cutoff stops
+        // the scan before the first entry.
+        assert_eq!(steps_of(&set, 0.5, 0.5), (false, 1));
+        // Only (3, 1) rejects (5, 2); the scan skips the hint it already
+        // compared.
+        assert_eq!(steps_of(&set, 5.0, 2.0), (true, 3));
+        assert_eq!(steps_of(&set, 6.0, 3.0), (true, 1));
+        // Inserting a plan ahead of the hint shifts the entries: the stale
+        // hint now names (2, 5), which fails, and the scan still finds
+        // (3, 1).
+        assert!(set.prune_insert(entry(0.1, 20.0), &s, objs()));
+        assert_eq!(steps_of(&set, 7.0, 4.0), (true, 4));
+        assert_eq!(set.probes(), 10);
     }
 
     #[test]

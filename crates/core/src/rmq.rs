@@ -358,8 +358,11 @@ pub fn rmq_warm(
         .map(|r| r.peak_front)
         .sum::<usize>()
         .max(front.len());
-    // Probes: each walker's local front plus the merged front.
+    // Probes and their scan steps: each walker's local front plus the
+    // merged front.
     let frontier_scan_probes = runs.iter().map(|r| r.front.probes()).sum::<u64>() + front.probes();
+    let frontier_scan_steps =
+        runs.iter().map(|r| r.front.scan_steps()).sum::<u64>() + front.scan_steps();
     let stats = DpStats {
         considered_plans: runs.iter().map(|r| r.considered).sum(),
         stored_plans: front.len(),
@@ -373,6 +376,7 @@ pub fn rmq_warm(
             .unwrap_or(0)
             .max(front.len()),
         frontier_scan_probes,
+        frontier_scan_steps,
         timed_out: runs.iter().any(|r| r.timed_out),
     };
 

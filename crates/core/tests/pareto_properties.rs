@@ -9,10 +9,14 @@
 //!    counts and sort orders, leaves a props-antichain at α ∈ {1, 1.5, 2},
 //! 3. under approximate pruning every vector ever offered stays
 //!    α-dominated by some survivor (the invariant behind Lemma 2 /
-//!    Theorem 3's base case).
+//!    Theorem 3's base case),
+//! 4. every `would_reject` answer, last-rejector hint and all, equals a
+//!    linear scan of the stored entries under the per-objective
+//!    definition, in both prune modes.
 
 use moqo_core::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
-use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet};
+use moqo_core::props_key;
+use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet, NUM_OBJECTIVES};
 use moqo_plan::{PlanId, PlanProps, SortOrder};
 use proptest::prelude::*;
 
@@ -83,7 +87,95 @@ fn arb_points() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
     prop::collection::vec((0.1f64..100.0, 0.1f64..100.0, 0.1f64..100.0), 1..=48)
 }
 
+/// One step of a probe stream: nine cost lanes drawn from a small grid
+/// (so ties, dominance and the α boundaries are common), a props class,
+/// and whether the step inserts the plan when no stored plan rejects it.
+type StreamStep = ([u8; NUM_OBJECTIVES], (u8, u8), bool);
+
+fn arb_stream() -> impl Strategy<Value = Vec<StreamStep>> {
+    prop::collection::vec(
+        (
+            prop::array::uniform9(0u8..7),
+            (0u8..3, 0u8..3),
+            any::<bool>(),
+        ),
+        1..=64,
+    )
+}
+
+/// The grid behind [`StreamStep`]'s lanes: 1.25 and 1.5 are α times 1, 3
+/// is 1.5 times 2.
+const LANE_GRID: [f64; 7] = [0.0, 1.0, 1.25, 1.5, 2.0, 3.0, f64::INFINITY];
+
+/// The rejection test by its definition, one stored plan at a time.
+fn reference_rejects(
+    stored: &PlanEntry,
+    candidate: &PlanEntry,
+    mode: PruneMode,
+    alpha: f64,
+    objectives: ObjectiveSet,
+) -> bool {
+    let cost_cover = objectives
+        .iter()
+        .all(|o| stored.cost.get(o) <= alpha * candidate.cost.get(o));
+    match mode {
+        PruneMode::CostOnly => cost_cover,
+        PruneMode::PropsAware => {
+            cost_cover && props_key(&stored.props).covers(&props_key(&candidate.props))
+        }
+    }
+}
+
 proptest! {
+    /// `would_reject` answers exactly what a linear scan of `entries()`
+    /// answers, whatever its last-rejector hint holds: probes interleave
+    /// with inserts that delete stored plans and shift the rest, so the
+    /// hint goes stale. Both prune modes, α ∈ {1, 1.25, 1.5}, any objective
+    /// subset (the empty one included); every call counts exactly one
+    /// probe.
+    #[test]
+    fn would_reject_matches_a_linear_reference_with_a_stale_hint(
+        stream in arb_stream(),
+        objective_bits in 0u16..1 << NUM_OBJECTIVES,
+    ) {
+        let objectives: ObjectiveSet = Objective::ALL
+            .into_iter()
+            .filter(|o| objective_bits & (1 << o.index()) != 0)
+            .collect();
+        for mode in [PruneMode::CostOnly, PruneMode::PropsAware] {
+            for alpha in [1.0, 1.25, 1.5] {
+                let strategy = PruneStrategy::approximate(alpha).with_mode(mode);
+                let mut set = PlanSet::new();
+                for (step, &(lanes, class, insert)) in stream.iter().enumerate() {
+                    let candidate = with_props_class(
+                        PlanEntry {
+                            cost: CostVector::from_array(lanes.map(|l| LANE_GRID[usize::from(l)])),
+                            ..entry(0.0, 0.0, 0.0, step as u32)
+                        },
+                        class,
+                    );
+                    let expected = set
+                        .entries()
+                        .iter()
+                        .any(|e| reference_rejects(e, &candidate, mode, alpha, objectives));
+                    let probes = set.probes();
+                    let rejected =
+                        set.would_reject(&candidate.cost, &candidate.props, &strategy, objectives);
+                    prop_assert_eq!(
+                        rejected,
+                        expected,
+                        "step {} of {:?} at α = {} on {}",
+                        step, mode, alpha, objectives
+                    );
+                    prop_assert_eq!(set.probes(), probes + 1);
+                    if insert && !rejected {
+                        set.insert_unrejected(candidate, &strategy, objectives);
+                    }
+                }
+            }
+        }
+    }
+
     /// Exact pruning always leaves an antichain, and the surviving
     /// cost-vector set is exactly the Pareto frontier of every vector ever
     /// offered — in particular it is invariant under insertion order.

@@ -12,6 +12,18 @@
 //! by up to factor `α` and still approximately dominate it — with `α = 1` the
 //! relation coincides with plain dominance.
 //!
+//! ## One lane-wise kernel
+//!
+//! [`approx_dominates`] is the one kernel behind both `⪯` and `⪯_α`:
+//! [`dominates`] calls it at `α = 1`, where `1 · c2^o` is `c2^o` exactly
+//! in floating point (zeros and `+∞` included). The kernel compares all
+//! nine lanes without an early exit and lets an unselected lane pass,
+//! `ok &= (lane unselected) | (c1^o ≤ α · c2^o)`, so the loop compiles
+//! to packed compares instead of a per-objective iterator with a branch
+//! per lane. The answer is the per-objective `∀o` of the definition; the
+//! property tests in `tests/properties.rs` hold the kernel to that
+//! reference on every one of the 512 objective subsets.
+//!
 //! ## Props-aware dominance
 //!
 //! The plain relations compare *cost vectors* only. That is sound exactly
@@ -121,7 +133,7 @@ pub fn approx_dominates_with_props(
 #[inline]
 #[must_use]
 pub fn dominates(c1: &CostVector, c2: &CostVector, objectives: ObjectiveSet) -> bool {
-    objectives.iter().all(|o| c1.get(o) <= c2.get(o))
+    approx_dominates(c1, c2, 1.0, objectives)
 }
 
 /// `c1 ≺ c2`: `c1 ⪯ c2` and the two vectors differ on at least one selected
@@ -157,7 +169,12 @@ pub fn approx_dominates(
     objectives: ObjectiveSet,
 ) -> bool {
     debug_assert!(alpha >= 1.0, "approximate dominance requires α ≥ 1");
-    objectives.iter().all(|o| c1.get(o) <= alpha * c2.get(o))
+    let bits = objectives.bits();
+    let mut ok = true;
+    for (i, (a, b)) in c1.as_array().iter().zip(c2.as_array()).enumerate() {
+        ok &= ((bits >> i) & 1 == 0) | (*a <= alpha * *b);
+    }
+    ok
 }
 
 #[cfg(test)]

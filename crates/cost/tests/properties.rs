@@ -1,5 +1,7 @@
 //! Property-based tests for the dominance algebra (paper §3) and for the
-//! principle of near-optimality of the formula combinators (paper §6.1).
+//! principle of near-optimality of the formula combinators (paper §6.1),
+//! plus the equivalence of the lane-wise dominance kernel with the
+//! per-objective definition.
 
 use moqo_cost::{
     approx_dominates, dominates, pareto_front, strictly_dominates, CostVector, Objective,
@@ -20,7 +22,67 @@ fn arb_objective_set() -> impl Strategy<Value = ObjectiveSet> {
     })
 }
 
+/// A cost lane for the kernel-equivalence property: zero, +∞, a handful of
+/// small values that tie often and land exactly on the α boundaries
+/// (1.07 = 1.07 · 1, 1.5 = 1.5 · 1, 2 = 2 · 1, 3 = 2 · 1.5), or any value
+/// in 0..1000.
+fn arb_edge_lane() -> impl Strategy<Value = f64> {
+    (0u8..9, 0.0f64..1000.0).prop_map(|(pick, any)| match pick {
+        0 => 0.0,
+        1 => f64::INFINITY,
+        2 => 1.0,
+        3 => 1.07,
+        4 => 1.5,
+        5 => 2.0,
+        6 => 3.0,
+        _ => any,
+    })
+}
+
+/// Every objective subset, the empty one included.
+fn every_objective_subset() -> impl Iterator<Item = ObjectiveSet> {
+    (0u16..1 << NUM_OBJECTIVES).map(|bits| {
+        Objective::ALL
+            .into_iter()
+            .filter(|o| bits & (1 << o.index()) != 0)
+            .collect()
+    })
+}
+
 proptest! {
+    /// The lane-wise kernel behind `dominates` and `approx_dominates`
+    /// answers the per-objective definition `∀o: c1^o ≤ α · c2^o` on all
+    /// 512 objective subsets at every α the optimizer uses, with zeros,
+    /// +∞ and ties in the lanes (`tie` copies a lane of `b` into `a`).
+    #[test]
+    fn lane_wise_dominance_matches_the_per_objective_reference(
+        a in prop::array::uniform9(arb_edge_lane()),
+        b in prop::array::uniform9(arb_edge_lane()),
+        tie in prop::array::uniform9(any::<bool>()),
+    ) {
+        let mut a = a;
+        for ((x, y), tied) in a.iter_mut().zip(b).zip(tie) {
+            if tied {
+                *x = y;
+            }
+        }
+        let (a, b) = (CostVector::from_array(a), CostVector::from_array(b));
+        for objs in every_objective_subset() {
+            prop_assert_eq!(
+                dominates(&a, &b, objs),
+                objs.iter().all(|o| a.get(o) <= b.get(o)),
+                "dominates on {}", objs
+            );
+            for alpha in [1.0, 1.07, 1.5, 2.0] {
+                prop_assert_eq!(
+                    approx_dominates(&a, &b, alpha, objs),
+                    objs.iter().all(|o| a.get(o) <= alpha * b.get(o)),
+                    "approx_dominates at α = {} on {}", alpha, objs
+                );
+            }
+        }
+    }
+
     /// ⪯ is reflexive.
     #[test]
     fn dominance_reflexive(c in arb_cost_vector(), objs in arb_objective_set()) {
