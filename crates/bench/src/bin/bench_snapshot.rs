@@ -26,9 +26,8 @@
 //! * **RTA on TPC-H** — α = 1.5 over all nine objectives on Q5 and Q9
 //!   at scale factor 1, the six-relation blocks that dominate the
 //!   `benchmark/` `tpch_dp` workload's optimizer time,
-//! * **RMQ** — 1k and 10k samples on 8- and 20-table chains at 1, 2 and
-//!   4 threads. Walkers merge deterministically, so the binary asserts
-//!   that every thread count yields a bit-identical front,
+//! * **RMQ** — 1k and 10k samples on 8- and 20-table chains, on the
+//!   calling thread like every RMQ run,
 //! * **Metrics snapshot** — 64 `ServiceMetrics::snapshot` calls after 10k
 //!   and 1M completions; the binary asserts the cost does not grow with
 //!   the count.
@@ -55,7 +54,7 @@ use rand::{Rng, SeedableRng};
 
 /// The ledger entry a full snapshot is committed as: the `"pr"` stamp and
 /// the `N` of the default output `BENCH_pr<N>.json`.
-const LEDGER_ENTRY: u32 = 28;
+const LEDGER_ENTRY: u32 = 29;
 
 struct Cell {
     name: String,
@@ -264,47 +263,25 @@ fn main() {
         push_work_cells(&mut cells, &stats);
     }
 
-    // RMQ: samples × tables × threads. Fronts are deterministic per seed
-    // and walkers merge in walker-index order, so every thread count must
-    // reproduce the single-threaded front bit for bit.
+    // RMQ: samples × tables.
     for &n in &[8usize, 20] {
         let graph = moqo_tpch::large_join_graph(&catalog, n);
         let model = CostModel::new(&params, &catalog, &graph);
         for &samples in &[1_000u64, 10_000] {
             let samples = (samples / budget_div).max(1);
-            let mut fronts: Vec<Vec<[u64; NUM_OBJECTIVES]>> = Vec::new();
-            for &threads in &[1usize, 2, 4] {
-                let config = RmqConfig::new(samples, 42).with_threads(threads);
-                let mut plans = Vec::new();
-                let (ms, front) = median_ms(reps, || {
-                    plans = rmq(&model, &preference, &config, &Deadline::unlimited()).final_plans;
-                    plans.len()
-                });
-                fronts.push(
-                    plans
-                        .iter()
-                        .map(|e| e.cost.as_array().map(f64::to_bits))
-                        .collect(),
-                );
-                cells.push(Cell {
-                    name: "rmq_chain".into(),
-                    params: vec![
-                        ("tables", n.to_string()),
-                        ("samples", samples.to_string()),
-                        ("threads", threads.to_string()),
-                    ],
-                    median_ms: ms,
-                    checksum: front,
-                });
-                println!(
-                    "rmq_chain tables={n} samples={samples} threads={threads}: \
-                     {ms:.3} ms (front {front})"
-                );
-            }
-            assert!(
-                fronts.iter().all(|f| *f == fronts[0]),
-                "rmq_chain tables={n} samples={samples}: the thread count changed the front"
-            );
+            let config = RmqConfig::new(samples, 42);
+            let (ms, front) = median_ms(reps, || {
+                rmq(&model, &preference, &config, &Deadline::unlimited())
+                    .final_plans
+                    .len()
+            });
+            cells.push(Cell {
+                name: "rmq_chain".into(),
+                params: vec![("tables", n.to_string()), ("samples", samples.to_string())],
+                median_ms: ms,
+                checksum: front,
+            });
+            println!("rmq_chain tables={n} samples={samples}: {ms:.3} ms (front {front})");
         }
     }
 

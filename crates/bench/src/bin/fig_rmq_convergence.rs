@@ -7,7 +7,10 @@
 //! iteration budget: front size, best weighted cost, and — for the sizes
 //! where the exact algorithm still terminates — coverage of the exact
 //! Pareto frontier (fraction of exact-frontier vectors 1.05-dominated by an
-//! incumbent) plus the achieved approximation factor α.
+//! incumbent) plus the achieved approximation factor α. Each trace point
+//! re-runs RMQ at the point's budget: its walkers share nothing, and a
+//! walker's front after `k` iterations does not depend on its budget, so
+//! the run returns exactly the front the full-budget run held there.
 //!
 //! Environment knobs: the shared harness variables `MOQO_SF` (TPC-H scale
 //! factor), `MOQO_SEED` and `MOQO_TIMEOUT_MS` (EXA reference timeout)
@@ -24,7 +27,7 @@
 use std::time::Instant;
 
 use moqo_bench::{HarnessConfig, Table};
-use moqo_core::{exa, rmq, Deadline, RmqConfig};
+use moqo_core::{exa, rmq, select_best, Deadline, RmqConfig};
 use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet, Preference};
 use moqo_costmodel::{CostModel, CostModelParams};
 
@@ -108,15 +111,12 @@ fn main() {
             None
         };
 
-        let config = RmqConfig {
-            record_fronts: true,
-            convergence_stride: (samples / 16).max(1),
-            ..RmqConfig::new(samples, seed)
-        };
-        let started = Instant::now();
-        let out = rmq(&model, &preference, &config, &Deadline::unlimited());
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-
+        // Sixteen points, plus the full budget when the stride misses it.
+        let stride = (samples / 16).max(1);
+        let mut budgets: Vec<u64> = (1..=samples / stride).map(|j| j * stride).collect();
+        if budgets.last() != Some(&samples) {
+            budgets.push(samples);
+        }
         let mut table = Table::new(&[
             "iteration",
             "front_size",
@@ -124,13 +124,26 @@ fn main() {
             "coverage_pct",
             "achieved_alpha",
         ]);
-        for point in &out.convergence {
+        let mut prev = f64::INFINITY;
+        let mut full_run = None;
+        for budget in budgets {
+            let started = Instant::now();
+            let out = rmq(
+                &model,
+                &preference,
+                &RmqConfig::new(budget, seed),
+                &Deadline::unlimited(),
+            );
+            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+            let front: Vec<CostVector> = out.final_plans.iter().map(|e| e.cost).collect();
+            let best_weighted = select_best(&out.final_plans, &preference)
+                .map_or(f64::INFINITY, |e| preference.weighted_cost(&e.cost));
             let (coverage, alpha) = match &exact_front {
                 Some(frontier) if !frontier.is_empty() => {
                     let covered = frontier
                         .iter()
                         .filter(|c_star| {
-                            point.front.iter().any(|c| {
+                            front.iter().any(|c| {
                                 moqo_cost::dominance::approx_dominates(
                                     c,
                                     c_star,
@@ -140,12 +153,9 @@ fn main() {
                             })
                         })
                         .count();
-                    let alpha = pareto_front::approximation_factor(
-                        &point.front,
-                        frontier,
-                        preference.objectives,
-                    )
-                    .unwrap_or(f64::INFINITY);
+                    let alpha =
+                        pareto_front::approximation_factor(&front, frontier, preference.objectives)
+                            .unwrap_or(f64::INFINITY);
                     (
                         format!("{:.1}", 100.0 * covered as f64 / frontier.len() as f64),
                         if alpha.is_finite() {
@@ -158,13 +168,22 @@ fn main() {
                 _ => ("-".to_owned(), "-".to_owned()),
             };
             table.row(vec![
-                point.iteration.to_string(),
-                point.front_size.to_string(),
-                format!("{:.3}", point.best_weighted),
+                budget.to_string(),
+                front.len().to_string(),
+                format!("{best_weighted:.3}"),
                 coverage,
                 alpha,
             ]);
+            // Anytime sanity: the best weighted cost never worsens along
+            // the trace.
+            assert!(
+                best_weighted <= prev + 1e-9,
+                "incumbent quality must be monotone, {prev} then {best_weighted}"
+            );
+            prev = best_weighted;
+            full_run = Some((out, elapsed_ms));
         }
+        let (out, elapsed_ms) = full_run.expect("the trace ends at the full budget");
         println!(
             "chain of {n}: {} candidates sampled in {elapsed_ms:.0} ms, \
              final front {} plans",
@@ -174,21 +193,5 @@ fn main() {
         println!("{}", table.render());
         println!("CSV:");
         println!("{}", table.render_csv());
-
-        // Anytime sanity: the best weighted cost never worsens along the
-        // trace, and the final point reflects the returned front.
-        let mut prev = f64::INFINITY;
-        for point in &out.convergence {
-            assert!(
-                point.best_weighted <= prev + 1e-9,
-                "incumbent quality must be monotone, {prev} then {}",
-                point.best_weighted
-            );
-            prev = point.best_weighted;
-        }
-        assert_eq!(
-            out.convergence.last().map(|p| p.front_size),
-            Some(out.final_plans.len())
-        );
     }
 }

@@ -109,9 +109,11 @@ fn fig10_bounded_golden() {
 
 #[test]
 fn fig_rmq_convergence_golden() {
-    // The one caller that asks RMQ for a convergence trace. The binary
-    // itself asserts that the incumbent's weighted cost never worsens and
-    // that the final trace point matches the returned front.
+    // The binary traces convergence by re-running RMQ at each point's
+    // budget, which reproduces the front one full-budget run held at that
+    // point (a walker's front after `k` iterations does not depend on its
+    // budget). The binary itself asserts that the incumbent's weighted cost
+    // never worsens.
     let out = run_pinned(
         env!("CARGO_BIN_EXE_fig_rmq_convergence"),
         &[

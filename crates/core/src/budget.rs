@@ -1,5 +1,7 @@
 //! Optimization-time budgets (the paper's two-hour timeout, §5.1) and
-//! cancellation.
+//! cancellation. Every algorithm, RMQ's walkers included, reads its
+//! [`Deadline`] on the calling thread, so the amortization cells need no
+//! synchronization.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,13 +59,6 @@ impl Deadline {
         Deadline::new(None)
     }
 
-    /// The shared cancel flag, if any: worker threads that derive their own
-    /// deadline (see [`Deadline::remaining`]) carry the same flag.
-    #[must_use]
-    pub fn cancel_flag(&self) -> Option<Arc<AtomicBool>> {
-        self.cancel.clone()
-    }
-
     /// Cheap amortized expiry check: the clock and the cancel flag are read
     /// on the first call and then once every 4096 calls.
     #[inline]
@@ -83,12 +78,6 @@ impl Deadline {
         false
     }
 
-    /// Precise expiry check (always reads the flag and the clock).
-    #[must_use]
-    pub fn expired_now(&self) -> bool {
-        self.expired_flag.get() || self.check()
-    }
-
     /// Reads the cancel flag, then the clock, and makes a positive answer
     /// sticky.
     fn check(&self) -> bool {
@@ -105,22 +94,6 @@ impl Deadline {
         }
         expired
     }
-
-    /// Elapsed time since the deadline was created.
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// The budget left on the clock right now: `None` for an unlimited
-    /// deadline, zero once expired. Worker threads cannot share a
-    /// [`Deadline`] (the amortization cells are intentionally not `Sync`),
-    /// so each derives its own from the remaining budget at spawn time and
-    /// the same [`Deadline::cancel_flag`].
-    #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
-        self.limit.map(|l| l.saturating_sub(self.start.elapsed()))
-    }
 }
 
 #[cfg(test)]
@@ -133,20 +106,19 @@ mod tests {
         for _ in 0..10_000 {
             assert!(!d.expired());
         }
-        assert!(!d.expired_now());
     }
 
     #[test]
     fn zero_limit_expires_immediately() {
         let d = Deadline::new(Some(Duration::ZERO));
-        assert!(d.expired_now());
+        // The first call reads the clock.
         assert!(d.expired());
     }
 
     #[test]
     fn expiry_is_sticky() {
         let d = Deadline::new(Some(Duration::ZERO));
-        assert!(d.expired_now());
+        assert!(d.expired());
         // Once expired, even amortized checks report true immediately.
         for _ in 0..10 {
             assert!(d.expired());
@@ -159,16 +131,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(!d.expired());
         }
-    }
-
-    #[test]
-    fn remaining_tracks_the_budget() {
-        assert_eq!(Deadline::unlimited().remaining(), None);
-        let d = Deadline::new(Some(Duration::from_secs(3600)));
-        let r = d.remaining().unwrap();
-        assert!(r <= Duration::from_secs(3600) && r > Duration::from_secs(3500));
-        let expired = Deadline::new(Some(Duration::ZERO));
-        assert_eq!(expired.remaining(), Some(Duration::ZERO));
     }
 
     /// Calls to `expired()` until it reports true, giving up after `cap`.
@@ -195,32 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn expired_now_sees_the_flag_at_once() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let d = Deadline::cancellable(None, Some(Arc::clone(&flag)));
-        assert!(!d.expired());
-        assert!(!d.expired_now());
-        flag.store(true, Ordering::Release);
-        assert!(d.expired_now());
-        assert!(d.expired(), "the precise check makes expiry sticky");
-    }
-
-    #[test]
     fn an_unset_flag_never_expires_an_unlimited_deadline() {
         let flag = Arc::new(AtomicBool::new(false));
         let d = Deadline::cancellable(None, Some(Arc::clone(&flag)));
         assert_eq!(calls_until_expired(&d, 3 * CHECK_EVERY), None);
-        assert!(!d.expired_now());
-        assert_eq!(d.remaining(), None);
-        assert!(d.cancel_flag().is_some_and(|f| Arc::ptr_eq(&f, &flag)));
-        assert!(Deadline::unlimited().cancel_flag().is_none());
-    }
-
-    #[test]
-    fn elapsed_grows() {
-        let d = Deadline::unlimited();
-        let a = d.elapsed();
-        let b = d.elapsed();
-        assert!(b >= a);
     }
 }

@@ -19,7 +19,7 @@ use moqo_cost::Preference;
 use moqo_costmodel::CostModel;
 
 use crate::budget::Deadline;
-use crate::dp::DpResult;
+use crate::dp::{DpResult, DpStats};
 use crate::exa_rta::{rta_internal_precision, run};
 use crate::pareto::PlanEntry;
 use crate::select::select_best;
@@ -48,6 +48,9 @@ const MAX_ITERATIONS: u32 = 128;
 #[derive(Debug)]
 pub struct IraResult {
     /// The last iteration's plan set (an `α_last`-approximate Pareto set).
+    /// Its work counters (`considered_plans`, `frontier_scan_probes` and
+    /// `frontier_scan_steps`) are summed over all iterations; the other
+    /// statistics are the last iteration's.
     pub result: DpResult,
     /// The selected plan `popt` — an `α_U`-approximate solution on
     /// termination without timeout.
@@ -56,8 +59,6 @@ pub struct IraResult {
     pub iterations: u32,
     /// Precision `α` of the last iteration.
     pub alpha_last: f64,
-    /// Considered plans summed over all iterations.
-    pub total_considered: u64,
 }
 
 /// Runs the IRA on one query block.
@@ -77,7 +78,7 @@ pub fn ira(
     assert!(l >= 1, "preference must select at least one objective");
     let n = model.graph.n_rels();
 
-    let mut total_considered = 0u64;
+    let mut work = DpStats::default();
     let mut iteration = 0u32;
     loop {
         iteration += 1;
@@ -87,14 +88,16 @@ pub fn ira(
             alpha = 1.0;
         }
         let alpha_internal = rta_internal_precision(alpha, n);
-        let result = run(
+        let mut result = run(
             model,
             preference.objectives,
             preference,
             alpha_internal,
             deadline,
         );
-        total_considered += result.stats.considered_plans;
+        work.considered_plans += result.stats.considered_plans;
+        work.frontier_scan_probes += result.stats.frontier_scan_probes;
+        work.frontier_scan_steps += result.stats.frontier_scan_steps;
         let best = select_best(&result.final_plans, preference)
             .expect("FindParetoPlans returns at least one plan");
 
@@ -102,12 +105,14 @@ pub fn ira(
         let certified = exact_round
             || stopping_condition_holds(&result.final_plans, preference, alpha, alpha_u, &best);
         if certified || timed_out {
+            result.stats.considered_plans = work.considered_plans;
+            result.stats.frontier_scan_probes = work.frontier_scan_probes;
+            result.stats.frontier_scan_steps = work.frontier_scan_steps;
             return IraResult {
                 result,
                 best,
                 iterations: iteration,
                 alpha_last: alpha,
-                total_considered,
             };
         }
     }

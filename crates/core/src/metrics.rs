@@ -1,29 +1,10 @@
 //! Optimization reports: the metrics the paper's evaluation plots
-//! (optimization time, memory, Pareto-plan counts, iterations, timeouts),
-//! plus the per-iteration convergence trace of the randomized optimizer.
+//! (optimization time, memory, Pareto-plan counts, iterations, timeouts).
 
 use std::time::Duration;
 
-use moqo_cost::CostVector;
-
 use crate::dp::DpStats;
 use crate::pareto::PruneMode;
-
-/// One sampled point of an anytime optimizer's convergence trace: the state
-/// of the incumbent Pareto front after `iteration` samples.
-#[derive(Debug, Clone, Default)]
-pub struct ConvergencePoint {
-    /// Number of candidate plans sampled so far.
-    pub iteration: u64,
-    /// Size of the incumbent Pareto front.
-    pub front_size: usize,
-    /// Weighted cost of the best incumbent under the run's preference
-    /// (bound-respecting plans first, per `SelectBest`).
-    pub best_weighted: f64,
-    /// Snapshot of the incumbent front's cost vectors; populated only when
-    /// the run records fronts (`RmqConfig::record_fronts`), otherwise empty.
-    pub front: Vec<CostVector>,
-}
 
 /// Metrics for optimizing one query block.
 #[derive(Debug, Clone, Default)]

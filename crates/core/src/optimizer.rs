@@ -40,16 +40,16 @@ pub enum Algorithm {
     },
     /// The anytime randomized optimizer: no formal guarantee, but scales to
     /// join graphs far beyond the dynamic-programming schemes. Fully
-    /// deterministic per seed at any thread count. The per-block iteration
-    /// budget combines with [`Optimizer::with_timeout`] (whichever stops
-    /// first).
+    /// deterministic per seed. The per-block iteration budget combines with
+    /// [`Optimizer::with_timeout`] (whichever stops first).
     Rmq {
         /// Iteration budget (sampled candidate plans) per query block.
         samples: u64,
         /// RNG seed.
         seed: u64,
-        /// OS threads sharding the walker population (`0` = all cores);
-        /// changes wall-clock time only, never the resulting front.
+        /// Ignored: RMQ runs on the calling thread. The field stays only
+        /// because `benchmark/` still sets it, and goes with that crate's
+        /// next change.
         threads: usize,
     },
 }
@@ -284,25 +284,19 @@ impl<'a> Optimizer<'a> {
             }
             Algorithm::Ira { alpha } => {
                 let out = ira(&model, preference, alpha, &deadline);
-                let mut stats = out.result.stats;
-                stats.considered_plans = out.total_considered;
                 (
                     out.result.arena,
                     out.result.final_plans,
-                    stats,
+                    out.result.stats,
                     out.iterations,
                     out.alpha_last,
                 )
             }
-            Algorithm::Rmq {
-                samples,
-                seed,
-                threads,
-            } => {
+            Algorithm::Rmq { samples, seed, .. } => {
                 let out = rmq_warm(
                     &model,
                     preference,
-                    &RmqConfig::new(samples, seed).with_threads(threads),
+                    &RmqConfig::new(samples, seed),
                     &deadline,
                     warm_start,
                 );

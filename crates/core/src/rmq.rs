@@ -11,15 +11,14 @@
 //! return the best front discovered so far.
 //!
 //! The search runs a population of **walkers** — *fully independent* local
-//! searches over the join-tree transformation neighbourhood, which is what
-//! makes the population embarrassingly parallel. Each walker owns a private
-//! [`PlanArena`], local front and RNG (seeded from the master seed and its
-//! walker index), and descends its own random *scalarization* of the
-//! selected objectives: the first walkers take the unit directions, so
-//! every frontier extreme has a dedicated hunter; the rest take random
-//! mixtures, normalized by the walker's first sampled cost so objectives of
-//! wildly different magnitude contribute comparably. One iteration advances
-//! one walker by either
+//! searches over the join-tree transformation neighbourhood. Each walker
+//! owns a private [`PlanArena`], local front and RNG (seeded from the
+//! master seed and its walker index), and descends its own random
+//! *scalarization* of the selected objectives: the first walkers take the
+//! unit directions, so every frontier extreme has a dedicated hunter; the
+//! rest take random mixtures, normalized by the walker's first sampled cost
+//! so objectives of wildly different magnitude contribute comparably. One
+//! iteration advances one walker by either
 //!
 //! 1. **restarting** it on a fresh join tree sampled by a random walk over
 //!    the join graph: start from one component per base relation (random
@@ -39,24 +38,25 @@
 //!    towards its corner of the tradeoff space.
 //!
 //! The sample budget is dealt to the [`WALKERS`] walkers round-robin
-//! (global iteration `i` belongs to walker `i mod W`), walkers advance in
-//! short interleaved slices (so a wall-clock deadline starves no
-//! scalarization direction) — sharded across [`RmqConfig::threads`] OS
-//! threads via `std::thread::scope` — and the local fronts are merged in
+//! (global iteration `i` belongs to walker `i mod W`). The walkers run on
+//! the calling thread in short interleaved slices, so a wall-clock deadline
+//! starves no scalarization direction, and their local fronts are merged in
 //! walker-index order, re-rooting the surviving plans (and only those) into
-//! one result arena ([`PlanArena::adopt`]). Because walkers
-//! never communicate, the merged front is **byte-identical for a fixed seed
-//! regardless of thread count**; threads only change wall-clock time. The
-//! iteration budget and the wall-clock [`Deadline`] jointly bound the run
-//! (an expiring deadline trades determinism for punctuality, exactly like
-//! the DP's quick-finish path).
+//! one result arena ([`PlanArena::adopt`]). The iteration budget and the
+//! wall-clock [`Deadline`] jointly bound the run (an expiring deadline
+//! trades determinism for punctuality, exactly like the DP's quick-finish
+//! path).
+//!
+//! Walkers share nothing, and a walker's front after `k` of its iterations
+//! does not depend on its budget. A run with budget `g` therefore returns
+//! exactly the merged front a longer run with the same seed and warm start
+//! held after `g` global iterations, so re-running at increasing budgets
+//! traces convergence (the `fig_rmq_convergence` binary does so).
 //!
 //! Every join a walker costs reads the block's split index (the DP's, see
 //! [`crate::dp`]): the split's predicate, selectivity and width, and the
 //! neighbour masks that decide which components random tree construction
-//! may join without a Cartesian product. The convergence trace is opt-in
-//! ([`RmqConfig::convergence_stride`]): without one, walkers take no front
-//! snapshots and the merge rebuilds nothing.
+//! may join without a Cartesian product.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -68,9 +68,7 @@ use moqo_plan::{JoinOp, JoinTree, PlanArena, PlanId, PlanProps, ScanOp};
 
 use crate::budget::Deadline;
 use crate::dp::{DpStats, ScanOptions, SplitIndex};
-use crate::metrics::ConvergencePoint;
 use crate::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
-use crate::select::select_best;
 
 /// Number of independent local searches every run deals its budget to.
 /// Walker `w` warm-starts from `warm_start[w mod len]`, so a warm start
@@ -86,46 +84,24 @@ const RESTART_PROBABILITY: f64 = 0.05;
 /// (exploitation of the elite set).
 const ELITE_PROBABILITY: f64 = 0.1;
 
+/// Iterations one walker runs before yielding to the next.
+const ITER_SLICE: u64 = 64;
+
 /// Configuration of one RMQ run.
 #[derive(Debug, Clone, Copy)]
 pub struct RmqConfig {
     /// Iteration budget: total number of candidate plans to sample,
     /// dealt round-robin to the walker population.
     pub samples: u64,
-    /// RNG seed; equal seeds yield bit-identical runs at any thread count.
+    /// RNG seed; equal seeds yield bit-identical runs.
     pub seed: u64,
-    /// OS threads to shard the walker population over; `0` uses all
-    /// available cores. Never affects the result, only wall-clock time.
-    pub threads: usize,
-    /// Record one [`ConvergencePoint`] every `convergence_stride`
-    /// iterations, plus the final state; `0` records no trace. Tracing
-    /// never changes the returned front.
-    pub convergence_stride: u64,
-    /// Store a snapshot of the front's cost vectors in every convergence
-    /// point (needed for offline coverage analysis; off by default because
-    /// snapshots are O(front) each).
-    pub record_fronts: bool,
 }
 
 impl RmqConfig {
-    /// A single-threaded configuration that records no convergence trace.
+    /// A run of `samples` iterations seeded with `seed`.
     #[must_use]
     pub fn new(samples: u64, seed: u64) -> Self {
-        RmqConfig {
-            samples,
-            seed,
-            threads: 1,
-            convergence_stride: 0,
-            record_fronts: false,
-        }
-    }
-
-    /// Shards the walker population over `threads` OS threads (builder
-    /// style); `0` uses all available cores.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+        RmqConfig { samples, seed }
     }
 }
 
@@ -144,11 +120,6 @@ pub struct RmqResult {
     /// front and `max_group_size` is the largest plan set the run held (a
     /// walker's peak or the merged front).
     pub stats: DpStats,
-    /// Convergence trace, one point per stride plus the final state; empty
-    /// when [`RmqConfig::convergence_stride`] is 0. Point `g` reconstructs
-    /// the merged front after `g` global iterations of the round-robin
-    /// schedule.
-    pub convergence: Vec<ConvergencePoint>,
     /// Iterations actually executed across all walkers (may fall short of
     /// the budget on deadline expiry).
     pub iterations: u64,
@@ -180,7 +151,7 @@ pub fn rmq(
 /// walk begins at yesterday's frontier instead of from scratch. Only the
 /// first [`WALKERS`] trees are ever read. Trees that fail to cost (or an
 /// empty slice) fall back to random seeding. Results remain fully
-/// deterministic in `(seed, warm_start, budget)` at any thread count.
+/// deterministic in `(seed, warm_start, budget)`.
 ///
 /// # Panics
 ///
@@ -203,92 +174,48 @@ pub fn rmq_warm(
 
     let objectives = preference.objectives;
     // Same soundness rule as the DP schemes: props-aware fronts whenever
-    // sampling lets cardinality leak past the cost vector (the offer path,
-    // the cross-walker merge and the trace reconstruction must all agree,
-    // or the merged front could discard a walker's props-distinct plans).
+    // sampling lets cardinality leak past the cost vector (the offer path
+    // and the cross-walker merge must agree, or the merged front could
+    // discard a walker's props-distinct plans).
     let strategy =
         PruneStrategy::exact().with_mode(PruneMode::auto(model.params.enable_sampling, objectives));
     let index = SplitIndex::new(model);
     let scan_opts = ScanOptions::new(model);
-    let w64 = WALKERS as u64;
-    // The snapshot schedule is materialized up front, so cap the trace at
-    // MAX_TRACE_POINTS by coarsening the stride: anytime configs pair
-    // `samples = u64::MAX` with a wall-clock deadline, and an explicit
-    // stride must not make the schedule allocation proportional to the
-    // (astronomical) nominal budget.
-    const MAX_TRACE_POINTS: u64 = 4096;
-    let traced = config.convergence_stride > 0;
-    let trace_points: Vec<u64> = if traced {
-        let stride = config
-            .convergence_stride
-            .max(config.samples.div_ceil(MAX_TRACE_POINTS));
-        (1..=config.samples / stride).map(|j| j * stride).collect()
-    } else {
-        Vec::new()
-    };
 
     // Round-robin schedule: global iteration i (0-based) belongs to walker
-    // i mod W, so walker w's budget and its local progress after g global
-    // iterations are both closed-form (saturating: a budget of u64::MAX
-    // must not overflow the per-walker shares).
-    let local_count = |g: u64, w: usize| g.saturating_sub(w as u64).div_ceil(w64);
-    let walker_inputs: Vec<(u64, u64, Vec<u64>)> = (0..WALKERS)
+    // i mod W, so walker w's budget is closed-form (saturating: a budget of
+    // u64::MAX must not overflow the per-walker shares).
+    let mut walkers: Vec<WalkerState<'_>> = (0..WALKERS)
         .map(|w| {
-            (
-                local_count(config.samples, w),
+            let budget = config
+                .samples
+                .saturating_sub(w as u64)
+                .div_ceil(WALKERS as u64);
+            let warm = (!warm_start.is_empty()).then(|| &warm_start[w % warm_start.len()]);
+            WalkerState::new(
+                model,
+                &index,
+                &scan_opts,
+                objectives,
+                w,
+                budget,
                 walker_seed(config.seed, w as u64),
-                trace_points.iter().map(|&g| local_count(g, w)).collect(),
+                warm,
             )
         })
         .collect();
-
-    let threads = effective_threads(config.threads);
-    let runs: Vec<WalkerRun> = if threads <= 1 {
-        run_walkers(
-            model,
-            &index,
-            &scan_opts,
-            objectives,
-            0,
-            &walker_inputs,
-            warm_start,
-            deadline,
-        )
-    } else {
-        let remaining = deadline.remaining();
-        let chunk_size = WALKERS.div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = walker_inputs
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(ci, chunk)| {
-                    let index = &index;
-                    let scan_opts = &scan_opts;
-                    let cancel = deadline.cancel_flag();
-                    s.spawn(move || {
-                        // Walkers cannot share the deadline (its amortization
-                        // cells are not `Sync`); each thread re-derives one
-                        // from the remaining budget and the same cancel flag.
-                        let local_deadline = Deadline::cancellable(remaining, cancel);
-                        run_walkers(
-                            model,
-                            index,
-                            scan_opts,
-                            objectives,
-                            ci * chunk_size,
-                            chunk,
-                            warm_start,
-                            &local_deadline,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("walker threads do not panic"))
-                .collect()
-        })
-    };
+    // Interleave the walkers in short slices, so a wall-clock deadline
+    // starves no walker: every scalarization direction keeps advancing at
+    // roughly the same rate until the clock (or its budget) stops it.
+    // Slicing cannot affect budget-bound results: walkers share nothing,
+    // so any schedule yields the same per-walker streams.
+    let mut target = 0u64;
+    while walkers.iter().any(|w| !w.done()) {
+        target = target.saturating_add(ITER_SLICE);
+        for w in &mut walkers {
+            w.advance_to(target, deadline);
+        }
+    }
 
     // Deterministic merge in walker-index order, on cost vectors first: the
     // survivors are only known once every walker front has been folded in,
@@ -297,13 +224,13 @@ pub fn rmq_warm(
     // stand in as plan ids during the merge.
     let mut candidates: Vec<(usize, PlanEntry)> = Vec::new();
     let mut front = PlanSet::new();
-    for (ri, run) in runs.iter().enumerate() {
-        for e in run.front.iter() {
+    for (wi, walker) in walkers.iter().enumerate() {
+        for e in walker.front.iter() {
             if front.would_reject(&e.cost, &e.props, &strategy, objectives) {
                 continue;
             }
             let placeholder = PlanId(u32::try_from(candidates.len()).expect("front fits in u32"));
-            candidates.push((ri, *e));
+            candidates.push((wi, *e));
             front.insert_unrejected(
                 PlanEntry {
                     plan: placeholder,
@@ -318,66 +245,41 @@ pub fn rmq_warm(
     let final_plans: Vec<PlanEntry> = front
         .iter()
         .map(|e| {
-            let (ri, orig) = candidates[e.plan.0 as usize];
+            let (wi, orig) = candidates[e.plan.0 as usize];
             PlanEntry {
-                plan: arena.adopt(&runs[ri].arena, orig.plan),
+                plan: arena.adopt(&walkers[wi].arena, orig.plan),
                 ..orig
             }
         })
         .collect();
 
-    let iterations: u64 = runs.iter().map(|r| r.iterations).sum();
-
-    // Reconstruct the global convergence trace: the merged front after g
-    // global iterations is the walker-order merge of each local front after
-    // its share of the schedule.
-    let mut convergence = Vec::new();
-    for (j, &g) in trace_points.iter().enumerate() {
-        if g > iterations {
-            break;
-        }
-        let mut merged = PlanSet::new();
-        for run in &runs {
-            for e in &run.snapshots[j] {
-                merged.prune_insert(*e, &strategy, objectives);
-            }
-        }
-        convergence.push(trace_point(g, &merged, preference, config.record_fronts));
-    }
-    if traced && convergence.last().is_none_or(|p| p.iteration != iterations) {
-        convergence.push(trace_point(
-            iterations,
-            &front,
-            preference,
-            config.record_fronts,
-        ));
-    }
-
-    let peak_stored: usize = runs
+    let iterations: u64 = walkers.iter().map(|w| w.iterations).sum();
+    let peak_stored: usize = walkers
         .iter()
-        .map(|r| r.peak_front)
+        .map(|w| w.peak_front)
         .sum::<usize>()
         .max(front.len());
     // Probes and their scan steps: each walker's local front plus the
     // merged front.
-    let frontier_scan_probes = runs.iter().map(|r| r.front.probes()).sum::<u64>() + front.probes();
+    let frontier_scan_probes =
+        walkers.iter().map(|w| w.front.probes()).sum::<u64>() + front.probes();
     let frontier_scan_steps =
-        runs.iter().map(|r| r.front.scan_steps()).sum::<u64>() + front.scan_steps();
+        walkers.iter().map(|w| w.front.scan_steps()).sum::<u64>() + front.scan_steps();
     let stats = DpStats {
-        considered_plans: runs.iter().map(|r| r.considered).sum(),
+        considered_plans: walkers.iter().map(|w| w.considered).sum(),
         stored_plans: front.len(),
         peak_stored_plans: peak_stored,
         peak_memory_bytes: peak_stored * DpStats::bytes_per_stored_plan(),
         pareto_last_complete: front.len(),
-        max_group_size: runs
+        max_group_size: walkers
             .iter()
-            .map(|r| r.peak_front)
+            .map(|w| w.peak_front)
             .max()
             .unwrap_or(0)
             .max(front.len()),
         frontier_scan_probes,
         frontier_scan_steps,
-        timed_out: runs.iter().any(|r| r.timed_out),
+        timed_out: walkers.iter().any(|w| w.timed_out),
     };
 
     debug_assert!(!final_plans.is_empty());
@@ -385,67 +287,8 @@ pub fn rmq_warm(
         arena,
         final_plans,
         stats,
-        convergence,
         iterations,
     }
-}
-
-/// Everything one walker brings home: its private arena and front, local
-/// counters, and the front snapshots for the global trace reconstruction.
-struct WalkerRun {
-    arena: PlanArena,
-    front: PlanSet,
-    considered: u64,
-    peak_front: usize,
-    iterations: u64,
-    timed_out: bool,
-    /// Front snapshots aligned with the walker's snapshot schedule.
-    snapshots: Vec<Vec<PlanEntry>>,
-}
-
-/// Runs a contiguous chunk of walkers on one thread, interleaving their
-/// iterations in short round-robin slices so a wall-clock deadline starves
-/// no walker: every scalarization direction keeps advancing at roughly the
-/// same rate until the clock (or its budget) stops it. Slicing cannot
-/// affect budget-bound results — walkers share nothing, so any schedule
-/// yields the same per-walker streams; only *where* an expiring deadline
-/// lands is wall-clock dependent, as it always was.
-#[allow(clippy::too_many_arguments)]
-fn run_walkers(
-    model: &CostModel<'_>,
-    index: &SplitIndex,
-    scan_opts: &ScanOptions,
-    objectives: ObjectiveSet,
-    first_index: usize,
-    inputs: &[(u64, u64, Vec<u64>)],
-    warm_start: &[JoinTree],
-    deadline: &Deadline,
-) -> Vec<WalkerRun> {
-    /// Iterations one walker runs before yielding to the next in its chunk.
-    const ITER_SLICE: u64 = 64;
-    let mut states: Vec<WalkerState<'_>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, (budget, seed, snaps))| {
-            let walker = first_index + i;
-            let warm = if warm_start.is_empty() {
-                None
-            } else {
-                Some(&warm_start[walker % warm_start.len()])
-            };
-            WalkerState::new(
-                model, index, scan_opts, objectives, walker, *budget, *seed, snaps, warm,
-            )
-        })
-        .collect();
-    let mut target = 0u64;
-    while states.iter().any(|s| !s.done()) {
-        target = target.saturating_add(ITER_SLICE);
-        for s in &mut states {
-            s.advance_to(target, deadline);
-        }
-    }
-    states.into_iter().map(WalkerState::finish).collect()
 }
 
 /// One independent local search, resumable in iteration slices.
@@ -457,14 +300,12 @@ struct WalkerState<'a> {
     scan_opts: &'a ScanOptions,
     objectives: ObjectiveSet,
     budget: u64,
-    snapshot_counts: &'a [u64],
     rng: StdRng,
     arena: PlanArena,
     front: PlanSet,
     strategy: PruneStrategy,
     considered: u64,
     peak_front: usize,
-    snapshots: Vec<Vec<PlanEntry>>,
     scal: Weights,
     state: Component,
     iterations: u64,
@@ -487,7 +328,6 @@ impl<'a> WalkerState<'a> {
         walker_index: usize,
         budget: u64,
         seed: u64,
-        snapshot_counts: &'a [u64],
         warm: Option<&JoinTree>,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -508,7 +348,6 @@ impl<'a> WalkerState<'a> {
             scan_opts,
             objectives,
             budget,
-            snapshot_counts,
             rng,
             arena: PlanArena::new(),
             front: PlanSet::new(),
@@ -516,7 +355,6 @@ impl<'a> WalkerState<'a> {
                 .with_mode(PruneMode::auto(model.params.enable_sampling, objectives)),
             considered: 0,
             peak_front: 0,
-            snapshots: Vec::with_capacity(snapshot_counts.len()),
             scal,
             state: Component { tree, cost, props },
             iterations: 0,
@@ -525,7 +363,6 @@ impl<'a> WalkerState<'a> {
         };
         let seeded = walker.state.tree.clone();
         walker.offer(&seeded, cost, props);
-        walker.emit(0);
         walker
     }
 
@@ -550,17 +387,6 @@ impl<'a> WalkerState<'a> {
         }
     }
 
-    /// Pins every snapshot slot whose local count is ≤ `upto` to the
-    /// current front (counts are nondecreasing, so this emits in schedule
-    /// order).
-    fn emit(&mut self, upto: u64) {
-        while self.snapshots.len() < self.snapshot_counts.len()
-            && self.snapshot_counts[self.snapshots.len()] <= upto
-        {
-            self.snapshots.push(self.front.iter().copied().collect());
-        }
-    }
-
     /// Whether this walker has nothing left to do.
     fn done(&self) -> bool {
         self.timed_out || self.iterations >= self.budget
@@ -577,12 +403,6 @@ impl<'a> WalkerState<'a> {
             }
             self.iterations += 1;
             self.step();
-            self.emit(self.iterations);
-        }
-        if self.done() {
-            // Outstanding snapshot slots pin the front at exit (deadline
-            // expiry short of the schedule); idempotent once drained.
-            self.emit(u64::MAX);
         }
     }
 
@@ -657,19 +477,6 @@ impl<'a> WalkerState<'a> {
             }
         }
     }
-
-    /// Surrenders the walker's results.
-    fn finish(self) -> WalkerRun {
-        WalkerRun {
-            arena: self.arena,
-            front: self.front,
-            considered: self.considered,
-            peak_front: self.peak_front,
-            iterations: self.iterations,
-            timed_out: self.timed_out,
-            snapshots: self.snapshots,
-        }
-    }
 }
 
 /// Derives walker `i`'s RNG seed from the master seed: SplitMix64 over the
@@ -680,38 +487,6 @@ fn walker_seed(master: u64, i: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Resolves the thread knob: `0` means all available cores; never more
-/// threads than walkers.
-fn effective_threads(requested: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        requested
-    };
-    t.clamp(1, WALKERS)
-}
-
-fn trace_point(
-    iteration: u64,
-    front: &PlanSet,
-    preference: &Preference,
-    record_front: bool,
-) -> ConvergencePoint {
-    let entries: Vec<PlanEntry> = front.iter().copied().collect();
-    let best_weighted = select_best(&entries, preference)
-        .map_or(f64::INFINITY, |e| preference.weighted_cost(&e.cost));
-    ConvergencePoint {
-        iteration,
-        front_size: entries.len(),
-        best_weighted,
-        front: if record_front {
-            entries.iter().map(|e| e.cost).collect()
-        } else {
-            Vec::new()
-        },
-    }
 }
 
 /// One in-flight component of the random walk: a subtree plus its cost and
@@ -918,16 +693,11 @@ fn mutate_tree(
     Some((tree, cost, props))
 }
 
-/// Costs an owned join tree bottom-up. Returns `None` when any operator in
-/// the tree is inapplicable (e.g. an index scan on an unindexed column or a
-/// hash join over a predicate-free split).
-#[must_use]
-pub fn cost_tree(model: &CostModel<'_>, tree: &JoinTree) -> Option<(CostVector, PlanProps)> {
-    cost_tree_with(model, &SplitIndex::new(model), tree)
-}
-
-/// [`cost_tree`] against a prebuilt split index — the walker hot path
-/// re-costs a whole tree per mutation, so the per-run index is built once.
+/// Costs an owned join tree bottom-up against the run's split index (the
+/// walker hot path re-costs a whole tree per mutation, so the index is
+/// built once per run). Returns `None` when any operator in the tree is
+/// inapplicable (e.g. an index scan on an unindexed column or a hash join
+/// over a predicate-free split).
 fn cost_tree_with(
     model: &CostModel<'_>,
     index: &SplitIndex,
@@ -1008,11 +778,13 @@ mod tests {
     fn rmq_returns_full_plans_and_traces_convergence() {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
-        let config = RmqConfig {
-            convergence_stride: 10,
-            ..RmqConfig::new(200, 7)
-        };
-        let out = rmq(&model, &pref(), &config, &Deadline::unlimited());
+        let preference = pref();
+        let out = rmq(
+            &model,
+            &preference,
+            &RmqConfig::new(200, 7),
+            &Deadline::unlimited(),
+        );
         assert!(!out.final_plans.is_empty());
         for e in &out.final_plans {
             assert_eq!(e.props.rels, g.full_mask());
@@ -1023,13 +795,29 @@ mod tests {
         // candidates; every walker seeds one extra tree.
         assert!(out.stats.considered_plans >= 150);
         assert!(out.stats.considered_plans <= 200 + 8);
-        assert_eq!(out.convergence.len(), 20);
-        assert_eq!(out.convergence.last().unwrap().iteration, 200);
-        // Front sizes in the trace never exceed the peak.
-        for pt in &out.convergence {
-            assert!(pt.front_size <= out.stats.peak_stored_plans);
-            assert!(pt.best_weighted.is_finite());
+        // A convergence trace re-runs the search at growing budgets. Each
+        // run returns the front the longer runs held at its budget, so the
+        // best weighted cost never worsens, no front outgrows the full
+        // run's peak, and the last point is the full run.
+        let best_weighted = |plans: &[PlanEntry]| {
+            crate::select::select_best(plans, &preference)
+                .map_or(f64::INFINITY, |e| preference.weighted_cost(&e.cost))
+        };
+        let mut previous = f64::INFINITY;
+        for budget in (10..=200).step_by(10) {
+            let point = rmq(
+                &model,
+                &preference,
+                &RmqConfig::new(budget, 7),
+                &Deadline::unlimited(),
+            );
+            assert_eq!(point.iterations, budget);
+            assert!(point.final_plans.len() <= out.stats.peak_stored_plans);
+            let best = best_weighted(&point.final_plans);
+            assert!(best.is_finite() && best <= previous, "budget {budget}");
+            previous = best;
         }
+        assert_eq!(previous, best_weighted(&out.final_plans));
     }
 
     #[test]
@@ -1043,51 +831,6 @@ mod tests {
         let bv: Vec<CostVector> = b.final_plans.iter().map(|e| e.cost).collect();
         assert_eq!(av, bv, "same seed must reproduce the same front");
         assert_eq!(a.stats.considered_plans, b.stats.considered_plans);
-    }
-
-    #[test]
-    fn rmq_front_is_identical_across_thread_counts() {
-        let (p, cat, g) = setup3();
-        let model = CostModel::new(&p, &cat, &g);
-        let base = RmqConfig {
-            convergence_stride: 25,
-            ..RmqConfig::new(400, 21)
-        };
-        let reference = rmq(&model, &pref(), &base, &Deadline::unlimited());
-        assert_eq!(reference.convergence.len(), 16);
-        for threads in [2usize, 3, 4, 0] {
-            let out = rmq(
-                &model,
-                &pref(),
-                &base.with_threads(threads),
-                &Deadline::unlimited(),
-            );
-            assert_eq!(out.iterations, reference.iterations);
-            assert_eq!(
-                out.stats.considered_plans, reference.stats.considered_plans,
-                "threads = {threads}"
-            );
-            assert_eq!(
-                out.final_plans.len(),
-                reference.final_plans.len(),
-                "threads = {threads}"
-            );
-            for (a, b) in out.final_plans.iter().zip(&reference.final_plans) {
-                assert_eq!(a.cost, b.cost, "threads = {threads}");
-                assert_eq!(
-                    out.arena.extract_tree(a.plan),
-                    reference.arena.extract_tree(b.plan),
-                    "threads = {threads}: plans must be structurally identical"
-                );
-            }
-            // The whole trace is reproduced too, not just the final front.
-            assert_eq!(out.convergence.len(), reference.convergence.len());
-            for (a, b) in out.convergence.iter().zip(&reference.convergence) {
-                assert_eq!(a.iteration, b.iteration);
-                assert_eq!(a.front_size, b.front_size);
-                assert_eq!(a.best_weighted, b.best_weighted);
-            }
-        }
     }
 
     #[test]
@@ -1200,53 +943,17 @@ mod tests {
     }
 
     #[test]
-    fn rmq_huge_budget_with_explicit_stride_stays_bounded() {
-        let (p, cat, g) = setup3();
-        let model = CostModel::new(&p, &cat, &g);
-        // Anytime usage: a nominal budget of u64::MAX bounded by the clock,
-        // with an explicit convergence stride. The snapshot schedule must
-        // be capped, not proportional to the nominal budget.
-        let cfg = RmqConfig {
-            convergence_stride: 10_000,
-            ..RmqConfig::new(u64::MAX, 3)
-        };
-        let out = rmq(
-            &model,
-            &pref(),
-            &cfg,
-            &Deadline::new(Some(std::time::Duration::from_millis(10))),
-        );
-        assert!(out.stats.timed_out);
-        assert!(!out.final_plans.is_empty());
-        assert!(out.convergence.len() <= 4097);
-    }
-
-    #[test]
-    fn rmq_deadline_applies_across_threads() {
-        let (p, cat, g) = setup3();
-        let model = CostModel::new(&p, &cat, &g);
-        let out = rmq(
-            &model,
-            &pref(),
-            &RmqConfig::new(u64::MAX, 5).with_threads(4),
-            &Deadline::new(Some(std::time::Duration::from_millis(20))),
-        );
-        assert!(out.stats.timed_out);
-        assert!(!out.final_plans.is_empty());
-    }
-
-    #[test]
     fn rmq_cancel_flag_stops_every_thread() {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
         let cancel = Arc::new(AtomicBool::new(true));
         let started = std::time::Instant::now();
-        // The minute-long limit only bounds the test should a walker
-        // thread miss the flag.
+        // The minute-long limit only bounds the test should a walker miss
+        // the flag.
         let out = rmq(
             &model,
             &pref(),
-            &RmqConfig::new(u64::MAX, 5).with_threads(2),
+            &RmqConfig::new(u64::MAX, 5),
             &Deadline::cancellable(Some(std::time::Duration::from_secs(60)), Some(cancel)),
         );
         assert!(started.elapsed() < std::time::Duration::from_secs(10));
@@ -1300,7 +1007,9 @@ mod tests {
             ),
             JoinTree::scan(2, ScanOp::SeqScan),
         );
-        let (cost, props) = cost_tree(&model, &tree).expect("hash joins apply on join edges");
+        let index = SplitIndex::new(&model);
+        let (cost, props) =
+            cost_tree_with(&model, &index, &tree).expect("hash joins apply on join edges");
         assert_eq!(props.rels, 0b111);
         assert!(cost.get(Objective::TotalTime) > 0.0);
         // An index-nested-loop join over a non-canonical inner child must
@@ -1310,6 +1019,6 @@ mod tests {
             JoinTree::scan(0, ScanOp::SeqScan),
             JoinTree::scan(1, ScanOp::SeqScan),
         );
-        assert!(cost_tree(&model, &bad).is_none());
+        assert!(cost_tree_with(&model, &index, &bad).is_none());
     }
 }

@@ -62,8 +62,6 @@ impl DeadlineAwarePolicy {
     pub const RMQ_SAMPLES: u64 = 2000;
     /// RMQ seed; fixed so results are reproducible.
     pub const RMQ_SEED: u64 = 0x5EED;
-    /// Threads per RMQ run (the worker pool is the parallelism).
-    pub const RMQ_THREADS: usize = 1;
     /// Precision the DP falls back to when a request demands exactness on
     /// a block too large for EXA: RTA/IRA at α = 1 would run the *same*
     /// full-precision DP as EXA (the internal pruning precision `α^(1/n)`
@@ -150,7 +148,7 @@ impl DeadlineAwarePolicy {
                 algorithm: Algorithm::Rmq {
                     samples: Self::RMQ_SAMPLES,
                     seed: Self::RMQ_SEED,
-                    threads: Self::RMQ_THREADS,
+                    threads: 1,
                 },
                 downgraded: true,
             },

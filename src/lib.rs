@@ -79,8 +79,8 @@ pub mod tpch {
 pub mod prelude {
     pub use moqo_catalog::{Catalog, JoinGraph, JoinGraphBuilder, Query};
     pub use moqo_core::{
-        exa, ira, rmq, rta, select_best, Algorithm, ConvergencePoint, Deadline, OptimizationResult,
-        Optimizer, RmqConfig, RmqResult,
+        exa, ira, rmq, rta, select_best, Algorithm, Deadline, OptimizationResult, Optimizer,
+        RmqConfig, RmqResult,
     };
     pub use moqo_cost::dominance::{approx_dominates, dominates, strictly_dominates};
     pub use moqo_cost::{Bounds, CostVector, Objective, ObjectiveSet, Preference, Weights};

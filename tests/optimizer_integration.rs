@@ -139,3 +139,72 @@ fn reports_track_paper_metrics() {
         assert!(!report.timed_out());
     }
 }
+
+/// An IRA block reports the work of every `FindParetoPlans` iteration, not
+/// only the last one's: its counters equal the sums over re-runs of each
+/// iteration's DP at the precision the schedule gave it.
+#[test]
+fn ira_block_counts_the_work_of_every_iteration() {
+    use moqo::core::{
+        find_pareto_plans, ira, ira_precision_schedule, rta_internal_precision, DpConfig, PruneMode,
+    };
+
+    let catalog = tpch::catalog(1.0);
+    let params = CostModelParams::default();
+    let query = tpch::query(&catalog, 14);
+    let mut rng = StdRng::seed_from_u64(3);
+    let preference =
+        tpch::bounded_test_case(&mut rng, &catalog, &params, &query, 14, 6, 2).preference;
+    let alpha_u = 1.5;
+    let [graph] = query.blocks.as_slice() else {
+        panic!("TPC-H Q14 is one block");
+    };
+    let model = CostModel::new(&params, &catalog, graph);
+
+    let out = ira(&model, &preference, alpha_u, &Deadline::unlimited());
+    assert!(!out.result.stats.timed_out);
+    assert!(
+        out.iterations >= 5,
+        "the case must refine several times, took {}",
+        out.iterations
+    );
+    let l = preference.objectives.len();
+    assert_eq!(
+        out.alpha_last,
+        ira_precision_schedule(alpha_u, l, out.iterations)
+    );
+
+    let config = |alpha: f64| {
+        DpConfig::approximate(rta_internal_precision(alpha, graph.n_rels())).with_prune_mode(
+            PruneMode::auto(params.enable_sampling, preference.objectives),
+        )
+    };
+    let (mut considered, mut probes, mut steps) = (0, 0, 0);
+    for i in 1..=out.iterations {
+        let alpha = ira_precision_schedule(alpha_u, l, i);
+        let stats = find_pareto_plans(
+            &model,
+            preference.objectives,
+            &config(alpha),
+            &preference.weights,
+            &Deadline::unlimited(),
+        )
+        .stats;
+        considered += stats.considered_plans;
+        probes += stats.frontier_scan_probes;
+        steps += stats.frontier_scan_steps;
+    }
+    assert_eq!(out.result.stats.considered_plans, considered);
+    assert_eq!(out.result.stats.frontier_scan_probes, probes);
+    assert_eq!(out.result.stats.frontier_scan_steps, steps);
+
+    // The optimizer's block report carries the same sums.
+    let (_, report) = Optimizer::new(&catalog).optimize_block(
+        graph,
+        &preference,
+        Algorithm::Ira { alpha: alpha_u },
+    );
+    assert_eq!(report.iterations, out.iterations);
+    assert_eq!(report.considered_plans, considered);
+    assert_eq!(report.frontier_scan_probes, probes);
+}

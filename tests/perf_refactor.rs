@@ -2,15 +2,12 @@
 //!
 //! The DP inner loop was restructured (rejection probe before arena
 //! allocation, borrow-splitting instead of per-split entry clones, streamed
-//! Gosper mask enumeration, precomputed join keys) and RMQ was resharded
-//! into independent walkers merged deterministically. Neither change is
-//! allowed to alter *results*:
+//! Gosper mask enumeration, precomputed join keys). It is not allowed to
+//! alter *results*:
 //!
 //! * `find_pareto_plans` must produce exactly the seed behaviour — same
 //!   final front, same `considered_plans` — which the straightforward
 //!   allocate-then-prune `test_support::reference_dp` pins down;
-//! * the RMQ front must be byte-identical for a fixed seed at every thread
-//!   count;
 //! * the per-block split index must reproduce the join graph's reference
 //!   split — key, crossing selectivity and width, bit for bit — and its
 //!   connectivity test.
@@ -158,41 +155,4 @@ fn split_index_matches_reference_definitions() {
             assert_eq!(checked, (3usize.pow(n) + 1) - (1 << (n + 1)));
         }
     }
-}
-
-#[test]
-fn parallel_rmq_is_thread_count_invariant() {
-    let catalog = moqo::tpch::catalog(0.01);
-    let query = moqo::tpch::large_query(&catalog, 12);
-    let preference = Preference::over(ObjectiveSet::empty())
-        .weight(Objective::TotalTime, 1.0)
-        .weight(Objective::BufferFootprint, 1e-6);
-    let optimizer = Optimizer::new(&catalog);
-
-    let fronts: Vec<Vec<moqo::core::PlanEntry>> = [1usize, 2, 4]
-        .iter()
-        .map(|&threads| {
-            let result = optimizer.optimize(
-                &query,
-                &preference,
-                Algorithm::Rmq {
-                    samples: 2000,
-                    seed: 77,
-                    threads,
-                },
-            );
-            assert_eq!(result.block_plans.len(), 1);
-            result.block_plans[0].frontier.clone()
-        })
-        .collect();
-
-    assert_eq!(
-        fronts[0], fronts[1],
-        "threads=2 must reproduce the single-threaded front byte for byte"
-    );
-    assert_eq!(
-        fronts[0], fronts[2],
-        "threads=4 must reproduce the single-threaded front byte for byte"
-    );
-    assert!(!fronts[0].is_empty());
 }

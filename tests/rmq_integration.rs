@@ -131,7 +131,7 @@ fn rmq_handles_twenty_table_chain_within_budget() {
     let algo = Algorithm::Rmq {
         samples: 400,
         seed: 7,
-        threads: 2,
+        threads: 1,
     };
 
     let a = optimizer.optimize(&query, &p, algo);
@@ -195,7 +195,6 @@ fn front_digest(out: &RmqResult) -> u64 {
 /// Pins RMQ's outputs on a 16-relation clique and a 20-relation chain, cold
 /// and warm-started from the cold front: any change to the RNG draw order,
 /// the candidate stream or the float arithmetic of costing moves a digest.
-/// A run with a convergence trace returns the same front as one without.
 #[test]
 fn rmq_fronts_are_pinned() {
     let catalog = moqo::tpch::catalog(0.01);
@@ -239,22 +238,6 @@ fn rmq_fronts_are_pinned() {
             front_digest(&warm),
             warm_pin,
             "{n}-relation {topology:?}, warm"
-        );
-
-        let traced = rmq(
-            &model,
-            &p,
-            &RmqConfig {
-                convergence_stride: 100,
-                ..RmqConfig::new(1500, 11)
-            },
-            &deadline,
-        );
-        assert_eq!(front_digest(&traced), front_digest(&cold));
-        assert_eq!(traced.convergence.len(), 15);
-        assert!(
-            cold.convergence.is_empty(),
-            "RmqConfig::new records no trace"
         );
     }
 }
