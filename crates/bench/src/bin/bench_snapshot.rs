@@ -10,14 +10,16 @@
 //! * **DP insert stream** — 2000 random cost vectors through
 //!   `PlanSet::prune_insert` at 2/6/9 objectives, exact (EXA's `Prune`)
 //!   and at α = 1.5 (RTA's: approximate rejection, exact deletion),
-//! * **Frontier probes and scan steps** — how many dominance probes each
-//!   EXA and RTA row ran (one per costed candidate and one per
-//!   chunk-bound decision, see `moqo_core::dp`), and how many stored plans
-//!   those probes compared (`DpStats::frontier_scan_steps`: each probe
-//!   tests its set's last rejector, then the sorted-prefix cutoff scan), as
-//!   zero-time cells whose checksum is the counter value; if the DP stops
-//!   skipping dominated candidate chunks, the probes move, and if a probe
-//!   stops testing the last rejector first or scans further, the steps do,
+//! * **DP work counters** — how many dominance probes each EXA and RTA
+//!   row ran (one per costed candidate and at most one per chunk-bound
+//!   decision, see `moqo_core::dp`), how many stored plans those probes
+//!   compared (`DpStats::frontier_scan_steps`: each probe tests its set's
+//!   last rejector, then the sorted-prefix cutoff scan), how many
+//!   candidates it costed, and how many chunk-bound decisions it made and
+//!   how many of them rejected, as zero-time cells whose checksum is the
+//!   counter value; if the DP stops skipping dominated candidate chunks,
+//!   the probes and the costed candidates move, and if a probe stops
+//!   testing the last rejector first or scans further, the steps do,
 //! * **EXA** — the exact DP on 6- and 8-table chain join graphs
 //!   (sampling off),
 //! * **EXA, props-aware** — the same chains with sampling scans enabled,
@@ -104,22 +106,27 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Emits the frontier work counters of the DP cell just pushed as
-/// zero-time rows with that cell's parameters, `<row>_probes` and then
-/// `<row>_steps`: the checksum IS the counter, so snapshot diffs surface
-/// any change in how many dominance probes the run made and how many
-/// stored plans they compared. Both counters are deterministic per
-/// workload; the probe cell's `outcome` parameter keeps the cell key the
-/// committed baselines use.
+/// Emits the work counters of the DP cell just pushed as zero-time rows
+/// with that cell's parameters: `<row>_probes`, `<row>_steps`, then
+/// `<row>_costed_candidates`, `<row>_bound_decisions` and
+/// `<row>_bound_rejections`. The checksum IS the counter, so snapshot
+/// diffs surface any change in how many dominance probes the run made,
+/// how many stored plans they compared, how many candidates it costed and
+/// how many chunk-bound decisions it made and rejected. Every counter is
+/// deterministic per workload; the probe cell's `outcome` parameter keeps
+/// the cell key the committed baselines use.
 fn push_work_cells(cells: &mut Vec<Cell>, stats: &DpStats) {
     let timed = cells.last().expect("work cells follow their DP cell");
     let row = timed.name.clone();
-    let mut probe_params = timed.params.clone();
-    let step_params = timed.params.clone();
+    let params = timed.params.clone();
+    let mut probe_params = params.clone();
     probe_params.push(("outcome", "\"scan\"".to_owned()));
     for (suffix, params, count) in [
         ("probes", probe_params, stats.frontier_scan_probes),
-        ("steps", step_params, stats.frontier_scan_steps),
+        ("steps", params.clone(), stats.frontier_scan_steps),
+        ("costed_candidates", params.clone(), stats.costed_candidates),
+        ("bound_decisions", params.clone(), stats.bound_decisions),
+        ("bound_rejections", params, stats.bound_rejections),
     ] {
         let name = format!("{row}_{suffix}");
         let shown: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();

@@ -156,6 +156,19 @@ pub struct DpStats {
     /// deterministic measure of what a change to the hint, the sort order
     /// or the cutoff saves.
     pub frontier_scan_steps: u64,
+    /// Candidates costed and offered to their target's plan set: every
+    /// scan of phase 1, every join candidate no rejected bound skipped,
+    /// and the one plan per table set of the quick-finish path.
+    pub costed_candidates: u64,
+    /// Chunk-bound decisions made: each is one bound join and at most one
+    /// probe (none when the operator applies to no plan of the chunk or
+    /// the target has no group of the bound's order). A decision is made
+    /// again after every insertion into the target, so this counts the
+    /// re-decisions too.
+    pub bound_decisions: u64,
+    /// The [`DpStats::bound_decisions`] that rejected the bound, and with
+    /// it the chunk's candidates for that operator.
+    pub bound_rejections: u64,
     /// Whether the deadline expired and the quick-finish path ran.
     pub timed_out: bool,
 }
@@ -334,10 +347,13 @@ pub fn find_pareto_plans(
                             let skip = chunk.len() > 1
                                 && target.insertions > 0
                                 && decisions.rejected(k, target.insertions, || {
-                                    bound_rejected(
+                                    let rejected = bound_rejected(
                                         model, op, left, bound, &split, &target, &strategy,
                                         objectives,
-                                    )
+                                    );
+                                    stats.bound_decisions += 1;
+                                    stats.bound_rejections += u64::from(rejected);
+                                    rejected
                                 });
                             if skip {
                                 if op_applies(op, key, right_canonical) {
@@ -850,6 +866,7 @@ fn offer_entry(
     objectives: ObjectiveSet,
     stats: &mut DpStats,
 ) {
+    stats.costed_candidates += 1;
     let set = groups.groups.entry(props.order).or_default();
     if set.would_reject(&cost, &props, strategy, objectives) {
         return;
@@ -873,6 +890,7 @@ fn insert_entry(
     objectives: ObjectiveSet,
     stats: &mut DpStats,
 ) {
+    stats.costed_candidates += 1;
     let set = groups.groups.entry(entry.props.order).or_default();
     let before = set.len();
     let inserted = set.prune_insert(entry, strategy, objectives);

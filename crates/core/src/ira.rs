@@ -48,8 +48,9 @@ const MAX_ITERATIONS: u32 = 128;
 #[derive(Debug)]
 pub struct IraResult {
     /// The last iteration's plan set (an `α_last`-approximate Pareto set).
-    /// Its work counters (`considered_plans`, `frontier_scan_probes` and
-    /// `frontier_scan_steps`) are summed over all iterations; the other
+    /// Its work counters (`considered_plans`, `frontier_scan_probes`,
+    /// `frontier_scan_steps`, `costed_candidates`, `bound_decisions` and
+    /// `bound_rejections`) are summed over all iterations; the other
     /// statistics are the last iteration's.
     pub result: DpResult,
     /// The selected plan `popt` — an `α_U`-approximate solution on
@@ -98,6 +99,9 @@ pub fn ira(
         work.considered_plans += result.stats.considered_plans;
         work.frontier_scan_probes += result.stats.frontier_scan_probes;
         work.frontier_scan_steps += result.stats.frontier_scan_steps;
+        work.costed_candidates += result.stats.costed_candidates;
+        work.bound_decisions += result.stats.bound_decisions;
+        work.bound_rejections += result.stats.bound_rejections;
         let best = select_best(&result.final_plans, preference)
             .expect("FindParetoPlans returns at least one plan");
 
@@ -108,6 +112,9 @@ pub fn ira(
             result.stats.considered_plans = work.considered_plans;
             result.stats.frontier_scan_probes = work.frontier_scan_probes;
             result.stats.frontier_scan_steps = work.frontier_scan_steps;
+            result.stats.costed_candidates = work.costed_candidates;
+            result.stats.bound_decisions = work.bound_decisions;
+            result.stats.bound_rejections = work.bound_rejections;
             return IraResult {
                 result,
                 best,

@@ -118,7 +118,9 @@ pub struct RmqResult {
     /// `peak_stored_plans` sums the walker-local front peaks (total
     /// concurrently resident stored plans), `stored_plans` is the merged
     /// front and `max_group_size` is the largest plan set the run held (a
-    /// walker's peak or the merged front).
+    /// walker's peak or the merged front). The DP's candidate-loop
+    /// counters (`costed_candidates`, `bound_decisions`,
+    /// `bound_rejections`) stay 0.
     pub stats: DpStats,
     /// Iterations actually executed across all walkers (may fall short of
     /// the budget on deadline expiry).
@@ -280,6 +282,7 @@ pub fn rmq_warm(
         frontier_scan_probes,
         frontier_scan_steps,
         timed_out: walkers.iter().any(|w| w.timed_out),
+        ..DpStats::default()
     };
 
     debug_assert!(!final_plans.is_empty());

@@ -180,6 +180,7 @@ fn ira_block_counts_the_work_of_every_iteration() {
         )
     };
     let (mut considered, mut probes, mut steps) = (0, 0, 0);
+    let (mut costed, mut decisions, mut rejections) = (0, 0, 0);
     for i in 1..=out.iterations {
         let alpha = ira_precision_schedule(alpha_u, l, i);
         let stats = find_pareto_plans(
@@ -193,10 +194,20 @@ fn ira_block_counts_the_work_of_every_iteration() {
         considered += stats.considered_plans;
         probes += stats.frontier_scan_probes;
         steps += stats.frontier_scan_steps;
+        costed += stats.costed_candidates;
+        decisions += stats.bound_decisions;
+        rejections += stats.bound_rejections;
     }
     assert_eq!(out.result.stats.considered_plans, considered);
     assert_eq!(out.result.stats.frontier_scan_probes, probes);
     assert_eq!(out.result.stats.frontier_scan_steps, steps);
+    assert_eq!(out.result.stats.costed_candidates, costed);
+    assert_eq!(out.result.stats.bound_decisions, decisions);
+    assert_eq!(out.result.stats.bound_rejections, rejections);
+    // Each costed candidate is probed once, and each bound decision at
+    // most once.
+    assert!(costed <= probes && probes <= costed + decisions);
+    assert!(rejections <= decisions && costed <= considered);
 
     // The optimizer's block report carries the same sums.
     let (_, report) = Optimizer::new(&catalog).optimize_block(
