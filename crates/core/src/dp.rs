@@ -33,23 +33,42 @@
 //! masks, here and in the randomized search.
 //!
 //! Most candidates are rejected on arrival, so the candidate loop skips
-//! whole chunks of them. Each right-side order group is cut into chunks of
-//! up to eight consecutive plans, and each chunk gets a lower bound: the
-//! component-wise minimum of its cost vectors, with its minimum rows and the
-//! group's order. Every join formula is monotone in its children's costs and
-//! rows (§6.1), so joining a left plan with the bound costs at most what
-//! joining it with any plan of the chunk costs. When the target rejects that
-//! bound join for an operator, it rejects every candidate of the chunk with
-//! that operator: the incumbent that rejects the bound also passes the
-//! cutoff scan, the α test and the rows cover of each candidate. So those
-//! candidates are counted as considered but neither costed nor probed. A
-//! decision holds only while the target table set stores no new plan; after
-//! an insertion it is made again, so a skipped candidate meets exactly the
-//! stored set that rejected its bound. The candidate order does not change,
-//! so fronts and `considered_plans` are bit-identical to the unskipped loop
-//! at every α and in both prune modes.
+//! whole chunks of them. For each split, each right-side order group is cut
+//! into chunks of up to eight consecutive plans, and each chunk gets a lower
+//! bound: the component-wise minimum of its cost vectors, with its minimum
+//! rows and the group's order. Every join formula is monotone in its
+//! children's costs and rows (§6.1), so joining a left plan with the bound
+//! costs at most what joining it with any plan of the chunk costs. When the
+//! target rejects that bound join for an operator, it rejects every
+//! candidate of the chunk with that operator: the incumbent that rejects the
+//! bound also passes the cutoff scan, the α test and the rows cover of each
+//! candidate. So those candidates are counted as considered but neither
+//! costed nor probed. A decision holds only while the target table set
+//! stores no new plan; after an insertion it is made again, so a skipped
+//! candidate meets exactly the stored set that rejected its bound.
+//!
+//! For each left plan and chunk, the loop then runs as follows:
+//!
+//! * A chunk of one plan is its own bound. [`CostModel::join_costs`] prices
+//!   all ten operators of the pair in one pass, and each applicable one is
+//!   offered to the target.
+//! * A longer chunk makes its decisions lazily, per operator, once the
+//!   target stores a plan (an empty target rejects nothing). The first
+//!   decision prices the bound under all ten operators in one pass; every
+//!   decision and re-decision of the pair reads those prices and probes the
+//!   target at most once. Each candidate whose decision does not reject is
+//!   costed alone with [`CostModel::join_cost`] and offered.
+//! * Once every operator's decision is current and rejected, no candidate
+//!   left in the chunk can be offered, so no insertion can make a decision
+//!   stale: the loop counts the remaining applicable (plan, operator) pairs,
+//!   precomputed with the bound, as considered and leaves the chunk.
+//!
+//! The candidate order does not change, so fronts and `considered_plans`
+//! are bit-identical to a loop that costs and probes every candidate, at
+//! every α and in both prune modes. [`DpStats`] counts the work: costed
+//! candidates, bound decisions and bound rejections.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, ObjectiveSet, Weights};
@@ -145,8 +164,8 @@ pub struct DpStats {
     pub max_group_size: usize,
     /// Every `would_reject` probe, summed over every plan set of the run
     /// (each probe tests its set's last rejector, then scans the sorted
-    /// prefix up to its cutoff): one per costed candidate and one per
-    /// chunk-bound decision. Candidates skipped by a rejected bound are
+    /// prefix up to its cutoff): one per costed candidate and at most one
+    /// per chunk-bound decision. Candidates skipped by a rejected bound are
     /// not probed.
     pub frontier_scan_probes: u64,
     /// The stored plans those probes compared with their candidate, the
@@ -212,15 +231,17 @@ pub struct DpResult {
 
 /// Per-table-set state: one [`PlanSet`] per output order.
 ///
-/// The order index is a `BTreeMap` so entry iteration (and with it the
-/// candidate stream of every superset, the flattened final front, and the
-/// stored sets under *approximate* pruning, which are insertion-order
-/// dependent) is deterministic; a `HashMap`'s per-instance seed made
-/// α > 1 runs irreproducible. Groups per table set are few, so the tree
-/// lookup is not measurable against the prune scans.
+/// The groups are a vector kept sorted by order, so entry iteration (and
+/// with it the candidate stream of every superset, the flattened final
+/// front, and the stored sets under *approximate* pruning, which are
+/// insertion-order dependent) is deterministic: it visits the groups in
+/// the order a `BTreeMap` keyed by order would. A `HashMap`'s per-instance
+/// seed made α > 1 runs irreproducible. A table set has a handful of
+/// orders at most, so a lookup is a short binary search and the walk over
+/// a right side's groups, once per left plan, is a slice walk.
 #[derive(Debug, Default)]
 struct OrderGroups {
-    groups: BTreeMap<SortOrder, PlanSet>,
+    groups: Vec<(SortOrder, PlanSet)>,
     completed: bool,
     /// Plans stored so far, never decremented: a chunk-bound decision made
     /// at one count holds exactly while the count is unchanged.
@@ -228,12 +249,37 @@ struct OrderGroups {
 }
 
 impl OrderGroups {
+    fn sets(&self) -> impl Iterator<Item = &PlanSet> {
+        self.groups.iter().map(|(_, set)| set)
+    }
+
+    /// The group of plans with output order `order`, if any is stored.
+    fn get(&self, order: SortOrder) -> Option<&PlanSet> {
+        self.position(order).map(|i| &self.groups[i].1)
+    }
+
+    /// The group of `order`, inserted empty in its sorted place if absent.
+    fn get_or_insert(&mut self, order: SortOrder) -> &mut PlanSet {
+        let i = self.position(order).unwrap_or_else(|| {
+            let i = self.groups.partition_point(|(o, _)| *o < order);
+            self.groups.insert(i, (order, PlanSet::new()));
+            i
+        });
+        &mut self.groups[i].1
+    }
+
+    /// Where the group of `order` is: a linear scan for equality, which
+    /// beats a binary search's ordered compares on a handful of groups.
+    fn position(&self, order: SortOrder) -> Option<usize> {
+        self.groups.iter().position(|(o, _)| *o == order)
+    }
+
     fn total_plans(&self) -> usize {
-        self.groups.values().map(PlanSet::len).sum()
+        self.sets().map(PlanSet::len).sum()
     }
 
     fn iter_entries(&self) -> impl Iterator<Item = &PlanEntry> {
-        self.groups.values().flat_map(PlanSet::iter)
+        self.sets().flat_map(PlanSet::iter)
     }
 
     fn best_weighted(&self, weights: &Weights) -> Option<PlanEntry> {
@@ -330,25 +376,79 @@ pub fn find_pareto_plans(
             let rights = &table[m2 as usize];
             chunk_bounds(rights, &arena, key, &mut bounds);
             for left in table[m1 as usize].iter_entries() {
-                let chunks = rights
-                    .groups
-                    .values()
-                    .flat_map(|set| set.entries().chunks(CHUNK));
+                let left_pair = (&left.cost, &left.props);
+                let chunks = rights.sets().flat_map(|set| set.entries().chunks(CHUNK));
                 for (chunk, bound) in chunks.zip(&bounds) {
+                    // A chunk of one is its own bound: cost every operator
+                    // of the pair in one pass and offer the applicable ones.
+                    if let [right] = chunk {
+                        if deadline.expired() {
+                            stats.timed_out = true;
+                            break 'mask;
+                        }
+                        let right_canonical = bound.canonical[0];
+                        let joins = model.join_costs(
+                            left_pair,
+                            (&right.cost, &right.props),
+                            &split,
+                            right_canonical,
+                        );
+                        for (op, joined) in JoinOp::ALL.into_iter().zip(&joins) {
+                            debug_assert_eq!(
+                                joined.is_some(),
+                                op_applies(op, key, right_canonical)
+                            );
+                            let Some((cost, props)) = *joined else {
+                                continue;
+                            };
+                            stats.considered_plans += 1;
+                            offer_entry(
+                                &mut target,
+                                cost,
+                                props,
+                                |a| a.join(op, left.plan, right.plan),
+                                &mut arena,
+                                &strategy,
+                                objectives,
+                                &mut stats,
+                            );
+                        }
+                        continue;
+                    }
                     let mut decisions = Decisions::default();
-                    for (right, &right_canonical) in chunk.iter().zip(&bound.canonical) {
+                    // The bound's join under every operator, computed at
+                    // the pair's first decision and read by every decision
+                    // after it.
+                    let mut bound_joins = None;
+                    for (i, (right, &right_canonical)) in
+                        chunk.iter().zip(&bound.canonical).enumerate()
+                    {
+                        if decisions.all_rejected(target.insertions) {
+                            // Nothing left in the chunk can be offered, so
+                            // no insertion can make a decision stale.
+                            stats.considered_plans += bound.applicable_from[i];
+                            break;
+                        }
                         if deadline.expired() {
                             stats.timed_out = true;
                             break 'mask;
                         }
                         for (k, op) in JoinOp::ALL.into_iter().enumerate() {
-                            // A chunk of one is its own bound, and an empty
-                            // target rejects nothing.
-                            let skip = chunk.len() > 1
-                                && target.insertions > 0
+                            // An empty target rejects nothing.
+                            let skip = target.insertions > 0
                                 && decisions.rejected(k, target.insertions, || {
+                                    let joins = bound_joins.get_or_insert_with(|| {
+                                        model.join_costs(
+                                            left_pair,
+                                            (&bound.cost, &bound.props),
+                                            &split,
+                                            bound.canonical.contains(&true),
+                                        )
+                                    });
                                     let rejected = bound_rejected(
-                                        model, op, left, bound, &split, &target, &strategy,
+                                        joins[k].as_ref(),
+                                        &target,
+                                        &strategy,
                                         objectives,
                                     );
                                     stats.bound_decisions += 1;
@@ -363,7 +463,7 @@ pub fn find_pareto_plans(
                             }
                             let combined = model.join_cost(
                                 op,
-                                (&left.cost, &left.props),
+                                left_pair,
                                 (&right.cost, &right.props),
                                 &split,
                                 right_canonical,
@@ -418,7 +518,7 @@ pub fn find_pareto_plans(
 
     // Roll the per-set probe counters up into the run stats — including
     // timed-out and quick-finish sets, whose probes are real work too.
-    for set in table.iter().flat_map(|group| group.groups.values()) {
+    for set in table.iter().flat_map(OrderGroups::sets) {
         stats.frontier_scan_probes += set.probes();
         stats.frontier_scan_steps += set.scan_steps();
     }
@@ -760,6 +860,9 @@ struct ChunkBound {
     props: PlanProps,
     /// Per plan: whether it is the canonical index scan of the split's key.
     canonical: [bool; CHUNK],
+    /// Per plan: the applicable (plan, operator) pairs of that plan and the
+    /// plans after it in the chunk, which a rejected chunk skips at once.
+    applicable_from: [u64; CHUNK],
 }
 
 /// Rebuilds `out` with the bound of every chunk of `rights`, in the order
@@ -772,12 +875,13 @@ fn chunk_bounds(
     out: &mut Vec<ChunkBound>,
 ) {
     out.clear();
-    for set in rights.groups.values() {
+    for set in rights.sets() {
         for chunk in set.entries().chunks(CHUNK) {
             let mut bound = ChunkBound {
                 cost: chunk[0].cost,
                 props: chunk[0].props,
                 canonical: [false; CHUNK],
+                applicable_from: [0; CHUNK],
             };
             for (entry, canonical) in chunk.iter().zip(&mut bound.canonical) {
                 debug_assert!(
@@ -789,6 +893,15 @@ fn chunk_bounds(
                 bound.cost = bound.cost.component_min(&entry.cost);
                 bound.props.rows = bound.props.rows.min(entry.props.rows);
                 *canonical = is_canonical_index_scan(arena, entry, key);
+            }
+            let mut applicable = 0;
+            for i in (0..chunk.len()).rev() {
+                let canonical = bound.canonical[i];
+                applicable += JoinOp::ALL
+                    .into_iter()
+                    .filter(|&op| op_applies(op, key, canonical))
+                    .count() as u64;
+                bound.applicable_from[i] = applicable;
             }
             out.push(bound);
         }
@@ -816,36 +929,29 @@ impl Decisions {
             }
         }
     }
+
+    /// Whether every operator's decision is current at the target's
+    /// insertion count `insertions` and rejected the bound.
+    fn all_rejected(&self, insertions: u64) -> bool {
+        self.0.iter().all(|d| *d == Some((insertions, true)))
+    }
 }
 
-/// Whether the target rejects `op`'s join of `left` with the chunk's lower
-/// bound, and with it every candidate of the chunk (see the module docs).
-/// An operator that applies to no plan of the chunk counts as rejected.
-#[allow(clippy::too_many_arguments)]
+/// Whether the target rejects one operator's join of a left plan with the
+/// chunk's lower bound (`None` when the operator applies to no plan of the
+/// chunk, which counts as rejected), and with it every candidate of the
+/// chunk under that operator (see the module docs).
 fn bound_rejected(
-    model: &CostModel<'_>,
-    op: JoinOp,
-    left: &PlanEntry,
-    bound: &ChunkBound,
-    split: &JoinSplit,
+    joined: Option<&(CostVector, PlanProps)>,
     target: &OrderGroups,
     strategy: &PruneStrategy,
     objectives: ObjectiveSet,
 ) -> bool {
-    let joined = model.join_cost(
-        op,
-        (&left.cost, &left.props),
-        (&bound.cost, &bound.props),
-        split,
-        bound.canonical.contains(&true),
-    );
-    let Some((cost, props)) = joined else {
-        return true;
-    };
-    target
-        .groups
-        .get(&props.order)
-        .is_some_and(|set| set.would_reject(&cost, &props, strategy, objectives))
+    joined.is_none_or(|(cost, props)| {
+        target
+            .get(props.order)
+            .is_some_and(|set| set.would_reject(cost, props, strategy, objectives))
+    })
 }
 
 /// Offers a costed candidate to the right order group, building its arena
@@ -867,17 +973,17 @@ fn offer_entry(
     stats: &mut DpStats,
 ) {
     stats.costed_candidates += 1;
-    let set = groups.groups.entry(props.order).or_default();
+    let set = groups.get_or_insert(props.order);
     if set.would_reject(&cost, &props, strategy, objectives) {
         return;
     }
     let plan = build_plan(arena);
     let deleted = set.insert_unrejected(PlanEntry { cost, props, plan }, strategy, objectives);
-    groups.insertions += 1;
     stats.on_stored_delta(true, deleted);
     if set.len() > stats.max_group_size {
         stats.max_group_size = set.len();
     }
+    groups.insertions += 1;
 }
 
 /// Inserts a pre-built entry into the right order group, maintaining
@@ -891,7 +997,7 @@ fn insert_entry(
     stats: &mut DpStats,
 ) {
     stats.costed_candidates += 1;
-    let set = groups.groups.entry(entry.props.order).or_default();
+    let set = groups.get_or_insert(entry.props.order);
     let before = set.len();
     let inserted = set.prune_insert(entry, strategy, objectives);
     let after = set.len();
@@ -1176,6 +1282,19 @@ mod tests {
             "one decision per operator"
         );
         assert_eq!(made, 3);
+    }
+
+    #[test]
+    fn a_chunk_is_left_only_when_every_decision_is_current_and_rejected() {
+        let mut decisions = Decisions::default();
+        assert!(!decisions.all_rejected(0), "no decision made yet");
+        for k in 0..JoinOp::ALL.len() {
+            assert!(decisions.rejected(k, 2, || true));
+        }
+        assert!(decisions.all_rejected(2));
+        assert!(!decisions.all_rejected(3), "stale after an insertion");
+        assert!(!decisions.rejected(9, 3, || false));
+        assert!(!decisions.all_rejected(3), "one operator passes");
     }
 
     #[test]

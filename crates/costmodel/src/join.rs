@@ -6,10 +6,12 @@
 //! parallelism and all cardinality-derived quantities are constants of the
 //! operator configuration, not functions of child costs.
 
+use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, Objective};
 use moqo_plan::{JoinOp, PlanProps, SortOrder};
 
 use crate::model::{combine_tuple_loss, CostModel};
+use crate::params::CostModelParams;
 
 /// The equi-join predicate used by a join, normalized so that `left_*`
 /// refers to the outer input and `right_*` to the inner input.
@@ -77,6 +79,9 @@ impl<'a> CostModel<'a> {
     /// index-nested-loop joins require an equi-join predicate, and
     /// index-nested-loop additionally requires an indexed inner base
     /// relation accessed by its canonical index scan.
+    ///
+    /// Computes only `op`'s own family of terms; [`CostModel::join_costs`]
+    /// prices all ten operators of one plan pair from the same helpers.
     #[must_use]
     pub fn join_cost(
         &self,
@@ -88,218 +93,82 @@ impl<'a> CostModel<'a> {
     ) -> Option<(CostVector, PlanProps)> {
         let (lc, lp) = left;
         let (rc, rp) = right;
-        debug_assert_eq!(lp.rels & rp.rels, 0, "operand rel sets must be disjoint");
-
-        let key = split.key.as_ref();
-        let out_rels = lp.rels | rp.rels;
-        let out_rows = (lp.rows * rp.rows * split.selectivity).max(1.0);
-        let loss = combine_tuple_loss(lc.get(Objective::TupleLoss), rc.get(Objective::TupleLoss));
-        let sampling_factor = lp.sampling_factor * rp.sampling_factor;
-
+        let p = self.params;
+        let out = JoinOutput::new(lc, lp, rc, rp, split);
         let (cost, order) = match op {
             JoinOp::HashJoin { dop } => {
-                key?;
-                (
-                    self.hash_join(dop, lc, lp, rc, rp, out_rows),
-                    SortOrder::None,
-                )
+                split.key?;
+                let hash = HashTerms::new(p, lp, rp, out.rows);
+                (hash.cost(p, dop, lc, rc), SortOrder::None)
             }
             JoinOp::SortMergeJoin { dop } => {
-                let key = key?;
-                let order = key.outer_order();
-                (self.merge_join(dop, key, lc, lp, rc, rp, out_rows), order)
+                let merge = MergeTerms::new(p, split.key.as_ref()?, lp, rp, out.rows);
+                (merge.cost(p, dop, lc, rc), merge.order)
             }
             JoinOp::IndexNestedLoop => {
-                let key = key?;
-                if !key.inner_indexed || !right_is_canonical_index_scan || rp.rels.count_ones() != 1
-                {
-                    return None;
+                let key = index_nl_key(split, rp, right_is_canonical_index_scan)?;
+                (self.index_nl_join(key, lc, lp, out.rows), lp.order)
+            }
+            JoinOp::NestedLoop => (nested_loop(p, lc, lp, rc, rp, out.rows), lp.order),
+        };
+        Some(out.finish(cost, order, split))
+    }
+
+    /// [`CostModel::join_cost`] of every operator of [`JoinOp::ALL`], in
+    /// that order, for one plan pair: entry `k` equals
+    /// `join_cost(JoinOp::ALL[k], ..)` bit for bit, `None` included.
+    ///
+    /// What the operators share is computed once: the output rows, the
+    /// tuple loss and the sampling factor; the hash join's build and probe
+    /// work and its spill; and each side's sort CPU (with its `log2`),
+    /// spill and buffer. Each operator then adds only what its degree of
+    /// parallelism changes. Callers that need every operator of a pair (the
+    /// DP's chunk bounds and its one-plan chunks) pay for one pass instead
+    /// of ten.
+    #[must_use]
+    pub fn join_costs(
+        &self,
+        left: (&CostVector, &PlanProps),
+        right: (&CostVector, &PlanProps),
+        split: &JoinSplit,
+        right_is_canonical_index_scan: bool,
+    ) -> [Option<(CostVector, PlanProps)>; JoinOp::ALL.len()] {
+        let (lc, lp) = left;
+        let (rc, rp) = right;
+        let p = self.params;
+        let out = JoinOutput::new(lc, lp, rc, rp, split);
+        let keyed = split.key.as_ref().map(|key| {
+            (
+                HashTerms::new(p, lp, rp, out.rows),
+                MergeTerms::new(p, key, lp, rp, out.rows),
+            )
+        });
+        let index_nl = index_nl_key(split, rp, right_is_canonical_index_scan);
+        let mut costs = [None; JoinOp::ALL.len()];
+        for (slot, op) in costs.iter_mut().zip(JoinOp::ALL) {
+            let (cost, order) = match (op, &keyed, index_nl) {
+                (JoinOp::HashJoin { dop }, Some((hash, _)), _) => {
+                    (hash.cost(p, dop, lc, rc), SortOrder::None)
                 }
-                (self.index_nl_join(key, lc, lp, out_rows), lp.order)
-            }
-            JoinOp::NestedLoop => (self.nested_loop(lc, lp, rc, rp, out_rows), lp.order),
-        };
-
-        let mut cost = cost;
-        cost.set(Objective::TupleLoss, loss);
-        let props = PlanProps {
-            rels: out_rels,
-            rows: out_rows,
-            width: split.width,
-            order,
-            sampling_factor,
-        };
-        Some((cost, props))
-    }
-
-    /// Hash join: build a hash table on the inner input (blocking), probe
-    /// with the outer input (pipelined). Inputs are generated in parallel
-    /// branches.
-    fn hash_join(
-        &self,
-        dop: u8,
-        lc: &CostVector,
-        lp: &PlanProps,
-        rc: &CostVector,
-        rp: &PlanProps,
-        out_rows: f64,
-    ) -> CostVector {
-        let p = self.params;
-        let hash_bytes = rp.rows * (rp.width + p.hash_entry_overhead);
-        let in_mem_bytes = hash_bytes.min(p.work_mem_bytes);
-        let spill_bytes = (hash_bytes - p.work_mem_bytes).max(0.0);
-        let spill_pages = spill_bytes / p.page_bytes;
-
-        let build_cpu = rp.rows * p.hash_build_cost;
-        let probe_cpu = lp.rows * p.hash_probe_cost + out_rows * p.cpu_tuple_cost;
-        let own_cpu = build_cpu + probe_cpu;
-        let own_io = 2.0 * spill_pages; // write + re-read spilled partitions
-
-        let build_time = p.parallel_time(build_cpu + spill_pages * p.seq_page_cost, dop);
-        let probe_time = p.parallel_time(probe_cpu + spill_pages * p.seq_page_cost, dop);
-
-        let mut c = CostVector::zero();
-        c.set(
-            Objective::TotalTime,
-            lc.get(Objective::TotalTime)
-                .max(rc.get(Objective::TotalTime) + build_time)
-                + probe_time,
-        );
-        c.set(
-            Objective::StartupTime,
-            lc.get(Objective::StartupTime)
-                .max(rc.get(Objective::TotalTime) + build_time),
-        );
-        c.set(
-            Objective::IoLoad,
-            lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + own_io,
-        );
-        c.set(
-            Objective::CpuLoad,
-            lc.get(Objective::CpuLoad)
-                + rc.get(Objective::CpuLoad)
-                + own_cpu * p.cpu_overhead_factor(dop),
-        );
-        c.set(
-            Objective::UsedCores,
-            (lc.get(Objective::UsedCores) + rc.get(Objective::UsedCores)).max(f64::from(dop)),
-        );
-        c.set(
-            Objective::DiskFootprint,
-            lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + spill_bytes,
-        );
-        c.set(
-            Objective::BufferFootprint,
-            lc.get(Objective::BufferFootprint)
-                + rc.get(Objective::BufferFootprint)
-                + in_mem_bytes
-                + p.scan_buffer_bytes,
-        );
-        c.set(
-            Objective::Energy,
-            lc.get(Objective::Energy)
-                + rc.get(Objective::Energy)
-                + (own_cpu * p.energy_per_cpu_unit + own_io * p.energy_per_io_page)
-                    * p.energy_overhead_factor(dop),
-        );
-        c
-    }
-
-    /// Sort-merge join: sort inputs lacking the merge order (blocking),
-    /// then merge. Inputs are generated and sorted in parallel branches —
-    /// the paper's `max(t_L, t_R) + t_M` example formula (§6.1).
-    #[allow(clippy::too_many_arguments)]
-    fn merge_join(
-        &self,
-        dop: u8,
-        key: &JoinKey,
-        lc: &CostVector,
-        lp: &PlanProps,
-        rc: &CostVector,
-        rp: &PlanProps,
-        out_rows: f64,
-    ) -> CostVector {
-        let p = self.params;
-        let sort_side = |rows: f64, width: f64, needed: bool| -> (f64, f64, f64, f64) {
-            // (cpu_work, time, spill_bytes, buffer_bytes)
-            if !needed {
-                return (0.0, 0.0, 0.0, 0.0);
-            }
-            let cpu = rows * rows.max(2.0).log2() * p.sort_cmp_cost;
-            let bytes = rows * width;
-            let spill = (bytes - p.work_mem_bytes).max(0.0);
-            let spill_pages = spill / p.page_bytes;
-            let time = p.parallel_time(cpu + 2.0 * spill_pages * p.seq_page_cost, dop);
-            (cpu, time, spill, bytes.min(p.work_mem_bytes))
-        };
-
-        let sort_l = lp.order != key.outer_order();
-        let sort_r = rp.order != key.inner_order();
-        let (l_cpu, l_time, l_spill, l_buf) = sort_side(lp.rows, lp.width, sort_l);
-        let (r_cpu, r_time, r_spill, r_buf) = sort_side(rp.rows, rp.width, sort_r);
-
-        let merge_cpu = (lp.rows + rp.rows) * p.cpu_operator_cost + out_rows * p.cpu_tuple_cost;
-        let own_cpu = (l_cpu + r_cpu) * p.cpu_overhead_factor(dop) + merge_cpu;
-        let own_io = 2.0 * (l_spill + r_spill) / p.page_bytes;
-
-        // A sorted side is "ready" for merging once generated and sorted;
-        // an already-sorted side is ready at its startup time (pipelined).
-        let l_ready = if sort_l {
-            lc.get(Objective::TotalTime) + l_time
-        } else {
-            lc.get(Objective::StartupTime)
-        };
-        let r_ready = if sort_r {
-            rc.get(Objective::TotalTime) + r_time
-        } else {
-            rc.get(Objective::StartupTime)
-        };
-
-        let mut c = CostVector::zero();
-        c.set(
-            Objective::TotalTime,
-            (lc.get(Objective::TotalTime) + l_time).max(rc.get(Objective::TotalTime) + r_time)
-                + merge_cpu,
-        );
-        c.set(Objective::StartupTime, l_ready.max(r_ready));
-        c.set(
-            Objective::IoLoad,
-            lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + own_io,
-        );
-        c.set(
-            Objective::CpuLoad,
-            lc.get(Objective::CpuLoad) + rc.get(Objective::CpuLoad) + own_cpu,
-        );
-        c.set(
-            Objective::UsedCores,
-            (lc.get(Objective::UsedCores) + rc.get(Objective::UsedCores)).max(f64::from(dop)),
-        );
-        c.set(
-            Objective::DiskFootprint,
-            lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + l_spill + r_spill,
-        );
-        c.set(
-            Objective::BufferFootprint,
-            lc.get(Objective::BufferFootprint)
-                + rc.get(Objective::BufferFootprint)
-                + l_buf
-                + r_buf
-                + p.scan_buffer_bytes,
-        );
-        c.set(
-            Objective::Energy,
-            lc.get(Objective::Energy)
-                + rc.get(Objective::Energy)
-                + (own_cpu * p.energy_per_cpu_unit + own_io * p.energy_per_io_page)
-                    * p.energy_overhead_factor(dop),
-        );
-        c
+                (JoinOp::SortMergeJoin { dop }, Some((_, merge)), _) => {
+                    (merge.cost(p, dop, lc, rc), merge.order)
+                }
+                (JoinOp::IndexNestedLoop, _, Some(key)) => {
+                    (self.index_nl_join(key, lc, lp, out.rows), lp.order)
+                }
+                (JoinOp::NestedLoop, _, _) => (nested_loop(p, lc, lp, rc, rp, out.rows), lp.order),
+                _ => continue,
+            };
+            *slot = Some(out.finish(cost, order, split));
+        }
+        costs
     }
 
     /// Index-nested-loop join: stream the outer input, probe the inner base
     /// relation's index per outer tuple. The inner child plan is *replaced*
     /// by index probes, so only catalog constants of the inner relation
     /// enter the formula (keeps the formula monotone in child costs).
+    #[inline]
     fn index_nl_join(
         &self,
         key: &JoinKey,
@@ -344,40 +213,269 @@ impl<'a> CostModel<'a> {
         );
         c
     }
+}
 
-    /// Plain nested-loop join with a materialized inner input; the only
-    /// operator applicable without an equi-join predicate.
-    fn nested_loop(
-        &self,
+/// What every operator's join of one plan pair shares: the output's
+/// relations and rows, its tuple loss and its sampling factor.
+struct JoinOutput {
+    rels: RelMask,
+    rows: f64,
+    loss: f64,
+    sampling_factor: f64,
+}
+
+impl JoinOutput {
+    #[inline]
+    fn new(
         lc: &CostVector,
         lp: &PlanProps,
         rc: &CostVector,
         rp: &PlanProps,
-        out_rows: f64,
-    ) -> CostVector {
-        let p = self.params;
-        let mat_bytes = rp.rows * rp.width;
-        let spill_bytes = (mat_bytes - p.work_mem_bytes).max(0.0);
-        // The inner is written once and re-read per outer tuple when spilled.
-        let own_io = (spill_bytes / p.page_bytes) * (1.0 + lp.rows.clamp(1.0, 100.0));
-        let own_cpu = lp.rows * rp.rows * p.cpu_operator_cost
-            + out_rows * p.cpu_tuple_cost
-            + rp.rows * p.cpu_tuple_cost;
-        let own_time = own_cpu + own_io * p.seq_page_cost;
+        split: &JoinSplit,
+    ) -> Self {
+        debug_assert_eq!(lp.rels & rp.rels, 0, "operand rel sets must be disjoint");
+        JoinOutput {
+            rels: lp.rels | rp.rels,
+            rows: (lp.rows * rp.rows * split.selectivity).max(1.0),
+            loss: combine_tuple_loss(lc.get(Objective::TupleLoss), rc.get(Objective::TupleLoss)),
+            sampling_factor: lp.sampling_factor * rp.sampling_factor,
+        }
+    }
+
+    /// An operator's cost with the shared tuple loss set, and the output
+    /// properties in `order`.
+    #[inline]
+    fn finish(
+        &self,
+        mut cost: CostVector,
+        order: SortOrder,
+        split: &JoinSplit,
+    ) -> (CostVector, PlanProps) {
+        cost.set(Objective::TupleLoss, self.loss);
+        let props = PlanProps {
+            rels: self.rels,
+            rows: self.rows,
+            width: split.width,
+            order,
+            sampling_factor: self.sampling_factor,
+        };
+        (cost, props)
+    }
+}
+
+/// The split's key when the index-nested-loop join applies: the key's
+/// inner column is indexed and the inner child is its canonical index scan
+/// of a single base relation.
+#[inline]
+fn index_nl_key<'s>(
+    split: &'s JoinSplit,
+    rp: &PlanProps,
+    right_is_canonical_index_scan: bool,
+) -> Option<&'s JoinKey> {
+    split.key.as_ref().filter(|key| {
+        key.inner_indexed && right_is_canonical_index_scan && rp.rels.count_ones() == 1
+    })
+}
+
+/// Hash join: build a hash table on the inner input (blocking), probe with
+/// the outer input (pipelined). Inputs are generated in parallel branches.
+/// These are the terms that do not depend on the degree of parallelism.
+struct HashTerms {
+    in_mem_bytes: f64,
+    spill_bytes: f64,
+    /// Build and probe work, spill reads included, before parallelizing.
+    build_work: f64,
+    probe_work: f64,
+    own_cpu: f64,
+    own_io: f64,
+}
+
+impl HashTerms {
+    #[inline]
+    fn new(p: &CostModelParams, lp: &PlanProps, rp: &PlanProps, out_rows: f64) -> Self {
+        let hash_bytes = rp.rows * (rp.width + p.hash_entry_overhead);
+        let spill_bytes = (hash_bytes - p.work_mem_bytes).max(0.0);
+        let spill_pages = spill_bytes / p.page_bytes;
+        let build_cpu = rp.rows * p.hash_build_cost;
+        let probe_cpu = lp.rows * p.hash_probe_cost + out_rows * p.cpu_tuple_cost;
+        HashTerms {
+            in_mem_bytes: hash_bytes.min(p.work_mem_bytes),
+            spill_bytes,
+            build_work: build_cpu + spill_pages * p.seq_page_cost,
+            probe_work: probe_cpu + spill_pages * p.seq_page_cost,
+            own_cpu: build_cpu + probe_cpu,
+            own_io: 2.0 * spill_pages, // write + re-read spilled partitions
+        }
+    }
+
+    /// The hash join's cost at degree of parallelism `dop`.
+    #[inline]
+    fn cost(&self, p: &CostModelParams, dop: u8, lc: &CostVector, rc: &CostVector) -> CostVector {
+        let build_time = p.parallel_time(self.build_work, dop);
+        let probe_time = p.parallel_time(self.probe_work, dop);
 
         let mut c = CostVector::zero();
         c.set(
             Objective::TotalTime,
-            lc.get(Objective::TotalTime) + rc.get(Objective::TotalTime) + own_time,
+            lc.get(Objective::TotalTime)
+                .max(rc.get(Objective::TotalTime) + build_time)
+                + probe_time,
         );
         c.set(
             Objective::StartupTime,
             lc.get(Objective::StartupTime)
-                .max(rc.get(Objective::TotalTime)),
+                .max(rc.get(Objective::TotalTime) + build_time),
         );
         c.set(
             Objective::IoLoad,
-            lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + own_io,
+            lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + self.own_io,
+        );
+        c.set(
+            Objective::CpuLoad,
+            lc.get(Objective::CpuLoad)
+                + rc.get(Objective::CpuLoad)
+                + self.own_cpu * p.cpu_overhead_factor(dop),
+        );
+        c.set(
+            Objective::UsedCores,
+            (lc.get(Objective::UsedCores) + rc.get(Objective::UsedCores)).max(f64::from(dop)),
+        );
+        c.set(
+            Objective::DiskFootprint,
+            lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + self.spill_bytes,
+        );
+        c.set(
+            Objective::BufferFootprint,
+            lc.get(Objective::BufferFootprint)
+                + rc.get(Objective::BufferFootprint)
+                + self.in_mem_bytes
+                + p.scan_buffer_bytes,
+        );
+        c.set(
+            Objective::Energy,
+            lc.get(Objective::Energy)
+                + rc.get(Objective::Energy)
+                + (self.own_cpu * p.energy_per_cpu_unit + self.own_io * p.energy_per_io_page)
+                    * p.energy_overhead_factor(dop),
+        );
+        c
+    }
+}
+
+/// One input's sort for a sort-merge join, the terms that do not depend on
+/// the degree of parallelism; all zero when the input already has the
+/// merge order.
+struct SortSide {
+    needed: bool,
+    cpu: f64,
+    /// Sort CPU plus writing and re-reading the spilled runs.
+    work: f64,
+    spill: f64,
+    buffer: f64,
+}
+
+impl SortSide {
+    #[inline]
+    fn new(p: &CostModelParams, props: &PlanProps, needed: bool) -> Self {
+        if !needed {
+            return SortSide {
+                needed,
+                cpu: 0.0,
+                work: 0.0,
+                spill: 0.0,
+                buffer: 0.0,
+            };
+        }
+        let rows = props.rows;
+        let cpu = rows * rows.max(2.0).log2() * p.sort_cmp_cost;
+        let bytes = rows * props.width;
+        let spill = (bytes - p.work_mem_bytes).max(0.0);
+        let spill_pages = spill / p.page_bytes;
+        SortSide {
+            needed,
+            cpu,
+            work: cpu + 2.0 * spill_pages * p.seq_page_cost,
+            spill,
+            buffer: bytes.min(p.work_mem_bytes),
+        }
+    }
+
+    /// Wall time of the sort at degree of parallelism `dop`.
+    #[inline]
+    fn time(&self, p: &CostModelParams, dop: u8) -> f64 {
+        if self.needed {
+            p.parallel_time(self.work, dop)
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Sort-merge join: sort inputs lacking the merge order (blocking), then
+/// merge. Inputs are generated and sorted in parallel branches — the
+/// paper's `max(t_L, t_R) + t_M` example formula (§6.1). These are the
+/// terms that do not depend on the degree of parallelism.
+struct MergeTerms {
+    /// The output order: the outer merge key.
+    order: SortOrder,
+    left: SortSide,
+    right: SortSide,
+    merge_cpu: f64,
+    own_io: f64,
+}
+
+impl MergeTerms {
+    #[inline]
+    fn new(
+        p: &CostModelParams,
+        key: &JoinKey,
+        lp: &PlanProps,
+        rp: &PlanProps,
+        out_rows: f64,
+    ) -> Self {
+        let order = key.outer_order();
+        let left = SortSide::new(p, lp, lp.order != order);
+        let right = SortSide::new(p, rp, rp.order != key.inner_order());
+        MergeTerms {
+            order,
+            merge_cpu: (lp.rows + rp.rows) * p.cpu_operator_cost + out_rows * p.cpu_tuple_cost,
+            own_io: 2.0 * (left.spill + right.spill) / p.page_bytes,
+            left,
+            right,
+        }
+    }
+
+    /// The sort-merge join's cost at degree of parallelism `dop`.
+    #[inline]
+    fn cost(&self, p: &CostModelParams, dop: u8, lc: &CostVector, rc: &CostVector) -> CostVector {
+        let (l, r) = (&self.left, &self.right);
+        let l_time = l.time(p, dop);
+        let r_time = r.time(p, dop);
+        let own_cpu = (l.cpu + r.cpu) * p.cpu_overhead_factor(dop) + self.merge_cpu;
+
+        // A sorted side is "ready" for merging once generated and sorted;
+        // an already-sorted side is ready at its startup time (pipelined).
+        let l_ready = if l.needed {
+            lc.get(Objective::TotalTime) + l_time
+        } else {
+            lc.get(Objective::StartupTime)
+        };
+        let r_ready = if r.needed {
+            rc.get(Objective::TotalTime) + r_time
+        } else {
+            rc.get(Objective::StartupTime)
+        };
+
+        let mut c = CostVector::zero();
+        c.set(
+            Objective::TotalTime,
+            (lc.get(Objective::TotalTime) + l_time).max(rc.get(Objective::TotalTime) + r_time)
+                + self.merge_cpu,
+        );
+        c.set(Objective::StartupTime, l_ready.max(r_ready));
+        c.set(
+            Objective::IoLoad,
+            lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + self.own_io,
         );
         c.set(
             Objective::CpuLoad,
@@ -385,29 +483,93 @@ impl<'a> CostModel<'a> {
         );
         c.set(
             Objective::UsedCores,
-            lc.get(Objective::UsedCores)
-                .max(rc.get(Objective::UsedCores)),
+            (lc.get(Objective::UsedCores) + rc.get(Objective::UsedCores)).max(f64::from(dop)),
         );
         c.set(
             Objective::DiskFootprint,
-            lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + spill_bytes,
+            lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + l.spill + r.spill,
         );
         c.set(
             Objective::BufferFootprint,
             lc.get(Objective::BufferFootprint)
                 + rc.get(Objective::BufferFootprint)
-                + mat_bytes.min(p.work_mem_bytes)
+                + l.buffer
+                + r.buffer
                 + p.scan_buffer_bytes,
         );
         c.set(
             Objective::Energy,
             lc.get(Objective::Energy)
                 + rc.get(Objective::Energy)
-                + own_cpu * p.energy_per_cpu_unit
-                + own_io * p.energy_per_io_page,
+                + (own_cpu * p.energy_per_cpu_unit + self.own_io * p.energy_per_io_page)
+                    * p.energy_overhead_factor(dop),
         );
         c
     }
+}
+
+/// Plain nested-loop join with a materialized inner input; the only
+/// operator applicable without an equi-join predicate.
+#[inline]
+fn nested_loop(
+    p: &CostModelParams,
+    lc: &CostVector,
+    lp: &PlanProps,
+    rc: &CostVector,
+    rp: &PlanProps,
+    out_rows: f64,
+) -> CostVector {
+    let mat_bytes = rp.rows * rp.width;
+    let spill_bytes = (mat_bytes - p.work_mem_bytes).max(0.0);
+    // The inner is written once and re-read per outer tuple when spilled.
+    let own_io = (spill_bytes / p.page_bytes) * (1.0 + lp.rows.clamp(1.0, 100.0));
+    let own_cpu = lp.rows * rp.rows * p.cpu_operator_cost
+        + out_rows * p.cpu_tuple_cost
+        + rp.rows * p.cpu_tuple_cost;
+    let own_time = own_cpu + own_io * p.seq_page_cost;
+
+    let mut c = CostVector::zero();
+    c.set(
+        Objective::TotalTime,
+        lc.get(Objective::TotalTime) + rc.get(Objective::TotalTime) + own_time,
+    );
+    c.set(
+        Objective::StartupTime,
+        lc.get(Objective::StartupTime)
+            .max(rc.get(Objective::TotalTime)),
+    );
+    c.set(
+        Objective::IoLoad,
+        lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + own_io,
+    );
+    c.set(
+        Objective::CpuLoad,
+        lc.get(Objective::CpuLoad) + rc.get(Objective::CpuLoad) + own_cpu,
+    );
+    c.set(
+        Objective::UsedCores,
+        lc.get(Objective::UsedCores)
+            .max(rc.get(Objective::UsedCores)),
+    );
+    c.set(
+        Objective::DiskFootprint,
+        lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + spill_bytes,
+    );
+    c.set(
+        Objective::BufferFootprint,
+        lc.get(Objective::BufferFootprint)
+            + rc.get(Objective::BufferFootprint)
+            + mat_bytes.min(p.work_mem_bytes)
+            + p.scan_buffer_bytes,
+    );
+    c.set(
+        Objective::Energy,
+        lc.get(Objective::Energy)
+            + rc.get(Objective::Energy)
+            + own_cpu * p.energy_per_cpu_unit
+            + own_io * p.energy_per_io_page,
+    );
+    c
 }
 
 #[cfg(test)]
