@@ -9,7 +9,8 @@
 //! setting of the paper's proof by structural induction over {sum, max,
 //! min, ×const} formulas plus the tuple-loss composition. A separate
 //! property lets rows grow too: every formula is monotone in the children's
-//! costs and rows, which the DP's chunk bounds rely on.
+//! costs and rows, which the DP's chunk bounds rely on. Another holds the
+//! one-pass `join_costs` to the per-operator `join_cost`, bit for bit.
 
 use moqo_catalog::{subset_width, Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
 use moqo_cost::{approx_dominates, CostVector, Objective, ObjectiveSet, NUM_OBJECTIVES};
@@ -273,6 +274,106 @@ proptest! {
             }
             prop_assert!(lo_props.rows <= hi_props.rows, "{op}: output rows");
             prop_assert_eq!(lo_props.order, hi_props.order, "{} output order", op);
+        }
+    }
+
+    /// `join_costs` prices every operator of a plan pair in one pass; entry
+    /// `k` must equal `join_cost(JoinOp::ALL[k], ..)` bit for bit, in the
+    /// nine costs, in the output properties and in inapplicability. The
+    /// children are sorted on their merge order, on the other key or not at
+    /// all, their rows span both sides of `work_mem` (so sorts, hash
+    /// builds and materializations spill or not), and each side may be
+    /// sampled; the split may lack a key, its inner column may be indexed
+    /// or not, and the inner plan may be canonical or not, on one base
+    /// relation or several.
+    #[test]
+    fn join_costs_equals_join_cost_bit_for_bit(
+        lc in arb_child_cost(),
+        rc in arb_child_cost(),
+        rows in (0.0f64..6.5, 0.0f64..6.5, 1e-7f64..1.0),
+        widths in (1.0f64..400.0, 1.0f64..400.0, 1.0f64..600.0),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        order_picks in (0u8..3, 0u8..3),
+        sampled in (any::<bool>(), any::<bool>(), 0.01f64..1.0, 0.01f64..1.0),
+    ) {
+        let (params, cat, graph) = setup();
+        let model = CostModel::new(&params, &cat, &graph);
+        // Rows from 1 to about 3·10⁶, log-uniform.
+        let (lrows_exp, rrows_exp, selectivity) = rows;
+        let (lwidth, rwidth, width) = widths;
+        let (keyed, inner_indexed, canonical, right_multi) = flags;
+        let (l_sampled, r_sampled, l_rate, r_rate) = sampled;
+        let k = JoinKey { inner_indexed, ..key() };
+        let split = JoinSplit {
+            key: keyed.then_some(k),
+            selectivity,
+            width,
+        };
+        let order = |pick: u8, merge: SortOrder, other: SortOrder| match pick {
+            0 => SortOrder::None,
+            1 => merge,
+            _ => other,
+        };
+        let props = |rels: u32, rows_exp: f64, width: f64, order: SortOrder, rate: Option<f64>| {
+            PlanProps {
+                rels,
+                rows: 10f64.powf(rows_exp),
+                width,
+                order,
+                sampling_factor: rate.unwrap_or(1.0),
+            }
+        };
+        let (l_order_pick, r_order_pick) = order_picks;
+        let lp = props(
+            0b001,
+            lrows_exp,
+            lwidth,
+            order(l_order_pick, k.outer_order(), k.inner_order()),
+            l_sampled.then_some(l_rate),
+        );
+        let rp = props(
+            if right_multi { 0b110 } else { 0b010 },
+            rrows_exp,
+            rwidth,
+            order(r_order_pick, k.inner_order(), k.outer_order()),
+            r_sampled.then_some(r_rate),
+        );
+        let loss = |c: &CostVector, rate: Option<f64>| {
+            let mut a = *c.as_array();
+            a[Objective::TupleLoss.index()] = rate.map_or(0.0, |r| 1.0 - r);
+            CostVector::from_array(a)
+        };
+        let lc = loss(&lc, l_sampled.then_some(l_rate));
+        let rc = loss(&rc, r_sampled.then_some(r_rate));
+
+        let all = model.join_costs((&lc, &lp), (&rc, &rp), &split, canonical);
+        for (op, batched) in JoinOp::ALL.into_iter().zip(all) {
+            let alone = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split, canonical);
+            prop_assert_eq!(batched.is_some(), alone.is_some(), "{} applicability", op);
+            let (Some((bc, bp)), Some((ac, ap))) = (batched, alone) else {
+                continue;
+            };
+            for o in Objective::ALL {
+                prop_assert_eq!(
+                    bc.get(o).to_bits(),
+                    ac.get(o).to_bits(),
+                    "{}: objective {} differs: {} batched, {} alone",
+                    op,
+                    o,
+                    bc.get(o),
+                    ac.get(o)
+                );
+            }
+            prop_assert_eq!(bp.rels, ap.rels, "{} rels", op);
+            prop_assert_eq!(bp.rows.to_bits(), ap.rows.to_bits(), "{} rows", op);
+            prop_assert_eq!(bp.width.to_bits(), ap.width.to_bits(), "{} width", op);
+            prop_assert_eq!(bp.order, ap.order, "{} order", op);
+            prop_assert_eq!(
+                bp.sampling_factor.to_bits(),
+                ap.sampling_factor.to_bits(),
+                "{} sampling factor",
+                op
+            );
         }
     }
 
