@@ -56,7 +56,7 @@ use rand::{Rng, SeedableRng};
 
 /// The ledger entry a full snapshot is committed as: the `"pr"` stamp and
 /// the `N` of the default output `BENCH_pr<N>.json`.
-const LEDGER_ENTRY: u32 = 29;
+const LEDGER_ENTRY: u32 = 30;
 
 struct Cell {
     name: String,

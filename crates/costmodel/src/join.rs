@@ -5,6 +5,15 @@
 //! of near-optimality holds per operator (paper §6.1). The degree of
 //! parallelism and all cardinality-derived quantities are constants of the
 //! operator configuration, not functions of child costs.
+//!
+//! Each operator family has one helper that holds its terms independent of
+//! the degree of parallelism ([`HashTerms`], [`MergeTerms`] with a
+//! [`SortSide`] per input) and prices one degree from them; the
+//! index-nested-loop and nested-loop formulas have no degree. The output
+//! rows, tuple loss and sampling factor every operator shares are a
+//! [`JoinOutput`]. [`CostModel::join_cost`] builds only its operator's
+//! family, and [`CostModel::join_costs`] builds each family once and prices
+//! all ten operators of a plan pair, so both read the same formulas.
 
 use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, Objective};
