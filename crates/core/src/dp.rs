@@ -379,42 +379,6 @@ pub fn find_pareto_plans(
                 let left_pair = (&left.cost, &left.props);
                 let chunks = rights.sets().flat_map(|set| set.entries().chunks(CHUNK));
                 for (chunk, bound) in chunks.zip(&bounds) {
-                    // A chunk of one is its own bound: cost every operator
-                    // of the pair in one pass and offer the applicable ones.
-                    if let [right] = chunk {
-                        if deadline.expired() {
-                            stats.timed_out = true;
-                            break 'mask;
-                        }
-                        let right_canonical = bound.canonical[0];
-                        let joins = model.join_costs(
-                            left_pair,
-                            (&right.cost, &right.props),
-                            &split,
-                            right_canonical,
-                        );
-                        for (op, joined) in JoinOp::ALL.into_iter().zip(&joins) {
-                            debug_assert_eq!(
-                                joined.is_some(),
-                                op_applies(op, key, right_canonical)
-                            );
-                            let Some((cost, props)) = *joined else {
-                                continue;
-                            };
-                            stats.considered_plans += 1;
-                            offer_entry(
-                                &mut target,
-                                cost,
-                                props,
-                                |a| a.join(op, left.plan, right.plan),
-                                &mut arena,
-                                &strategy,
-                                objectives,
-                                &mut stats,
-                            );
-                        }
-                        continue;
-                    }
                     let mut decisions = Decisions::default();
                     // The bound's join under every operator, computed at
                     // the pair's first decision and read by every decision
@@ -433,9 +397,16 @@ pub fn find_pareto_plans(
                             stats.timed_out = true;
                             break 'mask;
                         }
+                        let right_pair = (&right.cost, &right.props);
+                        // A chunk of one is its own bound: it makes no
+                        // decision, and one pass prices every operator.
+                        let priced = (chunk.len() == 1).then(|| {
+                            model.join_costs(left_pair, right_pair, &split, right_canonical)
+                        });
                         for (k, op) in JoinOp::ALL.into_iter().enumerate() {
                             // An empty target rejects nothing.
-                            let skip = target.insertions > 0
+                            let skip = priced.is_none()
+                                && target.insertions > 0
                                 && decisions.rejected(k, target.insertions, || {
                                     let joins = bound_joins.get_or_insert_with(|| {
                                         model.join_costs(
@@ -461,13 +432,16 @@ pub fn find_pareto_plans(
                                 }
                                 continue;
                             }
-                            let combined = model.join_cost(
-                                op,
-                                left_pair,
-                                (&right.cost, &right.props),
-                                &split,
-                                right_canonical,
-                            );
+                            let combined = match &priced {
+                                Some(joins) => joins[k],
+                                None => model.join_cost(
+                                    op,
+                                    left_pair,
+                                    right_pair,
+                                    &split,
+                                    right_canonical,
+                                ),
+                            };
                             debug_assert_eq!(
                                 combined.is_some(),
                                 op_applies(op, key, right_canonical)

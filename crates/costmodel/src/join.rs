@@ -72,158 +72,6 @@ pub struct JoinSplit {
     pub width: f64,
 }
 
-impl<'a> CostModel<'a> {
-    /// Cost and properties of joining two sub-plans with operator `op`.
-    ///
-    /// * `left` / `right` are the outer and inner child `(cost, props)`.
-    /// * `split` holds what the two children's relation sets determine: the
-    ///   equi-join predicate, the crossing selectivity and the output width.
-    /// * `right_is_canonical_index_scan` must be true iff the inner child is
-    ///   exactly the index-scan plan on the `right_col` of `split.key` of a
-    ///   single base relation — the precondition under which an
-    ///   index-nested-loop join replaces the inner scan by per-tuple index
-    ///   probes.
-    ///
-    /// Returns `None` when the operator is inapplicable: hash, merge and
-    /// index-nested-loop joins require an equi-join predicate, and
-    /// index-nested-loop additionally requires an indexed inner base
-    /// relation accessed by its canonical index scan.
-    ///
-    /// Computes only `op`'s own family of terms; [`CostModel::join_costs`]
-    /// prices all ten operators of one plan pair from the same helpers.
-    #[must_use]
-    pub fn join_cost(
-        &self,
-        op: JoinOp,
-        left: (&CostVector, &PlanProps),
-        right: (&CostVector, &PlanProps),
-        split: &JoinSplit,
-        right_is_canonical_index_scan: bool,
-    ) -> Option<(CostVector, PlanProps)> {
-        let (lc, lp) = left;
-        let (rc, rp) = right;
-        let p = self.params;
-        let out = JoinOutput::new(lc, lp, rc, rp, split);
-        let (cost, order) = match op {
-            JoinOp::HashJoin { dop } => {
-                split.key?;
-                let hash = HashTerms::new(p, lp, rp, out.rows);
-                (hash.cost(p, dop, lc, rc), SortOrder::None)
-            }
-            JoinOp::SortMergeJoin { dop } => {
-                let merge = MergeTerms::new(p, split.key.as_ref()?, lp, rp, out.rows);
-                (merge.cost(p, dop, lc, rc), merge.order)
-            }
-            JoinOp::IndexNestedLoop => {
-                let key = index_nl_key(split, rp, right_is_canonical_index_scan)?;
-                (self.index_nl_join(key, lc, lp, out.rows), lp.order)
-            }
-            JoinOp::NestedLoop => (nested_loop(p, lc, lp, rc, rp, out.rows), lp.order),
-        };
-        Some(out.finish(cost, order, split))
-    }
-
-    /// [`CostModel::join_cost`] of every operator of [`JoinOp::ALL`], in
-    /// that order, for one plan pair: entry `k` equals
-    /// `join_cost(JoinOp::ALL[k], ..)` bit for bit, `None` included.
-    ///
-    /// What the operators share is computed once: the output rows, the
-    /// tuple loss and the sampling factor; the hash join's build and probe
-    /// work and its spill; and each side's sort CPU (with its `log2`),
-    /// spill and buffer. Each operator then adds only what its degree of
-    /// parallelism changes. Callers that need every operator of a pair (the
-    /// DP's chunk bounds and its one-plan chunks) pay for one pass instead
-    /// of ten.
-    #[must_use]
-    pub fn join_costs(
-        &self,
-        left: (&CostVector, &PlanProps),
-        right: (&CostVector, &PlanProps),
-        split: &JoinSplit,
-        right_is_canonical_index_scan: bool,
-    ) -> [Option<(CostVector, PlanProps)>; JoinOp::ALL.len()] {
-        let (lc, lp) = left;
-        let (rc, rp) = right;
-        let p = self.params;
-        let out = JoinOutput::new(lc, lp, rc, rp, split);
-        let keyed = split.key.as_ref().map(|key| {
-            (
-                HashTerms::new(p, lp, rp, out.rows),
-                MergeTerms::new(p, key, lp, rp, out.rows),
-            )
-        });
-        let index_nl = index_nl_key(split, rp, right_is_canonical_index_scan);
-        let mut costs = [None; JoinOp::ALL.len()];
-        for (slot, op) in costs.iter_mut().zip(JoinOp::ALL) {
-            let (cost, order) = match (op, &keyed, index_nl) {
-                (JoinOp::HashJoin { dop }, Some((hash, _)), _) => {
-                    (hash.cost(p, dop, lc, rc), SortOrder::None)
-                }
-                (JoinOp::SortMergeJoin { dop }, Some((_, merge)), _) => {
-                    (merge.cost(p, dop, lc, rc), merge.order)
-                }
-                (JoinOp::IndexNestedLoop, _, Some(key)) => {
-                    (self.index_nl_join(key, lc, lp, out.rows), lp.order)
-                }
-                (JoinOp::NestedLoop, _, _) => (nested_loop(p, lc, lp, rc, rp, out.rows), lp.order),
-                _ => continue,
-            };
-            *slot = Some(out.finish(cost, order, split));
-        }
-        costs
-    }
-
-    /// Index-nested-loop join: stream the outer input, probe the inner base
-    /// relation's index per outer tuple. The inner child plan is *replaced*
-    /// by index probes, so only catalog constants of the inner relation
-    /// enter the formula (keeps the formula monotone in child costs).
-    #[inline]
-    fn index_nl_join(
-        &self,
-        key: &JoinKey,
-        lc: &CostVector,
-        lp: &PlanProps,
-        out_rows: f64,
-    ) -> CostVector {
-        let p = self.params;
-        let inner_table = self.catalog.table(self.graph.rels[key.right_rel].table);
-        let inner_rows = inner_table.cardinality.max(2.0);
-        let inner_pages = inner_table.pages();
-
-        let probes = lp.rows;
-        let descend_cpu = p.cpu_operator_cost * inner_rows.log2().ceil();
-        let own_cpu = probes * descend_cpu + out_rows * (p.cpu_index_tuple_cost + p.cpu_tuple_cost);
-        // Mackert–Lohman-flavoured cap: repeated probes hit cached pages.
-        let own_io = probes.min(2.0 * inner_pages) + out_rows * lp.width * 0.0;
-        let own_time = own_cpu + own_io * p.random_page_cost;
-
-        let mut c = CostVector::zero();
-        c.set(
-            Objective::TotalTime,
-            lc.get(Objective::TotalTime) + own_time,
-        );
-        c.set(
-            Objective::StartupTime,
-            lc.get(Objective::StartupTime) + descend_cpu,
-        );
-        c.set(Objective::IoLoad, lc.get(Objective::IoLoad) + own_io);
-        c.set(Objective::CpuLoad, lc.get(Objective::CpuLoad) + own_cpu);
-        c.set(Objective::UsedCores, lc.get(Objective::UsedCores).max(1.0));
-        c.set(Objective::DiskFootprint, lc.get(Objective::DiskFootprint));
-        c.set(
-            Objective::BufferFootprint,
-            lc.get(Objective::BufferFootprint) + 2.0 * p.scan_buffer_bytes,
-        );
-        c.set(
-            Objective::Energy,
-            lc.get(Objective::Energy)
-                + own_cpu * p.energy_per_cpu_unit
-                + own_io * p.energy_per_io_page,
-        );
-        c
-    }
-}
-
 /// What every operator's join of one plan pair shares: the output's
 /// relations and rows, its tuple loss and its sampling factor.
 struct JoinOutput {
@@ -517,68 +365,223 @@ impl MergeTerms {
     }
 }
 
-/// Plain nested-loop join with a materialized inner input; the only
-/// operator applicable without an equi-join predicate.
-#[inline]
-fn nested_loop(
-    p: &CostModelParams,
-    lc: &CostVector,
-    lp: &PlanProps,
-    rc: &CostVector,
-    rp: &PlanProps,
-    out_rows: f64,
-) -> CostVector {
-    let mat_bytes = rp.rows * rp.width;
-    let spill_bytes = (mat_bytes - p.work_mem_bytes).max(0.0);
-    // The inner is written once and re-read per outer tuple when spilled.
-    let own_io = (spill_bytes / p.page_bytes) * (1.0 + lp.rows.clamp(1.0, 100.0));
-    let own_cpu = lp.rows * rp.rows * p.cpu_operator_cost
-        + out_rows * p.cpu_tuple_cost
-        + rp.rows * p.cpu_tuple_cost;
-    let own_time = own_cpu + own_io * p.seq_page_cost;
+impl<'a> CostModel<'a> {
+    /// Cost and properties of joining two sub-plans with operator `op`.
+    ///
+    /// * `left` / `right` are the outer and inner child `(cost, props)`.
+    /// * `split` holds what the two children's relation sets determine: the
+    ///   equi-join predicate, the crossing selectivity and the output width.
+    /// * `right_is_canonical_index_scan` must be true iff the inner child is
+    ///   exactly the index-scan plan on the `right_col` of `split.key` of a
+    ///   single base relation — the precondition under which an
+    ///   index-nested-loop join replaces the inner scan by per-tuple index
+    ///   probes.
+    ///
+    /// Returns `None` when the operator is inapplicable: hash, merge and
+    /// index-nested-loop joins require an equi-join predicate, and
+    /// index-nested-loop additionally requires an indexed inner base
+    /// relation accessed by its canonical index scan.
+    ///
+    /// Computes only `op`'s own family of terms; [`CostModel::join_costs`]
+    /// prices all ten operators of one plan pair from the same helpers.
+    #[must_use]
+    pub fn join_cost(
+        &self,
+        op: JoinOp,
+        left: (&CostVector, &PlanProps),
+        right: (&CostVector, &PlanProps),
+        split: &JoinSplit,
+        right_is_canonical_index_scan: bool,
+    ) -> Option<(CostVector, PlanProps)> {
+        let (lc, lp) = left;
+        let (rc, rp) = right;
+        let p = self.params;
+        let out = JoinOutput::new(lc, lp, rc, rp, split);
+        let (cost, order) = match op {
+            JoinOp::HashJoin { dop } => {
+                split.key?;
+                let hash = HashTerms::new(p, lp, rp, out.rows);
+                (hash.cost(p, dop, lc, rc), SortOrder::None)
+            }
+            JoinOp::SortMergeJoin { dop } => {
+                let merge = MergeTerms::new(p, split.key.as_ref()?, lp, rp, out.rows);
+                (merge.cost(p, dop, lc, rc), merge.order)
+            }
+            JoinOp::IndexNestedLoop => {
+                let key = index_nl_key(split, rp, right_is_canonical_index_scan)?;
+                (self.index_nl_join(key, lc, lp, out.rows), lp.order)
+            }
+            JoinOp::NestedLoop => (self.nested_loop(lc, lp, rc, rp, out.rows), lp.order),
+        };
+        Some(out.finish(cost, order, split))
+    }
 
-    let mut c = CostVector::zero();
-    c.set(
-        Objective::TotalTime,
-        lc.get(Objective::TotalTime) + rc.get(Objective::TotalTime) + own_time,
-    );
-    c.set(
-        Objective::StartupTime,
-        lc.get(Objective::StartupTime)
-            .max(rc.get(Objective::TotalTime)),
-    );
-    c.set(
-        Objective::IoLoad,
-        lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + own_io,
-    );
-    c.set(
-        Objective::CpuLoad,
-        lc.get(Objective::CpuLoad) + rc.get(Objective::CpuLoad) + own_cpu,
-    );
-    c.set(
-        Objective::UsedCores,
-        lc.get(Objective::UsedCores)
-            .max(rc.get(Objective::UsedCores)),
-    );
-    c.set(
-        Objective::DiskFootprint,
-        lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + spill_bytes,
-    );
-    c.set(
-        Objective::BufferFootprint,
-        lc.get(Objective::BufferFootprint)
-            + rc.get(Objective::BufferFootprint)
-            + mat_bytes.min(p.work_mem_bytes)
-            + p.scan_buffer_bytes,
-    );
-    c.set(
-        Objective::Energy,
-        lc.get(Objective::Energy)
-            + rc.get(Objective::Energy)
-            + own_cpu * p.energy_per_cpu_unit
-            + own_io * p.energy_per_io_page,
-    );
-    c
+    /// [`CostModel::join_cost`] of every operator of [`JoinOp::ALL`], in
+    /// that order, for one plan pair: entry `k` equals
+    /// `join_cost(JoinOp::ALL[k], ..)` bit for bit, `None` included.
+    ///
+    /// What the operators share is computed once: the output rows, the
+    /// tuple loss and the sampling factor; the hash join's build and probe
+    /// work and its spill; and each side's sort CPU (with its `log2`),
+    /// spill and buffer. Each operator then adds only what its degree of
+    /// parallelism changes. Callers that need every operator of a pair (the
+    /// DP's chunk bounds and its one-plan chunks) pay for one pass instead
+    /// of ten.
+    #[must_use]
+    pub fn join_costs(
+        &self,
+        left: (&CostVector, &PlanProps),
+        right: (&CostVector, &PlanProps),
+        split: &JoinSplit,
+        right_is_canonical_index_scan: bool,
+    ) -> [Option<(CostVector, PlanProps)>; JoinOp::ALL.len()] {
+        let (lc, lp) = left;
+        let (rc, rp) = right;
+        let p = self.params;
+        let out = JoinOutput::new(lc, lp, rc, rp, split);
+        let keyed = split.key.as_ref().map(|key| {
+            (
+                HashTerms::new(p, lp, rp, out.rows),
+                MergeTerms::new(p, key, lp, rp, out.rows),
+            )
+        });
+        let index_nl = index_nl_key(split, rp, right_is_canonical_index_scan);
+        let mut costs = [None; JoinOp::ALL.len()];
+        for (slot, op) in costs.iter_mut().zip(JoinOp::ALL) {
+            let (cost, order) = match (op, &keyed, index_nl) {
+                (JoinOp::HashJoin { dop }, Some((hash, _)), _) => {
+                    (hash.cost(p, dop, lc, rc), SortOrder::None)
+                }
+                (JoinOp::SortMergeJoin { dop }, Some((_, merge)), _) => {
+                    (merge.cost(p, dop, lc, rc), merge.order)
+                }
+                (JoinOp::IndexNestedLoop, _, Some(key)) => {
+                    (self.index_nl_join(key, lc, lp, out.rows), lp.order)
+                }
+                (JoinOp::NestedLoop, _, _) => {
+                    (self.nested_loop(lc, lp, rc, rp, out.rows), lp.order)
+                }
+                _ => continue,
+            };
+            *slot = Some(out.finish(cost, order, split));
+        }
+        costs
+    }
+
+    /// Index-nested-loop join: stream the outer input, probe the inner base
+    /// relation's index per outer tuple. The inner child plan is *replaced*
+    /// by index probes, so only catalog constants of the inner relation
+    /// enter the formula (keeps the formula monotone in child costs).
+    #[inline]
+    fn index_nl_join(
+        &self,
+        key: &JoinKey,
+        lc: &CostVector,
+        lp: &PlanProps,
+        out_rows: f64,
+    ) -> CostVector {
+        let p = self.params;
+        let inner_table = self.catalog.table(self.graph.rels[key.right_rel].table);
+        let inner_rows = inner_table.cardinality.max(2.0);
+        let inner_pages = inner_table.pages();
+
+        let probes = lp.rows;
+        let descend_cpu = p.cpu_operator_cost * inner_rows.log2().ceil();
+        let own_cpu = probes * descend_cpu + out_rows * (p.cpu_index_tuple_cost + p.cpu_tuple_cost);
+        // Mackert–Lohman-flavoured cap: repeated probes hit cached pages.
+        let own_io = probes.min(2.0 * inner_pages) + out_rows * lp.width * 0.0;
+        let own_time = own_cpu + own_io * p.random_page_cost;
+
+        let mut c = CostVector::zero();
+        c.set(
+            Objective::TotalTime,
+            lc.get(Objective::TotalTime) + own_time,
+        );
+        c.set(
+            Objective::StartupTime,
+            lc.get(Objective::StartupTime) + descend_cpu,
+        );
+        c.set(Objective::IoLoad, lc.get(Objective::IoLoad) + own_io);
+        c.set(Objective::CpuLoad, lc.get(Objective::CpuLoad) + own_cpu);
+        c.set(Objective::UsedCores, lc.get(Objective::UsedCores).max(1.0));
+        c.set(Objective::DiskFootprint, lc.get(Objective::DiskFootprint));
+        c.set(
+            Objective::BufferFootprint,
+            lc.get(Objective::BufferFootprint) + 2.0 * p.scan_buffer_bytes,
+        );
+        c.set(
+            Objective::Energy,
+            lc.get(Objective::Energy)
+                + own_cpu * p.energy_per_cpu_unit
+                + own_io * p.energy_per_io_page,
+        );
+        c
+    }
+
+    /// Plain nested-loop join with a materialized inner input; the only
+    /// operator applicable without an equi-join predicate.
+    #[inline]
+    fn nested_loop(
+        &self,
+        lc: &CostVector,
+        lp: &PlanProps,
+        rc: &CostVector,
+        rp: &PlanProps,
+        out_rows: f64,
+    ) -> CostVector {
+        let p = self.params;
+        let mat_bytes = rp.rows * rp.width;
+        let spill_bytes = (mat_bytes - p.work_mem_bytes).max(0.0);
+        // The inner is written once and re-read per outer tuple when spilled.
+        let own_io = (spill_bytes / p.page_bytes) * (1.0 + lp.rows.clamp(1.0, 100.0));
+        let own_cpu = lp.rows * rp.rows * p.cpu_operator_cost
+            + out_rows * p.cpu_tuple_cost
+            + rp.rows * p.cpu_tuple_cost;
+        let own_time = own_cpu + own_io * p.seq_page_cost;
+
+        let mut c = CostVector::zero();
+        c.set(
+            Objective::TotalTime,
+            lc.get(Objective::TotalTime) + rc.get(Objective::TotalTime) + own_time,
+        );
+        c.set(
+            Objective::StartupTime,
+            lc.get(Objective::StartupTime)
+                .max(rc.get(Objective::TotalTime)),
+        );
+        c.set(
+            Objective::IoLoad,
+            lc.get(Objective::IoLoad) + rc.get(Objective::IoLoad) + own_io,
+        );
+        c.set(
+            Objective::CpuLoad,
+            lc.get(Objective::CpuLoad) + rc.get(Objective::CpuLoad) + own_cpu,
+        );
+        c.set(
+            Objective::UsedCores,
+            lc.get(Objective::UsedCores)
+                .max(rc.get(Objective::UsedCores)),
+        );
+        c.set(
+            Objective::DiskFootprint,
+            lc.get(Objective::DiskFootprint) + rc.get(Objective::DiskFootprint) + spill_bytes,
+        );
+        c.set(
+            Objective::BufferFootprint,
+            lc.get(Objective::BufferFootprint)
+                + rc.get(Objective::BufferFootprint)
+                + mat_bytes.min(p.work_mem_bytes)
+                + p.scan_buffer_bytes,
+        );
+        c.set(
+            Objective::Energy,
+            lc.get(Objective::Energy)
+                + rc.get(Objective::Energy)
+                + own_cpu * p.energy_per_cpu_unit
+                + own_io * p.energy_per_io_page,
+        );
+        c
+    }
 }
 
 #[cfg(test)]
