@@ -49,19 +49,23 @@
 //!
 //! For each left plan and chunk, the loop then runs as follows:
 //!
-//! * A chunk of one plan is its own bound. [`CostModel::join_costs`] prices
-//!   all ten operators of the pair in one pass, and each applicable one is
-//!   offered to the target.
+//! * A chunk of one plan is its own bound: every applicable operator of the
+//!   pair is costed and offered to the target.
 //! * A longer chunk makes its decisions lazily, per operator, once the
 //!   target stores a plan (an empty target rejects nothing). The first
-//!   decision prices the bound under all ten operators in one pass; every
-//!   decision and re-decision of the pair reads those prices and probes the
-//!   target at most once. Each candidate whose decision does not reject is
-//!   costed alone with [`CostModel::join_cost`] and offered.
+//!   decision prices the bound under all ten operators in one pass
+//!   ([`CostModel::join_costs`]); every decision and re-decision of the
+//!   pair reads those prices and probes the target at most once. Each
+//!   candidate whose decision does not reject is costed and offered.
 //! * Once every operator's decision is current and rejected, no candidate
 //!   left in the chunk can be offered, so no insertion can make a decision
 //!   stale: the loop counts the remaining applicable (plan, operator) pairs,
 //!   precomputed with the bound, as considered and leaves the chunk.
+//!
+//! A candidate pair is costed through one
+//! [`JoinPair`](moqo_costmodel::JoinPair), built at its first costed
+//! operator, so the operators of a family share their terms: a side's
+//! sort, for one, is priced once for all four degrees of parallelism.
 //!
 //! The candidate order does not change, so fronts and `considered_plans`
 //! are bit-identical to a loop that costs and probes every candidate, at
@@ -398,14 +402,11 @@ pub fn find_pareto_plans(
                             break 'mask;
                         }
                         let right_pair = (&right.cost, &right.props);
-                        // A chunk of one is its own bound: it makes no
-                        // decision, and one pass prices every operator.
-                        let priced = (chunk.len() == 1).then(|| {
-                            model.join_costs(left_pair, right_pair, &split, right_canonical)
-                        });
+                        let mut pair = None;
                         for (k, op) in JoinOp::ALL.into_iter().enumerate() {
-                            // An empty target rejects nothing.
-                            let skip = priced.is_none()
+                            // A chunk of one is its own bound and makes no
+                            // decision; an empty target rejects nothing.
+                            let skip = chunk.len() > 1
                                 && target.insertions > 0
                                 && decisions.rejected(k, target.insertions, || {
                                     let joins = bound_joins.get_or_insert_with(|| {
@@ -432,16 +433,11 @@ pub fn find_pareto_plans(
                                 }
                                 continue;
                             }
-                            let combined = match &priced {
-                                Some(joins) => joins[k],
-                                None => model.join_cost(
-                                    op,
-                                    left_pair,
-                                    right_pair,
-                                    &split,
-                                    right_canonical,
-                                ),
-                            };
+                            let combined = pair
+                                .get_or_insert_with(|| {
+                                    model.join_pair(left_pair, right_pair, &split, right_canonical)
+                                })
+                                .cost(op);
                             debug_assert_eq!(
                                 combined.is_some(),
                                 op_applies(op, key, right_canonical)
@@ -622,35 +618,28 @@ impl Iterator for GosperMasks {
 /// [`subset_width`]: moqo_catalog::subset_width
 pub(crate) struct SplitIndex {
     edges: Vec<EdgeSplit>,
+    /// Both key orientations of each edge, in edge order: its left endpoint
+    /// on the outer side, then its right endpoint. Kept apart from `edges`,
+    /// which every split scans, because a split reads only the first
+    /// crossing edge's key.
+    keys: Vec<[JoinKey; 2]>,
     /// Tuple width of each relation's table.
     widths: Vec<f64>,
     /// For each relation, the relations it shares a join edge with.
     adjacency: Vec<RelMask>,
 }
 
-/// One join-graph edge with its endpoint masks and both key orientations
-/// (including the inner-index catalog probe) resolved.
+/// One join-graph edge's endpoint masks and selectivity.
 struct EdgeSplit {
     left_mask: RelMask,
     right_mask: RelMask,
     selectivity: f64,
-    /// Key orientation when the edge's left endpoint is on the outer side.
-    forward: JoinKey,
-    /// Key orientation when the edge's right endpoint is on the outer side.
-    reverse: JoinKey,
 }
 
 impl SplitIndex {
     /// Resolves the model's join graph and catalog into the index.
     pub(crate) fn new(model: &CostModel<'_>) -> Self {
         let graph = model.graph;
-        let indexed = |rel: usize, col: u16| {
-            model
-                .catalog
-                .table(graph.rels[rel].table)
-                .column(col)
-                .indexed
-        };
         let mut adjacency = vec![0; graph.n_rels()];
         let edges = graph
             .edges
@@ -662,21 +651,15 @@ impl SplitIndex {
                     left_mask: 1u32 << e.left_rel,
                     right_mask: 1u32 << e.right_rel,
                     selectivity: e.selectivity,
-                    forward: JoinKey {
-                        left_rel: e.left_rel,
-                        left_col: e.left_col,
-                        right_rel: e.right_rel,
-                        right_col: e.right_col,
-                        inner_indexed: indexed(e.right_rel, e.right_col),
-                    },
-                    reverse: JoinKey {
-                        left_rel: e.right_rel,
-                        left_col: e.right_col,
-                        right_rel: e.left_rel,
-                        right_col: e.left_col,
-                        inner_indexed: indexed(e.left_rel, e.left_col),
-                    },
                 }
+            })
+            .collect();
+        let keys = graph
+            .edges
+            .iter()
+            .map(|e| {
+                let (left, right) = ((e.left_rel, e.left_col), (e.right_rel, e.right_col));
+                [model.join_key(left, right), model.join_key(right, left)]
             })
             .collect();
         let widths = graph
@@ -686,6 +669,7 @@ impl SplitIndex {
             .collect();
         SplitIndex {
             edges,
+            keys,
             widths,
             adjacency,
         }
@@ -699,17 +683,13 @@ impl SplitIndex {
     pub(crate) fn split(&self, m1: RelMask, m2: RelMask) -> JoinSplit {
         let mut key = None;
         let mut selectivity = 1.0;
-        for e in &self.edges {
+        for (e, keys) in self.edges.iter().zip(&self.keys) {
             let crosses = (e.left_mask & m1 != 0 && e.right_mask & m2 != 0)
                 || (e.right_mask & m1 != 0 && e.left_mask & m2 != 0);
             if crosses {
                 selectivity *= e.selectivity;
                 if key.is_none() {
-                    key = Some(if e.left_mask & m1 != 0 {
-                        e.forward
-                    } else {
-                        e.reverse
-                    });
+                    key = Some(keys[usize::from(e.left_mask & m1 == 0)]);
                 }
             }
         }
@@ -817,7 +797,7 @@ fn op_applies(op: JoinOp, key: Option<&JoinKey>, right_canonical: bool) -> bool 
     match op {
         JoinOp::NestedLoop => true,
         JoinOp::HashJoin { .. } | JoinOp::SortMergeJoin { .. } => key.is_some(),
-        JoinOp::IndexNestedLoop => right_canonical && key.is_some_and(|k| k.inner_indexed),
+        JoinOp::IndexNestedLoop => right_canonical && key.is_some_and(|k| k.inner_index.is_some()),
     }
 }
 

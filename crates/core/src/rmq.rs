@@ -671,7 +671,7 @@ fn mutate_tree(
                     Some(JoinTree::Join { left, right, .. }) => {
                         if let JoinTree::Scan { rel, .. } = &**right {
                             match index.split(left.rel_mask(), 1u32 << rel).key {
-                                Some(key) if key.inner_indexed => {
+                                Some(key) if key.inner_index.is_some() => {
                                     tree.make_index_nl(k, key.right_col)
                                 }
                                 _ => false,

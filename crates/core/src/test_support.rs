@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use moqo_catalog::{subset_width, RelMask};
 use moqo_cost::{CostVector, ObjectiveSet};
-use moqo_costmodel::{CostModel, JoinKey, JoinSplit};
+use moqo_costmodel::{CostModel, JoinSplit};
 use moqo_plan::{JoinOp, PlanArena, PlanId, PlanNode, PlanProps, ScanOp, SortOrder};
 
 use crate::dp::SplitIndex;
@@ -26,8 +26,8 @@ use crate::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
 
 /// The split of `m1` (outer) and `m2` (inner) from the join graph's
 /// reference definitions: the first crossing edge in declaration order,
-/// normalized so its left fields refer to `m1`, with the inner-index flag
-/// from the catalog; [`JoinGraph::crossing_selectivity`] and
+/// normalized so its left fields refer to `m1`, with the inner index from
+/// the catalog; [`JoinGraph::crossing_selectivity`] and
 /// [`subset_width`] of the union.
 ///
 /// [`JoinGraph::crossing_selectivity`]: moqo_catalog::JoinGraph::crossing_selectivity
@@ -41,13 +41,7 @@ pub fn reference_split(model: &CostModel<'_>, m1: RelMask, m2: RelMask) -> JoinS
         } else {
             (e.right_rel, e.right_col, e.left_rel, e.left_col)
         };
-        JoinKey {
-            left_rel: lr,
-            left_col: lc,
-            right_rel: rr,
-            right_col: rc,
-            inner_indexed: model.catalog.table(graph.rels[rr].table).column(rc).indexed,
-        }
+        model.join_key((lr, lc), (rr, rc))
     });
     JoinSplit {
         key,

@@ -323,4 +323,63 @@ proptest! {
         let want: Vec<_> = front.iter().map(|c| c.as_array().map(f64::to_bits)).collect();
         prop_assert_eq!(got, want);
     }
+
+    /// A front depends on the block, the objectives, α and the prune mode,
+    /// not on the weights or the bounds, which only select from it: two
+    /// preferences over the same objectives get bit-identical EXA and RTA
+    /// fronts (costs and properties, in order) for equal work, and IRA,
+    /// whose bounds decide when it stops, ends on the front of RTA at its
+    /// last precision. Sampling is on, so `TupleLoss` picks the mode:
+    /// cost-only with it, props-aware without.
+    #[test]
+    fn fronts_depend_on_the_objectives_not_on_weights_or_bounds(
+        inst in arb_instance(3),
+        objective_bits in 0u8..=u8::MAX,
+        with_loss in any::<bool>(),
+        weights in prop::array::uniform9(0.0f64..10.0),
+        bound_slack in 1.0f64..3.0,
+    ) {
+        let params = CostModelParams::default();
+        let model = CostModel::new(&params, &inst.catalog, &inst.graph);
+        let objectives = objectives_of(objective_bits, with_loss);
+        let mode = PruneMode::auto(params.enable_sampling, objectives);
+        prop_assert_eq!(mode == PruneMode::CostOnly, with_loss);
+        let mut first = Preference::over(objectives);
+        for &(o, w) in &inst.weights {
+            first.weights.set(o, w);
+        }
+        // Other weights, and a bound on the first selected objective.
+        let mut second = Preference::over(objectives);
+        for (o, w) in Objective::ALL.into_iter().zip(weights) {
+            second.weights.set(o, w);
+        }
+        let deadline = Deadline::unlimited();
+        let bounded = objectives.iter().next().unwrap();
+        let least = moqo_core::min_cost_for_objective(&model, bounded, &deadline);
+        second.bounds.set(bounded, least * bound_slack);
+        prop_assert!(second.is_bounded() && !first.is_bounded());
+
+        let front = |plans: &[moqo_core::PlanEntry]| {
+            plans
+                .iter()
+                .map(|e| {
+                    let p = e.props;
+                    let props = (p.rels, p.rows.to_bits(), p.width.to_bits(), p.order);
+                    (e.cost.as_array().map(f64::to_bits), props, p.sampling_factor.to_bits())
+                })
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = (exa(&model, &first, &deadline), exa(&model, &second, &deadline));
+        prop_assert_eq!(a.stats.considered_plans, b.stats.considered_plans);
+        prop_assert_eq!(front(&a.final_plans), front(&b.final_plans));
+        for alpha in [1.25, 1.5, 2.0] {
+            let a = rta(&model, &first, alpha, &deadline);
+            let b = rta(&model, &second, alpha, &deadline);
+            prop_assert_eq!(a.stats.considered_plans, b.stats.considered_plans);
+            prop_assert_eq!(front(&a.final_plans), front(&b.final_plans));
+            let iterated = ira(&model, &second, alpha, &deadline);
+            let last = rta(&model, &first, iterated.alpha_last, &deadline);
+            prop_assert_eq!(front(&iterated.result.final_plans), front(&last.final_plans));
+        }
+    }
 }

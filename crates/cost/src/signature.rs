@@ -1,15 +1,20 @@
-//! Canonical preference signatures for plan caching.
+//! Canonical preference signatures.
 //!
 //! Two [`Preference`]s describe the same optimization problem when they
 //! select the same objectives, impose the same bounds, and weight the
 //! objectives in the same *proportions* — scaling every weight by a common
 //! positive factor rescales all weighted costs uniformly and therefore
-//! changes neither the Pareto front nor which front member is best. A
-//! serving layer keys its plan cache on exactly that equivalence class:
-//! [`Preference::signature`] hashes the selected objective set, the bounds,
-//! and the weights normalized to sum 1 and quantized to a 2⁻³² grid (so
-//! the one-ulp wobble of `w/Σw` under different scalings collapses to the
-//! same key).
+//! changes neither the Pareto front nor which front member is best.
+//! [`Preference::signature`] hashes exactly that equivalence class: the
+//! selected objective set, the bounds, and the weights normalized to sum 1
+//! and quantized to a 2⁻³² grid (so the one-ulp wobble of `w/Σw` under
+//! different scalings collapses to the same value).
+//!
+//! No plan cache keys on it: a front depends on the objectives but not on
+//! the weights or the bounds, so the serving layer keys on the block and
+//! the [`ObjectiveSet`](crate::ObjectiveSet) alone. Its callers are tests
+//! and the repository benchmark, which folds it into its input digest and
+//! times it as `catalog.signature_us`.
 
 use crate::objective::Objective;
 use crate::preference::Preference;

@@ -9,11 +9,14 @@
 //! Each operator family has one helper that holds its terms independent of
 //! the degree of parallelism ([`HashTerms`], [`MergeTerms`] with a
 //! [`SortSide`] per input) and prices one degree from them; the
-//! index-nested-loop and nested-loop formulas have no degree. The output
-//! rows, tuple loss and sampling factor every operator shares are a
-//! [`JoinOutput`]. [`CostModel::join_cost`] builds only its operator's
-//! family, and [`CostModel::join_costs`] builds each family once and prices
-//! all ten operators of a plan pair, so both read the same formulas.
+//! index-nested-loop and nested-loop formulas have no degree, and the
+//! former reads its inner table's constants from the key ([`InnerIndex`]).
+//! The output rows, tuple loss and sampling factor every operator shares
+//! are a [`JoinOutput`]. [`CostModel::join_cost`] builds only its
+//! operator's family. A [`JoinPair`] holds one plan pair's output and
+//! builds each family at the first operator that needs it, for callers
+//! that cost several operators of a pair ([`CostModel::join_costs`] prices
+//! all ten through one). Both read the same formulas.
 
 use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, Objective};
@@ -23,8 +26,9 @@ use crate::model::{combine_tuple_loss, CostModel};
 use crate::params::CostModelParams;
 
 /// The equi-join predicate used by a join, normalized so that `left_*`
-/// refers to the outer input and `right_*` to the inner input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// refers to the outer input and `right_*` to the inner input
+/// ([`CostModel::join_key`] builds one from the catalog).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinKey {
     /// Relation index of the outer-side join column.
     pub left_rel: usize,
@@ -34,9 +38,20 @@ pub struct JoinKey {
     pub right_rel: usize,
     /// Column ordinal of the inner-side join column.
     pub right_col: u16,
-    /// Whether the inner-side column has an index on its base table
+    /// The index on the inner-side column's base table, if it has one
     /// (precondition for index-nested-loop joins).
-    pub inner_indexed: bool,
+    pub inner_index: Option<InnerIndex>,
+}
+
+/// The constants of an indexed inner base table that an index-nested-loop
+/// join's probes read, resolved from the catalog once per key
+/// ([`CostModel::join_key`]) rather than per costed join.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InnerIndex {
+    /// Levels one probe descends: `⌈log₂ max(rows, 2)⌉` of the table.
+    depth: f64,
+    /// The table's pages.
+    pages: f64,
 }
 
 impl JoinKey {
@@ -120,18 +135,17 @@ impl JoinOutput {
     }
 }
 
-/// The split's key when the index-nested-loop join applies: the key's
+/// The inner index when the index-nested-loop join applies: the key's
 /// inner column is indexed and the inner child is its canonical index scan
 /// of a single base relation.
 #[inline]
-fn index_nl_key<'s>(
+fn index_nl_probe<'s>(
     split: &'s JoinSplit,
     rp: &PlanProps,
     right_is_canonical_index_scan: bool,
-) -> Option<&'s JoinKey> {
-    split.key.as_ref().filter(|key| {
-        key.inner_indexed && right_is_canonical_index_scan && rp.rels.count_ones() == 1
-    })
+) -> Option<&'s InnerIndex> {
+    let index = split.key.as_ref()?.inner_index.as_ref()?;
+    (right_is_canonical_index_scan && rp.rels.count_ones() == 1).then_some(index)
 }
 
 /// Hash join: build a hash table on the inner input (blocking), probe with
@@ -365,7 +379,97 @@ impl MergeTerms {
     }
 }
 
+/// One plan pair's join under any of the ten operators: the output every
+/// operator shares is built once, and each operator family's terms at the
+/// first operator that needs them. A caller that costs several operators
+/// of one pair pays once for the sort of each side (with its `log2`), not
+/// once per degree of parallelism. Built by [`CostModel::join_pair`].
+pub struct JoinPair<'a> {
+    model: &'a CostModel<'a>,
+    left: (&'a CostVector, &'a PlanProps),
+    right: (&'a CostVector, &'a PlanProps),
+    split: &'a JoinSplit,
+    index_nl: Option<&'a InnerIndex>,
+    out: JoinOutput,
+    hash: Option<HashTerms>,
+    merge: Option<MergeTerms>,
+}
+
+impl JoinPair<'_> {
+    /// [`CostModel::join_cost`] of `op` for this pair, bit for bit.
+    #[inline]
+    pub fn cost(&mut self, op: JoinOp) -> Option<(CostVector, PlanProps)> {
+        let (model, p) = (self.model, self.model.params);
+        let ((lc, lp), (rc, rp)) = (self.left, self.right);
+        let out_rows = self.out.rows;
+        let (cost, order) = match op {
+            JoinOp::HashJoin { dop } => {
+                self.split.key?;
+                let hash = self
+                    .hash
+                    .get_or_insert_with(|| HashTerms::new(p, lp, rp, out_rows));
+                (hash.cost(p, dop, lc, rc), SortOrder::None)
+            }
+            JoinOp::SortMergeJoin { dop } => {
+                let key = self.split.key.as_ref()?;
+                let merge = self
+                    .merge
+                    .get_or_insert_with(|| MergeTerms::new(p, key, lp, rp, out_rows));
+                (merge.cost(p, dop, lc, rc), merge.order)
+            }
+            JoinOp::IndexNestedLoop => (
+                model.index_nl_join(self.index_nl?, lc, lp, out_rows),
+                lp.order,
+            ),
+            JoinOp::NestedLoop => (model.nested_loop(lc, lp, rc, rp, out_rows), lp.order),
+        };
+        Some(self.out.finish(cost, order, self.split))
+    }
+}
+
 impl<'a> CostModel<'a> {
+    /// The predicate `left = right` of two `(relation, column)` ends with
+    /// `left` on the outer side, its inner index resolved from the catalog.
+    #[must_use]
+    pub fn join_key(&self, left: (usize, u16), right: (usize, u16)) -> JoinKey {
+        let inner = self.catalog.table(self.graph.rels[right.0].table);
+        JoinKey {
+            left_rel: left.0,
+            left_col: left.1,
+            right_rel: right.0,
+            right_col: right.1,
+            inner_index: inner.column(right.1).indexed.then(|| InnerIndex {
+                depth: inner.cardinality.max(2.0).log2().ceil(),
+                pages: inner.pages(),
+            }),
+        }
+    }
+
+    /// The join of two sub-plans, to be priced under one operator or
+    /// several ([`JoinPair::cost`]); the arguments are those of
+    /// [`CostModel::join_cost`].
+    #[inline]
+    #[must_use]
+    pub fn join_pair<'p>(
+        &'p self,
+        left: (&'p CostVector, &'p PlanProps),
+        right: (&'p CostVector, &'p PlanProps),
+        split: &'p JoinSplit,
+        right_is_canonical_index_scan: bool,
+    ) -> JoinPair<'p> {
+        let ((lc, lp), (rc, rp)) = (left, right);
+        JoinPair {
+            model: self,
+            left,
+            right,
+            split,
+            index_nl: index_nl_probe(split, rp, right_is_canonical_index_scan),
+            out: JoinOutput::new(lc, lp, rc, rp, split),
+            hash: None,
+            merge: None,
+        }
+    }
+
     /// Cost and properties of joining two sub-plans with operator `op`.
     ///
     /// * `left` / `right` are the outer and inner child `(cost, props)`.
@@ -382,8 +486,8 @@ impl<'a> CostModel<'a> {
     /// index-nested-loop additionally requires an indexed inner base
     /// relation accessed by its canonical index scan.
     ///
-    /// Computes only `op`'s own family of terms; [`CostModel::join_costs`]
-    /// prices all ten operators of one plan pair from the same helpers.
+    /// Computes only `op`'s own family of terms; a [`JoinPair`] prices
+    /// several operators of one plan pair from the same helpers.
     #[must_use]
     pub fn join_cost(
         &self,
@@ -408,8 +512,8 @@ impl<'a> CostModel<'a> {
                 (merge.cost(p, dop, lc, rc), merge.order)
             }
             JoinOp::IndexNestedLoop => {
-                let key = index_nl_key(split, rp, right_is_canonical_index_scan)?;
-                (self.index_nl_join(key, lc, lp, out.rows), lp.order)
+                let index = index_nl_probe(split, rp, right_is_canonical_index_scan)?;
+                (self.index_nl_join(index, lc, lp, out.rows), lp.order)
             }
             JoinOp::NestedLoop => (self.nested_loop(lc, lp, rc, rp, out.rows), lp.order),
         };
@@ -418,15 +522,9 @@ impl<'a> CostModel<'a> {
 
     /// [`CostModel::join_cost`] of every operator of [`JoinOp::ALL`], in
     /// that order, for one plan pair: entry `k` equals
-    /// `join_cost(JoinOp::ALL[k], ..)` bit for bit, `None` included.
-    ///
-    /// What the operators share is computed once: the output rows, the
-    /// tuple loss and the sampling factor; the hash join's build and probe
-    /// work and its spill; and each side's sort CPU (with its `log2`),
-    /// spill and buffer. Each operator then adds only what its degree of
-    /// parallelism changes. Callers that need every operator of a pair (the
-    /// DP's chunk bounds and its one-plan chunks) pay for one pass instead
-    /// of ten.
+    /// `join_cost(JoinOp::ALL[k], ..)` bit for bit, `None` included. One
+    /// [`JoinPair`] prices them all, so what the operators share is
+    /// computed once.
     #[must_use]
     pub fn join_costs(
         &self,
@@ -435,37 +533,8 @@ impl<'a> CostModel<'a> {
         split: &JoinSplit,
         right_is_canonical_index_scan: bool,
     ) -> [Option<(CostVector, PlanProps)>; JoinOp::ALL.len()] {
-        let (lc, lp) = left;
-        let (rc, rp) = right;
-        let p = self.params;
-        let out = JoinOutput::new(lc, lp, rc, rp, split);
-        let keyed = split.key.as_ref().map(|key| {
-            (
-                HashTerms::new(p, lp, rp, out.rows),
-                MergeTerms::new(p, key, lp, rp, out.rows),
-            )
-        });
-        let index_nl = index_nl_key(split, rp, right_is_canonical_index_scan);
-        let mut costs = [None; JoinOp::ALL.len()];
-        for (slot, op) in costs.iter_mut().zip(JoinOp::ALL) {
-            let (cost, order) = match (op, &keyed, index_nl) {
-                (JoinOp::HashJoin { dop }, Some((hash, _)), _) => {
-                    (hash.cost(p, dop, lc, rc), SortOrder::None)
-                }
-                (JoinOp::SortMergeJoin { dop }, Some((_, merge)), _) => {
-                    (merge.cost(p, dop, lc, rc), merge.order)
-                }
-                (JoinOp::IndexNestedLoop, _, Some(key)) => {
-                    (self.index_nl_join(key, lc, lp, out.rows), lp.order)
-                }
-                (JoinOp::NestedLoop, _, _) => {
-                    (self.nested_loop(lc, lp, rc, rp, out.rows), lp.order)
-                }
-                _ => continue,
-            };
-            *slot = Some(out.finish(cost, order, split));
-        }
-        costs
+        let mut pair = self.join_pair(left, right, split, right_is_canonical_index_scan);
+        JoinOp::ALL.map(|op| pair.cost(op))
     }
 
     /// Index-nested-loop join: stream the outer input, probe the inner base
@@ -475,21 +544,17 @@ impl<'a> CostModel<'a> {
     #[inline]
     fn index_nl_join(
         &self,
-        key: &JoinKey,
+        index: &InnerIndex,
         lc: &CostVector,
         lp: &PlanProps,
         out_rows: f64,
     ) -> CostVector {
         let p = self.params;
-        let inner_table = self.catalog.table(self.graph.rels[key.right_rel].table);
-        let inner_rows = inner_table.cardinality.max(2.0);
-        let inner_pages = inner_table.pages();
-
         let probes = lp.rows;
-        let descend_cpu = p.cpu_operator_cost * inner_rows.log2().ceil();
+        let descend_cpu = p.cpu_operator_cost * index.depth;
         let own_cpu = probes * descend_cpu + out_rows * (p.cpu_index_tuple_cost + p.cpu_tuple_cost);
         // Mackert–Lohman-flavoured cap: repeated probes hit cached pages.
-        let own_io = probes.min(2.0 * inner_pages) + out_rows * lp.width * 0.0;
+        let own_io = probes.min(2.0 * index.pages) + out_rows * lp.width * 0.0;
         let own_time = own_cpu + own_io * p.random_page_cost;
 
         let mut c = CostVector::zero();
@@ -612,14 +677,9 @@ mod tests {
         (params, cat, graph)
     }
 
-    fn key() -> JoinKey {
-        JoinKey {
-            left_rel: 0,
-            left_col: 0,
-            right_rel: 1,
-            right_col: 0,
-            inner_indexed: true,
-        }
+    /// `orders.o_orderkey = lineitem.l_orderkey`, with `lineitem` inner.
+    fn key(model: &CostModel) -> JoinKey {
+        model.join_key((0, 0), (1, 0))
     }
 
     /// The orders ⋈ lineitem split from the graph's reference definitions,
@@ -652,7 +712,7 @@ mod tests {
             let cost =
                 |key| model.join_cost(op, (&l.0, &l.1), (&r.0, &r.1), &split(&model, key), false);
             assert!(cost(None).is_none(), "{op:?} applied without a key");
-            assert!(cost(Some(key())).is_some(), "{op:?} refused its key");
+            assert!(cost(Some(key(&model))).is_some(), "{op:?} refused its key");
             checked += 1;
         }
         assert_eq!(checked, 2 * usize::from(moqo_plan::MAX_DOP));
@@ -669,7 +729,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false,
             )
             .unwrap();
@@ -690,7 +750,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false,
             )
             .unwrap();
@@ -711,7 +771,7 @@ mod tests {
                     JoinOp::HashJoin { dop },
                     (&l.0, &l.1),
                     (&r.0, &r.1),
-                    &split(&model, Some(key())),
+                    &split(&model, Some(key(&model))),
                     false,
                 )
                 .unwrap()
@@ -739,7 +799,7 @@ mod tests {
                     JoinOp::SortMergeJoin { dop: 1 },
                     (&l.0, &l.1),
                     (&r.0, &r.1),
-                    &split(&model, Some(key())),
+                    &split(&model, Some(key(&model))),
                     false,
                 )
                 .unwrap()
@@ -761,7 +821,7 @@ mod tests {
                 JoinOp::SortMergeJoin { dop: 1 },
                 (&l_sorted.0, &l_sorted.1),
                 (&r_sorted.0, &r_sorted.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false,
             )
             .unwrap();
@@ -779,7 +839,7 @@ mod tests {
                 JoinOp::IndexNestedLoop,
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false
             )
             .is_none());
@@ -788,7 +848,7 @@ mod tests {
                 JoinOp::IndexNestedLoop,
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 true,
             )
             .unwrap();
@@ -798,7 +858,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false,
             )
             .unwrap();
@@ -827,7 +887,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false,
             )
             .unwrap();
@@ -845,7 +905,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false,
             )
             .unwrap();
@@ -866,7 +926,7 @@ mod tests {
                 JoinOp::HashJoin { dop: 1 },
                 (&l.0, &l.1),
                 (&r.0, &r.1),
-                &split(&model, Some(key())),
+                &split(&model, Some(key(&model))),
                 false,
             )
             .unwrap();

@@ -37,20 +37,15 @@ fn setup() -> (CostModelParams, Catalog, JoinGraph) {
     (params, cat, graph)
 }
 
-fn key() -> JoinKey {
-    JoinKey {
-        left_rel: 0,
-        left_col: 0,
-        right_rel: 1,
-        right_col: 0,
-        inner_indexed: true,
-    }
+/// `left_t.lk = right_t.rk`, with `right_t` inner and indexed.
+fn key(model: &CostModel<'_>) -> JoinKey {
+    model.join_key((0, 0), (1, 0))
 }
 
 /// The `left_t ⋈ right_t` split from the graph's reference definitions.
 fn split(model: &CostModel<'_>) -> JoinSplit {
     JoinSplit {
-        key: Some(key()),
+        key: Some(key(model)),
         selectivity: model.graph.crossing_selectivity(0b01, 0b10),
         width: subset_width(model.graph, model.catalog, 0b11),
     }
@@ -110,7 +105,7 @@ proptest! {
     ) {
         let (params, cat, graph) = setup();
         let model = CostModel::new(&params, &cat, &graph);
-        let k = key();
+        let k = key(&model);
         let split = split(&model);
 
         let l_order = if l_sorted { k.outer_order() } else { SortOrder::None };
@@ -212,7 +207,11 @@ proptest! {
         let (selectivity, width, lwidth, rwidth) = sizes;
         let (params, cat, graph) = setup();
         let model = CostModel::new(&params, &cat, &graph);
-        let k = JoinKey { inner_indexed, ..key() };
+        let key = key(&model);
+        let k = JoinKey {
+            inner_index: key.inner_index.filter(|_| inner_indexed),
+            ..key
+        };
         let split = JoinSplit {
             key: keyed.then_some(k),
             selectivity,
@@ -303,7 +302,11 @@ proptest! {
         let (lwidth, rwidth, width) = widths;
         let (keyed, inner_indexed, canonical, right_multi) = flags;
         let (l_sampled, r_sampled, l_rate, r_rate) = sampled;
-        let k = JoinKey { inner_indexed, ..key() };
+        let key = key(&model);
+        let k = JoinKey {
+            inner_index: key.inner_index.filter(|_| inner_indexed),
+            ..key
+        };
         let split = JoinSplit {
             key: keyed.then_some(k),
             selectivity,

@@ -3,14 +3,20 @@
 //! The paper's central trade — precision for speed via the approximation
 //! factor α — extends naturally across requests: a front computed once at
 //! factor α is, by Theorem 3 / Corollary 1, good enough for *every* later
-//! request on the same block and preference class that tolerates
-//! `α′ ≥ α`. The cache exploits exactly that:
+//! request on the same block and objective set that tolerates `α′ ≥ α`,
+//! whatever its weights and bounds. The cache exploits exactly that:
 //!
-//! * **Keys** are canonical signatures: [`JoinGraph::signature`]
-//!   (permutation-invariant join-graph fingerprint) paired with
-//!   [`Preference::signature`] (objectives + scale-normalized weights +
-//!   bounds). Since signatures are hashes, a hit additionally verifies the
-//!   stored graph for equality before anything is served.
+//! * **Keys** are the block and the objective set: [`JoinGraph::signature`]
+//!   (permutation-invariant join-graph fingerprint) paired with the
+//!   request's [`ObjectiveSet`]. A front that ran to completion (EXA, RTA,
+//!   or IRA's last iteration, which is RTA at its final precision) depends
+//!   on nothing else than its α and its pruning mode, and the mode is
+//!   [`PruneMode::auto`](moqo_core::PruneMode::auto) of the objective set
+//!   under the service's fixed cost-model parameters, so each key has one
+//!   mode. Weights and bounds only select: every hit picks its plan from
+//!   the served front with the request's own preference. Since graph
+//!   signatures are hashes, a hit additionally verifies the stored graph
+//!   for equality before anything is served.
 //! * **Entries** own their plans: on insertion the producing arena's
 //!   surviving frontier trees are re-rooted into a compact cache-owned
 //!   arena via [`PlanArena::adopt`], so the (much larger) optimizer arena
@@ -33,17 +39,21 @@ use std::collections::HashMap;
 
 use moqo_catalog::{GraphSignature, JoinGraph};
 use moqo_core::rmq::WALKERS;
-use moqo_core::{PlanEntry, PruneMode};
-use moqo_cost::PreferenceSignature;
+use moqo_core::PlanEntry;
+use moqo_cost::ObjectiveSet;
 use moqo_plan::{JoinTree, PlanArena};
 
-/// Cache key: canonical block signature × canonical preference signature.
+use crate::AlphaCertificate;
+
+/// Cache key: canonical block signature × the request's objective set,
+/// everything a completed front depends on besides its α (see the module
+/// docs). Weights and bounds are not part of it: they only select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The join-graph fingerprint.
     pub graph: GraphSignature,
-    /// The preference fingerprint.
-    pub preference: PreferenceSignature,
+    /// The selected objectives.
+    pub objectives: ObjectiveSet,
 }
 
 struct CacheEntry {
@@ -53,9 +63,6 @@ struct CacheEntry {
     graph: JoinGraph,
     /// Guarantee of the stored front (`1.0` exact, `+∞` none/RMQ).
     alpha: f64,
-    /// Pruning mode the front was certified under; `alpha` is meaningless
-    /// without it, so serving requires an exact mode match.
-    mode: PruneMode,
     /// Compact arena owning exactly the frontier trees.
     arena: PlanArena,
     /// The stored front; plan ids resolve in `arena`.
@@ -127,16 +134,14 @@ pub enum CacheLookup {
         /// Guarantee of the served front.
         alpha: f64,
     },
-    /// An entry for the same block is resident but cannot serve this
-    /// α′/boundedness/pruning mode. Counted as a miss; callers that will
-    /// run the randomized search can fetch its trees via
+    /// An entry for the same block is resident but cannot serve this α′ or
+    /// boundedness. Counted as a miss; callers that will run the
+    /// randomized search can fetch its trees via
     /// [`PlanCache::warm_trees`] — extraction is deferred so schemes that
     /// cannot use warm starts never pay for (or get billed as) one.
     NotServable {
         /// Guarantee of the resident front.
         alpha: f64,
-        /// Pruning mode of the resident front.
-        mode: PruneMode,
     },
     /// Nothing cached for this key (or a signature collision).
     Miss,
@@ -184,8 +189,9 @@ impl PlanCache {
     }
 
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
-        // The signatures are already uniform hashes; fold them.
-        let h = key.graph.0 ^ key.preference.0.rotate_left(32);
+        // The graph signature is already a uniform hash; fold the
+        // objectives into its low bits.
+        let h = key.graph.0 ^ u64::from(key.objectives.bits());
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
@@ -193,12 +199,11 @@ impl PlanCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Probes the cache for `key`. `requested_alpha`/`bounded`/
-    /// `required_mode` decide between a direct hit and
-    /// [`CacheLookup::NotServable`] (see
-    /// [`AlphaCertificate`](crate::AlphaCertificate) for the rule); `graph`
-    /// is compared against the stored graph (aliases aside) to rule out
-    /// collisions. Everything that is not a direct serve counts as a miss.
+    /// Probes the cache for `key`. `requested_alpha`/`bounded` decide
+    /// between a direct hit and [`CacheLookup::NotServable`] (by
+    /// [`AlphaCertificate::is_valid`]); `graph` is compared against the
+    /// stored graph (aliases aside) to rule out collisions. Everything that
+    /// is not a direct serve counts as a miss.
     #[must_use]
     pub fn lookup(
         &self,
@@ -206,7 +211,6 @@ impl PlanCache {
         graph: &JoinGraph,
         requested_alpha: f64,
         bounded: bool,
-        required_mode: PruneMode,
     ) -> CacheLookup {
         let tick = self.next_tick();
         let mut shard = self.shard_of(key).lock().expect("cache lock poisoned");
@@ -221,14 +225,12 @@ impl PlanCache {
             return CacheLookup::Miss;
         }
         entry.last_used = tick;
-        // Mode mismatch is never servable: the stored α-coverage claim is
-        // relative to the mode that certified it, so a cost-only front must
-        // not answer a props-aware request or vice versa.
-        let servable = entry.mode == required_mode
-            && entry.alpha.is_finite()
-            && entry.alpha <= requested_alpha
-            && (!bounded || entry.alpha <= 1.0);
-        if servable {
+        let certificate = AlphaCertificate {
+            cached_alpha: entry.alpha,
+            requested_alpha,
+            bounded,
+        };
+        if certificate.is_valid() {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             let mut arena = PlanArena::new();
             let frontier = entry
@@ -246,10 +248,7 @@ impl PlanCache {
             }
         } else {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            CacheLookup::NotServable {
-                alpha: entry.alpha,
-                mode: entry.mode,
-            }
+            CacheLookup::NotServable { alpha: entry.alpha }
         }
     }
 
@@ -282,11 +281,10 @@ impl PlanCache {
     }
 
     /// Inserts (or tightens) the front for `key`: the frontier's trees are
-    /// adopted out of `src_arena` into a compact cache-owned arena, stamped
-    /// with the [`PruneMode`] that certified it. An existing entry is only
-    /// replaced when the new front carries a strictly tighter guarantee
-    /// (serving power never regresses — also across signature collisions
-    /// and pruning modes).
+    /// adopted out of `src_arena` into a compact cache-owned arena. An
+    /// existing entry is only replaced when the new front carries a
+    /// strictly tighter guarantee (serving power never regresses — also
+    /// across signature collisions).
     pub fn insert(
         &self,
         key: CacheKey,
@@ -294,7 +292,6 @@ impl PlanCache {
         frontier: &[PlanEntry],
         src_arena: &PlanArena,
         alpha: f64,
-        mode: PruneMode,
     ) {
         if frontier.is_empty() {
             return;
@@ -336,7 +333,6 @@ impl PlanCache {
             CacheEntry {
                 graph: graph.clone(),
                 alpha,
-                mode,
                 arena,
                 frontier,
                 last_used: tick,
@@ -412,7 +408,7 @@ mod tests {
     fn key_for(g: &JoinGraph, p: &Preference) -> CacheKey {
         CacheKey {
             graph: g.signature(),
-            preference: p.signature(),
+            objectives: p.objectives,
         }
     }
 
@@ -443,9 +439,9 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.5, PruneMode::CostOnly);
+        cache.insert(key, &g, &front, &src, 1.5);
 
-        match cache.lookup(&key, &g, 2.0, false, PruneMode::CostOnly) {
+        match cache.lookup(&key, &g, 2.0, false) {
             CacheLookup::Hit {
                 frontier, alpha, ..
             } => {
@@ -456,11 +452,8 @@ mod tests {
             _ => panic!("α′ = 2.0 ≥ 1.5 must serve directly"),
         }
         // Tighter request: not servable, but warm-start trees are there.
-        match cache.lookup(&key, &g, 1.2, false, PruneMode::CostOnly) {
-            CacheLookup::NotServable { alpha, mode } => {
-                assert_eq!(alpha, 1.5);
-                assert_eq!(mode, PruneMode::CostOnly);
-            }
+        match cache.lookup(&key, &g, 1.2, false) {
+            CacheLookup::NotServable { alpha } => assert_eq!(alpha, 1.5),
             _ => panic!("α′ = 1.2 < 1.5 must not serve directly"),
         }
         let (trees, alpha) = cache.warm_trees(&key, &g).unwrap();
@@ -468,7 +461,7 @@ mod tests {
         assert_eq!(trees.len(), 1);
         // Bounded requests need an exact front.
         assert!(matches!(
-            cache.lookup(&key, &g, 2.0, true, PruneMode::CostOnly),
+            cache.lookup(&key, &g, 2.0, true),
             CacheLookup::NotServable { .. }
         ));
         // Only the extraction counts as a warm start.
@@ -483,7 +476,7 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
+        cache.insert(key, &g, &front, &src, 1.0);
         // Same block, different alias spellings: signature and serving
         // both ignore aliases.
         let mut renamed = g.clone();
@@ -492,14 +485,14 @@ mod tests {
         }
         assert_eq!(renamed.signature(), g.signature());
         assert!(matches!(
-            cache.lookup(&key, &renamed, 1.0, true, PruneMode::CostOnly),
+            cache.lookup(&key, &renamed, 1.0, true),
             CacheLookup::Hit { .. }
         ));
         // And a looser re-insert from the renamed variant does not evict
         // the tighter entry.
-        cache.insert(key, &renamed, &front, &src, 2.0, PruneMode::CostOnly);
+        cache.insert(key, &renamed, &front, &src, 2.0);
         assert!(matches!(
-            cache.lookup(&key, &g, 1.0, false, PruneMode::CostOnly),
+            cache.lookup(&key, &g, 1.0, false),
             CacheLookup::Hit { .. }
         ));
     }
@@ -511,16 +504,16 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 2.0, PruneMode::CostOnly);
+        cache.insert(key, &g, &front, &src, 2.0);
         // Looser insert is ignored.
-        cache.insert(key, &g, &front, &src, 3.0, PruneMode::CostOnly);
-        match cache.lookup(&key, &g, 2.5, false, PruneMode::CostOnly) {
+        cache.insert(key, &g, &front, &src, 3.0);
+        match cache.lookup(&key, &g, 2.5, false) {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 2.0),
             _ => panic!("entry must still carry α = 2.0"),
         }
         // Tighter insert replaces.
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
-        match cache.lookup(&key, &g, 1.0, true, PruneMode::CostOnly) {
+        cache.insert(key, &g, &front, &src, 1.0);
+        match cache.lookup(&key, &g, 1.0, true) {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 1.0),
             _ => panic!("exact entry serves even bounded requests"),
         }
@@ -538,63 +531,24 @@ mod tests {
         let key = key_for(&g, &pref());
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
+        cache.insert(key, &g, &front, &src, 1.0);
         let mut other = g.clone();
         other.rels[0].filter_selectivity = 0.5;
         // Same key forced on a different graph: must not serve, and must
         // not hand out warm trees either.
         assert!(matches!(
-            cache.lookup(&key, &other, 10.0, false, PruneMode::CostOnly),
+            cache.lookup(&key, &other, 10.0, false),
             CacheLookup::Miss
         ));
         assert!(cache.warm_trees(&key, &other).is_none());
         // Nor may a looser colliding insert displace the tighter entry.
         let mut src2 = PlanArena::new();
         let front2 = front_in(&mut src2);
-        cache.insert(key, &other, &front2, &src2, 3.0, PruneMode::CostOnly);
-        match cache.lookup(&key, &g, 1.0, false, PruneMode::CostOnly) {
+        cache.insert(key, &other, &front2, &src2, 3.0);
+        match cache.lookup(&key, &g, 1.0, false) {
             CacheLookup::Hit { alpha, .. } => assert_eq!(alpha, 1.0),
             _ => panic!("collision must not regress serving power"),
         }
-    }
-
-    #[test]
-    fn mode_mismatched_entries_are_never_served() {
-        let (_cat, g) = graph();
-        let cache = PlanCache::new(8, 1);
-        let key = key_for(&g, &pref());
-        let mut src = PlanArena::new();
-        let front = front_in(&mut src);
-        // An exact cost-only front: tighter than any request could ask,
-        // yet a props-aware consumer must not be served from it…
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
-        match cache.lookup(&key, &g, 10.0, false, PruneMode::PropsAware) {
-            CacheLookup::NotServable { alpha, mode } => {
-                assert_eq!(alpha, 1.0);
-                assert_eq!(mode, PruneMode::CostOnly);
-            }
-            _ => panic!("cost-only front must not serve a props-aware request"),
-        }
-        // …while the matching mode still serves.
-        assert!(matches!(
-            cache.lookup(&key, &g, 1.0, false, PruneMode::CostOnly),
-            CacheLookup::Hit { .. }
-        ));
-        // The reverse direction: a props-aware entry never serves a
-        // cost-only request either.
-        let cache2 = PlanCache::new(8, 1);
-        cache2.insert(key, &g, &front, &src, 1.0, PruneMode::PropsAware);
-        assert!(matches!(
-            cache2.lookup(&key, &g, 10.0, false, PruneMode::CostOnly),
-            CacheLookup::NotServable { .. }
-        ));
-        assert!(matches!(
-            cache2.lookup(&key, &g, 1.0, false, PruneMode::PropsAware),
-            CacheLookup::Hit { .. }
-        ));
-        // Mismatched fronts still hand out warm-start trees — those are
-        // heuristic seeds, not certificates.
-        assert!(cache2.warm_trees(&key, &g).is_some());
     }
 
     #[test]
@@ -606,22 +560,17 @@ mod tests {
         let keys: Vec<CacheKey> = (0..3)
             .map(|i| CacheKey {
                 graph: GraphSignature(i),
-                preference: pref().signature(),
+                objectives: pref().objectives,
             })
             .collect();
-        cache.insert(keys[0], &g, &front, &src, 1.0, PruneMode::CostOnly);
-        cache.insert(keys[1], &g, &front, &src, 1.0, PruneMode::CostOnly);
+        cache.insert(keys[0], &g, &front, &src, 1.0);
+        cache.insert(keys[1], &g, &front, &src, 1.0);
         // Touch key 0 so key 1 is the LRU when key 2 arrives.
-        let _ = cache.lookup(&keys[0], &g, 2.0, false, PruneMode::CostOnly);
-        cache.insert(keys[2], &g, &front, &src, 1.0, PruneMode::CostOnly);
+        let _ = cache.lookup(&keys[0], &g, 2.0, false);
+        cache.insert(keys[2], &g, &front, &src, 1.0);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.snapshot().evictions, 1);
-        let resident = |key| {
-            matches!(
-                cache.lookup(key, &g, 2.0, false, PruneMode::CostOnly),
-                CacheLookup::Hit { .. }
-            )
-        };
+        let resident = |key| matches!(cache.lookup(key, &g, 2.0, false), CacheLookup::Hit { .. });
         assert!(resident(&keys[0]));
         assert!(!resident(&keys[1]), "LRU entry evicted");
         assert!(resident(&keys[2]));
@@ -633,13 +582,13 @@ mod tests {
         let cache = PlanCache::new(4, 1);
         let key = key_for(&g, &pref());
         assert!(matches!(
-            cache.lookup(&key, &g, 2.0, false, PruneMode::CostOnly),
+            cache.lookup(&key, &g, 2.0, false),
             CacheLookup::Miss
         ));
         let mut src = PlanArena::new();
         let front = front_in(&mut src);
-        cache.insert(key, &g, &front, &src, 1.0, PruneMode::CostOnly);
-        let _ = cache.lookup(&key, &g, 2.0, false, PruneMode::CostOnly);
+        cache.insert(key, &g, &front, &src, 1.0);
+        let _ = cache.lookup(&key, &g, 2.0, false);
         let snap = cache.snapshot();
         assert_eq!((snap.hits, snap.misses), (1, 1));
         assert!((snap.hit_ratio() - 0.5).abs() < 1e-12);

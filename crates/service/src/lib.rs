@@ -25,11 +25,13 @@
 //!   that queue wait or earlier blocks leave too little fails the request
 //!   as [`ServiceError::DeadlineExceeded`].
 //! * **The α-aware plan cache** ([`PlanCache`]): blocks are keyed by
-//!   canonical signatures ([`moqo_catalog::JoinGraph::signature`] ×
-//!   [`moqo_cost::Preference::signature`]). A front computed at factor α
-//!   serves every later request tolerating `α′ ≥ α` directly (with the
-//!   Figure-8 restriction for bounded requests — see [`AlphaCertificate`]),
-//!   and warm-starts the randomized search otherwise. Entries own their
+//!   their canonical signature ([`moqo_catalog::JoinGraph::signature`])
+//!   and the request's objective set, everything a front depends on
+//!   besides its α. A front computed at factor α serves every later request
+//!   on the same block and objectives tolerating `α′ ≥ α` directly, whatever
+//!   its weights and bounds, which only select the plan (with the Figure-8
+//!   restriction for bounded requests — see [`AlphaCertificate`]), and
+//!   warm-starts the randomized search otherwise. Entries own their
 //!   plans in compact arenas (re-rooted via `PlanArena::adopt`), and
 //!   eviction is sharded LRU.
 //! * **Metrics** ([`ServiceMetrics`]): a per-[`ServiceError`]-variant

@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use moqo_catalog::Query;
-use moqo_core::{combine_block_costs, Algorithm, BlockReport, PlanEntry, PruneMode};
+use moqo_core::{combine_block_costs, Algorithm, BlockReport, PlanEntry};
 use moqo_cost::{CostVector, Preference};
 use moqo_plan::{PlanArena, PlanId};
 
@@ -72,13 +72,12 @@ impl OptimizationRequest {
 /// bounded-weighted optimum. Approximate fronts still serve bounded
 /// requests indirectly, as RMQ warm starts.
 ///
-/// The certificate additionally records the [`PruneMode`] the front was
-/// certified under and the mode the request requires: an α guarantee is
-/// only meaningful relative to its pruning mode (a cost-only front
-/// computed while sampling leaks cardinality past the cost vector covers
-/// less than its α claims, and a props-aware front is not the cost
-/// antichain a cost-only consumer expects), so mode-mismatched fronts are
-/// never served in either direction.
+/// An α guarantee is only meaningful relative to the pruning mode that
+/// computed the front. The certificate need not record it: the cache keys
+/// on the objective set, which fixes the mode (see [`PlanCache`]), so a
+/// front only ever serves requests that would compute it in its own mode.
+///
+/// [`PlanCache`]: crate::PlanCache
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaCertificate {
     /// Guarantee the cached front was computed with (`1.0` = exact,
@@ -88,20 +87,13 @@ pub struct AlphaCertificate {
     pub requested_alpha: f64,
     /// Whether the request bounds any selected objective.
     pub bounded: bool,
-    /// Pruning mode the cached front was certified under.
-    pub cached_mode: PruneMode,
-    /// Pruning mode a fresh optimization of this request would run under
-    /// ([`PruneMode::auto`] over the service's cost-model parameters and
-    /// the request's objectives).
-    pub required_mode: PruneMode,
 }
 
 impl AlphaCertificate {
     /// Whether this certificate licenses a direct cache hit.
     #[must_use]
     pub fn is_valid(&self) -> bool {
-        self.cached_mode == self.required_mode
-            && self.cached_alpha.is_finite()
+        self.cached_alpha.is_finite()
             && self.cached_alpha <= self.requested_alpha
             && (!self.bounded || self.cached_alpha <= 1.0)
     }
@@ -341,8 +333,6 @@ mod tests {
             cached_alpha: 1.5,
             requested_alpha: 2.0,
             bounded: false,
-            cached_mode: PruneMode::CostOnly,
-            required_mode: PruneMode::CostOnly,
         };
         assert!(ok.is_valid());
         let too_loose = AlphaCertificate {
@@ -369,31 +359,5 @@ mod tests {
             ..ok
         };
         assert!(bounded_exact.is_valid());
-    }
-
-    #[test]
-    fn certificate_requires_matching_prune_mode() {
-        // A tighter-than-requested α is worthless across modes, in either
-        // direction — its coverage claim is relative to the mode.
-        let base = AlphaCertificate {
-            cached_alpha: 1.0,
-            requested_alpha: 2.0,
-            bounded: false,
-            cached_mode: PruneMode::CostOnly,
-            required_mode: PruneMode::PropsAware,
-        };
-        assert!(!base.is_valid());
-        let reverse = AlphaCertificate {
-            cached_mode: PruneMode::PropsAware,
-            required_mode: PruneMode::CostOnly,
-            ..base
-        };
-        assert!(!reverse.is_valid());
-        let matching = AlphaCertificate {
-            cached_mode: PruneMode::PropsAware,
-            required_mode: PruneMode::PropsAware,
-            ..base
-        };
-        assert!(matching.is_valid());
     }
 }

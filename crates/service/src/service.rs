@@ -485,9 +485,9 @@ fn process(
     #[expect(clippy::disallowed_methods, reason = "service time counts from here")]
     let processing_started = Instant::now();
     let bounded = request.is_bounded();
-    // The pruning mode any fresh optimization of this request runs under;
-    // cache entries certified under a different mode are never served.
-    let required_mode = PruneMode::auto(
+    // The pruning mode every front of this request's objective set is
+    // computed under, and so the mode of every cache entry it can reach.
+    let prune_mode = PruneMode::auto(
         CostModelParams::default().enable_sampling,
         request.preference.objectives,
     );
@@ -503,13 +503,13 @@ fn process(
         if remaining == Some(Duration::ZERO) {
             return Err(deadline_exceeded(rt, block_idx));
         }
+        // A front depends on the block and the objectives, not on the
+        // weights or bounds: a hit selects with this request's preference.
         let key = CacheKey {
             graph: graph.signature(),
-            preference: request.preference.signature(),
+            objectives: request.preference.objectives,
         };
-        let lookup = inner
-            .cache
-            .lookup(&key, graph, request.alpha, bounded, required_mode);
+        let lookup = inner.cache.lookup(&key, graph, request.alpha, bounded);
         // Probe outcome codes: 0 hit, 1 resident-but-not-servable, 2 miss;
         // arg1 carries the resident entry's α (0 on a plain miss).
         let (probe_outcome, probe_alpha) = match &lookup {
@@ -541,9 +541,6 @@ fn process(
                         cached_alpha: alpha,
                         requested_alpha: request.alpha,
                         bounded,
-                        // The cache only serves on an exact mode match.
-                        cached_mode: required_mode,
-                        required_mode,
                     },
                 },
                 achieved_alpha: alpha,
@@ -551,7 +548,7 @@ fn process(
                 // what was served.
                 report: BlockReport {
                     alpha_final: alpha,
-                    prune_mode: required_mode,
+                    prune_mode,
                     ..BlockReport::default()
                 },
             });
@@ -603,17 +600,12 @@ fn process(
             report.alpha_final
         };
         debug_assert_eq!(
-            report.prune_mode, required_mode,
-            "optimizer and service must derive the same mode"
+            report.prune_mode, prune_mode,
+            "one mode per cache key: the optimizer and the service derive it alike"
         );
-        inner.cache.insert(
-            key,
-            graph,
-            &block.frontier,
-            &block.arena,
-            achieved_alpha,
-            report.prune_mode,
-        );
+        inner
+            .cache
+            .insert(key, graph, &block.frontier, &block.arena, achieved_alpha);
         // arg0 packs block index (bits 0..32), algorithm kind (32..40) and
         // flags (41: admission downgraded, 42: warm-started; 40 is
         // unassigned); arg2 is the report's deterministic `DpStats` digest,

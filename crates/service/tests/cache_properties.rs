@@ -8,7 +8,7 @@
 
 use moqo_catalog::{BaseRel, JoinEdge, JoinGraph};
 use moqo_core::rmq::WALKERS;
-use moqo_core::{exa, rta, Deadline, PlanEntry, PruneMode};
+use moqo_core::{exa, rta, Deadline, PlanEntry};
 use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet, Preference};
 use moqo_costmodel::{CostModel, CostModelParams};
 use moqo_service::{CacheKey, CacheLookup, PlanCache};
@@ -68,13 +68,12 @@ proptest! {
         let cache = PlanCache::new(4, 1);
         let key = CacheKey {
             graph: graph.signature(),
-            preference: pref.signature(),
+            objectives: pref.objectives,
         };
-        let mode = PruneMode::auto(params.enable_sampling, pref.objectives);
-        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode);
+        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha);
 
         let requested = alpha + extra;
-        match cache.lookup(&key, &graph, requested, false, mode) {
+        match cache.lookup(&key, &graph, requested, false) {
             CacheLookup::Hit { frontier, alpha: cached, arena } => {
                 prop_assert!(cached <= requested);
                 // The adopted front must reproduce the cached cost vectors
@@ -121,11 +120,10 @@ proptest! {
         let cache = PlanCache::new(4, 1);
         let key = CacheKey {
             graph: graph.signature(),
-            preference: pref.signature(),
+            objectives: pref.objectives,
         };
-        let mode = PruneMode::auto(params.enable_sampling, pref.objectives);
-        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode);
-        match cache.lookup(&key, &graph, requested, false, mode) {
+        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha);
+        match cache.lookup(&key, &graph, requested, false) {
             CacheLookup::NotServable { alpha: cached, .. } => {
                 prop_assert_eq!(cached, alpha);
                 let (trees, warm_alpha) =
@@ -158,20 +156,19 @@ proptest! {
         let cache = PlanCache::new(4, 1);
         let key = CacheKey {
             graph: graph.signature(),
-            preference: pref.signature(),
+            objectives: pref.objectives,
         };
-        let mode = PruneMode::auto(params.enable_sampling, pref.objectives);
-        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha, mode);
+        cache.insert(key, &graph, &approx.final_plans, &approx.arena, alpha);
         prop_assert!(matches!(
-            cache.lookup(&key, &graph, alpha + 1.0, true, mode),
+            cache.lookup(&key, &graph, alpha + 1.0, true),
             CacheLookup::NotServable { .. }
         ));
 
         // An exact entry serves bounded requests at any tolerance.
         let exact = exa(&model, &pref, &Deadline::unlimited());
-        cache.insert(key, &graph, &exact.final_plans, &exact.arena, 1.0, mode);
+        cache.insert(key, &graph, &exact.final_plans, &exact.arena, 1.0);
         prop_assert!(matches!(
-            cache.lookup(&key, &graph, 1.0 + extra, true, mode),
+            cache.lookup(&key, &graph, 1.0 + extra, true),
             CacheLookup::Hit { .. }
         ));
     }

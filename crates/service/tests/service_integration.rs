@@ -9,11 +9,11 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use moqo_catalog::{Catalog, ColumnStats, JoinGraphBuilder, Query, TableStats};
-use moqo_core::{Algorithm, Optimizer, PlanEntry, PruneMode};
+use moqo_core::{select_best, Algorithm, Optimizer, PlanEntry, PruneMode};
 use moqo_cost::{CostVector, Objective, ObjectiveSet, Preference};
 use moqo_service::{
-    BlockSource, CacheKey, CacheLookup, DeadlineAwarePolicy, EventKind, ExemplarClass,
-    OptimizationRequest, OptimizationService, PlanCache, ServiceError, TraceConfig,
+    BlockSource, DeadlineAwarePolicy, EventKind, ExemplarClass, OptimizationRequest,
+    OptimizationService, ServiceError, TraceConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -353,7 +353,7 @@ fn tighter_alpha_request_recomputes_and_tightens_the_entry() {
         assert!(served.fully_cached(), "α′ = {alpha} must hit the α=1 entry");
         assert_eq!(served.weighted_cost, exact.weighted_cost);
     }
-    // A different preference is a different key: no hit.
+    // A preference over other objectives is a different key: no hit.
     let other_pref = service
         .submit_wait(OptimizationRequest::new(
             query,
@@ -367,94 +367,130 @@ fn tighter_alpha_request_recomputes_and_tightens_the_entry() {
     ));
 }
 
-/// Mode-mismatched cache entries are never served, end to end.
-///
-/// Within one service the required mode is a function of the request's
-/// objective set, and the preference signature keys the cache — so the only
-/// way a mismatch can reach `lookup` is a signature collision. The test
-/// forces exactly that with real optimizer fronts: a genuine props-aware
-/// EXA front (sampling on, `TupleLoss` unselected) inserted under one key
-/// must refuse a cost-only consumer of the same key in both directions,
-/// regardless of how tight its α is. At the service level, requests whose
-/// objectives flip the mode use distinct keys and therefore recompute
-/// rather than cross-serve.
+/// The cache key is the block and the objective set: a front computed for
+/// one weighting serves every other weighting of the same objectives that
+/// tolerates its α, and each hit selects with its own preference. Bounds
+/// are served from exact fronts only.
 #[test]
-fn mode_mismatched_cache_entries_are_never_served() {
+fn one_front_serves_every_weighting_and_bound_of_its_objectives() {
     let catalog = moqo_tpch::catalog(0.01);
     let query = moqo_tpch::query(&catalog, 3);
     let graph = &query.blocks[0];
     let optimizer = Optimizer::new(&catalog);
+    let bits = |c: &CostVector| c.as_array().map(f64::to_bits);
+    let source = |response: &moqo_service::OptimizationResponse| response.blocks[0].source.clone();
 
-    // A real props-aware exact front (default params keep sampling on).
-    let pref = weighted_pref();
-    let (block, report) = optimizer.optimize_block(graph, &pref, Algorithm::Exhaustive);
-    assert_eq!(report.prune_mode, PruneMode::PropsAware);
-    assert_eq!(report.alpha_final, 1.0);
+    // Two weightings of the same objectives, {TotalTime, BufferFootprint}.
+    let time_first = weighted_pref();
+    let buffer_first = Preference::over(ObjectiveSet::empty())
+        .weight(Objective::TotalTime, 1e-3)
+        .weight(Objective::BufferFootprint, 1.0);
+    assert_eq!(time_first.objectives, buffer_first.objectives);
+    assert_ne!(time_first.signature(), buffer_first.signature());
 
-    let cache = PlanCache::new(8, 1);
-    let key = CacheKey {
-        graph: graph.signature(),
-        preference: pref.signature(),
-    };
-    cache.insert(
-        key,
-        graph,
-        &block.frontier,
-        &block.arena,
-        report.alpha_final,
-        report.prune_mode,
-    );
-
-    // A colliding cost-only consumer (what a TupleLoss-selecting request
-    // would require) is refused at any tolerance…
-    for alpha in [1.0, 2.0, 1000.0] {
-        assert!(
-            matches!(
-                cache.lookup(&key, graph, alpha, false, PruneMode::CostOnly),
-                CacheLookup::NotServable { .. }
-            ),
-            "α′ = {alpha}: a props-aware front must never serve a cost-only request"
-        );
-    }
-    // …while the matching mode serves directly.
-    assert!(matches!(
-        cache.lookup(&key, graph, 1.0, false, PruneMode::PropsAware),
-        CacheLookup::Hit { .. }
-    ));
-
-    // The reverse direction: a cost-only front (TupleLoss selected) never
-    // serves a props-aware consumer.
-    let loss_pref = weighted_pref().weight(Objective::TupleLoss, 1e3);
-    let (loss_block, loss_report) =
-        optimizer.optimize_block(graph, &loss_pref, Algorithm::Exhaustive);
-    assert_eq!(loss_report.prune_mode, PruneMode::CostOnly);
-    let cache2 = PlanCache::new(8, 1);
-    cache2.insert(
-        key,
-        graph,
-        &loss_block.frontier,
-        &loss_block.arena,
-        1.0,
-        loss_report.prune_mode,
-    );
-    assert!(matches!(
-        cache2.lookup(&key, graph, 10.0, false, PruneMode::PropsAware),
-        CacheLookup::NotServable { .. }
-    ));
-
-    // Service level: the two preference classes hash to different keys, so
-    // the second request recomputes instead of touching the first entry —
-    // and certificates always record matching modes.
     let service = OptimizationService::builder(catalog.clone())
         .workers(1)
         .build();
     let first = service
-        .submit_wait(OptimizationRequest::new(query.clone(), pref, 1.0))
+        .submit_wait(OptimizationRequest::new(query.clone(), time_first, 1.5))
+        .unwrap();
+    let BlockSource::Computed { algorithm, .. } = source(&first) else {
+        panic!("the first request computes");
+    };
+    assert_eq!(algorithm, Algorithm::Rta { alpha: 1.5 });
+
+    // Another weighting with α′ ≥ α is served from that front, and selects
+    // exactly what a fresh front for its own preference would give.
+    let other = service
+        .submit_wait(OptimizationRequest::new(query.clone(), buffer_first, 2.0))
+        .unwrap();
+    match source(&other) {
+        BlockSource::CacheHit { certificate } => {
+            assert!(certificate.is_valid());
+            assert_eq!(certificate.cached_alpha, 1.5);
+        }
+        source => panic!("another weighting of the same objectives must hit: {source:?}"),
+    }
+    let (fresh, _) = optimizer.optimize_block(graph, &buffer_first, algorithm);
+    let best = select_best(&fresh.frontier, &buffer_first).unwrap();
+    assert_eq!(bits(&other.blocks[0].cost), bits(&best.cost));
+
+    // A bounded request needs an exact front: the α = 1.5 entry cannot
+    // serve it. The bound sits between the smallest buffer footprint of
+    // the exact front and that of its time-first optimum, so it binds.
+    let (exact, _) = optimizer.optimize_block(graph, &time_first, Algorithm::Exhaustive);
+    let least_buffer = exact
+        .frontier
+        .iter()
+        .map(|e| e.cost.get(Objective::BufferFootprint))
+        .fold(f64::INFINITY, f64::min);
+    let unbounded = select_best(&exact.frontier, &time_first).unwrap();
+    let bound = (least_buffer + unbounded.cost.get(Objective::BufferFootprint)) / 2.0;
+    assert!(bound < unbounded.cost.get(Objective::BufferFootprint));
+    let bounded = time_first.bound(Objective::BufferFootprint, bound);
+    assert_eq!(bounded.objectives, time_first.objectives);
+    let refused = service
+        .submit_wait(OptimizationRequest::new(query.clone(), bounded, 2.0))
+        .unwrap();
+    assert!(
+        matches!(source(&refused), BlockSource::Computed { .. }),
+        "an approximate front must not serve a bounded request"
+    );
+
+    // After an exact request, the bounded request is a hit that holds the
+    // bounded optimum.
+    let exact_request = service
+        .submit_wait(OptimizationRequest::new(query.clone(), time_first, 1.0))
+        .unwrap();
+    assert!(matches!(
+        source(&exact_request),
+        BlockSource::Computed {
+            algorithm: Algorithm::Exhaustive,
+            ..
+        }
+    ));
+    let served = service
+        .submit_wait(OptimizationRequest::new(query, bounded, 2.0))
+        .unwrap();
+    assert!(
+        served.fully_cached(),
+        "an exact front serves bounded requests"
+    );
+    let optimum = select_best(&exact.frontier, &bounded).unwrap();
+    assert!(bounded.respects_bounds(&optimum.cost));
+    assert_ne!(
+        bits(&optimum.cost),
+        bits(&unbounded.cost),
+        "the bound binds"
+    );
+    assert_eq!(bits(&served.blocks[0].cost), bits(&optimum.cost));
+    assert!(served.respects_bounds);
+}
+
+/// A preference that adds `TupleLoss` selects another objective set, and
+/// with it another pruning mode: while sampling is on, `PruneMode::auto`
+/// prunes cost-only when `TupleLoss` is selected and props-aware when it
+/// is not. It is another cache key, so it recomputes instead of being
+/// served a front of the other mode.
+#[test]
+fn a_mode_flipping_objective_set_is_another_key_and_recomputes() {
+    let catalog = moqo_tpch::catalog(0.01);
+    let query = moqo_tpch::query(&catalog, 3);
+    let service = OptimizationService::builder(catalog.clone())
+        .workers(1)
+        .build();
+    let first = service
+        .submit_wait(OptimizationRequest::new(
+            query.clone(),
+            weighted_pref(),
+            1.0,
+        ))
         .unwrap();
     assert!(matches!(
         first.blocks[0].source,
         BlockSource::Computed { .. }
     ));
+    assert_eq!(first.blocks[0].report.prune_mode, PruneMode::PropsAware);
     let hit = service
         .submit_wait(OptimizationRequest::new(
             query.clone(),
@@ -463,20 +499,19 @@ fn mode_mismatched_cache_entries_are_never_served() {
         ))
         .unwrap();
     match &hit.blocks[0].source {
-        BlockSource::CacheHit { certificate } => {
-            assert!(certificate.is_valid());
-            assert_eq!(certificate.cached_mode, certificate.required_mode);
-            assert_eq!(certificate.cached_mode, PruneMode::PropsAware);
-        }
+        BlockSource::CacheHit { certificate } => assert!(certificate.is_valid()),
         other => panic!("expected a cache hit, got {other:?}"),
     }
+    assert_eq!(hit.blocks[0].report.prune_mode, PruneMode::PropsAware);
+    let loss_pref = weighted_pref().weight(Objective::TupleLoss, 1e3);
     let crossed = service
-        .submit_wait(OptimizationRequest::new(query.clone(), loss_pref, 1.0))
+        .submit_wait(OptimizationRequest::new(query, loss_pref, 1.0))
         .unwrap();
     assert!(
         matches!(crossed.blocks[0].source, BlockSource::Computed { .. }),
-        "a mode-flipping preference is a different key and must recompute"
+        "a mode-flipping objective set is a different key and must recompute"
     );
+    assert_eq!(crossed.blocks[0].report.prune_mode, PruneMode::CostOnly);
 }
 
 /// A full queue bounces for real: no fault injection is needed to test
