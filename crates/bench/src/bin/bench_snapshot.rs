@@ -7,6 +7,11 @@
 //!
 //! The matrix covers the hot paths this repository optimizes:
 //!
+//! * **RMQ** — 1k and 10k samples on 8- and 20-table chains, on the
+//!   calling thread like every RMQ run, each row followed by a zero-time
+//!   `rmq_chain_costings` cell whose checksum is the run's cost-model
+//!   evaluations (`RmqResult::costings`); these rows run first, so no
+//!   earlier row's allocations precede their timings,
 //! * **DP insert stream** — 2000 random cost vectors through
 //!   `PlanSet::prune_insert` at 2/6/9 objectives, exact (EXA's `Prune`)
 //!   and at α = 1.5 (RTA's: approximate rejection, exact deletion),
@@ -28,8 +33,6 @@
 //! * **RTA on TPC-H** — α = 1.5 over all nine objectives on Q5 and Q9
 //!   at scale factor 1, the six-relation blocks that dominate the
 //!   `benchmark/` `tpch_dp` workload's optimizer time,
-//! * **RMQ** — 1k and 10k samples on 8- and 20-table chains, on the
-//!   calling thread like every RMQ run,
 //! * **Metrics snapshot** — 64 `ServiceMetrics::snapshot` calls after 10k
 //!   and 1M completions; the binary asserts the cost does not grow with
 //!   the count.
@@ -56,7 +59,7 @@ use rand::{Rng, SeedableRng};
 
 /// The ledger entry a full snapshot is committed as: the `"pr"` stamp and
 /// the `N` of the default output `BENCH_pr<N>.json`.
-const LEDGER_ENTRY: u32 = 31;
+const LEDGER_ENTRY: u32 = 32;
 
 struct Cell {
     name: String,
@@ -156,6 +159,39 @@ fn main() {
     };
     let catalog = moqo_tpch::catalog(0.01);
     let mut cells: Vec<Cell> = Vec::new();
+
+    // RMQ: samples × tables, ahead of the DP rows, so no DP row's
+    // allocations precede them. Each row is followed by its cost-model
+    // evaluations as an exact zero-time cell.
+    for &n in &[8usize, 20] {
+        let graph = moqo_tpch::large_join_graph(&catalog, n);
+        let model = CostModel::new(&params, &catalog, &graph);
+        for &samples in &[1_000u64, 10_000] {
+            let samples = (samples / budget_div).max(1);
+            let config = RmqConfig::new(samples, 42);
+            let mut costings = 0;
+            let (ms, front) = median_ms(reps, || {
+                let result = rmq(&model, &preference, &config, &Deadline::unlimited());
+                costings = result.costings;
+                result.final_plans.len()
+            });
+            let params = vec![("tables", n.to_string()), ("samples", samples.to_string())];
+            println!("rmq_chain tables={n} samples={samples}: {ms:.3} ms (front {front})");
+            println!("rmq_chain_costings tables={n} samples={samples}: {costings}");
+            cells.push(Cell {
+                name: "rmq_chain".into(),
+                params: params.clone(),
+                median_ms: ms,
+                checksum: front,
+            });
+            cells.push(Cell {
+                name: "rmq_chain_costings".into(),
+                params,
+                median_ms: 0.0,
+                checksum: usize::try_from(costings).expect("counters fit usize"),
+            });
+        }
+    }
 
     // DP insert stream: the Prune hot loop in isolation, exact first, then
     // approximate. Exact rows omit `alpha` to keep the cell keys the
@@ -268,28 +304,6 @@ fn main() {
         });
         println!("rta_tpch query={query_no}: {ms:.3} ms (front {front})");
         push_work_cells(&mut cells, &stats);
-    }
-
-    // RMQ: samples × tables.
-    for &n in &[8usize, 20] {
-        let graph = moqo_tpch::large_join_graph(&catalog, n);
-        let model = CostModel::new(&params, &catalog, &graph);
-        for &samples in &[1_000u64, 10_000] {
-            let samples = (samples / budget_div).max(1);
-            let config = RmqConfig::new(samples, 42);
-            let (ms, front) = median_ms(reps, || {
-                rmq(&model, &preference, &config, &Deadline::unlimited())
-                    .final_plans
-                    .len()
-            });
-            cells.push(Cell {
-                name: "rmq_chain".into(),
-                params: vec![("tables", n.to_string()), ("samples", samples.to_string())],
-                median_ms: ms,
-                checksum: front,
-            });
-            println!("rmq_chain tables={n} samples={samples}: {ms:.3} ms (front {front})");
-        }
     }
 
     // Service metrics snapshot cost: the seed cloned and sorted the full

@@ -7,7 +7,9 @@
 //! iteration budget: front size, best weighted cost, and — for the sizes
 //! where the exact algorithm still terminates — coverage of the exact
 //! Pareto frontier (fraction of exact-frontier vectors 1.05-dominated by an
-//! incumbent) plus the achieved approximation factor α. Each trace point
+//! incumbent) plus the achieved approximation factor α. A reference that
+//! times out is a partial front, so those two columns read `n/a` then,
+//! and `-` beyond `MOQO_RMQ_EXA_LIMIT`. Each trace point
 //! re-runs RMQ at the point's budget: its walkers share nothing, and a
 //! walker's front after `k` iterations does not depend on its budget, so
 //! the run returns exactly the front the full-budget run held there.
@@ -87,8 +89,9 @@ fn main() {
         let graph = moqo_tpch::large_join_graph(&catalog, n);
         let model = CostModel::new(&params, &catalog, &graph);
 
-        // Exact reference front, where feasible.
-        let exact_front: Option<Vec<CostVector>> = if n <= exa_limit {
+        // Exact reference front, where feasible, and what the coverage and
+        // α columns read without one.
+        let (exact_front, no_reference): (Option<Vec<CostVector>>, &str) = if n <= exa_limit {
             let started = Instant::now();
             let result = exa(&model, &preference, &Deadline::new(Some(exa_timeout)));
             let vectors: Vec<CostVector> = result.final_plans.iter().map(|e| e.cost).collect();
@@ -100,15 +103,19 @@ fn main() {
                 result.stats.peak_stored_plans,
                 started.elapsed().as_secs_f64() * 1e3,
                 if result.stats.timed_out {
-                    ", TIMED OUT — coverage is vs the partial front"
+                    ", TIMED OUT — coverage and α are n/a"
                 } else {
                     ""
                 }
             );
-            Some(frontier)
+            if result.stats.timed_out {
+                (None, "n/a")
+            } else {
+                (Some(frontier), "-")
+            }
         } else {
             println!("chain of {n}: EXA reference skipped (beyond {exa_limit} tables)");
-            None
+            (None, "-")
         };
 
         // Sixteen points, plus the full budget when the stride misses it.
@@ -165,7 +172,7 @@ fn main() {
                         },
                     )
                 }
-                _ => ("-".to_owned(), "-".to_owned()),
+                _ => (no_reference.to_owned(), no_reference.to_owned()),
             };
             table.row(vec![
                 budget.to_string(),

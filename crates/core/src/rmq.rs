@@ -31,11 +31,21 @@
 //! 3. **mutating** its current tree with one random transformation — join
 //!    commutativity, join associativity (left/right rotation), a
 //!    join-operator swap, a scan-operator swap, or a coordinated rewrite
-//!    towards a pipelined index-nested-loop join — re-costing the result
-//!    bottom-up. The walker accepts the move when its scalarized cost does
-//!    not increase, plus half of the non-dominated tradeoff moves, so it
-//!    can cross valleys of its own scalarization while still converging
-//!    towards its corner of the tradeoff space.
+//!    towards a pipelined index-nested-loop join. The walker accepts the
+//!    move when its scalarized cost does not increase, plus half of the
+//!    non-dominated tradeoff moves, so it can cross valleys of its own
+//!    scalarization while still converging towards its corner of the
+//!    tradeoff space.
+//!
+//! A walker holds its current plan as a **costed tree**: each node caches
+//! its subtree's cost vector, physical properties, and join and leaf
+//! counts, and a transformed tree shares every subtree the transformation
+//! left untouched with the tree it came from (`Rc` path copying). So a
+//! transformation copies and re-costs only the path from the changed node
+//! to the root, and the cached counts lead to the `k`-th join or leaf. The
+//! front keeps plans in the arena only, so an elite jump re-costs the
+//! chosen plan from the walker's arena. [`RmqResult::costings`] counts
+//! every scan and join the walkers cost.
 //!
 //! The sample budget is dealt to the [`WALKERS`] walkers round-robin
 //! (global iteration `i` belongs to walker `i mod W`). The walkers run on
@@ -58,13 +68,15 @@
 //! neighbour masks that decide which components random tree construction
 //! may join without a Cartesian product.
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use moqo_cost::{CostVector, ObjectiveSet, Preference, Weights};
 use moqo_costmodel::{CostModel, JoinKey};
-use moqo_plan::{JoinOp, JoinTree, PlanArena, PlanId, PlanProps, ScanOp};
+use moqo_plan::{JoinOp, JoinTree, PlanArena, PlanId, PlanNode, PlanProps, ScanOp};
 
 use crate::budget::Deadline;
 use crate::dp::{DpStats, ScanOptions, SplitIndex};
@@ -125,6 +137,12 @@ pub struct RmqResult {
     /// Iterations actually executed across all walkers (may fall short of
     /// the budget on deadline expiry).
     pub iterations: u64,
+    /// Cost-model evaluations across all walkers: every
+    /// [`CostModel::scan_cost`] and [`CostModel::join_cost`] call made to
+    /// seed, warm-start or restart a walker, to re-cost an elite jump's
+    /// plan and to cost a transformed path. Deterministic per seed, warm
+    /// start and budget.
+    pub costings: u64,
 }
 
 /// Runs the anytime randomized optimizer on one query block.
@@ -195,8 +213,7 @@ pub fn rmq_warm(
                 .div_ceil(WALKERS as u64);
             let warm = (!warm_start.is_empty()).then(|| &warm_start[w % warm_start.len()]);
             WalkerState::new(
-                model,
-                &index,
+                Coster::new(model, &index),
                 &scan_opts,
                 objectives,
                 w,
@@ -291,6 +308,7 @@ pub fn rmq_warm(
         final_plans,
         stats,
         iterations,
+        costings: walkers.iter().map(|w| w.coster.calls).sum(),
     }
 }
 
@@ -298,8 +316,7 @@ pub fn rmq_warm(
 /// Deterministic given (seed, budget): the RNG, arena and front are
 /// private, so the interleaving schedule never shows in the results.
 struct WalkerState<'a> {
-    model: &'a CostModel<'a>,
-    index: &'a SplitIndex,
+    coster: Coster<'a>,
     scan_opts: &'a ScanOptions,
     objectives: ObjectiveSet,
     budget: u64,
@@ -310,7 +327,8 @@ struct WalkerState<'a> {
     considered: u64,
     peak_front: usize,
     scal: Weights,
-    state: Component,
+    /// The walker's current plan.
+    state: Rc<CostedNode>,
     iterations: u64,
     timed_out: bool,
     scratch: TreeScratch,
@@ -322,10 +340,8 @@ impl<'a> WalkerState<'a> {
     /// already expired deadline. The first sampled cost normalizes the
     /// walker's scalarization: objectives of wildly different magnitudes
     /// then contribute comparably.
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        model: &'a CostModel<'a>,
-        index: &'a SplitIndex,
+        mut coster: Coster<'a>,
         scan_opts: &'a ScanOptions,
         objectives: ObjectiveSet,
         walker_index: usize,
@@ -338,34 +354,35 @@ impl<'a> WalkerState<'a> {
         // A warm tree that no longer costs under this model falls back to
         // random seeding — the warm start is an accelerator, never a
         // correctness dependency.
-        let (tree, cost, props) = warm
-            .and_then(|t| cost_tree_with(model, index, t).map(|(c, p)| (t.clone(), c, p)))
+        let state = warm
+            .and_then(|t| coster.cost_tree(t).ok())
             .unwrap_or_else(|| {
-                sample_random_tree(model, index, scan_opts, &mut scratch, &mut rng)
+                sample_random_tree(&mut coster, scan_opts, &mut scratch, &mut rng)
                     .expect("a nested-loop plan always exists")
             });
-        let scal = walker_scalarization(walker_index, objectives, &cost, &mut rng);
+        let scal = walker_scalarization(walker_index, objectives, &state.cost, &mut rng);
+        let strategy = PruneStrategy::exact().with_mode(PruneMode::auto(
+            coster.model.params.enable_sampling,
+            objectives,
+        ));
         let mut walker = WalkerState {
-            model,
-            index,
+            coster,
             scan_opts,
             objectives,
             budget,
             rng,
             arena: PlanArena::new(),
             front: PlanSet::new(),
-            strategy: PruneStrategy::exact()
-                .with_mode(PruneMode::auto(model.params.enable_sampling, objectives)),
+            strategy,
             considered: 0,
             peak_front: 0,
             scal,
-            state: Component { tree, cost, props },
+            state: Rc::clone(&state),
             iterations: 0,
             timed_out: false,
             scratch,
         };
-        let seeded = walker.state.tree.clone();
-        walker.offer(&seeded, cost, props);
+        walker.offer(&state);
         walker
     }
 
@@ -373,18 +390,22 @@ impl<'a> WalkerState<'a> {
     /// runs before allocating arena nodes: rejected candidates (the vast
     /// majority) then leave no garbage behind, so arena growth is bounded
     /// by *accepted* plans, not the budget.
-    fn offer(&mut self, tree: &JoinTree, cost: CostVector, props: PlanProps) {
+    fn offer(&mut self, tree: &CostedNode) {
         self.considered += 1;
         let strategy = self.strategy;
         if self
             .front
-            .would_reject(&cost, &props, &strategy, self.objectives)
+            .would_reject(&tree.cost, &tree.props, &strategy, self.objectives)
         {
             return;
         }
-        let plan = self.arena.insert_tree(tree);
+        let entry = PlanEntry {
+            cost: tree.cost,
+            props: tree.props,
+            plan: tree.store(&mut self.arena),
+        };
         self.front
-            .insert_unrejected(PlanEntry { cost, props, plan }, &strategy, self.objectives);
+            .insert_unrejected(entry, &strategy, self.objectives);
         if self.front.len() > self.peak_front {
             self.peak_front = self.front.len();
         }
@@ -414,16 +435,15 @@ impl<'a> WalkerState<'a> {
         let draw: f64 = self.rng.gen_range(0.0..1.0);
         if draw < RESTART_PROBABILITY {
             // Exploration: restart this walker on a fresh random tree.
-            let (tree, cost, props) = sample_random_tree(
-                self.model,
-                self.index,
+            let tree = sample_random_tree(
+                &mut self.coster,
                 self.scan_opts,
                 &mut self.scratch,
                 &mut self.rng,
             )
             .expect("a nested-loop plan always exists");
-            self.offer(&tree, cost, props);
-            self.state = Component { tree, cost, props };
+            self.offer(&tree);
+            self.state = tree;
         } else if draw < RESTART_PROBABILITY + ELITE_PROBABILITY {
             // Exploitation: jump onto the local-front member best under
             // this walker's own scalarization direction.
@@ -438,39 +458,34 @@ impl<'a> WalkerState<'a> {
                 })
                 .copied();
             if let Some(elite) = elite {
-                self.state = Component {
-                    tree: self.arena.extract_tree(elite.plan),
-                    cost: elite.cost,
-                    props: elite.props,
-                };
+                let tree = self
+                    .coster
+                    .cost_stored(&self.arena, elite.plan)
+                    .expect("a stored plan costs as it did when it was offered");
+                debug_assert!(tree.cost == elite.cost && tree.props == elite.props);
+                self.state = tree;
             }
             // A jump re-uses a stored plan; no candidate is sampled, so
             // `considered_plans` is not incremented.
         } else {
             // Local move: one random transformation of the walker's tree.
-            match mutate_tree(
-                self.model,
-                self.index,
-                self.scan_opts,
-                &self.state.tree,
-                &mut self.rng,
-            ) {
-                Some((tree, cost, props)) => {
-                    self.offer(&tree, cost, props);
+            match self.mutate() {
+                Some(tree) => {
+                    self.offer(&tree);
                     // Accept when the walker's scalarized cost does not
                     // increase (plateau moves keep the walk mobile); also
                     // accept a fraction of non-dominated tradeoff moves so
                     // the walk can cross valleys of its own scalarization.
                     let old = self.scal.weighted_cost(&self.state.cost);
-                    let new = self.scal.weighted_cost(&cost);
+                    let new = self.scal.weighted_cost(&tree.cost);
                     let accept = new <= old
                         || (!moqo_cost::dominance::strictly_dominates(
                             &self.state.cost,
-                            &cost,
+                            &tree.cost,
                             self.objectives,
                         ) && self.rng.gen_range(0.0..1.0) < 0.5);
                     if accept {
-                        self.state = Component { tree, cost, props };
+                        self.state = tree;
                     }
                 }
                 None => {
@@ -479,6 +494,67 @@ impl<'a> WalkerState<'a> {
                 }
             }
         }
+    }
+
+    /// Draws one random local transformation of the walker's tree and
+    /// costs its path. Returns `None` when no draw found an applicable
+    /// transformation or the transformed tree cannot be costed (an
+    /// operator became inapplicable).
+    fn mutate(&mut self) -> Option<Rc<CostedNode>> {
+        let base = Rc::clone(&self.state);
+        let (n_joins, n_leaves) = (base.joins, base.leaves);
+        let rng = &mut self.rng;
+        // Try a handful of transformation draws: structural rewrites can be
+        // inapplicable at the drawn position (e.g. rotating over a leaf).
+        for _ in 0..4 {
+            let (at, mv) = match rng.gen_range(0u32..6) {
+                0 if n_joins > 0 => (At::Join(rng.gen_range(0..n_joins)), Move::Commute),
+                1 if n_joins > 0 => (At::Join(rng.gen_range(0..n_joins)), Move::RotateRight),
+                2 if n_joins > 0 => (At::Join(rng.gen_range(0..n_joins)), Move::RotateLeft),
+                3 if n_joins > 0 => {
+                    let at = At::Join(rng.gen_range(0..n_joins));
+                    (at, Move::SetJoinOp(*JoinOp::ALL.choose(rng)?))
+                }
+                4 => {
+                    let at = At::Leaf(rng.gen_range(0..n_leaves));
+                    let Shape::Scan { rel, op } = base.find(at)?.shape else {
+                        unreachable!("leaf addresses lead to scans")
+                    };
+                    let new_op = *self.scan_opts.for_rel(rel).choose(rng)?;
+                    // Re-drawing the current operator would re-cost an
+                    // identical tree; treat it as a failed draw instead.
+                    if new_op == op {
+                        continue;
+                    }
+                    (at, Move::SetScanOp(new_op))
+                }
+                5 if n_joins > 0 => {
+                    // Towards a pipelined index-nested-loop join: only a
+                    // join whose inner child is a leaf with an indexed
+                    // join key qualifies.
+                    let at = At::Join(rng.gen_range(0..n_joins));
+                    let Some(Shape::Join { left, right, .. }) = base.find(at).map(|n| &n.shape)
+                    else {
+                        continue;
+                    };
+                    let Shape::Scan { rel, .. } = right.shape else {
+                        continue;
+                    };
+                    match self.coster.index.split(left.props.rels, 1u32 << rel).key {
+                        Some(key) if key.inner_index.is_some() => {
+                            (at, Move::IndexNl(key.right_col))
+                        }
+                        _ => continue,
+                    }
+                }
+                _ => continue,
+            };
+            match self.coster.apply(&base, at, mv) {
+                Err(Miss::NotApplicable) => {}
+                edit => return edit.ok(),
+            }
+        }
+        None
     }
 }
 
@@ -490,14 +566,6 @@ fn walker_seed(master: u64, i: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// One in-flight component of the random walk: a subtree plus its cost and
-/// physical properties.
-struct Component {
-    tree: JoinTree,
-    cost: CostVector,
-    props: PlanProps,
 }
 
 /// The scalarization of walker `i`: walkers `0..l` take the unit directions
@@ -538,27 +606,22 @@ struct TreeScratch {
 /// costs it on the way up. Returns `None` only if some relation admits no
 /// scan at all (impossible for well-formed catalogs).
 fn sample_random_tree(
-    model: &CostModel<'_>,
-    index: &SplitIndex,
+    coster: &mut Coster<'_>,
     scan_opts: &ScanOptions,
     scratch: &mut TreeScratch,
     rng: &mut StdRng,
-) -> Option<(JoinTree, CostVector, PlanProps)> {
-    let n = model.graph.n_rels();
-    let mut components: Vec<Component> = Vec::with_capacity(n);
+) -> Option<Rc<CostedNode>> {
+    let n = coster.model.graph.n_rels();
+    let mut components: Vec<Rc<CostedNode>> = Vec::with_capacity(n);
     for rel in 0..n {
         scratch.scans.clear();
         scratch.scans.extend_from_slice(scan_opts.for_rel(rel));
         scratch.scans.shuffle(rng);
-        let (op, cost, props) = scratch
+        let scan = scratch
             .scans
             .iter()
-            .find_map(|&op| model.scan_cost(rel, op).map(|(c, p)| (op, c, p)))?;
-        components.push(Component {
-            tree: JoinTree::scan(rel, op),
-            cost,
-            props,
-        });
+            .find_map(|&op| coster.scan(rel, op).ok())?;
+        components.push(scan);
     }
 
     let pairs = &mut scratch.pairs;
@@ -567,7 +630,7 @@ fn sample_random_tree(
         // heuristic), otherwise every pair.
         pairs.clear();
         for (i, a) in components.iter().enumerate() {
-            let neighbours = index.neighbours(a.props.rels);
+            let neighbours = coster.index.neighbours(a.props.rels);
             for (j, b) in components.iter().enumerate() {
                 if i != j && neighbours & b.props.rels != 0 {
                     pairs.push((i, j));
@@ -589,141 +652,294 @@ fn sample_random_tree(
         'pairs: for &(i, j) in pairs.iter() {
             let mut ops = JoinOp::ALL;
             ops.shuffle(rng);
-            let (left, right) = (&components[i], &components[j]);
-            let split = index.split(left.props.rels, right.props.rels);
-            let right_canonical = is_canonical_leaf(&right.tree, split.key.as_ref());
             for op in ops {
-                if let Some((cost, props)) = model.join_cost(
-                    op,
-                    (&left.cost, &left.props),
-                    (&right.cost, &right.props),
-                    &split,
-                    right_canonical,
-                ) {
-                    joined = Some((i, j, op, cost, props));
+                if let Ok(tree) = coster.join(op, &components[i], &components[j]) {
+                    joined = Some((i, j, tree));
                     break 'pairs;
                 }
             }
         }
-        let (i, j, op, cost, props) = joined?;
-        let (first, second) = (i.min(j), i.max(j));
-        let right = components.swap_remove(second);
-        let left = components.swap_remove(first);
-        let (left, right) = if first == i {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        components.push(Component {
-            tree: JoinTree::join(op, left.tree, right.tree),
-            cost,
-            props,
-        });
+        let (i, j, tree) = joined?;
+        // The later position first, so the earlier one is still in place.
+        components.swap_remove(i.max(j));
+        components.swap_remove(i.min(j));
+        components.push(tree);
     }
-
-    let c = components.pop()?;
-    Some((c.tree, c.cost, c.props))
+    components.pop()
 }
 
-/// Applies one random local transformation to a copy of `base` and re-costs
-/// it. Returns `None` when the transformed tree cannot be costed
-/// (inapplicable operator after the rewrite) or no transformation applied.
-fn mutate_tree(
-    model: &CostModel<'_>,
-    index: &SplitIndex,
-    scan_opts: &ScanOptions,
-    base: &JoinTree,
-    rng: &mut StdRng,
-) -> Option<(JoinTree, CostVector, PlanProps)> {
-    let mut tree = base.clone();
-    let n_joins = tree.n_joins();
-    let n_leaves = tree.n_leaves();
+/// A node of a walker's costed tree: the cost vector, physical properties
+/// and join and leaf counts of its subtree, computed once when the node is
+/// built. Children are shared, so a transformed tree reuses every subtree
+/// the transformation left untouched.
+#[derive(Debug)]
+struct CostedNode {
+    cost: CostVector,
+    props: PlanProps,
+    joins: usize,
+    leaves: usize,
+    shape: Shape,
+}
 
-    // Try a handful of transformation draws: structural rewrites can be
-    // inapplicable at the drawn position (e.g. rotating over a leaf).
-    let mut transformed = false;
-    for _ in 0..4 {
-        let choice = rng.gen_range(0u32..6);
-        transformed = match choice {
-            0 if n_joins > 0 => tree.commute(rng.gen_range(0..n_joins)),
-            1 if n_joins > 0 => tree.rotate_right(rng.gen_range(0..n_joins)),
-            2 if n_joins > 0 => tree.rotate_left(rng.gen_range(0..n_joins)),
-            3 if n_joins > 0 => {
-                tree.set_join_op(rng.gen_range(0..n_joins), *JoinOp::ALL.choose(rng)?)
-            }
-            4 => {
-                let leaf = rng.gen_range(0..n_leaves);
-                let (rel, current) = tree.scan_at(leaf)?;
-                let ops = scan_opts.for_rel(rel);
-                let new_op = *ops.choose(rng)?;
-                // Re-drawing the current operator would re-cost an
-                // identical tree; treat it as a failed draw instead.
-                new_op != current && tree.set_scan_op(leaf, new_op).is_some()
-            }
-            5 if n_joins > 0 => {
-                // Coordinated rewrite towards a pipelined index-nested-loop
-                // join: pick a join whose inner child is a leaf, switch the
-                // leaf to the join key's canonical index scan and the join
-                // to IdxNL in one step (the swaps rarely pay off applied
-                // separately).
-                let k = rng.gen_range(0..n_joins);
-                match tree.join_at(k) {
-                    Some(JoinTree::Join { left, right, .. }) => {
-                        if let JoinTree::Scan { rel, .. } = &**right {
-                            match index.split(left.rel_mask(), 1u32 << rel).key {
-                                Some(key) if key.inner_index.is_some() => {
-                                    tree.make_index_nl(k, key.right_col)
-                                }
-                                _ => false,
-                            }
-                        } else {
-                            false
-                        }
-                    }
-                    _ => false,
-                }
-            }
-            _ => false,
+/// A scan leaf, or a join of two shared subtrees (`left` is the outer
+/// input).
+#[derive(Debug)]
+enum Shape {
+    Scan {
+        rel: usize,
+        op: ScanOp,
+    },
+    Join {
+        op: JoinOp,
+        left: Rc<CostedNode>,
+        right: Rc<CostedNode>,
+    },
+}
+
+/// The address of a node in a costed tree: the `k`-th join in preorder or
+/// the `k`-th leaf from the left (both 0-based).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum At {
+    Join(usize),
+    Leaf(usize),
+}
+
+impl At {
+    /// Where this address lies below a join whose outer child is `left`:
+    /// `None` for the join itself, else whether it lies in `left` and its
+    /// address there.
+    fn below(self, left: &CostedNode) -> Option<(bool, At)> {
+        let (k, in_left, address): (usize, usize, fn(usize) -> At) = match self {
+            At::Join(0) => return None,
+            At::Join(k) => (k - 1, left.joins, At::Join),
+            At::Leaf(k) => (k, left.leaves, At::Leaf),
         };
-        if transformed {
-            break;
+        Some(if k < in_left {
+            (true, address(k))
+        } else {
+            (false, address(k - in_left))
+        })
+    }
+}
+
+/// One local transformation, applied at an [`At`] address. Operators
+/// travel with their position; a transformation that leaves an operator
+/// inapplicable fails to cost.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// Join commutativity `A ⋈ B → B ⋈ A`.
+    Commute,
+    /// Join associativity, right rotation `(A ⋈₂ B) ⋈₁ C → A ⋈₂ (B ⋈₁ C)`;
+    /// not applicable when the outer child is a leaf.
+    RotateRight,
+    /// Join associativity, left rotation `A ⋈₁ (B ⋈₂ C) → (A ⋈₁ B) ⋈₂ C`;
+    /// not applicable when the inner child is a leaf.
+    RotateLeft,
+    /// Replaces a join's operator.
+    SetJoinOp(JoinOp),
+    /// Replaces a leaf's scan operator.
+    SetScanOp(ScanOp),
+    /// The coordinated rewrite towards a pipelined index-nested-loop join:
+    /// the inner leaf becomes the index scan on the given column and the
+    /// join [`JoinOp::IndexNestedLoop`], in one step (the two swaps rarely
+    /// survive a cost-based search separately). Not applicable when the
+    /// inner child is a join.
+    IndexNl(u16),
+}
+
+/// Why a transformation yields no costed tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    /// The transformation does not apply at the address.
+    NotApplicable,
+    /// The transformed tree has an inapplicable operator.
+    Uncostable,
+}
+
+/// A built and costed node, or why there is none.
+type Edit = Result<Rc<CostedNode>, Miss>;
+
+impl CostedNode {
+    /// The node at `at`, if the tree has one there.
+    fn find(&self, at: At) -> Option<&CostedNode> {
+        match &self.shape {
+            Shape::Scan { .. } => (at == At::Leaf(0)).then_some(self),
+            Shape::Join { left, right, .. } => match at.below(left) {
+                None => Some(self),
+                Some((true, at)) => left.find(at),
+                Some((false, at)) => right.find(at),
+            },
         }
     }
-    if !transformed {
-        return None;
+
+    /// Stores the tree in `arena`, children before parents and the outer
+    /// subtree first, and returns the root's id.
+    fn store(&self, arena: &mut PlanArena) -> PlanId {
+        match &self.shape {
+            Shape::Scan { rel, op } => arena.scan(*rel, *op),
+            Shape::Join { op, left, right } => {
+                let l = left.store(arena);
+                let r = right.store(arena);
+                arena.join(*op, l, r)
+            }
+        }
     }
-    let (cost, props) = cost_tree_with(model, index, &tree)?;
-    Some((tree, cost, props))
 }
 
-/// Costs an owned join tree bottom-up against the run's split index (the
-/// walker hot path re-costs a whole tree per mutation, so the index is
-/// built once per run). Returns `None` when any operator in the tree is
-/// inapplicable (e.g. an index scan on an unindexed column or a hash join
-/// over a predicate-free split).
-fn cost_tree_with(
-    model: &CostModel<'_>,
-    index: &SplitIndex,
-    tree: &JoinTree,
-) -> Option<(CostVector, PlanProps)> {
-    match tree {
-        JoinTree::Scan { rel, op } => model.scan_cost(*rel, *op),
-        JoinTree::Join { op, left, right } => {
-            let (lc, lp) = cost_tree_with(model, index, left)?;
-            let (rc, rp) = cost_tree_with(model, index, right)?;
-            let split = index.split(lp.rels, rp.rels);
-            let right_canonical = is_canonical_leaf(right, split.key.as_ref());
-            model.join_cost(*op, (&lc, &lp), (&rc, &rp), &split, right_canonical)
+/// Builds costed nodes against one block's model and split index, and
+/// counts the cost-model calls it makes.
+struct Coster<'a> {
+    model: &'a CostModel<'a>,
+    index: &'a SplitIndex,
+    /// `scan_cost` and `join_cost` calls so far.
+    calls: u64,
+}
+
+impl<'a> Coster<'a> {
+    fn new(model: &'a CostModel<'a>, index: &'a SplitIndex) -> Self {
+        Coster {
+            model,
+            index,
+            calls: 0,
+        }
+    }
+
+    /// A scan leaf.
+    fn scan(&mut self, rel: usize, op: ScanOp) -> Edit {
+        self.calls += 1;
+        let (cost, props) = self.model.scan_cost(rel, op).ok_or(Miss::Uncostable)?;
+        Ok(Rc::new(CostedNode {
+            cost,
+            props,
+            joins: 0,
+            leaves: 1,
+            shape: Shape::Scan { rel, op },
+        }))
+    }
+
+    /// A join of two costed subtrees.
+    fn join(&mut self, op: JoinOp, left: &Rc<CostedNode>, right: &Rc<CostedNode>) -> Edit {
+        self.calls += 1;
+        let split = self.index.split(left.props.rels, right.props.rels);
+        let right_canonical = is_canonical_leaf(right, split.key.as_ref());
+        let (cost, props) = self
+            .model
+            .join_cost(
+                op,
+                (&left.cost, &left.props),
+                (&right.cost, &right.props),
+                &split,
+                right_canonical,
+            )
+            .ok_or(Miss::Uncostable)?;
+        Ok(Rc::new(CostedNode {
+            cost,
+            props,
+            joins: left.joins + right.joins + 1,
+            leaves: left.leaves + right.leaves,
+            shape: Shape::Join {
+                op,
+                left: Rc::clone(left),
+                right: Rc::clone(right),
+            },
+        }))
+    }
+
+    /// Costs an owned tree bottom-up (a warm start).
+    fn cost_tree(&mut self, tree: &JoinTree) -> Edit {
+        match tree {
+            JoinTree::Scan { rel, op } => self.scan(*rel, *op),
+            JoinTree::Join { op, left, right } => {
+                let l = self.cost_tree(left)?;
+                let r = self.cost_tree(right)?;
+                self.join(*op, &l, &r)
+            }
+        }
+    }
+
+    /// Costs the plan `plan` of `arena` bottom-up (an elite jump).
+    fn cost_stored(&mut self, arena: &PlanArena, plan: PlanId) -> Edit {
+        match arena.node(plan) {
+            PlanNode::Scan { rel, op } => self.scan(rel, op),
+            PlanNode::Join { op, left, right } => {
+                let l = self.cost_stored(arena, left)?;
+                let r = self.cost_stored(arena, right)?;
+                self.join(op, &l, &r)
+            }
+        }
+    }
+
+    /// Applies `mv` at the node `at` of the tree rooted at `node`: copies
+    /// and re-costs the path from that node up to the root and shares
+    /// every other subtree.
+    fn apply(&mut self, node: &CostedNode, at: At, mv: Move) -> Edit {
+        match &node.shape {
+            Shape::Scan { .. } if at != At::Leaf(0) => Err(Miss::NotApplicable),
+            Shape::Scan { .. } => self.rewrite(node, mv),
+            Shape::Join { op, left, right } => match at.below(left) {
+                None => self.rewrite(node, mv),
+                Some((true, at)) => {
+                    let left = self.apply(left, at, mv)?;
+                    self.join(*op, &left, right)
+                }
+                Some((false, at)) => {
+                    let right = self.apply(right, at, mv)?;
+                    self.join(*op, left, &right)
+                }
+            },
+        }
+    }
+
+    /// Applies `mv` at `node` itself.
+    fn rewrite(&mut self, node: &CostedNode, mv: Move) -> Edit {
+        let Shape::Join { op, left, right } = &node.shape else {
+            return match (&node.shape, mv) {
+                (Shape::Scan { rel, .. }, Move::SetScanOp(op)) => self.scan(*rel, op),
+                _ => Err(Miss::NotApplicable),
+            };
+        };
+        match (mv, &left.shape, &right.shape) {
+            (Move::Commute, ..) => self.join(*op, right, left),
+            (
+                Move::RotateRight,
+                Shape::Join {
+                    op: inner,
+                    left: a,
+                    right: b,
+                },
+                _,
+            ) => {
+                let bc = self.join(*op, b, right)?;
+                self.join(*inner, a, &bc)
+            }
+            (
+                Move::RotateLeft,
+                _,
+                Shape::Join {
+                    op: inner,
+                    left: b,
+                    right: c,
+                },
+            ) => {
+                let ab = self.join(*op, left, b)?;
+                self.join(*inner, &ab, c)
+            }
+            (Move::SetJoinOp(new), ..) => self.join(new, left, right),
+            (Move::IndexNl(column), _, &Shape::Scan { rel, .. }) => {
+                let scan = self.scan(rel, ScanOp::IndexScan { column })?;
+                self.join(JoinOp::IndexNestedLoop, left, &scan)
+            }
+            _ => Err(Miss::NotApplicable),
         }
     }
 }
 
 /// Whether `tree` is exactly the index scan on the join key's inner column
 /// (precondition of index-nested-loop joins).
-fn is_canonical_leaf(tree: &JoinTree, key: Option<&JoinKey>) -> bool {
-    match (tree, key) {
+fn is_canonical_leaf(tree: &CostedNode, key: Option<&JoinKey>) -> bool {
+    match (&tree.shape, key) {
         (
-            JoinTree::Scan {
+            Shape::Scan {
                 rel,
                 op: ScanOp::IndexScan { column },
             },
@@ -736,9 +952,13 @@ fn is_canonical_leaf(tree: &JoinTree, key: Option<&JoinKey>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moqo_catalog::{Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
+    use moqo_catalog::{
+        BaseRel, Catalog, ColumnStats, JoinEdge, JoinGraph, JoinGraphBuilder, TableId, TableStats,
+    };
     use moqo_cost::{Objective, ObjectiveSet};
     use moqo_costmodel::CostModelParams;
+    use moqo_plan::SAMPLING_RATES_PCT;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -834,6 +1054,7 @@ mod tests {
         let bv: Vec<CostVector> = b.final_plans.iter().map(|e| e.cost).collect();
         assert_eq!(av, bv, "same seed must reproduce the same front");
         assert_eq!(a.stats.considered_plans, b.stats.considered_plans);
+        assert_eq!(a.costings, b.costings);
     }
 
     #[test]
@@ -908,6 +1129,19 @@ mod tests {
         assert_eq!(out.final_plans.len(), out.stats.pareto_last_complete);
         assert!(!out.final_plans.is_empty());
         assert_eq!(out.iterations, 0);
+        // Each walker costs its seed tree and nothing else: at least one
+        // call per node of a three-relation tree.
+        assert!(out.costings >= (WALKERS * 5) as u64);
+
+        // A warm tree that costs is costed once, node by node.
+        let warm = rmq_warm(
+            &model,
+            &pref(),
+            &RmqConfig::new(0, 1),
+            &Deadline::unlimited(),
+            &[chain3()],
+        );
+        assert_eq!(warm.costings, (WALKERS * 5) as u64);
     }
 
     #[test]
@@ -1000,7 +1234,7 @@ mod tests {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
         // Build (customer ⋈ orders) ⋈ lineitem with hash joins and compare
-        // against the incremental costs the walk would produce.
+        // the reference costing with the costed tree a walker builds.
         let tree = JoinTree::join(
             JoinOp::HashJoin { dop: 1 },
             JoinTree::join(
@@ -1015,6 +1249,10 @@ mod tests {
             cost_tree_with(&model, &index, &tree).expect("hash joins apply on join edges");
         assert_eq!(props.rels, 0b111);
         assert!(cost.get(Objective::TotalTime) > 0.0);
+        let mut coster = Coster::new(&model, &index);
+        let costed = coster.cost_tree(&tree).expect("the costed tree costs too");
+        assert_eq!(bits(&costed.cost, &costed.props), bits(&cost, &props));
+        assert_eq!(coster.calls, 5, "one cost-model call per node");
         // An index-nested-loop join over a non-canonical inner child must
         // fail to cost.
         let bad = JoinTree::join(
@@ -1023,5 +1261,615 @@ mod tests {
             JoinTree::scan(1, ScanOp::SeqScan),
         );
         assert!(cost_tree_with(&model, &index, &bad).is_none());
+        assert_eq!(coster.cost_tree(&bad).unwrap_err(), Miss::Uncostable);
+    }
+
+    fn chain3() -> JoinTree {
+        // ((0 ⋈ 1) ⋈ 2)
+        JoinTree::join(
+            JoinOp::HashJoin { dop: 1 },
+            JoinTree::join(
+                JoinOp::SortMergeJoin { dop: 2 },
+                JoinTree::scan(0, ScanOp::SeqScan),
+                JoinTree::scan(1, ScanOp::SeqScan),
+            ),
+            JoinTree::scan(2, ScanOp::IndexScan { column: 0 }),
+        )
+    }
+
+    /// Runs `check` on `chain3` costed over `setup3`'s block, with the
+    /// coster that built it.
+    fn with_chain3(check: impl FnOnce(&mut Coster<'_>, Rc<CostedNode>)) {
+        let (p, cat, g) = setup3();
+        let model = CostModel::new(&p, &cat, &g);
+        let index = SplitIndex::new(&model);
+        let mut coster = Coster::new(&model, &index);
+        let tree = coster.cost_tree(&chain3()).expect("chain3 costs");
+        check(&mut coster, tree);
+    }
+
+    #[test]
+    fn counts_and_mask() {
+        with_chain3(|_, tree| {
+            assert_eq!(tree.leaves, 3);
+            assert_eq!(tree.joins, 2);
+            assert_eq!(tree.props.rels, 0b111);
+        });
+    }
+
+    #[test]
+    fn commute_swaps_children() {
+        with_chain3(|coster, tree| {
+            let swapped = coster
+                .apply(&tree, At::Join(0), Move::Commute)
+                .expect("hash joins commute");
+            let (Shape::Join { left, right, .. }, Shape::Join { left: old_left, .. }) =
+                (&swapped.shape, &tree.shape)
+            else {
+                panic!("both roots are joins")
+            };
+            assert!(matches!(left.shape, Shape::Scan { rel: 2, .. }));
+            assert_eq!(right.leaves, 2);
+            assert!(
+                Rc::ptr_eq(right, old_left),
+                "the untouched subtree is shared"
+            );
+            assert_eq!(swapped.props.rels, 0b111, "commutativity preserves leaves");
+            assert_eq!(
+                coster.apply(&tree, At::Join(5), Move::Commute).unwrap_err(),
+                Miss::NotApplicable,
+                "an out-of-range index does not apply"
+            );
+        });
+    }
+
+    #[test]
+    fn rotate_right_reassociates() {
+        with_chain3(|coster, tree| {
+            // ((0 ⋈ 1) ⋈ 2) → (0 ⋈ (1 ⋈ 2)).
+            let rotated = coster
+                .apply(&tree, At::Join(0), Move::RotateRight)
+                .expect("rotates");
+            let Shape::Join { left, right, .. } = &rotated.shape else {
+                panic!("the root is a join")
+            };
+            assert!(matches!(left.shape, Shape::Scan { rel: 0, .. }));
+            assert_eq!(right.props.rels, 0b110);
+            assert_eq!(rotated.props.rels, 0b111);
+            // The left child is now a leaf: a further right rotation does
+            // not apply.
+            assert_eq!(
+                coster
+                    .apply(&rotated, At::Join(0), Move::RotateRight)
+                    .unwrap_err(),
+                Miss::NotApplicable
+            );
+        });
+    }
+
+    #[test]
+    fn rotate_left_inverts_rotate_right() {
+        with_chain3(|coster, tree| {
+            let rotated = coster
+                .apply(&tree, At::Join(0), Move::RotateRight)
+                .expect("rotates right");
+            let back = coster
+                .apply(&rotated, At::Join(0), Move::RotateLeft)
+                .expect("rotates left");
+            // Rotations also permute operator assignments; the *shape* and
+            // leaf set must return, the operators may not.
+            assert_eq!(back.props.rels, tree.props.rels);
+            assert_eq!(back.joins, tree.joins);
+            let Shape::Join { left, .. } = &back.shape else {
+                panic!("the root is a join")
+            };
+            assert_eq!(left.props.rels, 0b011);
+        });
+    }
+
+    #[test]
+    fn operator_swaps() {
+        with_chain3(|coster, tree| {
+            let swapped = coster
+                .apply(&tree, At::Join(1), Move::SetJoinOp(JoinOp::NestedLoop))
+                .expect("nested loops apply everywhere");
+            let Shape::Join { left, .. } = &swapped.shape else {
+                panic!("the root is a join")
+            };
+            assert!(matches!(
+                left.shape,
+                Shape::Join {
+                    op: JoinOp::NestedLoop,
+                    ..
+                }
+            ));
+            let rescanned = coster
+                .apply(&tree, At::Leaf(2), Move::SetScanOp(ScanOp::SeqScan))
+                .expect("sequential scans apply everywhere");
+            assert!(matches!(
+                rescanned.find(At::Leaf(2)).map(|n| &n.shape),
+                Some(Shape::Scan {
+                    rel: 2,
+                    op: ScanOp::SeqScan
+                })
+            ));
+            let out_of_range = [
+                (At::Leaf(9), Move::SetScanOp(ScanOp::SeqScan)),
+                (At::Join(7), Move::SetJoinOp(JoinOp::NestedLoop)),
+            ];
+            for (at, mv) in out_of_range {
+                assert_eq!(
+                    coster.apply(&tree, at, mv).unwrap_err(),
+                    Miss::NotApplicable
+                );
+            }
+            // An index-nested-loop join over a sequential scan applies but
+            // does not cost.
+            assert_eq!(
+                coster
+                    .apply(&tree, At::Join(1), Move::SetJoinOp(JoinOp::IndexNestedLoop))
+                    .unwrap_err(),
+                Miss::Uncostable
+            );
+        });
+    }
+
+    #[test]
+    fn preorder_join_indexing_reaches_every_join() {
+        let (catalog, graph) = topology_instance(0, 4, &mut StdRng::seed_from_u64(1));
+        let params = CostModelParams::default();
+        let model = CostModel::new(&params, &catalog, &graph);
+        let index = SplitIndex::new(&model);
+        let mut coster = Coster::new(&model, &index);
+        // A bushy tree: (0 ⋈ 1) ⋈ (2 ⋈ 3) has joins at preorder 0, 1, 2.
+        let scan = |rel| JoinTree::scan(rel, ScanOp::SeqScan);
+        let bushy = JoinTree::join(
+            JoinOp::NestedLoop,
+            JoinTree::join(JoinOp::NestedLoop, scan(0), scan(1)),
+            JoinTree::join(JoinOp::NestedLoop, scan(2), scan(3)),
+        );
+        let tree = coster.cost_tree(&bushy).expect("nested loops always cost");
+        for (k, rels) in [0b1111, 0b0011, 0b1100].into_iter().enumerate() {
+            assert_eq!(tree.find(At::Join(k)).map(|n| n.props.rels), Some(rels));
+            let set = Move::SetJoinOp(JoinOp::NestedLoop);
+            assert!(coster.apply(&tree, At::Join(k), set).is_ok(), "join {k}");
+        }
+        for leaf in 0..4 {
+            assert_eq!(
+                tree.find(At::Leaf(leaf)).map(|n| n.props.rels),
+                Some(1 << leaf)
+            );
+        }
+        assert!(tree.find(At::Join(3)).is_none() && tree.find(At::Leaf(4)).is_none());
+        assert_eq!(
+            coster
+                .apply(&tree, At::Join(3), Move::SetJoinOp(JoinOp::NestedLoop))
+                .unwrap_err(),
+            Miss::NotApplicable
+        );
+    }
+
+    #[test]
+    fn costed_trees_are_stored_children_first_and_re_cost_from_the_arena() {
+        with_chain3(|coster, tree| {
+            let mut arena = PlanArena::new();
+            let root = tree.store(&mut arena);
+            assert_eq!(root, PlanId(4));
+            let mut order = Vec::new();
+            arena.visit_postorder(root, &mut |id, _| order.push(id.0));
+            assert_eq!(order, [0, 1, 2, 3, 4]);
+            assert_eq!(arena.extract_tree(root), chain3());
+            let calls = coster.calls;
+            let again = coster
+                .cost_stored(&arena, root)
+                .expect("a stored plan costs");
+            assert_eq!(coster.calls - calls, 5);
+            assert_eq!(
+                bits(&again.cost, &again.props),
+                bits(&tree.cost, &tree.props)
+            );
+        });
+    }
+
+    /// The bottom-up costing of an owned tree that walkers ran on every
+    /// transformed tree before they kept costed trees: the reference each
+    /// costed node must equal bit for bit.
+    fn cost_tree_with(
+        model: &CostModel<'_>,
+        index: &SplitIndex,
+        tree: &JoinTree,
+    ) -> Option<(CostVector, PlanProps)> {
+        match tree {
+            JoinTree::Scan { rel, op } => model.scan_cost(*rel, *op),
+            JoinTree::Join { op, left, right } => {
+                let (lc, lp) = cost_tree_with(model, index, left)?;
+                let (rc, rp) = cost_tree_with(model, index, right)?;
+                let split = index.split(lp.rels, rp.rels);
+                let right_canonical = match (&**right, split.key) {
+                    (
+                        JoinTree::Scan {
+                            rel,
+                            op: ScanOp::IndexScan { column },
+                        },
+                        Some(k),
+                    ) => *rel == k.right_rel && *column == k.right_col,
+                    _ => false,
+                };
+                model.join_cost(*op, (&lc, &lp), (&rc, &rp), &split, right_canonical)
+            }
+        }
+    }
+
+    /// The owned-tree transformations walkers applied before they kept
+    /// costed trees, verbatim: the reference every move is held to.
+    trait OwnedMoves {
+        fn n_leaves(&self) -> usize;
+        fn n_joins(&self) -> usize;
+        fn rel_mask(&self) -> u32;
+        fn join_mut(&mut self, k: usize) -> Option<&mut JoinTree>;
+        fn leaf_mut(&mut self, k: usize) -> Option<&mut JoinTree>;
+        fn commute(&mut self, k: usize) -> bool;
+        fn rotate_right(&mut self, k: usize) -> bool;
+        fn rotate_left(&mut self, k: usize) -> bool;
+        fn set_join_op(&mut self, k: usize, new_op: JoinOp) -> bool;
+        fn set_scan_op(&mut self, k: usize, new_op: ScanOp) -> Option<usize>;
+        fn make_index_nl(&mut self, k: usize, column: u16) -> bool;
+    }
+
+    impl OwnedMoves for JoinTree {
+        fn n_leaves(&self) -> usize {
+            match self {
+                JoinTree::Scan { .. } => 1,
+                JoinTree::Join { left, right, .. } => left.n_leaves() + right.n_leaves(),
+            }
+        }
+
+        fn n_joins(&self) -> usize {
+            match self {
+                JoinTree::Scan { .. } => 0,
+                JoinTree::Join { left, right, .. } => 1 + left.n_joins() + right.n_joins(),
+            }
+        }
+
+        fn rel_mask(&self) -> u32 {
+            match self {
+                JoinTree::Scan { rel, .. } => 1u32 << rel,
+                JoinTree::Join { left, right, .. } => left.rel_mask() | right.rel_mask(),
+            }
+        }
+
+        fn join_mut(&mut self, k: usize) -> Option<&mut JoinTree> {
+            match self {
+                JoinTree::Scan { .. } => None,
+                JoinTree::Join { .. } if k == 0 => Some(self),
+                JoinTree::Join { left, right, .. } => {
+                    let k = k - 1;
+                    let in_left = left.n_joins();
+                    if k < in_left {
+                        left.join_mut(k)
+                    } else {
+                        right.join_mut(k - in_left)
+                    }
+                }
+            }
+        }
+
+        fn leaf_mut(&mut self, k: usize) -> Option<&mut JoinTree> {
+            match self {
+                JoinTree::Scan { .. } => (k == 0).then_some(self),
+                JoinTree::Join { left, right, .. } => {
+                    let in_left = left.n_leaves();
+                    if k < in_left {
+                        left.leaf_mut(k)
+                    } else {
+                        right.leaf_mut(k - in_left)
+                    }
+                }
+            }
+        }
+
+        fn commute(&mut self, k: usize) -> bool {
+            let Some(JoinTree::Join { left, right, .. }) = self.join_mut(k) else {
+                return false;
+            };
+            std::mem::swap(left, right);
+            true
+        }
+
+        fn rotate_right(&mut self, k: usize) -> bool {
+            let Some(node) = self.join_mut(k) else {
+                return false;
+            };
+            let JoinTree::Join {
+                op: op1,
+                left,
+                right,
+            } = node
+            else {
+                return false;
+            };
+            if !matches!(**left, JoinTree::Join { .. }) {
+                return false;
+            }
+            let c = std::mem::replace(right, Box::new(JoinTree::scan(0, ScanOp::SeqScan)));
+            let JoinTree::Join {
+                op: op2,
+                left: a,
+                right: b,
+            } = std::mem::replace(&mut **left, JoinTree::scan(0, ScanOp::SeqScan))
+            else {
+                unreachable!("checked above")
+            };
+            let inner = JoinTree::Join {
+                op: *op1,
+                left: b,
+                right: c,
+            };
+            *node = JoinTree::Join {
+                op: op2,
+                left: a,
+                right: Box::new(inner),
+            };
+            true
+        }
+
+        fn rotate_left(&mut self, k: usize) -> bool {
+            let Some(node) = self.join_mut(k) else {
+                return false;
+            };
+            let JoinTree::Join {
+                op: op1,
+                left,
+                right,
+            } = node
+            else {
+                return false;
+            };
+            if !matches!(**right, JoinTree::Join { .. }) {
+                return false;
+            }
+            let a = std::mem::replace(left, Box::new(JoinTree::scan(0, ScanOp::SeqScan)));
+            let JoinTree::Join {
+                op: op2,
+                left: b,
+                right: c,
+            } = std::mem::replace(&mut **right, JoinTree::scan(0, ScanOp::SeqScan))
+            else {
+                unreachable!("checked above")
+            };
+            let inner = JoinTree::Join {
+                op: *op1,
+                left: a,
+                right: b,
+            };
+            *node = JoinTree::Join {
+                op: op2,
+                left: Box::new(inner),
+                right: c,
+            };
+            true
+        }
+
+        fn set_join_op(&mut self, k: usize, new_op: JoinOp) -> bool {
+            let Some(JoinTree::Join { op, .. }) = self.join_mut(k) else {
+                return false;
+            };
+            *op = new_op;
+            true
+        }
+
+        fn set_scan_op(&mut self, k: usize, new_op: ScanOp) -> Option<usize> {
+            let JoinTree::Scan { rel, op } = self.leaf_mut(k)? else {
+                unreachable!("leaf_mut only returns scans")
+            };
+            *op = new_op;
+            Some(*rel)
+        }
+
+        fn make_index_nl(&mut self, k: usize, column: u16) -> bool {
+            let Some(JoinTree::Join { op, right, .. }) = self.join_mut(k) else {
+                return false;
+            };
+            let JoinTree::Scan { op: scan_op, .. } = &mut **right else {
+                return false;
+            };
+            *scan_op = ScanOp::IndexScan { column };
+            *op = JoinOp::IndexNestedLoop;
+            true
+        }
+    }
+
+    /// `mv` at `at` by the owned-tree reference: the transformed tree, or
+    /// `None` when the move does not apply.
+    fn reference_move(tree: &JoinTree, at: At, mv: Move) -> Option<JoinTree> {
+        let mut tree = tree.clone();
+        let applied = match (at, mv) {
+            (At::Join(k), Move::Commute) => tree.commute(k),
+            (At::Join(k), Move::RotateRight) => tree.rotate_right(k),
+            (At::Join(k), Move::RotateLeft) => tree.rotate_left(k),
+            (At::Join(k), Move::SetJoinOp(op)) => tree.set_join_op(k, op),
+            (At::Leaf(k), Move::SetScanOp(op)) => tree.set_scan_op(k, op).is_some(),
+            (At::Join(k), Move::IndexNl(column)) => tree.make_index_nl(k, column),
+            _ => false,
+        };
+        applied.then_some(tree)
+    }
+
+    /// The owned tree of a costed one.
+    fn owned(node: &CostedNode) -> JoinTree {
+        match &node.shape {
+            Shape::Scan { rel, op } => JoinTree::scan(*rel, *op),
+            Shape::Join { op, left, right } => JoinTree::join(*op, owned(left), owned(right)),
+        }
+    }
+
+    /// The bits of a cost vector and of the props' numbers.
+    fn bits(cost: &CostVector, props: &PlanProps) -> Vec<u64> {
+        let mut out: Vec<u64> = cost.as_array().iter().map(|v| v.to_bits()).collect();
+        out.extend([props.rows, props.width, props.sampling_factor].map(f64::to_bits));
+        out.push(u64::from(props.rels));
+        out
+    }
+
+    /// Asserts that every node of the tree under `node` holds, bit for bit,
+    /// the reference costing of its subtree, and its join and leaf counts.
+    fn check_costs(model: &CostModel<'_>, index: &SplitIndex, node: &CostedNode) {
+        let tree = owned(node);
+        let (cost, props) =
+            cost_tree_with(model, index, &tree).expect("every costed subtree costs from scratch");
+        assert_eq!(bits(&node.cost, &node.props), bits(&cost, &props));
+        assert_eq!(node.props.order, props.order);
+        assert_eq!(
+            (node.joins, node.leaves, node.props.rels),
+            (tree.n_joins(), tree.n_leaves(), tree.rel_mask())
+        );
+        if let Shape::Join { left, right, .. } = &node.shape {
+            check_costs(model, index, left);
+            check_costs(model, index, right);
+        }
+    }
+
+    /// Joins on the longest root-to-leaf path.
+    fn height(node: &CostedNode) -> usize {
+        match &node.shape {
+            Shape::Scan { .. } => 0,
+            Shape::Join { left, right, .. } => 1 + height(left).max(height(right)),
+        }
+    }
+
+    /// A random catalog of `n` two-column tables (each column indexed or
+    /// not), joined on random columns in one of the four shapes of
+    /// `moqo_tpch::Topology`: 0 chain, 1 star, 2 cycle, 3 clique.
+    fn topology_instance(topology: usize, n: usize, rng: &mut StdRng) -> (Catalog, JoinGraph) {
+        let mut catalog = Catalog::new();
+        let mut rels = Vec::new();
+        for i in 0..n {
+            let rows: f64 = rng.gen_range(100.0..200_000.0);
+            let mut table = TableStats::new(format!("t{i}"), rows, rng.gen_range(8.0..400.0));
+            for c in 0..2 {
+                let mut column = ColumnStats::new(
+                    format!("c{c}"),
+                    (rows * rng.gen_range(0.01f64..1.0)).max(2.0),
+                );
+                if rng.gen_range(0.0..1.0) < 0.5 {
+                    column = column.indexed();
+                }
+                table = table.with_column(column);
+            }
+            catalog.add_table(table);
+            rels.push(BaseRel {
+                table: TableId(i as u32),
+                alias: format!("t{i}"),
+                filter_selectivity: rng.gen_range(0.05..1.0),
+            });
+        }
+        let pairs: Vec<(usize, usize)> = match topology {
+            0 => (1..n).map(|i| (i - 1, i)).collect(),
+            1 => (1..n).map(|i| (0, i)).collect(),
+            2 => (1..n)
+                .map(|i| (i - 1, i))
+                .chain((n >= 3).then_some((n - 1, 0)))
+                .collect(),
+            _ => (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect(),
+        };
+        let edges = pairs
+            .into_iter()
+            .map(|(left_rel, right_rel)| JoinEdge {
+                left_rel,
+                left_col: rng.gen_range(0..2),
+                right_rel,
+                right_col: rng.gen_range(0..2),
+                selectivity: rng.gen_range(1e-5..0.5),
+            })
+            .collect();
+        let graph = JoinGraph { rels, edges };
+        assert_eq!(graph.validate(&catalog), Ok(()));
+        (catalog, graph)
+    }
+
+    /// A random move at a random address, one past the last join or leaf
+    /// included. Index scans on unindexed columns, sampling with sampling
+    /// off and index-nested-loop joins over other inner children make
+    /// uncostable trees.
+    fn random_move(tree: &CostedNode, rng: &mut StdRng) -> (At, Move) {
+        let join = At::Join(rng.gen_range(0..=tree.joins));
+        let column = rng.gen_range(0u16..2);
+        match rng.gen_range(0u32..6) {
+            0 => (join, Move::Commute),
+            1 => (join, Move::RotateRight),
+            2 => (join, Move::RotateLeft),
+            3 => (
+                join,
+                Move::SetJoinOp(JoinOp::ALL[rng.gen_range(0..JoinOp::ALL.len())]),
+            ),
+            4 => {
+                let op = match rng.gen_range(0u32..3) {
+                    0 => ScanOp::SeqScan,
+                    1 => ScanOp::IndexScan { column },
+                    _ => ScanOp::SamplingScan {
+                        rate_pct: SAMPLING_RATES_PCT[rng.gen_range(0..SAMPLING_RATES_PCT.len())],
+                    },
+                };
+                (
+                    At::Leaf(rng.gen_range(0..=tree.leaves)),
+                    Move::SetScanOp(op),
+                )
+            }
+            _ => (join, Move::IndexNl(column)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random move sequences on random graphs of every topology, with
+        /// sampling on and off. After every move each costed node equals a
+        /// from-scratch costing of its subtree bit for bit, the move costed
+        /// no more than its path (plus the one node a rotation or an
+        /// index-nested-loop rewrite adds), and its outcome — applied, not
+        /// applicable or uncostable — and tree are the owned-tree
+        /// reference's.
+        #[test]
+        fn costed_moves_match_the_owned_tree_reference(
+            topology in 0usize..4,
+            n in 2usize..=20,
+            sampling in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (catalog, graph) = topology_instance(topology, n, &mut rng);
+            let params = CostModelParams {
+                enable_sampling: sampling,
+                ..CostModelParams::default()
+            };
+            let model = CostModel::new(&params, &catalog, &graph);
+            let index = SplitIndex::new(&model);
+            let scan_opts = ScanOptions::new(&model);
+            let mut coster = Coster::new(&model, &index);
+            let mut scratch = TreeScratch::default();
+            let mut tree = sample_random_tree(&mut coster, &scan_opts, &mut scratch, &mut rng)
+                .expect("a nested-loop plan always exists");
+            check_costs(&model, &index, &tree);
+            for _ in 0..40 {
+                let (at, mv) = random_move(&tree, &mut rng);
+                let expected = reference_move(&owned(&tree), at, mv);
+                let calls = coster.calls;
+                match coster.apply(&tree, at, mv) {
+                    Ok(next) => {
+                        prop_assert_eq!(Some(owned(&next)), expected);
+                        check_costs(&model, &index, &next);
+                        prop_assert!(coster.calls - calls <= height(&tree) as u64 + 2);
+                        tree = next;
+                    }
+                    Err(Miss::Uncostable) => {
+                        let expected = expected.expect("the reference applies the move too");
+                        prop_assert!(cost_tree_with(&model, &index, &expected).is_none());
+                    }
+                    Err(Miss::NotApplicable) => prop_assert!(expected.is_none()),
+                }
+            }
+        }
     }
 }

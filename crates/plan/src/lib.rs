@@ -20,9 +20,11 @@
 //!   output [`SortOrder`] (Postgres path keys, coarse) and the cumulated
 //!   sampling factor.
 //!
-//! Randomized search works on owned [`JoinTree`]s extracted from the arena,
-//! transformed (commutativity, associativity, operator swaps) and
-//! re-inserted; see [`tree`].
+//! [`JoinTree`] is the owned format warm starts are passed in: plans
+//! extracted from an arena ([`PlanArena::extract_tree`]) for the
+//! randomized search, which costs them into trees of its own and keeps the
+//! local transformations (commutativity, associativity, operator swaps)
+//! in `moqo_core::rmq`; see [`tree`].
 
 #![warn(missing_docs)]
 

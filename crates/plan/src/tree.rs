@@ -1,14 +1,12 @@
-//! Owned join trees and the local plan transformations of randomized
-//! search.
+//! Owned join trees: the format warm starts are passed in.
 //!
-//! The [`crate::PlanArena`] is append-only and shares sub-plans by id, which
-//! is ideal for dynamic programming but awkward to *rewrite*. Randomized
-//! optimizers (RMQ) therefore extract a plan into an owned [`JoinTree`],
-//! apply one of the classical transformation rules — join commutativity,
-//! join associativity, operator-implementation swaps — and re-insert the
-//! transformed tree into the arena once it has been re-costed. Rejected
-//! candidates leave at most a few garbage nodes behind, exactly like pruned
-//! plans in the dynamic-programming tables.
+//! The [`crate::PlanArena`] shares sub-plans by id, which suits dynamic
+//! programming and the plan cache, but ties a plan to its arena. A
+//! [`JoinTree`] owns its subtrees, so a front can leave its arena: the
+//! plan cache and the optimizer facade extract stored plans
+//! ([`PlanArena::extract_tree`]) and hand them to the randomized search as
+//! warm starts. The search costs them into trees of its own, which carry
+//! its local transformations (`moqo_core::rmq`).
 
 use crate::arena::{PlanArena, PlanId, PlanNode};
 use crate::operator::{JoinOp, ScanOp};
@@ -50,233 +48,6 @@ impl JoinTree {
             right: Box::new(right),
         }
     }
-
-    /// Number of scan leaves.
-    #[must_use]
-    pub fn n_leaves(&self) -> usize {
-        match self {
-            JoinTree::Scan { .. } => 1,
-            JoinTree::Join { left, right, .. } => left.n_leaves() + right.n_leaves(),
-        }
-    }
-
-    /// Number of join nodes (`n_leaves − 1` for a well-formed tree).
-    #[must_use]
-    pub fn n_joins(&self) -> usize {
-        match self {
-            JoinTree::Scan { .. } => 0,
-            JoinTree::Join { left, right, .. } => 1 + left.n_joins() + right.n_joins(),
-        }
-    }
-
-    /// Bitmask of the relations scanned anywhere in the tree.
-    #[must_use]
-    pub fn rel_mask(&self) -> u32 {
-        match self {
-            JoinTree::Scan { rel, .. } => 1u32 << rel,
-            JoinTree::Join { left, right, .. } => left.rel_mask() | right.rel_mask(),
-        }
-    }
-
-    /// Immutable access to the `k`-th join node in preorder (0-based).
-    #[must_use]
-    pub fn join_at(&self, k: usize) -> Option<&JoinTree> {
-        match self {
-            JoinTree::Scan { .. } => None,
-            JoinTree::Join { .. } if k == 0 => Some(self),
-            JoinTree::Join { left, right, .. } => {
-                let k = k - 1;
-                let in_left = left.n_joins();
-                if k < in_left {
-                    left.join_at(k)
-                } else {
-                    right.join_at(k - in_left)
-                }
-            }
-        }
-    }
-
-    /// The `k`-th join node in preorder (0-based), if it exists.
-    fn join_mut(&mut self, k: usize) -> Option<&mut JoinTree> {
-        match self {
-            JoinTree::Scan { .. } => None,
-            JoinTree::Join { .. } if k == 0 => Some(self),
-            JoinTree::Join { left, right, .. } => {
-                let k = k - 1;
-                let in_left = left.n_joins();
-                if k < in_left {
-                    left.join_mut(k)
-                } else {
-                    right.join_mut(k - in_left)
-                }
-            }
-        }
-    }
-
-    /// The relation index and scan operator of the `k`-th leaf
-    /// (left-to-right, 0-based), if it exists.
-    #[must_use]
-    pub fn scan_at(&self, k: usize) -> Option<(usize, ScanOp)> {
-        match self {
-            JoinTree::Scan { rel, op } => (k == 0).then_some((*rel, *op)),
-            JoinTree::Join { left, right, .. } => {
-                let in_left = left.n_leaves();
-                if k < in_left {
-                    left.scan_at(k)
-                } else {
-                    right.scan_at(k - in_left)
-                }
-            }
-        }
-    }
-
-    /// The `k`-th scan leaf in left-to-right order (0-based), if it exists.
-    fn leaf_mut(&mut self, k: usize) -> Option<&mut JoinTree> {
-        match self {
-            JoinTree::Scan { .. } => (k == 0).then_some(self),
-            JoinTree::Join { left, right, .. } => {
-                let in_left = left.n_leaves();
-                if k < in_left {
-                    left.leaf_mut(k)
-                } else {
-                    right.leaf_mut(k - in_left)
-                }
-            }
-        }
-    }
-
-    /// **Join commutativity** `A ⋈ B → B ⋈ A` at the `k`-th join node
-    /// (preorder). Returns `false` when `k` is out of range.
-    pub fn commute(&mut self, k: usize) -> bool {
-        let Some(JoinTree::Join { left, right, .. }) = self.join_mut(k) else {
-            return false;
-        };
-        std::mem::swap(left, right);
-        true
-    }
-
-    /// **Join associativity**, right rotation:
-    /// `(A ⋈₂ B) ⋈₁ C → A ⋈₂ (B ⋈₁ C)` at the `k`-th join node. Operator
-    /// configurations travel with their position; the caller re-costs the
-    /// result and discards it if an operator became inapplicable. Returns
-    /// `false` when `k` is out of range or the node's left child is a leaf.
-    pub fn rotate_right(&mut self, k: usize) -> bool {
-        let Some(node) = self.join_mut(k) else {
-            return false;
-        };
-        let JoinTree::Join {
-            op: op1,
-            left,
-            right,
-        } = node
-        else {
-            return false;
-        };
-        if !matches!(**left, JoinTree::Join { .. }) {
-            return false;
-        }
-        let c = std::mem::replace(right, Box::new(JoinTree::scan(0, ScanOp::SeqScan)));
-        let JoinTree::Join {
-            op: op2,
-            left: a,
-            right: b,
-        } = std::mem::replace(&mut **left, JoinTree::scan(0, ScanOp::SeqScan))
-        else {
-            unreachable!("checked above")
-        };
-        let inner = JoinTree::Join {
-            op: *op1,
-            left: b,
-            right: c,
-        };
-        *node = JoinTree::Join {
-            op: op2,
-            left: a,
-            right: Box::new(inner),
-        };
-        true
-    }
-
-    /// **Join associativity**, left rotation:
-    /// `A ⋈₁ (B ⋈₂ C) → (A ⋈₁ B) ⋈₂ C` at the `k`-th join node. Returns
-    /// `false` when `k` is out of range or the node's right child is a leaf.
-    pub fn rotate_left(&mut self, k: usize) -> bool {
-        let Some(node) = self.join_mut(k) else {
-            return false;
-        };
-        let JoinTree::Join {
-            op: op1,
-            left,
-            right,
-        } = node
-        else {
-            return false;
-        };
-        if !matches!(**right, JoinTree::Join { .. }) {
-            return false;
-        }
-        let a = std::mem::replace(left, Box::new(JoinTree::scan(0, ScanOp::SeqScan)));
-        let JoinTree::Join {
-            op: op2,
-            left: b,
-            right: c,
-        } = std::mem::replace(&mut **right, JoinTree::scan(0, ScanOp::SeqScan))
-        else {
-            unreachable!("checked above")
-        };
-        let inner = JoinTree::Join {
-            op: *op1,
-            left: a,
-            right: b,
-        };
-        *node = JoinTree::Join {
-            op: op2,
-            left: Box::new(inner),
-            right: c,
-        };
-        true
-    }
-
-    /// **Operator swap**: replace the join operator at the `k`-th join node.
-    /// Returns `false` when `k` is out of range.
-    pub fn set_join_op(&mut self, k: usize, new_op: JoinOp) -> bool {
-        let Some(JoinTree::Join { op, .. }) = self.join_mut(k) else {
-            return false;
-        };
-        *op = new_op;
-        true
-    }
-
-    /// **Operator swap**: replace the scan operator at the `k`-th leaf
-    /// (left-to-right). Returns the scanned relation index on success so the
-    /// caller can validate applicability, `None` when `k` is out of range.
-    pub fn set_scan_op(&mut self, k: usize, new_op: ScanOp) -> Option<usize> {
-        let JoinTree::Scan { rel, op } = self.leaf_mut(k)? else {
-            unreachable!("leaf_mut only returns scans")
-        };
-        *op = new_op;
-        Some(*rel)
-    }
-
-    /// **Coordinated rewrite** towards a pipelined index-nested-loop join:
-    /// the `k`-th join node's right child must be a scan leaf; its scan
-    /// operator becomes the index scan on `column` and the join operator
-    /// becomes [`JoinOp::IndexNestedLoop`] in one step (the two individual
-    /// swaps rarely survive a cost-based search separately). The caller is
-    /// responsible for picking the join key's inner column; re-costing
-    /// rejects invalid choices. Returns `false` when `k` is out of range or
-    /// the right child is not a leaf.
-    pub fn make_index_nl(&mut self, k: usize, column: u16) -> bool {
-        let Some(JoinTree::Join { op, right, .. }) = self.join_mut(k) else {
-            return false;
-        };
-        let JoinTree::Scan { op: scan_op, .. } = &mut **right else {
-            return false;
-        };
-        *scan_op = ScanOp::IndexScan { column };
-        *op = JoinOp::IndexNestedLoop;
-        true
-    }
 }
 
 impl PlanArena {
@@ -294,18 +65,6 @@ impl PlanArena {
                 left: Box::new(self.extract_tree(left)),
                 right: Box::new(self.extract_tree(right)),
             },
-        }
-    }
-
-    /// Stores an owned [`JoinTree`] in the arena, returning the root id.
-    pub fn insert_tree(&mut self, tree: &JoinTree) -> PlanId {
-        match tree {
-            JoinTree::Scan { rel, op } => self.scan(*rel, *op),
-            JoinTree::Join { op, left, right } => {
-                let l = self.insert_tree(left);
-                let r = self.insert_tree(right);
-                self.join(*op, l, r)
-            }
         }
     }
 }
@@ -329,100 +88,13 @@ mod tests {
 
     #[test]
     fn roundtrip_through_arena() {
-        let tree = chain3();
         let mut arena = PlanArena::new();
-        let id = arena.insert_tree(&tree);
-        assert_eq!(arena.extract_tree(id), tree);
+        let a = arena.scan(0, ScanOp::SeqScan);
+        let b = arena.scan(1, ScanOp::SeqScan);
+        let ab = arena.join(JoinOp::SortMergeJoin { dop: 2 }, a, b);
+        let c = arena.scan(2, ScanOp::IndexScan { column: 0 });
+        let id = arena.join(JoinOp::HashJoin { dop: 1 }, ab, c);
+        assert_eq!(arena.extract_tree(id), chain3());
         assert_eq!(arena.leaf_count(id), 3);
-    }
-
-    #[test]
-    fn counts_and_mask() {
-        let tree = chain3();
-        assert_eq!(tree.n_leaves(), 3);
-        assert_eq!(tree.n_joins(), 2);
-        assert_eq!(tree.rel_mask(), 0b111);
-    }
-
-    #[test]
-    fn commute_swaps_children() {
-        let mut tree = chain3();
-        assert!(tree.commute(0));
-        let JoinTree::Join { left, right, .. } = &tree else {
-            panic!()
-        };
-        assert!(matches!(**left, JoinTree::Scan { rel: 2, .. }));
-        assert_eq!(right.n_leaves(), 2);
-        assert_eq!(tree.rel_mask(), 0b111, "commutativity preserves leaves");
-        assert!(!tree.commute(5), "out-of-range index is a no-op");
-    }
-
-    #[test]
-    fn rotate_right_reassociates() {
-        let mut tree = chain3();
-        // ((0 ⋈ 1) ⋈ 2) → (0 ⋈ (1 ⋈ 2)).
-        assert!(tree.rotate_right(0));
-        let JoinTree::Join { left, right, .. } = &tree else {
-            panic!()
-        };
-        assert!(matches!(**left, JoinTree::Scan { rel: 0, .. }));
-        assert_eq!(right.rel_mask(), 0b110);
-        assert_eq!(tree.rel_mask(), 0b111);
-        // The left child is now a leaf: a further right rotation fails.
-        assert!(!tree.rotate_right(0));
-    }
-
-    #[test]
-    fn rotate_left_inverts_rotate_right() {
-        let mut tree = chain3();
-        let original = tree.clone();
-        assert!(tree.rotate_right(0));
-        assert!(tree.rotate_left(0));
-        // Rotations also permute operator assignments; the *shape* and leaf
-        // set must return, the operators may not.
-        assert_eq!(tree.rel_mask(), original.rel_mask());
-        assert_eq!(tree.n_joins(), original.n_joins());
-        let JoinTree::Join { left, .. } = &tree else {
-            panic!()
-        };
-        assert_eq!(left.rel_mask(), 0b011);
-    }
-
-    #[test]
-    fn operator_swaps() {
-        let mut tree = chain3();
-        assert!(tree.set_join_op(1, JoinOp::NestedLoop));
-        let JoinTree::Join { left, .. } = &tree else {
-            panic!()
-        };
-        let JoinTree::Join { op, .. } = &**left else {
-            panic!()
-        };
-        assert_eq!(*op, JoinOp::NestedLoop);
-        assert_eq!(tree.set_scan_op(2, ScanOp::SeqScan), Some(2));
-        assert_eq!(tree.set_scan_op(9, ScanOp::SeqScan), None);
-        assert!(!tree.set_join_op(7, JoinOp::NestedLoop));
-    }
-
-    #[test]
-    fn preorder_join_indexing_reaches_every_join() {
-        // A bushy tree: (0 ⋈ 1) ⋈ (2 ⋈ 3) has joins at preorder 0, 1, 2.
-        let mut tree = JoinTree::join(
-            JoinOp::NestedLoop,
-            JoinTree::join(
-                JoinOp::HashJoin { dop: 1 },
-                JoinTree::scan(0, ScanOp::SeqScan),
-                JoinTree::scan(1, ScanOp::SeqScan),
-            ),
-            JoinTree::join(
-                JoinOp::SortMergeJoin { dop: 1 },
-                JoinTree::scan(2, ScanOp::SeqScan),
-                JoinTree::scan(3, ScanOp::SeqScan),
-            ),
-        );
-        for k in 0..3 {
-            assert!(tree.set_join_op(k, JoinOp::NestedLoop), "join {k}");
-        }
-        assert!(!tree.set_join_op(3, JoinOp::NestedLoop));
     }
 }
