@@ -84,63 +84,6 @@ use crate::pareto::{PlanSet, PruneMode, PruneStrategy};
 
 pub use crate::pareto::PlanEntry;
 
-/// Configuration of one `FindParetoPlans` run.
-#[derive(Debug, Clone, Copy)]
-pub struct DpConfig {
-    /// Internal pruning precision `α_i` (1.0 = exact algorithm).
-    pub alpha_internal: f64,
-    /// Plan-tree shape to enumerate. The paper's Algorithm 1 is the
-    /// left-deep original of Ganguly et al. "slightly extended to generate
-    /// bushy plans in addition to left-deep plans" (§5); bushy is the
-    /// default everywhere.
-    pub tree_shape: TreeShape,
-    /// Dominance relation plans are discarded under. The algorithm entry
-    /// points select this via [`PruneMode::auto`]; calling
-    /// `find_pareto_plans` directly with [`PruneMode::CostOnly`] while
-    /// sampling scans are enabled and `TupleLoss` is unselected reproduces
-    /// the unsound pruning the mode exists to fix.
-    pub prune_mode: PruneMode,
-}
-
-/// Which join-tree shapes the dynamic programming enumerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeShape {
-    /// All bushy trees (the paper's extended Algorithm 1).
-    #[default]
-    Bushy,
-    /// Left-deep trees only: the inner (right) input of every join is a
-    /// base relation (the original Ganguly et al. formulation).
-    LeftDeep,
-}
-
-impl DpConfig {
-    /// Exact enumeration (EXA) with cost-only pruning.
-    #[must_use]
-    pub fn exact() -> Self {
-        DpConfig {
-            alpha_internal: 1.0,
-            tree_shape: TreeShape::Bushy,
-            prune_mode: PruneMode::CostOnly,
-        }
-    }
-
-    /// Approximate enumeration with internal precision `alpha_internal`.
-    #[must_use]
-    pub fn approximate(alpha_internal: f64) -> Self {
-        DpConfig {
-            alpha_internal,
-            ..DpConfig::exact()
-        }
-    }
-
-    /// Replaces the pruning mode (builder style).
-    #[must_use]
-    pub fn with_prune_mode(mut self, mode: PruneMode) -> Self {
-        self.prune_mode = mode;
-        self
-    }
-}
-
 /// Counters and accounting collected during one run.
 #[derive(Debug, Clone, Default)]
 pub struct DpStats {
@@ -301,7 +244,12 @@ impl OrderGroups {
 /// Computes the (approximate) Pareto plan set for the model's query block.
 ///
 /// * `objectives` — the selected objective subset (dominance dimensions).
-/// * `config` — pruning precision, tree shape and pruning mode.
+/// * `strategy` — the internal pruning precision `α_i` (1.0 = exact
+///   algorithm) and the dominance relation plans are discarded under. The
+///   algorithm entry points select the mode via [`PruneMode::auto`];
+///   [`PruneMode::CostOnly`] while sampling scans are enabled and
+///   `TupleLoss` is unselected reproduces the unsound pruning the mode
+///   exists to fix.
 /// * `weights` — used only by the quick-finish path after a timeout, to pick
 ///   the single surviving plan per remaining table set.
 /// * `deadline` — wall-clock budget; see module docs for expiry semantics.
@@ -313,7 +261,7 @@ impl OrderGroups {
 pub fn find_pareto_plans(
     model: &CostModel<'_>,
     objectives: ObjectiveSet,
-    config: &DpConfig,
+    strategy: &PruneStrategy,
     weights: &Weights,
     deadline: &Deadline,
 ) -> DpResult {
@@ -321,10 +269,6 @@ pub fn find_pareto_plans(
     assert!(n >= 1, "query block must contain at least one relation");
     assert!(n <= 24, "query blocks beyond 24 relations are unsupported");
 
-    let strategy = PruneStrategy {
-        alpha_internal: config.alpha_internal,
-        mode: config.prune_mode,
-    };
     let full_mask: RelMask = model.graph.full_mask();
     let mut arena = PlanArena::new();
     let mut stats = DpStats::default();
@@ -351,7 +295,7 @@ pub fn find_pareto_plans(
                     props,
                     |a| a.scan(rel, op),
                     &mut arena,
-                    &strategy,
+                    strategy,
                     objectives,
                     &mut stats,
                 );
@@ -368,7 +312,7 @@ pub fn find_pareto_plans(
             stats.timed_out = true;
             break 'outer;
         }
-        let splits = enumerate_splits(&index, mask, config.tree_shape);
+        let splits = enumerate_splits(&index, mask);
         // Split the borrow: take the target group out of the table, so both
         // sub-plan sides are read in place — no per-split clones of the two
         // entry sets. `mask` is a strict superset of every split side, so
@@ -420,7 +364,7 @@ pub fn find_pareto_plans(
                                     let rejected = bound_rejected(
                                         joins[k].as_ref(),
                                         &target,
-                                        &strategy,
+                                        strategy,
                                         objectives,
                                     );
                                     stats.bound_decisions += 1;
@@ -452,7 +396,7 @@ pub fn find_pareto_plans(
                                 props,
                                 |a| a.join(op, left.plan, right.plan),
                                 &mut arena,
-                                &strategy,
+                                strategy,
                                 objectives,
                                 &mut stats,
                             );
@@ -481,7 +425,7 @@ pub fn find_pareto_plans(
             &mut arena,
             weights,
             objectives,
-            config.prune_mode,
+            strategy.mode,
             &mut stats,
         );
     }
@@ -721,24 +665,22 @@ impl SplitIndex {
     }
 }
 
-/// Ordered splits of `mask` into two non-empty disjoint subsets, honouring
-/// the Cartesian-product heuristic: if any split is connected by a join
-/// edge, unconnected splits are dropped. Left-deep enumeration restricts
-/// the inner (right) side to singletons. Streamed — the eager version
-/// allocated two `Vec`s per mask in the DP's hottest outer loop. The
-/// connected-splits-exist decision is made up front from the neighbour
-/// masks: `mask` admits a connected split iff some edge lies entirely
-/// within it (either endpoint's singleton split is then connected, and for
-/// left-deep shape the `(mask∖{v}, {v})` split qualifies), so the
-/// heuristic never needs the full split list materialized.
-fn enumerate_splits(index: &SplitIndex, mask: RelMask, shape: TreeShape) -> SplitIter<'_> {
+/// Ordered splits of `mask` into two non-empty disjoint subsets (bushy
+/// plans), honouring the Cartesian-product heuristic: if any split is
+/// connected by a join edge, unconnected splits are dropped. Streamed — the
+/// eager version allocated two `Vec`s per mask in the DP's hottest outer
+/// loop. The connected-splits-exist decision is made up front from the
+/// neighbour masks: `mask` admits a connected split iff some edge lies
+/// entirely within it (either endpoint's singleton split is then
+/// connected), so the heuristic never needs the full split list
+/// materialized.
+fn enumerate_splits(index: &SplitIndex, mask: RelMask) -> SplitIter<'_> {
     debug_assert!(mask.count_ones() >= 2, "splits need at least two relations");
     let connected_only = index.neighbours(mask) & mask != 0;
     SplitIter {
         index,
         mask,
         next_m1: (mask - 1) & mask,
-        shape,
         connected_only,
     }
 }
@@ -749,7 +691,6 @@ struct SplitIter<'i> {
     index: &'i SplitIndex,
     mask: RelMask,
     next_m1: RelMask,
-    shape: TreeShape,
     connected_only: bool,
 }
 
@@ -761,9 +702,6 @@ impl Iterator for SplitIter<'_> {
             let m1 = self.next_m1;
             self.next_m1 = (m1 - 1) & self.mask;
             let m2 = self.mask ^ m1;
-            if self.shape == TreeShape::LeftDeep && m2.count_ones() != 1 {
-                continue;
-            }
             if self.connected_only && self.index.neighbours(m1) & m2 == 0 {
                 continue;
             }
@@ -990,7 +928,7 @@ fn quick_finish(
         if table[mask as usize].completed {
             continue;
         }
-        let splits = enumerate_splits(index, mask, TreeShape::Bushy);
+        let splits = enumerate_splits(index, mask);
         let mut best: Option<PlanEntry> = None;
         for (m1, m2) in splits {
             let mut cached_best = |m: RelMask| {
@@ -1085,7 +1023,7 @@ mod tests {
         let result = find_pareto_plans(
             &model,
             objs2(),
-            &DpConfig::exact(),
+            &PruneStrategy::exact(),
             &Weights::single(Objective::TotalTime),
             &Deadline::unlimited(),
         );
@@ -1106,14 +1044,14 @@ mod tests {
         let exact = find_pareto_plans(
             &model,
             objs2(),
-            &DpConfig::exact(),
+            &PruneStrategy::exact(),
             &w,
             &Deadline::unlimited(),
         );
         let approx = find_pareto_plans(
             &model,
             objs2(),
-            &DpConfig::approximate(2.0f64.powf(1.0 / 3.0)),
+            &PruneStrategy::approximate(2.0f64.powf(1.0 / 3.0)),
             &w,
             &Deadline::unlimited(),
         );
@@ -1130,7 +1068,7 @@ mod tests {
         let result = find_pareto_plans(
             &model,
             objs,
-            &DpConfig::exact(),
+            &PruneStrategy::exact(),
             &Weights::single(Objective::TotalTime),
             &Deadline::unlimited(),
         );
@@ -1145,7 +1083,7 @@ mod tests {
         let result = find_pareto_plans(
             &model,
             ObjectiveSet::all(),
-            &DpConfig::exact(),
+            &PruneStrategy::exact(),
             &Weights::single(Objective::TotalTime),
             &Deadline::new(Some(Duration::ZERO)),
         );
@@ -1170,7 +1108,7 @@ mod tests {
         let result = find_pareto_plans(
             &model,
             objs2(),
-            &DpConfig::exact(),
+            &PruneStrategy::exact(),
             &Weights::single(Objective::TotalTime),
             &Deadline::unlimited(),
         );
@@ -1188,7 +1126,7 @@ mod tests {
         let result = find_pareto_plans(
             &model,
             objs2(),
-            &DpConfig::exact(),
+            &PruneStrategy::exact(),
             &Weights::single(Objective::TotalTime),
             &Deadline::unlimited(),
         );
@@ -1206,7 +1144,7 @@ mod tests {
         let result = find_pareto_plans(
             &model,
             objs2(),
-            &DpConfig::exact(),
+            &PruneStrategy::exact(),
             &Weights::single(Objective::TotalTime),
             &Deadline::unlimited(),
         );
@@ -1278,14 +1216,14 @@ mod tests {
         let model = CostModel::new(&p, &cat, &g);
         // Mask {customer, orders} = 0b011: splits (01|10) and (10|01).
         let index = SplitIndex::new(&model);
-        let splits: Vec<_> = enumerate_splits(&index, 0b011, TreeShape::Bushy).collect();
+        let splits: Vec<_> = enumerate_splits(&index, 0b011).collect();
         assert_eq!(splits.len(), 2);
         assert!(splits.contains(&(0b001, 0b010)));
         assert!(splits.contains(&(0b010, 0b001)));
         // Full mask: customer–lineitem is not an edge, so the connected
         // splits exclude ({customer},{lineitem}) pairs joined directly —
         // but 0b101 vs 0b010 IS connected via both edges.
-        let full_splits: Vec<_> = enumerate_splits(&index, 0b111, TreeShape::Bushy).collect();
+        let full_splits: Vec<_> = enumerate_splits(&index, 0b111).collect();
         assert!(full_splits.contains(&(0b101, 0b010)));
         assert_eq!(full_splits.len(), 6);
     }
@@ -1293,20 +1231,18 @@ mod tests {
     /// The streaming split iterator must reproduce the eager seed
     /// implementation — same splits, same order, same Cartesian fallback —
     /// on every mask of connected, partially connected and edge-free
-    /// graphs, for both tree shapes.
+    /// graphs.
     #[test]
     fn streaming_splits_match_eager_reference() {
-        let eager = |model: &CostModel<'_>, mask: RelMask, shape: TreeShape| {
+        let eager = |model: &CostModel<'_>, mask: RelMask| {
             let mut connected = Vec::new();
             let mut all = Vec::new();
             let mut m1 = (mask - 1) & mask;
             while m1 != 0 {
                 let m2 = mask ^ m1;
-                if shape == TreeShape::Bushy || m2.count_ones() == 1 {
-                    all.push((m1, m2));
-                    if model.graph.connects(m1, m2) {
-                        connected.push((m1, m2));
-                    }
+                all.push((m1, m2));
+                if model.graph.connects(m1, m2) {
+                    connected.push((m1, m2));
                 }
                 m1 = (m1 - 1) & mask;
             }
@@ -1341,14 +1277,8 @@ mod tests {
             if mask.count_ones() < 2 {
                 continue;
             }
-            for shape in [TreeShape::Bushy, TreeShape::LeftDeep] {
-                let streamed: Vec<_> = enumerate_splits(&index, mask, shape).collect();
-                assert_eq!(
-                    streamed,
-                    eager(&model, mask, shape),
-                    "mask {mask:b} shape {shape:?}"
-                );
-            }
+            let streamed: Vec<_> = enumerate_splits(&index, mask).collect();
+            assert_eq!(streamed, eager(&model, mask), "mask {mask:b}");
         }
     }
 }

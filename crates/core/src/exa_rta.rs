@@ -17,8 +17,8 @@ use moqo_cost::{ObjectiveSet, Preference};
 use moqo_costmodel::CostModel;
 
 use crate::budget::Deadline;
-use crate::dp::{find_pareto_plans, DpConfig, DpResult};
-use crate::pareto::PruneMode;
+use crate::dp::{find_pareto_plans, DpResult};
+use crate::pareto::{PruneMode, PruneStrategy};
 
 /// The internal pruning precision the RTA derives from the user precision:
 /// `α_i = α_U^(1/n)` for a block of `n` tables (Algorithm 2,
@@ -69,9 +69,9 @@ pub(crate) fn run(
     alpha_internal: f64,
     deadline: &Deadline,
 ) -> DpResult {
-    let config = DpConfig::approximate(alpha_internal)
-        .with_prune_mode(PruneMode::auto(model.params.enable_sampling, objectives));
-    find_pareto_plans(model, objectives, &config, &preference.weights, deadline)
+    let strategy = PruneStrategy::approximate(alpha_internal)
+        .with_mode(PruneMode::auto(model.params.enable_sampling, objectives));
+    find_pareto_plans(model, objectives, &strategy, &preference.weights, deadline)
 }
 
 #[cfg(test)]

@@ -50,12 +50,12 @@ mod optimizer;
 mod soqo;
 
 pub use budget::Deadline;
-pub use dp::{find_pareto_plans, DpConfig, DpResult, DpStats, PlanEntry, TreeShape};
+pub use dp::{find_pareto_plans, DpResult, DpStats, PlanEntry};
 pub use exa_rta::{exa, rta, rta_internal_precision};
 pub use ira::{ira, ira_precision_schedule, IraResult};
 pub use metrics::{BlockReport, OptimizationReport};
 pub use optimizer::{combine_block_costs, Algorithm, BlockPlan, OptimizationResult, Optimizer};
-pub use pareto::{props_key, PruneMode};
+pub use pareto::{props_key, PruneMode, PruneStrategy};
 pub use rmq::{rmq, rmq_warm, RmqConfig, RmqResult};
 pub use select::select_best;
 pub use soqo::{min_cost_for_objective, selinger};

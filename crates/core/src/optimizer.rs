@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use moqo_catalog::{Catalog, JoinGraph, Query};
 use moqo_cost::{CostVector, Objective, Preference};
 use moqo_costmodel::{CostModel, CostModelParams};
-use moqo_plan::{JoinTree, PlanArena, PlanId};
+use moqo_plan::{PlanArena, PlanId};
 
 use crate::budget::Deadline;
 use crate::exa_rta::{exa, rta};
@@ -68,8 +68,8 @@ pub struct BlockPlan {
     pub cost: CostVector,
     /// The (approximate) Pareto frontier for the block: full entries whose
     /// plan ids resolve in [`BlockPlan::arena`], so callers (plan caches,
-    /// alternative-plan UIs) can extract every frontier plan, not just its
-    /// cost vector.
+    /// warm starts, alternative-plan UIs) can read every frontier plan, not
+    /// just its cost vector.
     pub frontier: Vec<PlanEntry>,
 }
 
@@ -78,17 +78,6 @@ impl BlockPlan {
     #[must_use]
     pub fn frontier_costs(&self) -> Vec<CostVector> {
         self.frontier.iter().map(|e| e.cost).collect()
-    }
-
-    /// Extracts the frontier's plans as owned join trees, in frontier order
-    /// — the by-value form a cache or another thread can hold without
-    /// keeping this block's arena alive.
-    #[must_use]
-    pub fn frontier_trees(&self) -> Vec<JoinTree> {
-        self.frontier
-            .iter()
-            .map(|e| self.arena.extract_tree(e.plan))
-            .collect()
     }
 }
 
@@ -241,25 +230,28 @@ impl<'a> Optimizer<'a> {
         preference: &Preference,
         algorithm: Algorithm,
     ) -> (BlockPlan, BlockReport) {
-        self.optimize_block_warm(graph, preference, algorithm, &[])
+        self.optimize_block_warm(graph, preference, algorithm, &PlanArena::new(), &[])
     }
 
-    /// [`Optimizer::optimize_block`] with warm-start plans: for
-    /// [`Algorithm::Rmq`] the trees seed the walker population (see
+    /// [`Optimizer::optimize_block`] with warm-start plans, a front whose
+    /// entries index `warm_arena` (a [`BlockPlan`]'s or a cached one): for
+    /// [`Algorithm::Rmq`] the plans seed the walker population (see
     /// [`rmq_warm`]); the dynamic-programming schemes enumerate
     /// exhaustively by construction and ignore them.
     ///
     /// # Panics
     ///
-    /// Panics if the block is empty or the preference fails
-    /// [`Preference::validate`].
+    /// Panics if the block is empty, the preference fails
+    /// [`Preference::validate`], or a warm entry's plan is not in
+    /// `warm_arena`.
     #[must_use]
     pub fn optimize_block_warm(
         &self,
         graph: &JoinGraph,
         preference: &Preference,
         algorithm: Algorithm,
-        warm_start: &[JoinTree],
+        warm_arena: &PlanArena,
+        warm_start: &[PlanEntry],
     ) -> (BlockPlan, BlockReport) {
         if let Err(reason) = preference.validate() {
             panic!("invalid preference: {reason}");
@@ -298,6 +290,7 @@ impl<'a> Optimizer<'a> {
                     preference,
                     &RmqConfig::new(samples, seed),
                     &deadline,
+                    warm_arena,
                     warm_start,
                 );
                 (

@@ -44,8 +44,11 @@
 //! transformation copies and re-costs only the path from the changed node
 //! to the root, and the cached counts lead to the `k`-th join or leaf. The
 //! front keeps plans in the arena only, so an elite jump re-costs the
-//! chosen plan from the walker's arena. [`RmqResult::costings`] counts
-//! every scan and join the walkers cost.
+//! chosen plan from the walker's arena. A warm start is a front in the
+//! same format, a [`PlanArena`] plus the [`PlanEntry`]s that index it
+//! (a cached front, say), and a walker seeded from it costs its plan from
+//! that arena the same way. [`RmqResult::costings`] counts every scan and
+//! join the walkers cost.
 //!
 //! The sample budget is dealt to the [`WALKERS`] walkers round-robin
 //! (global iteration `i` belongs to walker `i mod W`). The walkers run on
@@ -76,7 +79,7 @@ use rand::{Rng, SeedableRng};
 
 use moqo_cost::{CostVector, ObjectiveSet, Preference, Weights};
 use moqo_costmodel::{CostModel, JoinKey};
-use moqo_plan::{JoinOp, JoinTree, PlanArena, PlanId, PlanNode, PlanProps, ScanOp};
+use moqo_plan::{JoinOp, PlanArena, PlanId, PlanNode, PlanProps, ScanOp};
 
 use crate::budget::Deadline;
 use crate::dp::{DpStats, ScanOptions, SplitIndex};
@@ -84,7 +87,7 @@ use crate::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
 
 /// Number of independent local searches every run deals its budget to.
 /// Walker `w` warm-starts from `warm_start[w mod len]`, so a warm start
-/// reads at most this many trees.
+/// reads at most this many plans.
 pub const WALKERS: usize = 8;
 
 /// Per-iteration probability of restarting a walker on a fresh random join
@@ -161,29 +164,34 @@ pub fn rmq(
     config: &RmqConfig,
     deadline: &Deadline,
 ) -> RmqResult {
-    rmq_warm(model, preference, config, deadline, &[])
+    rmq_warm(model, preference, config, deadline, &PlanArena::new(), &[])
 }
 
-/// [`rmq`] with a warm start: walker `w` seeds itself from
-/// `warm_start[w mod |warm_start|]` (instead of a random tree) when the
-/// tree still costs under this model — the serving layer's plan cache
-/// hands fronts computed for the same block back to the search, so the
-/// walk begins at yesterday's frontier instead of from scratch. Only the
-/// first [`WALKERS`] trees are ever read. Trees that fail to cost (or an
-/// empty slice) fall back to random seeding. Results remain fully
-/// deterministic in `(seed, warm_start, budget)`.
+/// [`rmq`] with a warm start: walker `w` seeds itself from the plan of
+/// `warm_start[w mod |warm_start|]` in `warm_arena` (instead of a random
+/// tree) when that plan still costs under this model — the serving layer's
+/// plan cache hands fronts computed for the same block back to the search,
+/// so the walk begins at yesterday's frontier instead of from scratch. A
+/// walker costs its warm plan from the arena as an elite jump costs a plan
+/// of its own front. Only the first [`WALKERS`] entries, and only their
+/// plans, are ever read. Plans that fail to cost (an index scan on a
+/// missing or unindexed column, say), or an empty slice, fall back to
+/// random seeding. Results remain fully deterministic in
+/// `(seed, warm plans, budget)`.
 ///
 /// # Panics
 ///
-/// Panics if the preference selects no objectives, the block is empty, or
-/// a warm tree references relations outside the block.
+/// Panics if the preference selects no objectives, the block is empty, a
+/// warm entry's plan is not in `warm_arena`, or a warm plan references
+/// relations outside the block.
 #[must_use]
 pub fn rmq_warm(
     model: &CostModel<'_>,
     preference: &Preference,
     config: &RmqConfig,
     deadline: &Deadline,
-    warm_start: &[JoinTree],
+    warm_arena: &PlanArena,
+    warm_start: &[PlanEntry],
 ) -> RmqResult {
     let n = model.graph.n_rels();
     assert!(n >= 1, "query block must contain at least one relation");
@@ -211,11 +219,13 @@ pub fn rmq_warm(
                 .samples
                 .saturating_sub(w as u64)
                 .div_ceil(WALKERS as u64);
-            let warm = (!warm_start.is_empty()).then(|| &warm_start[w % warm_start.len()]);
+            let warm = (!warm_start.is_empty())
+                .then(|| (warm_arena, warm_start[w % warm_start.len()].plan));
             WalkerState::new(
                 Coster::new(model, &index),
                 &scan_opts,
                 objectives,
+                strategy,
                 w,
                 budget,
                 walker_seed(config.seed, w as u64),
@@ -340,31 +350,29 @@ impl<'a> WalkerState<'a> {
     /// already expired deadline. The first sampled cost normalizes the
     /// walker's scalarization: objectives of wildly different magnitudes
     /// then contribute comparably.
+    #[allow(clippy::too_many_arguments)]
     fn new(
         mut coster: Coster<'a>,
         scan_opts: &'a ScanOptions,
         objectives: ObjectiveSet,
+        strategy: PruneStrategy,
         walker_index: usize,
         budget: u64,
         seed: u64,
-        warm: Option<&JoinTree>,
+        warm: Option<(&PlanArena, PlanId)>,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut scratch = TreeScratch::default();
-        // A warm tree that no longer costs under this model falls back to
+        // A warm plan that no longer costs under this model falls back to
         // random seeding — the warm start is an accelerator, never a
         // correctness dependency.
         let state = warm
-            .and_then(|t| coster.cost_tree(t).ok())
+            .and_then(|(arena, plan)| coster.cost_stored(arena, plan).ok())
             .unwrap_or_else(|| {
                 sample_random_tree(&mut coster, scan_opts, &mut scratch, &mut rng)
                     .expect("a nested-loop plan always exists")
             });
         let scal = walker_scalarization(walker_index, objectives, &state.cost, &mut rng);
-        let strategy = PruneStrategy::exact().with_mode(PruneMode::auto(
-            coster.model.params.enable_sampling,
-            objectives,
-        ));
         let mut walker = WalkerState {
             coster,
             scan_opts,
@@ -845,19 +853,8 @@ impl<'a> Coster<'a> {
         }))
     }
 
-    /// Costs an owned tree bottom-up (a warm start).
-    fn cost_tree(&mut self, tree: &JoinTree) -> Edit {
-        match tree {
-            JoinTree::Scan { rel, op } => self.scan(*rel, *op),
-            JoinTree::Join { op, left, right } => {
-                let l = self.cost_tree(left)?;
-                let r = self.cost_tree(right)?;
-                self.join(*op, &l, &r)
-            }
-        }
-    }
-
-    /// Costs the plan `plan` of `arena` bottom-up (an elite jump).
+    /// Costs the plan `plan` of `arena` bottom-up (a warm start or an
+    /// elite jump).
     fn cost_stored(&mut self, arena: &PlanArena, plan: PlanId) -> Edit {
         match arena.node(plan) {
             PlanNode::Scan { rel, op } => self.scan(rel, op),
@@ -1133,15 +1130,67 @@ mod tests {
         // call per node of a three-relation tree.
         assert!(out.costings >= (WALKERS * 5) as u64);
 
-        // A warm tree that costs is costed once, node by node.
+        // A warm plan that costs is costed once, node by node.
+        let (arena, front) = warm_front(&[chain3()]);
         let warm = rmq_warm(
             &model,
             &pref(),
             &RmqConfig::new(0, 1),
             &Deadline::unlimited(),
-            &[chain3()],
+            &arena,
+            &front,
         );
         assert_eq!(warm.costings, (WALKERS * 5) as u64);
+    }
+
+    /// Warm plans that no longer cost seed their walkers randomly: the run
+    /// is the cold run of the same seed and budget, except for the one
+    /// failed scan costing each walker paid.
+    #[test]
+    fn uncostable_warm_plans_fall_back_to_the_cold_run() {
+        let params = CostModelParams::default();
+        let mut cat = Catalog::new();
+        cat.add_table(
+            TableStats::new("a", 5_000.0, 100.0)
+                .with_column(ColumnStats::new("id", 5_000.0).indexed())
+                .with_column(ColumnStats::new("note", 50.0)),
+        );
+        cat.add_table(
+            TableStats::new("b", 20_000.0, 80.0)
+                .with_column(ColumnStats::new("a_id", 5_000.0).indexed()),
+        );
+        let graph = JoinGraphBuilder::new(&cat)
+            .rel("a", 1.0)
+            .rel("b", 0.5)
+            .join(("a", "id"), ("b", "a_id"))
+            .build();
+        let model = CostModel::new(&params, &cat, &graph);
+        let config = RmqConfig::new(300, 17);
+        let cold = rmq(&model, &pref(), &config, &Deadline::unlimited());
+        // Column 1 exists but has no index; column 2 is past the last one.
+        for column in [1, 2] {
+            let plan = Tree::join(
+                JoinOp::HashJoin { dop: 1 },
+                Tree::scan(0, ScanOp::IndexScan { column }),
+                Tree::scan(1, ScanOp::SeqScan),
+            );
+            let (arena, front) = warm_front(&[plan]);
+            let warm = rmq_warm(
+                &model,
+                &pref(),
+                &config,
+                &Deadline::unlimited(),
+                &arena,
+                &front,
+            );
+            assert_eq!(front_bits(&warm), front_bits(&cold), "column {column}");
+            assert_eq!(
+                warm.stats.considered_plans, cold.stats.considered_plans,
+                "column {column}"
+            );
+            assert_eq!(warm.iterations, cold.iterations, "column {column}");
+            assert_eq!(warm.costings, cold.costings + WALKERS as u64);
+        }
     }
 
     #[test]
@@ -1234,57 +1283,97 @@ mod tests {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
         // Build (customer ⋈ orders) ⋈ lineitem with hash joins and compare
-        // the reference costing with the costed tree a walker builds.
-        let tree = JoinTree::join(
+        // the reference costing with the costed tree a walker builds from
+        // the plan's arena.
+        let tree = Tree::join(
             JoinOp::HashJoin { dop: 1 },
-            JoinTree::join(
+            Tree::join(
                 JoinOp::HashJoin { dop: 1 },
-                JoinTree::scan(0, ScanOp::SeqScan),
-                JoinTree::scan(1, ScanOp::SeqScan),
+                Tree::scan(0, ScanOp::SeqScan),
+                Tree::scan(1, ScanOp::SeqScan),
             ),
-            JoinTree::scan(2, ScanOp::SeqScan),
+            Tree::scan(2, ScanOp::SeqScan),
         );
         let index = SplitIndex::new(&model);
         let (cost, props) =
             cost_tree_with(&model, &index, &tree).expect("hash joins apply on join edges");
         assert_eq!(props.rels, 0b111);
         assert!(cost.get(Objective::TotalTime) > 0.0);
+        let mut arena = PlanArena::new();
+        let root = tree.store(&mut arena);
         let mut coster = Coster::new(&model, &index);
-        let costed = coster.cost_tree(&tree).expect("the costed tree costs too");
+        let costed = coster
+            .cost_stored(&arena, root)
+            .expect("the costed tree costs too");
         assert_eq!(bits(&costed.cost, &costed.props), bits(&cost, &props));
         assert_eq!(coster.calls, 5, "one cost-model call per node");
         // An index-nested-loop join over a non-canonical inner child must
         // fail to cost.
-        let bad = JoinTree::join(
+        let bad = Tree::join(
             JoinOp::IndexNestedLoop,
-            JoinTree::scan(0, ScanOp::SeqScan),
-            JoinTree::scan(1, ScanOp::SeqScan),
+            Tree::scan(0, ScanOp::SeqScan),
+            Tree::scan(1, ScanOp::SeqScan),
         );
         assert!(cost_tree_with(&model, &index, &bad).is_none());
-        assert_eq!(coster.cost_tree(&bad).unwrap_err(), Miss::Uncostable);
+        let bad = bad.store(&mut arena);
+        assert_eq!(
+            coster.cost_stored(&arena, bad).unwrap_err(),
+            Miss::Uncostable
+        );
     }
 
-    fn chain3() -> JoinTree {
+    fn chain3() -> Tree {
         // ((0 ⋈ 1) ⋈ 2)
-        JoinTree::join(
+        Tree::join(
             JoinOp::HashJoin { dop: 1 },
-            JoinTree::join(
+            Tree::join(
                 JoinOp::SortMergeJoin { dop: 2 },
-                JoinTree::scan(0, ScanOp::SeqScan),
-                JoinTree::scan(1, ScanOp::SeqScan),
+                Tree::scan(0, ScanOp::SeqScan),
+                Tree::scan(1, ScanOp::SeqScan),
             ),
-            JoinTree::scan(2, ScanOp::IndexScan { column: 0 }),
+            Tree::scan(2, ScanOp::IndexScan { column: 0 }),
         )
     }
 
-    /// Runs `check` on `chain3` costed over `setup3`'s block, with the
-    /// coster that built it.
+    /// `trees` stored in one arena as a warm start. [`rmq_warm`] reads only
+    /// the entries' plans, so their costs and props are placeholders.
+    fn warm_front(trees: &[Tree]) -> (PlanArena, Vec<PlanEntry>) {
+        let mut arena = PlanArena::new();
+        let front = trees
+            .iter()
+            .map(|tree| PlanEntry {
+                cost: CostVector::zero(),
+                props: PlanProps {
+                    rels: 0,
+                    rows: 1.0,
+                    width: 1.0,
+                    order: moqo_plan::SortOrder::None,
+                    sampling_factor: 1.0,
+                },
+                plan: tree.store(&mut arena),
+            })
+            .collect();
+        (arena, front)
+    }
+
+    /// The bits of a run's front, entry by entry, with each entry's plan.
+    fn front_bits(out: &RmqResult) -> Vec<(Vec<u64>, Tree)> {
+        out.final_plans
+            .iter()
+            .map(|e| (bits(&e.cost, &e.props), Tree::of(&out.arena, e.plan)))
+            .collect()
+    }
+
+    /// Runs `check` on `chain3` costed over `setup3`'s block from an
+    /// arena, with the coster that built it.
     fn with_chain3(check: impl FnOnce(&mut Coster<'_>, Rc<CostedNode>)) {
         let (p, cat, g) = setup3();
         let model = CostModel::new(&p, &cat, &g);
         let index = SplitIndex::new(&model);
         let mut coster = Coster::new(&model, &index);
-        let tree = coster.cost_tree(&chain3()).expect("chain3 costs");
+        let mut arena = PlanArena::new();
+        let root = chain3().store(&mut arena);
+        let tree = coster.cost_stored(&arena, root).expect("chain3 costs");
         check(&mut coster, tree);
     }
 
@@ -1422,13 +1511,17 @@ mod tests {
         let index = SplitIndex::new(&model);
         let mut coster = Coster::new(&model, &index);
         // A bushy tree: (0 ⋈ 1) ⋈ (2 ⋈ 3) has joins at preorder 0, 1, 2.
-        let scan = |rel| JoinTree::scan(rel, ScanOp::SeqScan);
-        let bushy = JoinTree::join(
+        let scan = |rel| Tree::scan(rel, ScanOp::SeqScan);
+        let bushy = Tree::join(
             JoinOp::NestedLoop,
-            JoinTree::join(JoinOp::NestedLoop, scan(0), scan(1)),
-            JoinTree::join(JoinOp::NestedLoop, scan(2), scan(3)),
+            Tree::join(JoinOp::NestedLoop, scan(0), scan(1)),
+            Tree::join(JoinOp::NestedLoop, scan(2), scan(3)),
         );
-        let tree = coster.cost_tree(&bushy).expect("nested loops always cost");
+        let mut arena = PlanArena::new();
+        let root = bushy.store(&mut arena);
+        let tree = coster
+            .cost_stored(&arena, root)
+            .expect("nested loops always cost");
         for (k, rels) in [0b1111, 0b0011, 0b1100].into_iter().enumerate() {
             assert_eq!(tree.find(At::Join(k)).map(|n| n.props.rels), Some(rels));
             let set = Move::SetJoinOp(JoinOp::NestedLoop);
@@ -1458,7 +1551,7 @@ mod tests {
             let mut order = Vec::new();
             arena.visit_postorder(root, &mut |id, _| order.push(id.0));
             assert_eq!(order, [0, 1, 2, 3, 4]);
-            assert_eq!(arena.extract_tree(root), chain3());
+            assert_eq!(Tree::of(&arena, root), chain3());
             let calls = coster.calls;
             let again = coster
                 .cost_stored(&arena, root)
@@ -1471,23 +1564,249 @@ mod tests {
         });
     }
 
+    /// An owned join tree: how the tests write plans down, and the
+    /// reference format every costed tree and move is held to.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Tree {
+        Scan {
+            rel: usize,
+            op: ScanOp,
+        },
+        Join {
+            op: JoinOp,
+            left: Box<Tree>,
+            right: Box<Tree>,
+        },
+    }
+
+    impl Tree {
+        fn scan(rel: usize, op: ScanOp) -> Self {
+            Tree::Scan { rel, op }
+        }
+
+        fn join(op: JoinOp, left: Tree, right: Tree) -> Self {
+            Tree::Join {
+                op,
+                left: Box::new(left),
+                right: Box::new(right),
+            }
+        }
+
+        /// The tree of the plan `root` of `arena`.
+        fn of(arena: &PlanArena, root: PlanId) -> Self {
+            match arena.node(root) {
+                PlanNode::Scan { rel, op } => Tree::scan(rel, op),
+                PlanNode::Join { op, left, right } => {
+                    Tree::join(op, Tree::of(arena, left), Tree::of(arena, right))
+                }
+            }
+        }
+
+        /// Stores the tree in `arena`, children before parents and the
+        /// outer subtree first, and returns the root's id.
+        fn store(&self, arena: &mut PlanArena) -> PlanId {
+            match self {
+                Tree::Scan { rel, op } => arena.scan(*rel, *op),
+                Tree::Join { op, left, right } => {
+                    let l = left.store(arena);
+                    let r = right.store(arena);
+                    arena.join(*op, l, r)
+                }
+            }
+        }
+
+        /// The tree of a costed one.
+        fn owned(node: &CostedNode) -> Self {
+            match &node.shape {
+                Shape::Scan { rel, op } => Tree::scan(*rel, *op),
+                Shape::Join { op, left, right } => {
+                    Tree::join(*op, Tree::owned(left), Tree::owned(right))
+                }
+            }
+        }
+
+        fn n_leaves(&self) -> usize {
+            match self {
+                Tree::Scan { .. } => 1,
+                Tree::Join { left, right, .. } => left.n_leaves() + right.n_leaves(),
+            }
+        }
+
+        fn n_joins(&self) -> usize {
+            match self {
+                Tree::Scan { .. } => 0,
+                Tree::Join { left, right, .. } => 1 + left.n_joins() + right.n_joins(),
+            }
+        }
+
+        fn rel_mask(&self) -> u32 {
+            match self {
+                Tree::Scan { rel, .. } => 1u32 << rel,
+                Tree::Join { left, right, .. } => left.rel_mask() | right.rel_mask(),
+            }
+        }
+
+        // The owned-tree transformations walkers applied before they kept
+        // costed trees.
+
+        fn join_mut(&mut self, k: usize) -> Option<&mut Tree> {
+            match self {
+                Tree::Scan { .. } => None,
+                Tree::Join { .. } if k == 0 => Some(self),
+                Tree::Join { left, right, .. } => {
+                    let k = k - 1;
+                    let in_left = left.n_joins();
+                    if k < in_left {
+                        left.join_mut(k)
+                    } else {
+                        right.join_mut(k - in_left)
+                    }
+                }
+            }
+        }
+
+        fn leaf_mut(&mut self, k: usize) -> Option<&mut Tree> {
+            match self {
+                Tree::Scan { .. } => (k == 0).then_some(self),
+                Tree::Join { left, right, .. } => {
+                    let in_left = left.n_leaves();
+                    if k < in_left {
+                        left.leaf_mut(k)
+                    } else {
+                        right.leaf_mut(k - in_left)
+                    }
+                }
+            }
+        }
+
+        fn commute(&mut self, k: usize) -> bool {
+            let Some(Tree::Join { left, right, .. }) = self.join_mut(k) else {
+                return false;
+            };
+            std::mem::swap(left, right);
+            true
+        }
+
+        fn rotate_right(&mut self, k: usize) -> bool {
+            let Some(node) = self.join_mut(k) else {
+                return false;
+            };
+            let Tree::Join {
+                op: op1,
+                left,
+                right,
+            } = node
+            else {
+                return false;
+            };
+            if !matches!(**left, Tree::Join { .. }) {
+                return false;
+            }
+            let c = std::mem::replace(right, Box::new(Tree::scan(0, ScanOp::SeqScan)));
+            let Tree::Join {
+                op: op2,
+                left: a,
+                right: b,
+            } = std::mem::replace(&mut **left, Tree::scan(0, ScanOp::SeqScan))
+            else {
+                unreachable!("checked above")
+            };
+            let inner = Tree::Join {
+                op: *op1,
+                left: b,
+                right: c,
+            };
+            *node = Tree::Join {
+                op: op2,
+                left: a,
+                right: Box::new(inner),
+            };
+            true
+        }
+
+        fn rotate_left(&mut self, k: usize) -> bool {
+            let Some(node) = self.join_mut(k) else {
+                return false;
+            };
+            let Tree::Join {
+                op: op1,
+                left,
+                right,
+            } = node
+            else {
+                return false;
+            };
+            if !matches!(**right, Tree::Join { .. }) {
+                return false;
+            }
+            let a = std::mem::replace(left, Box::new(Tree::scan(0, ScanOp::SeqScan)));
+            let Tree::Join {
+                op: op2,
+                left: b,
+                right: c,
+            } = std::mem::replace(&mut **right, Tree::scan(0, ScanOp::SeqScan))
+            else {
+                unreachable!("checked above")
+            };
+            let inner = Tree::Join {
+                op: *op1,
+                left: a,
+                right: b,
+            };
+            *node = Tree::Join {
+                op: op2,
+                left: Box::new(inner),
+                right: c,
+            };
+            true
+        }
+
+        fn set_join_op(&mut self, k: usize, new_op: JoinOp) -> bool {
+            let Some(Tree::Join { op, .. }) = self.join_mut(k) else {
+                return false;
+            };
+            *op = new_op;
+            true
+        }
+
+        fn set_scan_op(&mut self, k: usize, new_op: ScanOp) -> bool {
+            let Some(Tree::Scan { op, .. }) = self.leaf_mut(k) else {
+                return false;
+            };
+            *op = new_op;
+            true
+        }
+
+        fn make_index_nl(&mut self, k: usize, column: u16) -> bool {
+            let Some(Tree::Join { op, right, .. }) = self.join_mut(k) else {
+                return false;
+            };
+            let Tree::Scan { op: scan_op, .. } = &mut **right else {
+                return false;
+            };
+            *scan_op = ScanOp::IndexScan { column };
+            *op = JoinOp::IndexNestedLoop;
+            true
+        }
+    }
+
     /// The bottom-up costing of an owned tree that walkers ran on every
     /// transformed tree before they kept costed trees: the reference each
     /// costed node must equal bit for bit.
     fn cost_tree_with(
         model: &CostModel<'_>,
         index: &SplitIndex,
-        tree: &JoinTree,
+        tree: &Tree,
     ) -> Option<(CostVector, PlanProps)> {
         match tree {
-            JoinTree::Scan { rel, op } => model.scan_cost(*rel, *op),
-            JoinTree::Join { op, left, right } => {
+            Tree::Scan { rel, op } => model.scan_cost(*rel, *op),
+            Tree::Join { op, left, right } => {
                 let (lc, lp) = cost_tree_with(model, index, left)?;
                 let (rc, rp) = cost_tree_with(model, index, right)?;
                 let split = index.split(lp.rels, rp.rels);
                 let right_canonical = match (&**right, split.key) {
                     (
-                        JoinTree::Scan {
+                        Tree::Scan {
                             rel,
                             op: ScanOp::IndexScan { column },
                         },
@@ -1500,207 +1819,20 @@ mod tests {
         }
     }
 
-    /// The owned-tree transformations walkers applied before they kept
-    /// costed trees, verbatim: the reference every move is held to.
-    trait OwnedMoves {
-        fn n_leaves(&self) -> usize;
-        fn n_joins(&self) -> usize;
-        fn rel_mask(&self) -> u32;
-        fn join_mut(&mut self, k: usize) -> Option<&mut JoinTree>;
-        fn leaf_mut(&mut self, k: usize) -> Option<&mut JoinTree>;
-        fn commute(&mut self, k: usize) -> bool;
-        fn rotate_right(&mut self, k: usize) -> bool;
-        fn rotate_left(&mut self, k: usize) -> bool;
-        fn set_join_op(&mut self, k: usize, new_op: JoinOp) -> bool;
-        fn set_scan_op(&mut self, k: usize, new_op: ScanOp) -> Option<usize>;
-        fn make_index_nl(&mut self, k: usize, column: u16) -> bool;
-    }
-
-    impl OwnedMoves for JoinTree {
-        fn n_leaves(&self) -> usize {
-            match self {
-                JoinTree::Scan { .. } => 1,
-                JoinTree::Join { left, right, .. } => left.n_leaves() + right.n_leaves(),
-            }
-        }
-
-        fn n_joins(&self) -> usize {
-            match self {
-                JoinTree::Scan { .. } => 0,
-                JoinTree::Join { left, right, .. } => 1 + left.n_joins() + right.n_joins(),
-            }
-        }
-
-        fn rel_mask(&self) -> u32 {
-            match self {
-                JoinTree::Scan { rel, .. } => 1u32 << rel,
-                JoinTree::Join { left, right, .. } => left.rel_mask() | right.rel_mask(),
-            }
-        }
-
-        fn join_mut(&mut self, k: usize) -> Option<&mut JoinTree> {
-            match self {
-                JoinTree::Scan { .. } => None,
-                JoinTree::Join { .. } if k == 0 => Some(self),
-                JoinTree::Join { left, right, .. } => {
-                    let k = k - 1;
-                    let in_left = left.n_joins();
-                    if k < in_left {
-                        left.join_mut(k)
-                    } else {
-                        right.join_mut(k - in_left)
-                    }
-                }
-            }
-        }
-
-        fn leaf_mut(&mut self, k: usize) -> Option<&mut JoinTree> {
-            match self {
-                JoinTree::Scan { .. } => (k == 0).then_some(self),
-                JoinTree::Join { left, right, .. } => {
-                    let in_left = left.n_leaves();
-                    if k < in_left {
-                        left.leaf_mut(k)
-                    } else {
-                        right.leaf_mut(k - in_left)
-                    }
-                }
-            }
-        }
-
-        fn commute(&mut self, k: usize) -> bool {
-            let Some(JoinTree::Join { left, right, .. }) = self.join_mut(k) else {
-                return false;
-            };
-            std::mem::swap(left, right);
-            true
-        }
-
-        fn rotate_right(&mut self, k: usize) -> bool {
-            let Some(node) = self.join_mut(k) else {
-                return false;
-            };
-            let JoinTree::Join {
-                op: op1,
-                left,
-                right,
-            } = node
-            else {
-                return false;
-            };
-            if !matches!(**left, JoinTree::Join { .. }) {
-                return false;
-            }
-            let c = std::mem::replace(right, Box::new(JoinTree::scan(0, ScanOp::SeqScan)));
-            let JoinTree::Join {
-                op: op2,
-                left: a,
-                right: b,
-            } = std::mem::replace(&mut **left, JoinTree::scan(0, ScanOp::SeqScan))
-            else {
-                unreachable!("checked above")
-            };
-            let inner = JoinTree::Join {
-                op: *op1,
-                left: b,
-                right: c,
-            };
-            *node = JoinTree::Join {
-                op: op2,
-                left: a,
-                right: Box::new(inner),
-            };
-            true
-        }
-
-        fn rotate_left(&mut self, k: usize) -> bool {
-            let Some(node) = self.join_mut(k) else {
-                return false;
-            };
-            let JoinTree::Join {
-                op: op1,
-                left,
-                right,
-            } = node
-            else {
-                return false;
-            };
-            if !matches!(**right, JoinTree::Join { .. }) {
-                return false;
-            }
-            let a = std::mem::replace(left, Box::new(JoinTree::scan(0, ScanOp::SeqScan)));
-            let JoinTree::Join {
-                op: op2,
-                left: b,
-                right: c,
-            } = std::mem::replace(&mut **right, JoinTree::scan(0, ScanOp::SeqScan))
-            else {
-                unreachable!("checked above")
-            };
-            let inner = JoinTree::Join {
-                op: *op1,
-                left: a,
-                right: b,
-            };
-            *node = JoinTree::Join {
-                op: op2,
-                left: Box::new(inner),
-                right: c,
-            };
-            true
-        }
-
-        fn set_join_op(&mut self, k: usize, new_op: JoinOp) -> bool {
-            let Some(JoinTree::Join { op, .. }) = self.join_mut(k) else {
-                return false;
-            };
-            *op = new_op;
-            true
-        }
-
-        fn set_scan_op(&mut self, k: usize, new_op: ScanOp) -> Option<usize> {
-            let JoinTree::Scan { rel, op } = self.leaf_mut(k)? else {
-                unreachable!("leaf_mut only returns scans")
-            };
-            *op = new_op;
-            Some(*rel)
-        }
-
-        fn make_index_nl(&mut self, k: usize, column: u16) -> bool {
-            let Some(JoinTree::Join { op, right, .. }) = self.join_mut(k) else {
-                return false;
-            };
-            let JoinTree::Scan { op: scan_op, .. } = &mut **right else {
-                return false;
-            };
-            *scan_op = ScanOp::IndexScan { column };
-            *op = JoinOp::IndexNestedLoop;
-            true
-        }
-    }
-
     /// `mv` at `at` by the owned-tree reference: the transformed tree, or
     /// `None` when the move does not apply.
-    fn reference_move(tree: &JoinTree, at: At, mv: Move) -> Option<JoinTree> {
+    fn reference_move(tree: &Tree, at: At, mv: Move) -> Option<Tree> {
         let mut tree = tree.clone();
         let applied = match (at, mv) {
             (At::Join(k), Move::Commute) => tree.commute(k),
             (At::Join(k), Move::RotateRight) => tree.rotate_right(k),
             (At::Join(k), Move::RotateLeft) => tree.rotate_left(k),
             (At::Join(k), Move::SetJoinOp(op)) => tree.set_join_op(k, op),
-            (At::Leaf(k), Move::SetScanOp(op)) => tree.set_scan_op(k, op).is_some(),
+            (At::Leaf(k), Move::SetScanOp(op)) => tree.set_scan_op(k, op),
             (At::Join(k), Move::IndexNl(column)) => tree.make_index_nl(k, column),
             _ => false,
         };
         applied.then_some(tree)
-    }
-
-    /// The owned tree of a costed one.
-    fn owned(node: &CostedNode) -> JoinTree {
-        match &node.shape {
-            Shape::Scan { rel, op } => JoinTree::scan(*rel, *op),
-            Shape::Join { op, left, right } => JoinTree::join(*op, owned(left), owned(right)),
-        }
     }
 
     /// The bits of a cost vector and of the props' numbers.
@@ -1714,7 +1846,7 @@ mod tests {
     /// Asserts that every node of the tree under `node` holds, bit for bit,
     /// the reference costing of its subtree, and its join and leaf counts.
     fn check_costs(model: &CostModel<'_>, index: &SplitIndex, node: &CostedNode) {
-        let tree = owned(node);
+        let tree = Tree::owned(node);
         let (cost, props) =
             cost_tree_with(model, index, &tree).expect("every costed subtree costs from scratch");
         assert_eq!(bits(&node.cost, &node.props), bits(&cost, &props));
@@ -1854,11 +1986,11 @@ mod tests {
             check_costs(&model, &index, &tree);
             for _ in 0..40 {
                 let (at, mv) = random_move(&tree, &mut rng);
-                let expected = reference_move(&owned(&tree), at, mv);
+                let expected = reference_move(&Tree::owned(&tree), at, mv);
                 let calls = coster.calls;
                 match coster.apply(&tree, at, mv) {
                     Ok(next) => {
-                        prop_assert_eq!(Some(owned(&next)), expected);
+                        prop_assert_eq!(Some(Tree::owned(&next)), expected);
                         check_costs(&model, &index, &next);
                         prop_assert!(coster.calls - calls <= height(&tree) as u64 + 2);
                         tree = next;

@@ -18,7 +18,7 @@
 use moqo_catalog::{Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
 use moqo_core::pareto::PruneMode;
 use moqo_core::test_support::reference_frontier;
-use moqo_core::{find_pareto_plans, Deadline, DpConfig};
+use moqo_core::{find_pareto_plans, Deadline, PruneStrategy};
 use moqo_cost::{pareto_front, CostVector, Objective, ObjectiveSet, Weights};
 use moqo_costmodel::{CostModel, CostModelParams};
 use proptest::prelude::*;
@@ -52,11 +52,10 @@ fn run_mode(
     objectives: ObjectiveSet,
     mode: PruneMode,
 ) -> moqo_core::DpResult {
-    let config = DpConfig::exact().with_prune_mode(mode);
     find_pareto_plans(
         model,
         objectives,
-        &config,
+        &PruneStrategy::exact().with_mode(mode),
         &Weights::single(Objective::TotalTime),
         &Deadline::unlimited(),
     )

@@ -6,7 +6,9 @@
 
 use moqo_catalog::{Catalog, ColumnStats, JoinEdge, JoinGraph, TableStats};
 use moqo_core::test_support::reference_dp;
-use moqo_core::{exa, find_pareto_plans, ira, rta, select_best, Deadline, DpConfig, PruneMode};
+use moqo_core::{
+    exa, find_pareto_plans, ira, rta, select_best, Deadline, PruneMode, PruneStrategy,
+};
 use moqo_cost::{dominates, Objective, ObjectiveSet, Preference, Weights};
 use moqo_costmodel::{CostModel, CostModelParams};
 use proptest::prelude::*;
@@ -309,7 +311,7 @@ proptest! {
         let result = find_pareto_plans(
             &model,
             objectives,
-            &DpConfig::approximate(alpha).with_prune_mode(mode),
+            &PruneStrategy::approximate(alpha).with_mode(mode),
             &Weights::single(Objective::TotalTime),
             &Deadline::unlimited(),
         );

@@ -12,11 +12,12 @@
 //! index-nested-loop and nested-loop formulas have no degree, and the
 //! former reads its inner table's constants from the key ([`InnerIndex`]).
 //! The output rows, tuple loss and sampling factor every operator shares
-//! are a [`JoinOutput`]. [`CostModel::join_cost`] builds only its
-//! operator's family. A [`JoinPair`] holds one plan pair's output and
-//! builds each family at the first operator that needs it, for callers
-//! that cost several operators of a pair ([`CostModel::join_costs`] prices
-//! all ten through one). Both read the same formulas.
+//! are a [`JoinOutput`]. A [`JoinPair`] holds one plan pair's output and
+//! builds each family at the first operator that needs it.
+//! [`CostModel::join_cost`] is a pair priced under its one operator, so it
+//! builds only that operator's family; callers that cost several operators
+//! of a pair keep the pair ([`CostModel::join_costs`] prices all ten
+//! through one).
 
 use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, Objective};
@@ -396,7 +397,8 @@ pub struct JoinPair<'a> {
 }
 
 impl JoinPair<'_> {
-    /// [`CostModel::join_cost`] of `op` for this pair, bit for bit.
+    /// This pair joined with operator `op`, or `None` when `op` is
+    /// inapplicable (see [`CostModel::join_cost`]).
     #[inline]
     pub fn cost(&mut self, op: JoinOp) -> Option<(CostVector, PlanProps)> {
         let (model, p) = (self.model, self.model.params);
@@ -486,8 +488,8 @@ impl<'a> CostModel<'a> {
     /// index-nested-loop additionally requires an indexed inner base
     /// relation accessed by its canonical index scan.
     ///
-    /// Computes only `op`'s own family of terms; a [`JoinPair`] prices
-    /// several operators of one plan pair from the same helpers.
+    /// The [`JoinPair`] of the two sub-plans priced under `op` alone, so
+    /// only `op`'s own family of terms is computed.
     #[must_use]
     pub fn join_cost(
         &self,
@@ -497,27 +499,8 @@ impl<'a> CostModel<'a> {
         split: &JoinSplit,
         right_is_canonical_index_scan: bool,
     ) -> Option<(CostVector, PlanProps)> {
-        let (lc, lp) = left;
-        let (rc, rp) = right;
-        let p = self.params;
-        let out = JoinOutput::new(lc, lp, rc, rp, split);
-        let (cost, order) = match op {
-            JoinOp::HashJoin { dop } => {
-                split.key?;
-                let hash = HashTerms::new(p, lp, rp, out.rows);
-                (hash.cost(p, dop, lc, rc), SortOrder::None)
-            }
-            JoinOp::SortMergeJoin { dop } => {
-                let merge = MergeTerms::new(p, split.key.as_ref()?, lp, rp, out.rows);
-                (merge.cost(p, dop, lc, rc), merge.order)
-            }
-            JoinOp::IndexNestedLoop => {
-                let index = index_nl_probe(split, rp, right_is_canonical_index_scan)?;
-                (self.index_nl_join(index, lc, lp, out.rows), lp.order)
-            }
-            JoinOp::NestedLoop => (self.nested_loop(lc, lp, rc, rp, out.rows), lp.order),
-        };
-        Some(out.finish(cost, order, split))
+        self.join_pair(left, right, split, right_is_canonical_index_scan)
+            .cost(op)
     }
 
     /// [`CostModel::join_cost`] of every operator of [`JoinOp::ALL`], in
@@ -554,7 +537,7 @@ impl<'a> CostModel<'a> {
         let descend_cpu = p.cpu_operator_cost * index.depth;
         let own_cpu = probes * descend_cpu + out_rows * (p.cpu_index_tuple_cost + p.cpu_tuple_cost);
         // Mackert–Lohman-flavoured cap: repeated probes hit cached pages.
-        let own_io = probes.min(2.0 * index.pages) + out_rows * lp.width * 0.0;
+        let own_io = probes.min(2.0 * index.pages);
         let own_time = own_cpu + own_io * p.random_page_cost;
 
         let mut c = CostVector::zero();

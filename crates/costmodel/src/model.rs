@@ -38,8 +38,8 @@ impl<'a> CostModel<'a> {
     }
 
     /// Cost and properties of scanning base relation `rel` with operator
-    /// `op`. Returns `None` when the operator is inapplicable (index scan on
-    /// a column without an index).
+    /// `op`. Returns `None` when the operator is inapplicable: an index scan
+    /// on a column that has no index or that the table does not have.
     #[must_use]
     pub fn scan_cost(&self, rel: usize, op: ScanOp) -> Option<(CostVector, PlanProps)> {
         let p = self.params;
@@ -75,7 +75,7 @@ impl<'a> CostModel<'a> {
                 }
             }
             ScanOp::IndexScan { column } => {
-                if !table.column(column).indexed {
+                if !table.columns.get(usize::from(column))?.indexed {
                     return None;
                 }
                 // Full index scan: traverse the index in key order and fetch
@@ -196,9 +196,14 @@ mod tests {
     fn index_scan_requires_index() {
         let (p, cat, g) = setup();
         let model = CostModel::new(&p, &cat, &g);
-        assert!(model
-            .scan_cost(0, ScanOp::IndexScan { column: 1 })
-            .is_none());
+        // Column 1 exists without an index; the table has no column 2.
+        for column in [1, 2, u16::MAX] {
+            assert_eq!(
+                model.scan_cost(0, ScanOp::IndexScan { column }),
+                None,
+                "column {column}"
+            );
+        }
     }
 
     #[test]

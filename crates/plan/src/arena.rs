@@ -154,10 +154,10 @@ impl PlanArena {
     }
 
     /// Copies the plan tree rooted at `root` from `src` into this arena,
-    /// returning the new root id. This is the cross-arena re-rooting step of
-    /// parallel search: worker arenas stay private, and only the surviving
-    /// plans are adopted into the merged arena (children before parents, so
-    /// adopted ids are valid the moment they are created).
+    /// children before parents (so adopted ids are valid the moment they are
+    /// created), and returns the new root id. The plan cache copies fronts
+    /// in and out of its entries this way, and the randomized search merges
+    /// its walkers' fronts: only the surviving plans leave a walker's arena.
     ///
     /// # Panics
     ///
@@ -230,8 +230,21 @@ mod tests {
         // Pre-existing nodes must not confuse the id mapping.
         dst.scan(7, ScanOp::SeqScan);
         let adopted = dst.adopt(&src, root);
-        assert_eq!(dst.extract_tree(adopted), src.extract_tree(root));
+        assert_eq!(adopted, PlanId(5));
         assert_eq!(dst.len(), 1 + src.len());
+        // Node for node, with every child id shifted past the old node.
+        for id in 0..src.len() as u32 {
+            let shifted = |PlanId(c)| PlanId(c + 1);
+            let expected = match src.node(PlanId(id)) {
+                PlanNode::Join { op, left, right } => PlanNode::Join {
+                    op,
+                    left: shifted(left),
+                    right: shifted(right),
+                },
+                scan => scan,
+            };
+            assert_eq!(dst.node(PlanId(id + 1)), expected);
+        }
         // Adopting a leaf works too.
         let leaf = dst.adopt(&src, PlanId(0));
         assert!(matches!(dst.node(leaf), PlanNode::Scan { rel: 0, .. }));

@@ -20,11 +20,12 @@
 //!   output [`SortOrder`] (Postgres path keys, coarse) and the cumulated
 //!   sampling factor.
 //!
-//! [`JoinTree`] is the owned format warm starts are passed in: plans
-//! extracted from an arena ([`PlanArena::extract_tree`]) for the
-//! randomized search, which costs them into trees of its own and keeps the
-//! local transformations (commutativity, associativity, operator swaps)
-//! in `moqo_core::rmq`; see [`tree`].
+//! The arena is the one plan format that crosses an API: a front is a
+//! [`PlanArena`] plus the entries that index it (`moqo_core`'s
+//! `PlanEntry`: a plan's id with its cost and properties). The dynamic
+//! programming, the plan cache and the randomized search store fronts so,
+//! and the randomized search takes its warm starts so. A plan leaves its
+//! arena only by being copied into another ([`PlanArena::adopt`]).
 
 #![warn(missing_docs)]
 
@@ -32,10 +33,8 @@ mod arena;
 mod display;
 mod operator;
 mod props;
-pub mod tree;
 
 pub use arena::{PlanArena, PlanId, PlanNode};
 pub use display::render_plan;
 pub use operator::{JoinOp, ScanOp, MAX_DOP, SAMPLING_RATES_PCT};
 pub use props::{PlanProps, SortOrder};
-pub use tree::JoinTree;

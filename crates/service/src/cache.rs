@@ -18,14 +18,15 @@
 //!   signatures are hashes, a hit additionally verifies the stored graph
 //!   for equality before anything is served.
 //! * **Entries** own their plans: on insertion the producing arena's
-//!   surviving frontier trees are re-rooted into a compact cache-owned
+//!   surviving frontier plans are re-rooted into a compact cache-owned
 //!   arena via [`PlanArena::adopt`], so the (much larger) optimizer arena
 //!   can be dropped.
 //! * **Serving** is α-aware. A request tolerating `α′ ≥ α_entry` (with the
 //!   bounded-request restriction of
 //!   [`AlphaCertificate`](crate::AlphaCertificate)) is answered directly by
 //!   adopting the cached front into a fresh response arena. Anything else
-//!   still profits: the cached trees are handed out as RMQ warm starts.
+//!   still profits: the front's first plans, adopted the same way, are
+//!   handed out as an RMQ warm start.
 //! * **Eviction** is sharded LRU: keys hash to one of `shards` independent
 //!   mutexed maps, each evicting its least-recently-used entry beyond its
 //!   capacity share, so concurrent workers rarely contend on the same lock.
@@ -41,7 +42,7 @@ use moqo_catalog::{GraphSignature, JoinGraph};
 use moqo_core::rmq::WALKERS;
 use moqo_core::PlanEntry;
 use moqo_cost::ObjectiveSet;
-use moqo_plan::{JoinTree, PlanArena};
+use moqo_plan::PlanArena;
 
 use crate::AlphaCertificate;
 
@@ -63,7 +64,7 @@ struct CacheEntry {
     graph: JoinGraph,
     /// Guarantee of the stored front (`1.0` exact, `+∞` none/RMQ).
     alpha: f64,
-    /// Compact arena owning exactly the frontier trees.
+    /// Compact arena owning exactly the frontier plans.
     arena: PlanArena,
     /// The stored front; plan ids resolve in `arena`.
     frontier: Vec<PlanEntry>,
@@ -83,7 +84,7 @@ pub struct CacheCounters {
     /// signature collisions, and resident-but-not-servable fronts alike).
     pub misses: AtomicU64,
     /// Misses whose resident front subsequently seeded an RMQ warm start
-    /// (a subset of `misses`, counted at tree extraction time).
+    /// (a subset of `misses`, counted when the warm plans are copied).
     pub warm_starts: AtomicU64,
     /// Entries written.
     pub insertions: AtomicU64,
@@ -136,8 +137,8 @@ pub enum CacheLookup {
     },
     /// An entry for the same block is resident but cannot serve this α′ or
     /// boundedness. Counted as a miss; callers that will run the
-    /// randomized search can fetch its trees via
-    /// [`PlanCache::warm_trees`] — extraction is deferred so schemes that
+    /// randomized search can fetch its plans via
+    /// [`PlanCache::warm_start`] — the copy is deferred so schemes that
     /// cannot use warm starts never pay for (or get billed as) one.
     NotServable {
         /// Guarantee of the resident front.
@@ -145,6 +146,21 @@ pub enum CacheLookup {
     },
     /// Nothing cached for this key (or a signature collision).
     Miss,
+}
+
+/// `front`'s plans copied out of `src` into a fresh arena, with the entries
+/// that index it: how the cache stores a front, serves it and hands it out
+/// as a warm start.
+fn adopt_front(src: &PlanArena, front: &[PlanEntry]) -> (PlanArena, Vec<PlanEntry>) {
+    let mut arena = PlanArena::new();
+    let front = front
+        .iter()
+        .map(|e| PlanEntry {
+            plan: arena.adopt(src, e.plan),
+            ..*e
+        })
+        .collect();
+    (arena, front)
 }
 
 /// Whether two join graphs describe the same plan space: identical
@@ -219,7 +235,7 @@ impl PlanCache {
             return CacheLookup::Miss;
         };
         if !plan_equivalent(&entry.graph, graph) {
-            // Signature collision or relabelled isomorph: the stored trees
+            // Signature collision or relabelled isomorph: the stored plans
             // index a different relation order, so nothing is servable.
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
@@ -232,15 +248,7 @@ impl PlanCache {
         };
         if certificate.is_valid() {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            let mut arena = PlanArena::new();
-            let frontier = entry
-                .frontier
-                .iter()
-                .map(|e| PlanEntry {
-                    plan: arena.adopt(&entry.arena, e.plan),
-                    ..*e
-                })
-                .collect();
+            let (arena, frontier) = adopt_front(&entry.arena, &entry.frontier);
             CacheLookup::Hit {
                 arena,
                 frontier,
@@ -252,17 +260,22 @@ impl PlanCache {
         }
     }
 
-    /// Extracts the cached front's trees for an RMQ warm start (the
-    /// follow-up to a [`CacheLookup::NotServable`] probe once the policy
-    /// has actually admitted a randomized run). Counts the warm start only
-    /// here, so the counter reports warm starts that happened, not warm
-    /// starts that were merely possible.
+    /// Copies the cached front's first plans into a fresh arena for an RMQ
+    /// warm start (the follow-up to a [`CacheLookup::NotServable`] probe
+    /// once the policy has actually admitted a randomized run), with the
+    /// entries that index it and the front's guarantee. Counts the warm
+    /// start only here, so the counter reports warm starts that happened,
+    /// not warm starts that were merely possible.
     ///
-    /// Returns at most [`WALKERS`] trees, the front's first: walker `w`
-    /// seeds from tree `w mod len`, so [`rmq_warm`](moqo_core::rmq_warm)
-    /// never reads past them, and extraction runs under the shard lock.
+    /// Copies at most [`WALKERS`] plans: walker `w` seeds from entry
+    /// `w mod len`, so [`rmq_warm`](moqo_core::rmq_warm) never reads past
+    /// them, and the copy runs under the shard lock.
     #[must_use]
-    pub fn warm_trees(&self, key: &CacheKey, graph: &JoinGraph) -> Option<(Vec<JoinTree>, f64)> {
+    pub fn warm_start(
+        &self,
+        key: &CacheKey,
+        graph: &JoinGraph,
+    ) -> Option<(PlanArena, Vec<PlanEntry>, f64)> {
         let tick = self.next_tick();
         let mut shard = self.shard_of(key).lock().expect("cache lock poisoned");
         let entry = shard.get_mut(key)?;
@@ -271,16 +284,12 @@ impl PlanCache {
         }
         entry.last_used = tick;
         self.counters.warm_starts.fetch_add(1, Ordering::Relaxed);
-        let trees = entry
-            .frontier
-            .iter()
-            .take(WALKERS)
-            .map(|e| entry.arena.extract_tree(e.plan))
-            .collect();
-        Some((trees, entry.alpha))
+        let front = &entry.frontier[..entry.frontier.len().min(WALKERS)];
+        let (arena, front) = adopt_front(&entry.arena, front);
+        Some((arena, front, entry.alpha))
     }
 
-    /// Inserts (or tightens) the front for `key`: the frontier's trees are
+    /// Inserts (or tightens) the front for `key`: the frontier's plans are
     /// adopted out of `src_arena` into a compact cache-owned arena. An
     /// existing entry is only replaced when the new front carries a
     /// strictly tighter guarantee (serving power never regresses — also
@@ -311,14 +320,7 @@ impl PlanCache {
             }
         }
         let tick = self.next_tick();
-        let mut arena = PlanArena::new();
-        let frontier: Vec<PlanEntry> = frontier
-            .iter()
-            .map(|e| PlanEntry {
-                plan: arena.adopt(src_arena, e.plan),
-                ..*e
-            })
-            .collect();
+        let (arena, frontier) = adopt_front(src_arena, frontier);
         let mut shard = self.shard_of(&key).lock().expect("cache lock poisoned");
         if let Some(existing) = shard.get(&key) {
             // Re-check under the lock (the probe above raced with other
@@ -451,20 +453,22 @@ mod tests {
             }
             _ => panic!("α′ = 2.0 ≥ 1.5 must serve directly"),
         }
-        // Tighter request: not servable, but warm-start trees are there.
+        // Tighter request: not servable, but warm-start plans are there.
         match cache.lookup(&key, &g, 1.2, false) {
             CacheLookup::NotServable { alpha } => assert_eq!(alpha, 1.5),
             _ => panic!("α′ = 1.2 < 1.5 must not serve directly"),
         }
-        let (trees, alpha) = cache.warm_trees(&key, &g).unwrap();
+        let (arena, warm, alpha) = cache.warm_start(&key, &g).unwrap();
         assert_eq!(alpha, 1.5);
-        assert_eq!(trees.len(), 1);
+        assert_eq!(warm.len(), 1);
+        assert_eq!(warm[0].cost, front[0].cost);
+        assert_eq!(arena.node(warm[0].plan), src.node(front[0].plan));
         // Bounded requests need an exact front.
         assert!(matches!(
             cache.lookup(&key, &g, 2.0, true),
             CacheLookup::NotServable { .. }
         ));
-        // Only the extraction counts as a warm start.
+        // Only the copy counts as a warm start.
         let snap = cache.snapshot();
         assert_eq!((snap.hits, snap.misses, snap.warm_starts), (1, 2, 1));
     }
@@ -535,12 +539,12 @@ mod tests {
         let mut other = g.clone();
         other.rels[0].filter_selectivity = 0.5;
         // Same key forced on a different graph: must not serve, and must
-        // not hand out warm trees either.
+        // not hand out warm plans either.
         assert!(matches!(
             cache.lookup(&key, &other, 10.0, false),
             CacheLookup::Miss
         ));
-        assert!(cache.warm_trees(&key, &other).is_none());
+        assert!(cache.warm_start(&key, &other).is_none());
         // Nor may a looser colliding insert displace the tighter entry.
         let mut src2 = PlanArena::new();
         let front2 = front_in(&mut src2);

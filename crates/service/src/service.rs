@@ -577,19 +577,21 @@ fn process(
             optimizer = optimizer.with_timeout(rem);
         }
         // Cached fronts that cannot serve directly still seed the
-        // randomized search; tree extraction is deferred to here so DP
-        // recomputes never pay for (or get counted as) a warm start.
-        let (warm_trees, warm_alpha) = match lookup {
+        // randomized search; the copy of their plans is deferred to here so
+        // DP recomputes never pay for (or get counted as) a warm start.
+        let warm = match lookup {
             CacheLookup::NotServable { .. } if matches!(algorithm, Algorithm::Rmq { .. }) => {
-                match inner.cache.warm_trees(&key, graph) {
-                    Some((trees, alpha)) => (trees, Some(alpha)),
-                    None => (Vec::new(), None),
-                }
+                inner.cache.warm_start(&key, graph)
             }
-            _ => (Vec::new(), None),
+            _ => None,
         };
-        let (block, report) =
-            optimizer.optimize_block_warm(graph, &request.preference, algorithm, &warm_trees);
+        let (block, report) = match &warm {
+            Some((arena, front, _)) => {
+                optimizer.optimize_block_warm(graph, &request.preference, algorithm, arena, front)
+            }
+            None => optimizer.optimize_block(graph, &request.preference, algorithm),
+        };
+        let warm_alpha = warm.map(|(.., alpha)| alpha);
         // A run cut short by its deadline or by cancellation returns the
         // quick-finish front — one plan per table set it had not treated —
         // which covers the true frontier at no finite α, and its wall time

@@ -96,8 +96,8 @@ proptest! {
     }
 
     /// The converse rule: a strictly tighter request must NOT be served
-    /// directly — it gets warm-start trees instead, one per cached front
-    /// member.
+    /// directly — it gets a warm start instead: the cached front's first
+    /// plans, at most `WALKERS`.
     #[test]
     fn cached_front_never_serves_tighter_requests(
         n_off in arb_n_off(),
@@ -126,10 +126,10 @@ proptest! {
         match cache.lookup(&key, &graph, requested, false) {
             CacheLookup::NotServable { alpha: cached, .. } => {
                 prop_assert_eq!(cached, alpha);
-                let (trees, warm_alpha) =
-                    cache.warm_trees(&key, &graph).expect("entry is resident");
+                let (_, warm, warm_alpha) =
+                    cache.warm_start(&key, &graph).expect("entry is resident");
                 prop_assert_eq!(warm_alpha, alpha);
-                prop_assert_eq!(trees.len(), approx.final_plans.len().min(WALKERS));
+                prop_assert_eq!(warm.len(), approx.final_plans.len().min(WALKERS));
             }
             CacheLookup::Hit { .. } => {
                 prop_assert!(false, "α′ < α must not be served directly")

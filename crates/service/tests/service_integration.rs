@@ -124,11 +124,14 @@ impl<'a> Reference<'a> {
         if let Some(found) = self.warm.get(&key) {
             return found.clone();
         }
-        let (fresh_block, _) = self.optimizer.optimize_block(graph, preference, algorithm);
-        let trees = fresh_block.frontier_trees();
-        let (block, _) = self
-            .optimizer
-            .optimize_block_warm(graph, preference, algorithm, &trees);
+        let (fresh, _) = self.optimizer.optimize_block(graph, preference, algorithm);
+        let (block, _) = self.optimizer.optimize_block_warm(
+            graph,
+            preference,
+            algorithm,
+            &fresh.arena,
+            &fresh.frontier,
+        );
         let costs = frontier_costs(&block.frontier);
         self.warm.insert(key, costs.clone());
         costs

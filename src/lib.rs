@@ -85,7 +85,7 @@ pub mod prelude {
     pub use moqo_cost::dominance::{approx_dominates, dominates, strictly_dominates};
     pub use moqo_cost::{Bounds, CostVector, Objective, ObjectiveSet, Preference, Weights};
     pub use moqo_costmodel::{CostModel, CostModelParams};
-    pub use moqo_plan::{render_plan, JoinOp, JoinTree, PlanArena, PlanId, ScanOp, SortOrder};
+    pub use moqo_plan::{render_plan, JoinOp, PlanArena, PlanId, ScanOp, SortOrder};
     pub use moqo_service::{
         OptimizationRequest, OptimizationResponse, OptimizationService, ServiceError,
     };

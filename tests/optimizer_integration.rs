@@ -146,7 +146,8 @@ fn reports_track_paper_metrics() {
 #[test]
 fn ira_block_counts_the_work_of_every_iteration() {
     use moqo::core::{
-        find_pareto_plans, ira, ira_precision_schedule, rta_internal_precision, DpConfig, PruneMode,
+        find_pareto_plans, ira, ira_precision_schedule, rta_internal_precision, PruneMode,
+        PruneStrategy,
     };
 
     let catalog = tpch::catalog(1.0);
@@ -174,8 +175,8 @@ fn ira_block_counts_the_work_of_every_iteration() {
         ira_precision_schedule(alpha_u, l, out.iterations)
     );
 
-    let config = |alpha: f64| {
-        DpConfig::approximate(rta_internal_precision(alpha, graph.n_rels())).with_prune_mode(
+    let strategy = |alpha: f64| {
+        PruneStrategy::approximate(rta_internal_precision(alpha, graph.n_rels())).with_mode(
             PruneMode::auto(params.enable_sampling, preference.objectives),
         )
     };
@@ -186,7 +187,7 @@ fn ira_block_counts_the_work_of_every_iteration() {
         let stats = find_pareto_plans(
             &model,
             preference.objectives,
-            &config(alpha),
+            &strategy(alpha),
             &preference.weights,
             &Deadline::unlimited(),
         )

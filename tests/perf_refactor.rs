@@ -13,7 +13,7 @@
 //!   connectivity test.
 
 use moqo::core::test_support::{check_split_index, reference_dp};
-use moqo::core::{find_pareto_plans, DpConfig, PruneMode};
+use moqo::core::{find_pareto_plans, PruneMode, PruneStrategy};
 use moqo::prelude::*;
 
 /// Total order over cost vectors: compare fronts as multisets, so the test
@@ -38,11 +38,10 @@ fn assert_dp_matches_reference(
     alpha_internal: f64,
     label: &str,
 ) {
-    let config = DpConfig::approximate(alpha_internal);
     let result = find_pareto_plans(
         model,
         objectives,
-        &config,
+        &PruneStrategy::approximate(alpha_internal),
         &Weights::single(Objective::TotalTime),
         &Deadline::unlimited(),
     );
@@ -117,7 +116,7 @@ fn dp_arena_growth_is_bounded_by_accepted_plans() {
     let result = find_pareto_plans(
         &model,
         objectives,
-        &DpConfig::exact(),
+        &PruneStrategy::exact(),
         &Weights::single(Objective::TotalTime),
         &Deadline::unlimited(),
     );

@@ -16,7 +16,7 @@
 use moqo::catalog::{ColumnStats, TableStats};
 use moqo::core::pareto::PruneMode;
 use moqo::core::test_support::reference_frontier;
-use moqo::core::{exa, find_pareto_plans, DpConfig};
+use moqo::core::{exa, find_pareto_plans, PruneStrategy};
 use moqo::cost::pareto_front;
 use moqo::prelude::*;
 
@@ -79,11 +79,11 @@ fn cost_only_exa_is_unsound_under_sampling_and_props_aware_fixes_it() {
     assert!(!reference.is_empty());
 
     let run = |mode: PruneMode| {
-        let config = DpConfig::exact().with_prune_mode(mode);
+        let strategy = PruneStrategy::exact().with_mode(mode);
         let result = find_pareto_plans(
             &model,
             objectives,
-            &config,
+            &strategy,
             &weights,
             &Deadline::unlimited(),
         );
@@ -131,11 +131,11 @@ fn modes_coincide_and_cover_when_sampling_is_off() {
     let weights = Weights::single(Objective::TotalTime);
 
     let run = |mode: PruneMode| {
-        let config = DpConfig::exact().with_prune_mode(mode);
+        let strategy = PruneStrategy::exact().with_mode(mode);
         find_pareto_plans(
             &model,
             objectives,
-            &config,
+            &strategy,
             &weights,
             &Deadline::unlimited(),
         )
@@ -205,12 +205,12 @@ fn tuple_loss_selection_keeps_paper_baseline_and_props_aware_stays_available() {
 
     // The opt-in sound mode covers the reference frontier on the
     // adversarial block even with the loss dimension selected.
-    let config = DpConfig::exact().with_prune_mode(PruneMode::PropsAware);
+    let strategy = PruneStrategy::exact().with_mode(PruneMode::PropsAware);
     let weights = Weights::single(Objective::TotalTime);
     let props_aware = find_pareto_plans(
         &model,
         objectives,
-        &config,
+        &strategy,
         &weights,
         &Deadline::unlimited(),
     );

@@ -217,17 +217,13 @@ fn rmq_fronts_are_pinned() {
         let query = moqo::tpch::large_query_with(&catalog, n, topology);
         let model = CostModel::new(&params, &catalog, &query.blocks[0]);
         let cold = rmq(&model, &p, &RmqConfig::new(1500, 11), &deadline);
-        let warm_trees: Vec<JoinTree> = cold
-            .final_plans
-            .iter()
-            .map(|e| cold.arena.extract_tree(e.plan))
-            .collect();
         let warm = moqo::core::rmq_warm(
             &model,
             &p,
             &RmqConfig::new(1500, 12),
             &deadline,
-            &warm_trees,
+            &cold.arena,
+            &cold.final_plans,
         );
         assert_eq!(
             front_digest(&cold),
