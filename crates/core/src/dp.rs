@@ -47,6 +47,10 @@
 //! stores no new plan; after an insertion it is made again, so a skipped
 //! candidate meets exactly the stored set that rejected its bound.
 //!
+//! Which operators join a chunk's plans follows from the split and the
+//! plans' relations and order ([`JoinSplit::applies`]), which an order
+//! group shares, so each chunk reads it once, with its bound.
+//!
 //! For each left plan and chunk, the loop then runs as follows:
 //!
 //! * A chunk of one plan is its own bound: every applicable operator of the
@@ -59,8 +63,8 @@
 //!   candidate whose decision does not reject is costed and offered.
 //! * Once every operator's decision is current and rejected, no candidate
 //!   left in the chunk can be offered, so no insertion can make a decision
-//!   stale: the loop counts the remaining applicable (plan, operator) pairs,
-//!   precomputed with the bound, as considered and leaves the chunk.
+//!   stale: the loop counts the remaining applicable (plan, operator) pairs
+//!   as considered and leaves the chunk.
 //!
 //! A candidate pair is costed through one
 //! [`JoinPair`](moqo_costmodel::JoinPair), built at its first costed
@@ -77,7 +81,7 @@ use std::collections::HashMap;
 use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, ObjectiveSet, Weights};
 use moqo_costmodel::{CostModel, JoinKey, JoinSplit};
-use moqo_plan::{JoinOp, PlanArena, PlanNode, PlanProps, ScanOp, SortOrder};
+use moqo_plan::{JoinOp, PlanArena, PlanProps, ScanOp, SortOrder};
 
 use crate::budget::Deadline;
 use crate::pareto::{PlanSet, PruneMode, PruneStrategy};
@@ -320,9 +324,8 @@ pub fn find_pareto_plans(
         let mut target = std::mem::take(&mut table[mask as usize]);
         'mask: for (m1, m2) in splits {
             let split = index.split(m1, m2);
-            let key = split.key.as_ref();
             let rights = &table[m2 as usize];
-            chunk_bounds(rights, &arena, key, &mut bounds);
+            chunk_bounds(rights, &split, &mut bounds);
             for left in table[m1 as usize].iter_entries() {
                 let left_pair = (&left.cost, &left.props);
                 let chunks = rights.sets().flat_map(|set| set.entries().chunks(CHUNK));
@@ -332,13 +335,12 @@ pub fn find_pareto_plans(
                     // the pair's first decision and read by every decision
                     // after it.
                     let mut bound_joins = None;
-                    for (i, (right, &right_canonical)) in
-                        chunk.iter().zip(&bound.canonical).enumerate()
-                    {
+                    for (i, right) in chunk.iter().enumerate() {
                         if decisions.all_rejected(target.insertions) {
                             // Nothing left in the chunk can be offered, so
                             // no insertion can make a decision stale.
-                            stats.considered_plans += bound.applicable_from[i];
+                            let applicable = bound.applies.iter().filter(|&&a| a).count();
+                            stats.considered_plans += (applicable * (chunk.len() - i)) as u64;
                             break;
                         }
                         if deadline.expired() {
@@ -358,7 +360,6 @@ pub fn find_pareto_plans(
                                             left_pair,
                                             (&bound.cost, &bound.props),
                                             &split,
-                                            bound.canonical.contains(&true),
                                         )
                                     });
                                     let rejected = bound_rejected(
@@ -372,20 +373,15 @@ pub fn find_pareto_plans(
                                     rejected
                                 });
                             if skip {
-                                if op_applies(op, key, right_canonical) {
-                                    stats.considered_plans += 1;
-                                }
+                                stats.considered_plans += u64::from(bound.applies[k]);
                                 continue;
                             }
                             let combined = pair
                                 .get_or_insert_with(|| {
-                                    model.join_pair(left_pair, right_pair, &split, right_canonical)
+                                    model.join_pair(left_pair, right_pair, &split)
                                 })
                                 .cost(op);
-                            debug_assert_eq!(
-                                combined.is_some(),
-                                op_applies(op, key, right_canonical)
-                            );
+                            debug_assert_eq!(combined.is_some(), bound.applies[k]);
                             let Some((cost, props)) = combined else {
                                 continue;
                             };
@@ -711,34 +707,6 @@ impl Iterator for SplitIter<'_> {
     }
 }
 
-/// Whether `entry` is exactly the canonical index-scan plan on the join
-/// key's inner column (precondition of index-nested-loop joins).
-fn is_canonical_index_scan(arena: &PlanArena, entry: &PlanEntry, key: Option<&JoinKey>) -> bool {
-    let Some(key) = key else { return false };
-    if entry.props.rels.count_ones() != 1 {
-        return false;
-    }
-    matches!(
-        arena.node(entry.plan),
-        PlanNode::Scan {
-            rel,
-            op: ScanOp::IndexScan { column },
-        } if rel == key.right_rel && column == key.right_col
-    )
-}
-
-/// Whether [`CostModel::join_cost`] applies `op` to an inner plan of a split
-/// with join key `key`: every operator but the nested loop needs the key,
-/// and the index-nested loop also needs an indexed inner column read by its
-/// canonical index scan.
-fn op_applies(op: JoinOp, key: Option<&JoinKey>, right_canonical: bool) -> bool {
-    match op {
-        JoinOp::NestedLoop => true,
-        JoinOp::HashJoin { .. } | JoinOp::SortMergeJoin { .. } => key.is_some(),
-        JoinOp::IndexNestedLoop => right_canonical && key.is_some_and(|k| k.inner_index.is_some()),
-    }
-}
-
 /// Right-side plans per chunk of the candidate loop: one bound join per
 /// left plan and operator stands in for up to this many candidates.
 const CHUNK: usize = 8;
@@ -750,32 +718,25 @@ struct ChunkBound {
     /// The group's properties (rels, order, width) with the chunk's
     /// minimum rows.
     props: PlanProps,
-    /// Per plan: whether it is the canonical index scan of the split's key.
-    canonical: [bool; CHUNK],
-    /// Per plan: the applicable (plan, operator) pairs of that plan and the
-    /// plans after it in the chunk, which a rejected chunk skips at once.
-    applicable_from: [u64; CHUNK],
+    /// Per operator of [`JoinOp::ALL`]: whether it joins the chunk's plans
+    /// ([`JoinSplit::applies`]). They share the relations and the order
+    /// that rule reads, so it answers alike for each of them.
+    applies: [bool; JoinOp::ALL.len()],
 }
 
 /// Rebuilds `out` with the bound of every chunk of `rights`, in the order
 /// the candidate loop visits them: order groups in map order, each cut into
 /// runs of [`CHUNK`] consecutive plans.
-fn chunk_bounds(
-    rights: &OrderGroups,
-    arena: &PlanArena,
-    key: Option<&JoinKey>,
-    out: &mut Vec<ChunkBound>,
-) {
+fn chunk_bounds(rights: &OrderGroups, split: &JoinSplit, out: &mut Vec<ChunkBound>) {
     out.clear();
     for set in rights.sets() {
         for chunk in set.entries().chunks(CHUNK) {
             let mut bound = ChunkBound {
                 cost: chunk[0].cost,
                 props: chunk[0].props,
-                canonical: [false; CHUNK],
-                applicable_from: [0; CHUNK],
+                applies: JoinOp::ALL.map(|op| split.applies(op, &chunk[0].props)),
             };
-            for (entry, canonical) in chunk.iter().zip(&mut bound.canonical) {
+            for entry in chunk {
                 debug_assert!(
                     entry.props.rels == bound.props.rels
                         && entry.props.order == bound.props.order
@@ -784,16 +745,6 @@ fn chunk_bounds(
                 );
                 bound.cost = bound.cost.component_min(&entry.cost);
                 bound.props.rows = bound.props.rows.min(entry.props.rows);
-                *canonical = is_canonical_index_scan(arena, entry, key);
-            }
-            let mut applicable = 0;
-            for i in (0..chunk.len()).rev() {
-                let canonical = bound.canonical[i];
-                applicable += JoinOp::ALL
-                    .into_iter()
-                    .filter(|&op| op_applies(op, key, canonical))
-                    .count() as u64;
-                bound.applicable_from[i] = applicable;
             }
             out.push(bound);
         }
@@ -878,32 +829,6 @@ fn offer_entry(
     groups.insertions += 1;
 }
 
-/// Inserts a pre-built entry into the right order group, maintaining
-/// statistics (quick-finish path: the plan node already exists because only
-/// the weighted-best candidate per table set is ever materialized).
-fn insert_entry(
-    groups: &mut OrderGroups,
-    entry: PlanEntry,
-    strategy: &PruneStrategy,
-    objectives: ObjectiveSet,
-    stats: &mut DpStats,
-) {
-    stats.costed_candidates += 1;
-    let set = groups.get_or_insert(entry.props.order);
-    let before = set.len();
-    let inserted = set.prune_insert(entry, strategy, objectives);
-    let after = set.len();
-    if inserted {
-        groups.insertions += 1;
-        // after = before + 1 − deleted.
-        let deleted = before + 1 - after;
-        stats.on_stored_delta(true, deleted);
-        if after > stats.max_group_size {
-            stats.max_group_size = after;
-        }
-    }
-}
-
 /// §5.1 timeout semantics: give every untreated table set exactly one plan,
 /// assembled from the best-weighted stored sub-plans.
 #[allow(clippy::too_many_arguments)]
@@ -918,6 +843,7 @@ fn quick_finish(
     stats: &mut DpStats,
 ) {
     let n = model.graph.n_rels();
+    let strategy = PruneStrategy::exact().with_mode(prune_mode);
     // A table set's best-weighted entry requires a full scan over all of its
     // order groups, and the old loop recomputed it for both sides of every
     // split. Sets probed here are always in their final state (the quick
@@ -928,48 +854,44 @@ fn quick_finish(
         if table[mask as usize].completed {
             continue;
         }
-        let splits = enumerate_splits(index, mask);
-        let mut best: Option<PlanEntry> = None;
-        for (m1, m2) in splits {
-            let mut cached_best = |m: RelMask| {
-                *best_cache
-                    .entry(m)
-                    .or_insert_with(|| table[m as usize].best_weighted(weights))
-            };
-            let (Some(left), Some(right)) = (cached_best(m1), cached_best(m2)) else {
-                continue;
-            };
-            let split = index.split(m1, m2);
-            let right_canonical = is_canonical_index_scan(arena, &right, split.key.as_ref());
-            for op in JoinOp::ALL {
-                let Some((cost, props)) = model.join_cost(
-                    op,
+        // The first split whose sides both store a plan gives the set its
+        // plan: the pair's weighted-best operator (the first of equals).
+        let (op, left, right, cost, props) = enumerate_splits(index, mask)
+            .find_map(|(m1, m2)| {
+                let mut cached_best = |m: RelMask| {
+                    *best_cache
+                        .entry(m)
+                        .or_insert_with(|| table[m as usize].best_weighted(weights))
+                };
+                let (left, right) = (cached_best(m1)?, cached_best(m2)?);
+                let joins = model.join_costs(
                     (&left.cost, &left.props),
                     (&right.cost, &right.props),
-                    &split,
-                    right_canonical,
-                ) else {
-                    continue;
-                };
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| weights.weighted_cost(&cost) < weights.weighted_cost(&b.cost));
-                if better {
-                    let plan = arena.join(op, left.plan, right.plan);
-                    best = Some(PlanEntry { cost, props, plan });
+                    &index.split(m1, m2),
+                );
+                let mut best: Option<(JoinOp, CostVector, PlanProps)> = None;
+                for (op, joined) in JoinOp::ALL.into_iter().zip(joins) {
+                    let Some((cost, props)) = joined else {
+                        continue;
+                    };
+                    let better = best.as_ref().is_none_or(|(_, b, _)| {
+                        weights.weighted_cost(&cost) < weights.weighted_cost(b)
+                    });
+                    if better {
+                        best = Some((op, cost, props));
+                    }
                 }
-            }
-            // One split suffices for the quick path once a plan exists.
-            if best.is_some() {
-                break;
-            }
-        }
-        let entry = best.expect("every table set admits at least a nested-loop plan");
+                best.map(|(op, cost, props)| (op, left.plan, right.plan, cost, props))
+            })
+            .expect("every table set admits at least a nested-loop plan");
         let groups = &mut table[mask as usize];
-        insert_entry(
+        offer_entry(
             groups,
-            entry,
-            &PruneStrategy::exact().with_mode(prune_mode),
+            cost,
+            props,
+            |a| a.join(op, left, right),
+            arena,
+            &strategy,
             objectives,
             stats,
         );

@@ -78,7 +78,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use moqo_cost::{CostVector, ObjectiveSet, Preference, Weights};
-use moqo_costmodel::{CostModel, JoinKey};
+use moqo_costmodel::CostModel;
 use moqo_plan::{JoinOp, PlanArena, PlanId, PlanNode, PlanProps, ScanOp};
 
 use crate::budget::Deadline;
@@ -829,7 +829,6 @@ impl<'a> Coster<'a> {
     fn join(&mut self, op: JoinOp, left: &Rc<CostedNode>, right: &Rc<CostedNode>) -> Edit {
         self.calls += 1;
         let split = self.index.split(left.props.rels, right.props.rels);
-        let right_canonical = is_canonical_leaf(right, split.key.as_ref());
         let (cost, props) = self
             .model
             .join_cost(
@@ -837,7 +836,6 @@ impl<'a> Coster<'a> {
                 (&left.cost, &left.props),
                 (&right.cost, &right.props),
                 &split,
-                right_canonical,
             )
             .ok_or(Miss::Uncostable)?;
         Ok(Rc::new(CostedNode {
@@ -928,21 +926,6 @@ impl<'a> Coster<'a> {
             }
             _ => Err(Miss::NotApplicable),
         }
-    }
-}
-
-/// Whether `tree` is exactly the index scan on the join key's inner column
-/// (precondition of index-nested-loop joins).
-fn is_canonical_leaf(tree: &CostedNode, key: Option<&JoinKey>) -> bool {
-    match (&tree.shape, key) {
-        (
-            Shape::Scan {
-                rel,
-                op: ScanOp::IndexScan { column },
-            },
-            Some(k),
-        ) => *rel == k.right_rel && *column == k.right_col,
-        _ => false,
     }
 }
 
@@ -1803,18 +1786,7 @@ mod tests {
             Tree::Join { op, left, right } => {
                 let (lc, lp) = cost_tree_with(model, index, left)?;
                 let (rc, rp) = cost_tree_with(model, index, right)?;
-                let split = index.split(lp.rels, rp.rels);
-                let right_canonical = match (&**right, split.key) {
-                    (
-                        Tree::Scan {
-                            rel,
-                            op: ScanOp::IndexScan { column },
-                        },
-                        Some(k),
-                    ) => *rel == k.right_rel && *column == k.right_col,
-                    _ => false,
-                };
-                model.join_cost(*op, (&lc, &lp), (&rc, &rp), &split, right_canonical)
+                model.join_cost(*op, (&lc, &lp), (&rc, &rp), &index.split(lp.rels, rp.rels))
             }
         }
     }

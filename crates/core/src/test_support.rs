@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use moqo_catalog::{subset_width, RelMask};
 use moqo_cost::{CostVector, ObjectiveSet};
 use moqo_costmodel::{CostModel, JoinSplit};
-use moqo_plan::{JoinOp, PlanArena, PlanId, PlanNode, PlanProps, ScanOp, SortOrder};
+use moqo_plan::{JoinOp, PlanArena, PlanId, PlanProps, ScanOp, SortOrder};
 
 use crate::dp::SplitIndex;
 use crate::pareto::{PlanEntry, PlanSet, PruneMode, PruneStrategy};
@@ -128,8 +128,7 @@ pub fn reference_frontier(model: &CostModel<'_>, objectives: ObjectiveSet) -> Ve
     let n = graph.n_rels();
     assert!(n <= 3, "the no-pruning oracle explodes beyond 3 relations");
     let full = graph.full_mask() as usize;
-    // The `bool` marks canonical index scans (IdxNL precondition).
-    let mut table: Vec<Vec<(CostVector, PlanProps, bool)>> = vec![Vec::new(); 1 << n];
+    let mut table: Vec<Vec<(CostVector, PlanProps)>> = vec![Vec::new(); 1 << n];
 
     // Phase 1: every applicable scan.
     for rel in 0..n {
@@ -148,8 +147,8 @@ pub fn reference_frontier(model: &CostModel<'_>, objectives: ObjectiveSet) -> Ve
             }
         }
         for op in ops {
-            if let Some((cost, props)) = model.scan_cost(rel, op) {
-                table[1 << rel].push((cost, props, matches!(op, ScanOp::IndexScan { .. })));
+            if let Some(scan) = model.scan_cost(rel, op) {
+                table[1 << rel].push(scan);
             }
         }
     }
@@ -180,21 +179,13 @@ pub fn reference_frontier(model: &CostModel<'_>, objectives: ObjectiveSet) -> Ve
             let split = reference_split(model, m1, m2);
             for left in &table[m1 as usize] {
                 for right in &table[m2 as usize] {
-                    let right_canonical = right.2
-                        && split.key.as_ref().is_some_and(|k| {
-                            right.1.rels == 1u32 << k.right_rel
-                                && right.1.order == SortOrder::on(k.right_rel, k.right_col)
-                        });
                     for op in JoinOp::ALL {
-                        if let Some((cost, props)) = model.join_cost(
+                        out.extend(model.join_cost(
                             op,
                             (&left.0, &left.1),
                             (&right.0, &right.1),
                             &split,
-                            right_canonical,
-                        ) {
-                            out.push((cost, props, false));
-                        }
+                        ));
                     }
                 }
             }
@@ -208,7 +199,7 @@ pub fn reference_frontier(model: &CostModel<'_>, objectives: ObjectiveSet) -> Ve
     // and far cheaper than a quadratic scan over the final candidates.
     let mut frontier = PlanSet::new();
     let strategy = PruneStrategy::exact();
-    for (i, (cost, props, _)) in table[full].iter().enumerate() {
+    for (i, (cost, props)) in table[full].iter().enumerate() {
         frontier.prune_insert(
             PlanEntry {
                 cost: *cost,
@@ -315,23 +306,12 @@ pub fn reference_dp(
             let (left_entries, right_entries) = (entries(m1), entries(m2));
             for left in &left_entries {
                 for right in &right_entries {
-                    let right_canonical = split.key.as_ref().is_some_and(|k| {
-                        right.props.rels.count_ones() == 1
-                            && matches!(
-                                arena.node(right.plan),
-                                PlanNode::Scan {
-                                    rel,
-                                    op: ScanOp::IndexScan { column },
-                                } if rel == k.right_rel && column == k.right_col
-                            )
-                    });
                     for op in JoinOp::ALL {
                         let Some((cost, props)) = model.join_cost(
                             op,
                             (&left.cost, &left.props),
                             (&right.cost, &right.props),
                             &split,
-                            right_canonical,
                         ) else {
                             continue;
                         };

@@ -18,6 +18,10 @@
 //! builds only that operator's family; callers that cost several operators
 //! of a pair keep the pair ([`CostModel::join_costs`] prices all ten
 //! through one).
+//!
+//! Which operators apply follows from the split and the inner plan's
+//! properties alone ([`JoinSplit::applies`]): a caller never inspects a
+//! plan tree to decide it.
 
 use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, Objective};
@@ -136,17 +140,34 @@ impl JoinOutput {
     }
 }
 
-/// The inner index when the index-nested-loop join applies: the key's
-/// inner column is indexed and the inner child is its canonical index scan
-/// of a single base relation.
-#[inline]
-fn index_nl_probe<'s>(
-    split: &'s JoinSplit,
-    rp: &PlanProps,
-    right_is_canonical_index_scan: bool,
-) -> Option<&'s InnerIndex> {
-    let index = split.key.as_ref()?.inner_index.as_ref()?;
-    (right_is_canonical_index_scan && rp.rels.count_ones() == 1).then_some(index)
+impl JoinSplit {
+    /// Whether `op` joins an outer plan with an inner plan of properties
+    /// `inner` across this split, that is whether [`CostModel::join_cost`]
+    /// prices it: hash, merge and index-nested-loop joins need the
+    /// equi-join key, and the index-nested loop also needs the inner plan
+    /// to be the index scan of the key's inner column.
+    #[inline]
+    #[must_use]
+    pub fn applies(&self, op: JoinOp, inner: &PlanProps) -> bool {
+        match op {
+            JoinOp::HashJoin { .. } | JoinOp::SortMergeJoin { .. } => self.key.is_some(),
+            JoinOp::IndexNestedLoop => self.index_nl(inner).is_some(),
+            JoinOp::NestedLoop => true,
+        }
+    }
+
+    /// The index an index-nested-loop join probes, when it applies: the
+    /// key's inner column is indexed, and the inner plan reads one relation
+    /// in the key's inner order. A one-relation plan is a scan, and only an
+    /// index scan has an order, that of its column
+    /// ([`CostModel::scan_cost`]), so the inner plan is the index scan of
+    /// the key's inner column.
+    #[inline]
+    fn index_nl(&self, inner: &PlanProps) -> Option<&InnerIndex> {
+        let key = self.key.as_ref()?;
+        let index = key.inner_index.as_ref()?;
+        (inner.rels.count_ones() == 1 && inner.order == key.inner_order()).then_some(index)
+    }
 }
 
 /// Hash join: build a hash table on the inner input (blocking), probe with
@@ -457,7 +478,6 @@ impl<'a> CostModel<'a> {
         left: (&'p CostVector, &'p PlanProps),
         right: (&'p CostVector, &'p PlanProps),
         split: &'p JoinSplit,
-        right_is_canonical_index_scan: bool,
     ) -> JoinPair<'p> {
         let ((lc, lp), (rc, rp)) = (left, right);
         JoinPair {
@@ -465,7 +485,7 @@ impl<'a> CostModel<'a> {
             left,
             right,
             split,
-            index_nl: index_nl_probe(split, rp, right_is_canonical_index_scan),
+            index_nl: split.index_nl(rp),
             out: JoinOutput::new(lc, lp, rc, rp, split),
             hash: None,
             merge: None,
@@ -477,16 +497,12 @@ impl<'a> CostModel<'a> {
     /// * `left` / `right` are the outer and inner child `(cost, props)`.
     /// * `split` holds what the two children's relation sets determine: the
     ///   equi-join predicate, the crossing selectivity and the output width.
-    /// * `right_is_canonical_index_scan` must be true iff the inner child is
-    ///   exactly the index-scan plan on the `right_col` of `split.key` of a
-    ///   single base relation — the precondition under which an
-    ///   index-nested-loop join replaces the inner scan by per-tuple index
-    ///   probes.
     ///
-    /// Returns `None` when the operator is inapplicable: hash, merge and
-    /// index-nested-loop joins require an equi-join predicate, and
-    /// index-nested-loop additionally requires an indexed inner base
-    /// relation accessed by its canonical index scan.
+    /// Returns `None` when the operator is inapplicable
+    /// ([`JoinSplit::applies`]): hash, merge and index-nested-loop joins
+    /// require an equi-join predicate, and an index-nested-loop join
+    /// replaces its inner child, the index scan of the key's indexed inner
+    /// column, by per-tuple index probes.
     ///
     /// The [`JoinPair`] of the two sub-plans priced under `op` alone, so
     /// only `op`'s own family of terms is computed.
@@ -497,10 +513,8 @@ impl<'a> CostModel<'a> {
         left: (&CostVector, &PlanProps),
         right: (&CostVector, &PlanProps),
         split: &JoinSplit,
-        right_is_canonical_index_scan: bool,
     ) -> Option<(CostVector, PlanProps)> {
-        self.join_pair(left, right, split, right_is_canonical_index_scan)
-            .cost(op)
+        self.join_pair(left, right, split).cost(op)
     }
 
     /// [`CostModel::join_cost`] of every operator of [`JoinOp::ALL`], in
@@ -514,9 +528,8 @@ impl<'a> CostModel<'a> {
         left: (&CostVector, &PlanProps),
         right: (&CostVector, &PlanProps),
         split: &JoinSplit,
-        right_is_canonical_index_scan: bool,
     ) -> [Option<(CostVector, PlanProps)>; JoinOp::ALL.len()] {
-        let mut pair = self.join_pair(left, right, split, right_is_canonical_index_scan);
+        let mut pair = self.join_pair(left, right, split);
         JoinOp::ALL.map(|op| pair.cost(op))
     }
 
@@ -692,8 +705,7 @@ mod tests {
             .filter(|op| matches!(op, JoinOp::HashJoin { .. } | JoinOp::SortMergeJoin { .. }));
         let mut checked = 0;
         for op in keyed {
-            let cost =
-                |key| model.join_cost(op, (&l.0, &l.1), (&r.0, &r.1), &split(&model, key), false);
+            let cost = |key| model.join_cost(op, (&l.0, &l.1), (&r.0, &r.1), &split(&model, key));
             assert!(cost(None).is_none(), "{op:?} applied without a key");
             assert!(cost(Some(key(&model))).is_some(), "{op:?} refused its key");
             checked += 1;
@@ -713,7 +725,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, Some(key(&model))),
-                false,
             )
             .unwrap();
         // 150k × 600k / 150k = 600k.
@@ -734,7 +745,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, Some(key(&model))),
-                false,
             )
             .unwrap();
         // Startup must cover the full inner generation + build.
@@ -755,7 +765,6 @@ mod tests {
                     (&l.0, &l.1),
                     (&r.0, &r.1),
                     &split(&model, Some(key(&model))),
-                    false,
                 )
                 .unwrap()
                 .0
@@ -783,7 +792,6 @@ mod tests {
                     (&l.0, &l.1),
                     (&r.0, &r.1),
                     &split(&model, Some(key(&model))),
-                    false,
                 )
                 .unwrap()
                 .0
@@ -805,7 +813,6 @@ mod tests {
                 (&l_sorted.0, &l_sorted.1),
                 (&r_sorted.0, &r_sorted.1),
                 &split(&model, Some(key(&model))),
-                false,
             )
             .unwrap();
         assert_eq!(props.order, SortOrder::on(0, 0));
@@ -817,13 +824,14 @@ mod tests {
         let model = CostModel::new(&p, &cat, &g);
         let l = scan_pair(&model, 0, ScanOp::SeqScan);
         let r = scan_pair(&model, 1, ScanOp::IndexScan { column: 0 });
+        // Any other scan of the inner relation leaves no index to probe.
+        let seq = scan_pair(&model, 1, ScanOp::SeqScan);
         assert!(model
             .join_cost(
                 JoinOp::IndexNestedLoop,
                 (&l.0, &l.1),
-                (&r.0, &r.1),
+                (&seq.0, &seq.1),
                 &split(&model, Some(key(&model))),
-                false
             )
             .is_none());
         let (c, props) = model
@@ -832,7 +840,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, Some(key(&model))),
-                true,
             )
             .unwrap();
         // IdxNL streams: startup is tiny compared to hash join.
@@ -842,7 +849,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, Some(key(&model))),
-                false,
             )
             .unwrap();
         assert!(c.get(Objective::StartupTime) < hash.get(Objective::StartupTime) / 100.0);
@@ -862,7 +868,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, None),
-                false,
             )
             .unwrap();
         let (hash, _) = model
@@ -871,7 +876,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, Some(key(&model))),
-                false,
             )
             .unwrap();
         assert!(nl.get(Objective::TotalTime) > hash.get(Objective::TotalTime));
@@ -889,7 +893,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, Some(key(&model))),
-                false,
             )
             .unwrap();
         let expect = 1.0 - (1.0 - 0.98) * (1.0 - 0.95);
@@ -910,7 +913,6 @@ mod tests {
                 (&l.0, &l.1),
                 (&r.0, &r.1),
                 &split(&model, Some(key(&model))),
-                false,
             )
             .unwrap();
         assert!(c.get(Objective::DiskFootprint) > 0.0);

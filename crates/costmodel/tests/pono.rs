@@ -10,12 +10,18 @@
 //! min, ×const} formulas plus the tuple-loss composition. A separate
 //! property lets rows grow too: every formula is monotone in the children's
 //! costs and rows, which the DP's chunk bounds rely on. Another holds the
-//! one-pass `join_costs` to the per-operator `join_cost`, bit for bit.
+//! one-pass `join_costs` to the per-operator `join_cost`, bit for bit, and
+//! both to `JoinSplit::applies`. The last holds the index-nested-loop rule
+//! `applies` reads from the inner plan's properties to the plan-tree rule
+//! it stands for, on random blocks.
 
-use moqo_catalog::{subset_width, Catalog, ColumnStats, JoinGraph, JoinGraphBuilder, TableStats};
+use moqo_catalog::{
+    subset_width, BaseRel, Catalog, ColumnStats, JoinEdge, JoinGraph, JoinGraphBuilder, TableId,
+    TableStats,
+};
 use moqo_cost::{approx_dominates, CostVector, Objective, ObjectiveSet, NUM_OBJECTIVES};
 use moqo_costmodel::{CostModel, CostModelParams, JoinKey, JoinSplit};
-use moqo_plan::{JoinOp, PlanProps, SortOrder};
+use moqo_plan::{JoinOp, PlanProps, ScanOp, SortOrder, SAMPLING_RATES_PCT};
 use proptest::prelude::*;
 
 fn setup() -> (CostModelParams, Catalog, JoinGraph) {
@@ -86,6 +92,19 @@ fn child_props(rel: usize, rows: f64, order: SortOrder) -> PlanProps {
     }
 }
 
+/// The inner child `rp` as an index-nested-loop join needs it for `op`
+/// of that family: the index scan of the key's inner column, which is in
+/// that column's order. Other operators keep `rp`.
+fn index_nl_inner(op: JoinOp, key: &JoinKey, rp: PlanProps) -> PlanProps {
+    match op {
+        JoinOp::IndexNestedLoop => PlanProps {
+            order: key.inner_order(),
+            ..rp
+        },
+        _ => rp,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -120,11 +139,11 @@ proptest! {
         prop_assert!(approx_dominates(&rc_bad, &rc, alpha + 1e-9, ObjectiveSet::all()));
 
         for op in JoinOp::ALL {
-            // Index-nested-loop needs the canonical inner; exercise it too.
-            let canonical = matches!(op, JoinOp::IndexNestedLoop);
-            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split, canonical);
-            let degraded =
-                model.join_cost(op, (&lc_bad, &lp), (&rc_bad, &rp), &split, canonical);
+            // Index-nested-loop needs the inner key's index scan; exercise
+            // it too.
+            let rp = index_nl_inner(op, &k, rp);
+            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split);
+            let degraded = model.join_cost(op, (&lc_bad, &lp), (&rc_bad, &rp), &split);
             let (Some((base, _)), Some((deg, _))) = (base, degraded) else {
                 continue;
             };
@@ -152,6 +171,7 @@ proptest! {
     ) {
         let (params, cat, graph) = setup();
         let model = CostModel::new(&params, &cat, &graph);
+        let k = key(&model);
         let split = split(&model);
         let lp = child_props(0, lrows, SortOrder::None);
         let rp = child_props(1, rrows, SortOrder::None);
@@ -164,10 +184,9 @@ proptest! {
         let lc_better = CostVector::from_array(better);
 
         for op in JoinOp::ALL {
-            let canonical = matches!(op, JoinOp::IndexNestedLoop);
-            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split, canonical);
-            let improved =
-                model.join_cost(op, (&lc_better, &lp), (&rc, &rp), &split, canonical);
+            let rp = index_nl_inner(op, &k, rp);
+            let base = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split);
+            let improved = model.join_cost(op, (&lc_better, &lp), (&rc, &rp), &split);
             let (Some((base, _)), Some((imp, _))) = (base, improved) else {
                 continue;
             };
@@ -193,13 +212,13 @@ proptest! {
         lgrow in prop::array::uniform9(0.0f64..2.0),
         rgrow in prop::array::uniform9(0.0f64..2.0),
         rows in (1.0f64..100_000.0, 1.0f64..100_000.0, 0.0f64..3.0, 0.0f64..3.0),
-        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
         grow in (any::<bool>(), any::<bool>()),
         order_picks in (0u8..3, 0u8..3),
         sizes in (1e-6f64..1.0, 1.0f64..500.0, 1.0f64..300.0, 1.0f64..300.0),
     ) {
         let (lrows, rrows, lrow_grow, rrow_grow) = rows;
-        let (keyed, inner_indexed, canonical, right_multi) = flags;
+        let (keyed, inner_indexed, right_multi) = flags;
         // Costs and rows also grow alone, so neither masks the other.
         let (costs_grow, rows_grow) = grow;
         let (lrow_grow, rrow_grow) = if rows_grow { (lrow_grow, rrow_grow) } else { (0.0, 0.0) };
@@ -257,8 +276,8 @@ proptest! {
         };
 
         for op in JoinOp::ALL {
-            let lo = model.join_cost(op, (&lc, &lp_lo), (&rc, &rp_lo), &split, canonical);
-            let hi = model.join_cost(op, (&lc_hi, &lp_hi), (&rc_hi, &rp_hi), &split, canonical);
+            let lo = model.join_cost(op, (&lc, &lp_lo), (&rc, &rp_lo), &split);
+            let hi = model.join_cost(op, (&lc_hi, &lp_hi), (&rc_hi, &rp_hi), &split);
             prop_assert_eq!(lo.is_some(), hi.is_some(), "{} applies to one side only", op);
             let (Some((lo, lo_props)), Some((hi, hi_props))) = (lo, hi) else {
                 continue;
@@ -278,20 +297,21 @@ proptest! {
 
     /// `join_costs` prices every operator of a plan pair in one pass; entry
     /// `k` must equal `join_cost(JoinOp::ALL[k], ..)` bit for bit, in the
-    /// nine costs, in the output properties and in inapplicability. The
+    /// nine costs, in the output properties and in inapplicability, and
+    /// `join_cost` must apply exactly where `JoinSplit::applies` says. The
     /// children are sorted on their merge order, on the other key or not at
     /// all, their rows span both sides of `work_mem` (so sorts, hash
     /// builds and materializations spill or not), and each side may be
     /// sampled; the split may lack a key, its inner column may be indexed
-    /// or not, and the inner plan may be canonical or not, on one base
-    /// relation or several.
+    /// or not, and the inner plan, in the key's inner order or not, may
+    /// read one base relation or several.
     #[test]
     fn join_costs_equals_join_cost_bit_for_bit(
         lc in arb_child_cost(),
         rc in arb_child_cost(),
         rows in (0.0f64..6.5, 0.0f64..6.5, 1e-7f64..1.0),
         widths in (1.0f64..400.0, 1.0f64..400.0, 1.0f64..600.0),
-        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
         order_picks in (0u8..3, 0u8..3),
         sampled in (any::<bool>(), any::<bool>(), 0.01f64..1.0, 0.01f64..1.0),
     ) {
@@ -300,7 +320,7 @@ proptest! {
         // Rows from 1 to about 3·10⁶, log-uniform.
         let (lrows_exp, rrows_exp, selectivity) = rows;
         let (lwidth, rwidth, width) = widths;
-        let (keyed, inner_indexed, canonical, right_multi) = flags;
+        let (keyed, inner_indexed, right_multi) = flags;
         let (l_sampled, r_sampled, l_rate, r_rate) = sampled;
         let key = key(&model);
         let k = JoinKey {
@@ -349,10 +369,11 @@ proptest! {
         let lc = loss(&lc, l_sampled.then_some(l_rate));
         let rc = loss(&rc, r_sampled.then_some(r_rate));
 
-        let all = model.join_costs((&lc, &lp), (&rc, &rp), &split, canonical);
+        let all = model.join_costs((&lc, &lp), (&rc, &rp), &split);
         for (op, batched) in JoinOp::ALL.into_iter().zip(all) {
-            let alone = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split, canonical);
+            let alone = model.join_cost(op, (&lc, &lp), (&rc, &rp), &split);
             prop_assert_eq!(batched.is_some(), alone.is_some(), "{} applicability", op);
+            prop_assert_eq!(alone.is_some(), split.applies(op, &rp), "{} applies", op);
             let (Some((bc, bp)), Some((ac, ap))) = (batched, alone) else {
                 continue;
             };
@@ -395,5 +416,166 @@ proptest! {
         prop_assert!(lo.get(Objective::TotalTime) <= hi.get(Objective::TotalTime));
         prop_assert!(lo.get(Objective::CpuLoad) <= hi.get(Objective::CpuLoad));
         prop_assert!(lo.get(Objective::TupleLoss) >= hi.get(Objective::TupleLoss));
+    }
+}
+
+/// A random block of 2–4 relations over tables of 1–3 columns, each
+/// indexed or not: relation `i > 0` joins a random earlier one, and one
+/// more edge joins two random distinct relations, closing a cycle or
+/// doubling a pair. Every edge joins random columns of its endpoints.
+fn arb_block() -> impl Strategy<Value = (Catalog, JoinGraph)> {
+    (
+        2usize..=4,
+        prop::collection::vec((1u16..=3, any::<u8>(), 10.0f64..100_000.0), 4),
+        prop::collection::vec((any::<usize>(), any::<u16>(), any::<u16>()), 4),
+    )
+        .prop_map(|(n, tables, draws)| {
+            let mut catalog = Catalog::new();
+            for (i, &(columns, index_bits, rows)) in tables.iter().enumerate().take(n) {
+                let mut table = TableStats::new(format!("t{i}"), rows, 64.0);
+                for c in 0..columns {
+                    let column = ColumnStats::new(format!("c{c}"), rows);
+                    let indexed = index_bits >> c & 1 == 1;
+                    table = table.with_column(if indexed { column.indexed() } else { column });
+                }
+                catalog.add_table(table);
+            }
+            let rels = (0..n)
+                .map(|i| BaseRel {
+                    table: TableId(i as u32),
+                    alias: format!("t{i}"),
+                    filter_selectivity: 1.0,
+                })
+                .collect();
+            let edges = draws
+                .iter()
+                .take(n)
+                .enumerate()
+                .map(|(i, &(pick, left_col, right_col))| {
+                    let (left, right) = if i + 1 < n {
+                        (pick % (i + 1), i + 1)
+                    } else {
+                        let left = pick % n;
+                        (left, (left + 1 + pick / n % (n - 1)) % n)
+                    };
+                    JoinEdge {
+                        left_rel: left,
+                        left_col: left_col % tables[left].0,
+                        right_rel: right,
+                        right_col: right_col % tables[right].0,
+                        selectivity: 1e-3,
+                    }
+                })
+                .collect();
+            (catalog, JoinGraph { rels, edges })
+        })
+}
+
+/// Every scan configuration of a table of `columns` columns, the
+/// inapplicable ones included: the sequential scan, an index scan on each
+/// column, on the first ordinal past the last and on the largest, and
+/// every sampling rate.
+fn every_scan(columns: u16) -> impl Iterator<Item = ScanOp> {
+    let index_scans = (0..=columns)
+        .chain([u16::MAX])
+        .map(|column| ScanOp::IndexScan { column });
+    let samples = SAMPLING_RATES_PCT.map(|rate_pct| ScanOp::SamplingScan { rate_pct });
+    std::iter::once(ScanOp::SeqScan)
+        .chain(index_scans)
+        .chain(samples)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `JoinSplit::applies` decides the index-nested loop from the inner
+    /// plan's properties; this holds it to the plan-tree rule it replaced.
+    /// For both orientations of every edge of a random block, over every
+    /// scan configuration of every relation, the join applies exactly to
+    /// the index scan of the key's inner column when that column is
+    /// indexed, and to no plan of another relation or of two relations:
+    /// every operator's join of two scans, over a Cartesian split and
+    /// over each edge between them, the outer side's index scan of the
+    /// key's inner column included.
+    #[test]
+    fn index_nl_applies_exactly_to_the_inner_key_index_scan(block in arb_block()) {
+        let (catalog, graph) = block;
+        let params = CostModelParams::default();
+        let model = CostModel::new(&params, &catalog, &graph);
+        let columns = |rel: usize| &catalog.table(graph.rels[rel].table).columns;
+        let indexed = |rel: usize, column: u16| {
+            columns(rel).get(usize::from(column)).is_some_and(|c| c.indexed)
+        };
+        let mut scans = Vec::new();
+        for rel in 0..graph.n_rels() {
+            for op in every_scan(columns(rel).len() as u16) {
+                match model.scan_cost(rel, op) {
+                    Some(scan) => scans.push((rel, op, scan)),
+                    None => prop_assert!(
+                        matches!(op, ScanOp::IndexScan { column } if !indexed(rel, column)),
+                        "{:?} of relation {} is applicable",
+                        op,
+                        rel
+                    ),
+                }
+            }
+        }
+        let mut pairs = Vec::new();
+        for (outer, _, (lc, lp)) in &scans {
+            for (inner, _, (rc, rp)) in &scans {
+                if outer == inner {
+                    continue;
+                }
+                let rels = lp.rels | rp.rels;
+                let keys = graph.edges.iter().filter(|e| e.within(rels)).map(|e| {
+                    let ends = [(e.left_rel, e.left_col), (e.right_rel, e.right_col)];
+                    let [o, i] = if e.left_rel == *outer { ends } else { [ends[1], ends[0]] };
+                    Some(model.join_key(o, i))
+                });
+                for key in std::iter::once(None).chain(keys) {
+                    let split = JoinSplit {
+                        key,
+                        selectivity: graph.crossing_selectivity(lp.rels, rp.rels),
+                        width: subset_width(&graph, &catalog, rels),
+                    };
+                    let joins = model.join_costs((lc, lp), (rc, rp), &split);
+                    pairs.extend(joins.into_iter().flatten().map(|(_, props)| props));
+                }
+            }
+        }
+
+        for e in &graph.edges {
+            let ends = [(e.left_rel, e.left_col), (e.right_rel, e.right_col)];
+            for [outer, inner] in [ends, [ends[1], ends[0]]] {
+                let key = model.join_key(outer, inner);
+                prop_assert_eq!(key.inner_index.is_some(), indexed(inner.0, inner.1));
+                let split = JoinSplit {
+                    key: Some(key),
+                    selectivity: e.selectivity,
+                    width: 1.0,
+                };
+                for (rel, op, (_, props)) in &scans {
+                    let tree_rule = *rel == inner.0
+                        && *op == ScanOp::IndexScan { column: inner.1 }
+                        && indexed(inner.0, inner.1);
+                    prop_assert_eq!(
+                        split.applies(JoinOp::IndexNestedLoop, props),
+                        tree_rule,
+                        "{:?} of relation {} under {:?}",
+                        op,
+                        rel,
+                        key
+                    );
+                }
+                for props in &pairs {
+                    prop_assert!(
+                        !split.applies(JoinOp::IndexNestedLoop, props),
+                        "a plan of {:b} under {:?}",
+                        props.rels,
+                        key
+                    );
+                }
+            }
+        }
     }
 }
