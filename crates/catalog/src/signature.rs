@@ -1,133 +1,74 @@
-//! Canonical join-graph signatures for plan caching.
+//! Join-graph signatures for plan caching.
 //!
-//! A serving layer wants to recognize that two [`JoinGraph`]s describe the
-//! same optimization problem even when their relation and edge lists were
-//! assembled in different orders. [`JoinGraph::signature`] produces a 64-bit
-//! fingerprint that is invariant under
+//! A cached front's plans name relations by their index in the block, so
+//! the front serves exactly the blocks whose plan space matches position
+//! by position: [`JoinGraph::same_plan_space`] compares, bit for bit, each
+//! relation's table and filter selectivity and each edge's endpoints, key
+//! columns and selectivity. Aliases are ignored: they name relations for
+//! humans but never influence costs. [`JoinGraph::signature`] is the
+//! FNV-1a hash of exactly those fields, in order, so blocks of one plan
+//! space share a signature. Distinct plan spaces may collide (it is a
+//! hash), so a cache compares the stored block with `same_plan_space`
+//! before it serves.
 //!
-//! * permutation of the relation list (indices are relabelled consistently),
-//! * permutation of the edge list, and
-//! * flipping the orientation of any edge (`a.x = b.y` vs `b.y = a.x`),
-//!
-//! while depending on everything that shapes the plan space: the multiset of
-//! scanned tables, per-relation filter selectivities, and the join topology
-//! with its key columns and selectivities. Aliases are deliberately ignored
-//! — they name relations for humans but never influence costs.
-//!
-//! The construction is one-dimensional Weisfeiler–Lehman colour refinement:
-//! every relation starts from a label hashing its local statistics, then a
-//! few rounds fold in the sorted multiset of (edge descriptor, neighbour
-//! label) pairs. Sorting makes every step order-free; the final signature
-//! hashes the sorted relation labels together with the sorted canonical
-//! edge descriptors. Distinct graphs may collide (it is a hash), so exact
-//! cache serving additionally compares the stored graph for equality.
+//! A block whose relations or edges are listed in another order, or whose
+//! edges are flipped, is another plan space here and is cached apart:
+//! serving one from the other would need a canonical labelling to remap
+//! the relation indices its plans hold.
 
-use crate::query::{JoinEdge, JoinGraph};
+use crate::query::JoinGraph;
 
-/// A 64-bit canonical fingerprint of one [`JoinGraph`].
+/// A 64-bit fingerprint of one [`JoinGraph`]'s plan space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GraphSignature(pub u64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice — a stable, dependency-free hash whose value is
-/// fixed by this crate (unlike `DefaultHasher`, whose algorithm is
-/// unspecified across Rust versions).
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(value: u64, seed: u64) -> u64 {
-    fnv1a(&value.to_le_bytes(), seed)
-}
-
-/// WL refinement rounds. Two rounds already separate every topology this
-/// repository generates (chain/star/cycle/clique and the 22 TPC-H blocks);
-/// a third adds margin for adversarial near-symmetric graphs.
-const WL_ROUNDS: usize = 3;
-
 impl JoinGraph {
-    /// The canonical signature of this block; see the module docs for the
-    /// invariances. `O(rounds · E log E)` time.
+    /// Whether `other` has this block's plan space: the same number of
+    /// relations and edges, and position by position and bit for bit, each
+    /// relation's table and filter selectivity and each edge's endpoints,
+    /// key columns and selectivity. Aliases are ignored.
+    #[must_use]
+    pub fn same_plan_space(&self, other: &JoinGraph) -> bool {
+        self.rels.len() == other.rels.len()
+            && self.edges.len() == other.edges.len()
+            && self.rels.iter().zip(&other.rels).all(|(a, b)| {
+                a.table == b.table
+                    && a.filter_selectivity.to_bits() == b.filter_selectivity.to_bits()
+            })
+            && self.edges.iter().zip(&other.edges).all(|(a, b)| {
+                (a.left_rel, a.left_col, a.right_rel, a.right_col)
+                    == (b.left_rel, b.left_col, b.right_rel, b.right_col)
+                    && a.selectivity.to_bits() == b.selectivity.to_bits()
+            })
+    }
+
+    /// The FNV-1a hash of the fields [`JoinGraph::same_plan_space`]
+    /// compares, in its order, each count before its list: blocks of one
+    /// plan space share it.
     #[must_use]
     pub fn signature(&self) -> GraphSignature {
-        // Round 0: local relation statistics (table, filter selectivity).
-        let mut labels: Vec<u64> = self
-            .rels
-            .iter()
-            .map(|r| {
-                let mut h = fnv_u64(u64::from(r.table.0), FNV_OFFSET);
-                h = fnv_u64(r.filter_selectivity.to_bits(), h);
-                h
-            })
-            .collect();
-
-        // An edge as seen from one endpoint: (my key column, peer key
-        // column, selectivity, peer label). Orientation-free by
-        // construction — each endpoint describes the edge from its side.
-        let view = |e: &JoinEdge, from_left: bool, labels: &[u64]| -> u64 {
-            let (my_col, peer_col, peer) = if from_left {
-                (e.left_col, e.right_col, e.right_rel)
-            } else {
-                (e.right_col, e.left_col, e.left_rel)
-            };
-            let mut h = fnv_u64(u64::from(my_col), FNV_OFFSET);
-            h = fnv_u64(u64::from(peer_col), h);
-            h = fnv_u64(e.selectivity.to_bits(), h);
-            fnv_u64(labels[peer], h)
+        let mut h = FNV_OFFSET;
+        let mut feed = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
         };
-
-        let mut incident: Vec<Vec<u64>> = vec![Vec::new(); self.rels.len()];
-        for _ in 0..WL_ROUNDS {
-            for views in &mut incident {
-                views.clear();
-            }
-            for e in &self.edges {
-                incident[e.left_rel].push(view(e, true, &labels));
-                incident[e.right_rel].push(view(e, false, &labels));
-            }
-            labels = labels
-                .iter()
-                .zip(&mut incident)
-                .map(|(&label, views)| {
-                    views.sort_unstable();
-                    let mut h = fnv_u64(label, FNV_OFFSET);
-                    for &v in views.iter() {
-                        h = fnv_u64(v, h);
-                    }
-                    h
-                })
-                .collect();
+        feed(self.rels.len() as u64);
+        for r in &self.rels {
+            feed(u64::from(r.table.0));
+            feed(r.filter_selectivity.to_bits());
         }
-
-        // Final fold: sorted relation labels, then sorted canonical edge
-        // descriptors (symmetric over the two endpoint views).
-        let mut sorted_labels = labels.clone();
-        sorted_labels.sort_unstable();
-        let mut edge_descriptors: Vec<u64> = self
-            .edges
-            .iter()
-            .map(|e| {
-                let a = fnv_u64(labels[e.left_rel], view(e, true, &labels));
-                let b = fnv_u64(labels[e.right_rel], view(e, false, &labels));
-                a.min(b) ^ a.max(b).rotate_left(17)
-            })
-            .collect();
-        edge_descriptors.sort_unstable();
-
-        let mut h = fnv_u64(self.rels.len() as u64, FNV_OFFSET);
-        h = fnv_u64(self.edges.len() as u64, h);
-        for l in sorted_labels {
-            h = fnv_u64(l, h);
-        }
-        for d in edge_descriptors {
-            h = fnv_u64(d, h);
+        feed(self.edges.len() as u64);
+        for e in &self.edges {
+            feed(e.left_rel as u64);
+            feed(u64::from(e.left_col));
+            feed(e.right_rel as u64);
+            feed(u64::from(e.right_col));
+            feed(e.selectivity.to_bits());
         }
         GraphSignature(h)
     }
@@ -136,7 +77,7 @@ impl JoinGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{BaseRel, JoinGraphBuilder};
+    use crate::query::{JoinEdge, JoinGraphBuilder};
     use crate::table::{Catalog, ColumnStats, TableStats};
 
     fn catalog() -> Catalog {
@@ -163,53 +104,39 @@ mod tests {
             .build()
     }
 
-    /// Applies a relation permutation: `perm[old_index] = new_index`.
-    fn permute(g: &JoinGraph, perm: &[usize]) -> JoinGraph {
-        let mut rels: Vec<BaseRel> = g.rels.clone();
-        for (old, r) in g.rels.iter().enumerate() {
-            rels[perm[old]] = r.clone();
-        }
-        let edges = g
-            .edges
-            .iter()
-            .map(|e| JoinEdge {
-                left_rel: perm[e.left_rel],
-                right_rel: perm[e.right_rel],
-                ..e.clone()
-            })
-            .collect();
-        JoinGraph { rels, edges }
+    /// `other` is another plan space than `g`, with another signature.
+    fn assert_apart(g: &JoinGraph, other: &JoinGraph, what: &str) {
+        assert!(!g.same_plan_space(other), "{what}: same plan space");
+        assert_ne!(g.signature(), other.signature(), "{what}: same signature");
     }
 
     #[test]
     fn signature_is_deterministic() {
         let cat = catalog();
+        assert!(chain(&cat).same_plan_space(&chain(&cat)));
         assert_eq!(chain(&cat).signature(), chain(&cat).signature());
     }
 
     #[test]
-    fn signature_invariant_under_relation_permutation() {
+    fn relabelled_blocks_are_other_plan_spaces() {
         let cat = catalog();
         let g = chain(&cat);
-        for perm in [[1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1]] {
-            let p = permute(&g, &perm);
-            assert_eq!(g.signature(), p.signature(), "perm {perm:?}");
+        let mut swapped = g.clone();
+        swapped.rels.swap(0, 2);
+        for e in &mut swapped.edges {
+            for rel in [&mut e.left_rel, &mut e.right_rel] {
+                *rel = 2 - *rel;
+            }
         }
-    }
-
-    #[test]
-    fn signature_invariant_under_edge_permutation_and_flip() {
-        let cat = catalog();
-        let g = chain(&cat);
+        assert_apart(&g, &swapped, "relations relabelled");
         let mut reordered = g.clone();
         reordered.edges.reverse();
-        assert_eq!(g.signature(), reordered.signature());
+        assert_apart(&g, &reordered, "edges reordered");
         let mut flipped = g.clone();
-        for e in &mut flipped.edges {
-            std::mem::swap(&mut e.left_rel, &mut e.right_rel);
-            std::mem::swap(&mut e.left_col, &mut e.right_col);
-        }
-        assert_eq!(g.signature(), flipped.signature());
+        let e = &mut flipped.edges[0];
+        std::mem::swap(&mut e.left_rel, &mut e.right_rel);
+        std::mem::swap(&mut e.left_col, &mut e.right_col);
+        assert_apart(&g, &flipped, "edge flipped");
     }
 
     #[test]
@@ -220,6 +147,7 @@ mod tests {
         for (i, r) in renamed.rels.iter_mut().enumerate() {
             r.alias = format!("alias_{i}");
         }
+        assert!(g.same_plan_space(&renamed));
         assert_eq!(g.signature(), renamed.signature());
     }
 
@@ -230,26 +158,30 @@ mod tests {
         // Different filter selectivity.
         let mut filtered = g.clone();
         filtered.rels[0].filter_selectivity = 0.25;
-        assert_ne!(g.signature(), filtered.signature());
+        assert_apart(&g, &filtered, "filter selectivity");
+        // Different table.
+        let mut table = g.clone();
+        table.rels[2].table = table.rels[1].table;
+        assert_apart(&g, &table, "table");
         // Different join selectivity.
         let mut sel = g.clone();
         sel.edges[1].selectivity = 0.2;
-        assert_ne!(g.signature(), sel.signature());
+        assert_apart(&g, &sel, "join selectivity");
         // Different key column.
         let mut col = g.clone();
         col.edges[0].left_col = 0;
-        assert_ne!(g.signature(), col.signature());
+        assert_apart(&g, &col, "key column");
         // Different topology over the same relations: drop an edge.
         let mut star = g.clone();
         star.edges.pop();
-        assert_ne!(g.signature(), star.signature());
+        assert_apart(&g, &star, "edge count");
         // Different table multiset.
         let two = JoinGraphBuilder::new(&cat)
             .rel("a", 0.5)
             .rel("b", 1.0)
             .join(("a", "b_id"), ("b", "id"))
             .build();
-        assert_ne!(g.signature(), two.signature());
+        assert_apart(&g, &two, "relation count");
     }
 
     #[test]
@@ -266,6 +198,6 @@ mod tests {
             right_col: 0,
             selectivity: 0.1,
         };
-        assert_ne!(g.signature(), parallel.signature());
+        assert_apart(&g, &parallel, "second a–b edge");
     }
 }

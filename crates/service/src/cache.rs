@@ -7,16 +7,18 @@
 //! whatever its weights and bounds. The cache exploits exactly that:
 //!
 //! * **Keys** are the block and the objective set: [`JoinGraph::signature`]
-//!   (permutation-invariant join-graph fingerprint) paired with the
-//!   request's [`ObjectiveSet`]. A front that ran to completion (EXA, RTA,
+//!   (a hash of the block's plan space) paired with the request's
+//!   [`ObjectiveSet`]. A front that ran to completion (EXA, RTA,
 //!   or IRA's last iteration, which is RTA at its final precision) depends
 //!   on nothing else than its α and its pruning mode, and the mode is
 //!   [`PruneMode::auto`](moqo_core::PruneMode::auto) of the objective set
 //!   under the service's fixed cost-model parameters, so each key has one
 //!   mode. Weights and bounds only select: every hit picks its plan from
 //!   the served front with the request's own preference. Since graph
-//!   signatures are hashes, a hit additionally verifies the stored graph
-//!   for equality before anything is served.
+//!   signatures are hashes, a hit additionally checks the stored block with
+//!   [`JoinGraph::same_plan_space`] before anything is served. A block
+//!   whose relations or edges are relabelled is another plan space: it has
+//!   its own signature and is cached apart.
 //! * **Entries** own their plans: on insertion the producing arena's
 //!   surviving frontier plans are re-rooted into a compact cache-owned
 //!   arena via [`PlanArena::adopt`], so the (much larger) optimizer arena
@@ -46,7 +48,7 @@ use moqo_plan::PlanArena;
 
 use crate::AlphaCertificate;
 
-/// Cache key: canonical block signature × the request's objective set,
+/// Cache key: the block's plan-space signature × the request's objective set,
 /// everything a completed front depends on besides its α (see the module
 /// docs). Weights and bounds are not part of it: they only select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,9 +60,9 @@ pub struct CacheKey {
 }
 
 struct CacheEntry {
-    /// Exact graph the front was computed for — signature collisions and
-    /// isomorphic-but-relabelled graphs must not be served (plan trees
-    /// reference relation *indices*).
+    /// The block the front was computed for: only a block of the same plan
+    /// space ([`JoinGraph::same_plan_space`]) is served from it, never one
+    /// whose signature merely collides.
     graph: JoinGraph,
     /// Guarantee of the stored front (`1.0` exact, `+∞` none/RMQ).
     alpha: f64,
@@ -163,19 +165,6 @@ fn adopt_front(src: &PlanArena, front: &[PlanEntry]) -> (PlanArena, Vec<PlanEntr
     (arena, front)
 }
 
-/// Whether two join graphs describe the same plan space: identical
-/// relation statistics (table + filter selectivity, index by index) and
-/// identical edges. Aliases are ignored — they never influence costs, and
-/// the graph signature deliberately ignores them too, so alias-only
-/// variants of one block must share a cache entry instead of thrashing it.
-fn plan_equivalent(a: &JoinGraph, b: &JoinGraph) -> bool {
-    a.rels.len() == b.rels.len()
-        && a.edges == b.edges
-        && a.rels.iter().zip(&b.rels).all(|(x, y)| {
-            x.table == y.table && x.filter_selectivity.to_bits() == y.filter_selectivity.to_bits()
-        })
-}
-
 /// The sharded LRU plan cache.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
@@ -217,9 +206,9 @@ impl PlanCache {
 
     /// Probes the cache for `key`. `requested_alpha`/`bounded` decide
     /// between a direct hit and [`CacheLookup::NotServable`] (by
-    /// [`AlphaCertificate::is_valid`]); `graph` is compared against the
-    /// stored graph (aliases aside) to rule out collisions. Everything that
-    /// is not a direct serve counts as a miss.
+    /// [`AlphaCertificate::is_valid`]); `graph` must have the stored block's
+    /// plan space, which rules out collisions. Everything that is not a
+    /// direct serve counts as a miss.
     #[must_use]
     pub fn lookup(
         &self,
@@ -234,9 +223,9 @@ impl PlanCache {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         };
-        if !plan_equivalent(&entry.graph, graph) {
-            // Signature collision or relabelled isomorph: the stored plans
-            // index a different relation order, so nothing is servable.
+        if !entry.graph.same_plan_space(graph) {
+            // Signature collision: the stored plans belong to another plan
+            // space, so nothing is servable.
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Miss;
         }
@@ -279,7 +268,7 @@ impl PlanCache {
         let tick = self.next_tick();
         let mut shard = self.shard_of(key).lock().expect("cache lock poisoned");
         let entry = shard.get_mut(key)?;
-        if !plan_equivalent(&entry.graph, graph) {
+        if !entry.graph.same_plan_space(graph) {
             return None;
         }
         entry.last_used = tick;

@@ -25,7 +25,7 @@
 //!   that queue wait or earlier blocks leave too little fails the request
 //!   as [`ServiceError::DeadlineExceeded`].
 //! * **The α-aware plan cache** ([`PlanCache`]): blocks are keyed by
-//!   their canonical signature ([`moqo_catalog::JoinGraph::signature`])
+//!   their plan-space signature ([`moqo_catalog::JoinGraph::signature`])
 //!   and the request's objective set, everything a front depends on
 //!   besides its α. A front computed at factor α serves every later request
 //!   on the same block and objectives tolerating `α′ ≥ α` directly, whatever

@@ -3,8 +3,9 @@
 //! * a front cached at factor α serves every request tolerating `α′ ≥ α`
 //!   with a valid certificate, and the served front genuinely `α′`-covers
 //!   the exact Pareto frontier (Theorem 3 carried across requests);
-//! * canonical signatures are invariant under relation/edge permutation,
-//!   edge flips, and weight rescaling.
+//! * a block and a relabelling of it are two plan spaces, cached apart and
+//!   each served its own front;
+//! * preference signatures are invariant under weight rescaling.
 
 use moqo_catalog::{BaseRel, JoinEdge, JoinGraph};
 use moqo_core::rmq::WALKERS;
@@ -193,14 +194,15 @@ fn permute_graph(g: &JoinGraph, perm: &[usize]) -> JoinGraph {
 }
 
 proptest! {
-    /// Graph signatures are invariant under relation permutation, edge
-    /// reordering, and edge orientation flips.
+    /// A block and a relabelling of it, its relations permuted by a
+    /// non-identity permutation, are two plan spaces: the plans of one name
+    /// relations by indices that mean other tables in the other. So both
+    /// are cached, and each is served its own front.
     #[test]
-    fn graph_signature_permutation_invariant(
-        n_off in 0usize..5,
+    fn relabelled_blocks_are_cached_apart(
+        n_off in arb_n_off(),
         topo in arb_topo(),
         perm_seed in 0u64..1000,
-        flip_bits in 0u32..256,
     ) {
         let catalog = moqo_tpch::catalog(0.01);
         let n = 2 + n_off;
@@ -210,7 +212,7 @@ proptest! {
             moqo_tpch::Topology::ALL[topo],
         );
         // A deterministic permutation from the seed (Fisher–Yates with a
-        // splitmix-style step).
+        // xorshift step), rotated when it comes out as the identity.
         let mut perm: Vec<usize> = (0..n).collect();
         let mut state = perm_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         for i in (1..n).rev() {
@@ -219,17 +221,31 @@ proptest! {
             state ^= state << 17;
             perm.swap(i, (state % (i as u64 + 1)) as usize);
         }
-        let mut permuted = permute_graph(&graph, &perm);
-        // Also reorder and flip edges.
-        let n_edges = permuted.edges.len().max(1);
-        permuted.edges.rotate_left(flip_bits as usize % n_edges);
-        for (i, e) in permuted.edges.iter_mut().enumerate() {
-            if flip_bits & (1 << (i % 32)) != 0 {
-                std::mem::swap(&mut e.left_rel, &mut e.right_rel);
-                std::mem::swap(&mut e.left_col, &mut e.right_col);
+        if perm.iter().enumerate().all(|(i, &p)| i == p) {
+            perm.rotate_left(1);
+        }
+        let relabelled = permute_graph(&graph, &perm);
+        let params = CostModelParams::default();
+        let pref = preference();
+        let cache = PlanCache::new(4, 1);
+        let mut cached = Vec::new();
+        for block in [&graph, &relabelled] {
+            let model = CostModel::new(&params, &catalog, block);
+            let exact = exa(&model, &pref, &Deadline::unlimited());
+            let key = CacheKey {
+                graph: block.signature(),
+                objectives: pref.objectives,
+            };
+            cache.insert(key, block, &exact.final_plans, &exact.arena, 1.0);
+            cached.push((block, key, costs(&exact.final_plans)));
+        }
+        prop_assert_eq!(cache.len(), 2, "both blocks are cached");
+        for (block, key, front) in &cached {
+            match cache.lookup(key, block, 1.0, true) {
+                CacheLookup::Hit { frontier, .. } => prop_assert_eq!(&costs(&frontier), front),
+                _ => prop_assert!(false, "each block hits its own entry"),
             }
         }
-        prop_assert_eq!(graph.signature(), permuted.signature());
     }
 
     /// Preference signatures are invariant under positive weight rescaling
