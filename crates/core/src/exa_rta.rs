@@ -13,7 +13,7 @@
 //! past the cost vector and cost-only pruning would void Lemma 2 /
 //! Theorem 3 — and the paper's cost-only rule everywhere else.
 
-use moqo_cost::{ObjectiveSet, Preference};
+use moqo_cost::Preference;
 use moqo_costmodel::CostModel;
 
 use crate::budget::Deadline;
@@ -38,7 +38,7 @@ pub fn rta_internal_precision(alpha_u: f64, n_tables: usize) -> f64 {
 /// [`crate::select_best`]).
 #[must_use]
 pub fn exa(model: &CostModel<'_>, preference: &Preference, deadline: &Deadline) -> DpResult {
-    run(model, preference.objectives, preference, 1.0, deadline)
+    run(model, preference, 1.0, deadline)
 }
 
 /// Runs the representative-tradeoffs algorithm with user precision
@@ -57,18 +57,18 @@ pub fn rta(
 ) -> DpResult {
     assert!(alpha_u >= 1.0, "the user precision must satisfy α_U ≥ 1");
     let alpha_i = rta_internal_precision(alpha_u, model.graph.n_rels());
-    run(model, preference.objectives, preference, alpha_i, deadline)
+    run(model, preference, alpha_i, deadline)
 }
 
-/// Shared driver: `FindParetoPlans` with a given internal precision and
-/// the auto-selected pruning mode.
+/// Shared driver: `FindParetoPlans` over the preference's objectives with
+/// a given internal precision and the auto-selected pruning mode.
 pub(crate) fn run(
     model: &CostModel<'_>,
-    objectives: ObjectiveSet,
     preference: &Preference,
     alpha_internal: f64,
     deadline: &Deadline,
 ) -> DpResult {
+    let objectives = preference.objectives;
     let strategy = PruneStrategy::approximate(alpha_internal)
         .with_mode(PruneMode::auto(model.params.enable_sampling, objectives));
     find_pareto_plans(model, objectives, &strategy, &preference.weights, deadline)

@@ -96,13 +96,7 @@ pub fn ira(
             alpha = 1.0;
         }
         let alpha_internal = rta_internal_precision(alpha, n);
-        let mut result = run(
-            model,
-            preference.objectives,
-            preference,
-            alpha_internal,
-            deadline,
-        );
+        let mut result = run(model, preference, alpha_internal, deadline);
         work.considered_plans += result.stats.considered_plans;
         work.frontier_scan_probes += result.stats.frontier_scan_probes;
         work.frontier_scan_steps += result.stats.frontier_scan_steps;

@@ -20,8 +20,7 @@
 //! through one).
 //!
 //! Which operators apply follows from the split and the inner plan's
-//! properties alone ([`JoinSplit::applies`]): a caller never inspects a
-//! plan tree to decide it.
+//! properties alone ([`JoinSplit::applies`]).
 
 use moqo_catalog::RelMask;
 use moqo_cost::{CostVector, Objective};
@@ -144,8 +143,9 @@ impl JoinSplit {
     /// Whether `op` joins an outer plan with an inner plan of properties
     /// `inner` across this split, that is whether [`CostModel::join_cost`]
     /// prices it: hash, merge and index-nested-loop joins need the
-    /// equi-join key, and the index-nested loop also needs the inner plan
-    /// to be the index scan of the key's inner column.
+    /// equi-join key, and the index-nested loop also needs the key's inner
+    /// column to be indexed and the inner plan to be that column's index
+    /// scan.
     #[inline]
     #[must_use]
     pub fn applies(&self, op: JoinOp, inner: &PlanProps) -> bool {
